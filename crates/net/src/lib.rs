@@ -62,7 +62,7 @@ pub use mac::csma::{CsmaConfig, CsmaMac};
 pub use mac::selfstab_tdma::{SelfStabTdmaMac, SlotStatus};
 pub use mac::tdma_fixed::FixedTdmaMac;
 pub use mac::{MacContext, MacMetrics, MacProtocol, MacSimConfig, MacSimulation, SlotObservation};
-pub use medium::{Disturbance, MediumConfig, Reception, Transmission, WirelessMedium};
+pub use medium::{Disturbance, MediumConfig, WirelessMedium};
 pub use packet::{ports, Destination, Frame, NodeId};
 pub use pulse::{PulseSyncConfig, PulseSyncSim};
 pub use r2tmac::{R2TMac, R2TMacConfig};

@@ -96,8 +96,14 @@ impl MacProtocol for CsmaMac {
         }
     }
 
-    fn on_receive(&mut self, frame: Frame, ctx: &mut MacContext<'_>) {
+    fn on_receive(&mut self, frame: &Frame, ctx: &mut MacContext<'_>) {
         deliver_if_data(frame, ctx);
+    }
+
+    /// With an empty queue `on_slot` returns before touching the backoff or
+    /// the random stream, and an idle slot end changes nothing.
+    fn is_quiescent(&self) -> bool {
+        true
     }
 
     fn on_slot_end(&mut self, observation: SlotObservation, ctx: &mut MacContext<'_>) {

@@ -46,26 +46,37 @@ fn encode_beacon(claimed: Option<u16>, report: &[SlotStatus]) -> Vec<u8> {
     out
 }
 
-fn decode_beacon(payload: &[u8]) -> Option<(Option<u16>, Vec<SlotStatus>)> {
-    if payload.len() < 4 || payload[0] != MAGIC {
-        return None;
+/// A received beacon, validated but decoded only on demand: a receiver
+/// needs the sender's claim and the report entry of its own slot, which are
+/// read in place from the payload.
+struct Beacon<'a> {
+    claimed: Option<u16>,
+    /// The report's little-endian `u16` entries, one per slot.
+    report: &'a [u8],
+}
+
+impl<'a> Beacon<'a> {
+    fn parse(payload: &'a [u8]) -> Option<Self> {
+        if payload.len() < 4 || payload[0] != MAGIC {
+            return None;
+        }
+        let claimed_raw = u16::from_le_bytes([payload[1], payload[2]]);
+        let count = payload[3] as usize;
+        let report = payload.get(4..4 + count * 2)?;
+        Some(Beacon { claimed: (claimed_raw != SLOT_NONE).then_some(claimed_raw), report })
     }
-    let claimed_raw = u16::from_le_bytes([payload[1], payload[2]]);
-    let claimed = if claimed_raw == SLOT_NONE { None } else { Some(claimed_raw) };
-    let count = payload[3] as usize;
-    if payload.len() < 4 + count * 2 {
-        return None;
-    }
-    let mut report = Vec::with_capacity(count);
-    for i in 0..count {
-        let v = u16::from_le_bytes([payload[4 + 2 * i], payload[5 + 2 * i]]);
-        report.push(match v {
+
+    /// What the sender observed in `slot` during its previous frame, if its
+    /// report covers that slot.
+    fn entry(&self, slot: u16) -> Option<SlotStatus> {
+        let at = slot as usize * 2;
+        let bytes = self.report.get(at..at + 2)?;
+        Some(match u16::from_le_bytes([bytes[0], bytes[1]]) {
             STATUS_FREE => SlotStatus::Free,
             STATUS_COLLISION => SlotStatus::Collision,
             id => SlotStatus::Owned(id as u32),
-        });
+        })
     }
-    Some((claimed, report))
 }
 
 /// Self-stabilizing TDMA MAC instance.
@@ -148,16 +159,20 @@ impl SelfStabTdmaMac {
             || self.conflict
             || self.claimed_slot.map(|s| s >= ctx.slots_per_frame).unwrap_or(false);
         if needs_new_slot {
-            let mut free_slots: Vec<u16> = (0..ctx.slots_per_frame)
-                .filter(|s| {
-                    matches!(self.observed.get(*s as usize), Some(SlotStatus::Free) | None)
-                        && Some(*s) != self.claimed_slot
-                })
-                .collect();
-            if free_slots.is_empty() {
-                free_slots = (0..ctx.slots_per_frame).collect();
-            }
-            let pick = free_slots[ctx.rng.range_usize(0, free_slots.len() - 1)];
+            // Pick uniformly among the slots observed free (other than the
+            // current claim), or among all slots when none is.
+            let (observed, claimed) = (&self.observed, self.claimed_slot);
+            let is_free = |s: &u16| {
+                matches!(observed.get(*s as usize), Some(SlotStatus::Free) | None)
+                    && Some(*s) != claimed
+            };
+            let free = (0..ctx.slots_per_frame).filter(is_free).count();
+            let pick = if free == 0 {
+                ctx.rng.range_usize(0, ctx.slots_per_frame as usize - 1) as u16
+            } else {
+                let k = ctx.rng.range_usize(0, free - 1);
+                (0..ctx.slots_per_frame).filter(is_free).nth(k).expect("k < free")
+            };
             if self.claimed_slot.is_some() {
                 self.reselections += 1;
             }
@@ -167,10 +182,11 @@ impl SelfStabTdmaMac {
             self.stable_frames += 1;
         }
         self.conflict = false;
-        self.last_report = std::mem::replace(
-            &mut self.observed,
-            vec![SlotStatus::Free; ctx.slots_per_frame as usize],
-        );
+        // This frame's observations become the report; start a clean frame
+        // in the previous report's buffer.
+        std::mem::swap(&mut self.last_report, &mut self.observed);
+        self.observed.clear();
+        self.observed.resize(ctx.slots_per_frame as usize, SlotStatus::Free);
     }
 }
 
@@ -202,7 +218,7 @@ impl MacProtocol for SelfStabTdmaMac {
         }
     }
 
-    fn on_receive(&mut self, frame: Frame, ctx: &mut MacContext<'_>) {
+    fn on_receive(&mut self, frame: &Frame, ctx: &mut MacContext<'_>) {
         if frame.port != ports::BEACON {
             return;
         }
@@ -211,7 +227,7 @@ impl MacProtocol for SelfStabTdmaMac {
         if let Some(entry) = self.observed.get_mut(ctx.slot_in_frame as usize) {
             *entry = SlotStatus::Owned(frame.src.0);
         }
-        let Some((neighbor_claim, neighbor_report)) = decode_beacon(&frame.payload) else {
+        let Some(beacon) = Beacon::parse(&frame.payload) else {
             return;
         };
         let Some(my_slot) = self.claimed_slot else {
@@ -222,13 +238,13 @@ impl MacProtocol for SelfStabTdmaMac {
             self.conflict = true;
         }
         // Another node claims my slot.
-        if neighbor_claim == Some(my_slot) && frame.src != ctx.node {
+        if beacon.claimed == Some(my_slot) && frame.src != ctx.node {
             self.conflict = true;
         }
         // A neighbour observed my slot colliding, or owned by someone else.
-        match neighbor_report.get(my_slot as usize) {
+        match beacon.entry(my_slot) {
             Some(SlotStatus::Collision) => self.conflict = true,
-            Some(SlotStatus::Owned(owner)) if *owner != ctx.node.0 => self.conflict = true,
+            Some(SlotStatus::Owned(owner)) if owner != ctx.node.0 => self.conflict = true,
             _ => {}
         }
     }
@@ -320,13 +336,16 @@ mod tests {
         let report =
             vec![SlotStatus::Free, SlotStatus::Owned(7), SlotStatus::Collision, SlotStatus::Free];
         let bytes = encode_beacon(Some(2), &report);
-        let (claim, decoded) = decode_beacon(&bytes).unwrap();
-        assert_eq!(claim, Some(2));
+        let beacon = Beacon::parse(&bytes).unwrap();
+        assert_eq!(beacon.claimed, Some(2));
+        let decoded: Vec<SlotStatus> = (0..4).map(|s| beacon.entry(s).unwrap()).collect();
         assert_eq!(decoded, report);
+        assert_eq!(beacon.entry(4), None, "the report covers four slots");
         let bytes_none = encode_beacon(None, &report);
-        assert_eq!(decode_beacon(&bytes_none).unwrap().0, None);
-        assert!(decode_beacon(&[1, 2, 3]).is_none());
-        assert!(decode_beacon(&[]).is_none());
+        assert_eq!(Beacon::parse(&bytes_none).unwrap().claimed, None);
+        assert!(Beacon::parse(&[1, 2, 3]).is_none());
+        assert!(Beacon::parse(&[]).is_none());
+        assert!(Beacon::parse(&bytes[..bytes.len() - 1]).is_none(), "truncated report");
     }
 
     #[test]

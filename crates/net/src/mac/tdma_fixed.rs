@@ -49,8 +49,13 @@ impl MacProtocol for FixedTdmaMac {
         }
     }
 
-    fn on_receive(&mut self, frame: Frame, ctx: &mut MacContext<'_>) {
+    fn on_receive(&mut self, frame: &Frame, ctx: &mut MacContext<'_>) {
         deliver_if_data(frame, ctx);
+    }
+
+    /// Stateless: with an empty queue a slot does nothing.
+    fn is_quiescent(&self) -> bool {
+        true
     }
 }
 

@@ -5,14 +5,21 @@
 //! broadcast-interference rules — a listener receives a frame iff exactly one
 //! in-range node transmitted on the listener's channel, the channel is not
 //! being disturbed (jammed), and the frame survives the residual loss
-//! probability.  Disturbances are what creates the *network inaccessibility*
-//! periods studied in §V-A1.
+//! probability.  The slot loop ([`MacSimulation::step`](crate::mac::MacSimulation::step))
+//! applies that rule; the medium supplies its inputs: radio range, the
+//! residual loss probability and the disturbances that create the *network
+//! inaccessibility* periods studied in §V-A1.
+//!
+//! Disturbances are indexed per channel key (one channel, or all channels),
+//! sorted by start with a running maximum of the ends, so "is this channel
+//! jammed now?" and "when does the next burst start?" are binary searches
+//! however long the jamming schedule is.
 
 use std::collections::HashMap;
 
 use karyon_sim::{Rng, SimTime, Vec2};
 
-use crate::packet::{Frame, NodeId};
+use crate::packet::NodeId;
 
 /// Static configuration of the medium.
 #[derive(Debug, Clone)]
@@ -51,46 +58,39 @@ impl Disturbance {
     }
 }
 
-/// A transmission attempt in the current slot.
-#[derive(Debug, Clone)]
-pub struct Transmission {
-    /// The transmitting node.
-    pub src: NodeId,
-    /// The radio channel used.
-    pub channel: u8,
-    /// The frame being sent.
-    pub frame: Frame,
+/// The disturbances of one channel key: `(start, end)` spans sorted by start,
+/// and `reach[i]`, the latest end among `spans[..=i]`.  A time `t` is covered
+/// iff the latest end among the spans starting at or before `t` lies after
+/// it, whatever the spans' overlaps and nesting.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Bursts {
+    spans: Vec<(SimTime, SimTime)>,
+    reach: Vec<SimTime>,
 }
 
-/// The outcome of one slot at one listening node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reception {
-    /// Exactly one in-range transmission and it was received.
-    Frame(Frame),
-    /// Two or more in-range transmissions interfered.
-    Collision,
-    /// The channel was jammed by an external disturbance.
-    Disturbed,
-    /// Nothing audible this slot.
-    Idle,
-}
-
-/// The result of resolving one slot over the whole medium.
-#[derive(Debug, Clone, Default)]
-pub struct SlotResult {
-    /// Per-listener outcome (nodes that transmitted are not listed: half-duplex).
-    pub outcomes: HashMap<NodeId, Reception>,
-    /// Transmitters whose frame collided at at least one in-range listener.
-    pub collided_transmitters: Vec<NodeId>,
-}
-
-impl SlotResult {
-    /// The frames successfully received by `node` this slot (0 or 1).
-    pub fn received_by(&self, node: NodeId) -> Option<&Frame> {
-        match self.outcomes.get(&node) {
-            Some(Reception::Frame(f)) => Some(f),
-            _ => None,
+impl Bursts {
+    fn insert(&mut self, start: SimTime, end: SimTime) {
+        let at = self.spans.partition_point(|&(s, _)| s <= start);
+        self.spans.insert(at, (start, end));
+        self.reach.truncate(at);
+        let mut latest = at.checked_sub(1).map_or(SimTime::ZERO, |i| self.reach[i]);
+        for &(_, e) in &self.spans[at..] {
+            latest = latest.max(e);
+            self.reach.push(latest);
         }
+    }
+
+    /// Number of spans starting at or before `t`.
+    fn started_by(&self, t: SimTime) -> usize {
+        self.spans.partition_point(|&(s, _)| s <= t)
+    }
+
+    fn covers(&self, t: SimTime) -> bool {
+        self.started_by(t).checked_sub(1).is_some_and(|i| self.reach[i] > t)
+    }
+
+    fn next_start_after(&self, t: SimTime) -> Option<SimTime> {
+        self.spans.get(self.started_by(t)).map(|&(s, _)| s)
     }
 }
 
@@ -99,14 +99,26 @@ impl SlotResult {
 pub struct WirelessMedium {
     config: MediumConfig,
     positions: HashMap<NodeId, Vec2>,
-    disturbances: Vec<Disturbance>,
+    /// Bumped whenever a registration or position changes, so the slot loop
+    /// knows when its cached reach matrix is stale.
+    topology_epoch: u64,
+    /// Disturbances affecting every channel.
+    all_channels: Bursts,
+    /// Disturbances of one channel, indexed by channel.
+    per_channel: Vec<Bursts>,
 }
 
 impl WirelessMedium {
     /// Creates a medium with the given configuration.
     pub fn new(config: MediumConfig) -> Self {
         assert!(config.channels >= 1, "medium needs at least one channel");
-        WirelessMedium { config, positions: HashMap::new(), disturbances: Vec::new() }
+        WirelessMedium {
+            config,
+            positions: HashMap::new(),
+            topology_epoch: 0,
+            all_channels: Bursts::default(),
+            per_channel: Vec::new(),
+        }
     }
 
     /// The medium configuration.
@@ -116,7 +128,9 @@ impl WirelessMedium {
 
     /// Registers or moves a node.
     pub fn set_position(&mut self, node: NodeId, position: Vec2) {
-        self.positions.insert(node, position);
+        if self.positions.insert(node, position) != Some(position) {
+            self.topology_epoch += 1;
+        }
     }
 
     /// The current position of a node, if registered.
@@ -126,7 +140,14 @@ impl WirelessMedium {
 
     /// Removes a node (e.g. churn in the self-stabilizing TDMA experiments).
     pub fn remove_node(&mut self, node: NodeId) {
-        self.positions.remove(&node);
+        if self.positions.remove(&node).is_some() {
+            self.topology_epoch += 1;
+        }
+    }
+
+    /// Changes whenever a node is registered, moved or removed.
+    pub(crate) fn topology_epoch(&self) -> u64 {
+        self.topology_epoch
     }
 
     /// All registered nodes.
@@ -138,7 +159,17 @@ impl WirelessMedium {
 
     /// Adds a jamming disturbance.
     pub fn add_disturbance(&mut self, disturbance: Disturbance) {
-        self.disturbances.push(disturbance);
+        let Disturbance { channel, start, end } = disturbance;
+        match channel {
+            None => self.all_channels.insert(start, end),
+            Some(c) => {
+                let c = c as usize;
+                if self.per_channel.len() <= c {
+                    self.per_channel.resize_with(c + 1, Bursts::default);
+                }
+                self.per_channel[c].insert(start, end);
+            }
+        }
     }
 
     /// Generates a random sequence of disturbance bursts on `channel` over
@@ -173,7 +204,19 @@ impl WirelessMedium {
     /// True when `channel` is affected by a disturbance at `now`
     /// (what a carrier-sensing node observes as a persistently busy medium).
     pub fn is_disturbed(&self, channel: u8, now: SimTime) -> bool {
-        self.disturbances.iter().any(|d| d.affects(channel, now))
+        self.all_channels.covers(now)
+            || self.per_channel.get(channel as usize).is_some_and(|b| b.covers(now))
+    }
+
+    /// The earliest start, strictly after `after`, of a disturbance that
+    /// affects `channel`, if any.  When `channel` is not disturbed at
+    /// `after`, it stays undisturbed until that instant.
+    pub fn next_disturbance_start(&self, channel: u8, after: SimTime) -> Option<SimTime> {
+        let own = self.per_channel.get(channel as usize).and_then(|b| b.next_start_after(after));
+        match (self.all_channels.next_start_after(after), own) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// True when `a` and `b` are within radio range of each other.
@@ -195,85 +238,19 @@ impl WirelessMedium {
         v.sort();
         v
     }
-
-    /// Resolves one slot: given all transmission attempts, computes what each
-    /// listening node hears.
-    pub fn resolve_slot(
-        &self,
-        transmissions: &[Transmission],
-        now: SimTime,
-        rng: &mut Rng,
-    ) -> SlotResult {
-        let mut result = SlotResult::default();
-        let transmitters: Vec<NodeId> = transmissions.iter().map(|t| t.src).collect();
-
-        for &listener in self.positions.keys() {
-            if transmitters.contains(&listener) {
-                continue; // half-duplex: a transmitting node hears nothing
-            }
-            // Determine the listener's channel: a listener hears its own
-            // configured channel; we resolve per channel and report the
-            // strongest condition.  The MAC simulation passes the listener's
-            // channel through `listen_channels`; here we compute outcomes for
-            // every channel and let the caller pick — to keep the API simple
-            // we instead record the outcome on each channel where something
-            // happened, preferring the lowest channel with activity.
-            // In practice the MAC simulation queries `outcome_for` below.
-            let outcome = self.outcome_for(listener, 0, transmissions, now, rng);
-            result.outcomes.insert(listener, outcome);
-        }
-
-        // A transmitter "collided" when another in-range node transmitted on
-        // the same channel in the same slot (its frame is lost at common
-        // listeners).
-        for tx in transmissions {
-            let clashed = transmissions.iter().any(|other| {
-                other.src != tx.src
-                    && other.channel == tx.channel
-                    && self.in_range(tx.src, other.src)
-            });
-            if clashed {
-                result.collided_transmitters.push(tx.src);
-            }
-        }
-        result
-    }
-
-    /// Computes what `listener`, tuned to `channel`, hears in a slot with the
-    /// given transmissions.
-    pub fn outcome_for(
-        &self,
-        listener: NodeId,
-        channel: u8,
-        transmissions: &[Transmission],
-        now: SimTime,
-        rng: &mut Rng,
-    ) -> Reception {
-        if self.is_disturbed(channel, now) {
-            return Reception::Disturbed;
-        }
-        let audible: Vec<&Transmission> = transmissions
-            .iter()
-            .filter(|t| t.channel == channel && t.src != listener && self.in_range(listener, t.src))
-            .collect();
-        match audible.len() {
-            0 => Reception::Idle,
-            1 => {
-                if rng.chance(self.config.loss_probability) {
-                    Reception::Idle
-                } else {
-                    Reception::Frame(audible[0].frame.clone())
-                }
-            }
-            _ => Reception::Collision,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use karyon_sim::SimDuration;
+
+    // Reception itself is the slot loop's rule, tested in `mac::tests`:
+    // single frames (`frames_are_delivered_without_collisions`), collisions
+    // and half-duplex (`simultaneous_transmissions_collide`), channels and
+    // range (`listeners_hear_only_in_range_frames_on_their_channel`),
+    // jamming (`disturbed_slots_are_counted`) and residual loss
+    // (`residual_loss_drops_about_the_configured_share`).
 
     fn medium_with(nodes: &[(u32, f64, f64)], range: f64) -> WirelessMedium {
         let mut m = WirelessMedium::new(MediumConfig { range, loss_probability: 0.0, channels: 2 });
@@ -283,11 +260,11 @@ mod tests {
         m
     }
 
-    fn tx(src: u32, channel: u8) -> Transmission {
-        Transmission {
-            src: NodeId(src),
+    fn burst(channel: Option<u8>, start_ms: u64, end_ms: u64) -> Disturbance {
+        Disturbance {
             channel,
-            frame: Frame::broadcast(NodeId(src), 0, SimTime::ZERO, vec![src as u8]),
+            start: SimTime::from_millis(start_ms),
+            end: SimTime::from_millis(end_ms),
         }
     }
 
@@ -304,72 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn single_transmission_is_received() {
-        let m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0)], 200.0);
-        let mut rng = Rng::seed_from(1);
-        let out = m.outcome_for(NodeId(2), 0, &[tx(1, 0)], SimTime::ZERO, &mut rng);
-        assert!(matches!(out, Reception::Frame(f) if f.src == NodeId(1)));
-    }
-
-    #[test]
-    fn two_transmissions_collide() {
-        let m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0), (3, 100.0, 0.0)], 200.0);
-        let mut rng = Rng::seed_from(2);
-        let txs = [tx(1, 0), tx(3, 0)];
-        assert_eq!(
-            m.outcome_for(NodeId(2), 0, &txs, SimTime::ZERO, &mut rng),
-            Reception::Collision
-        );
-        let slot = m.resolve_slot(&txs, SimTime::ZERO, &mut rng);
-        assert!(slot.collided_transmitters.contains(&NodeId(1)));
-        assert!(slot.collided_transmitters.contains(&NodeId(3)));
-        assert!(slot.received_by(NodeId(2)).is_none());
-    }
-
-    #[test]
-    fn different_channels_do_not_collide() {
-        let m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0), (3, 100.0, 0.0)], 200.0);
-        let mut rng = Rng::seed_from(3);
-        let txs = [tx(1, 0), tx(3, 1)];
-        assert!(matches!(
-            m.outcome_for(NodeId(2), 0, &txs, SimTime::ZERO, &mut rng),
-            Reception::Frame(_)
-        ));
-        assert!(matches!(
-            m.outcome_for(NodeId(2), 1, &txs, SimTime::ZERO, &mut rng),
-            Reception::Frame(_)
-        ));
-        let slot = m.resolve_slot(&txs, SimTime::ZERO, &mut rng);
-        assert!(slot.collided_transmitters.is_empty());
-    }
-
-    #[test]
-    fn out_of_range_transmitter_is_not_heard() {
-        let m = medium_with(&[(1, 0.0, 0.0), (2, 1_000.0, 0.0)], 200.0);
-        let mut rng = Rng::seed_from(4);
-        assert_eq!(
-            m.outcome_for(NodeId(2), 0, &[tx(1, 0)], SimTime::ZERO, &mut rng),
-            Reception::Idle
-        );
-    }
-
-    #[test]
     fn disturbance_jams_channel() {
         let mut m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0)], 200.0);
-        m.add_disturbance(Disturbance {
-            channel: Some(0),
-            start: SimTime::from_secs(1),
-            end: SimTime::from_secs(2),
-        });
-        let mut rng = Rng::seed_from(5);
+        m.add_disturbance(burst(Some(0), 1_000, 2_000));
         assert!(m.is_disturbed(0, SimTime::from_millis(1_500)));
         assert!(!m.is_disturbed(1, SimTime::from_millis(1_500)));
         assert!(!m.is_disturbed(0, SimTime::from_millis(500)));
-        let out = m.outcome_for(NodeId(2), 0, &[tx(1, 0)], SimTime::from_millis(1_500), &mut rng);
-        assert_eq!(out, Reception::Disturbed);
-        // Other channel still works.
-        let out = m.outcome_for(NodeId(2), 1, &[tx(1, 1)], SimTime::from_millis(1_500), &mut rng);
-        assert!(matches!(out, Reception::Frame(_)));
+        assert!(m.is_disturbed(0, SimTime::from_millis(1_000)), "the start is inclusive");
+        assert!(!m.is_disturbed(0, SimTime::from_millis(2_000)), "the end is exclusive");
+        assert!(!m.is_disturbed(7, SimTime::from_millis(1_500)), "an unused channel is clear");
     }
 
     #[test]
@@ -378,23 +298,48 @@ mod tests {
         assert!(d.affects(0, SimTime::from_millis(10)));
         assert!(d.affects(7, SimTime::from_millis(10)));
         assert!(!d.affects(0, SimTime::from_secs(1)));
+        let mut m = medium_with(&[], 100.0);
+        m.add_disturbance(d);
+        assert!(m.is_disturbed(0, SimTime::from_millis(10)));
+        assert!(m.is_disturbed(7, SimTime::from_millis(10)));
+        assert!(!m.is_disturbed(7, SimTime::from_secs(1)));
     }
 
     #[test]
-    fn residual_loss_probability_drops_frames() {
-        let mut m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0)], 200.0);
-        m.config.loss_probability = 0.5;
-        let mut rng = Rng::seed_from(6);
-        let mut lost = 0;
-        for _ in 0..2_000 {
-            if matches!(
-                m.outcome_for(NodeId(2), 0, &[tx(1, 0)], SimTime::ZERO, &mut rng),
-                Reception::Idle
-            ) {
-                lost += 1;
+    fn nested_overlapping_and_empty_bursts_are_indexed_exactly() {
+        let mut m = medium_with(&[], 100.0);
+        // Added out of order: a long burst hiding a nested one, an overlap,
+        // a zero-length burst and an all-channel burst.
+        let schedule = [
+            burst(Some(0), 50, 60),
+            burst(Some(0), 10, 40),
+            burst(Some(0), 20, 25),
+            burst(Some(0), 35, 55),
+            burst(Some(0), 70, 70),
+            burst(None, 80, 90),
+            burst(Some(1), 5, 6),
+        ];
+        for d in schedule {
+            m.add_disturbance(d);
+        }
+        for ms in 0..100 {
+            for channel in 0..3 {
+                let now = SimTime::from_millis(ms);
+                let expected = schedule.iter().any(|d| d.affects(channel, now));
+                assert_eq!(m.is_disturbed(channel, now), expected, "channel {channel} at {ms} ms");
             }
         }
-        assert!((800..1_200).contains(&lost), "lost {lost}");
+        let next = |channel: u8, ms: u64| {
+            m.next_disturbance_start(channel, SimTime::from_millis(ms)).map(|t| t.as_millis())
+        };
+        assert_eq!(next(0, 0), Some(10));
+        assert_eq!(next(0, 10), Some(20), "strictly after");
+        assert_eq!(next(0, 55), Some(70), "zero-length bursts still start");
+        assert_eq!(next(0, 70), Some(80), "all-channel bursts count");
+        assert_eq!(next(1, 0), Some(5));
+        assert_eq!(next(1, 5), Some(80));
+        assert_eq!(next(2, 0), Some(80));
+        assert_eq!(next(2, 80), None);
     }
 
     #[test]
@@ -419,16 +364,8 @@ mod tests {
         );
         assert_eq!(c1, c2);
         assert!(c1 > 3, "expected several bursts, got {c1}");
-        assert_eq!(m1.disturbances, m2.disturbances);
-    }
-
-    #[test]
-    fn half_duplex_transmitter_hears_nothing() {
-        let m = medium_with(&[(1, 0.0, 0.0), (2, 50.0, 0.0)], 200.0);
-        let mut rng = Rng::seed_from(8);
-        let slot = m.resolve_slot(&[tx(1, 0), tx(2, 0)], SimTime::ZERO, &mut rng);
-        assert!(!slot.outcomes.contains_key(&NodeId(1)));
-        assert!(!slot.outcomes.contains_key(&NodeId(2)));
+        assert_eq!(m1.per_channel, m2.per_channel);
+        assert_eq!(m1.per_channel[0].spans.len(), c1);
     }
 
     #[test]
@@ -437,5 +374,20 @@ mod tests {
         m.remove_node(NodeId(2));
         assert_eq!(m.nodes(), vec![NodeId(1)]);
         assert!(!m.in_range(NodeId(1), NodeId(2)));
+    }
+
+    #[test]
+    fn topology_epoch_moves_only_when_positions_change() {
+        let mut m = medium_with(&[(1, 0.0, 0.0)], 100.0);
+        let epoch = m.topology_epoch();
+        m.set_position(NodeId(1), Vec2::new(0.0, 0.0));
+        m.remove_node(NodeId(9));
+        m.add_disturbance(burst(Some(0), 0, 10));
+        assert_eq!(m.topology_epoch(), epoch, "nothing that affects range changed");
+        m.set_position(NodeId(1), Vec2::new(1.0, 0.0));
+        assert_ne!(m.topology_epoch(), epoch);
+        let epoch = m.topology_epoch();
+        m.remove_node(NodeId(1));
+        assert_ne!(m.topology_epoch(), epoch);
     }
 }

@@ -16,7 +16,7 @@
 //! "can be incorporated in COTS components without fundamental modifications
 //! in the standard MAC level protocol".
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 use karyon_sim::{SimDuration, SimTime};
 
@@ -55,6 +55,121 @@ impl Default for R2TMacConfig {
 
 const HEARTBEAT_MAGIC: u8 = 0x48;
 
+fn is_heartbeat(frame: &Frame) -> bool {
+    frame.port == ports::BEACON && frame.payload.first() == Some(&HEARTBEAT_MAGIC)
+}
+
+/// How many `(src, seq)` keys each Mediator Layer record remembers.
+const KEY_WINDOW: usize = 2_048;
+
+/// A free slot of [`KeyWindow::index`].
+const EMPTY: u16 = u16::MAX;
+
+/// The most recent [`KEY_WINDOW`] distinct `(src, seq)` keys, evicted
+/// first in, first out, with O(1) membership.
+///
+/// Each key is stored once, in a ring (`srcs`/`seqs`, filled in order and
+/// then overwritten from `oldest` on).  `index` is an open-addressing table
+/// of `u16` ring positions with linear probing, kept at most half full, so a
+/// full window costs 12 bytes per key plus 4 bytes of index.
+#[derive(Debug, Clone, Default)]
+struct KeyWindow {
+    srcs: Vec<u32>,
+    seqs: Vec<u64>,
+    /// The ring position the next key overwrites once the ring is full.
+    oldest: usize,
+    /// Empty, or a power of two at least twice the ring length.
+    index: Vec<u16>,
+}
+
+impl KeyWindow {
+    fn home(&self, src: u32, seq: u64) -> usize {
+        let h = (seq ^ u64::from(src).rotate_left(40)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok(slot)` where `index` holds the key, or `Err(slot)`, the free slot
+    /// that ends its probe sequence.
+    fn probe(&self, src: u32, seq: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(src, seq);
+        loop {
+            match self.index[slot] {
+                EMPTY => return Err(slot),
+                pos if self.srcs[pos as usize] == src && self.seqs[pos as usize] == seq => {
+                    return Ok(slot)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn rebuild(&mut self, slots: usize) {
+        self.index.clear();
+        self.index.resize(slots, EMPTY);
+        for pos in 0..self.srcs.len() {
+            let Err(slot) = self.probe(self.srcs[pos], self.seqs[pos]) else {
+                unreachable!("ring keys are distinct")
+            };
+            self.index[slot] = pos as u16;
+        }
+    }
+
+    /// Frees `hole` by backward-shift deletion, keeping every remaining key
+    /// reachable from its home slot.
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let pos = self.index[next];
+            if pos == EMPTY {
+                break;
+            }
+            let home = self.home(self.srcs[pos as usize], self.seqs[pos as usize]);
+            // The key may fill the hole unless its home lies in (hole, next].
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.index[hole] = pos;
+                hole = next;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+
+    /// Remembers the key unless it is already in the window; returns whether
+    /// it was new.  A new key evicts the oldest one from a full window.
+    fn insert(&mut self, src: u32, seq: u64) -> bool {
+        if self.index.is_empty() {
+            self.rebuild(8);
+        }
+        let Err(free) = self.probe(src, seq) else {
+            return false;
+        };
+        if self.srcs.len() < KEY_WINDOW {
+            self.srcs.push(src);
+            self.seqs.push(seq);
+            if 2 * self.srcs.len() > self.index.len() {
+                self.rebuild(2 * self.index.len());
+            } else {
+                self.index[free] = (self.srcs.len() - 1) as u16;
+            }
+        } else {
+            let pos = self.oldest;
+            let Ok(evicted) = self.probe(self.srcs[pos], self.seqs[pos]) else {
+                unreachable!("every ring key is indexed")
+            };
+            self.remove_slot(evicted);
+            self.srcs[pos] = src;
+            self.seqs[pos] = seq;
+            // The deletion may have shifted `free`; probe again.
+            let Err(free) = self.probe(src, seq) else { unreachable!("the key is new") };
+            self.index[free] = pos as u16;
+            self.oldest = (pos + 1) % KEY_WINDOW;
+        }
+        true
+    }
+}
+
 /// R2T-MAC wrapper around an inner MAC protocol.
 #[derive(Debug)]
 pub struct R2TMac<M> {
@@ -63,12 +178,12 @@ pub struct R2TMac<M> {
     consecutive_disturbed: u32,
     channel_switches: u64,
     inaccessibility: InaccessibilityTracker,
-    /// Neighbour → slot index at which it was last heard.
-    last_heard: HashMap<u32, u64>,
+    /// Neighbour → slot index at which it was last heard, in id order.
+    last_heard: BTreeMap<u32, u64>,
     /// Recently seen (src, seq) pairs for duplicate suppression.
-    seen: VecDeque<(u32, u64)>,
+    seen: KeyWindow,
     /// (src, seq) pairs already expanded into redundant copies.
-    replicated: VecDeque<(u32, u64)>,
+    replicated: KeyWindow,
     duplicates_suppressed: u64,
 }
 
@@ -81,9 +196,9 @@ impl<M: MacProtocol> R2TMac<M> {
             consecutive_disturbed: 0,
             channel_switches: 0,
             inaccessibility: InaccessibilityTracker::new(),
-            last_heard: HashMap::new(),
-            seen: VecDeque::new(),
-            replicated: VecDeque::new(),
+            last_heard: BTreeMap::new(),
+            seen: KeyWindow::default(),
+            replicated: KeyWindow::default(),
             duplicates_suppressed: 0,
         }
     }
@@ -110,14 +225,11 @@ impl<M: MacProtocol> R2TMac<M> {
 
     /// The neighbours currently considered alive by the membership service.
     pub fn alive_neighbors(&self, current_slot: u64) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .last_heard
+        self.last_heard
             .iter()
             .filter(|(_, last)| current_slot.saturating_sub(**last) <= self.config.neighbor_timeout)
             .map(|(id, _)| NodeId(*id))
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// Closes any open inaccessibility period (call at the end of a run).
@@ -130,13 +242,6 @@ impl<M: MacProtocol> R2TMac<M> {
     /// `channel_switch_threshold × slot_duration` (plus one slot of latency).
     pub fn inaccessibility_bound(&self, slot_duration: SimDuration) -> SimDuration {
         slot_duration.saturating_mul(self.config.channel_switch_threshold as u64 + 1)
-    }
-
-    fn remember(buffer: &mut VecDeque<(u32, u64)>, key: (u32, u64)) {
-        buffer.push_back(key);
-        if buffer.len() > 2_048 {
-            buffer.pop_front();
-        }
     }
 }
 
@@ -165,30 +270,27 @@ impl<M: MacProtocol> MacProtocol for R2TMac<M> {
         self.inaccessibility.observe(ctx.channel_disturbed, ctx.now);
 
         // --- Mediator Layer: temporal redundancy --------------------------
+        // Copies go to the back of the queue; the frames queued before this
+        // slot are the ones examined.
         if self.config.copies > 1 {
-            let mut extra: Vec<Frame> = Vec::new();
-            for frame in ctx.queue.iter() {
-                if frame.port == ports::DATA && !self.replicated.contains(&(frame.src.0, frame.seq))
-                {
-                    Self::remember(&mut self.replicated, (frame.src.0, frame.seq));
-                    for _ in 1..self.config.copies {
-                        extra.push(frame.clone());
+            for i in 0..ctx.queue.len() {
+                let frame = &ctx.queue[i];
+                if frame.port == ports::DATA && self.replicated.insert(frame.src.0, frame.seq) {
+                    let frame = frame.clone();
+                    for _ in 2..self.config.copies {
+                        ctx.queue.push_back(frame.clone());
                     }
+                    ctx.queue.push_back(frame);
                 }
-            }
-            for frame in extra {
-                ctx.queue.push_back(frame);
             }
         }
 
         // --- Mediator Layer: membership heartbeats ------------------------
         if self.config.heartbeat_period > 0 {
             let phase = ctx.node.0 as u64 % self.config.heartbeat_period;
-            let already_queued = ctx
-                .queue
-                .iter()
-                .any(|f| f.port == ports::BEACON && f.payload.first() == Some(&HEARTBEAT_MAGIC));
-            if ctx.slot % self.config.heartbeat_period == phase && !already_queued {
+            if ctx.slot % self.config.heartbeat_period == phase
+                && !ctx.queue.iter().any(is_heartbeat)
+            {
                 ctx.queue.push_back(Frame {
                     src: ctx.node,
                     dst: Destination::Broadcast,
@@ -203,26 +305,32 @@ impl<M: MacProtocol> MacProtocol for R2TMac<M> {
         self.inner.on_slot(ctx)
     }
 
-    fn on_receive(&mut self, frame: Frame, ctx: &mut MacContext<'_>) {
+    fn on_receive(&mut self, frame: &Frame, ctx: &mut MacContext<'_>) {
         // Membership: any frame from a neighbour refreshes its liveness.
         self.last_heard.insert(frame.src.0, ctx.slot);
-        if frame.port == ports::BEACON && frame.payload.first() == Some(&HEARTBEAT_MAGIC) {
+        if is_heartbeat(frame) {
             return; // heartbeats carry no payload for the upper layers
         }
         // Duplicate suppression for the redundant copies.
-        let key = (frame.src.0, frame.seq);
-        if frame.port == ports::DATA {
-            if self.seen.contains(&key) {
-                self.duplicates_suppressed += 1;
-                return;
-            }
-            Self::remember(&mut self.seen, key);
+        if frame.port == ports::DATA && !self.seen.insert(frame.src.0, frame.seq) {
+            self.duplicates_suppressed += 1;
+            return;
         }
         self.inner.on_receive(frame, ctx);
     }
 
     fn on_slot_end(&mut self, observation: SlotObservation, ctx: &mut MacContext<'_>) {
         self.inner.on_slot_end(observation, ctx);
+    }
+
+    /// Quiescent when the inner MAC is, no jammed-slot count or
+    /// inaccessibility period is open (an undisturbed slot would reset or
+    /// close them) and no heartbeat can fall due.
+    fn is_quiescent(&self) -> bool {
+        self.config.heartbeat_period == 0
+            && self.consecutive_disturbed == 0
+            && !self.inaccessibility.is_inaccessible()
+            && self.inner.is_quiescent()
     }
 }
 
@@ -313,6 +421,32 @@ mod tests {
         let slot = s.slot();
         let members = s.mac(NodeId(0)).unwrap().alive_neighbors(slot);
         assert_eq!(members, vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn key_window_is_a_fifo_set_of_the_last_2048_keys() {
+        // Model: the linear window the Mediator Layer used to scan.
+        let mut model: std::collections::VecDeque<(u32, u64)> = Default::default();
+        let mut window = KeyWindow::default();
+        let mut rng = karyon_sim::Rng::seed_from(11);
+        for step in 0..20_000u64 {
+            // Few sources and a sliding sequence range: plenty of repeats,
+            // hash collisions, evictions and re-insertions of evicted keys.
+            let key = (rng.range_u64(0, 5) as u32, step / 4 + rng.range_u64(0, 600));
+            let new = !model.contains(&key);
+            if new {
+                model.push_back(key);
+                if model.len() > KEY_WINDOW {
+                    model.pop_front();
+                }
+            }
+            assert_eq!(window.insert(key.0, key.1), new, "step {step}, key {key:?}");
+        }
+        assert_eq!(window.srcs.len(), KEY_WINDOW);
+        assert_eq!(window.index.len(), 2 * KEY_WINDOW, "the index stays at most half full");
+        for &(src, seq) in &model {
+            assert!(window.probe(src, seq).is_ok());
+        }
     }
 
     #[test]

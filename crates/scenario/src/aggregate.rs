@@ -62,12 +62,25 @@ pub(crate) enum QuantileAcc {
 /// of the not-yet-seen tail usually still land inside.  Outliers beyond the
 /// range are still counted exactly (under/overflow buckets with exact
 /// min/max representatives).
+///
+/// Sentinels such as `f64::MAX` (`avionics-rpv` reports it when no encounter
+/// happens) overflow the padded span to infinity.  Only then are the
+/// extremes clamped to ±`f64::MAX / 4` before padding, which keeps both ends
+/// and the width finite; the sentinels land in the overflow bucket.
 fn derived_range(values: &[f64]) -> (f64, f64) {
+    let padded = |lo: f64, hi: f64| {
+        let span = hi - lo;
+        let pad = if span > 0.0 { span / 2.0 } else { lo.abs().max(1.0) / 2.0 };
+        (lo - pad, hi + pad)
+    };
     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let span = hi - lo;
-    let pad = if span > 0.0 { span / 2.0 } else { lo.abs().max(1.0) / 2.0 };
-    (lo - pad, hi + pad)
+    let (plo, phi) = padded(lo, hi);
+    if (phi - plo).is_finite() {
+        return (plo, phi);
+    }
+    const LIMIT: f64 = f64::MAX / 4.0;
+    padded(lo.clamp(-LIMIT, LIMIT), hi.clamp(-LIMIT, LIMIT))
 }
 
 /// The streaming aggregate of one metric at one parameter point: mean /
@@ -384,6 +397,47 @@ mod tests {
         assert_eq!(s, reference);
         assert_eq!(s.p50, 51.0);
         assert_eq!(s.p95, 95.0);
+    }
+
+    #[test]
+    fn derived_range_pads_finite_spans_and_clamps_only_overflow() {
+        assert_eq!(derived_range(&[1.0, 3.0]), (0.0, 4.0));
+        assert_eq!(derived_range(&[2.0, 2.0]), (1.0, 3.0));
+        assert_eq!(derived_range(&[-1e300, 1e300]), (-2e300, 2e300), "finite: unclamped");
+        for values in [
+            vec![12.5, f64::MAX],
+            vec![f64::MAX, f64::MAX],
+            vec![f64::MIN, 3.0],
+            vec![f64::MIN, f64::MAX],
+        ] {
+            let (lo, hi) = derived_range(&values);
+            assert!(lo.is_finite() && hi.is_finite() && (hi - lo).is_finite(), "{values:?}");
+            assert!(lo < hi, "{values:?}: ({lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn sentinel_samples_past_the_exact_limit_merge_to_finite_quantiles() {
+        // `avionics-rpv` reports `f64::MAX` separations when no encounter
+        // happens; a point with more runs than the exact limit used to
+        // overflow the derived range to infinity and panic the merge.
+        let n = 5_000;
+        assert!(n > QUANTILE_EXACT_LIMIT);
+        let mut total = MetricAccumulator::new(None);
+        for chunk in 0..n / 100 {
+            let mut partial = MetricAccumulator::new(None);
+            for i in chunk * 100..(chunk + 1) * 100 {
+                partial.record(if i % 7 == 0 { f64::MAX } else { 100.0 + (i % 50) as f64 });
+            }
+            total.merge(partial);
+        }
+        assert_eq!(total.resident_samples(), 0, "the merged prefix spilled");
+        let s = total.summary();
+        assert_eq!(s.count, n);
+        assert_eq!(s.max, f64::MAX);
+        for q in [s.p50, s.p95, s.p99] {
+            assert!(q.is_finite() && (100.0..=f64::MAX).contains(&q), "{s:?}");
+        }
     }
 
     #[test]

@@ -54,10 +54,15 @@ impl TdmaScenario {
         (sim, slots_per_frame, nodes)
     }
 
-    fn converged(sim: &MacSimulation<SelfStabTdmaMac>) -> bool {
-        let claims: Vec<(NodeId, Option<u16>)> =
-            sim.node_ids().iter().map(|id| (*id, sim.mac(*id).unwrap().claimed_slot())).collect();
-        allocation_is_collision_free(&claims, |a, b| sim.medium().in_range(a, b))
+    /// Whether the allocation is collision-free; `claims` is a reused
+    /// buffer.
+    fn converged(
+        sim: &MacSimulation<SelfStabTdmaMac>,
+        claims: &mut Vec<(NodeId, Option<u16>)>,
+    ) -> bool {
+        claims.clear();
+        claims.extend(sim.macs().map(|(id, mac)| (id, mac.claimed_slot())));
+        allocation_is_collision_free(claims, |a, b| sim.medium().in_range(a, b))
     }
 
     /// Runs frames until the allocation is collision-free; returns
@@ -68,10 +73,11 @@ impl TdmaScenario {
         frame: SimDuration,
         max_frames: u64,
     ) -> (u64, bool) {
+        let mut claims = Vec::new();
         for frame_idx in 1..=max_frames {
             let deadline = engine.now() + frame;
             engine.run_until(deadline, |sim, _, _| sim.step());
-            if Self::converged(engine.state()) {
+            if Self::converged(engine.state(), &mut claims) {
                 return (frame_idx, true);
             }
         }
@@ -119,10 +125,7 @@ impl Scenario for TdmaScenario {
         // …, frame give exactly `slots_per_frame` MAC steps per frame window.
         engine.schedule_periodic(SimTime::ZERO + slot, slot, TdmaEvent::Slot);
         let (frames, converged) = Self::hunt(&mut engine, frame, max_frames);
-        let reselections: u64 = {
-            let sim = engine.state();
-            sim.node_ids().iter().map(|id| sim.mac(*id).unwrap().reselections()).sum()
-        };
+        let reselections: u64 = engine.state().macs().map(|(_, mac)| mac.reselections()).sum();
         // Post-convergence stability: ten more frames must stay silent.
         let before = engine.state().metrics().collisions;
         let deadline = engine.now() + frame.saturating_mul(10);
@@ -245,9 +248,17 @@ impl Scenario for InaccessibilityScenario {
                 // A CSMA node cannot escape its jammed channel, so its
                 // inaccessibility is the raw disturbance profile.
                 let mut tracker = InaccessibilityTracker::new();
-                for slot in 0..slots {
+                let mut slot = 0;
+                while slot < slots {
                     let now = SimTime::from_millis(slot);
-                    tracker.observe(sim.medium().is_disturbed(0, now), now);
+                    let disturbed = sim.medium().is_disturbed(0, now);
+                    tracker.observe(disturbed, now);
+                    // Clear slots change nothing until the next burst starts.
+                    slot = match sim.medium().next_disturbance_start(0, now) {
+                        Some(start) if !disturbed => start.as_micros().div_ceil(1_000),
+                        None if !disturbed => slots,
+                        _ => slot + 1,
+                    };
                 }
                 tracker.finish(SimTime::from_millis(slots));
                 record.set("longest_inaccessibility_ms", tracker.longest().as_secs_f64() * 1e3);

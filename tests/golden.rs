@@ -1,0 +1,239 @@
+//! Golden reports: what the network families compute, pinned.
+//!
+//! Determinism tests prove that a campaign gives the same bytes for any
+//! worker count, chunk plan or resume point; they cannot notice a refactor
+//! that changes what a family computes while staying deterministic.  This
+//! suite runs small campaigns over the families the MAC slot loop drives —
+//! `inaccessibility` (R2T-MAC and CSMA, with and without the stark 8–12 s
+//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — at two
+//! campaign seeds each, and compares every report byte for byte against the
+//! checked-in JSON under `tests/golden/`.
+//!
+//! A deliberate behaviour change re-blesses the files:
+//!
+//! ```sh
+//! KARYON_BLESS=1 cargo test -q --test golden
+//! ```
+//!
+//! and the change must say why the numbers moved.
+
+use std::path::PathBuf;
+
+use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
+
+/// The campaign seeds every family is pinned at.
+const SEEDS: [u64; 2] = [1, 2];
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+}
+
+/// Re-indents the report's compact JSON so that a behaviour change shows up
+/// as a readable line diff: every object or array that contains another one
+/// opens one line per member, while leaf objects (parameter points, metric
+/// summaries) stay on one line.  Only whitespace is added, so the bytes of
+/// every key and number are those the report wrote.
+fn pretty(json: &str) -> String {
+    let bytes = json.as_bytes();
+    // For each opening bracket, whether it (transitively) contains another.
+    let mut nested = vec![false; bytes.len()];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut in_string = false;
+    let mut escaped = false;
+    for (i, &b) in bytes.iter().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' | b'[' => {
+                if let Some(&open) = stack.last() {
+                    nested[open] = true;
+                }
+                stack.push(i);
+            }
+            b'}' | b']' => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+
+    let mut out: Vec<u8> = Vec::with_capacity(json.len() * 2);
+    // Per open container: does it break lines?
+    let mut breaking: Vec<bool> = Vec::new();
+    let newline = |out: &mut Vec<u8>, depth: usize| {
+        out.push(b'\n');
+        out.extend(std::iter::repeat(b' ').take(2 * depth));
+    };
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, &b) in bytes.iter().enumerate() {
+        if in_string {
+            out.push(b);
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => {
+                in_string = true;
+                out.push(b);
+            }
+            b'{' | b'[' => {
+                out.push(b);
+                breaking.push(nested[i]);
+                if nested[i] {
+                    newline(&mut out, breaking.len());
+                }
+            }
+            b'}' | b']' => {
+                if breaking.pop() == Some(true) {
+                    newline(&mut out, breaking.len());
+                }
+                out.push(b);
+            }
+            b',' => {
+                out.push(b);
+                if breaking.last() == Some(&true) {
+                    newline(&mut out, breaking.len());
+                }
+            }
+            b':' if breaking.last() == Some(&true) => out.extend_from_slice(b": "),
+            _ => out.push(b),
+        }
+    }
+    out.push(b'\n');
+    String::from_utf8(out).expect("whitespace keeps UTF-8 intact")
+}
+
+/// Runs `entry` at every golden seed and compares (or, under
+/// `KARYON_BLESS=1`, rewrites) `tests/golden/<name>.seed<N>.json`.
+fn check(name: &str, entry: CampaignEntry) {
+    let registry = builtin_registry();
+    let bless = std::env::var_os("KARYON_BLESS").is_some_and(|v| v == "1");
+    for seed in SEEDS {
+        let campaign =
+            Campaign::new(&format!("golden-{name}"), seed).with_threads(2).entry(entry.clone());
+        let report = campaign.run(&registry).expect("builtin family");
+        assert_eq!(report.suspect_runs(), 0, "{name} seed {seed}: causality-suspect runs");
+        let actual = pretty(&report.to_json());
+        let path = golden_path(&format!("{name}.seed{seed}"));
+        if bless {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &actual).unwrap();
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden file {} ({e}); bless with KARYON_BLESS=1", path.display())
+        });
+        if actual != expected {
+            let first = actual
+                .lines()
+                .zip(expected.lines())
+                .position(|(a, e)| a != e)
+                .unwrap_or(actual.lines().count().min(expected.lines().count()));
+            panic!(
+                "{name} seed {seed} no longer matches {}: first difference at line {}\n  \
+                 expected: {}\n  actual:   {}\nre-bless with KARYON_BLESS=1 only for a \
+                 deliberate behaviour change",
+                path.display(),
+                first + 1,
+                expected.lines().nth(first).unwrap_or("<end of file>"),
+                actual.lines().nth(first).unwrap_or("<end of file>"),
+            );
+        }
+    }
+}
+
+/// R2T-MAC and CSMA under random bursts and the 8–12 s long burst.  The 14 s
+/// horizon covers the long burst and many R2T channel switches (threshold 10
+/// jammed slots against 200–800 ms bursts).
+#[test]
+fn inaccessibility_reports_are_pinned() {
+    check(
+        "inaccessibility",
+        CampaignEntry::new("inaccessibility")
+            .grid(
+                ParamGrid::new()
+                    .axis("mac", ["r2t", "csma"])
+                    .axis("burst_ms", [200, 800])
+                    .axis("long_burst", [false, true]),
+            )
+            .replications(3)
+            .duration_secs(14),
+    );
+}
+
+/// Self-stabilizing TDMA from empty and adversarial claims, with and without
+/// a node joining the converged network.
+#[test]
+fn tdma_reports_are_pinned() {
+    check(
+        "tdma",
+        CampaignEntry::new("tdma")
+            .grid(
+                ParamGrid::new()
+                    .axis("nodes", [4, 8])
+                    .axis("adversarial", [false, true])
+                    .axis("churn", [false, true]),
+            )
+            .replications(3)
+            .duration_secs(10),
+    );
+}
+
+/// Pulse alignment with and without the phase correction.
+#[test]
+fn pulse_sync_reports_are_pinned() {
+    check(
+        "pulse-sync",
+        CampaignEntry::new("pulse-sync")
+            .grid(ParamGrid::new().axis("loss", [0.05, 0.3]).axis("gain", [0.5, 0.0]))
+            .replications(3)
+            .duration_secs(20),
+    );
+}
+
+#[test]
+fn pretty_printing_only_adds_whitespace() {
+    let compact = r#"{"a":1,"b":{"c":"x,{y}","d":[1,2]},"e":[{"f":true}]}"#;
+    let printed = pretty(compact);
+    let stripped: String = {
+        // Remove the whitespace `pretty` added outside strings.
+        let mut out = String::new();
+        let (mut in_string, mut escaped) = (false, false);
+        for c in printed.chars() {
+            if in_string {
+                out.push(c);
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => in_string = false,
+                    _ => {}
+                }
+            } else if c == '"' {
+                in_string = true;
+                out.push(c);
+            } else if !c.is_whitespace() {
+                out.push(c);
+            }
+        }
+        out
+    };
+    assert_eq!(stripped, compact);
+    // `b` holds an array, so it opens one line per member; the leaves stay
+    // on one line.
+    assert!(printed.contains("\"b\": {\n"), "{printed}");
+    assert!(printed.contains(r#""d": [1,2]"#), "{printed}");
+    assert!(printed.contains(r#"{"f":true}"#), "{printed}");
+}

@@ -4,10 +4,16 @@
 use proptest::prelude::*;
 
 use karyon::net::end_to_end::{eventually_fifo, E2EConfig, EndToEndSession};
+use karyon::net::mac::{MacProtocol, MacSimConfig, MacSimulation};
+use karyon::net::{
+    CsmaConfig, CsmaMac, Disturbance, FixedTdmaMac, MediumConfig, NodeId, R2TMac, R2TMacConfig,
+    WirelessMedium,
+};
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
 use karyon::sensors::{marzullo_fuse, weighted_fuse, Interval, Measurement, Validity};
-use karyon::sim::{EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, TrainId};
+use karyon::sim::{EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, TrainId, Vec2};
+use proptest::test_runner::TestCaseError;
 
 proptest! {
     /// The event queue always pops events in non-decreasing time order,
@@ -326,5 +332,260 @@ proptest! {
         }
         session.run_until_drained(2_000_000);
         prop_assert!(eventually_fifo(&sent, session.receiver.delivered(), 0));
+    }
+}
+
+/// A random jamming schedule over `[0, horizon_us)`: bursts on one of
+/// `channels` channels or on all of them, zero-length, sub-slot, short and
+/// long, some nested inside the previous one.
+fn random_bursts(rng: &mut Rng, channels: u8, horizon_us: u64) -> Vec<Disturbance> {
+    let mut bursts: Vec<Disturbance> = Vec::new();
+    for _ in 0..rng.range_u64(0, 8) {
+        let channel = match rng.range_u64(0, 4) {
+            0 => None,
+            _ => Some(rng.range_u64(0, channels as u64 - 1) as u8),
+        };
+        let (start, len) = match (bursts.last(), rng.range_u64(0, 5)) {
+            // Nested inside the previous burst.
+            (Some(outer), 0) => {
+                let span = outer.end.since(outer.start).as_micros();
+                let offset = rng.range_u64(0, span);
+                (outer.start.as_micros() + offset, rng.range_u64(0, span - offset))
+            }
+            (_, kind) => {
+                let len = match kind {
+                    1 => 0,
+                    2 => rng.range_u64(1, 2_000),
+                    3 => rng.range_u64(10_000, 100_000),
+                    _ => rng.range_u64(100_000, 800_000),
+                };
+                (rng.range_u64(0, horizon_us), len)
+            }
+        };
+        bursts.push(Disturbance {
+            channel,
+            start: SimTime::from_micros(start),
+            end: SimTime::from_micros(start + len),
+        });
+    }
+    bursts
+}
+
+/// One step of a MAC scenario's script.
+#[derive(Debug, Clone, Copy)]
+enum MacOp {
+    /// Enqueue a broadcast (or, with `Some(dst)`, a unicast) at a node.
+    Send(u32, Option<u32>),
+    /// Move a node.
+    Move(u32, Vec2),
+    /// Advance a window of slots.
+    Run(u64),
+}
+
+/// A random network, jamming schedule and traffic script.
+struct MacCase {
+    seed: u64,
+    positions: Vec<Vec2>,
+    channels: u8,
+    loss: f64,
+    bursts: Vec<Disturbance>,
+    script: Vec<MacOp>,
+}
+
+impl MacCase {
+    fn generate(seed: u64) -> Self {
+        let mut rng = Rng::seed_from(seed);
+        let nodes = rng.range_u64(2, 12) as u32;
+        let channels = rng.range_u64(1, 3) as u8;
+        // Range 300 m over a 600 m strip: some pairs cannot hear each other.
+        let position =
+            |rng: &mut Rng| Vec2::new(rng.range_f64(0.0, 600.0), rng.range_f64(0.0, 50.0));
+        let positions = (0..nodes).map(|_| position(&mut rng)).collect();
+        let loss = if rng.chance(0.5) { 0.0 } else { rng.range_f64(0.01, 0.3) };
+        let horizon = rng.range_u64(500, 4_000);
+        let bursts = random_bursts(&mut rng, channels, horizon * 1_000);
+        let mut script = Vec::new();
+        let mut slots = 0;
+        let node = |rng: &mut Rng| rng.range_u64(0, nodes as u64 - 1) as u32;
+        while slots < horizon {
+            match rng.range_u64(0, 9) {
+                // Sparse traffic: one frame, sometimes unicast.
+                0..=2 => {
+                    let dst = rng.chance(0.2).then(|| node(&mut rng));
+                    script.push(MacOp::Send(node(&mut rng), dst));
+                }
+                // A burst of frames at several nodes.
+                3 => {
+                    for _ in 0..rng.range_u64(2, 8) {
+                        script.push(MacOp::Send(node(&mut rng), None));
+                    }
+                }
+                4 if rng.chance(0.3) => {
+                    script.push(MacOp::Move(node(&mut rng), position(&mut rng)))
+                }
+                _ => {
+                    let window = match rng.range_u64(0, 2) {
+                        0 => rng.range_u64(1, 5),
+                        1 => rng.range_u64(5, 100),
+                        _ => rng.range_u64(100, 800),
+                    };
+                    script.push(MacOp::Run(window));
+                    slots += window;
+                }
+            }
+        }
+        MacCase { seed, positions, channels, loss, bursts, script }
+    }
+
+    fn build<M: MacProtocol>(&self, mac: impl Fn() -> M) -> MacSimulation<M> {
+        let mut medium = WirelessMedium::new(MediumConfig {
+            range: 300.0,
+            loss_probability: self.loss,
+            channels: self.channels,
+        });
+        for burst in &self.bursts {
+            medium.add_disturbance(*burst);
+        }
+        let mut sim = MacSimulation::new(medium, MacSimConfig::default(), self.seed);
+        for (i, p) in self.positions.iter().enumerate() {
+            sim.add_node(NodeId(i as u32), mac(), *p);
+        }
+        sim
+    }
+
+    /// Plays the script on two copies of the network, one through
+    /// `run_slots(n)` and one through `n` calls to `step()`, and compares
+    /// everything observable after every window.
+    fn check_skipping<M: MacProtocol>(
+        &self,
+        mac: impl Fn() -> M,
+        observe: impl Fn(&M) -> String,
+    ) -> Result<(), TestCaseError> {
+        let mut skipping = self.build(&mac);
+        let mut stepping = self.build(&mac);
+        let ids = skipping.node_ids();
+        for (at, op) in self.script.iter().enumerate() {
+            match *op {
+                MacOp::Send(src, None) => {
+                    skipping.send_broadcast(NodeId(src), vec![at as u8]);
+                    stepping.send_broadcast(NodeId(src), vec![at as u8]);
+                }
+                MacOp::Send(src, Some(dst)) => {
+                    skipping.send_unicast(NodeId(src), NodeId(dst), vec![at as u8]);
+                    stepping.send_unicast(NodeId(src), NodeId(dst), vec![at as u8]);
+                }
+                MacOp::Move(id, position) => {
+                    skipping.set_position(NodeId(id), position);
+                    stepping.set_position(NodeId(id), position);
+                }
+                MacOp::Run(n) => {
+                    skipping.run_slots(n);
+                    for _ in 0..n {
+                        stepping.step();
+                    }
+                    prop_assert_eq!(skipping.slot(), stepping.slot());
+                    prop_assert_eq!(skipping.now(), stepping.now());
+                    let metrics = format!("{:?}", skipping.metrics());
+                    let expected = format!("{:?}", stepping.metrics());
+                    prop_assert!(metrics == expected, "after op {at}: {metrics} != {expected}");
+                    for &id in &ids {
+                        prop_assert_eq!(skipping.node_channel(id), stepping.node_channel(id));
+                        prop_assert_eq!(skipping.queue(id), stepping.queue(id));
+                        prop_assert_eq!(skipping.take_delivered(id), stepping.take_delivered(id));
+                        let state = observe(skipping.mac(id).unwrap());
+                        let expected = observe(stepping.mac(id).unwrap());
+                        prop_assert!(
+                            state == expected,
+                            "{id} after op {at}: {state} != {expected}"
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn csma_state(mac: &CsmaMac) -> String {
+    format!("dropped_expired {}", mac.dropped_expired())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Idle-slot skipping is exact: `run_slots(n)` leaves CSMA, R2T-MAC and
+    /// fixed-TDMA networks in the same state as `n` calls to `step()` —
+    /// metrics with every delay sample, per-node channels, queues and
+    /// delivered frames, R2T inaccessibility periods, channel switches and
+    /// suppressed duplicates, and CSMA's expired-frame drops — under random
+    /// topologies, jamming schedules and traffic.
+    #[test]
+    fn idle_slot_skipping_matches_slot_by_slot_stepping(
+        seed in any::<u64>(),
+        copies in 1u32..4,
+        heartbeats in any::<bool>(),
+        switching in any::<bool>(),
+    ) {
+        let case = MacCase::generate(seed);
+        case.check_skipping(|| CsmaMac::new(CsmaConfig::default()), csma_state)?;
+        case.check_skipping(FixedTdmaMac::new, |_| String::new())?;
+        let config = R2TMacConfig {
+            copies,
+            heartbeat_period: if heartbeats { 40 } else { 0 },
+            channel_switch_threshold: if switching { 10 } else { 0 },
+            channels: case.channels,
+            ..Default::default()
+        };
+        case.check_skipping(
+            || R2TMac::new(CsmaMac::new(CsmaConfig::default()), config.clone()),
+            |mac| {
+                format!(
+                    "periods {:?} open {} switches {} duplicates {} {}",
+                    mac.inaccessibility().periods(),
+                    mac.inaccessibility().is_inaccessible(),
+                    mac.channel_switches(),
+                    mac.duplicates_suppressed(),
+                    csma_state(mac.inner()),
+                )
+            },
+        )?;
+    }
+
+    /// The medium's disturbance index answers exactly what a scan of the
+    /// schedule answers: whether a channel is jammed at a time, and when the
+    /// next burst affecting it starts.
+    #[test]
+    fn indexed_disturbances_match_a_linear_scan(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let channels = rng.range_u64(1, 3) as u8;
+        let bursts = random_bursts(&mut rng, channels, 2_000_000);
+        let mut medium = WirelessMedium::new(MediumConfig { channels, ..MediumConfig::default() });
+        for burst in &bursts {
+            medium.add_disturbance(*burst);
+        }
+        for _ in 0..200 {
+            // Query near burst edges as often as anywhere.
+            let t = match (bursts.is_empty(), rng.range_u64(0, 2)) {
+                (false, 0) => {
+                    let b = bursts[rng.range_usize(0, bursts.len() - 1)];
+                    let edge = if rng.chance(0.5) { b.start } else { b.end };
+                    SimTime::from_micros((edge.as_micros() + rng.range_u64(0, 2)).saturating_sub(1))
+                }
+                _ => SimTime::from_micros(rng.range_u64(0, 3_000_000)),
+            };
+            for channel in 0..channels + 1 {
+                let expected = bursts.iter().any(|d| d.affects(channel, t));
+                prop_assert!(
+                    medium.is_disturbed(channel, t) == expected,
+                    "channel {channel} at {t:?}: expected {expected}"
+                );
+                let next = bursts
+                    .iter()
+                    .filter(|d| d.channel.map_or(true, |c| c == channel) && d.start > t)
+                    .map(|d| d.start)
+                    .min();
+                prop_assert_eq!(medium.next_disturbance_start(channel, t), next);
+            }
+        }
     }
 }

@@ -384,3 +384,21 @@ fn engine_driven_families_are_causality_clean_on_their_defaults() {
         "the audit guard must cover at least the engine-driven middleware-qos family"
     );
 }
+
+/// Regression: `avionics-rpv` reports an `f64::MAX` separation when no
+/// encounter happens.  A point with more runs than the exact-quantile limit
+/// spills its retained samples into a derived-range histogram, and padding
+/// the sentinel used to overflow that range to infinity and panic the merge.
+#[test]
+fn avionics_sentinels_past_the_exact_limit_aggregate_to_finite_quantiles() {
+    let campaign = Campaign::new("avionics-sentinel", 3)
+        .with_threads(2)
+        .entry(CampaignEntry::new("avionics-rpv").replications(5_000).duration_secs(1));
+    let report = campaign.run(&builtin_registry()).expect("builtin family");
+    let separation = &report.points[0].metrics["min_vertical_sep_m"];
+    assert_eq!(separation.count, 5_000);
+    assert_eq!(separation.max, f64::MAX, "the sentinel is present: {separation:?}");
+    for q in [separation.p50, separation.p95, separation.p99] {
+        assert!(q.is_finite(), "{separation:?}");
+    }
+}
