@@ -7,10 +7,12 @@
 //! fixed Level of Service trades the time margin between vehicles against
 //! road throughput.  Both sweeps are declared as campaign specs over the
 //! `platoon` scenario family and executed by the campaign runner; the
-//! harness only renders the aggregates.
+//! harness renders the aggregates and asserts the trade-off the paper
+//! expects, for every V2V condition of both tables.
 
 use karyon_bench::run_campaign;
 use karyon_core::LevelOfService;
+use karyon_scenario::{CampaignReport, PointReport};
 use karyon_sim::table::{fmt3, fmt_pct};
 use karyon_sim::Table;
 use karyon_vehicles::time_margin_for_los;
@@ -66,6 +68,56 @@ fn condition_label(loss: f64, outage: bool) -> &'static str {
     }
 }
 
+/// The expectation of paper §III and §VI-A1, checked per V2V condition
+/// (`condition` labels a point): the kernel row has no collision and no
+/// hazard step yet keeps at least 1.5× the always-conservative throughput,
+/// and under the outage the always-cooperative row collides.
+fn assert_tradeoff(
+    table: &str,
+    report: &CampaignReport,
+    condition: impl Fn(&PointReport) -> &'static str,
+) {
+    let mean = |label: &str, mode: &str, metric: &str| {
+        let point = report
+            .points
+            .iter()
+            .find(|p| condition(p) == label && p.params["mode"].as_str() == Some(mode))
+            .unwrap_or_else(|| panic!("{table}: no {mode} row under {label}"));
+        point.metrics[metric].mean
+    };
+    let mut labels: Vec<&str> = report.points.iter().map(&condition).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    for label in labels {
+        assert_eq!(mean(label, "kernel", "collisions"), 0.0, "{table}, {label}: kernel collided");
+        assert_eq!(
+            mean(label, "kernel", "hazard_steps"),
+            0.0,
+            "{table}, {label}: kernel entered the hazard region"
+        );
+        let ratio = mean(label, "kernel", "throughput_vph") / mean(label, "los0", "throughput_vph");
+        assert!(
+            ratio >= 1.5,
+            "{table}, {label}: kernel throughput only {ratio:.2}x the conservative baseline's"
+        );
+        if label.starts_with("V2V outage") {
+            assert!(
+                mean(label, "los2", "collisions") > 0.0,
+                "{table}, {label}: the always-cooperative platoon should collide"
+            );
+        }
+    }
+}
+
+/// The V2V condition of a point of the per-LoS table.
+fn per_los_condition(point: &PointReport) -> &'static str {
+    if point.params["outage"].as_bool().unwrap() {
+        "V2V outage (middle third)"
+    } else {
+        "healthy V2V"
+    }
+}
+
 fn main() {
     let (tradeoff, stats, elapsed) = run_campaign(TRADEOFF_SPEC);
     let mut table = Table::new(
@@ -95,6 +147,12 @@ fn main() {
     }
     table.print();
     eprintln!("({} runs, {} workers, {:.2?})\n", tradeoff.total_runs, stats.workers, elapsed);
+    assert_tradeoff("E01", &tradeoff, |point| {
+        condition_label(
+            point.params["v2v_loss"].as_f64().unwrap(),
+            point.params["outage"].as_bool().unwrap(),
+        )
+    });
 
     let (per_los, _, _) = run_campaign(PER_LOS_SPEC);
     let mut table = Table::new(
@@ -119,13 +177,8 @@ fn main() {
             "los2" => fmt3(time_margin_for_los(LevelOfService(2))),
             _ => "adaptive".into(),
         };
-        let condition = if point.params["outage"].as_bool().unwrap() {
-            "V2V outage (middle third)"
-        } else {
-            "healthy V2V"
-        };
         table.add_row(&[
-            condition.to_string(),
+            per_los_condition(point).to_string(),
             mode_label(mode).to_string(),
             margin,
             fmt3(point.metrics["mean_time_gap_s"].mean),
@@ -137,6 +190,7 @@ fn main() {
         ]);
     }
     table.print();
+    assert_tradeoff("E01b", &per_los, per_los_condition);
     println!(
         "Expectation (paper §III, §VI-A1): the safety kernel keeps the hazard/collision figures\n\
          of the conservative baseline while retaining most of the cooperative baseline's\n\

@@ -20,7 +20,9 @@ use karyon_sensors::detectors::{DetectionOutcome, DetectorClass};
 use karyon_sensors::{marzullo_fuse, Interval, Validity};
 use karyon_sim::{SimDuration, SimTime, Vec2};
 
-fn kernel_for_bench() -> SafetyKernel {
+/// A two-level design with 16 single-condition rules at level 1, fed items
+/// of the given validity: 0.8 passes every rule, 0.2 fails every rule.
+fn kernel_for_bench(validity: f64) -> SafetyKernel {
     let levels = vec![
         LosSpec {
             level: LevelOfService(0),
@@ -52,15 +54,29 @@ fn kernel_for_bench() -> SafetyKernel {
     );
     let mut kernel = SafetyKernel::new(design, SimDuration::from_millis(100));
     for i in 0..16 {
-        kernel.info_mut().update_data(&format!("item-{i}"), 1.0, Validity::new(0.8), SimTime::ZERO);
+        kernel.info_mut().update_data(
+            &format!("item-{i}"),
+            1.0,
+            Validity::new(validity),
+            SimTime::ZERO,
+        );
     }
     kernel
 }
 
 fn bench_safety_cycle(c: &mut Criterion) {
-    let mut kernel = kernel_for_bench();
+    let mut kernel = kernel_for_bench(0.8);
     let mut t = 0u64;
     c.bench_function("safety_kernel_cycle_16_rules", |b| {
+        b.iter(|| {
+            t += 1;
+            black_box(kernel.run_cycle(SimTime::from_millis(t)));
+        })
+    });
+    // Every rule fails every cycle, so each decision names 16 violations.
+    let mut kernel = kernel_for_bench(0.2);
+    let mut t = 0u64;
+    c.bench_function("safety_kernel_cycle_16_rules_failing", |b| {
         b.iter(|| {
             t += 1;
             black_box(kernel.run_cycle(SimTime::from_millis(t)));

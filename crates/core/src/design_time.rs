@@ -10,7 +10,7 @@
 use karyon_sim::SimDuration;
 
 use crate::los::{Asil, HazardAnalysis, LevelOfService};
-use crate::rules::SafetyRule;
+use crate::rules::{RuleId, SafetyRule};
 
 /// The specification of one Level of Service of one functionality.
 #[derive(Debug, Clone)]
@@ -144,6 +144,17 @@ impl DesignTimeSafetyInfo {
     /// The specification of a given level, if defined.
     pub fn spec(&self, level: LevelOfService) -> Option<&LosSpec> {
         self.levels.iter().find(|l| l.level == level)
+    }
+
+    /// The rule a decision names by `id` (see
+    /// [`LosDecision::violations`](crate::LosDecision::violations)).
+    ///
+    /// # Panics
+    /// Panics if `id` names no rule of this design.
+    pub fn rule(&self, id: RuleId) -> &SafetyRule {
+        self.spec(id.level)
+            .and_then(|spec| spec.rules.get(id.index as usize))
+            .unwrap_or_else(|| panic!("{id:?} names no rule of {:?}", self.functionality))
     }
 
     /// The highest defined level.

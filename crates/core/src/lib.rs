@@ -8,13 +8,15 @@
 //! * [`los`] — Levels of Service, ASIL grades and the design-time hazard
 //!   analysis,
 //! * [`rules`] — safety rules: conditions over validity, freshness, values
-//!   and component health,
+//!   and component health, and the compact [`RuleId`] decisions name them by,
 //! * [`design_time`] — the Design Time Safety Information: per-LoS rule sets
 //!   and the bounded switch time,
-//! * [`runtime`] — the Run Time Safety Information store and the lease-based
-//!   timing failure detector,
-//! * [`manager`] — the Safety Manager evaluation cycle and the Safety Kernel
-//!   (periodic execution, LoS switching, bounded-reaction accounting),
+//! * [`runtime`] — the interned Run Time Safety Information store and the
+//!   lease-based timing failure detector,
+//! * [`manager`] — the Safety Manager evaluation cycle (rules compiled once
+//!   against the kernel's store; a warm cycle allocates nothing) and the
+//!   Safety Kernel (periodic execution, LoS switching, bounded-reaction
+//!   accounting),
 //! * [`component`] — the nominal-component registry and the hybridization
 //!   line,
 //! * [`cooperation`] — cooperation-state assessment: group views and
@@ -70,6 +72,6 @@ pub use environment::{
 };
 pub use los::{Asil, Hazard, HazardAnalysis, LevelOfService};
 pub use manager::{LosDecision, SafetyKernel, SafetyManager, SwitchEvent};
-pub use rules::{Condition, SafetyRule};
+pub use rules::{Condition, RuleId, SafetyRule};
 pub use runtime::{DataItem, HealthReport, RunTimeSafetyInfo, TimingFailureDetector};
 pub use virtual_node::{Region, Replica, ReplicatedMachine, StateSnapshot, VirtualNode};

@@ -7,10 +7,11 @@
 //! nominal system components.  Upper bounds on the time needed to perform
 //! each cycle will be known at design time" (paper §III).
 
-use karyon_sim::{SimDuration, SimTime, TimeSeries};
+use karyon_sim::{SimDuration, SimTime};
 
 use crate::design_time::DesignTimeSafetyInfo;
 use crate::los::LevelOfService;
+use crate::rules::{Program, RuleId};
 use crate::runtime::RunTimeSafetyInfo;
 
 /// The outcome of one safety-manager evaluation cycle.
@@ -20,8 +21,11 @@ pub struct LosDecision {
     pub selected: LevelOfService,
     /// The level that was active before this cycle.
     pub previous: LevelOfService,
-    /// Rule identifiers that failed, per level that was rejected.
-    pub violations: Vec<(LevelOfService, Vec<String>)>,
+    /// The failed rules of the level this cycle rejected — the first level,
+    /// walking upwards, whose rule set did not hold — in rule order; empty
+    /// when every level held.  [`DesignTimeSafetyInfo::rule`] maps an id
+    /// back to its rule.
+    pub violations: Vec<RuleId>,
     /// When the decision was made.
     pub decided_at: SimTime,
 }
@@ -36,6 +40,11 @@ impl LosDecision {
     /// degradation).
     pub fn degraded(&self) -> bool {
         self.selected < self.previous
+    }
+
+    /// The level whose rules failed, if the cycle rejected one.
+    pub fn rejected(&self) -> Option<LevelOfService> {
+        self.violations.first().map(|id| id.level)
     }
 }
 
@@ -53,17 +62,61 @@ pub struct SwitchEvent {
 }
 
 /// The Safety Manager: evaluates safety rules and selects the LoS.
+///
+/// The manager holds every level's rules compiled against its kernel's
+/// run-time store, and one decision whose buffers each cycle reuses, so a
+/// cycle allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SafetyManager {
     design: DesignTimeSafetyInfo,
+    /// One program per level of `design`, in level order.
+    programs: Vec<Program>,
+    /// The store layout `programs` resolves against.
+    layout: u64,
     current: LevelOfService,
     evaluations: u64,
+    decision: LosDecision,
 }
 
 impl SafetyManager {
-    /// Creates a manager that starts at the non-cooperative level.
-    pub fn new(design: DesignTimeSafetyInfo) -> Self {
-        SafetyManager { design, current: LevelOfService::NON_COOPERATIVE, evaluations: 0 }
+    /// Creates a manager that starts at the non-cooperative level, with the
+    /// design's rules compiled against `info`.
+    fn new(design: DesignTimeSafetyInfo, info: &mut RunTimeSafetyInfo) -> Self {
+        let most_rules = design.levels().iter().map(|spec| spec.rules.len()).max().unwrap_or(0);
+        let mut manager = SafetyManager {
+            design,
+            programs: Vec::new(),
+            layout: info.layout(),
+            current: LevelOfService::NON_COOPERATIVE,
+            evaluations: 0,
+            decision: LosDecision {
+                selected: LevelOfService::NON_COOPERATIVE,
+                previous: LevelOfService::NON_COOPERATIVE,
+                violations: Vec::with_capacity(most_rules),
+                decided_at: SimTime::ZERO,
+            },
+        };
+        manager.compile(info);
+        manager
+    }
+
+    /// Resolves every level's rules to slots of `info`, interning the names
+    /// the store has not seen yet.
+    fn compile(&mut self, info: &mut RunTimeSafetyInfo) {
+        self.programs = self
+            .design
+            .levels()
+            .iter()
+            .map(|spec| {
+                let mut program = Program::default();
+                for rule in &spec.rules {
+                    program
+                        .push(&rule.condition, &mut |namespace, name| info.intern(namespace, name));
+                }
+                program
+            })
+            .collect();
+        self.layout = info.layout();
     }
 
     /// The design-time safety information driving this manager.
@@ -83,33 +136,45 @@ impl SafetyManager {
 
     /// Performs one evaluation cycle: checks every level's rules against the
     /// run-time safety information and selects the highest safe level.
-    pub fn evaluate(&mut self, info: &RunTimeSafetyInfo, now: SimTime) -> LosDecision {
+    /// `info` must be the store the rules were compiled against.
+    fn evaluate(&mut self, info: &RunTimeSafetyInfo, now: SimTime) -> &LosDecision {
         self.evaluations += 1;
-        let previous = self.current;
-        let mut violations = Vec::new();
+        let decision = &mut self.decision;
+        decision.previous = self.current;
+        decision.decided_at = now;
+        decision.violations.clear();
         let mut selected = LevelOfService::NON_COOPERATIVE;
         // Levels are ordered; walk from the lowest to the highest and keep
         // the highest level whose *entire* rule set holds.  A higher level is
         // only reachable if every lower level also holds (the rule sets are
         // cumulative by construction of the use cases).
-        for spec in self.design.levels() {
-            let failed: Vec<String> =
-                spec.rules.iter().filter(|r| !r.holds(info)).map(|r| r.id.clone()).collect();
-            if failed.is_empty() {
-                selected = spec.level;
-            } else {
-                violations.push((spec.level, failed));
+        for (spec, program) in self.design.levels().iter().zip(&self.programs) {
+            program.for_each_failure(info, |index| {
+                // Fits: every rule compiles to at least one node, and a
+                // program holds fewer than `u32::MAX` nodes.
+                let index = index as u32;
+                decision.violations.push(RuleId { level: spec.level, index });
+            });
+            if !decision.violations.is_empty() {
                 break;
             }
+            selected = spec.level;
         }
+        decision.selected = selected;
         self.current = selected;
-        LosDecision { selected, previous, violations, decided_at: now }
+        decision
     }
 }
 
 /// The Safety Kernel: the Safety Manager plus the run-time information store,
 /// periodic execution and switch-latency accounting.  There is logically one
 /// kernel per vehicle.
+///
+/// The kernel compiles its rules against its own store when it is built;
+/// names first written later get new slots and leave the compiled rules
+/// untouched.  Should the store be replaced wholesale through
+/// [`info_mut`](Self::info_mut), the next cycle compiles the rules again
+/// against the replacement.
 #[derive(Debug)]
 pub struct SafetyKernel {
     manager: SafetyManager,
@@ -117,13 +182,11 @@ pub struct SafetyKernel {
     cycle_period: SimDuration,
     next_cycle: SimTime,
     switches: Vec<SwitchEvent>,
-    los_trace: TimeSeries,
-    last_decision: Option<LosDecision>,
 }
 
 impl SafetyKernel {
     /// Creates a kernel with the given design-time information and cycle
-    /// period.
+    /// period, compiling every level's rules against the kernel's store.
     ///
     /// # Panics
     /// Panics if the cycle period is zero, or if the cycle period plus the
@@ -135,14 +198,13 @@ impl SafetyKernel {
             design.reaction_bound_satisfied(cycle_period),
             "cycle period + switch bound exceeds the tightest hazard reaction bound"
         );
+        let mut info = RunTimeSafetyInfo::new();
         SafetyKernel {
-            manager: SafetyManager::new(design),
-            info: RunTimeSafetyInfo::new(),
+            manager: SafetyManager::new(design, &mut info),
+            info,
             cycle_period,
             next_cycle: SimTime::ZERO,
             switches: Vec::new(),
-            los_trace: TimeSeries::new(),
-            last_decision: None,
         }
     }
 
@@ -171,9 +233,10 @@ impl SafetyKernel {
         &self.manager
     }
 
-    /// The most recent decision, if a cycle has run.
+    /// The most recent decision, if a cycle has run.  The kernel reuses one
+    /// decision for every cycle, so this borrows it rather than cloning.
     pub fn last_decision(&self) -> Option<&LosDecision> {
-        self.last_decision.as_ref()
+        (self.manager.evaluations > 0).then_some(&self.manager.decision)
     }
 
     /// All recorded LoS switches.
@@ -181,16 +244,11 @@ impl SafetyKernel {
         &self.switches
     }
 
-    /// The LoS trace over time (one sample per executed cycle).
-    pub fn los_trace(&self) -> &TimeSeries {
-        &self.los_trace
-    }
-
     /// Runs the periodic cycle if it is due at `now`; returns the decision if
     /// a cycle was executed.  The enacted switch latency is bounded by the
     /// design-time switch bound (modelled as exactly that bound, the worst
     /// case used in the safety argument).
-    pub fn step(&mut self, now: SimTime) -> Option<LosDecision> {
+    pub fn step(&mut self, now: SimTime) -> Option<&LosDecision> {
         if now < self.next_cycle {
             return None;
         }
@@ -199,20 +257,24 @@ impl SafetyKernel {
     }
 
     /// Forces an evaluation cycle at `now` regardless of the period (used
-    /// when a critical event demands immediate reassessment).
-    pub fn run_cycle(&mut self, now: SimTime) -> LosDecision {
+    /// when a critical event demands immediate reassessment).  The returned
+    /// decision is the kernel's own, overwritten by the next cycle; a cycle
+    /// that does not switch the level allocates nothing.
+    pub fn run_cycle(&mut self, now: SimTime) -> &LosDecision {
         self.info.set_now(now);
+        if self.manager.layout != self.info.layout() {
+            self.manager.compile(&mut self.info);
+        }
+        let latency = self.manager.design().switch_time_bound();
         let decision = self.manager.evaluate(&self.info, now);
         if decision.switched() {
             self.switches.push(SwitchEvent {
                 at: now,
                 from: decision.previous,
                 to: decision.selected,
-                latency: self.manager.design().switch_time_bound(),
+                latency,
             });
         }
-        self.los_trace.record(now, decision.selected.0 as f64);
-        self.last_decision = Some(decision.clone());
         decision
     }
 
@@ -285,6 +347,12 @@ mod tests {
         SafetyKernel::new(design(), SimDuration::from_millis(100))
     }
 
+    /// The names of the rules the kernel's last decision reports as failed.
+    fn violated(k: &SafetyKernel) -> Vec<&str> {
+        let decision = k.last_decision().expect("a cycle ran");
+        decision.violations.iter().map(|&id| k.manager().design().rule(id).id.as_str()).collect()
+    }
+
     #[test]
     fn starts_at_non_cooperative_level() {
         let k = kernel();
@@ -321,9 +389,8 @@ mod tests {
         let d = k.run_cycle(t1);
         assert_eq!(d.selected, LevelOfService(1));
         assert!(d.degraded());
-        assert_eq!(d.violations.len(), 1);
-        assert_eq!(d.violations[0].0, LevelOfService(2));
-        assert_eq!(d.violations[0].1, vec!["R3-remote-validity".to_string()]);
+        assert_eq!(d.rejected(), Some(LevelOfService(2)));
+        assert_eq!(violated(&k), vec!["R3-remote-validity"]);
         // V2V dies entirely: fall back to non-cooperative.
         let t2 = SimTime::from_millis(300);
         k.info_mut().update_health("v2v", false, t2);
@@ -340,7 +407,22 @@ mod tests {
         assert!(k.step(SimTime::from_millis(50)).is_none());
         assert!(k.step(SimTime::from_millis(100)).is_some());
         assert_eq!(k.manager().evaluations(), 2);
-        assert_eq!(k.los_trace().len(), 2);
+        assert_eq!(k.last_decision().unwrap().decided_at, SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn replacing_the_store_recompiles_the_rules() {
+        let mut k = kernel();
+        // The replacement learns an unrelated item first, so its slots
+        // differ from the ones the rules were compiled against.
+        let now = SimTime::from_millis(100);
+        let mut store = RunTimeSafetyInfo::new();
+        store.update_data("unrelated", 0.0, Validity::new(0.1), now);
+        store.update_data("remote-headway", 1.5, Validity::new(0.9), now);
+        store.update_health("v2v", true, now);
+        *k.info_mut() = store;
+        assert_eq!(k.run_cycle(now).selected, LevelOfService(2));
+        assert!(k.last_decision().unwrap().violations.is_empty());
     }
 
     #[test]
@@ -368,6 +450,7 @@ mod tests {
         k.info_mut().update_data("remote-headway", 1.0, Validity::FULL, now);
         let d = k.run_cycle(now);
         assert_eq!(d.selected, LevelOfService::NON_COOPERATIVE);
-        assert_eq!(d.violations[0].0, LevelOfService(1));
+        assert_eq!(d.violations[0].level, LevelOfService(1));
+        assert_eq!(violated(&k), vec!["R1-v2v-health"]);
     }
 }

@@ -8,6 +8,7 @@
 //! health reports (from timing failure detectors and self-checks).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use karyon_sensors::Validity;
 use karyon_sim::{SimDuration, SimTime};
@@ -32,12 +33,93 @@ pub struct HealthReport {
     pub timestamp: SimTime,
 }
 
+/// The two name spaces of the store: data items and component health.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Namespace {
+    Data,
+    Health,
+}
+
+/// The slot index a name that was never interned resolves to: past the end
+/// of every slot vector, so it reads as absent.
+pub(crate) const ABSENT: u32 = u32::MAX;
+
+/// Source of [`RunTimeSafetyInfo::layout`] stamps.
+static NEXT_LAYOUT: AtomicU64 = AtomicU64::new(0);
+
+/// One name space of the store: a name→slot table over a dense slot vector.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    names: BTreeMap<Box<str>, u32>,
+    values: Vec<Option<T>>,
+    /// Slots written at least once.
+    written: usize,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Slots { names: BTreeMap::new(), values: Vec::new(), written: 0 }
+    }
+
+    /// The slot of `name`, or [`ABSENT`] when it was never interned.
+    fn slot(&self, name: &str) -> u32 {
+        self.names.get(name).copied().unwrap_or(ABSENT)
+    }
+
+    /// The slot of `name`, appended (unwritten) when it is new.
+    fn intern(&mut self, name: &str) -> u32 {
+        match self.slot(name) {
+            ABSENT => {
+                let slot = u32::try_from(self.values.len()).ok().filter(|&s| s != ABSENT);
+                let slot = slot.expect("a store holds fewer than u32::MAX names per name space");
+                self.names.insert(name.into(), slot);
+                self.values.push(None);
+                slot
+            }
+            slot => slot,
+        }
+    }
+
+    fn write(&mut self, name: &str, value: T) {
+        let slot = self.intern(name) as usize;
+        let entry = &mut self.values[slot];
+        self.written += usize::from(entry.is_none());
+        *entry = Some(value);
+    }
+
+    #[inline]
+    fn get(&self, slot: u32) -> Option<&T> {
+        self.values.get(slot as usize).and_then(Option::as_ref)
+    }
+}
+
 /// The Run Time Safety Information store.
-#[derive(Debug, Clone, Default)]
+///
+/// Data items and health reports live in dense slot vectors; each name space
+/// has one name→slot table that is read only when a name is new or is looked
+/// up by name.  A name keeps its slot for the life of the store (and of its
+/// clones), so rules resolved to slots once stay valid however many names
+/// are added later.  A slot can exist before its first write (a rule may
+/// reference an item nobody reports); such a slot reads as absent and is not
+/// counted by [`data_len`](Self::data_len), [`health_len`](Self::health_len)
+/// or [`data_items`](Self::data_items).
+#[derive(Debug, Clone)]
 pub struct RunTimeSafetyInfo {
     now: SimTime,
-    data: BTreeMap<String, DataItem>,
-    health: BTreeMap<String, HealthReport>,
+    layout: u64,
+    data: Slots<DataItem>,
+    health: Slots<HealthReport>,
+}
+
+impl Default for RunTimeSafetyInfo {
+    fn default() -> Self {
+        RunTimeSafetyInfo {
+            now: SimTime::ZERO,
+            layout: NEXT_LAYOUT.fetch_add(1, Ordering::Relaxed),
+            data: Slots::new(),
+            health: Slots::new(),
+        }
+    }
 }
 
 impl RunTimeSafetyInfo {
@@ -56,39 +138,77 @@ impl RunTimeSafetyInfo {
         self.now
     }
 
-    /// Records (or replaces) a data item.
+    /// Records (or replaces) a data item.  A name the store already knows
+    /// is written in place without allocating.
     pub fn update_data(&mut self, item: &str, value: f64, validity: Validity, timestamp: SimTime) {
-        self.data.insert(item.to_string(), DataItem { value, validity, timestamp });
+        self.data.write(item, DataItem { value, validity, timestamp });
     }
 
     /// Looks up a data item.
     pub fn data(&self, item: &str) -> Option<&DataItem> {
-        self.data.get(item)
+        self.data_at(self.data.slot(item))
     }
 
-    /// Records (or replaces) a component health report.
+    /// Records (or replaces) a component health report.  A name the store
+    /// already knows is written in place without allocating.
     pub fn update_health(&mut self, component: &str, healthy: bool, timestamp: SimTime) {
-        self.health.insert(component.to_string(), HealthReport { healthy, timestamp });
+        self.health.write(component, HealthReport { healthy, timestamp });
     }
 
     /// True when the component has a current report and it says healthy.
     pub fn is_healthy(&self, component: &str) -> bool {
-        self.health.get(component).map(|h| h.healthy).unwrap_or(false)
+        self.healthy_at(self.health.slot(component))
     }
 
     /// Number of data items currently held.
     pub fn data_len(&self) -> usize {
-        self.data.len()
+        self.data.written
     }
 
     /// Number of health reports currently held.
     pub fn health_len(&self) -> usize {
-        self.health.len()
+        self.health.written
     }
 
     /// Names of all data items (sorted).
     pub fn data_items(&self) -> Vec<&str> {
-        self.data.keys().map(|s| s.as_str()).collect()
+        let names = self.data.names.iter();
+        names.filter(|&(_, &slot)| self.data.get(slot).is_some()).map(|(name, _)| &**name).collect()
+    }
+
+    /// Identifies this store's slot layout: fresh for every new store,
+    /// shared by its clones (which keep every slot it had).
+    pub(crate) fn layout(&self) -> u64 {
+        self.layout
+    }
+
+    /// The slot of `name`, or [`ABSENT`] when the store has never seen it.
+    pub(crate) fn slot(&self, namespace: Namespace, name: &str) -> u32 {
+        match namespace {
+            Namespace::Data => self.data.slot(name),
+            Namespace::Health => self.health.slot(name),
+        }
+    }
+
+    /// The slot of `name`, created (unwritten) when the store has never seen
+    /// it.
+    pub(crate) fn intern(&mut self, namespace: Namespace, name: &str) -> u32 {
+        match namespace {
+            Namespace::Data => self.data.intern(name),
+            Namespace::Health => self.health.intern(name),
+        }
+    }
+
+    /// The data item in `slot`, if one was written.
+    #[inline]
+    pub(crate) fn data_at(&self, slot: u32) -> Option<&DataItem> {
+        self.data.get(slot)
+    }
+
+    /// True when `slot` holds a report that says healthy.
+    #[inline]
+    pub(crate) fn healthy_at(&self, slot: u32) -> bool {
+        self.health.get(slot).is_some_and(|report| report.healthy)
     }
 }
 
@@ -178,6 +298,36 @@ mod tests {
         info.update_data("a", 5.0, Validity::INVALID, SimTime::from_secs(1));
         assert_eq!(info.data("a").unwrap().value, 5.0);
         assert!(info.data("a").unwrap().validity.is_invalid());
+    }
+
+    #[test]
+    fn interned_slots_are_stable_and_count_only_once_written() {
+        let mut info = RunTimeSafetyInfo::new();
+        // A rule referencing names nobody has written yet creates slots.
+        let ghost = info.intern(Namespace::Data, "ghost");
+        let radio = info.intern(Namespace::Health, "radio");
+        assert_eq!((info.data_len(), info.health_len()), (0, 0));
+        assert!(info.data_items().is_empty());
+        assert!(info.data("ghost").is_none());
+        assert!(!info.is_healthy("radio"));
+        assert_eq!(info.slot(Namespace::Data, "never"), ABSENT);
+        assert!(info.data_at(ABSENT).is_none());
+        // Writes land in the interned slots; later names get new ones.
+        info.update_data("z-late", 1.0, Validity::FULL, SimTime::ZERO);
+        info.update_data("ghost", 2.0, Validity::FULL, SimTime::ZERO);
+        info.update_health("radio", true, SimTime::ZERO);
+        assert_eq!(info.intern(Namespace::Data, "ghost"), ghost);
+        assert_eq!(info.data_at(ghost).unwrap().value, 2.0);
+        assert!(info.healthy_at(radio));
+        assert_ne!(info.slot(Namespace::Data, "z-late"), ghost);
+        assert_eq!((info.data_len(), info.health_len()), (2, 1));
+        assert_eq!(info.data_items(), vec!["ghost", "z-late"]);
+        // Repeated writes replace in place.
+        info.update_data("ghost", 3.0, Validity::FULL, SimTime::ZERO);
+        assert_eq!(info.data_len(), 2);
+        // Clones share the layout; a new store does not.
+        assert_eq!(info.clone().layout(), info.layout());
+        assert_ne!(RunTimeSafetyInfo::new().layout(), info.layout());
     }
 
     #[test]

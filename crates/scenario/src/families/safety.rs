@@ -15,6 +15,10 @@ use crate::spec::ScenarioSpec;
 /// body of bench `e14`): a synthetic design of configurable size is
 /// evaluated for `cycles` kernel cycles and the design-time worst-case
 /// reaction bound is checked against the tightest hazard reaction bound.
+/// A point that fails the check (a long `cycle_period_ms`, a tight
+/// `hazard_bound_ms`) runs no cycles and reports `bound_satisfied` 0,
+/// `evaluations` 0 and `final_los` 0: the kernel refuses such a design, so
+/// it never leaves the non-cooperative level.
 ///
 /// The rule-set size, validity threshold, hazard bound and cycle period were
 /// constants of the e14 harness; as parameters a campaign can sweep the
@@ -52,37 +56,36 @@ impl Scenario for KernelLatencyScenario {
         );
         let tightest = design.hazards().tightest_reaction_bound().expect("one hazard declared");
         let cycle_period = SimDuration::from_millis(spec.u64_or("cycle_period_ms", 100).max(1));
-        let mut kernel = SafetyKernel::new(design, cycle_period);
-        // Populate the runtime store once, exactly like the seed e14 harness:
-        // every item valid and every component healthy at t=1 ms.  Items age
-        // past the 500 ms freshness bound mid-run, so long sweeps exercise
-        // both the rule-pass and the rule-fail evaluation paths.
-        for i in 0..rules_per_level {
-            kernel.info_mut().update_data(
-                &format!("item-{i}"),
-                1.0,
-                Validity::new(0.9),
-                SimTime::from_millis(1),
-            );
-            kernel.info_mut().update_health(
-                &format!("component-{i}"),
-                true,
-                SimTime::from_millis(1),
-            );
-        }
-        let cycles = spec.u64_or("cycles", 2_000).clamp(1, 10_000_000);
-        for i in 0..cycles {
-            kernel.run_cycle(SimTime::from_millis(10 + i));
-        }
-        let reaction = kernel.worst_case_reaction();
-
+        let reaction = cycle_period + design.switch_time_bound();
+        let feasible = design.reaction_bound_satisfied(cycle_period);
         let mut record = RunRecord::new();
         record.set("rule_conditions", (rules_per_level * 3 * levels as usize) as f64);
-        record.set("evaluations", kernel.manager().evaluations() as f64);
-        record.set("final_los", f64::from(kernel.current_los().0));
+        let (evaluations, final_los) = if feasible {
+            let mut kernel = SafetyKernel::new(design, cycle_period);
+            // Populate the runtime store once, exactly like the seed e14
+            // harness: every item valid and every component healthy at
+            // t=1 ms.  Items age past the 500 ms freshness bound mid-run, so
+            // long sweeps exercise both the rule-pass and the rule-fail
+            // evaluation paths.
+            for i in 0..rules_per_level {
+                let (item, component) = (format!("item-{i}"), format!("component-{i}"));
+                let at = SimTime::from_millis(1);
+                kernel.info_mut().update_data(&item, 1.0, Validity::new(0.9), at);
+                kernel.info_mut().update_health(&component, true, at);
+            }
+            let cycles = spec.u64_or("cycles", 2_000).clamp(1, 10_000_000);
+            for i in 0..cycles {
+                kernel.run_cycle(SimTime::from_millis(10 + i));
+            }
+            (kernel.manager().evaluations(), kernel.current_los().0)
+        } else {
+            (0, 0)
+        };
+        record.set("evaluations", evaluations as f64);
+        record.set("final_los", f64::from(final_los));
         record.set("worst_case_reaction_ms", reaction.as_secs_f64() * 1e3);
         record.set("tightest_hazard_bound_ms", tightest.as_secs_f64() * 1e3);
-        record.set_flag("bound_satisfied", reaction <= tightest);
+        record.set_flag("bound_satisfied", feasible);
         record
     }
 }
@@ -205,6 +208,7 @@ impl Scenario for TopologyScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{builtin_registry, Campaign, CampaignEntry};
 
     /// The pre-refactor e14 numbers: a 100 ms cycle period plus the 50 ms
     /// switch bound give a 150 ms worst-case reaction against the 500 ms
@@ -220,6 +224,37 @@ mod tests {
             assert_eq!(record.get("bound_satisfied"), Some(1.0));
             assert_eq!(record.get("evaluations"), Some(2_000.0), "one evaluation per cycle");
         }
+    }
+
+    /// A cycle period whose worst-case reaction (500 + 50 ms) exceeds the
+    /// 500 ms hazard bound is reported as unsatisfied instead of failing the
+    /// campaign, next to a feasible default point.
+    #[test]
+    fn infeasible_cycle_periods_report_an_unsatisfied_bound() {
+        let report = Campaign::new("kernel-bound", 3)
+            .entry(
+                CampaignEntry::new("kernel-latency")
+                    .grid(ParamGrid::new().axis("cycle_period_ms", [100, 500]))
+                    .replications(2),
+            )
+            .run(&builtin_registry())
+            .expect("an infeasible point must not fail the campaign");
+        let metric = |point: usize, name: &str| report.points[point].metrics[name].mean;
+        assert_eq!(report.points[0].params["cycle_period_ms"].as_f64(), Some(100.0));
+        assert_eq!(metric(0, "bound_satisfied"), 1.0);
+        assert_eq!(metric(0, "evaluations"), 2_000.0);
+        assert_eq!(report.points[1].params["cycle_period_ms"].as_f64(), Some(500.0));
+        assert_eq!(metric(1, "bound_satisfied"), 0.0);
+        assert_eq!(metric(1, "evaluations"), 0.0);
+        assert_eq!(metric(1, "final_los"), 0.0);
+        assert_eq!(metric(1, "worst_case_reaction_ms"), 550.0);
+        assert_eq!(metric(1, "tightest_hazard_bound_ms"), 500.0);
+        assert_eq!(metric(1, "rule_conditions"), metric(0, "rule_conditions"));
+        // A tight hazard bound is infeasible at the default cycle period.
+        let tight = KernelLatencyScenario
+            .run(&ScenarioSpec::new("kernel-latency").with("hazard_bound_ms", 149).with_seed(1));
+        assert_eq!(tight.get("bound_satisfied"), Some(0.0));
+        assert_eq!(tight.get("worst_case_reaction_ms"), Some(150.0));
     }
 
     #[test]

@@ -79,12 +79,21 @@ fn main() {
     // The V2V radio stops responding: the kernel degrades to LoS 1.
     let t1 = SimTime::from_millis(200);
     kernel.info_mut().update_health("v2v-radio", false, t1);
-    let decision = kernel.run_cycle(t1);
-    println!(
-        "t=0.2s  V2V radio failed -> {} (violated: {:?})",
-        decision.selected,
-        decision.violations.iter().map(|(l, r)| format!("{l}: {r:?}")).collect::<Vec<_>>()
-    );
+    kernel.run_cycle(t1);
+    // A decision names its failed rules by compact id; the design maps each
+    // id back to the rule.
+    let decision = kernel.last_decision().expect("a cycle ran");
+    let design = kernel.manager().design();
+    let violated: Vec<String> = decision
+        .rejected()
+        .map(|level| {
+            let rules: Vec<&str> =
+                decision.violations.iter().map(|&id| design.rule(id).id.as_str()).collect();
+            format!("{level}: {rules:?}")
+        })
+        .into_iter()
+        .collect();
+    println!("t=0.2s  V2V radio failed -> {} (violated: {violated:?})", decision.selected);
 
     // The range sensor degrades too: fall back to the non-cooperative level.
     let t2 = SimTime::from_millis(300);

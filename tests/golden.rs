@@ -1,13 +1,16 @@
-//! Golden reports: what the network families compute, pinned.
+//! Golden reports: what the network and safety-kernel families compute,
+//! pinned.
 //!
 //! Determinism tests prove that a campaign gives the same bytes for any
 //! worker count, chunk plan or resume point; they cannot notice a refactor
 //! that changes what a family computes while staying deterministic.  This
 //! suite runs small campaigns over the families the MAC slot loop drives —
 //! `inaccessibility` (R2T-MAC and CSMA, with and without the stark 8–12 s
-//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — at two
-//! campaign seeds each, and compares every report byte for byte against the
-//! checked-in JSON under `tests/golden/`.
+//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — and
+//! over the families the safety-kernel cycle drives — `kernel-latency`,
+//! `platoon` and `platoon-fault` — at two campaign seeds each, and compares
+//! every report byte for byte against the checked-in JSON under
+//! `tests/golden/`.
 //!
 //! A deliberate behaviour change re-blesses the files:
 //!
@@ -201,6 +204,51 @@ fn pulse_sync_reports_are_pinned() {
             .grid(ParamGrid::new().axis("loss", [0.05, 0.3]).axis("gain", [0.5, 0.0]))
             .replications(3)
             .duration_secs(20),
+    );
+}
+
+/// Synthetic kernel designs at two rule-set sizes over the default 2,000
+/// cycles.  The items are written once at 1 ms and age past their 500 ms
+/// freshness bound near cycle 491, so both the all-pass and the failing
+/// evaluation paths run.
+#[test]
+fn kernel_latency_reports_are_pinned() {
+    check(
+        "kernel-latency",
+        CampaignEntry::new("kernel-latency")
+            .grid(ParamGrid::new().axis("rules_per_level", [8, 32]))
+            .replications(3),
+    );
+}
+
+/// The kernel-controlled platoon against the always-cooperative and the
+/// always-conservative baselines, with and without the mid-run V2V outage.
+#[test]
+fn platoon_reports_are_pinned() {
+    check(
+        "platoon",
+        CampaignEntry::new("platoon")
+            .grid(
+                ParamGrid::new()
+                    .axis("mode", ["kernel", "los2", "los0"])
+                    .axis("outage", [false, true]),
+            )
+            .replications(3)
+            .duration_secs(60),
+    );
+}
+
+/// Randomized sensor faults and V2V outages under the kernel and the
+/// always-cooperative baseline.  Faults start at 20–60 s and outages at
+/// 30–80 s, so the 90 s horizon holds both.
+#[test]
+fn platoon_fault_reports_are_pinned() {
+    check(
+        "platoon-fault",
+        CampaignEntry::new("platoon-fault")
+            .grid(ParamGrid::new().axis("mode", ["kernel", "los2"]))
+            .replications(3)
+            .duration_secs(90),
     );
 }
 

@@ -3,6 +3,13 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeMap;
+
+use karyon::core::los::Asil;
+use karyon::core::{
+    Condition, DataItem, DesignTimeSafetyInfo, HazardAnalysis, LevelOfService, LosSpec,
+    RunTimeSafetyInfo, SafetyKernel, SafetyRule,
+};
 use karyon::net::end_to_end::{eventually_fifo, E2EConfig, EndToEndSession};
 use karyon::net::mac::{MacProtocol, MacSimConfig, MacSimulation};
 use karyon::net::{
@@ -588,4 +595,250 @@ proptest! {
             }
         }
     }
+}
+
+/// Data items the random safety rules reference; the last is never written.
+const RULE_ITEMS: [&str; 5] = ["range", "lead-state", "speed", "gap", "never-written"];
+/// Data items the random update sequences write; the last two appear in no
+/// rule.
+const WRITTEN_ITEMS: [&str; 6] =
+    ["range", "lead-state", "speed", "gap", "unreferenced-a", "unreferenced-b"];
+/// Components the random rules reference; the last never reports.
+const RULE_COMPONENTS: [&str; 4] = ["v2v", "radar", "planner", "never-reported"];
+/// Components the random update sequences report; the last appears in no
+/// rule.
+const REPORTED_COMPONENTS: [&str; 4] = ["v2v", "radar", "planner", "unreferenced-c"];
+
+fn pick(rng: &mut Rng, names: &[&str]) -> String {
+    names[rng.range_usize(0, names.len() - 1)].to_string()
+}
+
+/// A random condition of every leaf kind, with `All`/`Any` nested up to
+/// `depth` levels (including empty composites).  A leaf is strict with
+/// probability `strict` — a random bound, possibly on a name that is never
+/// written — and otherwise lenient enough that the update sequences mostly
+/// satisfy it, so that the designs' higher levels get selected too.
+fn random_condition(rng: &mut Rng, depth: u32, strict: f64) -> Condition {
+    let tight = rng.chance(strict);
+    let (items, components) = if tight {
+        (&RULE_ITEMS[..], &RULE_COMPONENTS[..])
+    } else {
+        (&RULE_ITEMS[..RULE_ITEMS.len() - 1], &RULE_COMPONENTS[..RULE_COMPONENTS.len() - 1])
+    };
+    let item = pick(rng, items);
+    let kind = rng.range_u64(0, if depth == 0 { 4 } else { 6 });
+    let mut bound = |strict: (f64, f64), lenient: (f64, f64)| {
+        let (lo, hi) = if tight { strict } else { lenient };
+        rng.range_f64(lo, hi)
+    };
+    match kind {
+        0 => Condition::MinValidity { item, threshold: bound((0.0, 1.0), (0.0, 0.3)) },
+        1 => Condition::MaxAge {
+            item,
+            bound: SimDuration::from_millis(bound((0.0, 600.0), (450.0, 900.0)) as u64),
+        },
+        2 => Condition::MaxValue { item, bound: bound((-10.0, 10.0), (12.0, 20.0)) },
+        3 => Condition::MinValue { item, bound: bound((-10.0, 10.0), (-20.0, -12.0)) },
+        4 => Condition::ComponentHealthy { component: pick(rng, components) },
+        _ => {
+            // Mostly non-empty: an empty `Any` never holds.
+            let least = usize::from(rng.chance(0.9));
+            let subs = (0..rng.range_usize(least, 3))
+                .map(|_| random_condition(rng, depth - 1, strict))
+                .collect();
+            if kind == 5 {
+                Condition::All(subs)
+            } else {
+                Condition::Any(subs)
+            }
+        }
+    }
+}
+
+/// A design of 1–4 levels (level 0 included) with 0–12 rules each.
+fn random_design(rng: &mut Rng) -> DesignTimeSafetyInfo {
+    let strict = [0.0, 0.03, 0.15, 0.6][rng.range_usize(0, 3)];
+    let levels = (0..rng.range_u64(1, 4) as u8)
+        .map(|level| LosSpec {
+            level: LevelOfService(level),
+            description: format!("level {level}"),
+            rules: (0..rng.range_usize(0, 12))
+                .map(|i| {
+                    SafetyRule::new(&format!("L{level}-R{i}"), random_condition(rng, 2, strict))
+                })
+                .collect(),
+            asil: Asil::B,
+            performance_index: f64::from(level),
+        })
+        .collect();
+    DesignTimeSafetyInfo::new("random", levels, HazardAnalysis::new(), SimDuration::from_millis(10))
+}
+
+/// The reference semantics: every condition evaluated by name over ordered
+/// maps, the way the kernel evaluated before it compiled its rules.
+#[derive(Default)]
+struct ByNameModel {
+    now: SimTime,
+    data: BTreeMap<String, DataItem>,
+    health: BTreeMap<String, bool>,
+}
+
+impl ByNameModel {
+    fn holds(&self, condition: &Condition) -> bool {
+        let item = |name: &String| self.data.get(name);
+        match condition {
+            Condition::MinValidity { item: name, threshold } => {
+                item(name).is_some_and(|d| d.validity.fraction() >= *threshold)
+            }
+            Condition::MaxAge { item: name, bound } => {
+                item(name).is_some_and(|d| self.now.since(d.timestamp) <= *bound)
+            }
+            Condition::MaxValue { item: name, bound } => {
+                item(name).is_some_and(|d| d.value <= *bound)
+            }
+            Condition::MinValue { item: name, bound } => {
+                item(name).is_some_and(|d| d.value >= *bound)
+            }
+            Condition::ComponentHealthy { component } => self.health.get(component) == Some(&true),
+            Condition::All(subs) => subs.iter().all(|c| self.holds(c)),
+            Condition::Any(subs) => subs.iter().any(|c| self.holds(c)),
+        }
+    }
+
+    /// The highest level whose rule set (and every lower one) holds, and the
+    /// failed rules of the first level that does not.
+    fn decide(
+        &self,
+        design: &DesignTimeSafetyInfo,
+    ) -> (LevelOfService, Vec<(LevelOfService, String)>) {
+        let mut selected = LevelOfService::NON_COOPERATIVE;
+        for spec in design.levels() {
+            let failed: Vec<(LevelOfService, String)> = spec
+                .rules
+                .iter()
+                .filter(|rule| !self.holds(&rule.condition))
+                .map(|rule| (spec.level, rule.id.clone()))
+                .collect();
+            if !failed.is_empty() {
+                return (selected, failed);
+            }
+            selected = spec.level;
+        }
+        (selected, Vec::new())
+    }
+}
+
+proptest! {
+    /// The compiled safety kernel decides exactly what a by-name evaluation
+    /// of the same design decides: the selected level, the failed rules of
+    /// the rejected level, the evaluation and switch counts — under random
+    /// designs (rules on items that are never written, items no rule names,
+    /// every name first written after the kernel compiled its rules) and
+    /// random update sequences, forced and periodic cycles.  The public
+    /// by-name `Condition::holds` agrees too, on the kernel's store and on a
+    /// plain store that has never interned the rules' names.
+    #[test]
+    fn compiled_kernel_matches_a_by_name_model(seed in any::<u64>()) {
+        check_kernel_against_model(seed)?;
+    }
+}
+
+fn check_kernel_against_model(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = Rng::seed_from(seed);
+    let design = random_design(&mut rng);
+    let period = SimDuration::from_millis(rng.range_u64(1, 100));
+    let mut kernel = SafetyKernel::new(design.clone(), period);
+    let mut plain = RunTimeSafetyInfo::new();
+    let mut model = ByNameModel::default();
+    let mut current = LevelOfService::NON_COOPERATIVE;
+    let (mut evaluations, mut switches, mut next_cycle) = (0u64, 0usize, SimTime::ZERO);
+    let mut now = SimTime::ZERO;
+    // Half the cases start with every name written once, so that the
+    // designs' higher levels are reachable from the first cycles.
+    let warm_start = rng.chance(0.5);
+    for step in 0..rng.range_usize(1, 40) {
+        now += SimDuration::from_millis(rng.range_u64(0, 150));
+        let updates = if step == 0 && warm_start {
+            WRITTEN_ITEMS.len() + REPORTED_COMPONENTS.len()
+        } else {
+            rng.range_usize(0, 5)
+        };
+        for update in 0..updates {
+            let data = if step == 0 && warm_start {
+                update < WRITTEN_ITEMS.len()
+            } else {
+                rng.chance(0.6)
+            };
+            if data {
+                let name = match (step, warm_start) {
+                    (0, true) => WRITTEN_ITEMS[update].to_string(),
+                    _ => pick(&mut rng, &WRITTEN_ITEMS),
+                };
+                let timestamp = if rng.chance(0.1) {
+                    now + SimDuration::from_millis(rng.range_u64(0, 50))
+                } else {
+                    let age = SimDuration::from_millis(rng.range_u64(0, 700));
+                    SimTime::from_micros(now.as_micros().saturating_sub(age.as_micros()))
+                };
+                let item = DataItem {
+                    value: rng.range_f64(-12.0, 12.0),
+                    validity: Validity::new(rng.range_f64(0.2, 1.1)),
+                    timestamp,
+                };
+                kernel.info_mut().update_data(&name, item.value, item.validity, timestamp);
+                plain.update_data(&name, item.value, item.validity, timestamp);
+                model.data.insert(name, item);
+            } else {
+                let name = match (step, warm_start) {
+                    (0, true) => REPORTED_COMPONENTS[update - WRITTEN_ITEMS.len()].to_string(),
+                    _ => pick(&mut rng, &REPORTED_COMPONENTS),
+                };
+                let healthy = rng.chance(0.9);
+                kernel.info_mut().update_health(&name, healthy, now);
+                plain.update_health(&name, healthy, now);
+                model.health.insert(name, healthy);
+            }
+        }
+        let forced = rng.chance(0.5);
+        let ran = if forced {
+            kernel.run_cycle(now);
+            true
+        } else {
+            kernel.step(now).is_some()
+        };
+        prop_assert_eq!(ran, forced || now >= next_cycle);
+        if !ran {
+            continue;
+        }
+        if !forced {
+            next_cycle = now + period;
+        }
+        model.now = now;
+        plain.set_now(now);
+        evaluations += 1;
+        let (selected, violated) = model.decide(&design);
+        switches += usize::from(selected != current);
+        current = selected;
+
+        let decision = kernel.last_decision().expect("a cycle ran");
+        prop_assert_eq!(decision.selected, selected);
+        prop_assert_eq!(decision.decided_at, now);
+        let named: Vec<(LevelOfService, String)> =
+            decision.violations.iter().map(|&id| (id.level, design.rule(id).id.clone())).collect();
+        prop_assert_eq!(named, violated);
+        prop_assert_eq!(kernel.current_los(), selected);
+        prop_assert_eq!(kernel.manager().evaluations(), evaluations);
+        prop_assert_eq!(kernel.switches().len(), switches);
+        for rule in design.levels().iter().flat_map(|spec| &spec.rules) {
+            let expected = model.holds(&rule.condition);
+            prop_assert_eq!(rule.condition.holds(kernel.info()), expected);
+            prop_assert_eq!(rule.condition.holds(&plain), expected);
+        }
+    }
+    let info = kernel.info();
+    prop_assert_eq!(info.data_len(), model.data.len());
+    prop_assert_eq!(info.health_len(), model.health.len());
+    let names: Vec<&str> = model.data.keys().map(String::as_str).collect();
+    prop_assert_eq!(info.data_items(), names);
+    Ok(())
 }
