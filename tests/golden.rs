@@ -1,15 +1,19 @@
-//! Golden reports: what the network and safety-kernel families compute,
-//! pinned.
+//! Golden reports: what the network, safety-kernel and middleware families
+//! compute, pinned.
 //!
 //! Determinism tests prove that a campaign gives the same bytes for any
 //! worker count, chunk plan or resume point; they cannot notice a refactor
 //! that changes what a family computes while staying deterministic.  This
 //! suite runs small campaigns over the families the MAC slot loop drives —
 //! `inaccessibility` (R2T-MAC and CSMA, with and without the stark 8–12 s
-//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — and
-//! over the families the safety-kernel cycle drives — `kernel-latency`,
-//! `platoon` and `platoon-fault` — at two campaign seeds each, and compares
-//! every report byte for byte against the checked-in JSON under
+//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — over
+//! the families the safety-kernel cycle drives — `kernel-latency`,
+//! `platoon` and `platoon-fault` — over the EventBus families —
+//! `middleware-qos` (with and without the mid-run degradation) and
+//! `middleware-overload` (at, above and far above rated load) — and over
+//! the simulated transport fabric `net-transport`.  Each runs at two
+//! campaign seeds, and every
+//! report is compared byte for byte against the checked-in JSON under
 //! `tests/golden/`.
 //!
 //! A deliberate behaviour change re-blesses the files:
@@ -249,6 +253,61 @@ fn platoon_fault_reports_are_pinned() {
             .grid(ParamGrid::new().axis("mode", ["kernel", "los2"]))
             .replications(3)
             .duration_secs(90),
+    );
+}
+
+/// The lead-state channel at two publish rates, with and without the
+/// mid-run wireless degradation, over both network segments.  At 50 Hz the
+/// 5 s degrade instant falls on a publish tick; at 30 Hz it does not.
+#[test]
+fn middleware_qos_reports_are_pinned() {
+    check(
+        "middleware-qos",
+        CampaignEntry::new("middleware-qos")
+            .grid(
+                ParamGrid::new()
+                    .axis("rate_hz", [50.0, 30.0])
+                    .axis("degrade", [false, true])
+                    .axis("network", ["wireless", "local"]),
+            )
+            .replications(3)
+            .duration_secs(10),
+    );
+}
+
+/// The EventBus at 10×, 1× and 3× rated load, for mixed and batched
+/// consumers under the class-default and aggregate strategies.  At 1× every
+/// drain ties a publish; at 3× the two cadences tie only at t = 0.
+#[test]
+fn middleware_overload_reports_are_pinned() {
+    check(
+        "middleware-overload",
+        CampaignEntry::new("middleware-overload")
+            .grid(
+                ParamGrid::new()
+                    .axis("load_x", [10.0, 1.0, 3.0])
+                    .axis("qos_mix", ["mixed", "batched"])
+                    .axis("strategy", ["class-default", "aggregate"]),
+            )
+            .replications(3)
+            .duration_secs(5),
+    );
+}
+
+/// The simulated transport fabric on a 4- and a 2-node ring, with and
+/// without the mid-run partition, at two drop rates.
+#[test]
+fn net_transport_reports_are_pinned() {
+    check(
+        "net-transport",
+        CampaignEntry::new("net-transport")
+            .grid(
+                ParamGrid::new()
+                    .axis("nodes", [4, 2])
+                    .axis("partition", [false, true])
+                    .axis("drop", [0.1, 0.3]),
+            )
+            .replications(3),
     );
 }
 
