@@ -2,32 +2,25 @@
 //!
 //! The KARYON safety argument is built on huge fault-injection sweeps (§VI),
 //! so the experiment pipeline's own throughput is a tracked quantity from
-//! this experiment onward.  Six measurements, written to
+//! this experiment onward.  Five measurements, written to
 //! `BENCH_campaign.json` for CI to archive:
 //!
 //! 1. **Event core** — the calendar-queue [`EventQueue`] against the
 //!    [`HeapEventQueue`] baseline on a hold-model workload (pop the earliest
 //!    event, schedule one a random delay ahead) at several resident queue
 //!    sizes.  The acceptance bar is a ≥2× speedup.
-//! 2. **Periodic trains** — the fixed-period fast path, three ways: 16
-//!    staggered periodic tasks run as self-rescheduling one-shots on the
-//!    heap, as self-rescheduling one-shots on the calendar queue, and as
-//!    [`EventQueue::schedule_periodic`] trains (pop-only — the train
-//!    regenerates itself).  The property suite pins all three
-//!    order-identical; this measurement prices them.  The acceptance bar is
-//!    the fast path at ≥2× the calendar one-shot rate.
-//! 3. **Volume campaign** — a million-run (quick mode: 100k) echo-style
+//! 2. **Volume campaign** — a million-run (quick mode: 100k) echo-style
 //!    campaign through the chunked runner: serial and parallel rates, with
 //!    and without a streaming sink, at the default and a large chunk size;
 //!    serial-vs-parallel bit-identity; and the peak number of resident
 //!    records, which must be bounded by `chunk size × in-flight window`,
 //!    never by the run count.
-//! 4. **Checkpoint overhead** — the volume campaign re-run with crash-safe
+//! 3. **Checkpoint overhead** — the volume campaign re-run with crash-safe
 //!    checkpointing at every canonical chunk (the most aggressive cadence).
-//! 5. **Mixed campaign** — a multi-family sweep exercising the net stack
+//! 4. **Mixed campaign** — a multi-family sweep exercising the net stack
 //!    (`tdma`, `inaccessibility`), the middleware QoS channel and the
 //!    vehicle platoon, i.e. real simulation work per run.
-//! 6. **Telemetry overhead** — the volume campaign re-run through the
+//! 5. **Telemetry overhead** — the volume campaign re-run through the
 //!    instrumented entry point with telemetry *detached*
 //!    ([`CampaignTelemetry::none`]) and again with a trace sink + metrics
 //!    registry attached.  The detached rate must sit within noise of the
@@ -38,11 +31,11 @@
 //! pass** (see [`median_of_3`]), so quick-mode numbers on shared CI machines
 //! are trustworthy enough to guard on: a single scheduler hiccup or cold
 //! cache can no longer report nonsense like telemetry-off running 2.6×
-//! *faster* than the identical plain code path.  Guarded *ratios* (the
-//! hold-model speedup, the train fast-path multiples) additionally
-//! interleave their two sides within each sample and take the median of the
-//! per-sample ratios (see [`median_paired`]): a frequency dip that spans one
-//! side's samples cancels out instead of manufacturing a regression.  Each `BENCH_campaign.json`
+//! *faster* than the identical plain code path.  The guarded *ratio* (the
+//! hold-model speedup) additionally interleaves its two sides within each
+//! sample and takes the median of the per-sample ratios (see
+//! [`median_paired`]): a frequency dip that spans one side's samples cancels
+//! out instead of manufacturing a regression.  Each `BENCH_campaign.json`
 //! object records its `ops_per_workload` and `samples` so consumers know
 //! what was measured.
 //!
@@ -153,27 +146,6 @@ fn queue_ops_per_sec<Q>(
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Periodic-task workload as self-rescheduling one-shots: every pop of task
-/// `i` schedules its next tick one period ahead — the pre-train idiom every
-/// scenario family used, paying full schedule+pop cost per tick.
-fn periodic_oneshot_rate<Q>(
-    mut schedule: impl FnMut(&mut Q, SimTime, u64),
-    mut pop: impl FnMut(&mut Q) -> Option<(SimTime, u64)>,
-    queue: &mut Q,
-    periods: &[SimDuration],
-    ops: u64,
-) -> f64 {
-    for (i, _) in periods.iter().enumerate() {
-        schedule(queue, SimTime::from_micros(i as u64), i as u64);
-    }
-    let start = Instant::now();
-    for _ in 0..ops {
-        let (t, task) = pop(queue).expect("periodic tasks never drain");
-        schedule(queue, t + periods[task as usize], task);
-    }
-    ops as f64 / start.elapsed().as_secs_f64()
-}
-
 /// A sink that counts runs without retaining them (the cheapest consumer the
 /// canonical-order restoration still has to buffer chunks for).
 struct CountingSink {
@@ -266,73 +238,7 @@ fn main() {
     }
     queue_table.print();
 
-    // ----- 2. Periodic trains: the fixed-period fast path, three ways. ----
-    // 16 tasks with staggered starts and coprime-ish periods (50, 57, 64, …
-    // µs) — a caricature of the TDMA slot clocks, pulse-sync rounds and
-    // middleware publish loops that dominate the paper's workloads.
-    let train_ops: u64 = if quick { 2_000_000 } else { 8_000_000 };
-    let periods: Vec<SimDuration> =
-        (0..16u64).map(|i| SimDuration::from_micros(50 + 7 * i)).collect();
-    let heap_side = || {
-        let mut q = HeapEventQueue::new();
-        periodic_oneshot_rate(|q, t, p| q.schedule(t, p), |q| q.pop(), &mut q, &periods, train_ops)
-    };
-    let calendar_side = || {
-        let mut q = EventQueue::new();
-        periodic_oneshot_rate(|q, t, p| q.schedule(t, p), |q| q.pop(), &mut q, &periods, train_ops)
-    };
-    let fastpath_side = || {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for (i, period) in periods.iter().enumerate() {
-            q.schedule_periodic(SimTime::from_micros(i as u64), *period, i as u64);
-        }
-        let start = Instant::now();
-        let mut last = SimTime::ZERO;
-        for _ in 0..train_ops {
-            let (t, _) = q.pop().expect("trains never drain");
-            assert!(t >= last, "train ticks must be time-ordered");
-            last = t;
-        }
-        train_ops as f64 / start.elapsed().as_secs_f64()
-    };
-    // Interleave all three representations within each sample (same pairing
-    // rationale as [`median_paired`]) and guard on per-sample ratio medians.
-    let (_, _, _) = (heap_side(), calendar_side(), fastpath_side());
-    let mut heap_samples = [0.0; 3];
-    let mut calendar_samples = [0.0; 3];
-    let mut fastpath_samples = [0.0; 3];
-    let mut vs_calendar = [0.0; 3];
-    let mut vs_heap = [0.0; 3];
-    for k in 0..3 {
-        heap_samples[k] = heap_side();
-        calendar_samples[k] = calendar_side();
-        fastpath_samples[k] = fastpath_side();
-        vs_calendar[k] = fastpath_samples[k] / calendar_samples[k];
-        vs_heap[k] = fastpath_samples[k] / heap_samples[k];
-    }
-    let train_heap_rate = median3(heap_samples);
-    let train_calendar_rate = median3(calendar_samples);
-    let fastpath_rate = median3(fastpath_samples);
-    let fastpath_vs_calendar = median3(vs_calendar);
-    let fastpath_vs_heap = median3(vs_heap);
-    let mut train_table = Table::new(
-        "E16b — periodic trains: 16 fixed-period tasks, three representations",
-        &["representation", "ticks/s [M]", "vs calendar one-shots"],
-    );
-    train_table.add_row(&["heap one-shots".into(), fmt3(train_heap_rate / 1e6), {
-        format!("{:.2}x", train_heap_rate / train_calendar_rate)
-    }]);
-    train_table.add_row(&["calendar one-shots".into(), fmt3(train_calendar_rate / 1e6), {
-        "1.00x".into()
-    }]);
-    train_table.add_row(&[
-        "calendar trains (fast path)".into(),
-        fmt3(fastpath_rate / 1e6),
-        format!("{fastpath_vs_calendar:.2}x"),
-    ]);
-    train_table.print();
-
-    // ----- 3. Volume campaign: chunked aggregation at scale. -------------
+    // ----- 2. Volume campaign: chunked aggregation at scale. -------------
     let runs_per_point: u64 = if quick { 25_000 } else { 250_000 };
     let campaign = volume_campaign(runs_per_point);
     let total_runs = campaign.run_count();
@@ -382,7 +288,7 @@ fn main() {
     // the large-chunk variant amortises the per-chunk overhead.  The honest
     // headline: for sub-microsecond runs the chunked runner crosses over to
     // a win only once per-run work dwarfs the ~µs per-chunk toll — real
-    // families (measurement 5) are 3–6 orders of magnitude past that.
+    // families (measurement 4) are 3–6 orders of magnitude past that.
     let parallel_sink_rate = median_of_3(|| {
         let mut sink = CountingSink { runs: 0 };
         let start = Instant::now();
@@ -432,7 +338,7 @@ fn main() {
     });
 
     let mut volume_table = Table::new(
-        "E16c — volume campaign (echo scenario through the chunked runner)",
+        "E16b — volume campaign (echo scenario through the chunked runner)",
         &["variant", "threads", "chunk", "runs/s", "vs serial"],
     );
     volume_table.add_row(&[
@@ -471,10 +377,10 @@ fn main() {
         stats.workers, total_runs
     );
 
-    // ----- 4. Checkpoint overhead on the volume campaign. ----------------
+    // ----- 3. Checkpoint overhead on the volume campaign. ----------------
     // Worst case by construction: the echo scenario does near-zero work per
     // run, so every microsecond of manifest serialisation shows up in the
-    // rate.  Real campaigns (measurement 5) amortise it into noise.
+    // rate.  Real campaigns (measurement 4) amortise it into noise.
     let ckpt_path =
         std::env::temp_dir().join(format!("karyon-e16-ckpt-{}.json", std::process::id()));
     let mut ckpt_chunks = 0u64;
@@ -503,7 +409,7 @@ fn main() {
     std::fs::remove_file(&ckpt_path).ok();
     let ckpt_relative = ckpt_rate / parallel_sink_rate;
     let mut ckpt_table = Table::new(
-        "E16d — checkpoint overhead (manifest every canonical chunk, worst case)",
+        "E16c — checkpoint overhead (manifest every canonical chunk, worst case)",
         &[
             "runs",
             "checkpoints",
@@ -523,7 +429,7 @@ fn main() {
     ]);
     ckpt_table.print();
 
-    // ----- 5. Mixed campaign: real per-run simulation work. --------------
+    // ----- 4. Mixed campaign: real per-run simulation work. --------------
     let replications: u64 = if quick { 3 } else { 15 };
     let mixed = mixed_campaign(replications);
     let mixed_runs = mixed.run_count();
@@ -536,13 +442,13 @@ fn main() {
         rate
     });
     println!(
-        "E16e — mixed campaign: {} runs over {} families ({:.1} runs/s)",
+        "E16d — mixed campaign: {} runs over {} families ({:.1} runs/s)",
         mixed_runs, 4, mixed_rate
     );
     assert_eq!(mixed_reference.total_runs, mixed_runs);
     assert_eq!(mixed_reference.suspect_runs(), 0, "engine-driven families stay causality-clean");
 
-    // ----- 6. Telemetry overhead on the volume campaign. -----------------
+    // ----- 5. Telemetry overhead on the volume campaign. -----------------
     // Detached telemetry is the same code path as the plain run (one branch
     // per chunk), so its rate is the regression guard: if the telemetry
     // plumbing ever leaks cost into untraced campaigns, this ratio drops.
@@ -582,7 +488,7 @@ fn main() {
     let traced_relative = traced_rate / parallel_nosink_rate;
 
     let mut telemetry_table = Table::new(
-        "E16f — telemetry overhead (volume campaign, detached vs attached)",
+        "E16e — telemetry overhead (volume campaign, detached vs attached)",
         &["variant", "runs/s", "relative", "trace bytes"],
     );
     telemetry_table.add_row(&[
@@ -622,16 +528,6 @@ fn main() {
         .u64("samples", SAMPLES)
         .f64("worst_speedup", worst_speedup)
         .raw("workloads", &karyon_scenario::json::array(&workloads));
-    let mut trains_json = ObjectWriter::new();
-    trains_json
-        .u64("trains", periods.len() as u64)
-        .u64("ops_per_workload", train_ops)
-        .u64("samples", SAMPLES)
-        .f64("heap_ops_per_sec", train_heap_rate)
-        .f64("calendar_ops_per_sec", train_calendar_rate)
-        .f64("fastpath_ops_per_sec", fastpath_rate)
-        .f64("fastpath_vs_calendar", fastpath_vs_calendar)
-        .f64("fastpath_vs_heap", fastpath_vs_heap);
     let mut volume_json = ObjectWriter::new();
     volume_json
         .u64("runs", total_runs)
@@ -683,7 +579,6 @@ fn main() {
     root.string("bench", "e16_campaign_throughput")
         .bool("quick", quick)
         .raw("event_queue", &queue_json.finish())
-        .raw("periodic_trains", &trains_json.finish())
         .raw("volume_campaign", &volume_json.finish())
         .raw("checkpointing", &ckpt_json.finish())
         .raw("mixed_campaign", &mixed_json.finish())
@@ -697,29 +592,19 @@ fn main() {
 
     println!(
         "\nExpectation: the calendar queue sustains ≥2x the BinaryHeap baseline's hold-model\n\
-         throughput at every resident size, periodic trains sustain ≥2x the calendar's\n\
-         one-shot rate on the 16-task workload, and the chunked runner completes the volume\n\
+         throughput at every resident size, and the chunked runner completes the volume\n\
          campaign with peak resident records bounded by chunk size x in-flight window —\n\
          independent of the run count — while 1-thread and N-thread reports stay bit-identical."
     );
-    // With warmup + median-of-3 the perf bars hold in quick mode too (the
-    // CI schema/perf guard re-checks them from BENCH_campaign.json); the
-    // stricter in-process asserts still run only on full (perf-tracking)
+    // With warmup + median-of-3 the perf bar holds in quick mode too (the
+    // CI schema/perf guard re-checks it from BENCH_campaign.json); the
+    // stricter in-process assert still runs only on full (perf-tracking)
     // runs to keep degraded shared machines from hard-failing the bench.
     if quick {
         if worst_speedup < 2.0 {
             println!("note: quick-mode speedup {worst_speedup:.2}x below the 2x full-run bar");
         }
-        if fastpath_vs_calendar < 2.0 {
-            println!(
-                "note: quick-mode fast path {fastpath_vs_calendar:.2}x below the 2x full-run bar"
-            );
-        }
     } else {
         assert!(worst_speedup >= 2.0, "calendar queue speedup regressed: {worst_speedup:.2}x");
-        assert!(
-            fastpath_vs_calendar >= 2.0,
-            "periodic-train fast path regressed: {fastpath_vs_calendar:.2}x vs calendar one-shots"
-        );
     }
 }

@@ -136,9 +136,11 @@ impl CampaignEntry {
                 )
             }
             (Some(secs), None) => {
-                let secs =
-                    secs.as_u64().ok_or("\"duration_secs\" must be a non-negative integer")?;
-                entry = entry.duration_secs(secs);
+                let duration = secs
+                    .as_u64()
+                    .and_then(SimDuration::checked_from_secs)
+                    .ok_or(crate::spec::DURATION_SECS_RANGE)?;
+                entry = entry.duration(duration);
             }
             (None, Some(micros)) => {
                 let micros =
@@ -1838,6 +1840,11 @@ mod tests {
                 r#"{"name": "x", "seed": 1, "entries":
                    [{"scenario": "e", "duration_secs": 1, "duration_micros": 2}]}"#,
                 "not both",
+            ),
+            (
+                r#"{"name": "x", "seed": 1, "entries":
+                   [{"scenario": "e", "duration_secs": 18446744073709551615}]}"#,
+                "whole number of seconds",
             ),
         ] {
             let err = Campaign::from_json_str(doc).unwrap_err();

@@ -5,15 +5,15 @@ use karyon_middleware::{
     Admission, EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, QosClass,
     QosRequirement, SubscriptionId,
 };
-use karyon_sim::{Engine, SimDuration, SimTime};
+use karyon_sim::{SimDuration, SimTime};
 
 use crate::grid::ParamGrid;
 use crate::scenario::{RunRecord, Scenario};
 use crate::spec::ScenarioSpec;
 
-/// Event-channel QoS under load and mid-run degradation (§V-B), driven by the
-/// discrete-event [`Engine`] — this family also exercises the engine's
-/// clamped-schedule accounting, which the campaign surfaces as suspect runs.
+/// Event-channel QoS under load and mid-run degradation (§V-B): a fixed-rate
+/// publisher on one channel, with the wireless segment optionally degrading
+/// halfway through the run.
 ///
 /// The channel's QoS contract — the network segment it is announced on, its
 /// latency deadline and its delivery-ratio floor — used to be hard-coded in
@@ -22,19 +22,9 @@ use crate::spec::ScenarioSpec;
 /// are three grid points of the same family.
 pub struct MiddlewareQosScenario;
 
-#[derive(Debug, Clone, Copy)]
-enum QosEvent {
-    Publish,
-    Degrade,
-}
-
 impl Scenario for MiddlewareQosScenario {
     fn name(&self) -> &str {
         "middleware-qos"
-    }
-
-    fn engine_driven(&self) -> bool {
-        true
     }
 
     fn param_domain(&self) -> ParamGrid {
@@ -78,40 +68,29 @@ impl Scenario for MiddlewareQosScenario {
             bus.topic("platoon/lead-state").via(network).subscribe(QosClass::Batched);
         let publisher = bus.topic("platoon/lead-state").via(network).announce(requirement);
 
-        // Clamp audit finding: below ~1 µs the period rounds to zero and the
-        // publish loop degenerates into a zero-delay self-loop at t=0 — the
-        // engine never advances and `run_until` never returns.  One
-        // microsecond (the simulator's time quantum) is the causality floor.
+        // Below ~1 µs the period would round to zero and the publish loop
+        // would never advance; one microsecond (the simulator's time
+        // quantum) is the floor.
         let period = SimDuration::from_secs_f64(1.0 / rate_hz).max(SimDuration::from_micros(1));
         let end = SimTime::ZERO + spec.duration;
-        let mut engine: Engine<EventBus, QosEvent> = Engine::new(bus);
-        // No-op unless a campaign trace scope is active (clamp attribution).
-        karyon_telemetry::observe_engine(&mut engine);
-        // The publish loop is a fixed-period train: one registration replaces
-        // the per-tick self-reschedule, with identical tick times (0, period,
-        // 2·period, … ≤ end) and O(1) per-tick queue cost.
-        engine.schedule_periodic(SimTime::ZERO, period, QosEvent::Publish);
-        if degrade {
-            engine.schedule_at(
-                SimTime::from_secs_f64(spec.duration.as_secs_f64() / 2.0),
-                QosEvent::Degrade,
-            );
-        }
+        let mut degrade_at =
+            degrade.then(|| SimTime::from_secs_f64(spec.duration.as_secs_f64() / 2.0));
+        // Publishes at 0, period, 2·period, … ≤ end.  A publish at the
+        // degrade instant itself still goes out before the degradation.
         let mut published: u64 = 0;
-        engine.run_until(end, |bus, ctx, event| match event {
-            QosEvent::Publish => {
-                bus.publish(&publisher, Payload::tagged(published), ctx.now());
-                published += 1;
-                bus.drain_with(subscription, ctx.now(), usize::MAX, |_| {});
-            }
-            QosEvent::Degrade => {
+        let mut publish_at = SimTime::ZERO;
+        while publish_at <= end {
+            bus.publish(&publisher, Payload::tagged(published), publish_at);
+            published += 1;
+            bus.drain_with(subscription, publish_at, usize::MAX, |_| {});
+            publish_at += period;
+            if degrade_at.is_some_and(|at| at < publish_at && at <= end) {
+                degrade_at = None;
                 bus.update_capability(NetworkId(1), NetworkCapability::wireless_degraded());
             }
-        });
+        }
 
         let mut record = RunRecord::new();
-        record.absorb_engine_clamps(&engine);
-        let mut bus = engine.into_state();
         bus.drain_with(subscription, end, usize::MAX, |_| {});
         let stats = bus.subscription_stats(subscription).expect("subscription exists");
         record.set_flag("admitted", publisher.is_admitted());
@@ -149,12 +128,6 @@ impl Scenario for MiddlewareQosScenario {
 /// while Batched degrades gracefully.
 pub struct MiddlewareOverloadScenario;
 
-#[derive(Debug, Clone, Copy)]
-enum OverloadEvent {
-    Publish,
-    Drain,
-}
-
 /// The scenario's per-class mailbox capacities, sized for the rated 100 Hz
 /// drain cadence: the capacity bounds the worst-case queueing delay
 /// (capacity ÷ service rate), so realtime stays under ~80 ms of queueing and
@@ -170,10 +143,6 @@ fn overload_mailbox_capacity(class: QosClass) -> usize {
 impl Scenario for MiddlewareOverloadScenario {
     fn name(&self) -> &str {
         "middleware-overload"
-    }
-
-    fn engine_driven(&self) -> bool {
-        true
     }
 
     fn param_domain(&self) -> ParamGrid {
@@ -230,32 +199,27 @@ impl Scenario for MiddlewareOverloadScenario {
             .topic("overload.stream")
             .announce(QosRequirement::realtime(SimDuration::from_millis(60), rated_hz * load_x));
 
-        // Same causality floor as middleware-qos: periods never round below
-        // the 1 µs time quantum, so the loops cannot self-schedule at t=0.
+        // Same floor as middleware-qos: periods never round below the 1 µs
+        // time quantum, so both cadences always advance.
         let publish_period =
             SimDuration::from_secs_f64(1.0 / (rated_hz * load_x)).max(SimDuration::from_micros(1));
         let drain_period =
             SimDuration::from_secs_f64(1.0 / rated_hz).max(SimDuration::from_micros(1));
         let end = SimTime::ZERO + spec.duration;
-        let mut engine: Engine<EventBus, OverloadEvent> = Engine::new(bus);
-        // No-op unless a campaign trace scope is active (clamp attribution).
-        karyon_telemetry::observe_engine(&mut engine);
-        // Both loops are fixed-period trains.  Registration order is the tie
-        // order: publishes land before drains at coincident ticks, so a drain
-        // always sees the tick's publish (the same order the self-scheduling
-        // version established at t=0).
-        engine.schedule_periodic(SimTime::ZERO, publish_period, OverloadEvent::Publish);
-        engine.schedule_periodic(SimTime::ZERO, drain_period, OverloadEvent::Drain);
+        // The publish and drain cadences, both from t = 0 to end, merged in
+        // time order.  At a coincident instant the publish goes first, so a
+        // drain always sees that instant's publish.
         let mut published: u64 = 0;
         let mut peak_backlog: usize = 0;
         let mut drain_tick: u64 = 0;
-        engine.run_until(end, |bus, ctx, event| match event {
-            OverloadEvent::Publish => {
-                bus.publish(&publisher, Payload::tagged(published), ctx.now());
+        let (mut publish_at, mut drain_at) = (SimTime::ZERO, SimTime::ZERO);
+        loop {
+            if publish_at <= drain_at.min(end) {
+                bus.publish(&publisher, Payload::tagged(published), publish_at);
                 published += 1;
                 peak_backlog = peak_backlog.max(bus.backlog());
-            }
-            OverloadEvent::Drain => {
+                publish_at += publish_period;
+            } else if drain_at <= end {
                 for &(class, sub) in &subs {
                     let budget = match class {
                         // Realtime consumers keep up; the bus sheds for them.
@@ -273,16 +237,17 @@ impl Scenario for MiddlewareOverloadScenario {
                         }
                     };
                     if budget > 0 {
-                        bus.drain_with(sub, ctx.now(), budget, |_| {});
+                        bus.drain_with(sub, drain_at, budget, |_| {});
                     }
                 }
                 drain_tick += 1;
+                drain_at += drain_period;
+            } else {
+                break;
             }
-        });
+        }
 
         let mut record = RunRecord::new();
-        record.absorb_engine_clamps(&engine);
-        let bus = engine.into_state();
         record.set("published", published as f64);
         record.set("peak_backlog", peak_backlog as f64);
         for (class, sub) in subs {
@@ -316,27 +281,21 @@ mod tests {
         assert_eq!(record.get("admitted_after"), Some(1.0), "no degradation, no re-assessment");
         assert!(record.get("delivery_ratio").unwrap() > 0.8);
         assert!(record.get("published").unwrap() > 900.0, "50 Hz × 20 s ≈ 1000 events");
-        assert_eq!(record.clamped_schedules, 0, "the publish loop never schedules into the past");
     }
 
-    /// Clamp audit regression: the publish loop must terminate and stay
-    /// causality-clean even for rates whose period rounds below the 1 µs
-    /// time quantum (the zero-delay self-loop found by the audit).
+    /// The publish loop must terminate even for rates whose period rounds
+    /// below the 1 µs time quantum: those publish once per microsecond.
     #[test]
-    fn middleware_qos_survives_extreme_rates_without_clamps() {
+    fn middleware_qos_terminates_at_extreme_rates() {
         let qos = MiddlewareQosScenario;
-        for rate in [1.0, 997.0, 2.5e6, 1.0e9] {
+        for (rate, published) in [(1.0, 1.0), (997.0, 10.0), (2.5e6, 10_001.0), (1.0e9, 10_001.0)] {
             let record = qos.run(
                 &ScenarioSpec::new("middleware-qos")
                     .with("rate_hz", rate)
                     .with_seed(8)
                     .with_duration(SimDuration::from_millis(10)),
             );
-            assert_eq!(
-                record.clamped_schedules, 0,
-                "rate {rate} Hz: the publish loop must never schedule into the past"
-            );
-            assert!(record.get("published").unwrap() >= 1.0);
+            assert_eq!(record.get("published"), Some(published), "rate {rate} Hz");
         }
     }
 
@@ -374,7 +333,6 @@ mod tests {
     fn overload_realtime_holds_latency_bound_at_ten_x() {
         let family = MiddlewareOverloadScenario;
         let record = family.run(&family.default_spec().with_seed(3).with_duration_secs(30));
-        assert_eq!(record.clamped_schedules, 0, "default spec must stay suspect-free");
         assert!(record.get("published").unwrap() > 25_000.0, "10× of 100 Hz over 30 s");
         let rt_p99 = record.get("realtime_p99_ms").unwrap();
         assert!(rt_p99 <= 60.0, "realtime P99 {rt_p99} ms must hold the 60 ms bound at 10×");

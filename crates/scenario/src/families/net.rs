@@ -7,7 +7,7 @@ use karyon_net::{
     InaccessibilityTracker, MacProtocol, MacSimConfig, MacSimulation, MediumConfig, NodeId,
     PulseSyncConfig, PulseSyncSim, R2TMac, R2TMacConfig, SelfStabTdmaMac, WirelessMedium,
 };
-use karyon_sim::{Engine, Rng, SimDuration, SimTime, Vec2};
+use karyon_sim::{Rng, SimDuration, SimTime, Vec2};
 use karyon_transport::{LinkConfig, NetTransport, PartitionWindow, SimTransport};
 
 use crate::grid::ParamGrid;
@@ -20,13 +20,6 @@ use crate::spec::ScenarioSpec;
 /// initial claims, and optionally after churn (a node joining the converged
 /// network).
 pub struct TdmaScenario;
-
-/// The TDMA slot clock: one engine event per MAC slot, generated by a
-/// periodic train instead of `MacSimulation::run_slots`.
-#[derive(Debug, Clone, Copy)]
-enum TdmaEvent {
-    Slot,
-}
 
 impl TdmaScenario {
     fn build(spec: &ScenarioSpec) -> (MacSimulation<SelfStabTdmaMac>, u16, u32) {
@@ -65,19 +58,17 @@ impl TdmaScenario {
         allocation_is_collision_free(claims, |a, b| sim.medium().in_range(a, b))
     }
 
-    /// Runs frames until the allocation is collision-free; returns
-    /// `(frames used, converged)`.  One frame = one `run_until` window over
-    /// the slot train.
+    /// Runs whole frames until the allocation is collision-free; returns
+    /// `(frames used, converged)`.
     fn hunt(
-        engine: &mut Engine<MacSimulation<SelfStabTdmaMac>, TdmaEvent>,
-        frame: SimDuration,
+        sim: &mut MacSimulation<SelfStabTdmaMac>,
+        slots_per_frame: u16,
         max_frames: u64,
     ) -> (u64, bool) {
         let mut claims = Vec::new();
         for frame_idx in 1..=max_frames {
-            let deadline = engine.now() + frame;
-            engine.run_until(deadline, |sim, _, _| sim.step());
-            if Self::converged(engine.state(), &mut claims) {
+            sim.run_slots(slots_per_frame as u64);
+            if Self::converged(sim, &mut claims) {
                 return (frame_idx, true);
             }
         }
@@ -88,10 +79,6 @@ impl TdmaScenario {
 impl Scenario for TdmaScenario {
     fn name(&self) -> &str {
         "tdma"
-    }
-
-    fn engine_driven(&self) -> bool {
-        true
     }
 
     fn param_domain(&self) -> ParamGrid {
@@ -111,26 +98,16 @@ impl Scenario for TdmaScenario {
     }
 
     fn run(&self, spec: &ScenarioSpec) -> RunRecord {
-        let (sim, slots_per_frame, nodes) = Self::build(spec);
-        let slot = sim.slot_duration();
-        let frame = slot.saturating_mul(slots_per_frame as u64);
+        let (mut sim, slots_per_frame, nodes) = Self::build(spec);
         // The spec duration budgets the convergence hunt: at 1 ms slots a
         // frame takes `slots_per_frame` ms of simulated time.
         let max_frames = (spec.duration.as_millis() / slots_per_frame as u64).clamp(1, 100_000);
-        let mut engine: Engine<MacSimulation<SelfStabTdmaMac>, TdmaEvent> = Engine::new(sim);
-        // No-op unless a campaign trace scope is active (clamp attribution).
-        karyon_telemetry::observe_engine(&mut engine);
-        // The slot clock is a single periodic train.  It starts one slot in
-        // because `run_until` deadlines are inclusive: ticks at slot, 2·slot,
-        // …, frame give exactly `slots_per_frame` MAC steps per frame window.
-        engine.schedule_periodic(SimTime::ZERO + slot, slot, TdmaEvent::Slot);
-        let (frames, converged) = Self::hunt(&mut engine, frame, max_frames);
-        let reselections: u64 = engine.state().macs().map(|(_, mac)| mac.reselections()).sum();
+        let (frames, converged) = Self::hunt(&mut sim, slots_per_frame, max_frames);
+        let reselections: u64 = sim.macs().map(|(_, mac)| mac.reselections()).sum();
         // Post-convergence stability: ten more frames must stay silent.
-        let before = engine.state().metrics().collisions;
-        let deadline = engine.now() + frame.saturating_mul(10);
-        engine.run_until(deadline, |sim, _, _| sim.step());
-        let post_collisions = engine.state().metrics().collisions - before;
+        let before = sim.metrics().collisions;
+        sim.run_slots(10 * slots_per_frame as u64);
+        let post_collisions = sim.metrics().collisions - before;
 
         let mut record = RunRecord::new();
         record.set_flag("converged", converged);
@@ -141,16 +118,11 @@ impl Scenario for TdmaScenario {
         if spec.bool_or("churn", false) {
             // Churn (the e05 join case): a new node enters the converged
             // network and the allocation must re-stabilize.
-            engine.state_mut().add_node(
-                NodeId(nodes),
-                SelfStabTdmaMac::new(),
-                Vec2::new(35.0, 0.0),
-            );
-            let (frames_after, reconverged) = Self::hunt(&mut engine, frame, max_frames);
+            sim.add_node(NodeId(nodes), SelfStabTdmaMac::new(), Vec2::new(35.0, 0.0));
+            let (frames_after, reconverged) = Self::hunt(&mut sim, slots_per_frame, max_frames);
             record.set("frames_to_converge_after_join", frames_after as f64);
             record.set_flag("reconverged_after_join", reconverged);
         }
-        record.absorb_engine_clamps(&engine);
         record
     }
 }
@@ -316,20 +288,9 @@ impl Scenario for InaccessibilityScenario {
 /// pulse period — previously constants of the e06 harness — are parameters.
 pub struct PulseSyncScenario;
 
-/// The oscillator integration clock: one engine event per `dt`, generated by
-/// a periodic train instead of `PulseSyncSim::run`.
-#[derive(Debug, Clone, Copy)]
-enum PulseEvent {
-    Step,
-}
-
 impl Scenario for PulseSyncScenario {
     fn name(&self) -> &str {
         "pulse-sync"
-    }
-
-    fn engine_driven(&self) -> bool {
-        true
     }
 
     fn param_domain(&self) -> ParamGrid {
@@ -361,34 +322,36 @@ impl Scenario for PulseSyncScenario {
         let threshold = spec.f64_or("threshold", 0.05).clamp(1e-6, 0.5);
         let dt = SimDuration::from_secs_f64(config.dt);
         let period = SimDuration::from_secs_f64(config.period);
-        let sim = PulseSyncSim::new(config, spec.seed);
+        let mut sim = PulseSyncSim::new(config, spec.seed);
         let initial = sim.max_phase_error_fraction();
-        let mut engine: Engine<PulseSyncSim, PulseEvent> = Engine::new(sim);
-        // No-op unless a campaign trace scope is active (clamp attribution).
-        karyon_telemetry::observe_engine(&mut engine);
-        // The integration clock is a single periodic train, started one dt in
-        // (inclusive deadlines): each `run_until` window of one pulse period
-        // integrates exactly period/dt steps, mirroring the standalone
-        // `run_until_converged` cadence of checking once per period.
-        engine.schedule_periodic(SimTime::ZERO + dt, dt, PulseEvent::Step);
+        // The integration clock ticks at dt, 2·dt, …; a window integrates
+        // every tick up to and including its deadline, so a window of one
+        // pulse period checks convergence once per period, the cadence of
+        // the standalone `run_until_converged`.
+        let mut next_step = SimTime::ZERO + dt;
+        let mut step_until = |sim: &mut PulseSyncSim, deadline: SimTime| {
+            while next_step <= deadline {
+                sim.step();
+                next_step += dt;
+            }
+        };
         // The spec duration budgets the convergence hunt; ten more seconds
         // measure the steady state.
         let hunt_end = SimTime::ZERO + spec.duration;
+        let mut now = SimTime::ZERO;
         let mut converged = None;
-        while engine.now() < hunt_end {
-            let deadline = (engine.now() + period).min(hunt_end);
-            engine.run_until(deadline, |sim, _, _| sim.step());
-            if engine.state().max_phase_error_fraction() <= threshold {
-                converged = Some(engine.state().time());
+        while now < hunt_end {
+            now = (now + period).min(hunt_end);
+            step_until(&mut sim, now);
+            if sim.max_phase_error_fraction() <= threshold {
+                converged = Some(sim.time());
                 break;
             }
         }
-        let deadline = engine.now() + SimDuration::from_secs(10);
-        engine.run_until(deadline, |sim, _, _| sim.step());
-        let steady = engine.state().max_phase_error_fraction();
+        step_until(&mut sim, now + SimDuration::from_secs(10));
+        let steady = sim.max_phase_error_fraction();
 
         let mut record = RunRecord::new();
-        record.absorb_engine_clamps(&engine);
         record.set("initial_max_error", initial);
         record.set_flag("converged", converged.is_some());
         if let Some(at) = converged {

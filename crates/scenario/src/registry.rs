@@ -174,7 +174,7 @@ impl FamilyInfo {
 /// | `intersection` | vehicles | `run_intersection` (e11) | `fallback`, `arrivals_per_minute`, `light_fail` |
 /// | `lane-change` | vehicles | `run_lane_changes` (e12) | `coordination`, `vehicles`, `message_loss`, `desire_rate` |
 /// | `avionics-rpv` | vehicles | `run_encounter` (e13) | `encounter`, `traffic`, `resolution` |
-/// | `middleware-qos` | middleware | `EventBus` on an `Engine` (e08) | `rate_hz`, `degrade`, `network`, `max_latency_ms`, `min_delivery_ratio` |
+/// | `middleware-qos` | middleware | `EventBus` at a fixed publish rate (e08) | `rate_hz`, `degrade`, `network`, `max_latency_ms`, `min_delivery_ratio` |
 /// | `middleware-overload` | middleware | EventBus v2 backpressure (e08) | `load_x`, `qos_mix`, `backlog_threshold`, `strategy` |
 /// | `tdma` | net | self-stabilizing TDMA (e05) | `nodes`, `adversarial`, `slots_per_frame`, `churn` |
 /// | `inaccessibility` | net | CSMA / R2T-MAC under jamming (e04) | `mac`, `burst_ms`, `copies`, `nodes`, `gap_s`, `loss`, `long_burst` |

@@ -174,6 +174,11 @@ impl From<String> for ParamValue {
     }
 }
 
+/// The spec loaders' refusal of a `duration_secs` a [`SimDuration`] cannot
+/// hold in microseconds.
+pub(crate) const DURATION_SECS_RANGE: &str =
+    "\"duration_secs\" must be a whole number of seconds from 0 to 18446744073709";
+
 /// The declarative description of one scenario run: family name, parameter
 /// map, RNG seed and simulated duration.
 ///
@@ -397,8 +402,10 @@ impl ScenarioSpec {
             spec = spec.with_seed(seed.as_u64().ok_or("\"seed\" must be a non-negative integer")?);
         }
         if let Some(secs) = doc.get("duration_secs") {
-            spec = spec.with_duration_secs(
-                secs.as_u64().ok_or("\"duration_secs\" must be a non-negative integer")?,
+            spec = spec.with_duration(
+                secs.as_u64()
+                    .and_then(SimDuration::checked_from_secs)
+                    .ok_or(DURATION_SECS_RANGE)?,
             );
         }
         if let Some(params) = doc.get("params") {
@@ -485,6 +492,15 @@ mod tests {
     fn negative_int_clamps_to_zero_for_u64() {
         let spec = ScenarioSpec::new("x").with("n", -3);
         assert_eq!(spec.u64_or("n", 7), 0);
+    }
+
+    #[test]
+    fn json_durations_past_the_microsecond_range_are_refused() {
+        let doc = |secs: u64| format!(r#"{{"scenario": "x", "duration_secs": {secs}}}"#);
+        let longest = ScenarioSpec::from_json_str(&doc(18_446_744_073_709)).unwrap();
+        assert_eq!(longest.duration, SimDuration::from_secs(18_446_744_073_709));
+        let err = ScenarioSpec::from_json_str(&doc(18_446_744_073_710)).unwrap_err();
+        assert_eq!(err, DURATION_SECS_RANGE);
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Discrete-event and fixed-step simulation drivers.
+//! The discrete-event simulation driver.
 //!
-//! Two execution styles are provided because the KARYON experiments need
-//! both:
-//!
-//! * [`Engine`] — a classic discrete-event loop (used by the network and
-//!   middleware simulations where activity is bursty), and
-//! * [`FixedStepSim`] — a fixed-period ticker (used by the vehicle dynamics
-//!   and control loops, which the paper models as periodic tasks below the
-//!   hybridization line).
+//! [`Engine`] is a classic discrete-event loop for models whose activity is
+//! bursty and irregular, such as the simulated transport fabric's message
+//! deliveries.  Models with a fixed cadence — TDMA slots, pulse rounds,
+//! publish loops, vehicle control cycles, which the paper treats as
+//! periodic tasks below the hybridization line — need no event queue: they
+//! run as plain loops over their own clock.
 
 use std::fmt;
 
-use crate::events::{EventQueue, TrainId};
+use crate::events::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Observer of an [`Engine`]'s internal transitions, installed with
@@ -30,11 +28,6 @@ use crate::time::{SimDuration, SimTime};
 /// * [`on_clamp`](EngineObserver::on_clamp) — every causality clamp, with the
 ///   originally requested (past) time and the event, so clamp diagnostics can
 ///   carry the event's own label;
-/// * [`on_periodic`](EngineObserver::on_periodic) — every periodic train
-///   registration, with its (post-clamp) start and period.  Individual train
-///   ticks are *not* reported as schedules (they never pass through the
-///   queue's schedule path), but each dispatched tick still fires
-///   [`on_pop`](EngineObserver::on_pop);
 /// * [`on_pop`](EngineObserver::on_pop) — every event dispatch, with the
 ///   number of events still pending after the pop;
 /// * [`on_stop`](EngineObserver::on_stop) — a handler's [`Context::stop`]
@@ -43,13 +36,6 @@ pub trait EngineObserver<E> {
     /// An event was accepted for execution at (post-clamp) time `time`.
     fn on_schedule(&mut self, now: SimTime, time: SimTime, event: &E) {
         let _ = (now, time, event);
-    }
-
-    /// A periodic train was registered: `event` fires at `start`,
-    /// `start + period`, … until cancelled.  Fires once per
-    /// [`Engine::schedule_periodic`] call, not per tick.
-    fn on_periodic(&mut self, now: SimTime, start: SimTime, period: SimDuration, event: &E) {
-        let _ = (now, start, period, event);
     }
 
     /// A schedule requested the past time `requested` and was clamped to
@@ -71,14 +57,6 @@ pub trait EngineObserver<E> {
     }
 }
 
-/// A train control operation staged by a handler through [`Context`] and
-/// applied after the handler returns (after any staged schedules).
-#[derive(Debug, Clone, Copy)]
-enum TrainOp {
-    Cancel(TrainId),
-    Retune(TrainId, SimDuration),
-}
-
 /// Scheduling handle passed to the event handler of an [`Engine`].
 ///
 /// The handler cannot touch the engine directly (it is being iterated), so new
@@ -86,12 +64,10 @@ enum TrainOp {
 /// same-timestamp groups are bulk-inserted into their bucket in one pass via
 /// [`EventQueue::schedule_batch`].  The staging buffer is owned by the engine
 /// and reused across events, so steady-state event handling allocates
-/// nothing.  Train cancel/retune requests are staged the same way and applied
-/// after the staged schedules.
+/// nothing.
 pub struct Context<'a, E> {
     now: SimTime,
     staged: &'a mut Vec<(SimTime, E)>,
-    train_ops: &'a mut Vec<TrainOp>,
     stop_requested: bool,
     clamped: u64,
     observer: Option<&'a mut (dyn EngineObserver<E> + 'a)>,
@@ -105,7 +81,6 @@ where
         f.debug_struct("Context")
             .field("now", &self.now)
             .field("staged", &self.staged)
-            .field("train_ops", &self.train_ops)
             .field("stop_requested", &self.stop_requested)
             .field("clamped", &self.clamped)
             .field("observed", &self.observer.is_some())
@@ -117,10 +92,9 @@ impl<'a, E> Context<'a, E> {
     fn new(
         now: SimTime,
         staged: &'a mut Vec<(SimTime, E)>,
-        train_ops: &'a mut Vec<TrainOp>,
         observer: Option<&'a mut (dyn EngineObserver<E> + 'a)>,
     ) -> Self {
-        Context { now, staged, train_ops, stop_requested: false, clamped: 0, observer }
+        Context { now, staged, stop_requested: false, clamped: 0, observer }
     }
 
     /// The current simulation time (the firing time of the event being handled).
@@ -158,23 +132,6 @@ impl<'a, E> Context<'a, E> {
         self.staged.push((t, event));
     }
 
-    /// Requests cancellation of a periodic train created with
-    /// [`Engine::schedule_periodic`].  Applied after the current handler
-    /// returns (after its staged schedules); unknown ids are ignored.
-    pub fn cancel_train(&mut self, id: TrainId) {
-        self.train_ops.push(TrainOp::Cancel(id));
-    }
-
-    /// Requests a period change for a periodic train, taking effect for the
-    /// intervals after the train's next (already-materialized) tick.  Applied
-    /// after the current handler returns; unknown ids are ignored.
-    ///
-    /// # Panics
-    /// The engine panics when applying a zero `period`.
-    pub fn retune_train(&mut self, id: TrainId, period: SimDuration) {
-        self.train_ops.push(TrainOp::Retune(id, period));
-    }
-
     /// Requests that the simulation stop after the current event is processed.
     pub fn stop(&mut self) {
         self.stop_requested = true;
@@ -195,8 +152,6 @@ pub struct Engine<S, E> {
     clamped: u64,
     /// Reusable staging buffer lent to the per-event [`Context`].
     staged: Vec<(SimTime, E)>,
-    /// Reusable staging buffer for train cancel/retune requests.
-    staged_train_ops: Vec<TrainOp>,
     observer: Option<Box<dyn EngineObserver<E>>>,
 }
 
@@ -213,7 +168,6 @@ where
             .field("processed", &self.processed)
             .field("clamped", &self.clamped)
             .field("staged", &self.staged)
-            .field("staged_train_ops", &self.staged_train_ops)
             .field("observed", &self.observer.is_some())
             .finish()
     }
@@ -229,7 +183,6 @@ impl<S, E> Engine<S, E> {
             processed: 0,
             clamped: 0,
             staged: Vec::new(),
-            staged_train_ops: Vec::new(),
             observer: None,
         }
     }
@@ -311,81 +264,28 @@ impl<S, E> Engine<S, E> {
         self.queue.schedule(t, event);
     }
 
-    /// Registers a periodic event train: `event` fires at `start`,
-    /// `start + period`, … until [cancelled](Engine::cancel_train), cloning
-    /// the payload per tick.  A `start` in the past is clamped to "now" (and
-    /// counted) exactly like [`Engine::schedule_at`].
-    ///
-    /// Ticks are lazily materialized by the queue (O(1) per tick, no wheel
-    /// traffic) and keep exact FIFO tie semantics: the train consumes one
-    /// sequence number at this call and behaves as if every tick had been
-    /// scheduled up front here (see [`EventQueue::schedule_periodic`]).
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn schedule_periodic(&mut self, start: SimTime, period: SimDuration, event: E) -> TrainId {
-        let t = if start < self.now {
-            self.clamped += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_clamp(self.now, start, &event);
-            }
-            self.now
-        } else {
-            start
-        };
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_periodic(self.now, t, period, &event);
-        }
-        self.queue.schedule_periodic(t, period, event)
-    }
-
-    /// Cancels a periodic train immediately, returning its payload (`None`
-    /// if `id` is unknown or already cancelled).
-    pub fn cancel_train(&mut self, id: TrainId) -> Option<E> {
-        self.queue.cancel_train(id)
-    }
-
-    /// Changes a train's period for the intervals after its next
-    /// (already-materialized) tick.  Returns false if `id` is unknown.
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn retune_train(&mut self, id: TrainId, period: SimDuration) -> bool {
-        self.queue.retune_train(id, period)
-    }
-
-    /// Number of pending events (each active periodic train counts as one).
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
     /// Runs until the queue is empty or a handler calls [`Context::stop`].
     /// Returns the number of events processed by this call.
-    ///
-    /// Note that a queue with an active periodic train never drains on its
-    /// own: bound such runs with [`Engine::run_until`] or a
-    /// [`Context::stop`].
-    pub fn run(&mut self, mut handler: impl FnMut(&mut S, &mut Context<'_, E>, E)) -> u64
-    where
-        E: Clone,
-    {
+    pub fn run(&mut self, mut handler: impl FnMut(&mut S, &mut Context<'_, E>, E)) -> u64 {
         self.run_inner(SimTime::MAX, &mut handler).0
     }
 
     /// Runs until `deadline` (inclusive), the queue is empty, or a handler
     /// calls [`Context::stop`].  The engine clock is advanced to `deadline`
     /// if the queue drains earlier — but *not* after a stop: a stopped run
-    /// stays at the stopping event's time, so events (or train ticks)
-    /// between it and the deadline are not skipped on resume.  Returns
-    /// events processed by this call.
+    /// stays at the stopping event's time, so events between it and the
+    /// deadline are not skipped on resume.  Returns events processed by this
+    /// call.
     pub fn run_until(
         &mut self,
         deadline: SimTime,
         mut handler: impl FnMut(&mut S, &mut Context<'_, E>, E),
-    ) -> u64
-    where
-        E: Clone,
-    {
+    ) -> u64 {
         let (n, stopped) = self.run_inner(deadline, &mut handler);
         if !stopped && self.now < deadline && deadline != SimTime::MAX {
             self.now = deadline;
@@ -398,10 +298,7 @@ impl<S, E> Engine<S, E> {
         &mut self,
         deadline: SimTime,
         handler: &mut impl FnMut(&mut S, &mut Context<'_, E>, E),
-    ) -> (u64, bool)
-    where
-        E: Clone,
-    {
+    ) -> (u64, bool) {
         let mut count = 0;
         while let Some((t, ev)) = self.queue.pop_until(deadline) {
             self.now = t;
@@ -412,22 +309,12 @@ impl<S, E> Engine<S, E> {
                 Some(obs) => Some(obs.as_mut()),
                 None => None,
             };
-            let mut ctx = Context::new(t, &mut self.staged, &mut self.staged_train_ops, observer);
+            let mut ctx = Context::new(t, &mut self.staged, observer);
             handler(&mut self.state, &mut ctx, ev);
             let (stop, clamped) = (ctx.stop_requested, ctx.clamped);
             // Bulk-insert the handler's staged events (same-timestamp groups
-            // are filed in one pass), then apply its train ops.
+            // are filed in one pass).
             self.queue.schedule_batch(&mut self.staged);
-            for op in self.staged_train_ops.drain(..) {
-                match op {
-                    TrainOp::Cancel(id) => {
-                        self.queue.cancel_train(id);
-                    }
-                    TrainOp::Retune(id, period) => {
-                        self.queue.retune_train(id, period);
-                    }
-                }
-            }
             self.clamped += clamped;
             self.processed += 1;
             count += 1;
@@ -439,68 +326,6 @@ impl<S, E> Engine<S, E> {
             }
         }
         (count, false)
-    }
-}
-
-/// A fixed-step simulation driver: calls a step function every `period` until
-/// a stop time is reached.
-///
-/// This mirrors how the paper's periodic control tasks (safety-manager cycle,
-/// ACC control loop) execute: a statically known period with a design-time
-/// bound on each cycle.
-#[derive(Debug)]
-pub struct FixedStepSim {
-    now: SimTime,
-    period: SimDuration,
-    step_index: u64,
-}
-
-impl FixedStepSim {
-    /// Creates a fixed-step driver with the given tick period.
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn new(period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "FixedStepSim period must be non-zero");
-        FixedStepSim { now: SimTime::ZERO, period, step_index: 0 }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The tick period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Index of the next step to execute (0 for the first).
-    pub fn step_index(&self) -> u64 {
-        self.step_index
-    }
-
-    /// Runs steps until simulated time reaches `until` (exclusive of steps
-    /// that would start at or after it).  The step callback receives the
-    /// current time and the step index.  Returns the number of steps run.
-    pub fn run_until(&mut self, until: SimTime, mut step: impl FnMut(SimTime, u64)) -> u64 {
-        let mut executed = 0;
-        while self.now < until {
-            step(self.now, self.step_index);
-            self.step_index += 1;
-            self.now += self.period;
-            executed += 1;
-        }
-        executed
-    }
-
-    /// Runs exactly `n` steps.
-    pub fn run_steps(&mut self, n: u64, mut step: impl FnMut(SimTime, u64)) {
-        for _ in 0..n {
-            step(self.now, self.step_index);
-            self.step_index += 1;
-            self.now += self.period;
-        }
     }
 }
 
@@ -651,80 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_train_drives_the_engine() {
-        let mut engine: Engine<Vec<u64>, Ev> = Engine::new(Vec::new());
-        let id = engine.schedule_periodic(
-            SimTime::from_millis(10),
-            SimDuration::from_millis(10),
-            Ev::Ping(7),
-        );
-        let n = engine.run_until(SimTime::from_millis(45), |log, ctx, _| {
-            log.push(ctx.now().as_millis());
-        });
-        assert_eq!(n, 4, "ticks at 10/20/30/40 ms fall inside the window");
-        assert_eq!(engine.state(), &vec![10, 20, 30, 40]);
-        assert_eq!(engine.now(), SimTime::from_millis(45), "clock still advances to deadline");
-        assert_eq!(engine.pending(), 1, "the train stays pending");
-        assert_eq!(engine.cancel_train(id), Some(Ev::Ping(7)));
-        assert_eq!(engine.pending(), 0);
-    }
-
-    #[test]
-    fn periodic_start_in_the_past_is_clamped() {
-        let mut engine: Engine<u32, Ev> = Engine::new(0);
-        engine.schedule_at(SimTime::from_millis(10), Ev::Ping(0));
-        engine.run(|c, ctx, _| {
-            *c += 1;
-            if *c >= 3 {
-                ctx.stop();
-            }
-        });
-        let id = engine.schedule_periodic(
-            SimTime::from_millis(1),
-            SimDuration::from_millis(100),
-            Ev::Ping(1),
-        );
-        assert_eq!(engine.clamped_schedules(), 1, "past train starts are causality-suspect too");
-        let mut first = None;
-        engine.run(|_, ctx, _| {
-            first = Some(ctx.now());
-            ctx.stop();
-        });
-        assert_eq!(first, Some(SimTime::from_millis(10)), "the start was clamped to now");
-        engine.cancel_train(id);
-    }
-
-    #[test]
-    fn context_can_cancel_and_retune_trains() {
-        let mut engine: Engine<Vec<(u64, u32)>, Ev> = Engine::new(Vec::new());
-        let slow = engine.schedule_periodic(
-            SimTime::from_millis(10),
-            SimDuration::from_millis(10),
-            Ev::Ping(1),
-        );
-        let doomed = engine.schedule_periodic(
-            SimTime::from_millis(15),
-            SimDuration::from_millis(10),
-            Ev::Ping(2),
-        );
-        engine.run_until(SimTime::from_millis(100), |log, ctx, ev| {
-            let Ev::Ping(k) = ev else { return };
-            log.push((ctx.now().as_millis(), k));
-            if ctx.now() == SimTime::from_millis(15) {
-                // Applied after this handler: train 2 never fires again, and
-                // train 1's period stretches after its next tick (20 ms).
-                ctx.cancel_train(doomed);
-                ctx.retune_train(slow, SimDuration::from_millis(30));
-            }
-        });
-        assert_eq!(
-            engine.state(),
-            &vec![(10, 1), (15, 2), (20, 1), (50, 1), (80, 1)],
-            "cancel stops the doomed train; retune applies after the materialized tick"
-        );
-    }
-
-    #[test]
     fn stopped_run_until_does_not_skip_ahead() {
         // After a stop, the clock must stay at the stopping event so a
         // resumed run replays nothing and skips nothing.
@@ -761,49 +512,5 @@ mod tests {
             }
         });
         assert_eq!(engine.state(), &vec![0, 100, 1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn observer_sees_periodic_registrations() {
-        use std::cell::RefCell;
-        #[derive(Default)]
-        struct Log(std::rc::Rc<RefCell<Vec<String>>>);
-        impl EngineObserver<Ev> for Log {
-            fn on_periodic(&mut self, now: SimTime, start: SimTime, period: SimDuration, _: &Ev) {
-                self.0.borrow_mut().push(format!(
-                    "train {}@{}+{}",
-                    now.as_millis(),
-                    start.as_millis(),
-                    period.as_millis()
-                ));
-            }
-        }
-        let log = Log::default();
-        let lines = log.0.clone();
-        let mut engine: Engine<u32, Ev> = Engine::new(0);
-        engine.set_observer(Box::new(log));
-        engine.schedule_periodic(SimTime::from_millis(5), SimDuration::from_millis(2), Ev::Ping(0));
-        engine.run_until(SimTime::from_millis(9), |c, _, _| *c += 1);
-        assert_eq!(*engine.state(), 3);
-        assert_eq!(*lines.borrow(), vec!["train 0@5+2"], "one hook per registration, not per tick");
-    }
-
-    #[test]
-    fn fixed_step_runs_expected_number_of_steps() {
-        let mut sim = FixedStepSim::new(SimDuration::from_millis(100));
-        let mut times = Vec::new();
-        let n = sim.run_until(SimTime::from_secs(1), |t, _| times.push(t.as_millis()));
-        assert_eq!(n, 10);
-        assert_eq!(times.first(), Some(&0));
-        assert_eq!(times.last(), Some(&900));
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        sim.run_steps(3, |_, _| {});
-        assert_eq!(sim.step_index(), 13);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn fixed_step_rejects_zero_period() {
-        let _ = FixedStepSim::new(SimDuration::ZERO);
     }
 }

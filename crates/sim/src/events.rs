@@ -24,43 +24,13 @@
 //!   the reference baseline: the calendar queue is property-tested to pop in
 //!   exactly the same order, and `e16_campaign_throughput` measures the
 //!   speedup against it.
-//!
-//! # Periodic event trains
-//!
-//! Fixed-period traffic (TDMA slot ticks, pulse-sync rounds, middleware
-//! publish loops) dominates the KARYON workloads.  Instead of paying a full
-//! schedule + pop through the wheel per tick, [`EventQueue::schedule_periodic`]
-//! registers a **train**: one lazily-materialized generator that is merged at
-//! pop time — no wheel traversal, no per-tick sequence allocation, no arena
-//! traffic.  The calendar queue amortizes the merge through a **tick cache**:
-//! a sorted window of upcoming ticks, each packed into one `u64`, refilled a
-//! few periods at a time (see `refill_tick_cache`) so the hot pop is an
-//! index bump instead of an O(trains) scan; the heap baseline uses the plain
-//! `best_train` scan.  Both queues implement trains with identical
-//! semantics, so the heap≡calendar identity property extends to mixed
-//! train + one-shot workloads.
-//!
-//! Train determinism contract (the **seq allocation rules**):
-//!
-//! * `schedule_periodic` consumes exactly **one** sequence number from the
-//!   same counter one-shot schedules use; every tick of the train carries
-//!   that rank.  A train therefore behaves *exactly* as if all of its ticks
-//!   had been scheduled up front, back-to-back, at the moment of the
-//!   `schedule_periodic` call: its ticks win FIFO ties against anything
-//!   scheduled later and lose them against anything scheduled earlier.
-//! * Ticks of one train never tie with each other (the period is non-zero),
-//!   and ticks of different trains tie-break by their trains' ranks.
-//! * [`EventQueue::cancel_train`] stops a train immediately (no further
-//!   ticks); [`EventQueue::retune_train`] changes the period for the
-//!   intervals *after* the already-materialized next tick.  Neither affects
-//!   any other event's order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
-/// A pending one-shot event inside [`HeapEventQueue`]: payload kept inline
+/// A pending event inside [`HeapEventQueue`]: payload kept inline
 /// (the baseline deliberately pays the payload-moving cost the calendar
 /// queue's arena avoids).
 #[derive(Debug, Clone)]
@@ -97,7 +67,7 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
-/// A pending one-shot inside the calendar queue: the `(time, seq, slot_idx)`
+/// A pending event inside the calendar queue: the `(time, seq, slot_idx)`
 /// triple the wheel shuffles.  `Copy` regardless of the payload type — the
 /// payload itself lives in the [`Arena`] at `slot`.
 #[derive(Debug, Clone, Copy)]
@@ -176,45 +146,6 @@ impl<E> Arena<E> {
     }
 }
 
-/// Handle to a periodic event train created by
-/// [`EventQueue::schedule_periodic`] / [`HeapEventQueue::schedule_periodic`],
-/// used to cancel or retune it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TrainId(u64);
-
-/// A lazily-materialized fixed-period event generator.
-#[derive(Debug, Clone)]
-struct Train<E> {
-    id: TrainId,
-    /// FIFO tie-break rank of *every* tick: the sequence number consumed by
-    /// the `schedule_periodic` call (see the module docs).
-    seq: u64,
-    /// Firing time of the next (not yet emitted) tick.
-    next: SimTime,
-    period: SimDuration,
-    payload: E,
-}
-
-impl<E> Train<E> {
-    fn tick_key(&self) -> (SimTime, u64) {
-        (self.next, self.seq)
-    }
-}
-
-/// Number of periods per train materialized into the tick cache on each
-/// [`EventQueue::refill_tick_cache`] — the amortization window.  Bigger
-/// windows amortize the refill sort further but waste more work when a
-/// train is cancelled or retuned mid-window.
-const TICK_CACHE_PERIODS: u64 = 8;
-
-/// Index of the train whose next tick pops first, by `(time, seq)`.
-/// O(number of trains) — used by the [`HeapEventQueue`] reference
-/// implementation throughout, and by the calendar queue only on the cold
-/// path when its tick cache can't represent the window.
-fn best_train<E>(trains: &[Train<E>]) -> Option<usize> {
-    trains.iter().enumerate().min_by_key(|(_, t)| t.tick_key()).map(|(i, _)| i)
-}
-
 /// Initial / minimum number of wheel slots (always a power of two so the
 /// slot index is a mask).
 const MIN_WHEEL_SLOTS: usize = 512;
@@ -222,8 +153,8 @@ const MIN_WHEEL_SLOTS: usize = 512;
 const MAX_WHEEL_SLOTS: usize = 1 << 17;
 /// Initial log2 of the bucket width in microseconds: 1024 µs ≈ 1 ms per
 /// bucket, so the initial wheel spans ~0.5 s of simulated time —
-/// comfortably more than the scheduling horizon of the periodic tasks and
-/// MAC slots the KARYON models use, while keeping the wheel a few KiB.
+/// comfortably more than the millisecond-scale scheduling horizons of the
+/// KARYON models, while keeping the wheel a few KiB.
 const INITIAL_BUCKET_SHIFT: u32 = 10;
 /// Widest bucket the adaptive resize may widen to (2^26 µs ≈ 67 s).
 const MAX_BUCKET_SHIFT: u32 = 26;
@@ -240,11 +171,10 @@ const HIGH_OCCUPANCY: usize = 64;
 /// the queue structure itself (the two-tier calendar wheel, see the module
 /// docs) holds only `Copy` `(time, seq, slot_idx)` entries, so geometry
 /// changes move a few machine words per event and steady-state operation
-/// allocates nothing.  Fixed-period traffic can bypass the wheel entirely
-/// via [`EventQueue::schedule_periodic`] trains, merged at pop time.
+/// allocates nothing.
 ///
 /// Pop order is bit-identical to [`HeapEventQueue`] — including FIFO ties
-/// and mixed train + one-shot workloads — which the property tests assert.
+/// and batch-staged bursts — which the property tests assert.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// The entries of the current bucket (global index [`EventQueue::epoch`])
@@ -273,22 +203,11 @@ pub struct EventQueue<E> {
     /// Number of wheel slots (power of two).  Adapted together with `shift`
     /// so one rotation covers the pending-event horizon.
     slots: usize,
-    /// Number of pending *one-shot* events (trains are counted separately).
-    one_shots: usize,
+    /// Number of pending events.
+    count: usize,
     next_seq: u64,
-    /// Payload storage for one-shot events.
+    /// Payload storage.
     arena: Arena<E>,
-    /// Active periodic trains, merged at pop time.
-    trains: Vec<Train<E>>,
-    /// Merged upcoming train ticks, each packed `(time µs << 16) | train
-    /// index`, sorted ascending; consumed from `tick_cursor`.  A pure cache
-    /// of the merge order — the trains' `next` fields stay authoritative,
-    /// so any membership or cadence change simply invalidates it (see
-    /// [`EventQueue::refill_tick_cache`]).
-    tick_cache: Vec<u64>,
-    /// First unconsumed entry of `tick_cache`.
-    tick_cursor: usize,
-    next_train_id: u64,
     /// Scratch buffer reused by [`EventQueue::schedule_batch`].
     batch: Vec<Entry>,
 }
@@ -311,13 +230,9 @@ impl<E> EventQueue<E> {
             epoch: 0,
             shift: INITIAL_BUCKET_SHIFT,
             slots: MIN_WHEEL_SLOTS,
-            one_shots: 0,
+            count: 0,
             next_seq: 0,
             arena: Arena::new(),
-            trains: Vec::new(),
-            tick_cache: Vec::new(),
-            tick_cursor: 0,
-            next_train_id: 0,
             batch: Vec::new(),
         }
     }
@@ -335,16 +250,16 @@ impl<E> EventQueue<E> {
         let slot = self.arena.insert(payload);
         let entry = Entry { time, seq, slot };
         self.file(entry);
-        self.one_shots += 1;
+        self.count += 1;
     }
 
     /// Files an entry under the current geometry, rebasing the wheel first
-    /// when no one-shots are pending.
+    /// when no events are pending.
     fn file(&mut self, entry: Entry) {
         let g = self.bucket_of(entry.time);
-        if self.one_shots == 0 {
-            // No pending one-shots: rebase the wheel on the new entry so no
-            // empty buckets ever need scanning to reach it.
+        if self.count == 0 {
+            // Nothing pending: rebase the wheel on the new entry so no empty
+            // buckets ever need scanning to reach it.
             self.epoch = g;
             self.current.push(entry);
         } else if g < self.epoch {
@@ -391,12 +306,12 @@ impl<E> EventQueue<E> {
             let slot = self.arena.insert(payload);
             batch.push(Entry { time, seq, slot });
         }
-        if self.one_shots == 0 {
+        if self.count == 0 {
             // Same rebase a single schedule on an empty queue performs.
             let lo = batch.iter().map(|e| e.time).min().expect("batch has >= 2 events");
             self.epoch = self.bucket_of(lo);
         }
-        self.one_shots += batch.len();
+        self.count += batch.len();
         // Ascending (time, seq) order makes same-bucket events contiguous
         // runs; seq assignment already happened in staging order above, so
         // sorting here cannot perturb FIFO ties.
@@ -451,158 +366,28 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Registers a periodic event **train**: `payload` fires at `start`,
-    /// `start + period`, `start + 2·period`, … until
-    /// [cancelled](EventQueue::cancel_train).  Each tick clones the payload.
-    ///
-    /// Ticks are lazily materialized and merged at pop time in O(number of
-    /// trains) — no per-tick wheel traffic.  The train consumes one sequence
-    /// number at this call; see the module docs for the resulting FIFO
-    /// tie-order contract (the train behaves as if every tick had been
-    /// scheduled up front at this instant).
-    ///
-    /// # Panics
-    /// Panics if `period` is zero (the tick train would never advance time).
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        period: SimDuration,
-        payload: E,
-    ) -> TrainId {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = TrainId(self.next_train_id);
-        self.next_train_id += 1;
-        self.trains.push(Train { id, seq, next: start, period, payload });
-        self.invalidate_tick_cache();
-        id
-    }
-
-    /// Cancels a train: no further ticks fire.  Returns the train's payload,
-    /// or `None` if `id` is unknown (e.g. already cancelled).
-    pub fn cancel_train(&mut self, id: TrainId) -> Option<E> {
-        let at = self.trains.iter().position(|t| t.id == id)?;
-        self.invalidate_tick_cache();
-        Some(self.trains.remove(at).payload)
-    }
-
-    /// Drops all cached (not yet popped) train ticks.  Called on every
-    /// train membership or cadence change: the cache is derived purely from
-    /// the trains' `next`/`period` fields, so this is always safe.
-    fn invalidate_tick_cache(&mut self) {
-        self.tick_cache.clear();
-        self.tick_cursor = 0;
-    }
-
-    /// Rebuilds the merged-tick cache: materializes every train tick below
-    /// the window bound `T = minᵢ(nextᵢ + TICK_CACHE_PERIODS · periodᵢ)`
-    /// and sorts the packed entries once.  The bound shape guarantees both
-    /// progress (`T` exceeds the earliest `next`, so at least one tick
-    /// materializes) and a size cap (train *i* contributes at most
-    /// `TICK_CACHE_PERIODS` ticks, since `T − nextᵢ ≤ TICK_CACHE_PERIODS ·
-    /// periodᵢ`).  Ties at one instant sort by train index, which equals
-    /// seq order: trains are stored in creation order.
-    ///
-    /// Returns false — cache left empty, callers fall back to the
-    /// [`best_train`] scan — when the packing can't represent the window:
-    /// 2¹⁶ or more trains, or tick times at 2⁴⁸ µs (≈ 8.9 simulated years)
-    /// and beyond.
-    ///
-    /// # Panics
-    /// Panics if no train is live (callers check).
-    fn refill_tick_cache(&mut self) -> bool {
-        self.invalidate_tick_cache();
-        if self.trains.len() >= 1 << 16 {
-            return false;
-        }
-        let bound = self
-            .trains
-            .iter()
-            .map(|t| {
-                t.next
-                    .as_micros()
-                    .saturating_add(t.period.as_micros().saturating_mul(TICK_CACHE_PERIODS))
-            })
-            .min()
-            .expect("refill_tick_cache needs a live train");
-        if bound >= 1 << 48 {
-            return false;
-        }
-        for (i, t) in self.trains.iter().enumerate() {
-            let mut tick = t.next.as_micros();
-            while tick < bound {
-                self.tick_cache.push((tick << 16) | i as u64);
-                tick += t.period.as_micros();
-            }
-        }
-        self.tick_cache.sort_unstable();
-        debug_assert!(!self.tick_cache.is_empty(), "the window bound exceeds the earliest tick");
-        true
-    }
-
-    /// Changes a train's period for the intervals *after* its next
-    /// (already-materialized) tick.  Returns false if `id` is unknown.
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn retune_train(&mut self, id: TrainId, period: SimDuration) -> bool {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        match self.trains.iter_mut().find(|t| t.id == id) {
-            Some(train) => {
-                train.period = period;
-                self.invalidate_tick_cache();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of active periodic trains.
-    pub fn active_trains(&self) -> usize {
-        self.trains.len()
-    }
-
-    /// The earliest pending one-shot key, if any.  The advance invariant
-    /// guarantees `current`/`early` hold the global one-shot minimum.
-    fn one_shot_head(&self) -> Option<(SimTime, u64)> {
+    /// The firing time of the earliest pending event, if any.  The advance
+    /// invariant guarantees `current`/`early` hold the global minimum.
+    pub fn next_time(&self) -> Option<SimTime> {
         match (self.early.peek(), self.current.last()) {
-            (Some(e), Some(c)) => Some(e.key().min(c.key())),
-            (Some(e), None) => Some(e.key()),
-            (None, Some(c)) => Some(c.key()),
+            (Some(e), Some(c)) => Some(e.time.min(c.time)),
+            (Some(e), None) => Some(e.time),
+            (None, Some(c)) => Some(c.time),
             (None, None) => None,
         }
     }
 
-    /// The firing time of the earliest pending event (one-shot or train
-    /// tick), if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        let one_shot = self.one_shot_head().map(|(t, _)| t);
-        // The cache head, when live, *is* the earliest train tick; otherwise
-        // scan (`&self` can't refill).
-        let tick = match self.tick_cache.get(self.tick_cursor) {
-            Some(&packed) => Some(SimTime::from_micros(packed >> 16)),
-            None => self.trains.iter().map(|t| t.next).min(),
-        };
-        match (one_shot, tick) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Number of pending events.  Each active train counts as one (its
-    /// materialized next tick); popping a tick does not shrink the queue,
-    /// because the following tick takes its place.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.one_shots + self.trains.len()
+        self.count
     }
 
-    /// True when no events are pending and no train is active.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Discards all pending events and cancels all trains.
+    /// Discards all pending events.
     pub fn clear(&mut self) {
         self.current.clear();
         self.early.clear();
@@ -611,14 +396,12 @@ impl<E> EventQueue<E> {
         }
         self.overflow.clear();
         self.overflow_min = u64::MAX;
-        self.one_shots = 0;
+        self.count = 0;
         self.arena.clear();
-        self.trains.clear();
-        self.invalidate_tick_cache();
     }
 
     /// Refills `current` with the next pending bucket.  Called only while
-    /// one-shots are pending and `current`/`early` are empty, and guaranteed
+    /// events are pending and `current`/`early` are empty, and guaranteed
     /// to leave `current` non-empty.
     ///
     /// The wheel scan must stop at [`EventQueue::overflow_min`]: an overflow
@@ -688,7 +471,7 @@ impl<E> EventQueue<E> {
         let occupancy = self.current.len();
         let width = 1u64 << self.shift;
         // Estimated pending span at the observed density, for sizing.
-        let pending = (self.one_shots - self.early.len()).max(1);
+        let pending = (self.count - self.early.len()).max(1);
         let span = (width.saturating_mul(pending as u64) / occupancy.max(1) as u64).max(1);
         let far = self.gather_far();
         let lo = self.current.last().expect("rebuild needs a current bucket").time;
@@ -743,46 +526,9 @@ impl<E> EventQueue<E> {
     fn sort_current(&mut self) {
         self.current.sort_unstable_by_key(|s| std::cmp::Reverse(s.key()));
     }
-}
 
-impl<E: Clone> EventQueue<E> {
     /// Removes and returns the earliest pending event as `(time, payload)`.
-    ///
-    /// A train tick clones the train's payload and materializes the
-    /// following tick in place.  Steady state reads the sorted tick cache
-    /// at a cursor — the per-tick merge cost is one packed compare, with
-    /// the O(n log n) window refill amortized over ~`TICK_CACHE_PERIODS ×
-    /// active_trains` pops — and never touches the wheel.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.tick_cursor == self.tick_cache.len() && !self.trains.is_empty() {
-            self.refill_tick_cache();
-        }
-        // (time, seq, index, cached) of the due train tick, if any.
-        let tick = match self.tick_cache.get(self.tick_cursor) {
-            Some(&packed) => {
-                let ti = (packed & 0xFFFF) as usize;
-                Some((SimTime::from_micros(packed >> 16), self.trains[ti].seq, ti, true))
-            }
-            // Cache unrepresentable (see refill_tick_cache): exact scan.
-            None => best_train(&self.trains).map(|ti| {
-                let t = &self.trains[ti];
-                (t.next, t.seq, ti, false)
-            }),
-        };
-        let take_train = match (self.one_shot_head(), tick) {
-            // Keys never collide: train seqs come from the same counter.
-            (Some(key), Some((t, s, _, _))) => (t, s) < key,
-            (None, Some(_)) => true,
-            (_, None) => false,
-        };
-        if take_train {
-            let (time, _, ti, cached) = tick.expect("matched above");
-            self.tick_cursor += usize::from(cached);
-            let train = &mut self.trains[ti];
-            debug_assert_eq!(train.next, time, "cache head tracks the train's next tick");
-            train.next = time + train.period;
-            return Some((time, train.payload.clone()));
-        }
         let take_early = match (self.early.peek(), self.current.last()) {
             (Some(e), Some(c)) => e.key() < c.key(),
             (Some(_), None) => true,
@@ -794,8 +540,8 @@ impl<E: Clone> EventQueue<E> {
         } else {
             self.current.pop().expect("peeked above")
         };
-        self.one_shots -= 1;
-        if self.current.is_empty() && self.early.is_empty() && self.one_shots > 0 {
+        self.count -= 1;
+        if self.current.is_empty() && self.early.is_empty() && self.count > 0 {
             self.advance();
         }
         Some((entry.time, self.arena.take(entry.slot)))
@@ -813,15 +559,11 @@ impl<E: Clone> EventQueue<E> {
 
 /// The classic `BinaryHeap` event queue: the reference implementation of the
 /// pop-order contract and the baseline `e16_campaign_throughput` measures the
-/// calendar queue against.  Implements the same [periodic
-/// train](EventQueue::schedule_periodic) semantics, so the property tests can
-/// assert heap≡calendar identity over mixed train + one-shot workloads.
+/// calendar queue against.
 #[derive(Debug, Clone)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    trains: Vec<Train<E>>,
     next_seq: u64,
-    next_train_id: u64,
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -833,12 +575,7 @@ impl<E> Default for HeapEventQueue<E> {
 impl<E> HeapEventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            trains: Vec::new(),
-            next_seq: 0,
-            next_train_id: 0,
-        }
+        HeapEventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedules `payload` to fire at `time`.
@@ -856,96 +593,28 @@ impl<E> HeapEventQueue<E> {
         }
     }
 
-    /// Registers a periodic event train — identical semantics to
-    /// [`EventQueue::schedule_periodic`].
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        period: SimDuration,
-        payload: E,
-    ) -> TrainId {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = TrainId(self.next_train_id);
-        self.next_train_id += 1;
-        self.trains.push(Train { id, seq, next: start, period, payload });
-        id
-    }
-
-    /// Cancels a train — identical semantics to
-    /// [`EventQueue::cancel_train`].
-    pub fn cancel_train(&mut self, id: TrainId) -> Option<E> {
-        let at = self.trains.iter().position(|t| t.id == id)?;
-        Some(self.trains.remove(at).payload)
-    }
-
-    /// Retunes a train — identical semantics to
-    /// [`EventQueue::retune_train`].
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn retune_train(&mut self, id: TrainId, period: SimDuration) -> bool {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        match self.trains.iter_mut().find(|t| t.id == id) {
-            Some(train) => {
-                train.period = period;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of active periodic trains.
-    pub fn active_trains(&self) -> usize {
-        self.trains.len()
-    }
-
     /// The firing time of the earliest pending event, if any.
     pub fn next_time(&self) -> Option<SimTime> {
-        let one_shot = self.heap.peek().map(|s| s.time);
-        let tick = self.trains.iter().map(|t| t.next).min();
-        match (one_shot, tick) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.heap.peek().map(|s| s.time)
     }
 
-    /// Number of pending events (each active train counts as one).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.trains.len()
+        self.heap.len()
     }
 
-    /// True when no events are pending and no train is active.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Discards all pending events and cancels all trains.
+    /// Discards all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.trains.clear();
     }
-}
 
-impl<E: Clone> HeapEventQueue<E> {
     /// Removes and returns the earliest pending event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let take_train = match (self.heap.peek(), best_train(&self.trains)) {
-            (Some(s), Some(ti)) => self.trains[ti].tick_key() < s.key(),
-            (None, Some(_)) => true,
-            (_, None) => false,
-        };
-        if take_train {
-            let ti = best_train(&self.trains).expect("matched above");
-            let train = &mut self.trains[ti];
-            let time = train.next;
-            train.next = time + train.period;
-            return Some((time, train.payload.clone()));
-        }
         self.heap.pop().map(|s| (s.time, s.payload))
     }
 
@@ -964,77 +633,6 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
     use crate::time::SimDuration;
-
-    #[test]
-    #[ignore = "manual microbenchmark"]
-    fn train_micro() {
-        let periods: Vec<SimDuration> =
-            (0..16u64).map(|i| SimDuration::from_micros(50 + 7 * i)).collect();
-        let ops = 4_000_000u64;
-
-        // A: full public pop loop.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for (i, p) in periods.iter().enumerate() {
-            q.schedule_periodic(SimTime::from_micros(i as u64), *p, i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "A full pop       : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // B: family-sized fleet (2 trains).
-        let mut q2: EventQueue<u64> = EventQueue::new();
-        for (i, p) in periods.iter().take(2).enumerate() {
-            q2.schedule_periodic(SimTime::from_micros(i as u64), *p, i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q2.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "B 2-train pop    : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // C: heap one-shot baseline (pop + reschedule), same workload.
-        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
-        for (i, _) in periods.iter().enumerate() {
-            h.schedule(SimTime::from_micros(i as u64), i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, task) = h.pop().unwrap();
-            h.schedule(t + periods[task as usize], task);
-            acc ^= t.as_micros();
-        }
-        println!(
-            "C heap one-shots : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // D: single-train fast path — isolates pop()'s fixed overhead.
-        let mut q3: EventQueue<u64> = EventQueue::new();
-        q3.schedule_periodic(SimTime::ZERO, SimDuration::from_micros(50), 7);
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q3.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "D 1-train pop    : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -1190,121 +788,6 @@ mod tests {
         assert!(cal.is_empty());
     }
 
-    #[test]
-    fn periodic_train_emits_the_expected_ticks() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_periodic(SimTime::from_millis(10), SimDuration::from_millis(5), "tick");
-        assert_eq!(q.len(), 1, "a train counts as one pending event");
-        assert!(!q.is_empty());
-        for k in 0..5u64 {
-            assert_eq!(q.next_time(), Some(SimTime::from_millis(10 + 5 * k)));
-            assert_eq!(q.pop(), Some((SimTime::from_millis(10 + 5 * k), "tick")));
-        }
-        assert_eq!(q.len(), 1, "the train regenerates after every tick");
-    }
-
-    #[test]
-    fn train_ticks_win_ties_against_later_one_shots_and_lose_to_earlier() {
-        // Rank contract: the train holds the seq of its creation call.
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), "before");
-        q.schedule_periodic(SimTime::from_millis(5), SimDuration::from_millis(5), "tick");
-        q.schedule(SimTime::from_millis(5), "after");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(5), "tick")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(5), "after")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), "before")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), "tick")));
-    }
-
-    #[test]
-    fn coincident_trains_tie_break_by_creation_order() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_periodic(SimTime::from_millis(1), SimDuration::from_millis(2), 1);
-        q.schedule_periodic(SimTime::from_millis(1), SimDuration::from_millis(2), 2);
-        for _ in 0..3 {
-            let (ta, a) = q.pop().unwrap();
-            let (tb, b) = q.pop().unwrap();
-            assert_eq!(ta, tb);
-            assert_eq!((a, b), (1, 2), "creation order breaks coincident-tick ties");
-        }
-    }
-
-    #[test]
-    fn cancel_train_stops_ticks_and_returns_the_payload() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        let id = q.schedule_periodic(SimTime::ZERO, SimDuration::from_millis(1), "tick");
-        assert_eq!(q.pop(), Some((SimTime::ZERO, "tick")));
-        assert_eq!(q.cancel_train(id), Some("tick"));
-        assert_eq!(q.cancel_train(id), None, "double cancel is inert");
-        assert_eq!(q.active_trains(), 0);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn retune_train_changes_the_cadence_after_the_next_tick() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        let id = q.schedule_periodic(SimTime::ZERO, SimDuration::from_millis(10), "tick");
-        assert_eq!(q.pop(), Some((SimTime::ZERO, "tick")));
-        // The next tick (10 ms) is already materialized; the new 3 ms period
-        // applies to the intervals after it.
-        assert!(q.retune_train(id, SimDuration::from_millis(3)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), "tick")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(13), "tick")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(16), "tick")));
-        assert!(!q.retune_train(TrainId(99), SimDuration::from_millis(1)));
-    }
-
-    #[test]
-    fn clear_cancels_trains_too() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_periodic(SimTime::ZERO, SimDuration::from_millis(1), 1);
-        q.schedule(SimTime::from_millis(4), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.active_trains(), 0);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero period")]
-    fn zero_period_trains_are_rejected() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_periodic(SimTime::ZERO, SimDuration::ZERO, 1);
-    }
-
-    /// A train must behave exactly as if every tick had been scheduled up
-    /// front at the `schedule_periodic` call (the eager-materialization
-    /// reading of the seq contract), for any interleaving with one-shots.
-    #[test]
-    fn train_matches_eager_materialization() {
-        let horizon = SimTime::from_millis(200);
-        let mut train_q: EventQueue<u64> = EventQueue::new();
-        let mut eager_q: EventQueue<u64> = EventQueue::new();
-        // one-shot before the train, coincident with tick times
-        for q in [&mut train_q, &mut eager_q] {
-            q.schedule(SimTime::from_millis(30), 100);
-        }
-        train_q.schedule_periodic(SimTime::from_millis(10), SimDuration::from_millis(10), 7);
-        let mut t = SimTime::from_millis(10);
-        while t <= horizon {
-            eager_q.schedule(t, 7);
-            t += SimDuration::from_millis(10);
-        }
-        // one-shots after the train, again coincident
-        for q in [&mut train_q, &mut eager_q] {
-            q.schedule(SimTime::from_millis(30), 200);
-            q.schedule(SimTime::from_millis(70), 201);
-        }
-        loop {
-            let expected = eager_q.pop_until(horizon);
-            assert_eq!(train_q.pop_until(horizon), expected);
-            if expected.is_none() {
-                break;
-            }
-        }
-    }
-
     /// Exhaustive randomized parity check: the calendar queue and the heap
     /// queue must produce identical `(time, payload)` sequences under mixed
     /// schedule/pop workloads with dense ties and sparse far jumps.
@@ -1387,27 +870,5 @@ mod tests {
         assert_eq!(q.pop_until(SimTime::from_millis(1)), None);
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn heap_queue_trains_match_calendar_trains() {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let cal_id = cal.schedule_periodic(SimTime::from_millis(2), SimDuration::from_millis(3), 1);
-        let heap_id =
-            heap.schedule_periodic(SimTime::from_millis(2), SimDuration::from_millis(3), 1);
-        assert_eq!(cal_id, heap_id, "both queues allocate train ids identically");
-        for q_step in 0..20 {
-            assert_eq!(cal.next_time(), heap.next_time());
-            assert_eq!(cal.len(), heap.len());
-            if q_step == 7 {
-                assert!(cal.retune_train(cal_id, SimDuration::from_millis(9)));
-                assert!(heap.retune_train(heap_id, SimDuration::from_millis(9)));
-            }
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        assert_eq!(cal.cancel_train(cal_id), heap.cancel_train(heap_id));
-        assert_eq!(cal.pop(), None);
-        assert_eq!(heap.pop(), None);
     }
 }

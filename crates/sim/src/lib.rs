@@ -51,8 +51,8 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use engine::{Context, Engine, EngineObserver, FixedStepSim};
-pub use events::{EventQueue, HeapEventQueue, TrainId};
+pub use engine::{Context, Engine, EngineObserver};
+pub use events::{EventQueue, HeapEventQueue};
 pub use geometry::{Vec2, Vec3};
 pub use rng::{splitmix64, Rng};
 pub use stats::{
@@ -64,8 +64,8 @@ pub use time::{SimDuration, SimTime};
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
-    pub use crate::engine::{Context, Engine, FixedStepSim};
-    pub use crate::events::{EventQueue, TrainId};
+    pub use crate::engine::{Context, Engine};
+    pub use crate::events::EventQueue;
     pub use crate::geometry::{Vec2, Vec3};
     pub use crate::rng::Rng;
     pub use crate::stats::{BucketHistogram, Counter, Histogram, OnlineStats, TimeSeries};

@@ -96,6 +96,15 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
+    /// Creates a duration from whole seconds, or `None` when the seconds do
+    /// not fit the microsecond range (more than 18,446,744,073,709 s).
+    pub const fn checked_from_secs(s: u64) -> Option<Self> {
+        match s.checked_mul(1_000_000) {
+            Some(us) => Some(SimDuration(us)),
+            None => None,
+        }
+    }
+
     /// Creates a duration from fractional seconds.
     ///
     /// Negative or non-finite inputs saturate to zero.

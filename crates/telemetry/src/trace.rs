@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::io::{self, Write};
 
-use karyon_sim::{Engine, EngineObserver, SimDuration, SimTime};
+use karyon_sim::{Engine, EngineObserver, SimTime};
 
 /// Canonical identity of one campaign run, attached to every emitted trace
 /// record by the [`TraceSink`].
@@ -244,9 +244,6 @@ fn debug_label<E: fmt::Debug>(ev: &E) -> String {
 ///   `clamped_schedules` count is diagnosable down to the offending event;
 /// * `engine.depth` — a queue-depth sample every `depth_interval` pops
 ///   (pop counts are deterministic, so the sample points are too);
-/// * `engine.train` — one per periodic-train registration, with the
-///   (post-clamp) start, period and payload label — one record per train,
-///   not per tick;
 /// * `engine.stop` — a handler's stop request taking effect.
 #[derive(Debug, Clone)]
 pub struct EngineTracer {
@@ -284,18 +281,6 @@ impl<E: fmt::Debug> EngineObserver<E> for EngineTracer {
             now,
             &[
                 ("requested_us", AttrValue::U64(requested.as_micros())),
-                ("label", AttrValue::Text(debug_label(ev))),
-            ],
-        );
-    }
-
-    fn on_periodic(&mut self, now: SimTime, start: SimTime, period: SimDuration, ev: &E) {
-        let _ = now;
-        event(
-            "engine.train",
-            start,
-            &[
-                ("period_us", AttrValue::U64(period.as_micros())),
                 ("label", AttrValue::Text(debug_label(ev))),
             ],
         );
@@ -562,23 +547,6 @@ mod tests {
         let depths: Vec<_> = records.iter().filter(|r| r.name() == "engine.depth").collect();
         assert_eq!(depths.len(), 2, "8 pops at interval 4 => samples at pop 4 and 8");
         assert!(records.iter().any(|r| r.name() == "engine.stop"));
-    }
-
-    #[test]
-    fn engine_tracer_records_train_registrations_once() {
-        let (_, records) = collect(|| {
-            let mut engine: Engine<u32, u32> = Engine::new(0);
-            observe_engine(&mut engine);
-            engine.schedule_periodic(SimTime::from_millis(5), SimDuration::from_millis(2), 9);
-            engine.run_until(SimTime::from_millis(20), |n, _, _| *n += 1);
-        });
-        let trains: Vec<_> = records.iter().filter(|r| r.name() == "engine.train").collect();
-        assert_eq!(trains.len(), 1, "one record per registration, not per tick");
-        assert_eq!(trains[0].time(), SimTime::from_millis(5));
-        let period = trains[0].attrs().iter().find(|(k, _)| k == "period_us").unwrap();
-        assert_eq!(period.1, AttrValue::U64(2_000));
-        let label = trains[0].attrs().iter().find(|(k, _)| k == "label").unwrap();
-        assert_eq!(label.1, AttrValue::Text("9".to_string()));
     }
 
     #[test]

@@ -6,8 +6,7 @@ CI runs this right after the quick-mode e16 harness.  It fails the build if
 * the file is missing a section or a required key (schema drift — somebody
   renamed a field and the dashboards downstream would silently go blank), or
 * the event core regressed below its pinned overhead budget:
-  ``event_queue.worst_speedup >= 2.0`` and the periodic-train fast path at
-  least matching the calendar one-shot baseline.
+  ``event_queue.worst_speedup >= 2.0``.
 
 Quick-mode numbers are medians of three samples after a warmup (see the
 bench's module doc), so the 2.0 bar is meaningful rather than noise-gated.
@@ -25,16 +24,6 @@ SCHEMA = {
         "samples",
         "worst_speedup",
         "workloads",
-    ],
-    "periodic_trains": [
-        "trains",
-        "ops_per_workload",
-        "samples",
-        "heap_ops_per_sec",
-        "calendar_ops_per_sec",
-        "fastpath_ops_per_sec",
-        "fastpath_vs_calendar",
-        "fastpath_vs_heap",
     ],
     "volume_campaign": [
         "runs",
@@ -109,20 +98,13 @@ def main() -> int:
                 errors.append(f"event_queue.workloads[{i}].{key} missing or null")
 
     # Perf guard: the event-core overhead budget (see ARCHITECTURE.md,
-    # "Event core").  Bars match the full-mode asserts inside the bench.
+    # "Event core").  The bar matches the full-mode assert inside the bench.
     if not errors:
         eq = doc["event_queue"]
-        pt = doc["periodic_trains"]
         if eq["worst_speedup"] < 2.0:
             errors.append(
                 f"event_queue.worst_speedup {eq['worst_speedup']:.2f} < 2.0: "
                 "the calendar queue lost its hold-model edge over the heap"
-            )
-        if pt["fastpath_ops_per_sec"] < pt["calendar_ops_per_sec"]:
-            errors.append(
-                f"periodic_trains fast path ({pt['fastpath_ops_per_sec']:.3e} ops/s) "
-                f"slower than calendar one-shots ({pt['calendar_ops_per_sec']:.3e} ops/s): "
-                "schedule_periodic no longer pays for itself"
             )
         for section in ("volume_campaign", "checkpointing", "telemetry"):
             if doc[section]["bit_identical"] is not True:
@@ -138,8 +120,7 @@ def main() -> int:
 
     print(
         f"BENCH_campaign.json ok: worst_speedup "
-        f"{doc['event_queue']['worst_speedup']:.2f}x, train fast path "
-        f"{doc['periodic_trains']['fastpath_vs_calendar']:.2f}x calendar"
+        f"{doc['event_queue']['worst_speedup']:.2f}x"
     )
     return 0
 

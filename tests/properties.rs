@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use karyon::core::los::Asil;
 use karyon::core::{
@@ -16,10 +17,15 @@ use karyon::net::{
     CsmaConfig, CsmaMac, Disturbance, FixedTdmaMac, MediumConfig, NodeId, R2TMac, R2TMacConfig,
     WirelessMedium,
 };
+use karyon::scenario::checkpoint::read_manifest_text;
+use karyon::scenario::{
+    builtin_registry, read_jsonl_records, Campaign, CampaignEntry, CheckpointManifest,
+    Checkpointer, FaultPlan, JsonlRunWriter, ParamGrid, ScenarioSpec, ShardManifest, ShardPlan,
+};
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
 use karyon::sensors::{marzullo_fuse, weighted_fuse, Interval, Measurement, Validity};
-use karyon::sim::{EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, TrainId, Vec2};
+use karyon::sim::{EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, Vec2};
 use proptest::test_runner::TestCaseError;
 
 proptest! {
@@ -90,13 +96,11 @@ proptest! {
         prop_assert!(calendar.is_empty());
     }
 
-    /// Three-way identity, mixed workload: the calendar queue and the heap
-    /// baseline must stay pop-identical when periodic trains (created,
-    /// cancelled and retuned mid-run), one-shots and batch-staged
-    /// same-timestamp bursts interleave.  Train ids are allocated identically
-    /// by both queues, so one id drives both.
+    /// Mixed workload: the calendar queue and the heap baseline must stay
+    /// pop-identical when one-shots and batch-staged same-timestamp bursts
+    /// (the engine's staging path) interleave with pops.
     #[test]
-    fn trains_one_shots_and_bursts_stay_heap_identical(
+    fn one_shots_and_bursts_stay_heap_identical(
         seed in any::<u64>(),
         ops in 50usize..300,
     ) {
@@ -105,9 +109,8 @@ proptest! {
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
         let mut payload = 0u64;
         let mut frontier = SimTime::ZERO;
-        let mut live: Vec<TrainId> = Vec::new();
         for _ in 0..ops {
-            match rng.range_u64(0, 8) {
+            match rng.range_u64(0, 5) {
                 0..=2 => {
                     let expected = heap.pop();
                     prop_assert_eq!(calendar.pop(), expected);
@@ -127,7 +130,7 @@ proptest! {
                     heap.schedule(t, payload);
                     payload += 1;
                 }
-                5 => {
+                _ => {
                     // Same-timestamp burst through the batch-staging path.
                     let t = frontier + SimDuration::from_micros(rng.range_u64(0, 10_000));
                     let mut a = Vec::new();
@@ -139,41 +142,9 @@ proptest! {
                     calendar.schedule_batch(&mut a);
                     heap.schedule_batch(&mut b);
                 }
-                6 => {
-                    if live.len() < 6 {
-                        let start = frontier + SimDuration::from_micros(rng.range_u64(0, 5_000));
-                        let period = SimDuration::from_micros(rng.range_u64(1, 3_000));
-                        let id = calendar.schedule_periodic(start, period, payload);
-                        prop_assert_eq!(heap.schedule_periodic(start, period, payload), id);
-                        live.push(id);
-                        payload += 1;
-                    }
-                }
-                7 => {
-                    if !live.is_empty() {
-                        let at = rng.range_u64(0, live.len() as u64 - 1) as usize;
-                        let id = live.swap_remove(at);
-                        prop_assert_eq!(calendar.cancel_train(id), heap.cancel_train(id));
-                    }
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let at = rng.range_u64(0, live.len() as u64 - 1) as usize;
-                        let period = SimDuration::from_micros(rng.range_u64(1, 10_000));
-                        prop_assert_eq!(
-                            calendar.retune_train(live[at], period),
-                            heap.retune_train(live[at], period)
-                        );
-                    }
-                }
             }
             prop_assert_eq!(calendar.len(), heap.len());
             prop_assert_eq!(calendar.next_time(), heap.next_time());
-        }
-        // Cancel the survivors (trains never drain on their own), then the
-        // remaining one-shots must drain identically.
-        for id in live {
-            prop_assert_eq!(calendar.cancel_train(id), heap.cancel_train(id));
         }
         loop {
             let expected = heap.pop();
@@ -183,51 +154,6 @@ proptest! {
             }
         }
         prop_assert!(calendar.is_empty());
-    }
-
-    /// The train fast path against its own semantic definition: a periodic
-    /// train must pop exactly like all of its ticks eagerly scheduled as
-    /// one-shots at the `schedule_periodic` call — including FIFO ties
-    /// against one-shots placed exactly on tick times before and after the
-    /// train's creation.
-    #[test]
-    fn periodic_fast_path_matches_eager_materialization(
-        seed in any::<u64>(),
-        trains in 1usize..5,
-    ) {
-        let horizon = SimTime::from_millis(50);
-        let mut rng = Rng::seed_from(seed);
-        let mut fast: EventQueue<u64> = EventQueue::new();
-        let mut eager: EventQueue<u64> = EventQueue::new();
-        let mut payload = 1_000_000u64;
-        for train in 0..trains as u64 {
-            let start = SimTime::from_micros(rng.range_u64(0, 10_000));
-            let period = SimDuration::from_micros(rng.range_u64(100, 5_000));
-            // A one-shot scheduled *before* the train, exactly on a future
-            // tick time: it must win that tie in both queues.
-            let before = start + period.saturating_mul(rng.range_u64(0, 10));
-            fast.schedule(before, payload);
-            eager.schedule(before, payload);
-            payload += 1;
-            fast.schedule_periodic(start, period, train);
-            let mut t = start;
-            while t <= horizon {
-                eager.schedule(t, train);
-                t += period;
-            }
-            // And one *after*, again on a tick time: it must lose the tie.
-            let after = start + period.saturating_mul(rng.range_u64(0, 10));
-            fast.schedule(after, payload);
-            eager.schedule(after, payload);
-            payload += 1;
-        }
-        loop {
-            let expected = eager.pop_until(horizon);
-            prop_assert_eq!(fast.pop_until(horizon), expected);
-            if expected.is_none() {
-                break;
-            }
-        }
     }
 
     /// Validity is always clamped into [0, 1] and combination never exceeds
@@ -841,4 +767,138 @@ fn check_kernel_against_model(seed: u64) -> Result<(), TestCaseError> {
     let names: Vec<&str> = model.data.keys().map(String::as_str).collect();
     prop_assert_eq!(info.data_items(), names);
     Ok(())
+}
+
+/// The valid inputs the loader robustness property mutates: the checked-in
+/// campaign spec and fault plan, a checkpoint manifest, a shard manifest and
+/// a JSONL run stream written by a tiny campaign, and a scenario spec.
+fn loader_inputs() -> &'static [String] {
+    static INPUTS: OnceLock<Vec<String>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let registry = builtin_registry();
+        let campaign = Campaign::new("loader-inputs", 5).with_chunk_size(2).entry(
+            CampaignEntry::new("middleware-qos")
+                .grid(ParamGrid::new().axis("degrade", [false, true]))
+                .replications(2)
+                .duration_secs(1),
+        );
+        let path =
+            std::env::temp_dir().join(format!("karyon-loader-inputs-{}.json", std::process::id()));
+        let mut jsonl = JsonlRunWriter::new(Vec::new());
+        campaign
+            .run_checkpointed(&registry, &mut Checkpointer::new(&path), Some(&mut jsonl))
+            .expect("builtin family");
+        let checkpoint = read_manifest_text(&path).expect("the session wrote a manifest");
+        std::fs::remove_file(&path).ok();
+        let jsonl = String::from_utf8(jsonl.finish().expect("in-memory writes cannot fail"))
+            .expect("JSONL is UTF-8");
+        let slice = ShardPlan::for_campaign(&campaign, 1).slice(0);
+        let (partials, _) = campaign
+            .run_shard(&registry, slice.start_chunk, slice.end_chunk, None)
+            .expect("builtin family");
+        let shard = ShardManifest::new(&campaign, slice, partials).expect("whole window").render();
+        let spec = ScenarioSpec::new("platoon").with("mode", "kernel").with("gap", 1.5).to_json();
+        vec![
+            include_str!("../examples/campaign_spec.json").to_string(),
+            include_str!("../examples/fault_plan.json").to_string(),
+            checkpoint,
+            shard,
+            jsonl,
+            spec,
+        ]
+    })
+}
+
+/// A loader under test; the result says whether it accepted the text.
+type Loader = fn(&str) -> bool;
+
+/// Numbers no loader field can hold — past `f64`, negative, past `u64` —
+/// and `u64::MAX`, which fits a `u64` field but overflows any size
+/// arithmetic on it.
+const HOSTILE_NUMBERS: [&str; 7] = [
+    "1e309",
+    "-1e309",
+    "-1",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "1e-400",
+    "18446744073709551615",
+];
+
+/// Byte ranges of the JSON number literals in `bytes`.
+fn number_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let starts = bytes[i].is_ascii_digit() || bytes[i] == b'-';
+        if starts && (i == 0 || matches!(bytes[i - 1], b':' | b',' | b'[' | b' ')) {
+            let end = (i + 1..bytes.len())
+                .find(|&j| !matches!(bytes[j], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .unwrap_or(bytes.len());
+            spans.push((i, end));
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// One hostile edit: byte flips, a truncation, a number swapped for one no
+/// field can hold, or 200,000 levels of nesting spliced in.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
+    let last = bytes.len().saturating_sub(1) as u64;
+    match rng.range_u64(0, 3) {
+        0 if !bytes.is_empty() => {
+            for _ in 0..rng.range_u64(1, 8) {
+                let at = rng.range_u64(0, last) as usize;
+                bytes[at] ^= rng.range_u64(1, 255) as u8;
+            }
+        }
+        1 => bytes.truncate(rng.range_u64(0, last) as usize),
+        2 => {
+            let spans = number_spans(bytes);
+            if !spans.is_empty() {
+                // Sizes, counts and indices lead every input, ahead of long
+                // metric arrays: half the swaps hit the first eight numbers.
+                let pool = if rng.chance(0.5) { spans.len().min(8) } else { spans.len() };
+                let (start, end) = spans[rng.range_u64(0, pool as u64 - 1) as usize];
+                let number = HOSTILE_NUMBERS[rng.range_u64(0, 6) as usize];
+                bytes.splice(start..end, number.bytes());
+            }
+        }
+        _ => {
+            let at = rng.range_u64(0, bytes.len() as u64) as usize;
+            let opener: &[u8] = if rng.chance(0.5) { b"[" } else { b"{\"a\":" };
+            bytes.splice(at..at, opener.repeat(200_000));
+        }
+    }
+}
+
+proptest! {
+    /// Every loader answers hostile bytes with `Ok` or `Err`, never a panic:
+    /// each case mutates one valid input up to three times and feeds the
+    /// result to all six loaders.
+    #[test]
+    fn loaders_never_panic_on_hostile_bytes(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let inputs = loader_inputs();
+        let mut bytes = inputs[rng.range_u64(0, inputs.len() as u64 - 1) as usize].clone().into_bytes();
+        for _ in 0..rng.range_u64(1, 3) {
+            mutate(&mut bytes, &mut rng);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let loaders: [(&str, Loader); 6] = [
+            ("CheckpointManifest::parse", |t| CheckpointManifest::parse(t).is_ok()),
+            ("ShardManifest::parse", |t| ShardManifest::parse(t).is_ok()),
+            ("FaultPlan::from_json_str", |t| FaultPlan::from_json_str(t).is_ok()),
+            ("Campaign::from_json_str", |t| Campaign::from_json_str(t).is_ok()),
+            ("ScenarioSpec::from_json_str", |t| ScenarioSpec::from_json_str(t).is_ok()),
+            ("read_jsonl_records", |t| read_jsonl_records(t).is_ok()),
+        ];
+        for (name, load) in loaders {
+            let outcome = std::panic::catch_unwind(|| load(&text));
+            prop_assert!(outcome.is_ok(), "{name} panicked on a {}-byte input", text.len());
+        }
+    }
 }

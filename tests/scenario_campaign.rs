@@ -381,7 +381,7 @@ fn engine_driven_families_are_causality_clean_on_their_defaults() {
     }
     assert!(
         engine_driven >= 1,
-        "the audit guard must cover at least the engine-driven middleware-qos family"
+        "the audit guard must cover at least the engine-driven net-transport family"
     );
 }
 

@@ -276,13 +276,13 @@ proptest! {
     }
 }
 
-/// The builtin middleware families trace through `observe_engine` and the
-/// `engine.run` span without any per-family code.
+/// The builtin engine-driven family traces its `engine.run` summary span
+/// through `RunRecord::absorb_engine_clamps`, with no per-family trace code.
 #[test]
-fn builtin_middleware_family_traces_engine_activity() {
+fn net_transport_family_traces_its_engine_run() {
     let mut writer = JsonlTraceWriter::new(Vec::new());
-    let campaign = Campaign::new("mw", 5)
-        .entry(CampaignEntry::new("middleware-qos").replications(2).duration_secs(5));
+    let campaign =
+        Campaign::new("transport", 5).entry(CampaignEntry::new("net-transport").replications(2));
     let (_, _) = campaign
         .run_instrumented_with(
             &builtin_registry(),
@@ -292,6 +292,10 @@ fn builtin_middleware_family_traces_engine_activity() {
         .expect("builtin family runs");
     let bytes = writer.into_inner().expect("no I/O error");
     let text = String::from_utf8(bytes).unwrap();
-    assert!(text.lines().any(|l| l.contains("\"engine.run\"")), "summary span missing");
-    assert!(text.lines().any(|l| l.contains("\"engine.depth\"")), "depth samples missing");
+    let spans: Vec<&str> = text.lines().filter(|l| l.contains("\"engine.run\"")).collect();
+    assert_eq!(spans.len(), 2, "one summary span per run:\n{text}");
+    for span in spans {
+        assert!(span.contains("\"clamped\":0"), "the fabric never clamps: {span}");
+        assert!(!span.contains("\"processed\":0,"), "the fabric's events are counted: {span}");
+    }
 }
