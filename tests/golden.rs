@@ -1,20 +1,24 @@
-//! Golden reports: what the network, safety-kernel and middleware families
-//! compute, pinned.
+//! Golden reports: what every built-in family computes, pinned.
 //!
 //! Determinism tests prove that a campaign gives the same bytes for any
 //! worker count, chunk plan or resume point; they cannot notice a refactor
 //! that changes what a family computes while staying deterministic.  This
-//! suite runs small campaigns over the families the MAC slot loop drives —
-//! `inaccessibility` (R2T-MAC and CSMA, with and without the stark 8–12 s
-//! jamming burst), `tdma` (with and without churn) and `pulse-sync` — over
-//! the families the safety-kernel cycle drives — `kernel-latency`,
-//! `platoon` and `platoon-fault` — over the EventBus families —
-//! `middleware-qos` (with and without the mid-run degradation) and
-//! `middleware-overload` (at, above and far above rated load) — and over
-//! the simulated transport fabric `net-transport`.  Each runs at two
-//! campaign seeds, and every
-//! report is compared byte for byte against the checked-in JSON under
-//! `tests/golden/`.
+//! suite runs one small campaign per family in `builtin_registry()`: the
+//! families the MAC slot loop drives — `inaccessibility` (R2T-MAC and CSMA,
+//! with and without the stark 8–12 s jamming burst), `tdma` (with and
+//! without churn) and `pulse-sync` — the families the safety-kernel cycle
+//! drives — `kernel-latency`, `platoon` and `platoon-fault` — the EventBus
+//! families — `middleware-qos` (with and without the mid-run degradation)
+//! and `middleware-overload` (at, above and far above rated load) — the
+//! simulated transport fabric `net-transport`, the network and cooperation
+//! families `end-to-end`, `topology` and `cooperation`, the sensor families
+//! `sensor-validity` and `reliable-sensor`, and the vehicle families
+//! `intersection`, `lane-change` and `avionics-rpv`.  The grids reach every
+//! axis value `list-families` declares for the last eight.  Each family runs
+//! at two campaign seeds, and every report is compared byte for byte
+//! against the checked-in JSON under `tests/golden/`;
+//! `every_family_is_pinned` fails when a family has no golden files or a
+//! golden file names no family.
 //!
 //! A deliberate behaviour change re-blesses the files:
 //!
@@ -24,6 +28,7 @@
 //!
 //! and the change must say why the numbers moved.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
@@ -31,8 +36,12 @@ use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
 /// The campaign seeds every family is pinned at.
 const SEEDS: [u64; 2] = [1, 2];
 
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+    golden_dir().join(format!("{name}.json"))
 }
 
 /// Re-indents the report's compact JSON so that a behaviour change shows up
@@ -126,11 +135,18 @@ fn pretty(json: &str) -> String {
 /// Runs `entry` at every golden seed and compares (or, under
 /// `KARYON_BLESS=1`, rewrites) `tests/golden/<name>.seed<N>.json`.
 fn check(name: &str, entry: CampaignEntry) {
+    check_entries(name, &[entry]);
+}
+
+/// [`check`] for a campaign of several entries.
+fn check_entries(name: &str, entries: &[CampaignEntry]) {
     let registry = builtin_registry();
     let bless = std::env::var_os("KARYON_BLESS").is_some_and(|v| v == "1");
     for seed in SEEDS {
-        let campaign =
-            Campaign::new(&format!("golden-{name}"), seed).with_threads(2).entry(entry.clone());
+        let campaign = entries.iter().fold(
+            Campaign::new(&format!("golden-{name}"), seed).with_threads(2),
+            |campaign, entry| campaign.entry(entry.clone()),
+        );
         let report = campaign.run(&registry).expect("builtin family");
         assert_eq!(report.suspect_runs(), 0, "{name} seed {seed}: causality-suspect runs");
         let actual = pretty(&report.to_json());
@@ -309,6 +325,165 @@ fn net_transport_reports_are_pinned() {
             )
             .replications(3),
     );
+}
+
+/// The RPV's detect-and-avoid function in all three encounter geometries,
+/// against collaborative and non-collaborative traffic, with and without
+/// conflict resolution.
+#[test]
+fn avionics_rpv_reports_are_pinned() {
+    check(
+        "avionics-rpv",
+        CampaignEntry::new("avionics-rpv")
+            .grid(
+                ParamGrid::new()
+                    .axis("encounter", ["same-direction", "crossing", "level-change"])
+                    .axis("traffic", ["collaborative", "non-collaborative"])
+                    .axis("resolution", [true, false]),
+            )
+            .replications(3),
+    );
+}
+
+/// Cooperative agreement among 2, 4 and 8 participants over a clean and two
+/// lossy channels.
+#[test]
+fn cooperation_reports_are_pinned() {
+    check(
+        "cooperation",
+        CampaignEntry::new("cooperation")
+            .grid(ParamGrid::new().axis("participants", [4, 2, 8]).axis("loss", [0.0, 0.2, 0.5]))
+            .replications(3),
+    );
+}
+
+/// The end-to-end protocol under omission and duplication, and separately
+/// over every buffer capacity with and without corruption and reordering.
+/// Two entries instead of one full product keep the files small.
+#[test]
+fn end_to_end_reports_are_pinned() {
+    check_entries(
+        "end-to-end",
+        &[
+            CampaignEntry::new("end-to-end")
+                .grid(
+                    ParamGrid::new()
+                        .axis("omission", [0.0, 0.1, 0.3])
+                        .axis("duplication", [0.0, 0.1, 0.3]),
+                )
+                .replications(3),
+            CampaignEntry::new("end-to-end")
+                .grid(
+                    ParamGrid::new()
+                        .axis("capacity", [8, 4, 16])
+                        .axis("corrupt", [false, true])
+                        .axis("reorder", [true, false]),
+                )
+                .replications(3),
+        ],
+    );
+}
+
+/// The virtual traffic light against uncoordinated crossing at three arrival
+/// rates, with and without the physical light failing.
+#[test]
+fn intersection_reports_are_pinned() {
+    check(
+        "intersection",
+        CampaignEntry::new("intersection")
+            .grid(
+                ParamGrid::new()
+                    .axis("fallback", ["vtl", "uncoordinated"])
+                    .axis("arrivals_per_minute", [12.0, 6.0, 20.0])
+                    .axis("light_fail", [true, false]),
+            )
+            .replications(3),
+    );
+}
+
+/// Lane changes with and without the agreement protocol, over three traffic
+/// densities, two desire rates and two message-loss rates.
+#[test]
+fn lane_change_reports_are_pinned() {
+    check(
+        "lane-change",
+        CampaignEntry::new("lane-change")
+            .grid(
+                ParamGrid::new()
+                    .axis("coordination", ["agreement", "none"])
+                    .axis("vehicles", [16, 12, 20])
+                    .axis("desire_rate", [0.05, 0.08])
+                    .axis("message_loss", [0.02, 0.1]),
+            )
+            .replications(3),
+    );
+}
+
+/// The replicated reliable sensor against a single sensor under every fault
+/// model.
+#[test]
+fn reliable_sensor_reports_are_pinned() {
+    check(
+        "reliable-sensor",
+        CampaignEntry::new("reliable-sensor")
+            .grid(
+                ParamGrid::new()
+                    .axis("config", ["reliable", "single"])
+                    .axis("fault", ["none", "permanent", "stochastic", "stuck"]),
+            )
+            .replications(3),
+    );
+}
+
+/// Sensor validity estimation under every fault model.
+#[test]
+fn sensor_validity_reports_are_pinned() {
+    check(
+        "sensor-validity",
+        CampaignEntry::new("sensor-validity")
+            .grid(
+                ParamGrid::new().axis(
+                    "fault",
+                    ["none", "delay", "sporadic", "permanent", "stochastic", "stuck"],
+                ),
+            )
+            .replications(3),
+    );
+}
+
+/// Connectivity of the three topologies at three network sizes.
+#[test]
+fn topology_reports_are_pinned() {
+    check(
+        "topology",
+        CampaignEntry::new("topology")
+            .grid(
+                ParamGrid::new()
+                    .axis("topology", ["ring-chords", "line", "complete"])
+                    .axis("nodes", [12, 6, 10]),
+            )
+            .replications(3),
+    );
+}
+
+/// Every registry family has both golden files, and every golden file names
+/// a registry family at a golden seed.
+#[test]
+fn every_family_is_pinned() {
+    let families = builtin_registry().names();
+    let expected: BTreeSet<String> = families
+        .iter()
+        .flat_map(|family| SEEDS.map(|seed| format!("{family}.seed{seed}.json")))
+        .collect();
+    let dir = golden_dir();
+    let present: BTreeSet<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let missing: Vec<&String> = expected.difference(&present).collect();
+    let stray: Vec<&String> = present.difference(&expected).collect();
+    assert!(missing.is_empty(), "families without golden files: {missing:?}");
+    assert!(stray.is_empty(), "golden files that name no family at a golden seed: {stray:?}");
 }
 
 #[test]
