@@ -259,11 +259,14 @@ fn main() {
     let parallel_threads =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
     let mut sink = CountingSink { runs: 0 };
-    let (parallel, stats) = campaign
+    let (outcome, stats) = campaign
         .clone()
         .with_threads(parallel_threads)
-        .run_instrumented(&registry, Some(&mut sink))
+        .session(&registry)
+        .sink(&mut sink)
+        .run()
         .expect("echo is registered");
+    let parallel = outcome.into_report().expect("a plain session completes");
     assert_eq!(serial, parallel, "volume campaign must be bit-identical for 1 vs N threads");
     assert_eq!(sink.runs, total_runs, "the sink must see every run exactly once");
     assert_eq!(parallel.suspect_runs(), 0, "echo never schedules into the past");
@@ -292,12 +295,15 @@ fn main() {
     let parallel_sink_rate = median_of_3(|| {
         let mut sink = CountingSink { runs: 0 };
         let start = Instant::now();
-        let (report, _) = campaign
+        let (outcome, _) = campaign
             .clone()
             .with_threads(parallel_threads)
-            .run_instrumented(&registry, Some(&mut sink))
+            .session(&registry)
+            .sink(&mut sink)
+            .run()
             .expect("echo is registered");
         let rate = total_runs as f64 / start.elapsed().as_secs_f64();
+        let report = outcome.into_report().expect("a plain session completes");
         assert_eq!(report, serial, "sinked parallel report must stay bit-identical");
         rate
     });
@@ -389,13 +395,16 @@ fn main() {
         // A leftover manifest would make the next sample resume (and skip
         // all the work), so every sample starts from scratch.
         std::fs::remove_file(&ckpt_path).ok();
-        let mut checkpointer = Checkpointer::new(&ckpt_path).every_chunks(1);
+        let checkpointer = Checkpointer::new(&ckpt_path).every_chunks(1);
         let mut ckpt_sink = CountingSink { runs: 0 };
         let start = Instant::now();
         let (ckpt_outcome, ckpt_stats) = campaign
             .clone()
             .with_threads(parallel_threads)
-            .run_checkpointed(&registry, &mut checkpointer, Some(&mut ckpt_sink))
+            .session(&registry)
+            .checkpointer(&checkpointer)
+            .sink(&mut ckpt_sink)
+            .run()
             .expect("echo is registered");
         let rate = total_runs as f64 / start.elapsed().as_secs_f64();
         let CampaignOutcome::Complete(ckpt_report) = ckpt_outcome else {
@@ -454,12 +463,15 @@ fn main() {
     // plumbing ever leaks cost into untraced campaigns, this ratio drops.
     let detached_rate = median_of_3(|| {
         let start = Instant::now();
-        let (report, _) = campaign
+        let (outcome, _) = campaign
             .clone()
             .with_threads(parallel_threads)
-            .run_instrumented_with(&registry, None, CampaignTelemetry::none())
+            .session(&registry)
+            .telemetry(CampaignTelemetry::none())
+            .run()
             .expect("echo is registered");
         let rate = total_runs as f64 / start.elapsed().as_secs_f64();
+        let report = outcome.into_report().expect("a plain session completes");
         assert_eq!(report, serial, "detached telemetry must not perturb the report");
         rate
     });
@@ -470,16 +482,17 @@ fn main() {
         let mut trace_writer = JsonlTraceWriter::new(Vec::new());
         let mut metrics = MetricsRegistry::new();
         let start = Instant::now();
-        let (report, _) = campaign
+        let (outcome, _) = campaign
             .clone()
             .with_threads(parallel_threads)
-            .run_instrumented_with(
-                &registry,
-                None,
+            .session(&registry)
+            .telemetry(
                 CampaignTelemetry::none().with_trace(&mut trace_writer).with_metrics(&mut metrics),
             )
+            .run()
             .expect("echo is registered");
         let rate = total_runs as f64 / start.elapsed().as_secs_f64();
+        let report = outcome.into_report().expect("a plain session completes");
         assert_eq!(report, serial, "attached telemetry must not perturb the report");
         assert_eq!(metrics.counter("campaign.runs"), total_runs);
         trace_bytes = trace_writer.into_inner().expect("Vec sink never errors").len() as u64;

@@ -41,9 +41,9 @@ pub fn quick_mode(env_var: &str) -> bool {
 }
 
 /// Parses a JSON campaign spec, executes it on the builtin scenario registry
-/// through [`Campaign::run_instrumented`](karyon_scenario::Campaign::run_instrumented),
-/// and returns the report together with the runner statistics and the
-/// wall-clock time of the execution.
+/// in one [`Session`](karyon_scenario::Session), and returns the report
+/// together with the runner statistics and the wall-clock time of the
+/// execution.
 ///
 /// This is the entire "measurement loop" of the e01–e15 experiment
 /// harnesses: each harness declares its sweep as a spec (the same format
@@ -62,7 +62,7 @@ pub fn run_campaign(
     let campaign = Campaign::from_json_str(spec_json).expect("harness spec must be well-formed");
     let registry = builtin_registry();
     let started = std::time::Instant::now();
-    let (report, stats) =
-        campaign.run_instrumented(&registry, None).expect("harness families are builtin");
+    let (outcome, stats) = campaign.session(&registry).run().expect("harness families are builtin");
+    let report = outcome.into_report().expect("a plain session runs every chunk");
     (report, stats, started.elapsed())
 }

@@ -49,7 +49,7 @@ const QUANTILE_BUCKETS: usize = 64;
 /// `pub(crate)` so the [checkpoint module](crate::checkpoint) can persist and
 /// restore it bit-exactly; everything outside the crate only ever sees the
 /// finalised [`MetricSummary`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum QuantileAcc {
     /// All finite samples so far, in canonical record order.
     Exact(Vec<f64>),
@@ -86,7 +86,7 @@ fn derived_range(values: &[f64]) -> (f64, f64) {
 /// The streaming aggregate of one metric at one parameter point: mean /
 /// variance / extremes via [`OnlineStats`], the exact canonical-order sum,
 /// and a bounded-memory quantile state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricAccumulator {
     stats: OnlineStats,
     sum: f64,
@@ -233,7 +233,7 @@ impl MetricAccumulator {
 }
 
 /// The streaming aggregate of one parameter point.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PointAccumulator {
     /// Runs aggregated so far.
     pub runs: u64,
@@ -286,10 +286,11 @@ impl PointAccumulator {
 /// One worker's reduction of one canonical chunk: per-point partials for the
 /// points the chunk touched.
 ///
-/// `Clone` exists for the shard protocol ([`crate::shard`]): a shard session
-/// persists every chunk partial it merges, so a later `merge` can replay the
-/// exact canonical chunk-order fold of a single-machine run.
-#[derive(Debug, Default, Clone)]
+/// A [chunk window](crate::Session::chunks) returns its partials one per
+/// chunk, so the shard protocol ([`crate::shard`]) can persist them and a
+/// later `merge` can replay the exact canonical chunk-order fold of a
+/// single-machine run.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ChunkPartial {
     /// Point index → partial aggregate.
     pub points: BTreeMap<usize, PointAccumulator>,

@@ -2,8 +2,9 @@
 //! execution.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use karyon_sim::{splitmix64, SimDuration};
@@ -170,11 +171,10 @@ struct PointDef {
     first_run: u64,
 }
 
-/// Execution statistics of one campaign run, returned by
-/// [`Campaign::run_instrumented`].  Deliberately *not* part of
-/// [`CampaignReport`]: these numbers depend on scheduling (worker count,
-/// chunk completion order) and would break the bit-identity contract if they
-/// travelled with the report.
+/// Execution statistics of one campaign session, returned by
+/// [`Session::run`].  Deliberately *not* part of [`CampaignReport`]: these
+/// numbers depend on scheduling (worker count, chunk completion order) and
+/// would break the bit-identity contract if they travelled with the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerStats {
     /// Worker threads used.
@@ -190,12 +190,10 @@ pub struct RunnerStats {
     pub peak_resident_records: u64,
 }
 
-/// How a checkpointed campaign session ended: with the full report, or at a
-/// bounded-session boundary with a checkpoint on disk to resume from.
-///
-/// Returned by [`Campaign::run_checkpointed`] and [`Campaign::resume`]; the
-/// plain [`Campaign::run`] family always runs to completion and returns the
-/// report directly.
+/// How a campaign session ended, returned by [`Session::run`]: with the full
+/// report, at a bounded-session boundary with a checkpoint on disk to resume
+/// from, or — for a [chunk window](Session::chunks) — with the window's
+/// per-chunk partials.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignOutcome {
     /// Every canonical chunk was merged; this is the final report —
@@ -204,13 +202,16 @@ pub enum CampaignOutcome {
     /// The session hit its
     /// [bounded work slice](Checkpointer::max_chunks_per_session) with work
     /// remaining; the checkpoint manifest at the session's end boundary is on
-    /// disk and [`Campaign::resume`] continues from it.
+    /// disk and a [resumed](Session::resume) session continues from it.
     Interrupted {
         /// Canonical chunks merged so far (across all sessions).
         chunks_done: usize,
         /// Runs covered by the watermark.
         runs_done: u64,
     },
+    /// The per-chunk partials of a [chunk window](Session::chunks), one per
+    /// chunk in canonical order, for [`crate::shard`] to persist and merge.
+    Window(Vec<ChunkPartial>),
 }
 
 impl CampaignOutcome {
@@ -223,7 +224,15 @@ impl CampaignOutcome {
     pub fn into_report(self) -> Option<CampaignReport> {
         match self {
             CampaignOutcome::Complete(report) => Some(report),
-            CampaignOutcome::Interrupted { .. } => None,
+            _ => None,
+        }
+    }
+
+    /// The per-chunk partials, if the session ran a chunk window.
+    pub fn into_partials(self) -> Option<Vec<ChunkPartial>> {
+        match self {
+            CampaignOutcome::Window(partials) => Some(partials),
+            _ => None,
         }
     }
 }
@@ -417,9 +426,9 @@ impl Campaign {
     ///
     /// The worker-thread count is deliberately excluded — a checkpoint taken
     /// by a 32-way run resumes fine on a single core.  Checkpoint manifests
-    /// embed the fingerprint and [`Campaign::resume`] refuses one written by
-    /// a different campaign definition, since its partials would be merged
-    /// into the wrong reduction.
+    /// embed the fingerprint and a [resumed](Session::resume) session refuses
+    /// one written by a different campaign definition, since its partials
+    /// would be merged into the wrong reduction.
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut text = format!(
@@ -564,9 +573,24 @@ impl Campaign {
         spec
     }
 
-    /// Expands every entry's grid and seed sweep into the canonical run list,
-    /// executes it in chunks across worker threads, and aggregates per
+    /// Starts a [`Session`] of this campaign over `registry`'s families —
+    /// the one way to run a campaign.  Without further settings the session
+    /// executes every run across the worker threads and aggregates per
     /// parameter point in bounded memory.
+    pub fn session<'a>(&'a self, registry: &'a ScenarioRegistry) -> Session<'a> {
+        Session {
+            campaign: self,
+            registry,
+            sink: None,
+            telemetry: CampaignTelemetry::none(),
+            faults: None,
+            checkpointer: None,
+            resume: false,
+            chunks: None,
+        }
+    }
+
+    /// Runs a plain [`session`](Campaign::session) and returns its report.
     ///
     /// Returns an error naming the first entry whose scenario family is not
     /// in `registry` (checked up front, before any run executes).  A run that
@@ -574,79 +598,31 @@ impl Campaign {
     /// family's adapter can detect — also surfaces as an `Err` naming the
     /// offending spec, after in-flight runs wind down.
     pub fn run(&self, registry: &ScenarioRegistry) -> Result<CampaignReport, String> {
-        self.run_instrumented(registry, None).map(|(report, _)| report)
+        let (outcome, _) = self.session(registry).run()?;
+        Ok(outcome.into_report().expect("a plain session runs every chunk"))
     }
 
-    /// Like [`Campaign::run`], additionally streaming every run's raw record
-    /// to `sink` in canonical run order (see [`RunSink`]).
-    pub fn run_with_sink(
-        &self,
-        registry: &ScenarioRegistry,
-        sink: &mut dyn RunSink,
-    ) -> Result<CampaignReport, String> {
-        self.run_instrumented(registry, Some(sink)).map(|(report, _)| report)
-    }
-
-    /// Like [`Campaign::run`], additionally returning the runner's execution
-    /// statistics (which are intentionally kept out of the deterministic
-    /// report — see [`RunnerStats`]).
-    pub fn run_instrumented(
-        &self,
-        registry: &ScenarioRegistry,
-        sink: Option<&mut dyn RunSink>,
-    ) -> Result<(CampaignReport, RunnerStats), String> {
-        self.run_instrumented_with(registry, sink, CampaignTelemetry::none())
-    }
-
-    /// Like [`Campaign::run_instrumented`], with a
-    /// [telemetry attachment](CampaignTelemetry): an optional deterministic
-    /// trace sink (fed every run's virtual-time records in canonical run
-    /// order — bit-identical for any worker count) and an optional wall-clock
-    /// [`MetricsRegistry`](karyon_telemetry::MetricsRegistry) of runner
-    /// throughput/latency metrics.
-    ///
-    /// Telemetry never changes the campaign's results: the report (and any
-    /// `sink` stream) is bit-identical to an untraced run's.
+    /// A plain session with an optional sink and telemetry, returning the
+    /// report and the runner's statistics.  Kept for the campaign benchmark;
+    /// everything else builds the [`session`](Campaign::session).
     pub fn run_instrumented_with(
         &self,
         registry: &ScenarioRegistry,
         sink: Option<&mut dyn RunSink>,
         telemetry: CampaignTelemetry<'_>,
     ) -> Result<(CampaignReport, RunnerStats), String> {
-        match self.run_from(registry, sink, None, 0, None, None, telemetry, None, None)? {
-            (CampaignOutcome::Complete(report), stats) => Ok((report, stats)),
-            (CampaignOutcome::Interrupted { .. }, _) => {
-                unreachable!("without a checkpointer the session covers every chunk")
-            }
+        let session = self.session(registry).telemetry(telemetry);
+        let (outcome, stats) = match sink {
+            Some(sink) => session.sink(sink),
+            None => session,
         }
+        .run()?;
+        Ok((outcome.into_report().expect("a plain session runs every chunk"), stats))
     }
 
-    /// Like [`Campaign::run_instrumented`], additionally persisting a
-    /// [checkpoint manifest](crate::checkpoint) through `ckpt` at its
-    /// configured chunk cadence (and always at the session's final chunk
-    /// boundary), so a killed process can [resume](Campaign::resume) instead
-    /// of restarting.
-    ///
-    /// With a [bounded work slice](Checkpointer::max_chunks_per_session) the
-    /// session may end early, returning
-    /// [`CampaignOutcome::Interrupted`]; otherwise the outcome is
-    /// [`CampaignOutcome::Complete`] with a report bit-identical to
-    /// [`Campaign::run`]'s.  When `sink` streams JSONL artifacts alongside,
-    /// it is flushed before every manifest write so the stream on disk never
-    /// lags the checkpoint.
-    pub fn run_checkpointed(
-        &self,
-        registry: &ScenarioRegistry,
-        ckpt: &mut Checkpointer,
-        sink: Option<&mut dyn RunSink>,
-    ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        self.run_checkpointed_with(registry, ckpt, sink, CampaignTelemetry::none())
-    }
-
-    /// Like [`Campaign::run_checkpointed`], with a
-    /// [telemetry attachment](CampaignTelemetry).  An attached trace sink is
-    /// flushed (like the run sink) before every manifest write, so the trace
-    /// stream on disk never lags the checkpoint.
+    /// A [checkpointed](Session::checkpointer) session with an optional sink
+    /// and telemetry.  Kept for the campaign benchmark; everything else
+    /// builds the [`session`](Campaign::session).
     pub fn run_checkpointed_with(
         &self,
         registry: &ScenarioRegistry,
@@ -654,344 +630,291 @@ impl Campaign {
         sink: Option<&mut dyn RunSink>,
         telemetry: CampaignTelemetry<'_>,
     ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        self.run_from(registry, sink, Some(ckpt), 0, None, None, telemetry, None, None)
+        let session = self.session(registry).checkpointer(ckpt).telemetry(telemetry);
+        match sink {
+            Some(sink) => session.sink(sink),
+            None => session,
+        }
+        .run()
     }
 
-    /// Like [`Campaign::run_checkpointed_with`], executing under an armed
-    /// [`FaultInjector`]: the runner probes the injector at its canonical
-    /// points (chunk claims, per-run boundaries, pre-checkpoint sink flushes,
-    /// post-manifest writes) and injected failures surface as ordinary runner
-    /// errors carrying [`crate::fault::INJECTED_PREFIX`].
-    ///
-    /// Transient injected sink errors are healed in place by the
-    /// checkpointer's [retry policy](Checkpointer::with_retry); fatal ones
-    /// (worker death, torn manifests, mid-chunk aborts) end the session like
-    /// a crash would, leaving checkpoint state a later
-    /// [`Campaign::resume_chaos`] (or plain [`Campaign::resume`]) continues
-    /// from — with a final report **bit-identical** to a fault-free run's.
-    pub fn run_checkpointed_chaos(
-        &self,
-        registry: &ScenarioRegistry,
-        ckpt: &mut Checkpointer,
-        sink: Option<&mut dyn RunSink>,
-        telemetry: CampaignTelemetry<'_>,
-        faults: &FaultInjector,
-    ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        self.run_from(registry, sink, Some(ckpt), 0, None, None, telemetry, Some(faults), None)
-    }
-
-    /// Resumes a checkpointed campaign from the manifest at `ckpt`'s path:
-    /// validates the [fingerprint](Campaign::fingerprint) (same name, seed,
-    /// chunk size and entry list — resume with a *different* worker count is
-    /// fine), restores the aggregation state from the persisted partials,
-    /// skips every canonical chunk at or below the watermark and continues
-    /// with live workers.
-    ///
-    /// The final report is **bit-identical** to an uninterrupted run's, for
-    /// any worker count and any interruption point.  A sink attached here
-    /// receives only the runs *after* the watermark; to continue a JSONL
-    /// stream, first cut it back to the manifest's `runs_done` lines with
-    /// [`truncate_jsonl`](crate::checkpoint::truncate_jsonl) and reopen it
-    /// in append mode.  Resuming an already-complete manifest executes
-    /// nothing and re-emits the final report.
+    /// A [resumed](Session::resume) session with an optional sink.  Kept for
+    /// the campaign benchmark; everything else builds the
+    /// [`session`](Campaign::session).
     pub fn resume(
         &self,
         registry: &ScenarioRegistry,
         ckpt: &mut Checkpointer,
         sink: Option<&mut dyn RunSink>,
     ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        self.resume_with(registry, ckpt, sink, CampaignTelemetry::none())
-    }
-
-    /// Like [`Campaign::resume`], with a
-    /// [telemetry attachment](CampaignTelemetry).  A trace sink attached here
-    /// receives only the runs *after* the watermark — appending the resumed
-    /// session's trace stream to the interrupted session's yields a file
-    /// bit-identical to an uninterrupted traced run's.
-    pub fn resume_with(
-        &self,
-        registry: &ScenarioRegistry,
-        ckpt: &mut Checkpointer,
-        sink: Option<&mut dyn RunSink>,
-        telemetry: CampaignTelemetry<'_>,
-    ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        let manifest = ckpt.load()?;
-        let (points, total_runs) = self.expand_points();
-        manifest.validate_for(self, total_runs, points.len(), self.canonical_chunks())?;
-        let start_chunk = manifest.chunks_done;
-        let accumulator = manifest.into_accumulator();
-        self.run_from(
-            registry,
-            sink,
-            Some(ckpt),
-            start_chunk,
-            None,
-            Some(accumulator),
-            telemetry,
-            None,
-            None,
-        )
-    }
-
-    /// Like [`Campaign::resume_with`], continuing under an armed
-    /// [`FaultInjector`] — the resumed session of a chaos drill, sharing the
-    /// injector (and its spent fault budgets) with the session that crashed.
-    pub fn resume_chaos(
-        &self,
-        registry: &ScenarioRegistry,
-        ckpt: &mut Checkpointer,
-        sink: Option<&mut dyn RunSink>,
-        telemetry: CampaignTelemetry<'_>,
-        faults: &FaultInjector,
-    ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        let manifest = ckpt.load()?;
-        let (points, total_runs) = self.expand_points();
-        manifest.validate_for(self, total_runs, points.len(), self.canonical_chunks())?;
-        let start_chunk = manifest.chunks_done;
-        let accumulator = manifest.into_accumulator();
-        self.run_from(
-            registry,
-            sink,
-            Some(ckpt),
-            start_chunk,
-            None,
-            Some(accumulator),
-            telemetry,
-            Some(faults),
-            None,
-        )
-    }
-
-    /// Executes only the canonical chunks `[start_chunk, end_chunk)` — one
-    /// shard of the campaign — returning the **per-chunk partials** in
-    /// canonical chunk order, plus the session's [`RunnerStats`].
-    ///
-    /// This is the execution half of the shard protocol ([`crate::shard`]):
-    /// each shard session runs an independent window of the canonical chunk
-    /// range (with its own worker count — the window, like everything else,
-    /// is thread-count-invariant) and persists the partials it produced.
-    /// The merge half replays every shard's partials in global canonical
-    /// chunk order through the same left-fold a single-machine run performs,
-    /// which is why the merged report is **bit-identical** to an
-    /// uninterrupted run's: per-chunk partials are the only shard artifact
-    /// that preserves the exact floating-point operation sequence (merging
-    /// pre-reduced per-shard accumulators would regroup it).
-    ///
-    /// A `sink` (and a trace sink in `telemetry`) attached here receives
-    /// only the shard's runs, with **global** run indices/coordinates —
-    /// shard JSONL/trace segments therefore concatenate byte-exactly, in
-    /// shard order, into the stream an uninterrupted run writes.
-    ///
-    /// An empty window (`start_chunk == end_chunk`) is valid and executes
-    /// nothing.  Errors if the window does not lie within the campaign's
-    /// canonical chunk range.  There is no checkpointing inside a shard: the
-    /// shard is the unit of retry — a faulted shard session is simply rerun
-    /// from its window start.
-    pub fn run_shard(
-        &self,
-        registry: &ScenarioRegistry,
-        start_chunk: usize,
-        end_chunk: usize,
-        sink: Option<&mut dyn RunSink>,
-    ) -> Result<(Vec<ChunkPartial>, RunnerStats), String> {
-        self.run_shard_with(registry, start_chunk, end_chunk, sink, CampaignTelemetry::none(), None)
-    }
-
-    /// Like [`Campaign::run_shard`], with a
-    /// [telemetry attachment](CampaignTelemetry) and an optional armed
-    /// [`FaultInjector`] (probed exactly like
-    /// [`Campaign::run_checkpointed_chaos`], with global chunk coordinates).
-    pub fn run_shard_with(
-        &self,
-        registry: &ScenarioRegistry,
-        start_chunk: usize,
-        end_chunk: usize,
-        sink: Option<&mut dyn RunSink>,
-        telemetry: CampaignTelemetry<'_>,
-        faults: Option<&FaultInjector>,
-    ) -> Result<(Vec<ChunkPartial>, RunnerStats), String> {
-        let chunks = self.canonical_chunks();
-        if start_chunk > end_chunk || end_chunk > chunks {
-            return Err(format!(
-                "shard window [{start_chunk}, {end_chunk}) does not lie within campaign \
-                 {:?}'s {chunks} canonical chunks",
-                self.name
-            ));
+        let session = self.session(registry).checkpointer(ckpt).resume(true);
+        match sink {
+            Some(sink) => session.sink(sink),
+            None => session,
         }
-        let mut partials: Vec<ChunkPartial> = Vec::with_capacity(end_chunk - start_chunk);
-        let mut tap = |_chunk: usize, partial: &ChunkPartial| partials.push(partial.clone());
-        let (_, stats) = self.run_from(
-            registry,
-            sink,
-            None,
-            start_chunk,
-            Some(end_chunk),
-            None,
-            telemetry,
-            faults,
-            Some(&mut tap),
-        )?;
-        debug_assert_eq!(partials.len(), end_chunk - start_chunk);
-        Ok((partials, stats))
+        .run()
     }
 }
 
-/// An optional observer invoked with each chunk partial at the
-/// canonical-order merge frontier (see [`Campaign::run_from`]'s
-/// `chunk_tap` parameter).
-type ChunkTap<'a> = Option<&'a mut dyn FnMut(usize, &ChunkPartial)>;
+/// One campaign session, started by [`Campaign::session`] and executed by
+/// [`Session::run`].
+///
+/// A plain session runs every canonical chunk and returns
+/// [`CampaignOutcome::Complete`].  Each setting changes what the session
+/// streams, persists or covers — nothing changes the results:
+///
+/// ```
+/// use karyon_scenario::{builtin_registry, Campaign, CampaignEntry, RunMeta, RunRecord};
+///
+/// let campaign = Campaign::new("doc-session", 3)
+///     .entry(CampaignEntry::new("lane-change").replications(4).duration_secs(10));
+/// let mut runs = 0;
+/// let mut sink = |_: &RunMeta<'_>, _: &RunRecord| runs += 1;
+/// let (outcome, stats) = campaign.session(&builtin_registry()).sink(&mut sink).run().unwrap();
+/// assert_eq!(outcome.into_report().unwrap().total_runs, 4);
+/// assert_eq!((runs, stats.chunks), (4, 1));
+/// ```
+pub struct Session<'a> {
+    campaign: &'a Campaign,
+    registry: &'a ScenarioRegistry,
+    sink: Option<&'a mut dyn RunSink>,
+    telemetry: CampaignTelemetry<'a>,
+    faults: Option<&'a FaultInjector>,
+    checkpointer: Option<&'a Checkpointer>,
+    resume: bool,
+    chunks: Option<Range<usize>>,
+}
 
-impl Campaign {
-    /// The shared session runner: executes canonical chunks
-    /// `start_chunk..end` (where `end` is the chunk count, or earlier for a
-    /// bounded checkpoint session or an explicit shard window) on 1..N
-    /// workers, merging strictly in canonical order into `restored` (or a
-    /// fresh accumulator).
+impl<'a> Session<'a> {
+    /// Streams every run's raw record to `sink` in canonical run order (see
+    /// [`RunSink`]).  With a [checkpointer](Session::checkpointer) the sink
+    /// is flushed before every manifest write, so the stream on disk never
+    /// lags the checkpoint.
+    pub fn sink(mut self, sink: &'a mut dyn RunSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Attaches [telemetry](CampaignTelemetry): an optional deterministic
+    /// trace sink, fed every run's virtual-time records in canonical run
+    /// order (bit-identical for any worker count, and flushed like the run
+    /// sink before every manifest write), and an optional wall-clock
+    /// [`MetricsRegistry`](karyon_telemetry::MetricsRegistry) of runner
+    /// throughput/latency metrics.
+    pub fn telemetry<'t: 'a>(mut self, telemetry: CampaignTelemetry<'t>) -> Self {
+        // Rebuilt member by member: `CampaignTelemetry` is invariant in its
+        // lifetime, and the session may borrow for less long.
+        self.telemetry = CampaignTelemetry {
+            trace: telemetry.trace.map(|t| t as _),
+            metrics: telemetry.metrics,
+        };
+        self
+    }
+
+    /// Executes under an armed [`FaultInjector`]: the runner probes it at its
+    /// canonical points (chunk claims, per-run boundaries, pre-checkpoint
+    /// sink flushes, post-manifest writes), with global chunk coordinates,
+    /// and injected failures surface as ordinary runner errors carrying
+    /// [`crate::fault::INJECTED_PREFIX`].
     ///
-    /// `chunk_tap`, when attached, observes every chunk partial at the
-    /// canonical-order merge frontier — immediately before the partial is
-    /// folded into the accumulator — which is how a shard session retains
-    /// the per-chunk partials its manifest persists without disturbing the
-    /// reduction.
-    #[allow(clippy::too_many_arguments)]
-    fn run_from(
-        &self,
-        registry: &ScenarioRegistry,
-        mut sink: Option<&mut dyn RunSink>,
-        mut ckpt: Option<&mut Checkpointer>,
-        start_chunk: usize,
-        end_override: Option<usize>,
-        restored: Option<CampaignAccumulator>,
-        mut telemetry: CampaignTelemetry<'_>,
-        faults: Option<&FaultInjector>,
-        mut chunk_tap: ChunkTap<'_>,
-    ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        let (points, total_runs) = self.expand_points();
-        let families = self.resolve_families(registry, &points)?;
-        let chunks = (total_runs as usize).div_ceil(self.chunk_size);
-        let end_chunk = match end_override {
-            Some(end) => end,
-            None => match &ckpt {
-                Some(c) => c.session_end_chunk(start_chunk, chunks),
-                None => chunks,
-            },
+    /// Transient injected sink errors heal in place under the checkpointer's
+    /// [retry policy](Checkpointer::with_retry); fatal ones (worker death,
+    /// torn manifests, mid-chunk aborts) end the session like a crash would,
+    /// leaving checkpoint state a [resumed](Session::resume) session — which
+    /// may share the injector and its spent fault budgets — continues from,
+    /// with a final report **bit-identical** to a fault-free run's.
+    pub fn faults(mut self, faults: &'a FaultInjector) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Persists a [checkpoint manifest](crate::checkpoint) through
+    /// `checkpointer` at its chunk cadence (and always at the session's final
+    /// chunk boundary), so a killed process can [resume](Session::resume)
+    /// instead of restarting.  With a
+    /// [bounded work slice](Checkpointer::max_chunks_per_session) the session
+    /// may end with [`CampaignOutcome::Interrupted`].
+    pub fn checkpointer(mut self, checkpointer: &'a Checkpointer) -> Self {
+        self.checkpointer = Some(checkpointer);
+        self
+    }
+
+    /// When `resume` is true, continues from the checkpointer's manifest:
+    /// validates the [fingerprint](Campaign::fingerprint) (same name, seed,
+    /// chunk size and entry list — a different worker count is fine),
+    /// restores the aggregation state from the persisted partials, skips
+    /// every canonical chunk at or below the watermark and continues with
+    /// live workers.
+    ///
+    /// The final report is **bit-identical** to an uninterrupted run's, for
+    /// any worker count and any interruption point.  A sink — or trace sink —
+    /// attached here receives only the runs *after* the watermark; to
+    /// continue a JSONL stream, first cut it back to the manifest's
+    /// `runs_done` lines with [`truncate_jsonl`](crate::checkpoint::truncate_jsonl)
+    /// and reopen it in append mode.  Resuming a finished manifest executes
+    /// nothing, spawns no thread and re-emits the final report.
+    pub fn resume(mut self, resume: bool) -> Self {
+        self.resume = resume;
+        self
+    }
+
+    /// Executes only the canonical chunks in `window` — one shard of the
+    /// campaign — and returns their per-chunk partials as
+    /// [`CampaignOutcome::Window`].
+    ///
+    /// This is the execution half of the shard protocol ([`crate::shard`]):
+    /// each window runs independently, with its own worker count, and the
+    /// merge half replays every shard's partials in global canonical chunk
+    /// order through the same left fold a single-machine run performs, which
+    /// is why the merged report is **bit-identical** to an uninterrupted
+    /// run's.  A sink (and a trace sink) attached here receives only the
+    /// window's runs, with **global** run indices and coordinates, so window
+    /// segments concatenate byte-exactly, in window order, into the stream
+    /// an uninterrupted run writes.
+    ///
+    /// An empty window executes nothing.  A window is neither checkpointed
+    /// nor resumed: it is the unit of retry, rerun whole after a failure.
+    pub fn chunks(mut self, window: Range<usize>) -> Self {
+        self.chunks = Some(window);
+        self
+    }
+
+    /// Executes the session: workers run canonical chunks, and the calling
+    /// thread merges them strictly in canonical order.
+    ///
+    /// Errors before any run executes when the settings conflict (resume
+    /// without a checkpointer; a chunk window together with a checkpointer or
+    /// resume; a window outside the campaign's chunk range), when an entry
+    /// names a family `registry` lacks, or when the manifest to resume from
+    /// is unreadable or was written by a different campaign definition.  A
+    /// run that panics mid-campaign surfaces as an `Err` naming the offending
+    /// spec, after in-flight runs wind down.
+    pub fn run(self) -> Result<(CampaignOutcome, RunnerStats), String> {
+        let Session {
+            campaign,
+            registry,
+            mut sink,
+            mut telemetry,
+            faults,
+            checkpointer,
+            resume,
+            chunks: window,
+        } = self;
+        if resume && checkpointer.is_none() {
+            return Err("resuming a session needs a checkpointer to load the manifest from".into());
+        }
+        if window.is_some() && (checkpointer.is_some() || resume) {
+            return Err("a chunk window is neither checkpointed nor resumed: it is rerun whole \
+                        after a failure"
+                .into());
+        }
+        let (points, total_runs) = campaign.expand_points();
+        let families = campaign.resolve_families(registry, &points)?;
+        let chunks = (total_runs as usize).div_ceil(campaign.chunk_size);
+        let (start_chunk, end_chunk, mut fold) = match (window, checkpointer) {
+            (Some(window), _) => {
+                if window.start > window.end || window.end > chunks {
+                    return Err(format!(
+                        "shard window [{}, {}) does not lie within campaign {:?}'s {chunks} \
+                         canonical chunks",
+                        window.start, window.end, campaign.name
+                    ));
+                }
+                (window.start, window.end, Fold::Partials(Vec::with_capacity(window.len())))
+            }
+            (None, Some(ckpt)) if resume => {
+                let manifest = ckpt.load()?;
+                manifest.validate_for(campaign, total_runs, points.len(), chunks)?;
+                let start = manifest.chunks_done;
+                let end = ckpt.session_end_chunk(start, chunks);
+                (start, end, Fold::Accumulator(manifest.into_accumulator()))
+            }
+            (None, ckpt) => (
+                0,
+                ckpt.map_or(chunks, |ckpt| ckpt.session_end_chunk(0, chunks)),
+                Fold::Accumulator(CampaignAccumulator::new(points.len())),
+            ),
         };
         let session_chunks = end_chunk - start_chunk;
-        let workers = match self.threads {
+        let workers = match campaign.threads {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,
         }
         .min(session_chunks.max(1));
-
-        let mut accumulator = restored.unwrap_or_else(|| CampaignAccumulator::new(points.len()));
         let mut stats = RunnerStats {
             workers,
             chunks: session_chunks as u64,
             peak_pending_chunks: 0,
             peak_resident_records: 0,
         };
-        let tracing = telemetry.tracing();
         let mut worker_busy = vec![Duration::ZERO; workers];
 
-        if workers <= 1 {
-            for chunk in start_chunk..end_chunk {
-                let outcome = self.run_chunk(
-                    &points,
-                    &families,
-                    chunk,
-                    sink.is_some(),
-                    tracing,
-                    None,
-                    faults,
-                );
-                let output = match outcome {
-                    Ok(output) => output,
-                    Err(error) => {
-                        finish_session_metrics(&mut telemetry, &stats, &worker_busy, faults);
-                        return Err(error);
-                    }
-                };
-                debug_assert!(output.completed, "no abort flag on the sequential path");
-                stats.peak_pending_chunks = stats.peak_pending_chunks.max(1);
-                stats.peak_resident_records =
-                    stats.peak_resident_records.max(output.records.len() as u64);
-                worker_busy[0] += output.elapsed;
-                if let Some(tap) = chunk_tap.as_deref_mut() {
-                    tap(chunk, &output.partial);
-                }
-                self.merge_chunk(&points, &mut accumulator, output, &mut sink, &mut telemetry);
-                if let Err(error) = self.checkpoint_if_due(
-                    &mut ckpt,
-                    &mut sink,
-                    &mut telemetry,
-                    chunk + 1,
-                    end_chunk,
-                    total_runs,
-                    &accumulator,
-                    faults,
-                ) {
-                    finish_session_metrics(&mut telemetry, &stats, &worker_busy, faults);
-                    return Err(error);
-                }
-            }
-            finish_session_metrics(&mut telemetry, &stats, &worker_busy, faults);
-            return Ok(self.conclude(points, total_runs, accumulator, chunks, end_chunk, stats));
-        }
-
-        // Parallel path: workers claim canonical chunks through a windowed
-        // gate, the main thread merges completed chunks strictly in
-        // canonical order.  The window bounds how far execution may run
-        // ahead of the merge frontier, which is what bounds peak memory.
-        let window = workers * 2;
+        // Workers claim canonical chunks through a windowed gate, and this
+        // thread merges completed chunks strictly in canonical order.  The
+        // window bounds how far execution may run ahead of the merge
+        // frontier, which is what bounds peak memory.  A single worker runs
+        // inline on this thread: it claims each chunk only once the previous
+        // one is merged, so it claims none after a failure, and a session
+        // with no chunk to run spawns no thread.
+        let in_flight = workers * 2;
         let gate = ChunkGate::new(start_chunk);
         let abort = AtomicBool::new(false);
-        let capture = sink.is_some();
-        let (tx, rx) = mpsc::channel::<(usize, Result<ChunkOutput, String>)>();
+        let work = ChunkWork {
+            campaign,
+            points: &points,
+            families: &families,
+            capture: sink.is_some(),
+            tracing: telemetry.tracing(),
+            faults,
+        };
+        let claim_and_run = |worker: usize| {
+            let chunk = gate.claim(end_chunk, in_flight, &abort)?;
+            let outcome = work.run(chunk, worker, &abort);
+            if outcome.is_err() {
+                abort.store(true, Ordering::Relaxed);
+                gate.wake_all();
+            }
+            Some((chunk, outcome))
+        };
         let mut first_error: Option<(usize, String)> = None;
         let mut saw_aborted_chunk = false;
 
         std::thread::scope(|scope| {
-            for worker_index in 0..workers {
-                let tx = tx.clone();
-                let (gate, abort, points, families) = (&gate, &abort, &points, &families);
-                scope.spawn(move || {
-                    while let Some(chunk) = gate.claim(end_chunk, window, abort) {
-                        let outcome = self
-                            .run_chunk(
-                                points,
-                                families,
-                                chunk,
-                                capture,
-                                tracing,
-                                Some(abort),
-                                faults,
-                            )
-                            .map(|mut output| {
-                                output.worker = worker_index;
-                                output
-                            });
-                        if outcome.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                            gate.wake_all();
-                        }
-                        if tx.send((chunk, outcome)).is_err() {
-                            break;
-                        }
+            let outputs: Box<dyn Iterator<Item = (usize, Result<ChunkOutput, String>)>> =
+                if workers == 1 {
+                    Box::new(std::iter::from_fn(|| claim_and_run(0)))
+                } else {
+                    let (tx, rx) = mpsc::channel();
+                    for worker in 0..workers {
+                        let (tx, claim_and_run) = (tx.clone(), &claim_and_run);
+                        scope.spawn(move || {
+                            while let Some(output) = claim_and_run(worker) {
+                                if tx.send(output).is_err() {
+                                    break;
+                                }
+                            }
+                        });
                     }
-                });
-            }
-            drop(tx);
+                    // The receiver ends once every worker has dropped its
+                    // sender; this block's own sender goes out of scope here.
+                    Box::new(rx.into_iter())
+                };
 
             let mut pending: BTreeMap<usize, ChunkOutput> = BTreeMap::new();
             let mut resident_records = 0u64;
             let mut next_merge = start_chunk;
-            for (chunk, outcome) in rx {
+            for (chunk, outcome) in outputs {
                 if let Some(metrics) = telemetry.metrics.as_deref_mut() {
                     // Sampled at every chunk completion: how full the
-                    // in-flight window is (its mean near `window` means the
-                    // merge frontier, not execution, is the bottleneck).
+                    // in-flight window is (its mean near `in_flight` means
+                    // the merge frontier, not execution, is the bottleneck).
                     metrics
-                        .configure_timer("campaign.gate_occupancy", 0.0, window as f64, window)
+                        .configure_timer(
+                            "campaign.gate_occupancy",
+                            0.0,
+                            in_flight as f64,
+                            in_flight,
+                        )
                         .record(gate.occupancy() as f64);
                 }
                 match outcome {
@@ -1032,7 +955,6 @@ impl Campaign {
                 }
                 while let Some(output) = pending.remove(&next_merge) {
                     resident_records -= output.records.len() as u64;
-                    let merged_chunk = next_merge;
                     next_merge += 1;
                     gate.advance();
                     if first_error.is_some() || saw_aborted_chunk {
@@ -1042,20 +964,24 @@ impl Campaign {
                         // write a sink tail the next resume truncates.
                         continue;
                     }
-                    if let Some(tap) = chunk_tap.as_deref_mut() {
-                        tap(merged_chunk, &output.partial);
-                    }
-                    self.merge_chunk(&points, &mut accumulator, output, &mut sink, &mut telemetry);
-                    if let Err(error) = self.checkpoint_if_due(
-                        &mut ckpt,
-                        &mut sink,
-                        &mut telemetry,
-                        next_merge,
-                        end_chunk,
-                        total_runs,
-                        &accumulator,
-                        faults,
-                    ) {
+                    campaign.merge_chunk(&points, &mut fold, output, &mut sink, &mut telemetry);
+                    let checkpointed = match (checkpointer, &fold) {
+                        // At the cadence, and always at the session's end.
+                        (Some(ckpt), Fold::Accumulator(accumulator))
+                            if ckpt.due(next_merge) || next_merge == end_chunk =>
+                        {
+                            campaign.write_checkpoint(
+                                ckpt,
+                                next_merge,
+                                accumulator,
+                                &mut sink,
+                                &mut telemetry,
+                                faults,
+                            )
+                        }
+                        _ => Ok(()),
+                    };
+                    if let Err(error) = checkpointed {
                         // A checkpoint that cannot be persisted voids the
                         // crash-safety contract: wind the campaign down
                         // and surface the I/O failure.
@@ -1078,35 +1004,128 @@ impl Campaign {
             // this is unreachable — but never bless a session with a hole.
             return Err("a worker aborted mid-chunk without a recorded failure".to_string());
         }
-        Ok(self.conclude(points, total_runs, accumulator, chunks, end_chunk, stats))
+        let outcome = match fold {
+            Fold::Partials(partials) => {
+                debug_assert_eq!(partials.len(), session_chunks);
+                CampaignOutcome::Window(partials)
+            }
+            Fold::Accumulator(_) if end_chunk < chunks => CampaignOutcome::Interrupted {
+                chunks_done: end_chunk,
+                runs_done: (end_chunk as u64 * campaign.chunk_size as u64).min(total_runs),
+            },
+            Fold::Accumulator(accumulator) => {
+                CampaignOutcome::Complete(campaign.finish(points, total_runs, accumulator))
+            }
+        };
+        Ok((outcome, stats))
     }
+}
 
-    /// Writes a checkpoint manifest when the cadence (or the session's final
-    /// boundary) calls for one, flushing the sink — and an attached trace
-    /// sink — first so the streams on disk always cover at least the
-    /// checkpointed runs.
+/// Where a session folds its chunk partials.
+enum Fold {
+    /// Into the campaign accumulator, for the report and the checkpoints.
+    Accumulator(CampaignAccumulator),
+    /// Kept one per chunk, in canonical order: a chunk window's outcome.
+    Partials(Vec<ChunkPartial>),
+}
+
+/// What every worker of a session shares: the expanded points and their
+/// families, what each run must hand back, and the fault injector to probe.
+struct ChunkWork<'s> {
+    campaign: &'s Campaign,
+    points: &'s [PointDef],
+    families: &'s [Arc<dyn Scenario>],
+    /// Keep every run's record for the sink.
+    capture: bool,
+    /// Collect every run's trace records for the trace sink.
+    tracing: bool,
+    faults: Option<&'s FaultInjector>,
+}
+
+impl ChunkWork<'_> {
+    /// Executes the canonical chunk `chunk` sequentially in run order on
+    /// worker `worker`, streaming every record into a fresh [`ChunkPartial`].
+    /// Returns the first run failure (canonical within the chunk) as `Err`;
+    /// an output with `completed == false` when the abort flag cut the chunk
+    /// short.
+    fn run(&self, chunk: usize, worker: usize, abort: &AtomicBool) -> Result<ChunkOutput, String> {
+        let started = Instant::now();
+        if let Some(injector) = self.faults {
+            injector.before_chunk(chunk)?;
+        }
+        let points = self.points;
+        let chunk_size = self.campaign.chunk_size as u64;
+        let total = points.last().map(|p| p.first_run + p.replications).unwrap_or(0);
+        let start = (chunk * self.campaign.chunk_size) as u64;
+        let end = (start + chunk_size).min(total);
+        let mut partial = ChunkPartial::new();
+        let mut records = Vec::new();
+        let mut traces = Vec::new();
+        let mut runs = 0u64;
+        let mut completed = true;
+        let mut point_index = point_of(points, start);
+        for run in start..end {
+            if abort.load(Ordering::Relaxed) {
+                completed = false;
+                break;
+            }
+            if let Some(injector) = self.faults {
+                injector.before_run(chunk, runs)?;
+            }
+            while !run_belongs_to(points, point_index, run) {
+                point_index += 1;
+            }
+            let point = &points[point_index];
+            let family = &self.families[point_index];
+            let spec = self.campaign.spec_for(point_index, point, run - point.first_run);
+            let record = if self.tracing {
+                // The collection scope makes every `karyon_telemetry::trace`
+                // call inside the run land in this run's record list; the
+                // records contain only virtual-time data, so the list is a
+                // pure function of the spec.
+                let (record, run_trace) = trace::collect(|| run_one(&**family, &spec));
+                traces.push((run, run_trace));
+                record?
+            } else {
+                run_one(&**family, &spec)?
+            };
+            partial.record_run(point_index, &record, &|metric| family.metric_range(metric));
+            runs += 1;
+            if self.capture {
+                records.push((run, record));
+            }
+        }
+        Ok(ChunkOutput {
+            partial,
+            records,
+            traces,
+            runs,
+            completed,
+            elapsed: started.elapsed(),
+            worker,
+        })
+    }
+}
+
+impl Campaign {
+    /// Writes a checkpoint manifest covering `chunks_done` chunks, flushing
+    /// the sink — and an attached trace sink — first so the streams on disk
+    /// always cover at least the checkpointed runs.
     ///
     /// Every I/O edge here (sink flush, trace flush, manifest write) runs
     /// under the checkpointer's [`RetryPolicy`](crate::RetryPolicy): transient
     /// failures — including injected [`Fault::SinkIoError`](crate::Fault)s —
     /// heal with bounded backoff, and only the last error of an exhausted
     /// budget propagates.
-    #[allow(clippy::too_many_arguments)]
-    fn checkpoint_if_due(
+    fn write_checkpoint(
         &self,
-        ckpt: &mut Option<&mut Checkpointer>,
+        ckpt: &Checkpointer,
+        chunks_done: usize,
+        accumulator: &CampaignAccumulator,
         sink: &mut Option<&mut dyn RunSink>,
         telemetry: &mut CampaignTelemetry<'_>,
-        chunks_done: usize,
-        end_chunk: usize,
-        total_runs: u64,
-        accumulator: &CampaignAccumulator,
         faults: Option<&FaultInjector>,
     ) -> Result<(), String> {
-        let Some(ckpt) = ckpt else { return Ok(()) };
-        if !ckpt.due(chunks_done) && chunks_done != end_chunk {
-            return Ok(());
-        }
         let policy = ckpt.retry().clone();
         let mut backoff = WallClockBackoff;
         let mut extra_attempts = 0u32;
@@ -1139,6 +1158,7 @@ impl Campaign {
             return Err(format!("flushing the trace sink before a checkpoint: {e}"));
         }
         let flushed = flush_started.elapsed();
+        let total_runs = self.run_count();
         let runs_done = (chunks_done as u64 * self.chunk_size as u64).min(total_runs);
         let manifest =
             checkpoint::render_manifest(self, total_runs, chunks_done, runs_done, accumulator);
@@ -1166,26 +1186,6 @@ impl Campaign {
         }
         Ok(())
     }
-
-    /// Wraps up a session: the final report when every chunk is merged, the
-    /// interruption watermark otherwise.
-    fn conclude(
-        &self,
-        points: Vec<PointDef>,
-        total_runs: u64,
-        accumulator: CampaignAccumulator,
-        chunks: usize,
-        end_chunk: usize,
-        stats: RunnerStats,
-    ) -> (CampaignOutcome, RunnerStats) {
-        if end_chunk < chunks {
-            let runs_done = (end_chunk as u64 * self.chunk_size as u64).min(total_runs);
-            (CampaignOutcome::Interrupted { chunks_done: end_chunk, runs_done }, stats)
-        } else {
-            (CampaignOutcome::Complete(self.finish(points, total_runs, accumulator)), stats)
-        }
-    }
-
     /// Re-aggregates retained per-run records (e.g. parsed back from a
     /// [`JsonlRunWriter`](crate::JsonlRunWriter) artifact) through the same
     /// canonical chunk pipeline the streaming runner uses.
@@ -1259,7 +1259,7 @@ impl Campaign {
         &self,
         registry: &ScenarioRegistry,
         points: &[PointDef],
-    ) -> Result<Vec<std::sync::Arc<dyn Scenario>>, String> {
+    ) -> Result<Vec<Arc<dyn Scenario>>, String> {
         for entry in &self.entries {
             if registry.get(&entry.scenario).is_none() {
                 return Err(format!(
@@ -1276,81 +1276,9 @@ impl Campaign {
             .collect())
     }
 
-    /// Executes the canonical chunk `chunk` sequentially in run order,
-    /// streaming every record into a fresh [`ChunkPartial`].  Returns the
-    /// first run failure (canonical within the chunk) as `Err`; an output
-    /// with `completed == false` when the abort flag cut the chunk short.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
-        &self,
-        points: &[PointDef],
-        families: &[std::sync::Arc<dyn Scenario>],
-        chunk: usize,
-        capture: bool,
-        tracing: bool,
-        abort: Option<&AtomicBool>,
-        faults: Option<&FaultInjector>,
-    ) -> Result<ChunkOutput, String> {
-        let started = Instant::now();
-        if let Some(injector) = faults {
-            injector.before_chunk(chunk)?;
-        }
-        let total = points.last().map(|p| p.first_run + p.replications).unwrap_or(0);
-        let start = (chunk * self.chunk_size) as u64;
-        let end = (start + self.chunk_size as u64).min(total);
-        let mut partial = ChunkPartial::new();
-        let mut records = Vec::new();
-        let mut traces = Vec::new();
-        let mut runs = 0u64;
-        let mut completed = true;
-        let mut point_index = point_of(points, start);
-        for run in start..end {
-            if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
-                completed = false;
-                break;
-            }
-            if let Some(injector) = faults {
-                injector.before_run(chunk, runs)?;
-            }
-            while !run_belongs_to(points, point_index, run) {
-                point_index += 1;
-            }
-            let point = &points[point_index];
-            let spec = self.spec_for(point_index, point, run - point.first_run);
-            let record = if tracing {
-                // The collection scope makes every `karyon_telemetry::trace`
-                // call inside the run land in this run's record list; the
-                // records contain only virtual-time data, so the list is a
-                // pure function of the spec.
-                let (record, run_trace) =
-                    trace::collect(|| run_one(&*families[point_index], &spec));
-                traces.push((run, run_trace));
-                record?
-            } else {
-                run_one(&*families[point_index], &spec)?
-            };
-            let family = &families[point_index];
-            partial.record_run(point_index, &record, &|metric| family.metric_range(metric));
-            runs += 1;
-            if capture {
-                records.push((run, record));
-            }
-        }
-        Ok(ChunkOutput {
-            partial,
-            records,
-            traces,
-            runs,
-            completed,
-            elapsed: started.elapsed(),
-            worker: 0,
-        })
-    }
-
-    /// Folds one canonical chunk into the campaign accumulator, drains its
-    /// captured records (already in canonical order) into the sink and its
-    /// trace records into the trace sink, and notes the chunk's wall-clock
-    /// metrics.
+    /// Folds one canonical chunk into `fold`, drains its captured records
+    /// (already in canonical order) into the sink and its trace records into
+    /// the trace sink, and notes the chunk's wall-clock metrics.
     ///
     /// Draining traces *here* — at the canonical-order merge frontier, never
     /// at execution time — is what makes the trace stream bit-identical for
@@ -1358,12 +1286,15 @@ impl Campaign {
     fn merge_chunk(
         &self,
         points: &[PointDef],
-        accumulator: &mut CampaignAccumulator,
+        fold: &mut Fold,
         output: ChunkOutput,
         sink: &mut Option<&mut dyn RunSink>,
         telemetry: &mut CampaignTelemetry<'_>,
     ) {
-        accumulator.merge_chunk(output.partial);
+        match fold {
+            Fold::Accumulator(accumulator) => accumulator.merge_chunk(output.partial),
+            Fold::Partials(partials) => partials.push(output.partial),
+        }
         if let Some(sink) = sink {
             let mut point_index = output.records.first().map(|(run, _)| point_of(points, *run));
             for (run, record) in &output.records {
@@ -1543,6 +1474,16 @@ mod tests {
         registry
     }
 
+    /// Runs the chunk window `chunks` of `campaign` and returns its partials.
+    fn run_window(
+        campaign: &Campaign,
+        registry: &ScenarioRegistry,
+        chunks: Range<usize>,
+    ) -> Result<(Vec<ChunkPartial>, RunnerStats), String> {
+        let (outcome, stats) = campaign.session(registry).chunks(chunks).run()?;
+        Ok((outcome.into_partials().expect("a window session returns partials"), stats))
+    }
+
     #[test]
     fn derive_run_seed_is_pure_and_spread_out() {
         assert_eq!(derive_run_seed(1, 2, 3), derive_run_seed(1, 2, 3));
@@ -1621,9 +1562,16 @@ mod tests {
             .entry(CampaignEntry::new("echo").replications(8));
         let (points, _) = campaign.expand_points();
         let families = campaign.resolve_families(&echo_registry(), &points).unwrap();
+        let work = ChunkWork {
+            campaign: &campaign,
+            points: &points,
+            families: &families,
+            capture: true,
+            tracing: false,
+            faults: None,
+        };
         let clear = AtomicBool::new(false);
-        let output =
-            campaign.run_chunk(&points, &families, 0, true, false, Some(&clear), None).unwrap();
+        let output = work.run(0, 0, &clear).unwrap();
         assert!(output.completed);
         assert_eq!(output.records.len(), 4);
         assert_eq!(output.runs, 4);
@@ -1631,8 +1579,7 @@ mod tests {
         // nothing) and must say so — the collector relies on this to never
         // merge or checkpoint a hole.
         let raised = AtomicBool::new(true);
-        let output =
-            campaign.run_chunk(&points, &families, 0, true, false, Some(&raised), None).unwrap();
+        let output = work.run(0, 0, &raised).unwrap();
         assert!(!output.completed, "an aborted chunk must flag itself incomplete");
         assert!(output.records.is_empty(), "no run executes after the abort flag");
         assert_eq!(output.runs, 0);
@@ -1645,16 +1592,15 @@ mod tests {
             let mut sink = |meta: &RunMeta<'_>, record: &RunRecord| {
                 seen.push((meta.run_index, meta.seed, record.get("x").unwrap()));
             };
-            let report = Campaign::new("stream", 5)
-                .with_threads(threads)
-                .with_chunk_size(4)
-                .entry(
+            let campaign =
+                Campaign::new("stream", 5).with_threads(threads).with_chunk_size(4).entry(
                     CampaignEntry::new("echo")
                         .grid(ParamGrid::new().axis("x", [1.0, 2.0, 3.0]))
                         .replications(6),
-                )
-                .run_with_sink(&echo_registry(), &mut sink)
-                .unwrap();
+                );
+            let registry = echo_registry();
+            let (outcome, _) = campaign.session(&registry).sink(&mut sink).run().unwrap();
+            let report = outcome.into_report().unwrap();
             assert_eq!(report.total_runs, 18);
             assert_eq!(seen.len(), 18, "threads = {threads}");
             let indices: Vec<u64> = seen.iter().map(|(i, _, _)| *i).collect();
@@ -1675,8 +1621,10 @@ mod tests {
             .entry(CampaignEntry::new("echo").replications(100));
         let mut count = 0u64;
         let mut sink = |_: &RunMeta<'_>, _: &RunRecord| count += 1;
-        let (report, stats) =
-            campaign.with_threads(4).run_instrumented(&echo_registry(), Some(&mut sink)).unwrap();
+        let campaign = campaign.with_threads(4);
+        let registry = echo_registry();
+        let (outcome, stats) = campaign.session(&registry).sink(&mut sink).run().unwrap();
+        let report = outcome.into_report().unwrap();
         assert_eq!(report.total_runs, 100);
         assert_eq!(count, 100);
         assert_eq!(stats.chunks, 13);
@@ -1699,8 +1647,9 @@ mod tests {
         let registry = echo_registry();
         let mut records = Vec::new();
         let mut sink = |_: &RunMeta<'_>, record: &RunRecord| records.push(record.clone());
-        let streamed =
-            campaign.clone().with_threads(4).run_with_sink(&registry, &mut sink).unwrap();
+        let parallel = campaign.clone().with_threads(4);
+        let (outcome, _) = parallel.session(&registry).sink(&mut sink).run().unwrap();
+        let streamed = outcome.into_report().unwrap();
         let replayed = campaign.reduce_records(&registry, &records).unwrap();
         assert_eq!(streamed, replayed);
         let err = campaign.reduce_records(&registry, &records[1..]).unwrap_err();
@@ -1869,9 +1818,9 @@ mod tests {
         assert_eq!(chunks, 7, "21 runs / chunk 3");
         for boundary in 1..chunks {
             let path = dir.join(format!("boundary-{boundary}.json"));
-            let mut first = Checkpointer::new(&path).max_chunks_per_session(boundary);
-            let (outcome, stats) =
-                build().with_threads(2).run_checkpointed(&registry, &mut first, None).unwrap();
+            let first = Checkpointer::new(&path).max_chunks_per_session(boundary);
+            let campaign = build().with_threads(2);
+            let (outcome, stats) = campaign.session(&registry).checkpointer(&first).run().unwrap();
             assert_eq!(
                 outcome,
                 CampaignOutcome::Interrupted {
@@ -1881,9 +1830,10 @@ mod tests {
                 "boundary {boundary}"
             );
             assert_eq!(stats.chunks, boundary as u64);
-            let mut second = Checkpointer::new(&path);
+            let second = Checkpointer::new(&path);
+            let campaign = build().with_threads(4);
             let (outcome, stats) =
-                build().with_threads(4).resume(&registry, &mut second, None).unwrap();
+                campaign.session(&registry).checkpointer(&second).resume(true).run().unwrap();
             assert_eq!(stats.chunks, (chunks - boundary) as u64);
             let resumed = outcome.into_report().expect("completed");
             assert_eq!(resumed, uninterrupted, "boundary {boundary}");
@@ -1902,18 +1852,20 @@ mod tests {
         let campaign = Campaign::new("done", 3)
             .with_chunk_size(4)
             .entry(CampaignEntry::new("echo").replications(10));
-        let mut ckpt = Checkpointer::new(&path).every_chunks(2);
-        let (outcome, _) = campaign.run_checkpointed(&registry, &mut ckpt, None).unwrap();
+        let ckpt = Checkpointer::new(&path).every_chunks(2);
+        let (outcome, _) = campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
         let report = outcome.into_report().expect("ran to completion");
         // Resuming a finished manifest re-emits the report without running.
-        let (again, stats) = campaign.resume(&registry, &mut ckpt, None).unwrap();
+        let (again, stats) =
+            campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
         assert_eq!(stats.chunks, 0);
         assert_eq!(again.into_report().unwrap(), report);
         // A different campaign definition must be refused.
         let other = Campaign::new("done", 4)
             .with_chunk_size(4)
             .entry(CampaignEntry::new("echo").replications(10));
-        let err = other.resume(&registry, &mut Checkpointer::new(&path), None).unwrap_err();
+        let ckpt = Checkpointer::new(&path);
+        let err = other.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1986,26 +1938,27 @@ mod tests {
         assert_eq!(chunks, 6);
 
         // An empty window executes nothing.
-        let (partials, stats) = campaign.run_shard(&registry, 2, 2, None).unwrap();
+        let (partials, stats) = run_window(&campaign, &registry, 2..2).unwrap();
         assert!(partials.is_empty());
         assert_eq!(stats.chunks, 0);
 
         // A single-chunk window produces exactly one partial with the
         // chunk's runs.
-        let (partials, _) = campaign.run_shard(&registry, 1, 2, None).unwrap();
+        let (partials, _) = run_window(&campaign, &registry, 1..2).unwrap();
         assert_eq!(partials.len(), 1);
         let runs: u64 = partials[0].points.values().map(|p| p.runs).sum();
         assert_eq!(runs, 4);
 
         // The ragged final chunk holds only the tail runs.
-        let (partials, _) = campaign.run_shard(&registry, chunks - 1, chunks, None).unwrap();
+        let (partials, _) = run_window(&campaign, &registry, chunks - 1..chunks).unwrap();
         let runs: u64 = partials[0].points.values().map(|p| p.runs).sum();
         assert_eq!(runs, 22 - 4 * (chunks as u64 - 1));
 
         // Bounds outside the canonical range are refused up front.
-        assert!(campaign.run_shard(&registry, 3, 2, None).unwrap_err().contains("shard window"));
-        assert!(campaign
-            .run_shard(&registry, 0, chunks + 1, None)
+        // (A struct literal: a reversed `3..2` literal reads like a typo.)
+        let reversed = Range { start: 3, end: 2 };
+        assert!(run_window(&campaign, &registry, reversed).unwrap_err().contains("shard window"));
+        assert!(run_window(&campaign, &registry, 0..chunks + 1)
             .unwrap_err()
             .contains("shard window"));
     }
@@ -2022,8 +1975,8 @@ mod tests {
         let reference = campaign.run(&registry).unwrap();
 
         // Shard split at chunk 6 == cadence 3 × 2 checkpoint boundary.
-        let (mut left, _) = campaign.run_shard(&registry, 0, 6, None).unwrap();
-        let (right, _) = campaign.clone().with_threads(3).run_shard(&registry, 6, 9, None).unwrap();
+        let (mut left, _) = run_window(&campaign, &registry, 0..6).unwrap();
+        let (right, _) = run_window(&campaign.clone().with_threads(3), &registry, 6..9).unwrap();
         left.extend(right);
         let merged = campaign.finish_from_chunks(left).unwrap();
         assert_eq!(merged, reference);
@@ -2039,16 +1992,83 @@ mod tests {
         let chunks = campaign.canonical_chunks();
         let reference = campaign.run(&registry).unwrap();
         for boundary in 0..=chunks {
-            let (mut partials, _) = campaign.run_shard(&registry, 0, boundary, None).unwrap();
-            let (tail, _) = campaign
-                .clone()
-                .with_threads(2)
-                .run_shard(&registry, boundary, chunks, None)
-                .unwrap();
+            let (mut partials, _) = run_window(&campaign, &registry, 0..boundary).unwrap();
+            let (tail, _) =
+                run_window(&campaign.clone().with_threads(2), &registry, boundary..chunks).unwrap();
             partials.extend(tail);
             let merged = campaign.finish_from_chunks(partials).unwrap();
             assert_eq!(merged, reference, "boundary {boundary}");
             assert_eq!(merged.to_json(), reference.to_json(), "boundary {boundary}");
         }
+    }
+
+    // ---- Session settings the runner cannot honour --------------------------
+    //
+    // Each conflicting combination is refused before any run executes: every
+    // run of the campaign below panics, so an executed run would surface as
+    // its panic message instead of the refusal.
+
+    /// A campaign of [`Fussy`] runs that all panic, and a checkpointer whose
+    /// manifest does not exist.
+    fn never_run(tag: &str) -> (ScenarioRegistry, Campaign, Checkpointer) {
+        let mut registry = ScenarioRegistry::new();
+        registry.register(Arc::new(Fussy));
+        let campaign = Campaign::new("refused", 1).with_chunk_size(2).entry(
+            CampaignEntry::new("fussy")
+                .grid(ParamGrid::new().axis("explode", [true]))
+                .replications(6),
+        );
+        let path =
+            std::env::temp_dir().join(format!("karyon-refused-{tag}-{}.json", std::process::id()));
+        (registry, campaign, Checkpointer::new(path))
+    }
+
+    /// Unwraps a refusal and checks that no run executed before it.
+    fn refusal(result: Result<(CampaignOutcome, RunnerStats), String>) -> String {
+        let error = result.unwrap_err();
+        assert!(!error.contains("los3"), "a run executed: {error}");
+        error
+    }
+
+    #[test]
+    fn resume_without_a_checkpointer_is_refused() {
+        let (registry, campaign, _) = never_run("resume");
+        let error = refusal(campaign.session(&registry).resume(true).run());
+        assert!(error.contains("needs a checkpointer"), "{error}");
+    }
+
+    #[test]
+    fn a_chunk_window_with_a_checkpointer_is_refused() {
+        let (registry, campaign, ckpt) = never_run("window");
+        let error = refusal(campaign.session(&registry).chunks(0..1).checkpointer(&ckpt).run());
+        assert!(error.contains("chunk window"), "{error}");
+        assert!(!ckpt.path().exists(), "a refused session writes no manifest");
+    }
+
+    #[test]
+    fn a_resumed_chunk_window_is_refused() {
+        let (registry, campaign, ckpt) = never_run("resumed-window");
+        let error = refusal(campaign.session(&registry).chunks(0..1).resume(true).run());
+        assert!(error.contains("needs a checkpointer"), "{error}");
+        let session = campaign.session(&registry).chunks(0..1).checkpointer(&ckpt).resume(true);
+        let error = refusal(session.run());
+        assert!(error.contains("chunk window"), "{error}");
+    }
+
+    #[test]
+    fn a_chunk_window_outside_the_campaign_is_refused() {
+        let (registry, campaign, _) = never_run("bounds");
+        let error = refusal(campaign.session(&registry).chunks(2..4).run());
+        assert!(error.contains("shard window [2, 4)"), "{error}");
+        let reversed = Range { start: 2, end: 1 };
+        let error = refusal(campaign.session(&registry).chunks(reversed).run());
+        assert!(error.contains("shard window [2, 1)"), "{error}");
+    }
+
+    #[test]
+    fn resuming_a_missing_manifest_is_refused() {
+        let (registry, campaign, ckpt) = never_run("missing");
+        let error = refusal(campaign.session(&registry).checkpointer(&ckpt).resume(true).run());
+        assert!(error.contains("cannot read checkpoint manifest"), "{error}");
     }
 }

@@ -7,10 +7,10 @@
 //! fingerprint, a canonical-chunk watermark and the merged per-point
 //! aggregation partials, every `f64` stored as its IEEE-754 bit pattern —
 //! written **atomically** (temp file + rename) so a crash mid-write can
-//! never leave a torn manifest behind.  [`Campaign::resume`] validates the
-//! fingerprint against the (re-built) campaign, restores the
-//! [`CampaignAccumulator`] from the persisted partials, skips every chunk at
-//! or below the watermark and continues with live workers.
+//! never leave a torn manifest behind.  A [resumed](crate::Session::resume)
+//! session validates the fingerprint against the (re-built) campaign,
+//! restores the [`CampaignAccumulator`] from the persisted partials, skips
+//! every chunk at or below the watermark and continues with live workers.
 //!
 //! Because aggregation is canonically chunked (see [`crate::aggregate`]), the
 //! resumed reduction performs the exact same sequence of floating-point
@@ -41,13 +41,13 @@
 //! let registry = builtin_registry();
 //!
 //! // First session: budget of one chunk, then a (simulated) preemption.
-//! let mut ckpt = Checkpointer::new(dir.join("c.ckpt.json")).max_chunks_per_session(1);
-//! let (outcome, _) = campaign.run_checkpointed(&registry, &mut ckpt, None).unwrap();
+//! let ckpt = Checkpointer::new(dir.join("c.ckpt.json")).max_chunks_per_session(1);
+//! let (outcome, _) = campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
 //! assert!(matches!(outcome, CampaignOutcome::Interrupted { chunks_done: 1, .. }));
 //!
 //! // Second session: resume from the manifest and finish.
-//! let mut ckpt = Checkpointer::new(dir.join("c.ckpt.json"));
-//! let (outcome, _) = campaign.resume(&registry, &mut ckpt, None).unwrap();
+//! let ckpt = Checkpointer::new(dir.join("c.ckpt.json"));
+//! let (outcome, _) = campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
 //! let report = outcome.into_report().expect("completed");
 //! assert_eq!(report.total_runs, 12);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -73,8 +73,9 @@ const FRAME_TAG: &str = "karyon-ckpt-frame-v1";
 
 /// Checkpoint policy and manifest location for one campaign session.
 ///
-/// Built fluently and handed to [`Campaign::run_checkpointed`] /
-/// [`Campaign::resume`]:
+/// Built fluently and handed to a session's
+/// [`checkpointer`](crate::Session::checkpointer) setting, which a
+/// [resumed](crate::Session::resume) session also loads its manifest from:
 ///
 /// * [`every_chunks`](Checkpointer::every_chunks) — the write cadence, in
 ///   canonical chunks (default: every chunk).  Each cadence hit serialises

@@ -8,7 +8,7 @@ use karyon_net::{
     PulseSyncConfig, PulseSyncSim, R2TMac, R2TMacConfig, SelfStabTdmaMac, WirelessMedium,
 };
 use karyon_sim::{Rng, SimDuration, SimTime, Vec2};
-use karyon_transport::{LinkConfig, NetTransport, PartitionWindow, SimTransport};
+use karyon_transport::{LinkConfig, PartitionWindow, SimTransport};
 
 use crate::grid::ParamGrid;
 use crate::scenario::{RunRecord, Scenario};
@@ -424,10 +424,9 @@ impl Scenario for EndToEndScenario {
     }
 }
 
-/// The simulated campaign transport fabric under configurable degradation
-/// (ROADMAP item 4, de-risking item 1's distributed sharding): an all-to-all
-/// message workload over [`SimTransport`], measuring what survives per-link
-/// drop/duplication/reordering and an optional mid-run partition.
+/// The simulated transport fabric under configurable degradation: an
+/// all-to-all message workload over [`SimTransport`], measuring what survives
+/// per-link drop/duplication/reordering and an optional mid-run partition.
 ///
 /// Every metric is a pure function of `(seed, params)` — the fabric's
 /// determinism contract — so this family doubles as a campaign-level

@@ -24,7 +24,8 @@
 //! * [`ParamGrid`] — a cartesian parameter grid expanded into parameter
 //!   points;
 //! * [`Campaign`] — expands grids and Monte-Carlo seed sweeps into a
-//!   canonical run list and executes it across `std::thread` workers in
+//!   canonical run list, and a [`Session`] ([`Campaign::session`], the one
+//!   way to run a campaign) executes it across `std::thread` workers in
 //!   **canonical chunks** ([`aggregate`]).  Every run's RNG seed is derived
 //!   from the campaign seed and the run's canonical coordinates
 //!   ([`derive_run_seed`]); each chunk reduces into per-point streaming
@@ -42,7 +43,7 @@
 //!   throughput/latency metrics;
 //! * [`Checkpointer`] / [`CheckpointManifest`] ([`checkpoint`]) — crash-safe
 //!   campaign checkpointing: atomically written manifests at a canonical-chunk
-//!   cadence, [`Campaign::resume`] to continue a killed or
+//!   cadence, a [resumed](Session::resume) session to continue a killed or
 //!   [time-sliced](Checkpointer::max_chunks_per_session) campaign with a
 //!   report **bit-identical** to an uninterrupted run's, and
 //!   [`truncate_jsonl`] to recover the artifact stream after a crash (the
@@ -50,8 +51,8 @@
 //!   parsed via [`Campaign::from_json_str`]);
 //! * [`ShardPlan`] / [`ShardManifest`] ([`shard`]) — the shard/merge
 //!   protocol: split the canonical chunk range into contiguous windows run
-//!   independently (each with its own worker count, via
-//!   [`Campaign::run_shard`]), persist each window's per-chunk partials in an
+//!   independently (each a [chunk window](Session::chunks) with its own
+//!   worker count), persist each window's per-chunk partials in an
 //!   integrity-framed manifest, and [`merge_shards`] the set back into a
 //!   report **byte-identical** to a single-machine run's;
 //! * [`FaultPlan`] / [`FaultInjector`] ([`fault`]) — deterministic fault
@@ -103,7 +104,9 @@ pub mod spec;
 pub mod telemetry;
 
 pub use aggregate::DEFAULT_CHUNK_SIZE;
-pub use campaign::{derive_run_seed, Campaign, CampaignEntry, CampaignOutcome, RunnerStats};
+pub use campaign::{
+    derive_run_seed, Campaign, CampaignEntry, CampaignOutcome, RunnerStats, Session,
+};
 pub use checkpoint::{
     integrity_frame, truncate_jsonl, truncate_trace_jsonl, CheckpointManifest, Checkpointer,
 };

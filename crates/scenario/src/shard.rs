@@ -4,9 +4,9 @@
 //! chunk reduces sequentially in canonical run order, and chunk partials merge
 //! in canonical chunk order — so *any* contiguous window of chunks can execute
 //! on its own machine, with its own worker count, and the global reduction is
-//! reassembled later.  This module is the coordination-free file/dir half of
-//! that protocol (the live [`ShardCoordinator`](../../karyon_transport/index.html)
-//! state machine in `karyon-transport` hands windows out over a network):
+//! reassembled later.  This module is that protocol, coordination-free and
+//! over files in one directory; a [chunk window](crate::Session::chunks)
+//! executes each shard:
 //!
 //! * [`ShardPlan`] — splits the `[0, chunks)` canonical range into
 //!   `shard_count` balanced, contiguous [`ShardSlice`]s;
@@ -213,7 +213,7 @@ pub struct ShardManifest {
 impl ShardManifest {
     /// Builds the manifest of one completed shard session from the campaign
     /// it executed, the slice it covered and the per-chunk partials
-    /// [`Campaign::run_shard`] returned.
+    /// its [chunk window](crate::Session::chunks) returned.
     ///
     /// Errors if the partial count does not match the slice's chunk count —
     /// the caller handed over an incomplete window.
@@ -684,6 +684,16 @@ mod tests {
         std::env::temp_dir().join(format!("karyon-shard-{}-{name}", std::process::id()))
     }
 
+    /// Runs `slice`'s chunk window of `campaign` and returns its partials.
+    fn run_window(
+        campaign: &Campaign,
+        registry: &ScenarioRegistry,
+        slice: &ShardSlice,
+    ) -> Vec<ChunkPartial> {
+        let session = campaign.session(registry).chunks(slice.start_chunk..slice.end_chunk);
+        session.run().unwrap().0.into_partials().unwrap()
+    }
+
     #[test]
     fn plan_splits_the_chunk_range_contiguously_and_balanced() {
         let plan = ShardPlan::new(7, 3);
@@ -721,9 +731,7 @@ mod tests {
         for slice in plan.slices() {
             // Heterogeneous worker counts per shard: determinism must hold.
             let shard_campaign = campaign.clone().with_threads(slice.index + 1);
-            let (partials, _) = shard_campaign
-                .run_shard(&registry, slice.start_chunk, slice.end_chunk, None)
-                .unwrap();
+            let partials = run_window(&shard_campaign, &registry, slice);
             let manifest = ShardManifest::new(&campaign, *slice, partials).unwrap();
 
             // Disk round trip: write, load, and the reload re-renders
@@ -750,8 +758,7 @@ mod tests {
         let campaign = echo_campaign();
         let chunks = campaign.canonical_chunks();
         let window = |slice: ShardSlice| {
-            let (partials, _) =
-                campaign.run_shard(&registry, slice.start_chunk, slice.end_chunk, None).unwrap();
+            let partials = run_window(&campaign, &registry, &slice);
             ShardManifest::new(&campaign, slice, partials).unwrap()
         };
         let pair = |split: usize, count: usize| {
@@ -837,8 +844,7 @@ mod tests {
         let registry = echo_registry();
         let campaign = echo_campaign();
         let slice = ShardPlan::for_campaign(&campaign, 2).slice(0);
-        let (partials, _) =
-            campaign.run_shard(&registry, slice.start_chunk, slice.end_chunk, None).unwrap();
+        let partials = run_window(&campaign, &registry, &slice);
         let manifest = ShardManifest::new(&campaign, slice, partials).unwrap();
         let path = temp_path("corrupt.json");
         manifest.write(&path).unwrap();

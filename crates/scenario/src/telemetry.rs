@@ -3,13 +3,10 @@
 //!
 //! A [`CampaignTelemetry`] bundles the two optional halves of the recorder —
 //! a deterministic virtual-time [`TraceSink`] and a wall-clock
-//! [`MetricsRegistry`] — so the `*_with` campaign entry points
-//! ([`Campaign::run_instrumented_with`](crate::Campaign::run_instrumented_with),
-//! [`Campaign::run_checkpointed_with`](crate::Campaign::run_checkpointed_with),
-//! [`Campaign::resume_with`](crate::Campaign::resume_with)) take one argument
-//! instead of growing two each.  Both halves default to detached, which is
-//! the zero-overhead path: no trace scope is opened around runs and no timer
-//! is sampled.
+//! [`MetricsRegistry`] — into one session setting,
+//! [`Session::telemetry`](crate::Session::telemetry).  Both halves default to
+//! detached, which is the zero-overhead path: no trace scope is opened around
+//! runs and no timer is sampled.
 //!
 //! The two halves deliberately have opposite determinism contracts:
 //!
@@ -43,10 +40,10 @@ pub use karyon_telemetry::{MetricsRegistry, TraceSink};
 /// let mut trace = JsonlTraceWriter::new(Vec::new());
 /// let mut metrics = MetricsRegistry::new();
 /// let telemetry = CampaignTelemetry::none().with_trace(&mut trace).with_metrics(&mut metrics);
-/// let (report, _stats) = campaign
-///     .run_instrumented_with(&builtin_registry(), None, telemetry)
-///     .expect("builtin family");
-/// assert_eq!(report.total_runs, 2);
+/// let registry = builtin_registry();
+/// let (outcome, _stats) =
+///     campaign.session(&registry).telemetry(telemetry).run().expect("builtin family");
+/// assert_eq!(outcome.into_report().unwrap().total_runs, 2);
 /// assert_eq!(metrics.counter("campaign.runs"), 2);
 /// let jsonl = String::from_utf8(trace.into_inner().expect("no I/O error")).unwrap();
 /// assert!(jsonl.lines().all(|line| line.starts_with("{\"run\":")));
@@ -62,8 +59,8 @@ pub struct CampaignTelemetry<'a> {
 }
 
 impl<'a> CampaignTelemetry<'a> {
-    /// A fully detached attachment — the campaign runs exactly as if the
-    /// plain entry points had been called.
+    /// A fully detached attachment — the session runs exactly as a plain
+    /// one does.
     pub fn none() -> Self {
         CampaignTelemetry::default()
     }

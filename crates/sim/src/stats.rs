@@ -7,7 +7,7 @@
 use crate::time::SimTime;
 
 /// Streaming mean / variance / min / max (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -1,29 +1,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Message transport abstraction for the KARYON campaign stack.
+//! The seed-deterministic simulated network fabric behind the
+//! `net-transport` scenario family.
 //!
-//! ROADMAP item 1 wants campaign chunks sharded across real machines; ROADMAP
-//! item 4 wants the failure modes of that protocol explored *before* any real
-//! network code exists.  This crate provides the seam between the two:
-//!
-//! * [`NetTransport`] — the minimal message-passing surface coordinator/worker
-//!   protocols are written against (send bytes, pump the fabric, drain
-//!   deliveries).
-//! * [`LoopbackTransport`] — the production in-process implementation: a
-//!   zero-delay, loss-free FIFO.  What the sharding protocol will run over on
-//!   a single machine.
-//! * [`SimTransport`] — a deterministic simulated fabric driven by the
-//!   virtual-clock [`karyon_sim::Engine`] plus seed-derived entropy.  Per-link
-//!   delay/jitter distributions, drop, duplication, reordering and partition
-//!   schedules are all functions of the construction seed, so any interleaving
-//!   observed under faults is replayable bit-for-bit from that seed — the same
-//!   contract campaign runs already honour.
-//! * [`ShardCoordinator`] ([`coordinator`]) — the shard-handoff state machine
-//!   written against [`NetTransport`]: workers claim shard windows, hold them
-//!   under leases, and report completion; expired leases are reassigned and
-//!   the first completion per shard wins, so the merge log lists every shard
-//!   exactly once even under worker deaths and duplicated messages.
+//! [`SimTransport`] is driven by the virtual-clock [`karyon_sim::Engine`]
+//! plus seed-derived entropy.  Per-link delay/jitter distributions, drop,
+//! duplication, reordering and partition schedules are all functions of the
+//! construction seed, so any interleaving observed under faults is replayable
+//! bit-for-bit from that seed — the same contract campaign runs already
+//! honour.  Nodes send bytes, pump the fabric to a deadline (or drain it) and
+//! receive [`Delivery`]s annotated with their fabric timing.
 //!
 //! # Determinism contract
 //!
@@ -39,12 +26,8 @@ use std::fmt;
 
 use karyon_sim::SimTime;
 
-pub mod coordinator;
-mod loopback;
 mod sim;
 
-pub use coordinator::{MergeRecord, ShardCoordinator, ShardMsg, ShardState};
-pub use loopback::LoopbackTransport;
 pub use sim::{LinkConfig, PartitionWindow, SimNetEvent, SimNetState, SimTransport};
 
 /// Logical address of a node on a transport fabric.
@@ -78,7 +61,7 @@ pub struct Delivery {
 /// construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Messages submitted via [`NetTransport::send`].
+    /// Messages submitted via [`SimTransport::send`].
     pub sent: u64,
     /// Deliveries handed out (duplicates counted individually).
     pub delivered: u64,
@@ -97,29 +80,6 @@ impl TransportStats {
     pub fn lost(&self) -> u64 {
         self.dropped + self.partition_dropped
     }
-}
-
-/// Minimal message-passing surface the campaign stack programs against.
-///
-/// Implementations own their notion of time: the simulated fabric advances a
-/// virtual clock, the loopback fabric delivers instantly at a frozen clock.
-pub trait NetTransport {
-    /// Submits `payload` from `src` to `dst` at the current fabric time.
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>);
-
-    /// Advances the fabric to `deadline` and returns everything delivered up
-    /// to (and including) that instant, in delivery order.
-    fn advance_to(&mut self, deadline: SimTime) -> Vec<Delivery>;
-
-    /// Runs the fabric until nothing is in flight and returns the remaining
-    /// deliveries in delivery order.
-    fn drain(&mut self) -> Vec<Delivery>;
-
-    /// Current fabric time.
-    fn now(&self) -> SimTime;
-
-    /// Counters accumulated since construction.
-    fn stats(&self) -> TransportStats;
 }
 
 /// Directed link identifier used by per-link configuration and entropy.

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use karyon_sim::{splitmix64, Engine, Rng, SimDuration, SimTime};
 
-use crate::{link_key, Delivery, LinkKey, NetTransport, NodeId, TransportStats};
+use crate::{link_key, Delivery, LinkKey, NodeId, TransportStats};
 
 /// Per-directed-link delay and fault configuration.
 ///
@@ -203,8 +203,9 @@ impl SimTransport {
     }
 }
 
-impl NetTransport for SimTransport {
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) {
+impl SimTransport {
+    /// Submits `payload` from `src` to `dst` at the current fabric time.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) {
         let now = self.engine.now();
         self.sent += 1;
         if self.partitions.iter().any(|p| p.severs(now, src, dst)) {
@@ -269,19 +270,25 @@ impl NetTransport for SimTransport {
         }
     }
 
-    fn advance_to(&mut self, deadline: SimTime) -> Vec<Delivery> {
+    /// Advances the fabric to `deadline` and returns everything delivered up
+    /// to (and including) that instant, in delivery order.
+    pub fn advance_to(&mut self, deadline: SimTime) -> Vec<Delivery> {
         self.pump(Some(deadline))
     }
 
-    fn drain(&mut self) -> Vec<Delivery> {
+    /// Runs the fabric until nothing is in flight and returns the remaining
+    /// deliveries in delivery order.
+    pub fn drain(&mut self) -> Vec<Delivery> {
         self.pump(None)
     }
 
-    fn now(&self) -> SimTime {
+    /// Current fabric time.
+    pub fn now(&self) -> SimTime {
         self.engine.now()
     }
 
-    fn stats(&self) -> TransportStats {
+    /// Counters accumulated since construction.
+    pub fn stats(&self) -> TransportStats {
         let state = self.engine.state();
         TransportStats {
             sent: self.sent,

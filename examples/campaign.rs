@@ -78,8 +78,10 @@ fn main() {
     let serial_elapsed = t0.elapsed();
     let mut jsonl = JsonlRunWriter::new(Vec::new());
     let t1 = Instant::now();
-    let parallel = campaign.run_with_sink(&registry, &mut jsonl).expect("builtin families");
+    let (outcome, _) =
+        campaign.session(&registry).sink(&mut jsonl).run().expect("builtin families");
     let parallel_elapsed = t1.elapsed();
+    let parallel = outcome.into_report().expect("a plain session completes");
 
     // The determinism contract of the runner: same campaign seed and chunk
     // size ⇒ the same report, bit for bit, regardless of worker count.

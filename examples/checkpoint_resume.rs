@@ -45,9 +45,12 @@ fn main() {
     // The reference: one uninterrupted run, JSONL captured in memory.
     let reference_campaign = build_campaign();
     let mut reference_jsonl = JsonlRunWriter::new(Vec::new());
-    let reference = reference_campaign
-        .run_with_sink(&registry, &mut reference_jsonl)
+    let (outcome, _) = reference_campaign
+        .session(&registry)
+        .sink(&mut reference_jsonl)
+        .run()
         .expect("builtin families");
+    let reference = outcome.into_report().expect("a plain session completes");
     let reference_bytes = reference_jsonl.finish().expect("in-memory writes cannot fail");
     println!(
         "reference: {} runs over {} chunks, uninterrupted\n",
@@ -58,9 +61,9 @@ fn main() {
     // --- Session 1: preempted after 3 chunks. ---------------------------
     let campaign = build_campaign().with_threads(4);
     let mut jsonl = JsonlRunWriter::new(fs::File::create(&jsonl_path).unwrap());
-    let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(3);
-    let (outcome, _) =
-        campaign.run_checkpointed(&registry, &mut ckpt, Some(&mut jsonl)).expect("session 1 runs");
+    let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(3);
+    let session = campaign.session(&registry).checkpointer(&ckpt).sink(&mut jsonl);
+    let (outcome, _) = session.run().expect("session 1 runs");
     let CampaignOutcome::Interrupted { chunks_done, runs_done } = outcome else {
         panic!("session 1 was bounded to 3 chunks");
     };
@@ -77,9 +80,9 @@ fn main() {
     let campaign = build_campaign().with_threads(2);
     let mut jsonl =
         JsonlRunWriter::new(fs::OpenOptions::new().append(true).open(&jsonl_path).unwrap());
-    let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(4);
-    let (outcome, _) =
-        campaign.resume(&registry, &mut ckpt, Some(&mut jsonl)).expect("session 2 resumes");
+    let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(4);
+    let session = campaign.session(&registry).checkpointer(&ckpt).resume(true).sink(&mut jsonl);
+    let (outcome, _) = session.run().expect("session 2 resumes");
     let CampaignOutcome::Interrupted { chunks_done, runs_done } = outcome else {
         panic!("session 2 was bounded to 4 more chunks");
     };
@@ -89,9 +92,9 @@ fn main() {
     let campaign = build_campaign().with_threads(1);
     let mut jsonl =
         JsonlRunWriter::new(fs::OpenOptions::new().append(true).open(&jsonl_path).unwrap());
-    let mut ckpt = Checkpointer::new(&ckpt_path);
-    let (outcome, stats) =
-        campaign.resume(&registry, &mut ckpt, Some(&mut jsonl)).expect("session 3 resumes");
+    let ckpt = Checkpointer::new(&ckpt_path);
+    let session = campaign.session(&registry).checkpointer(&ckpt).resume(true).sink(&mut jsonl);
+    let (outcome, stats) = session.run().expect("session 3 resumes");
     jsonl.finish().expect("stream closes cleanly");
     let resumed = outcome.into_report().expect("session 3 completes");
     println!("session 3 (1 worker): finished the remaining {} chunks\n", stats.chunks);

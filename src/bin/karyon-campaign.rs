@@ -14,8 +14,9 @@
 //! time-sliced campaign from its checkpoint manifest — producing a report
 //! bit-identical to an uninterrupted run — and `report` re-emits a report
 //! without running anything, either by replaying a complete JSONL stream or
-//! by reading a finished checkpoint.  Argument parsing is hand-rolled: the
-//! workspace builds offline and the surface is small.
+//! by reading a finished checkpoint.  Argument parsing is hand-rolled over one
+//! flag table ([`FLAGS`]): the workspace builds offline and the surface is
+//! small.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -110,7 +111,9 @@ USAGE:
                                                      (json: parameter names, types, domains)
     karyon-campaign help                             show this help
 
-OPTIONS:
+OPTIONS (run takes all of these and resume all but --force; report takes --jsonl,
+--checkpoint, --output, --metric and --quiet; a flag a subcommand does not take is a
+usage error):
     --jsonl <path>        stream one JSON line per run (run: append & continue the stream)
     --checkpoint <path>   write crash-safe checkpoint manifests (resume/report: read them)
     --checkpoint-every <chunks>   manifest cadence in canonical chunks   [default: 1]
@@ -178,26 +181,63 @@ SPEC FILE:
     history at a fixed spec (seed, chunk_size, entries).
 ";
 
-/// Everything the three report-producing subcommands share.
-struct CommonArgs {
+/// The subcommands that take a spec file and [`FLAGS`].
+const COMMANDS: [&str; 6] = ["run", "resume", "report", "chaos", "shard", "merge"];
+
+/// The flag table: every flag of every [`COMMANDS`] subcommand, declared once
+/// as (flag, takes a value, the subcommands that accept it).  A flag outside
+/// its row's subcommands is a usage error.
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    ("--jsonl", true, &["run", "resume", "report", "merge"]),
+    ("--checkpoint", true, &["run", "resume", "report"]),
+    ("--checkpoint-every", true, &["run", "resume"]),
+    ("--max-chunks", true, &["run", "resume"]),
+    ("--threads", true, &["run", "resume", "chaos", "shard"]),
+    ("--output", true, &["run", "resume", "report", "chaos", "merge"]),
+    ("--metric", true, &["run", "resume", "report", "merge"]),
+    ("--trace-dir", true, &["run", "resume", "merge"]),
+    ("--metrics", true, &["run", "resume"]),
+    ("--quiet", false, &COMMANDS),
+    ("--force", false, &["run"]),
+    ("--fault-plan", true, &["run", "resume", "chaos", "shard"]),
+    ("--fault-seed", true, &["chaos"]),
+    ("--max-sessions", true, &["chaos"]),
+    ("--dir", true, &["chaos", "shard", "merge"]),
+    ("--index", true, &["shard"]),
+    ("--of", true, &["shard"]),
+    ("--trace", false, &["shard"]),
+];
+
+/// A parsed command line of one [`COMMANDS`] subcommand.
+#[derive(Debug, Default)]
+struct Args {
     spec_path: String,
     jsonl: Option<String>,
     checkpoint: Option<String>,
-    checkpoint_every: usize,
+    checkpoint_every: Option<usize>,
     max_chunks: Option<usize>,
     threads: Option<usize>,
     output: OutputMode,
+    /// `--metric`: the per-point metric tables to render.
     metrics: Vec<String>,
     trace_dir: Option<String>,
+    /// `--metrics`: where to write the runner metrics snapshot.
     metrics_path: Option<String>,
     quiet: bool,
     force: bool,
     fault_plan: Option<String>,
+    fault_seed: Option<u64>,
+    max_sessions: Option<usize>,
+    dir: Option<String>,
+    index: Option<usize>,
+    of: Option<usize>,
+    trace: bool,
 }
 
-#[derive(Debug, PartialEq, Clone, Copy)]
+#[derive(Debug, Default, PartialEq, Clone, Copy)]
 enum OutputMode {
     Json,
+    #[default]
     Table,
     Both,
 }
@@ -206,12 +246,16 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str);
     let result: Result<(), CliError> = match command {
-        Some("run") => parse_common(&args[1..]).map_err(usage).and_then(|a| cmd_run(a, false)),
-        Some("resume") => parse_common(&args[1..]).map_err(usage).and_then(|a| cmd_run(a, true)),
-        Some("report") => parse_common(&args[1..]).map_err(usage).and_then(cmd_report),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("shard") => parse_shard(&args[1..]).map_err(usage).and_then(cmd_shard),
-        Some("merge") => parse_merge(&args[1..]).map_err(usage).and_then(cmd_merge),
+        Some(command) if COMMANDS.contains(&command) => {
+            parse(command, &args[1..]).map_err(usage).and_then(|args| match command {
+                "run" => cmd_run(args, false),
+                "resume" => cmd_run(args, true),
+                "report" => cmd_report(args),
+                "chaos" => cmd_chaos(args),
+                "shard" => cmd_shard(args),
+                _ => cmd_merge(args),
+            })
+        }
         Some("list-families") => cmd_list_families(&args[1..]).map_err(usage),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
@@ -234,44 +278,77 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_common(args: &[String]) -> Result<CommonArgs, String> {
+/// Parses the arguments after `command` against [`FLAGS`], then checks the
+/// flags `chaos`, `shard` and `merge` cannot run without.
+fn parse(command: &str, args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
     let mut spec_path = None;
-    let mut parsed = CommonArgs {
-        spec_path: String::new(),
-        jsonl: None,
-        checkpoint: None,
-        checkpoint_every: 1,
-        max_chunks: None,
-        threads: None,
-        output: OutputMode::Table,
-        metrics: Vec::new(),
-        trace_dir: None,
-        metrics_path: None,
-        quiet: false,
-        force: false,
-        fault_plan: None,
-    };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value_of =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--jsonl" => parsed.jsonl = Some(value_of("--jsonl")?),
-            "--checkpoint" => parsed.checkpoint = Some(value_of("--checkpoint")?),
-            "--checkpoint-every" => {
-                parsed.checkpoint_every =
-                    parse_count("--checkpoint-every", &value_of("--checkpoint-every")?)?
+        if !arg.starts_with('-') {
+            if spec_path.replace(arg.clone()).is_some() {
+                return Err(format!("unexpected extra argument {arg:?}"));
             }
-            "--max-chunks" => {
-                parsed.max_chunks = Some(parse_count("--max-chunks", &value_of("--max-chunks")?)?)
+            continue;
+        }
+        let &(flag, takes_value, commands) = FLAGS
+            .iter()
+            .find(|(flag, ..)| flag == arg)
+            .ok_or_else(|| format!("unknown option {arg:?}"))?;
+        if !commands.contains(&command) {
+            return Err(format!(
+                "{flag} does not apply to `{command}` (it applies to: {})",
+                commands.join(", ")
+            ));
+        }
+        let value = match takes_value {
+            true => iter.next().ok_or_else(|| format!("{flag} needs a value"))?.as_str(),
+            false => "",
+        };
+        parsed.set(flag, value)?;
+    }
+    parsed.spec_path = spec_path.ok_or("missing the <spec.json> argument")?;
+    let required = |present: bool, what: &str| match present {
+        true => Ok(()),
+        false => Err(format!("{command} needs {what}")),
+    };
+    match command {
+        "chaos" => {
+            required(parsed.dir.is_some(), "--dir <dir> (where its checkpoint and stream live)")?;
+            if parsed.fault_plan.is_some() == parsed.fault_seed.is_some() {
+                return Err("chaos needs exactly one of --fault-plan <file> or --fault-seed <n>"
+                    .to_string());
             }
-            "--threads" => {
-                let raw = value_of("--threads")?;
-                parsed.threads =
-                    Some(raw.parse().map_err(|_| format!("--threads: {raw:?} is not an integer"))?)
+        }
+        "shard" => {
+            required(parsed.dir.is_some(), "--dir <dir> (where the shard artifacts live)")?;
+            required(parsed.index.is_some(), "--index <i> (this session's shard, 0-based)")?;
+            required(parsed.of.is_some(), "--of <n> (the total shard count)")?;
+            if let (Some(index), Some(of)) = (parsed.index, parsed.of) {
+                if index >= of {
+                    return Err(format!(
+                        "--index {index} is out of range for --of {of} (indices are 0-based)"
+                    ));
+                }
             }
+        }
+        "merge" => required(parsed.dir.is_some(), "--dir <dir> (the shard directory to collect)")?,
+        _ => {}
+    }
+    Ok(parsed)
+}
+
+impl Args {
+    /// Stores the value of one [`FLAGS`] row.
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        match flag {
+            "--jsonl" => self.jsonl = Some(value.to_string()),
+            "--checkpoint" => self.checkpoint = Some(value.to_string()),
+            "--checkpoint-every" => self.checkpoint_every = Some(parse_count(flag, value)?),
+            "--max-chunks" => self.max_chunks = Some(parse_count(flag, value)?),
+            "--threads" => self.threads = Some(parse_integer(flag, value)?),
             "--output" => {
-                parsed.output = match value_of("--output")?.as_str() {
+                self.output = match value {
                     "json" => OutputMode::Json,
                     "table" => OutputMode::Table,
                     "both" => OutputMode::Both,
@@ -280,22 +357,26 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, String> {
                     }
                 }
             }
-            "--metric" => parsed.metrics.push(value_of("--metric")?),
-            "--trace-dir" => parsed.trace_dir = Some(value_of("--trace-dir")?),
-            "--metrics" => parsed.metrics_path = Some(value_of("--metrics")?),
-            "--quiet" => parsed.quiet = true,
-            "--force" => parsed.force = true,
-            "--fault-plan" => parsed.fault_plan = Some(value_of("--fault-plan")?),
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            positional => {
-                if spec_path.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected extra argument {positional:?}"));
-                }
-            }
+            "--metric" => self.metrics.push(value.to_string()),
+            "--trace-dir" => self.trace_dir = Some(value.to_string()),
+            "--metrics" => self.metrics_path = Some(value.to_string()),
+            "--quiet" => self.quiet = true,
+            "--force" => self.force = true,
+            "--fault-plan" => self.fault_plan = Some(value.to_string()),
+            "--fault-seed" => self.fault_seed = Some(parse_integer(flag, value)?),
+            "--max-sessions" => self.max_sessions = Some(parse_count(flag, value)?),
+            "--dir" => self.dir = Some(value.to_string()),
+            "--index" => self.index = Some(parse_integer(flag, value)?),
+            "--of" => self.of = Some(parse_count(flag, value)?),
+            "--trace" => self.trace = true,
+            other => unreachable!("{other} has a FLAGS row but no value to set"),
         }
+        Ok(())
     }
-    parsed.spec_path = spec_path.ok_or("missing the <spec.json> argument")?;
-    Ok(parsed)
+}
+
+fn parse_integer<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| format!("{flag}: {raw:?} is not an integer"))
 }
 
 fn parse_count(flag: &str, raw: &str) -> Result<usize, String> {
@@ -404,17 +485,7 @@ impl<W: std::io::Write> RunSink for ProgressSink<W> {
 }
 
 /// `run` and `resume`: execute (the rest of) a campaign.
-fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
-    let campaign = load_campaign(&args.spec_path, args.threads)?;
-    let registry = builtin_registry();
-    validate_families(&campaign, &registry)?;
-    let total = campaign.run_count();
-
-    if resuming && args.force {
-        return Err(usage(
-            "--force only applies to `run` (resume continues progress, it never discards any)",
-        ));
-    }
+fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
     if resuming && args.checkpoint.is_none() {
         return Err(usage("resume needs --checkpoint <path> (the manifest to continue from)"));
     }
@@ -423,12 +494,22 @@ fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
             "--max-chunks only makes sense with --checkpoint (the slice must be resumable)",
         ));
     }
+    if args.checkpoint_every.is_some() && args.checkpoint.is_none() {
+        return Err(usage(
+            "--checkpoint-every on `run` only makes sense with --checkpoint (it sets the \
+             manifests' cadence)",
+        ));
+    }
     if args.fault_plan.is_some() && args.checkpoint.is_none() {
         return Err(usage(
             "--fault-plan needs --checkpoint (recovering from an injected fault needs a manifest \
              to resume from)",
         ));
     }
+    let campaign = load_campaign(&args.spec_path, args.threads)?;
+    let registry = builtin_registry();
+    validate_families(&campaign, &registry)?;
+    let total = campaign.run_count();
     let injector = args.fault_plan.as_ref().map(|path| load_fault_plan(path)).transpose()?;
 
     // `run` starts from scratch: it truncates --jsonl and overwrites
@@ -467,8 +548,8 @@ fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
         }
     }
 
-    let mut checkpointer = args.checkpoint.as_ref().map(|path| {
-        let mut c = Checkpointer::new(path).every_chunks(args.checkpoint_every);
+    let checkpointer = args.checkpoint.as_ref().map(|path| {
+        let mut c = Checkpointer::new(path).every_chunks(args.checkpoint_every.unwrap_or(1));
         if let Some(max) = args.max_chunks {
             c = c.max_chunks_per_session(max);
         }
@@ -478,7 +559,7 @@ fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
     // Resume: learn the watermark first, then cut the JSONL stream back to
     // exactly the checkpointed runs and append to it.  The fingerprint is
     // checked *before* the stream is touched — truncating a stream that does
-    // not belong to this manifest would destroy data `Campaign::resume`
+    // not belong to this manifest would destroy data the resumed session
     // would then refuse to continue anyway.
     let mut offset = 0u64;
     if resuming {
@@ -566,29 +647,15 @@ fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
         if let Some(metrics) = metrics.as_mut() {
             telemetry = telemetry.with_metrics(metrics);
         }
-        match (&mut checkpointer, resuming, injector.as_ref()) {
-            (Some(ckpt), true, None) => {
-                campaign.resume_with(&registry, ckpt, Some(&mut progress), telemetry)?
-            }
-            (Some(ckpt), false, None) => {
-                campaign.run_checkpointed_with(&registry, ckpt, Some(&mut progress), telemetry)?
-            }
-            (Some(ckpt), true, Some(faults)) => {
-                campaign.resume_chaos(&registry, ckpt, Some(&mut progress), telemetry, faults)?
-            }
-            (Some(ckpt), false, Some(faults)) => campaign.run_checkpointed_chaos(
-                &registry,
-                ckpt,
-                Some(&mut progress),
-                telemetry,
-                faults,
-            )?,
-            (None, _, _) => {
-                let (report, stats) =
-                    campaign.run_instrumented_with(&registry, Some(&mut progress), telemetry)?;
-                (CampaignOutcome::Complete(report), stats)
-            }
+        let mut session =
+            campaign.session(&registry).sink(&mut progress).telemetry(telemetry).resume(resuming);
+        if let Some(ckpt) = &checkpointer {
+            session = session.checkpointer(ckpt);
         }
+        if let Some(faults) = &injector {
+            session = session.faults(faults);
+        }
+        session.run()?
     };
     progress.finish_line();
     if let Some(jsonl) = progress.jsonl.take() {
@@ -620,19 +687,14 @@ fn cmd_run(args: CommonArgs, resuming: bool) -> Result<(), CliError> {
             }
             Ok(())
         }
+        CampaignOutcome::Window(_) => unreachable!("run and resume set no chunk window"),
     }
 }
 
 /// `report`: re-emit a report without executing any run — from a complete
 /// JSONL stream (canonical replay) or a finished checkpoint manifest.
-fn cmd_report(args: CommonArgs) -> Result<(), CliError> {
-    if args.force {
-        return Err(usage("--force only applies to `run` (report never writes anything)"));
-    }
-    if args.fault_plan.is_some() {
-        return Err(usage("--fault-plan only applies to run/resume (report never executes runs)"));
-    }
-    let campaign = load_campaign(&args.spec_path, args.threads)?;
+fn cmd_report(args: Args) -> Result<(), CliError> {
+    let campaign = load_campaign(&args.spec_path, None)?;
     let registry = builtin_registry();
     validate_families(&campaign, &registry)?;
     match (&args.jsonl, &args.checkpoint) {
@@ -647,7 +709,7 @@ fn cmd_report(args: CommonArgs) -> Result<(), CliError> {
             // `report` must never execute runs: only a *finished* manifest
             // (watermark == chunk count) can be replayed.  An unfinished one
             // is an error naming the watermark, pointing at `resume`.
-            let mut ckpt = Checkpointer::new(ckpt_path);
+            let ckpt = Checkpointer::new(ckpt_path);
             let manifest = ckpt.load()?;
             let chunks = campaign.canonical_chunks();
             if manifest.fingerprint == campaign.fingerprint() && manifest.chunks_done < chunks {
@@ -662,11 +724,9 @@ fn cmd_report(args: CommonArgs) -> Result<(), CliError> {
             }
             // A finished manifest replays instantly through resume: zero
             // chunks remain, so no run executes and no manifest is written.
-            let (outcome, _) = campaign.resume(&registry, &mut ckpt, None)?;
-            match outcome {
-                CampaignOutcome::Complete(report) => Ok(render(&args, &report)?),
-                CampaignOutcome::Interrupted { .. } => unreachable!("zero chunks remain"),
-            }
+            let (outcome, _) =
+                campaign.session(&registry).checkpointer(&ckpt).resume(true).run()?;
+            Ok(render(&args, &outcome.into_report().expect("zero chunks remain"))?)
         }
         _ => Err(usage(
             "report needs exactly one source: --jsonl <stream> (replay) or \
@@ -675,104 +735,14 @@ fn cmd_report(args: CommonArgs) -> Result<(), CliError> {
     }
 }
 
-/// What `karyon-campaign chaos` parses for itself.  The chaos harness owns
-/// its artifact paths (under `--dir`), so the run/resume stream flags are
-/// deliberately absent.
-struct ChaosArgs {
-    spec_path: String,
-    dir: String,
-    fault_plan: Option<String>,
-    fault_seed: Option<u64>,
-    max_sessions: usize,
-    threads: Option<usize>,
-    output: OutputMode,
-    quiet: bool,
-}
-
-fn parse_chaos(args: &[String]) -> Result<ChaosArgs, String> {
-    let mut spec_path = None;
-    let mut parsed = ChaosArgs {
-        spec_path: String::new(),
-        dir: String::new(),
-        fault_plan: None,
-        fault_seed: None,
-        max_sessions: 16,
-        threads: None,
-        output: OutputMode::Table,
-        quiet: false,
-    };
-    let mut dir = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--dir" => dir = Some(value_of("--dir")?),
-            "--fault-plan" => parsed.fault_plan = Some(value_of("--fault-plan")?),
-            "--fault-seed" => {
-                let raw = value_of("--fault-seed")?;
-                parsed.fault_seed = Some(
-                    raw.parse().map_err(|_| format!("--fault-seed: {raw:?} is not an integer"))?,
-                );
-            }
-            "--max-sessions" => {
-                parsed.max_sessions = parse_count("--max-sessions", &value_of("--max-sessions")?)?
-            }
-            "--threads" => {
-                let raw = value_of("--threads")?;
-                parsed.threads =
-                    Some(raw.parse().map_err(|_| format!("--threads: {raw:?} is not an integer"))?)
-            }
-            "--output" => {
-                parsed.output = match value_of("--output")?.as_str() {
-                    "json" => OutputMode::Json,
-                    "table" => OutputMode::Table,
-                    "both" => OutputMode::Both,
-                    other => {
-                        return Err(format!("--output must be json, table or both, not {other:?}"))
-                    }
-                }
-            }
-            "--quiet" => parsed.quiet = true,
-            flag @ ("--checkpoint" | "--jsonl" | "--trace-dir" | "--metrics") => {
-                return Err(format!(
-                    "{flag} does not apply to `chaos` — the harness manages its own checkpoint \
-                     and JSONL stream under --dir"
-                ));
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            positional => {
-                if spec_path.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected extra argument {positional:?}"));
-                }
-            }
-        }
-    }
-    parsed.spec_path = spec_path.ok_or("missing the <spec.json> argument")?;
-    parsed.dir = dir.ok_or("chaos needs --dir <dir> (where its checkpoint and stream live)")?;
-    if parsed.fault_plan.is_some() == parsed.fault_seed.is_some() {
-        return Err(
-            "chaos needs exactly one of --fault-plan <file> or --fault-seed <n>".to_string()
-        );
-    }
-    Ok(parsed)
-}
-
 /// `chaos`: the self-verifying crash-test loop.  Computes a fault-free
 /// reference in memory, then runs the same campaign on disk under an armed
 /// [`FaultInjector`], recovering after every injected crash — a fresh
 /// "session" per recovery, exactly like a supervisor restarting a killed
 /// process — and finally asserts the recovered report and JSONL stream are
 /// **byte-identical** to the reference.
-fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
-    let args = parse_chaos(raw_args).map_err(usage)?;
-    let text = std::fs::read_to_string(&args.spec_path)
-        .map_err(|e| CliError::from(format!("cannot read spec {:?}: {e}", args.spec_path)))?;
-    let mut campaign = Campaign::from_json_str(&text)
-        .map_err(|e| CliError::from(format!("spec {:?}: {e}", args.spec_path)))?;
-    if let Some(threads) = args.threads {
-        campaign = campaign.with_threads(threads);
-    }
+fn cmd_chaos(args: Args) -> Result<(), CliError> {
+    let campaign = load_campaign(&args.spec_path, args.threads)?;
     let registry = builtin_registry();
     validate_families(&campaign, &registry)?;
 
@@ -784,7 +754,7 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::from(format!("fault plan {path:?}: {e}")))?
         }
         (None, Some(seed)) => FaultPlan::derive(seed, campaign.canonical_chunks()),
-        _ => unreachable!("parse_chaos enforces exactly one source"),
+        _ => unreachable!("parse enforces exactly one source"),
     };
     if plan.is_empty() {
         return Err(usage("the fault plan holds no faults — nothing to chaos-test"));
@@ -793,18 +763,16 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
     // The fault-free reference, entirely in memory: the ground truth every
     // recovered artifact must reproduce byte for byte.
     let mut reference_sink = JsonlRunWriter::new(Vec::new());
-    let (reference, _) = campaign.run_instrumented_with(
-        &registry,
-        Some(&mut reference_sink),
-        CampaignTelemetry::none(),
-    )?;
+    let (outcome, _) = campaign.session(&registry).sink(&mut reference_sink).run()?;
+    let reference = outcome.into_report().expect("a plain session completes");
     let reference_jsonl = reference_sink
         .finish()
         .map_err(|e| CliError::from(format!("collecting the reference stream: {e}")))?;
 
-    std::fs::create_dir_all(&args.dir)
-        .map_err(|e| CliError::from(format!("cannot create --dir {:?}: {e}", args.dir)))?;
-    let dir = std::path::Path::new(&args.dir);
+    let dir = args.dir.as_deref().expect("parse requires --dir");
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::from(format!("cannot create --dir {dir:?}: {e}")))?;
+    let dir = std::path::Path::new(dir);
     let ckpt_path = dir.join(format!("{}.chaos.ckpt.json", campaign.name()));
     let jsonl_path = dir.join(format!("{}.chaos.runs.jsonl", campaign.name()));
     // Stale artifacts from an earlier chaos invocation would poison the
@@ -813,13 +781,13 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
     std::fs::remove_file(&jsonl_path).ok();
 
     let injector = plan.injector();
+    let max_sessions = args.max_sessions.unwrap_or(16);
     let mut sessions = 0usize;
     let report = loop {
-        if sessions >= args.max_sessions {
+        if sessions >= max_sessions {
             return Err(CliError::from(format!(
-                "chaos did not recover to completion within --max-sessions {} (faults injected \
-                 so far: {})",
-                args.max_sessions,
+                "chaos did not recover to completion within --max-sessions {max_sessions} (faults \
+                 injected so far: {})",
                 injector.injected(),
             )));
         }
@@ -857,25 +825,9 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
             .open(&jsonl_path)
             .map_err(|e| format!("cannot open JSONL stream {jsonl_path:?}: {e}"))?;
         let mut sink = JsonlRunWriter::new(SyncOnFlushFile::new(file));
-        let mut ckpt = Checkpointer::new(&ckpt_path);
-        let result = if resuming {
-            campaign.resume_chaos(
-                &registry,
-                &mut ckpt,
-                Some(&mut sink),
-                CampaignTelemetry::none(),
-                &injector,
-            )
-        } else {
-            campaign.run_checkpointed_chaos(
-                &registry,
-                &mut ckpt,
-                Some(&mut sink),
-                CampaignTelemetry::none(),
-                &injector,
-            )
-        };
-        match result {
+        let ckpt = Checkpointer::new(&ckpt_path);
+        let session = campaign.session(&registry).checkpointer(&ckpt).resume(resuming);
+        match session.sink(&mut sink).faults(&injector).run() {
             Ok((CampaignOutcome::Complete(report), _)) => {
                 sink.finish().map_err(|e| format!("finishing the JSONL stream: {e}"))?;
                 break report;
@@ -885,6 +837,7 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
                     eprintln!("chaos session {sessions}: interrupted at {runs_done} runs");
                 }
             }
+            Ok((CampaignOutcome::Window(_), _)) => unreachable!("chaos sets no chunk window"),
             Err(message) if is_injected(&message) => {
                 if !args.quiet {
                     eprintln!("chaos session {sessions}: {message}");
@@ -924,158 +877,7 @@ fn cmd_chaos(raw_args: &[String]) -> Result<(), CliError> {
             injector.injected(),
         );
     }
-    let render_args = CommonArgs {
-        spec_path: args.spec_path,
-        jsonl: None,
-        checkpoint: None,
-        checkpoint_every: 1,
-        max_chunks: None,
-        threads: args.threads,
-        output: args.output,
-        metrics: Vec::new(),
-        trace_dir: None,
-        metrics_path: None,
-        quiet: args.quiet,
-        force: false,
-        fault_plan: None,
-    };
-    Ok(render(&render_args, &report)?)
-}
-
-/// What `karyon-campaign shard` parses: which window of which plan to run,
-/// and where the shard artifacts live.
-#[derive(Debug)]
-struct ShardArgs {
-    spec_path: String,
-    dir: String,
-    index: usize,
-    of: usize,
-    threads: Option<usize>,
-    trace: bool,
-    fault_plan: Option<String>,
-    quiet: bool,
-}
-
-fn parse_shard(args: &[String]) -> Result<ShardArgs, String> {
-    let mut spec_path = None;
-    let mut dir = None;
-    let mut index = None;
-    let mut of = None;
-    let mut parsed = ShardArgs {
-        spec_path: String::new(),
-        dir: String::new(),
-        index: 0,
-        of: 0,
-        threads: None,
-        trace: false,
-        fault_plan: None,
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--dir" => dir = Some(value_of("--dir")?),
-            "--index" => {
-                let raw = value_of("--index")?;
-                index = Some(
-                    raw.parse::<usize>()
-                        .map_err(|_| format!("--index: {raw:?} is not an integer"))?,
-                );
-            }
-            "--of" => of = Some(parse_count("--of", &value_of("--of")?)?),
-            "--threads" => {
-                let raw = value_of("--threads")?;
-                parsed.threads =
-                    Some(raw.parse().map_err(|_| format!("--threads: {raw:?} is not an integer"))?)
-            }
-            "--trace" => parsed.trace = true,
-            "--fault-plan" => parsed.fault_plan = Some(value_of("--fault-plan")?),
-            "--quiet" => parsed.quiet = true,
-            flag @ ("--checkpoint" | "--jsonl" | "--trace-dir") => {
-                return Err(format!(
-                    "{flag} does not apply to `shard` — a shard owns its artifact paths under \
-                     --dir (the shard itself is the unit of retry, no checkpoint needed)"
-                ));
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            positional => {
-                if spec_path.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected extra argument {positional:?}"));
-                }
-            }
-        }
-    }
-    parsed.spec_path = spec_path.ok_or("missing the <spec.json> argument")?;
-    parsed.dir = dir.ok_or("shard needs --dir <dir> (where the shard artifacts live)")?;
-    parsed.index = index.ok_or("shard needs --index <i> (this session's shard, 0-based)")?;
-    parsed.of = of.ok_or("shard needs --of <n> (the total shard count)")?;
-    if parsed.index >= parsed.of {
-        return Err(format!(
-            "--index {} is out of range for --of {} (indices are 0-based)",
-            parsed.index, parsed.of
-        ));
-    }
-    Ok(parsed)
-}
-
-/// What `karyon-campaign merge` parses: the shard directory plus the
-/// stitched-output destinations.
-#[derive(Debug)]
-struct MergeArgs {
-    spec_path: String,
-    dir: String,
-    jsonl: Option<String>,
-    trace_dir: Option<String>,
-    output: OutputMode,
-    metrics: Vec<String>,
-    quiet: bool,
-}
-
-fn parse_merge(args: &[String]) -> Result<MergeArgs, String> {
-    let mut spec_path = None;
-    let mut dir = None;
-    let mut parsed = MergeArgs {
-        spec_path: String::new(),
-        dir: String::new(),
-        jsonl: None,
-        trace_dir: None,
-        output: OutputMode::Table,
-        metrics: Vec::new(),
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--dir" => dir = Some(value_of("--dir")?),
-            "--jsonl" => parsed.jsonl = Some(value_of("--jsonl")?),
-            "--trace-dir" => parsed.trace_dir = Some(value_of("--trace-dir")?),
-            "--output" => {
-                parsed.output = match value_of("--output")?.as_str() {
-                    "json" => OutputMode::Json,
-                    "table" => OutputMode::Table,
-                    "both" => OutputMode::Both,
-                    other => {
-                        return Err(format!("--output must be json, table or both, not {other:?}"))
-                    }
-                }
-            }
-            "--metric" => parsed.metrics.push(value_of("--metric")?),
-            "--quiet" => parsed.quiet = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            positional => {
-                if spec_path.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected extra argument {positional:?}"));
-                }
-            }
-        }
-    }
-    parsed.spec_path = spec_path.ok_or("missing the <spec.json> argument")?;
-    parsed.dir = dir.ok_or("merge needs --dir <dir> (the shard directory to collect)")?;
-    Ok(parsed)
+    Ok(render(&args, &report)?)
 }
 
 /// The canonical shard artifact path: `<dir>/<campaign>.shard-<i>-of-<n>.<ext>`.
@@ -1091,22 +893,25 @@ fn shard_path(dir: &str, campaign: &str, index: usize, of: usize, ext: &str) -> 
 /// crash, or an injected fault under `--fault-plan`) leaves no manifest
 /// behind, and rerunning the same `shard` invocation replaces the torn
 /// segments wholesale — the shard is the unit of retry.
-fn cmd_shard(args: ShardArgs) -> Result<(), CliError> {
+fn cmd_shard(args: Args) -> Result<(), CliError> {
     let campaign = load_campaign(&args.spec_path, args.threads)?;
     let registry = builtin_registry();
     validate_families(&campaign, &registry)?;
     let injector = args.fault_plan.as_ref().map(|path| load_fault_plan(path)).transpose()?;
 
-    let plan = ShardPlan::for_campaign(&campaign, args.of);
-    let slice = plan.slice(args.index);
+    let (dir, index, of) = match (&args.dir, args.index, args.of) {
+        (Some(dir), Some(index), Some(of)) => (dir.as_str(), index, of),
+        _ => unreachable!("parse requires --dir, --index and --of"),
+    };
+    let plan = ShardPlan::for_campaign(&campaign, of);
+    let slice = plan.slice(index);
     let (start_run, end_run) = slice.run_range(campaign.chunk_size(), campaign.run_count());
 
-    std::fs::create_dir_all(&args.dir)
-        .map_err(|e| CliError::from(format!("cannot create --dir {:?}: {e}", args.dir)))?;
-    let manifest_path =
-        shard_path(&args.dir, campaign.name(), args.index, args.of, "manifest.json");
-    let jsonl_path = shard_path(&args.dir, campaign.name(), args.index, args.of, "jsonl");
-    let trace_seg_path = shard_path(&args.dir, campaign.name(), args.index, args.of, "trace.jsonl");
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::from(format!("cannot create --dir {dir:?}: {e}")))?;
+    let manifest_path = shard_path(dir, campaign.name(), index, of, "manifest.json");
+    let jsonl_path = shard_path(dir, campaign.name(), index, of, "jsonl");
+    let trace_seg_path = shard_path(dir, campaign.name(), index, of, "trace.jsonl");
     // Drop any earlier manifest *before* running: if this attempt dies
     // mid-window it must not leave a stale manifest pointing at freshly
     // truncated segments — manifest present must always mean segments
@@ -1127,20 +932,20 @@ fn cmd_shard(args: ShardArgs) -> Result<(), CliError> {
 
     let mut progress = ProgressSink::new(Some(jsonl), start_run, campaign.run_count(), args.quiet);
     let started = std::time::Instant::now();
-    let (partials, stats) = {
+    let (outcome, stats) = {
         let mut telemetry = CampaignTelemetry::none();
         if let Some(trace) = trace.as_mut() {
             telemetry = telemetry.with_trace(trace);
         }
-        campaign.run_shard_with(
-            &registry,
-            slice.start_chunk,
-            slice.end_chunk,
-            Some(&mut progress),
-            telemetry,
-            injector.as_ref(),
-        )?
+        let window = slice.start_chunk..slice.end_chunk;
+        let mut session =
+            campaign.session(&registry).chunks(window).sink(&mut progress).telemetry(telemetry);
+        if let Some(faults) = &injector {
+            session = session.faults(faults);
+        }
+        session.run()?
     };
+    let partials = outcome.into_partials().expect("a chunk window returns its partials");
     progress.finish_line();
     if let Some(jsonl) = progress.jsonl.take() {
         jsonl.finish().map_err(|e| format!("finishing the JSONL segment: {e}"))?;
@@ -1151,10 +956,8 @@ fn cmd_shard(args: ShardArgs) -> Result<(), CliError> {
     ShardManifest::new(&campaign, slice, partials)?.write(&manifest_path)?;
     if !args.quiet {
         eprintln!(
-            "shard {}/{} of campaign {:?}: chunks [{}, {}) ({} runs, global [{start_run}, \
-             {end_run})) done in {:.2?} on {} workers; manifest {manifest_path:?}",
-            args.index,
-            args.of,
+            "shard {index}/{of} of campaign {:?}: chunks [{}, {}) ({} runs, global \
+             [{start_run}, {end_run})) done in {:.2?} on {} workers; manifest {manifest_path:?}",
             campaign.name(),
             slice.start_chunk,
             slice.end_chunk,
@@ -1204,11 +1007,12 @@ fn load_shard_set(dir: &str, campaign: &Campaign) -> Result<Vec<ShardManifest>, 
 /// segments concatenated in window order, each validated against its global
 /// run range first.  Everything `merge` emits is **byte-identical** to what
 /// one uninterrupted `run` would have produced.
-fn cmd_merge(args: MergeArgs) -> Result<(), CliError> {
+fn cmd_merge(args: Args) -> Result<(), CliError> {
     let campaign = load_campaign(&args.spec_path, None)?;
     let registry = builtin_registry();
     validate_families(&campaign, &registry)?;
-    let mut manifests = load_shard_set(&args.dir, &campaign)?;
+    let dir = args.dir.as_deref().expect("parse requires --dir");
+    let mut manifests = load_shard_set(dir, &campaign)?;
     manifests.sort_by_key(|m| m.start_chunk);
 
     if let Some(out_path) = &args.jsonl {
@@ -1219,7 +1023,7 @@ fn cmd_merge(args: MergeArgs) -> Result<(), CliError> {
                 continue;
             }
             let seg = shard_path(
-                &args.dir,
+                dir,
                 &manifest.campaign,
                 manifest.shard_index,
                 manifest.shard_count,
@@ -1239,7 +1043,7 @@ fn cmd_merge(args: MergeArgs) -> Result<(), CliError> {
                 continue;
             }
             let seg = shard_path(
-                &args.dir,
+                dir,
                 &manifest.campaign,
                 manifest.shard_index,
                 manifest.shard_count,
@@ -1266,22 +1070,7 @@ fn cmd_merge(args: MergeArgs) -> Result<(), CliError> {
             report.suspect_runs(),
         );
     }
-    let render_args = CommonArgs {
-        spec_path: args.spec_path,
-        jsonl: None,
-        checkpoint: None,
-        checkpoint_every: 1,
-        max_chunks: None,
-        threads: None,
-        output: args.output,
-        metrics: args.metrics,
-        trace_dir: None,
-        metrics_path: None,
-        quiet: args.quiet,
-        force: false,
-        fault_plan: None,
-    };
-    Ok(render(&render_args, &report)?)
+    Ok(render(&args, &report)?)
 }
 
 fn cmd_list_families(args: &[String]) -> Result<(), String> {
@@ -1396,7 +1185,7 @@ fn validate_families(campaign: &Campaign, registry: &ScenarioRegistry) -> Result
 fn summarize(
     stats: &RunnerStats,
     elapsed: std::time::Duration,
-    args: &CommonArgs,
+    args: &Args,
     report: &CampaignReport,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<(), String> {
@@ -1416,7 +1205,7 @@ fn summarize(
 
 /// Rendering for the `report` subcommand: no runner existed, so the JSON
 /// output is the plain report (and the table has no runner footer).
-fn render(args: &CommonArgs, report: &CampaignReport) -> Result<(), String> {
+fn render(args: &Args, report: &CampaignReport) -> Result<(), String> {
     render_with(args, report, None, None)
 }
 
@@ -1426,7 +1215,7 @@ fn render(args: &CommonArgs, report: &CampaignReport) -> Result<(), String> {
 /// `report` member bit-identical to the untraced plain report — execution
 /// statistics never leak into the deterministic part.
 fn render_with(
-    args: &CommonArgs,
+    args: &Args,
     report: &CampaignReport,
     runner: Option<&RunnerStats>,
     metrics: Option<&MetricsRegistry>,
@@ -1487,18 +1276,34 @@ fn load_fault_plan(path: &str) -> Result<FaultInjector, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use karyon::scenario::CampaignEntry;
+    use karyon::scenario::aggregate::ChunkPartial;
+    use karyon::scenario::{CampaignEntry, ShardSlice};
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Splits a command line at its spaces.
+    fn words(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_string).collect()
+    }
+
+    /// Runs the chunk window of `slice` and returns its per-chunk partials.
+    fn run_window(
+        campaign: &Campaign,
+        registry: &ScenarioRegistry,
+        slice: &ShardSlice,
+    ) -> Vec<ChunkPartial> {
+        let session = campaign.session(registry).chunks(slice.start_chunk..slice.end_chunk);
+        session.run().unwrap().0.into_partials().unwrap()
+    }
+
     #[test]
     fn parse_shard_and_merge_validate_their_flags() {
         let parsed =
-            parse_shard(&strings(&["spec.json", "--dir", "d", "--index", "0", "--of", "3"]))
+            parse("shard", &strings(&["spec.json", "--dir", "d", "--index", "0", "--of", "3"]))
                 .unwrap();
-        assert_eq!((parsed.index, parsed.of), (0, 3));
+        assert_eq!((parsed.index, parsed.of), (Some(0), Some(3)));
         assert!(!parsed.trace && parsed.fault_plan.is_none());
 
         for (args, needle) in [
@@ -1511,13 +1316,104 @@ mod tests {
                 "does not apply",
             ),
         ] {
-            let err = parse_shard(&strings(&args)).unwrap_err();
+            let err = parse("shard", &strings(&args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
 
-        let parsed = parse_merge(&strings(&["spec.json", "--dir", "d", "--jsonl", "o"])).unwrap();
+        let parsed =
+            parse("merge", &strings(&["spec.json", "--dir", "d", "--jsonl", "o"])).unwrap();
         assert_eq!(parsed.jsonl.as_deref(), Some("o"));
-        assert!(parse_merge(&strings(&["spec.json"])).unwrap_err().contains("--dir"));
+        assert!(parse("merge", &strings(&["spec.json"])).unwrap_err().contains("--dir"));
+    }
+
+    /// Every flag each subcommand took before the flag table still parses
+    /// there, and every table row is covered by these command lines.
+    #[test]
+    fn every_subcommand_still_parses_its_flags() {
+        let lines = [
+            (
+                "run",
+                "s.json --jsonl r.jsonl --checkpoint c.json --checkpoint-every 2 --max-chunks 3 \
+                 --threads 2 --output json --metric m --trace-dir t --metrics m.json --quiet \
+                 --force --fault-plan p.json",
+            ),
+            (
+                "resume",
+                "s.json --jsonl r.jsonl --checkpoint c.json --checkpoint-every 2 --max-chunks 3 \
+                 --threads 2 --output both --metric m --trace-dir t --metrics m.json --quiet \
+                 --fault-plan p.json",
+            ),
+            (
+                "report",
+                "s.json --jsonl r.jsonl --checkpoint c.json --output json --metric m --quiet",
+            ),
+            (
+                "chaos",
+                "s.json --dir d --fault-plan p.json --max-sessions 4 --threads 2 --output json \
+                 --quiet",
+            ),
+            ("chaos", "s.json --dir d --fault-seed 7"),
+            (
+                "shard",
+                "s.json --dir d --index 1 --of 3 --threads 2 --trace --fault-plan p.json --quiet",
+            ),
+            (
+                "merge",
+                "s.json --dir d --jsonl o.jsonl --trace-dir t --output table --metric m --quiet",
+            ),
+        ];
+        for (command, line) in lines {
+            parse(command, &words(line)).unwrap_or_else(|e| panic!("{command} {line}: {e}"));
+        }
+        for &(flag, _, commands) in FLAGS {
+            for command in commands {
+                assert!(
+                    lines
+                        .iter()
+                        .any(|(c, line)| c == command && words(line).contains(&flag.into())),
+                    "no command line above exercises {flag} on `{command}`"
+                );
+            }
+        }
+        let parsed =
+            parse("run", &words("s.json --checkpoint c.json --checkpoint-every 5")).unwrap();
+        assert_eq!(parsed.checkpoint_every, Some(5));
+    }
+
+    /// A flag outside its subcommand's row is a usage error naming the flag
+    /// and the subcommand — including the flags `report`, `merge` and
+    /// `shard` used to ignore or misreport.
+    #[test]
+    fn flags_outside_their_subcommands_are_refused() {
+        for (command, line, flag) in [
+            ("report", "s.json --jsonl r.jsonl --metrics m.json", "--metrics"),
+            ("report", "s.json --jsonl r.jsonl --trace-dir t", "--trace-dir"),
+            ("report", "s.json --jsonl r.jsonl --max-chunks 1", "--max-chunks"),
+            ("report", "s.json --jsonl r.jsonl --checkpoint-every 3", "--checkpoint-every"),
+            ("report", "s.json --jsonl r.jsonl --threads 2", "--threads"),
+            ("report", "s.json --jsonl r.jsonl --force", "--force"),
+            ("report", "s.json --jsonl r.jsonl --fault-plan p.json", "--fault-plan"),
+            ("resume", "s.json --checkpoint c.json --force", "--force"),
+            ("merge", "s.json --dir d --threads 2", "--threads"),
+            ("shard", "s.json --dir d --index 0 --of 3 --checkpoint c", "--checkpoint"),
+            ("shard", "s.json --dir d --index 0 --of 3 --jsonl r.jsonl", "--jsonl"),
+            ("chaos", "s.json --dir d --fault-seed 7 --metrics m.json", "--metrics"),
+        ] {
+            let error = parse(command, &words(line)).unwrap_err();
+            assert!(
+                error.contains(&format!("{flag} does not apply to `{command}`")),
+                "{command} {line}: {error}"
+            );
+        }
+        assert!(parse("run", &words("s.json --bogus")).unwrap_err().contains("unknown option"));
+
+        // `--checkpoint-every` without `--checkpoint` is refused before the
+        // spec is even read, like `--max-chunks`.
+        for line in ["missing.json --checkpoint-every 3", "missing.json --max-chunks 1"] {
+            let error = cmd_run(parse("run", &words(line)).unwrap(), false).unwrap_err();
+            assert_eq!(error.kind, ErrorKind::Usage, "{line}: {}", error.message);
+            assert!(error.message.contains("with --checkpoint"), "{line}: {}", error.message);
+        }
     }
 
     /// The exit-code contract of `merge`: a shard set that loads but does
@@ -1537,8 +1433,7 @@ mod tests {
         // Only 2 of 3 shards present: loads fine, but the set has a gap.
         for index in [0usize, 1] {
             let slice = plan.slice(index);
-            let (partials, _) =
-                campaign.run_shard(&registry, slice.start_chunk, slice.end_chunk, None).unwrap();
+            let partials = run_window(&campaign, &registry, &slice);
             ShardManifest::new(&campaign, slice, partials)
                 .unwrap()
                 .write(&shard_path(dir_str, "cli-shards", index, 3, "manifest.json"))
@@ -1550,8 +1445,7 @@ mod tests {
 
         // Complete the set: it validates.
         let slice = plan.slice(2);
-        let (partials, _) =
-            campaign.run_shard(&registry, slice.start_chunk, slice.end_chunk, None).unwrap();
+        let partials = run_window(&campaign, &registry, &slice);
         ShardManifest::new(&campaign, slice, partials)
             .unwrap()
             .write(&shard_path(dir_str, "cli-shards", 2, 3, "manifest.json"))
@@ -1575,9 +1469,9 @@ mod tests {
 
     #[test]
     fn parse_common_understands_force() {
-        let parsed = parse_common(&strings(&["spec.json", "--force", "--quiet"])).unwrap();
+        let parsed = parse("run", &strings(&["spec.json", "--force", "--quiet"])).unwrap();
         assert!(parsed.force && parsed.quiet);
-        assert!(!parse_common(&strings(&["spec.json"])).unwrap().force);
+        assert!(!parse("run", &strings(&["spec.json"])).unwrap().force);
     }
 
     #[test]
@@ -1595,8 +1489,8 @@ mod tests {
 
         // One checkpointed chunk on disk: `run` must refuse and point at
         // `resume` / `--force`.
-        let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(1);
-        campaign.run_checkpointed(&builtin_registry(), &mut ckpt, None).unwrap();
+        let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(1);
+        campaign.session(&builtin_registry()).checkpointer(&ckpt).run().unwrap();
         let refusal = refuse_overwriting_progress(&campaign, "spec.json", ckpt_str)
             .expect("checkpointed progress must be protected");
         assert!(refusal.contains("resume") && refusal.contains("--force"), "{refusal}");

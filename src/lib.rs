@@ -8,8 +8,8 @@
 //!   wall-clock metrics registry (the campaign flight recorder)
 //! * [`sensors`] — abstract sensors, fault model, validity, fusion (paper §IV)
 //! * [`net`] — wireless medium, R2T-MAC, self-stabilizing TDMA, E2E FIFO (§V-A)
-//! * [`transport`] — message transport seam: loopback production fabric plus
-//!   the seed-deterministic [`transport::SimTransport`] used for fault drills
+//! * [`transport`] — the seed-deterministic simulated network fabric
+//!   [`transport::SimTransport`] behind the `net-transport` family
 //! * [`middleware`] — FAMOUSO-style event channels with QoS (§V-B)
 //! * [`core`] — the safety kernel: Levels of Service, safety rules, safety
 //!   manager, cooperation state (§III, §V-C)

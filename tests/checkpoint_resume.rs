@@ -86,8 +86,9 @@ fn noise_campaign(seed: u64, replications: u64, chunk_size: usize, threads: usiz
 /// The uninterrupted reference: report + full JSONL bytes.
 fn reference(campaign: &Campaign) -> (karyon::scenario::CampaignReport, Vec<u8>) {
     let mut jsonl = JsonlRunWriter::new(Vec::new());
-    let report =
-        campaign.run_with_sink(&noise_registry(), &mut jsonl).expect("noise is registered");
+    let (outcome, _) =
+        campaign.session(&noise_registry()).sink(&mut jsonl).run().expect("noise is registered");
+    let report = outcome.into_report().expect("a plain session completes");
     (report, jsonl.finish().expect("in-memory writes cannot fail"))
 }
 
@@ -128,9 +129,12 @@ proptest! {
         let mut jsonl = JsonlRunWriter::new(
             fs::File::create(&jsonl_path).expect("temp file is writable"),
         );
-        let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(boundary);
+        let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(boundary);
         let (outcome, _) = campaign
-            .run_checkpointed(&noise_registry(), &mut ckpt, Some(&mut jsonl))
+            .session(&noise_registry())
+            .checkpointer(&ckpt)
+            .sink(&mut jsonl)
+            .run()
             .expect("session 1 runs");
         prop_assert_eq!(
             &outcome,
@@ -159,16 +163,20 @@ proptest! {
         let mut jsonl = JsonlRunWriter::new(
             fs::OpenOptions::new().append(true).open(&jsonl_path).unwrap(),
         );
-        let mut ckpt = Checkpointer::new(&ckpt_path);
+        let ckpt = Checkpointer::new(&ckpt_path);
         let (outcome, stats) = campaign
-            .resume(&noise_registry(), &mut ckpt, Some(&mut jsonl))
+            .session(&noise_registry())
+            .checkpointer(&ckpt)
+            .resume(true)
+            .sink(&mut jsonl)
+            .run()
             .expect("session 2 resumes");
         jsonl.finish().expect("stream closes cleanly");
         prop_assert_eq!(stats.chunks, (chunks - boundary) as u64);
 
         let resumed = match outcome {
             CampaignOutcome::Complete(report) => report,
-            CampaignOutcome::Interrupted { .. } => {
+            CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window(_) => {
                 prop_assert!(false, "an unbounded resume session must complete");
                 unreachable!()
             }
@@ -207,13 +215,13 @@ proptest! {
         // uninterrupted instrumented run.
         let mut ref_jsonl = JsonlRunWriter::new(Vec::new());
         let mut ref_trace = JsonlTraceWriter::new(Vec::new());
-        let (expected_report, _) = campaign
-            .run_instrumented_with(
-                &registry,
-                Some(&mut ref_jsonl),
-                CampaignTelemetry::none().with_trace(&mut ref_trace),
-            )
+        let (outcome, _) = campaign
+            .session(&registry)
+            .sink(&mut ref_jsonl)
+            .telemetry(CampaignTelemetry::none().with_trace(&mut ref_trace))
+            .run()
             .expect("reference runs");
+        let expected_report = outcome.into_report().expect("a plain session completes");
         let expected_jsonl = ref_jsonl.finish().expect("in-memory stream");
         let expected_trace = ref_trace.into_inner().expect("in-memory stream");
 
@@ -261,25 +269,22 @@ proptest! {
                     .expect("trace opens"),
             );
             let telemetry = CampaignTelemetry::none().with_trace(&mut trace_sink);
-            let mut ckpt = Checkpointer::new(&ckpt_path);
-            let result = if resuming {
-                campaign.resume_chaos(&registry, &mut ckpt, Some(&mut jsonl), telemetry, &injector)
-            } else {
-                campaign.run_checkpointed_chaos(
-                    &registry,
-                    &mut ckpt,
-                    Some(&mut jsonl),
-                    telemetry,
-                    &injector,
-                )
-            };
+            let ckpt = Checkpointer::new(&ckpt_path);
+            let result = campaign
+                .session(&registry)
+                .checkpointer(&ckpt)
+                .resume(resuming)
+                .sink(&mut jsonl)
+                .telemetry(telemetry)
+                .faults(&injector)
+                .run();
             match result {
                 Ok((CampaignOutcome::Complete(report), _)) => {
                     jsonl.finish().expect("stream closes");
                     trace_sink.into_inner().expect("trace closes");
                     break report;
                 }
-                Ok((CampaignOutcome::Interrupted { .. }, _)) => {
+                Ok((CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window(_), _)) => {
                     prop_assert!(false, "no session budget is set");
                 }
                 Err(error) => {
@@ -320,21 +325,24 @@ fn many_chained_sessions_converge_to_the_uninterrupted_report() {
     let chunks = build(1).canonical_chunks();
 
     let mut sessions = 0usize;
-    let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(3).every_chunks(2);
+    let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(3).every_chunks(2);
     let report = loop {
         sessions += 1;
         let threads = 1 + (sessions % 4);
         let campaign = build(threads);
+        let registry = noise_registry();
+        let session = campaign.session(&registry).checkpointer(&ckpt);
         let (outcome, _) = if sessions == 1 {
-            campaign.run_checkpointed(&noise_registry(), &mut ckpt, None).expect("session runs")
+            session.run().expect("session runs")
         } else {
-            campaign.resume(&noise_registry(), &mut ckpt, None).expect("session resumes")
+            session.resume(true).run().expect("session resumes")
         };
         match outcome {
             CampaignOutcome::Complete(report) => break report,
             CampaignOutcome::Interrupted { chunks_done, .. } => {
                 assert_eq!(chunks_done, (sessions * 3).min(chunks));
             }
+            CampaignOutcome::Window(_) => unreachable!("no chunk window is set"),
         }
         assert!(sessions < 64, "the chain must terminate");
     };
@@ -429,9 +437,11 @@ fn a_mid_campaign_failure_never_checkpoints_unexecuted_runs() {
 
     for attempt in 0..24 {
         let ckpt_path = dir.join(format!("abort-{attempt}.json"));
-        let mut ckpt = Checkpointer::new(&ckpt_path);
+        let ckpt = Checkpointer::new(&ckpt_path);
         let err = campaign()
-            .run_checkpointed(&flaky_registry(Some(fail_seed), &[]), &mut ckpt, None)
+            .session(&flaky_registry(Some(fail_seed), &[]))
+            .checkpointer(&ckpt)
+            .run()
             .expect_err("the injected failure must surface");
         assert!(err.contains("injected failure"), "the real failure is reported: {err}");
 
@@ -447,9 +457,12 @@ fn a_mid_campaign_failure_never_checkpoints_unexecuted_runs() {
             // Every chunk below the watermark must have fully executed:
             // with the failure gone, resume must converge bit-identically
             // to the uninterrupted reference.
-            let mut resume_ckpt = Checkpointer::new(&ckpt_path);
+            let resume_ckpt = Checkpointer::new(&ckpt_path);
             let (outcome, _) = campaign()
-                .resume(&flaky_registry(None, &[]), &mut resume_ckpt, None)
+                .session(&flaky_registry(None, &[]))
+                .checkpointer(&resume_ckpt)
+                .resume(true)
+                .run()
                 .expect("a surviving manifest must resume");
             assert_eq!(
                 outcome.into_report().expect("resume completes"),
@@ -486,9 +499,11 @@ fn aborted_partial_chunks_are_dropped_not_merged() {
     let expected = campaign().run(&flaky_registry(None, &[])).expect("healthy reference");
 
     let ckpt_path = dir.join("partial.json");
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let err = campaign()
-        .run_checkpointed(&flaky_registry(Some(fail_seed), &slow_seeds), &mut ckpt, None)
+        .session(&flaky_registry(Some(fail_seed), &slow_seeds))
+        .checkpointer(&ckpt)
+        .run()
         .expect_err("the injected failure must surface");
     assert!(
         err.contains("injected failure"),
@@ -500,9 +515,12 @@ fn aborted_partial_chunks_are_dropped_not_merged() {
         runs_done <= FAIL_CHUNK * CHUNK,
         "watermark {runs_done} covers the failed chunk {FAIL_CHUNK}"
     );
-    let mut resume_ckpt = Checkpointer::new(&ckpt_path);
+    let resume_ckpt = Checkpointer::new(&ckpt_path);
     let (outcome, _) = campaign()
-        .resume(&flaky_registry(None, &[]), &mut resume_ckpt, None)
+        .session(&flaky_registry(None, &[]))
+        .checkpointer(&resume_ckpt)
+        .resume(true)
+        .run()
         .expect("the manifest must resume");
     assert_eq!(outcome.into_report().expect("resume completes"), expected);
     fs::remove_dir_all(&dir).ok();
@@ -516,10 +534,10 @@ fn resume_rejects_manifests_from_a_different_campaign_definition() {
     let dir = scratch_dir("reject");
     let ckpt_path = dir.join("reject.json");
     let original = noise_campaign(1, 20, 4, 2);
-    let mut ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(2);
-    original.run_checkpointed(&noise_registry(), &mut ckpt, None).expect("session 1 runs");
+    let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(2);
+    original.session(&noise_registry()).checkpointer(&ckpt).run().expect("session 1 runs");
 
-    let mut resume_ckpt = Checkpointer::new(&ckpt_path);
+    let resume_ckpt = Checkpointer::new(&ckpt_path);
     for (label, changed) in [
         ("seed", noise_campaign(2, 20, 4, 2)),
         ("chunk size", noise_campaign(1, 20, 5, 2)),
@@ -533,12 +551,20 @@ fn resume_rejects_manifests_from_a_different_campaign_definition() {
             ),
         ),
     ] {
-        let err = changed.resume(&noise_registry(), &mut resume_ckpt, None).expect_err(label);
+        let err = changed
+            .session(&noise_registry())
+            .checkpointer(&resume_ckpt)
+            .resume(true)
+            .run()
+            .expect_err(label);
         assert!(err.contains("fingerprint"), "{label}: {err}");
     }
     // The unchanged definition still resumes fine (worker count may differ).
     let (outcome, _) = noise_campaign(1, 20, 4, 4)
-        .resume(&noise_registry(), &mut resume_ckpt, None)
+        .session(&noise_registry())
+        .checkpointer(&resume_ckpt)
+        .resume(true)
+        .run()
         .expect("same definition resumes");
     assert!(outcome.is_complete());
     fs::remove_dir_all(&dir).ok();

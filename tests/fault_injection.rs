@@ -68,8 +68,9 @@ fn noise_campaign(threads: usize) -> Campaign {
 /// The fault-free reference: report + full JSONL bytes.
 fn reference() -> (karyon::scenario::CampaignReport, Vec<u8>) {
     let mut jsonl = JsonlRunWriter::new(Vec::new());
-    let report =
-        noise_campaign(1).run_with_sink(&noise_registry(), &mut jsonl).expect("noise runs");
+    let (outcome, _) =
+        noise_campaign(1).session(&noise_registry()).sink(&mut jsonl).run().expect("noise runs");
+    let report = outcome.into_report().expect("a plain session completes");
     (report, jsonl.finish().expect("in-memory writes cannot fail"))
 }
 
@@ -89,15 +90,14 @@ fn sink_io_errors_are_healed_by_bounded_retry() {
         FaultPlan::new().with(Fault::SinkIoError { at_chunks_done: 2, failures: 2 }).injector();
     let mut metrics = MetricsRegistry::new();
     let mut jsonl = JsonlRunWriter::new(Vec::new());
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let (outcome, _) = noise_campaign(2)
-        .run_checkpointed_chaos(
-            &noise_registry(),
-            &mut ckpt,
-            Some(&mut jsonl),
-            CampaignTelemetry::none().with_metrics(&mut metrics),
-            &injector,
-        )
+        .session(&noise_registry())
+        .checkpointer(&ckpt)
+        .sink(&mut jsonl)
+        .telemetry(CampaignTelemetry::none().with_metrics(&mut metrics))
+        .faults(&injector)
+        .run()
         .expect("bounded retry heals the transient flush failure");
     let report = match outcome {
         CampaignOutcome::Complete(report) => report,
@@ -135,15 +135,14 @@ fn torn_manifests_refuse_cleanly_and_recover_from_scratch() {
 
     // Session 1: dies at the torn write, manifest truncated to 40 bytes.
     let mut jsonl = JsonlRunWriter::new(Vec::new());
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let error = noise_campaign(1)
-        .run_checkpointed_chaos(
-            &noise_registry(),
-            &mut ckpt,
-            Some(&mut jsonl),
-            CampaignTelemetry::none(),
-            &injector,
-        )
+        .session(&noise_registry())
+        .checkpointer(&ckpt)
+        .sink(&mut jsonl)
+        .telemetry(CampaignTelemetry::none())
+        .faults(&injector)
+        .run()
         .expect_err("the torn write kills the session");
     assert!(is_injected(&error), "{error}");
     assert_eq!(fs::metadata(&ckpt_path).expect("manifest exists").len(), 40);
@@ -157,16 +156,15 @@ fn torn_manifests_refuse_cleanly_and_recover_from_scratch() {
     // restart from scratch.  The spent budget keeps the rerun clean.
     fs::remove_file(&ckpt_path).expect("discarding the torn manifest");
     let mut jsonl = JsonlRunWriter::new(Vec::new());
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let mut metrics = MetricsRegistry::new();
     let (outcome, _) = noise_campaign(3)
-        .run_checkpointed_chaos(
-            &noise_registry(),
-            &mut ckpt,
-            Some(&mut jsonl),
-            CampaignTelemetry::none().with_metrics(&mut metrics),
-            &injector,
-        )
+        .session(&noise_registry())
+        .checkpointer(&ckpt)
+        .sink(&mut jsonl)
+        .telemetry(CampaignTelemetry::none().with_metrics(&mut metrics))
+        .faults(&injector)
+        .run()
         .expect("the rerun is fault-free");
     let report = match outcome {
         CampaignOutcome::Complete(report) => report,
@@ -200,15 +198,14 @@ fn mid_chunk_aborts_resume_byte_identically() {
     // Session 1: aborts after two runs of chunk 5; the partial chunk is
     // discarded, the manifest covers only fully merged chunks.
     let mut jsonl = JsonlRunWriter::new(fs::File::create(&jsonl_path).expect("stream opens"));
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let error = noise_campaign(1)
-        .run_checkpointed_chaos(
-            &noise_registry(),
-            &mut ckpt,
-            Some(&mut jsonl),
-            CampaignTelemetry::none().with_metrics(&mut metrics),
-            &injector,
-        )
+        .session(&noise_registry())
+        .checkpointer(&ckpt)
+        .sink(&mut jsonl)
+        .telemetry(CampaignTelemetry::none().with_metrics(&mut metrics))
+        .faults(&injector)
+        .run()
         .expect_err("the abort kills the session");
     assert!(is_injected(&error), "{error}");
     drop(jsonl); // the "crash": the sink is never finished
@@ -220,15 +217,15 @@ fn mid_chunk_aborts_resume_byte_identically() {
     let mut jsonl = JsonlRunWriter::new(
         fs::OpenOptions::new().append(true).open(&jsonl_path).expect("stream reopens"),
     );
-    let mut ckpt = Checkpointer::new(&ckpt_path);
+    let ckpt = Checkpointer::new(&ckpt_path);
     let (outcome, _) = noise_campaign(4)
-        .resume_chaos(
-            &noise_registry(),
-            &mut ckpt,
-            Some(&mut jsonl),
-            CampaignTelemetry::none().with_metrics(&mut metrics),
-            &injector,
-        )
+        .session(&noise_registry())
+        .checkpointer(&ckpt)
+        .resume(true)
+        .sink(&mut jsonl)
+        .telemetry(CampaignTelemetry::none().with_metrics(&mut metrics))
+        .faults(&injector)
+        .run()
         .expect("the resumed session is fault-free");
     let report = match outcome {
         CampaignOutcome::Complete(report) => report,
@@ -247,9 +244,9 @@ fn mid_chunk_aborts_resume_byte_identically() {
 /// Produces a valid on-disk manifest at watermark 2 for the corruption tests.
 fn intact_manifest(ckpt_path: &PathBuf) -> Vec<u8> {
     fs::remove_file(ckpt_path).ok();
-    let mut ckpt = Checkpointer::new(ckpt_path).max_chunks_per_session(2);
+    let ckpt = Checkpointer::new(ckpt_path).max_chunks_per_session(2);
     let (outcome, _) =
-        noise_campaign(1).run_checkpointed(&noise_registry(), &mut ckpt, None).expect("session 1");
+        noise_campaign(1).session(&noise_registry()).checkpointer(&ckpt).run().expect("session 1");
     assert!(matches!(outcome, CampaignOutcome::Interrupted { .. }));
     fs::read(ckpt_path).expect("manifest on disk")
 }
@@ -293,7 +290,10 @@ fn corrupt_manifests_are_refused_cleanly_and_disk_is_untouched() {
         // The resume entry point refuses identically instead of panicking,
         // and is read-only too.
         let resume_error = noise_campaign(1)
-            .resume(&noise_registry(), &mut Checkpointer::new(&ckpt_path), None)
+            .session(&noise_registry())
+            .checkpointer(&Checkpointer::new(&ckpt_path))
+            .resume(true)
+            .run()
             .expect_err(label);
         assert!(resume_error.contains("recovery:"), "{label}: {resume_error}");
         assert!(!is_injected(&resume_error), "{label}: a real refusal, not an injected one");
@@ -350,26 +350,18 @@ fn all_fault_categories_together_converge_to_the_reference() {
                 .open(&jsonl_path)
                 .expect("stream opens"),
         );
-        let mut ckpt = Checkpointer::new(&ckpt_path);
+        let ckpt = Checkpointer::new(&ckpt_path);
         let campaign = noise_campaign(1 + sessions % 3);
         let telemetry = CampaignTelemetry::none().with_metrics(&mut metrics);
-        let result = if resuming {
-            campaign.resume_chaos(
-                &noise_registry(),
-                &mut ckpt,
-                Some(&mut jsonl),
-                telemetry,
-                &injector,
-            )
-        } else {
-            campaign.run_checkpointed_chaos(
-                &noise_registry(),
-                &mut ckpt,
-                Some(&mut jsonl),
-                telemetry,
-                &injector,
-            )
-        };
+        let registry = noise_registry();
+        let result = campaign
+            .session(&registry)
+            .checkpointer(&ckpt)
+            .resume(resuming)
+            .sink(&mut jsonl)
+            .telemetry(telemetry)
+            .faults(&injector)
+            .run();
         match result {
             Ok((CampaignOutcome::Complete(report), _)) => {
                 jsonl.finish().expect("stream closes");

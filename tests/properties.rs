@@ -786,16 +786,22 @@ fn loader_inputs() -> &'static [String] {
             std::env::temp_dir().join(format!("karyon-loader-inputs-{}.json", std::process::id()));
         let mut jsonl = JsonlRunWriter::new(Vec::new());
         campaign
-            .run_checkpointed(&registry, &mut Checkpointer::new(&path), Some(&mut jsonl))
+            .session(&registry)
+            .checkpointer(&Checkpointer::new(&path))
+            .sink(&mut jsonl)
+            .run()
             .expect("builtin family");
         let checkpoint = read_manifest_text(&path).expect("the session wrote a manifest");
         std::fs::remove_file(&path).ok();
         let jsonl = String::from_utf8(jsonl.finish().expect("in-memory writes cannot fail"))
             .expect("JSONL is UTF-8");
         let slice = ShardPlan::for_campaign(&campaign, 1).slice(0);
-        let (partials, _) = campaign
-            .run_shard(&registry, slice.start_chunk, slice.end_chunk, None)
+        let (outcome, _) = campaign
+            .session(&registry)
+            .chunks(slice.start_chunk..slice.end_chunk)
+            .run()
             .expect("builtin family");
+        let partials = outcome.into_partials().expect("a chunk window returns its partials");
         let shard = ShardManifest::new(&campaign, slice, partials).expect("whole window").render();
         let spec = ScenarioSpec::new("platoon").with("mode", "kernel").with("gap", 1.5).to_json();
         vec![

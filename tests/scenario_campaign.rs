@@ -221,12 +221,15 @@ proptest! {
     fn jsonl_sink_captures_every_run(threads in 1usize..5, replications in 1u64..30) {
         let registry = noise_registry();
         let mut writer = JsonlRunWriter::new(Vec::new());
-        let report = Campaign::new("jsonl", 11)
+        let (outcome, _) = Campaign::new("jsonl", 11)
             .with_threads(threads)
             .with_chunk_size(7)
             .entry(CampaignEntry::new("noise").replications(replications))
-            .run_with_sink(&registry, &mut writer)
+            .session(&registry)
+            .sink(&mut writer)
+            .run()
             .expect("noise is registered");
+        let report = outcome.into_report().expect("a plain session completes");
         prop_assert_eq!(writer.written(), report.total_runs);
         let bytes = writer.finish().expect("in-memory writes cannot fail");
         let text = String::from_utf8(bytes).unwrap();
@@ -271,8 +274,9 @@ fn large_sweep_spills_and_stays_deterministic() {
     let replications = 20_000u64;
     let build =
         || Campaign::new("spill", 31).entry(CampaignEntry::new("noise").replications(replications));
-    let (one, stats) =
-        build().with_threads(1).run_instrumented(&registry, None).expect("noise is registered");
+    let (outcome, stats) =
+        build().with_threads(1).session(&registry).run().expect("noise is registered");
+    let one = outcome.into_report().expect("a plain session completes");
     assert_eq!(stats.peak_resident_records, 0, "no sink, no retained records");
     let four = build().with_threads(4).run(&registry).expect("noise is registered");
     assert_eq!(one, four);

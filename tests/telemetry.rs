@@ -80,13 +80,12 @@ fn ticker_campaign(threads: usize) -> Campaign {
 /// `(report json, trace bytes)`.
 fn traced_run(threads: usize) -> (String, Vec<u8>) {
     let mut writer = JsonlTraceWriter::new(Vec::new());
-    let (report, _) = ticker_campaign(threads)
-        .run_instrumented_with(
-            &ticker_registry(),
-            None,
-            CampaignTelemetry::none().with_trace(&mut writer),
-        )
+    let (outcome, _) = ticker_campaign(threads)
+        .session(&ticker_registry())
+        .telemetry(CampaignTelemetry::none().with_trace(&mut writer))
+        .run()
         .expect("campaign runs");
+    let report = outcome.into_report().expect("a plain session completes");
     (report.to_json(), writer.into_inner().expect("no I/O error"))
 }
 
@@ -106,13 +105,12 @@ fn report_is_byte_identical_with_and_without_telemetry() {
     let untraced = ticker_campaign(4).run(&ticker_registry()).expect("campaign runs").to_json();
     let mut writer = JsonlTraceWriter::new(Vec::new());
     let mut metrics = MetricsRegistry::new();
-    let (report, _) = ticker_campaign(4)
-        .run_instrumented_with(
-            &ticker_registry(),
-            None,
-            CampaignTelemetry::none().with_trace(&mut writer).with_metrics(&mut metrics),
-        )
+    let (outcome, _) = ticker_campaign(4)
+        .session(&ticker_registry())
+        .telemetry(CampaignTelemetry::none().with_trace(&mut writer).with_metrics(&mut metrics))
+        .run()
         .expect("campaign runs");
+    let report = outcome.into_report().expect("a plain session completes");
     assert_eq!(report.to_json(), untraced, "telemetry must never change the report");
     assert_eq!(metrics.counter("campaign.runs"), 14);
     assert_eq!(metrics.counter("campaign.chunks"), 5);
@@ -132,27 +130,24 @@ fn trace_stream_stitches_bit_identically_across_checkpoint_resume() {
         let mut stitched = Vec::new();
         // First session: `boundary` chunks, then a clean interruption.
         let mut first = JsonlTraceWriter::new(Vec::new());
-        let mut ckpt = Checkpointer::new(&path).max_chunks_per_session(boundary);
+        let ckpt = Checkpointer::new(&path).max_chunks_per_session(boundary);
         let (outcome, _) = ticker_campaign(2)
-            .run_checkpointed_with(
-                &registry,
-                &mut ckpt,
-                None,
-                CampaignTelemetry::none().with_trace(&mut first),
-            )
+            .session(&registry)
+            .checkpointer(&ckpt)
+            .telemetry(CampaignTelemetry::none().with_trace(&mut first))
+            .run()
             .expect("first session");
         assert!(!outcome.is_complete(), "boundary {boundary} interrupts");
         stitched.extend_from_slice(&first.into_inner().expect("no I/O error"));
         // Second session: resume with a different worker count, append.
         let mut second = JsonlTraceWriter::new(Vec::new());
-        let mut ckpt = Checkpointer::new(&path);
+        let ckpt = Checkpointer::new(&path);
         let (outcome, _) = ticker_campaign(4)
-            .resume_with(
-                &registry,
-                &mut ckpt,
-                None,
-                CampaignTelemetry::none().with_trace(&mut second),
-            )
+            .session(&registry)
+            .checkpointer(&ckpt)
+            .resume(true)
+            .telemetry(CampaignTelemetry::none().with_trace(&mut second))
+            .run()
             .expect("resumed session");
         assert!(outcome.is_complete());
         stitched.extend_from_slice(&second.into_inner().expect("no I/O error"));
@@ -260,13 +255,12 @@ proptest! {
         };
         let run = |threads: usize| {
             let mut writer = JsonlTraceWriter::new(Vec::new());
-            let (report, _) = build(threads)
-                .run_instrumented_with(
-                    &ticker_registry(),
-                    None,
-                    CampaignTelemetry::none().with_trace(&mut writer),
-                )
+            let (outcome, _) = build(threads)
+                .session(&ticker_registry())
+                .telemetry(CampaignTelemetry::none().with_trace(&mut writer))
+                .run()
                 .expect("campaign runs");
+            let report = outcome.into_report().expect("a plain session completes");
             (report.to_json(), writer.into_inner().expect("no I/O error"))
         };
         let (report_one, trace_one) = run(1);
@@ -284,11 +278,9 @@ fn net_transport_family_traces_its_engine_run() {
     let campaign =
         Campaign::new("transport", 5).entry(CampaignEntry::new("net-transport").replications(2));
     let (_, _) = campaign
-        .run_instrumented_with(
-            &builtin_registry(),
-            None,
-            CampaignTelemetry::none().with_trace(&mut writer),
-        )
+        .session(&builtin_registry())
+        .telemetry(CampaignTelemetry::none().with_trace(&mut writer))
+        .run()
         .expect("builtin family runs");
     let bytes = writer.into_inner().expect("no I/O error");
     let text = String::from_utf8(bytes).unwrap();

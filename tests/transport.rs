@@ -1,41 +1,13 @@
-//! Integration and property tests for the `karyon-transport` fabric seam:
-//! loopback FIFO semantics, the `SimTransport` seed-replay determinism
-//! contract, stats accounting, partition scheduling, and thread-count
-//! invariance of the `net-transport` campaign family built on top of it.
+//! Integration and property tests for the `karyon-transport` fabric: the
+//! `SimTransport` seed-replay determinism contract, stats accounting,
+//! partition scheduling, and thread-count invariance of the `net-transport`
+//! campaign family built on top of it.
 
 use proptest::prelude::*;
 
 use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
 use karyon::sim::{SimDuration, SimTime};
-use karyon::transport::{
-    LinkConfig, LoopbackTransport, NetTransport, NodeId, PartitionWindow, SimTransport,
-};
-
-/// The production fabric: instant, loss-free, FIFO per the global send order.
-#[test]
-fn loopback_is_a_zero_delay_lossless_fifo() {
-    let mut net = LoopbackTransport::new();
-    for i in 0u8..5 {
-        net.send(NodeId(0), NodeId(1), vec![i]);
-    }
-    net.send(NodeId(1), NodeId(0), b"reply".to_vec());
-    let deliveries = net.drain();
-    assert_eq!(deliveries.len(), 6);
-    for (i, delivery) in deliveries.iter().take(5).enumerate() {
-        assert_eq!(delivery.payload, vec![i as u8]);
-        assert_eq!((delivery.src, delivery.dst), (NodeId(0), NodeId(1)));
-        assert_eq!(delivery.sent_at, delivery.delivered_at);
-        assert!(!delivery.duplicate);
-    }
-    assert_eq!(deliveries[5].payload, b"reply");
-    let stats = net.stats();
-    assert_eq!(stats.sent, 6);
-    assert_eq!(stats.delivered, 6);
-    assert_eq!(stats.lost(), 0);
-    assert_eq!(stats.reordered, 0);
-    // Draining again yields nothing: the fabric is empty, not replaying.
-    assert!(net.drain().is_empty());
-}
+use karyon::transport::{LinkConfig, NodeId, PartitionWindow, SimTransport};
 
 /// A scheduled partition severs cross-group traffic during its window (both
 /// directions), leaves intra-group traffic alone, and heals afterwards.
