@@ -1,26 +1,22 @@
-//! E16 — campaign throughput and event-core benchmark.
+//! E16 — campaign throughput benchmark.
 //!
 //! The KARYON safety argument is built on huge fault-injection sweeps (§VI),
 //! so the experiment pipeline's own throughput is a tracked quantity from
-//! this experiment onward.  Five measurements, written to
+//! this experiment onward.  Four measurements, written to
 //! `BENCH_campaign.json` for CI to archive:
 //!
-//! 1. **Event core** — the calendar-queue [`EventQueue`] against the
-//!    [`HeapEventQueue`] baseline on a hold-model workload (pop the earliest
-//!    event, schedule one a random delay ahead) at several resident queue
-//!    sizes.  The acceptance bar is a ≥2× speedup.
-//! 2. **Volume campaign** — a million-run (quick mode: 100k) echo-style
+//! 1. **Volume campaign** — a million-run (quick mode: 100k) echo-style
 //!    campaign through the chunked runner: serial and parallel rates, with
 //!    and without a streaming sink, at the default and a large chunk size;
 //!    serial-vs-parallel bit-identity; and the peak number of resident
 //!    records, which must be bounded by `chunk size × in-flight window`,
 //!    never by the run count.
-//! 3. **Checkpoint overhead** — the volume campaign re-run with crash-safe
+//! 2. **Checkpoint overhead** — the volume campaign re-run with crash-safe
 //!    checkpointing at every canonical chunk (the most aggressive cadence).
-//! 4. **Mixed campaign** — a multi-family sweep exercising the net stack
+//! 3. **Mixed campaign** — a multi-family sweep exercising the net stack
 //!    (`tdma`, `inaccessibility`), the middleware QoS channel and the
 //!    vehicle platoon, i.e. real simulation work per run.
-//! 5. **Telemetry overhead** — the volume campaign re-run through the
+//! 4. **Telemetry overhead** — the volume campaign re-run through the
 //!    instrumented entry point with telemetry *detached*
 //!    ([`CampaignTelemetry::none`]) and again with a trace sink + metrics
 //!    registry attached.  The detached rate must sit within noise of the
@@ -31,11 +27,7 @@
 //! pass** (see [`median_of_3`]), so quick-mode numbers on shared CI machines
 //! are trustworthy enough to guard on: a single scheduler hiccup or cold
 //! cache can no longer report nonsense like telemetry-off running 2.6×
-//! *faster* than the identical plain code path.  The guarded *ratio* (the
-//! hold-model speedup) additionally interleaves its two sides within each
-//! sample and takes the median of the per-sample ratios (see
-//! [`median_paired`]): a frequency dip that spans one side's samples cancels
-//! out instead of manufacturing a regression.  Each `BENCH_campaign.json`
+//! *faster* than the identical plain code path.  Each `BENCH_campaign.json`
 //! object records its `ops_per_workload` and `samples` so consumers know
 //! what was measured.
 //!
@@ -48,8 +40,7 @@ use karyon_scenario::{
     builtin_registry, Campaign, CampaignEntry, CampaignOutcome, CampaignTelemetry, Checkpointer,
     ParamGrid, RunRecord, RunSink, Scenario, ScenarioSpec,
 };
-use karyon_sim::table::fmt3;
-use karyon_sim::{splitmix64, EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, Table};
+use karyon_sim::{splitmix64, SimTime, Table};
 use karyon_telemetry::{JsonlTraceWriter, MetricsRegistry};
 
 /// Number of timed samples per measurement (after one discarded warmup).
@@ -68,27 +59,6 @@ fn median3(mut rates: [f64; 3]) -> f64 {
 fn median_of_3(mut sample: impl FnMut() -> f64) -> f64 {
     let _warmup = sample();
     median3([sample(), sample(), sample()])
-}
-
-/// Like [`median_of_3`], but for a *guarded ratio* between two measurements:
-/// runs the sides back-to-back within each sample and returns
-/// `(median_a, median_b, median of per-sample b/a)`.  Dividing two
-/// independently-taken medians is not robust — a multi-second frequency dip
-/// or noisy neighbor that spans one side's three samples manufactures a
-/// fake regression.  Pairing the sides puts any machine-wide slowdown on
-/// both ends of each ratio, so the ratio median stays stable even when the
-/// absolute rates wobble.
-fn median_paired(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64, f64) {
-    let (_, _) = (a(), b());
-    let mut ra = [0.0; 3];
-    let mut rb = [0.0; 3];
-    let mut ratio = [0.0; 3];
-    for k in 0..3 {
-        ra[k] = a();
-        rb[k] = b();
-        ratio[k] = rb[k] / ra[k];
-    }
-    (median3(ra), median3(rb), median3(ratio))
 }
 
 /// A deliberately cheap scenario: metrics are arithmetic over the seed, so
@@ -123,27 +93,6 @@ impl Scenario for EchoScenario {
         record.set("seed_lo", (spec.seed % 1_000) as f64);
         record
     }
-}
-
-/// Hold-model event-queue throughput: `ops` pop-one/schedule-one cycles over
-/// a queue holding `resident` events with delays up to 100 ms.
-fn queue_ops_per_sec<Q>(
-    mut schedule: impl FnMut(&mut Q, SimTime, u64),
-    mut pop: impl FnMut(&mut Q) -> Option<(SimTime, u64)>,
-    queue: &mut Q,
-    resident: usize,
-    ops: u64,
-) -> f64 {
-    let mut rng = Rng::seed_from(0xE16);
-    for i in 0..resident {
-        schedule(queue, SimTime::from_micros(rng.range_u64(0, 100_000)), i as u64);
-    }
-    let start = Instant::now();
-    for i in 0..ops {
-        let (t, _) = pop(queue).expect("hold model never drains");
-        schedule(queue, t + SimDuration::from_micros(rng.range_u64(1, 100_000)), i);
-    }
-    ops as f64 / start.elapsed().as_secs_f64()
 }
 
 /// A sink that counts runs without retaining them (the cheapest consumer the
@@ -203,42 +152,7 @@ fn main() {
         r
     };
 
-    // ----- 1. Event core: calendar queue vs BinaryHeap baseline. ---------
-    let ops: u64 = if quick { 1_000_000 } else { 2_000_000 };
-    let mut queue_table = Table::new(
-        "E16a — event-queue throughput, hold model (pop + schedule ≤100 ms ahead)",
-        &["resident events", "heap [Mops/s]", "calendar [Mops/s]", "speedup"],
-    );
-    let mut workloads = Vec::new();
-    let mut worst_speedup = f64::INFINITY;
-    for &resident in &[1_024usize, 16_384, 131_072] {
-        let (heap_rate, calendar_rate, speedup) = median_paired(
-            || {
-                let mut q = HeapEventQueue::new();
-                queue_ops_per_sec(|q, t, p| q.schedule(t, p), |q| q.pop(), &mut q, resident, ops)
-            },
-            || {
-                let mut q = EventQueue::new();
-                queue_ops_per_sec(|q, t, p| q.schedule(t, p), |q| q.pop(), &mut q, resident, ops)
-            },
-        );
-        worst_speedup = worst_speedup.min(speedup);
-        queue_table.add_row(&[
-            resident.to_string(),
-            fmt3(heap_rate / 1e6),
-            fmt3(calendar_rate / 1e6),
-            format!("{speedup:.2}x"),
-        ]);
-        let mut w = ObjectWriter::new();
-        w.u64("resident", resident as u64)
-            .f64("heap_ops_per_sec", heap_rate)
-            .f64("calendar_ops_per_sec", calendar_rate)
-            .f64("speedup", speedup);
-        workloads.push(w.finish());
-    }
-    queue_table.print();
-
-    // ----- 2. Volume campaign: chunked aggregation at scale. -------------
+    // ----- 1. Volume campaign: chunked aggregation at scale. -------------
     let runs_per_point: u64 = if quick { 25_000 } else { 250_000 };
     let campaign = volume_campaign(runs_per_point);
     let total_runs = campaign.run_count();
@@ -291,7 +205,7 @@ fn main() {
     // the large-chunk variant amortises the per-chunk overhead.  The honest
     // headline: for sub-microsecond runs the chunked runner crosses over to
     // a win only once per-run work dwarfs the ~µs per-chunk toll — real
-    // families (measurement 4) are 3–6 orders of magnitude past that.
+    // families (measurement 3) are 3–6 orders of magnitude past that.
     let parallel_sink_rate = median_of_3(|| {
         let mut sink = CountingSink { runs: 0 };
         let start = Instant::now();
@@ -344,7 +258,7 @@ fn main() {
     });
 
     let mut volume_table = Table::new(
-        "E16b — volume campaign (echo scenario through the chunked runner)",
+        "E16a — volume campaign (echo scenario through the chunked runner)",
         &["variant", "threads", "chunk", "runs/s", "vs serial"],
     );
     volume_table.add_row(&[
@@ -383,10 +297,10 @@ fn main() {
         stats.workers, total_runs
     );
 
-    // ----- 3. Checkpoint overhead on the volume campaign. ----------------
+    // ----- 2. Checkpoint overhead on the volume campaign. ----------------
     // Worst case by construction: the echo scenario does near-zero work per
     // run, so every microsecond of manifest serialisation shows up in the
-    // rate.  Real campaigns (measurement 4) amortise it into noise.
+    // rate.  Real campaigns (measurement 3) amortise it into noise.
     let ckpt_path =
         std::env::temp_dir().join(format!("karyon-e16-ckpt-{}.json", std::process::id()));
     let mut ckpt_chunks = 0u64;
@@ -418,7 +332,7 @@ fn main() {
     std::fs::remove_file(&ckpt_path).ok();
     let ckpt_relative = ckpt_rate / parallel_sink_rate;
     let mut ckpt_table = Table::new(
-        "E16c — checkpoint overhead (manifest every canonical chunk, worst case)",
+        "E16b — checkpoint overhead (manifest every canonical chunk, worst case)",
         &[
             "runs",
             "checkpoints",
@@ -438,7 +352,7 @@ fn main() {
     ]);
     ckpt_table.print();
 
-    // ----- 4. Mixed campaign: real per-run simulation work. --------------
+    // ----- 3. Mixed campaign: real per-run simulation work. --------------
     let replications: u64 = if quick { 3 } else { 15 };
     let mixed = mixed_campaign(replications);
     let mixed_runs = mixed.run_count();
@@ -451,13 +365,13 @@ fn main() {
         rate
     });
     println!(
-        "E16d — mixed campaign: {} runs over {} families ({:.1} runs/s)",
+        "E16c — mixed campaign: {} runs over {} families ({:.1} runs/s)",
         mixed_runs, 4, mixed_rate
     );
     assert_eq!(mixed_reference.total_runs, mixed_runs);
     assert_eq!(mixed_reference.suspect_runs(), 0, "engine-driven families stay causality-clean");
 
-    // ----- 5. Telemetry overhead on the volume campaign. -----------------
+    // ----- 4. Telemetry overhead on the volume campaign. -----------------
     // Detached telemetry is the same code path as the plain run (one branch
     // per chunk), so its rate is the regression guard: if the telemetry
     // plumbing ever leaks cost into untraced campaigns, this ratio drops.
@@ -501,7 +415,7 @@ fn main() {
     let traced_relative = traced_rate / parallel_nosink_rate;
 
     let mut telemetry_table = Table::new(
-        "E16e — telemetry overhead (volume campaign, detached vs attached)",
+        "E16d — telemetry overhead (volume campaign, detached vs attached)",
         &["variant", "runs/s", "relative", "trace bytes"],
     );
     telemetry_table.add_row(&[
@@ -535,12 +449,6 @@ fn main() {
     );
 
     // ----- BENCH_campaign.json ------------------------------------------
-    let mut queue_json = ObjectWriter::new();
-    queue_json
-        .u64("ops_per_workload", ops)
-        .u64("samples", SAMPLES)
-        .f64("worst_speedup", worst_speedup)
-        .raw("workloads", &karyon_scenario::json::array(&workloads));
     let mut volume_json = ObjectWriter::new();
     volume_json
         .u64("runs", total_runs)
@@ -591,7 +499,6 @@ fn main() {
     let mut root = ObjectWriter::new();
     root.string("bench", "e16_campaign_throughput")
         .bool("quick", quick)
-        .raw("event_queue", &queue_json.finish())
         .raw("volume_campaign", &volume_json.finish())
         .raw("checkpointing", &ckpt_json.finish())
         .raw("mixed_campaign", &mixed_json.finish())
@@ -604,20 +511,8 @@ fn main() {
     println!("\nwrote {} ({} bytes)", out.display(), json.len() + 1);
 
     println!(
-        "\nExpectation: the calendar queue sustains ≥2x the BinaryHeap baseline's hold-model\n\
-         throughput at every resident size, and the chunked runner completes the volume\n\
-         campaign with peak resident records bounded by chunk size x in-flight window —\n\
-         independent of the run count — while 1-thread and N-thread reports stay bit-identical."
+        "\nExpectation: the chunked runner completes the volume campaign with peak resident\n\
+         records bounded by chunk size x in-flight window — independent of the run count —\n\
+         while 1-thread and N-thread reports stay bit-identical."
     );
-    // With warmup + median-of-3 the perf bar holds in quick mode too (the
-    // CI schema/perf guard re-checks it from BENCH_campaign.json); the
-    // stricter in-process assert still runs only on full (perf-tracking)
-    // runs to keep degraded shared machines from hard-failing the bench.
-    if quick {
-        if worst_speedup < 2.0 {
-            println!("note: quick-mode speedup {worst_speedup:.2}x below the 2x full-run bar");
-        }
-    } else {
-        assert!(worst_speedup >= 2.0, "calendar queue speedup regressed: {worst_speedup:.2}x");
-    }
 }

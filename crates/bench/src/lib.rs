@@ -14,9 +14,9 @@
 //! `benches/micro.rs` contains the Criterion micro-benchmarks (safety-kernel
 //! cycle, validity combination, fusion, TDMA slot handling, event publication)
 //! and `benches/e16_campaign_throughput.rs` tracks the experiment pipeline's
-//! own throughput (calendar-queue event core, chunked campaign runner,
-//! checkpoint overhead), emitting `BENCH_campaign.json` at the workspace
-//! root.
+//! own throughput (chunked campaign runner, mixed-family campaign,
+//! checkpoint and telemetry overhead), emitting `BENCH_campaign.json` at the
+//! workspace root.
 //!
 //! Harnesses honour a "quick mode" (~10× smaller workloads) so CI smoke jobs
 //! stay fast; [`quick_mode`] is the shared switch:

@@ -10,8 +10,8 @@
 //! * **Topics** — events route by hierarchical, dot-separated topic names
 //!   (`"platoon.lead"`), with wildcard-prefix subscriptions (`"platoon.*"`
 //!   matches every topic nested under `platoon.`).  Each topic also carries
-//!   the FNV-derived [`Subject`] of its name, so the legacy subject-based
-//!   API interoperates with topic-based code.
+//!   the FNV-derived [`Subject`] of its name, the key of admission queries
+//!   and capability-change reports.
 //! * **Mailboxes** — every subscription owns a bounded ring
 //!   [`Mailbox`], sized by its [`QosClass`];
 //!   subscribers drain it with [`EventBus::poll`] / [`EventBus::drain_with`].
@@ -30,10 +30,8 @@ use std::collections::BTreeMap;
 
 use karyon_sim::{BucketHistogram, Rng, SimDuration, SimTime};
 
-use crate::channel::{
-    Admission, ChannelStats, Delivery, NetworkCapability, NetworkId, SubscriberId,
-};
-use crate::event::{Context, ContextFilter, Event, Payload, QosRequirement, Subject};
+use crate::channel::{Admission, NetworkCapability, NetworkId};
+use crate::event::{Context, ContextFilter, Payload, QosRequirement, Subject};
 use crate::mailbox::Mailbox;
 use crate::overload::{OverloadStrategy, QosClass};
 
@@ -70,7 +68,8 @@ impl Publisher {
         self.topic
     }
 
-    /// The subject UID of the topic (for the legacy subject-based API).
+    /// The subject UID of the topic: the key of [`EventBus::admission`] and
+    /// of the changes [`EventBus::update_capability`] reports.
     pub fn subject(&self) -> Subject {
         self.subject
     }
@@ -88,8 +87,7 @@ impl Publisher {
 
 /// What happened to one published event, per routing step.
 ///
-/// `Copy` and allocation-free — the v2 counterpart of the legacy
-/// `Vec<Delivery>` return.
+/// `Copy` and allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PublishOutcome {
     /// Active subscriptions the topic routed to.
@@ -130,8 +128,7 @@ pub struct DeliveredEvent {
     pub represents: u32,
 }
 
-/// Accumulated statistics of one subscription — the per-subscription
-/// replacement of the channel-aggregated legacy [`ChannelStats`].
+/// Accumulated statistics of one subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubscriptionStats {
     /// Published events routed to this subscription.
@@ -234,7 +231,6 @@ enum Pattern {
 
 #[derive(Debug)]
 struct SubscriptionEntry {
-    subscriber: SubscriberId,
     network: NetworkId,
     pattern: Pattern,
     filter: ContextFilter,
@@ -249,9 +245,7 @@ struct SubscriptionEntry {
 
 #[derive(Debug, Clone)]
 struct TopicEntry {
-    /// `None` for topics created through the legacy subject-only API (those
-    /// can never wildcard-match).
-    name: Option<String>,
+    name: String,
     subject: Subject,
 }
 
@@ -372,16 +366,15 @@ impl EventBus {
             bus: self,
             target,
             network: NetworkId(0),
-            subscriber: None,
             filter: ContextFilter::accept_all(),
             capacity: None,
             strategy: None,
         }
     }
 
-    /// The name of an interned topic (`None` for legacy subject-only topics).
+    /// The name of an interned topic.
     pub fn topic_name(&self, topic: TopicId) -> Option<&str> {
-        self.topics.get(topic.0 as usize).and_then(|t| t.name.as_deref())
+        self.topics.get(topic.0 as usize).map(|t| t.name.as_str())
     }
 
     /// The subject UID of an interned topic.
@@ -395,51 +388,9 @@ impl EventBus {
         }
         let subject = Subject::from_name(name);
         let id = TopicId(self.topics.len() as u32);
-        self.topics.push(TopicEntry { name: Some(name.to_string()), subject });
+        self.topics.push(TopicEntry { name: name.to_string(), subject });
         self.by_name.insert(name.to_string(), id);
         self.by_subject.insert(subject, id);
-        id
-    }
-
-    fn topic_for_subject(&mut self, subject: Subject) -> TopicId {
-        if let Some(&id) = self.by_subject.get(&subject) {
-            return id;
-        }
-        let id = TopicId(self.topics.len() as u32);
-        self.topics.push(TopicEntry { name: None, subject });
-        self.by_subject.insert(subject, id);
-        id
-    }
-
-    // The private collection point for everything `TopicRef` gathered; the
-    // public surface is the builder, so the arity stays internal.
-    #[allow(clippy::too_many_arguments)]
-    fn add_subscription(
-        &mut self,
-        pattern: Pattern,
-        subscriber: Option<SubscriberId>,
-        network: NetworkId,
-        filter: ContextFilter,
-        class: QosClass,
-        capacity: Option<usize>,
-        strategy: Option<OverloadStrategy>,
-    ) -> SubscriptionId {
-        let id = SubscriptionId(self.subscriptions.len() as u32);
-        let (lo, hi, buckets) = LATENCY_HIST_MS;
-        self.subscriptions.push(SubscriptionEntry {
-            subscriber: subscriber.unwrap_or(SubscriberId(id.0)),
-            network,
-            pattern,
-            filter,
-            class,
-            strategy: strategy.unwrap_or_else(|| class.default_strategy()),
-            mailbox: Mailbox::new(capacity.unwrap_or_else(|| class.default_capacity())),
-            active: true,
-            sample_counter: 0,
-            counters: SubCounters::default(),
-            latency_ms: BucketHistogram::new(lo, hi, buckets),
-        });
-        self.routes_dirty = true;
         id
     }
 
@@ -554,10 +505,10 @@ impl EventBus {
     fn subscription_matches(topics: &[TopicEntry], pattern: &Pattern, topic: TopicId) -> bool {
         match pattern {
             Pattern::Exact(t) => *t == topic,
-            Pattern::Prefix(prefix) => topics[topic.0 as usize]
-                .name
-                .as_deref()
-                .is_some_and(|name| name.len() > prefix.len() && name.starts_with(prefix.as_str())),
+            Pattern::Prefix(prefix) => {
+                let name = &topics[topic.0 as usize].name;
+                name.len() > prefix.len() && name.starts_with(prefix.as_str())
+            }
         }
     }
 
@@ -661,16 +612,7 @@ impl EventBus {
         payload: Payload,
         now: SimTime,
     ) -> PublishOutcome {
-        self.publish_inner(publisher.topic, payload, now, now)
-    }
-
-    fn publish_inner(
-        &mut self,
-        topic: TopicId,
-        payload: Payload,
-        produced_at: SimTime,
-        now: SimTime,
-    ) -> PublishOutcome {
+        let topic = publisher.topic;
         let mut outcome = PublishOutcome::default();
         let EventBus {
             networks,
@@ -700,7 +642,7 @@ impl EventBus {
             *routes.get_mut(&topic).expect("route slot exists") = route;
             return outcome;
         };
-        let context = Context { position: payload.position, timestamp: produced_at };
+        let context = Context { position: payload.position, timestamp: now };
 
         for &idx in &route {
             outcome.matched += 1;
@@ -728,8 +670,14 @@ impl EventBus {
                 outcome.filtered_out += 1;
                 continue;
             }
-            let queued =
-                QueuedEvent { topic, produced_at, arrived_at, deadline, payload, aggregated: 1 };
+            let queued = QueuedEvent {
+                topic,
+                produced_at: now,
+                arrived_at,
+                deadline,
+                payload,
+                aggregated: 1,
+            };
             // Backpressure: realtime sheds under bus-wide pressure.
             if sub.class == QosClass::Realtime && *backlog >= *backlog_threshold {
                 sub.counters.dropped_pressure += 1;
@@ -837,146 +785,6 @@ impl EventBus {
         }
         drained
     }
-
-    // ------------------------------------------------------------------
-    // Legacy (v1) surface — thin wrappers over the topic/handle API, kept
-    // for one release.
-    // ------------------------------------------------------------------
-
-    /// Subscribes an endpoint on a network to a subject with a context
-    /// filter.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `bus.topic(name).via(network).filter(filter).subscribe(QosClass::Batched)`"
-    )]
-    pub fn subscribe(
-        &mut self,
-        subscriber: SubscriberId,
-        network: NetworkId,
-        subject: Subject,
-        filter: ContextFilter,
-    ) -> SubscriptionId {
-        let topic = self.topic_for_subject(subject);
-        self.add_subscription(
-            Pattern::Exact(topic),
-            Some(subscriber),
-            network,
-            filter,
-            QosClass::Batched,
-            None,
-            None,
-        )
-    }
-
-    /// Announces an event channel for `subject` published from
-    /// `publisher_network` with the given QoS requirement; performs the
-    /// dynamic assessment against the current network capabilities.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `bus.topic(name).via(network).announce(qos)` and keep the returned Publisher"
-    )]
-    pub fn announce(
-        &mut self,
-        subject: Subject,
-        publisher_network: NetworkId,
-        qos: QosRequirement,
-    ) -> Admission {
-        let topic = self.topic_for_subject(subject);
-        self.announce_topic(topic, publisher_network, qos).admission
-    }
-
-    /// Publishes a legacy [`Event`] on its (announced) channel and delivers
-    /// it synchronously, returning the deliveries made to matching
-    /// subscribers.  Events on unannounced channels are dropped (the
-    /// announcement is mandatory in FAMOUSO).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EventBus::publish` with the Publisher handle, then poll/drain the subscriptions"
-    )]
-    pub fn publish_event(&mut self, event: Event, now: SimTime) -> Vec<Delivery> {
-        self.legacy_publish(event, now)
-    }
-
-    /// Convenience: publish with a fresh context built from position/time and
-    /// deliver synchronously.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EventBus::publish` with the Publisher handle and a `Payload`"
-    )]
-    pub fn publish_from(
-        &mut self,
-        subject: Subject,
-        position: Option<karyon_sim::Vec2>,
-        content: Vec<u8>,
-        now: SimTime,
-    ) -> Vec<Delivery> {
-        let event = Event::new(subject, Context { position, timestamp: now }, content);
-        self.legacy_publish(event, now)
-    }
-
-    /// The v1 delivery model: publish, then immediately drain every matching
-    /// subscription (the legacy bus had no mailboxes).  Queued events from
-    /// earlier asynchronous publishes on the same topic are drained too.
-    fn legacy_publish(&mut self, event: Event, now: SimTime) -> Vec<Delivery> {
-        let Some(&topic) = self.by_subject.get(&event.subject) else {
-            return Vec::new();
-        };
-        if !self.channels.contains_key(&topic) {
-            return Vec::new();
-        }
-        let payload = Payload { position: event.context.position, tag: 0 };
-        let _ = self.publish_inner(topic, payload, event.context.timestamp, now);
-        let route = self.routes.get(&topic).cloned().unwrap_or_default();
-        let mut deliveries = Vec::new();
-        for idx in route {
-            let subscriber = self.subscriptions[idx as usize].subscriber;
-            while let Some(delivered) = self.poll(SubscriptionId(idx), now) {
-                deliveries.push(Delivery {
-                    subscriber,
-                    event: event.clone(),
-                    delivered_at: delivered.delivered_at,
-                    latency: delivered.latency,
-                });
-            }
-        }
-        deliveries
-    }
-
-    /// Per-channel delivery and deadline statistics aggregated over every
-    /// subscription of the subject, or `None` for a subject that was never
-    /// announced.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EventBus::subscription_stats` — per-subscription `SubscriptionStats` \
-                replace the channel-level aggregate"
-    )]
-    pub fn channel_stats(&self, subject: Subject) -> Option<ChannelStats> {
-        let &topic = self.by_subject.get(&subject)?;
-        let channel = self.channels.get(&topic)?;
-        let mut delivered = 0u64;
-        let mut missed_deadline = 0u64;
-        let mut latency_sum_ms = 0.0f64;
-        let mut latency_count = 0u64;
-        for sub in &self.subscriptions {
-            if !Self::subscription_matches(&self.topics, &sub.pattern, topic) {
-                continue;
-            }
-            delivered += sub.counters.delivered;
-            missed_deadline += sub.counters.missed_deadline;
-            latency_sum_ms += sub.latency_ms.mean() * sub.latency_ms.count() as f64;
-            latency_count += sub.latency_ms.count();
-        }
-        Some(ChannelStats {
-            published: channel.published,
-            delivered,
-            missed_deadline,
-            mean_latency_ms: if latency_count > 0 {
-                latency_sum_ms / latency_count as f64
-            } else {
-                0.0
-            },
-        })
-    }
 }
 
 enum Target {
@@ -1004,7 +812,6 @@ pub struct TopicRef<'a> {
     bus: &'a mut EventBus,
     target: Target,
     network: NetworkId,
-    subscriber: Option<SubscriberId>,
     filter: ContextFilter,
     capacity: Option<usize>,
     strategy: Option<OverloadStrategy>,
@@ -1015,13 +822,6 @@ impl<'a> TopicRef<'a> {
     /// from (default: `NetworkId(0)`).
     pub fn via(mut self, network: NetworkId) -> Self {
         self.network = network;
-        self
-    }
-
-    /// The subscriber endpoint id (default: derived from the subscription
-    /// id).
-    pub fn endpoint(mut self, subscriber: SubscriberId) -> Self {
-        self.subscriber = Some(subscriber);
         self
     }
 
@@ -1053,15 +853,22 @@ impl<'a> TopicRef<'a> {
             Target::Concrete(topic) => Pattern::Exact(topic),
             Target::Pattern(prefix) => Pattern::Prefix(prefix),
         };
-        self.bus.add_subscription(
+        let (lo, hi, buckets) = LATENCY_HIST_MS;
+        let id = SubscriptionId(self.bus.subscriptions.len() as u32);
+        self.bus.subscriptions.push(SubscriptionEntry {
+            network: self.network,
             pattern,
-            self.subscriber,
-            self.network,
-            self.filter,
+            filter: self.filter,
             class,
-            self.capacity,
-            self.strategy,
-        )
+            strategy: self.strategy.unwrap_or_else(|| class.default_strategy()),
+            mailbox: Mailbox::new(self.capacity.unwrap_or_else(|| class.default_capacity())),
+            active: true,
+            sample_counter: 0,
+            counters: SubCounters::default(),
+            latency_ms: BucketHistogram::new(lo, hi, buckets),
+        });
+        self.bus.routes_dirty = true;
+        id
     }
 
     /// Announces an event channel publishing on this topic from the
@@ -1128,6 +935,9 @@ mod tests {
         let outcome = bus.publish(&velocity, Payload::tagged(2), SimTime::ZERO);
         assert_eq!(outcome.matched, 3, "wild + deep-exact + catch-all");
         assert_eq!(bus.subscription_stats(wild).unwrap().matched, 2);
+        assert_eq!(bus.topic_name(velocity.topic()), Some("platoon.lead.velocity"));
+        assert_eq!(bus.topic_subject(velocity.topic()), Some(velocity.subject()));
+        assert_eq!(velocity.subject(), Subject::from_name("platoon.lead.velocity"));
     }
 
     #[test]
@@ -1279,92 +1089,68 @@ mod tests {
         assert_eq!(stats.enqueued, 0);
     }
 
-    // ---- legacy wrapper behavior (the v1 test suite, kept verbatim in
-    // spirit) ----
-
     #[test]
-    #[allow(deprecated)]
     fn announcement_assesses_qos_against_subscriber_networks() {
         let mut bus = bus();
-        let subject = Subject::from_name("vehicle/heading");
         // Local-only subscription: strict latency is admitted.
-        bus.subscribe(SubscriberId(1), NetworkId(0), subject, ContextFilter::accept_all());
+        bus.topic("vehicle.heading").subscribe(QosClass::Batched);
         let strict = QosRequirement::builder()
             .max_latency(SimDuration::from_millis(2))
             .min_delivery_ratio(0.99)
             .max_rate(10.0)
             .build();
-        assert_eq!(bus.announce(subject, NetworkId(0), strict), Admission::Admitted);
+        assert!(bus.topic("vehicle.heading").announce(strict).is_admitted());
         // Adding a wireless subscriber makes the same requirement unsatisfiable.
-        bus.subscribe(SubscriberId(2), NetworkId(1), subject, ContextFilter::accept_all());
-        assert_eq!(bus.announce(subject, NetworkId(0), strict), Admission::Rejected);
-        assert_eq!(bus.admission(subject), Some(Admission::Rejected));
+        bus.topic("vehicle.heading").via(NetworkId(1)).subscribe(QosClass::Batched);
+        let publisher = bus.topic("vehicle.heading").announce(strict);
+        assert_eq!(publisher.admission(), Admission::Rejected);
+        assert_eq!(bus.admission(publisher.subject()), Some(Admission::Rejected));
         // A relaxed requirement is admitted.
         let relaxed = QosRequirement::batched(SimDuration::from_millis(100), 10.0);
-        assert_eq!(bus.announce(subject, NetworkId(0), relaxed), Admission::Admitted);
+        assert!(bus.topic("vehicle.heading").announce(relaxed).is_admitted());
     }
 
     #[test]
-    #[allow(deprecated)]
     fn rate_admission_is_cumulative() {
         let mut bus = bus();
-        let a = Subject::from_name("a");
-        let b = Subject::from_name("b");
-        bus.subscribe(SubscriberId(1), NetworkId(1), a, ContextFilter::accept_all());
-        bus.subscribe(SubscriberId(1), NetworkId(1), b, ContextFilter::accept_all());
+        bus.topic("a").via(NetworkId(1)).subscribe(QosClass::Batched);
+        bus.topic("b").via(NetworkId(1)).subscribe(QosClass::Batched);
         let heavy = QosRequirement::builder()
             .max_latency(SimDuration::from_secs(1))
             .min_delivery_ratio(0.5)
             .max_rate(300.0)
             .build();
-        assert_eq!(bus.announce(a, NetworkId(1), heavy), Admission::Admitted);
+        assert!(bus.topic("a").via(NetworkId(1)).announce(heavy).is_admitted());
         // The wireless network sustains 500 events/s: a second 300 events/s
         // channel does not fit.
-        assert_eq!(bus.announce(b, NetworkId(1), heavy), Admission::Rejected);
+        assert!(!bus.topic("b").via(NetworkId(1)).announce(heavy).is_admitted());
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn publish_routes_to_matching_subscribers_only() {
+    fn context_filters_route_to_matching_subscribers_only() {
         let mut bus = bus();
-        let subject = Subject::from_name("hazard/warning");
-        bus.subscribe(
-            SubscriberId(1),
-            NetworkId(0),
-            subject,
-            ContextFilter::within(Vec2::ZERO, 100.0),
-        );
-        bus.subscribe(
-            SubscriberId(2),
-            NetworkId(0),
-            subject,
-            ContextFilter::within(Vec2::new(10_000.0, 0.0), 100.0),
-        );
-        bus.subscribe(
-            SubscriberId(3),
-            NetworkId(0),
-            Subject::from_name("other"),
-            ContextFilter::accept_all(),
-        );
-        bus.announce(subject, NetworkId(0), QosRequirement::best_effort());
-        let deliveries =
-            bus.publish_from(subject, Some(Vec2::new(5.0, 5.0)), vec![1], SimTime::from_millis(10));
-        let receivers: Vec<u32> = deliveries.iter().map(|d| d.subscriber.0).collect();
-        assert_eq!(receivers, vec![1]);
-        let stats = bus.channel_stats(subject).unwrap();
-        assert_eq!(stats.published, 1);
-        assert_eq!(stats.delivered, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn unannounced_channels_drop_events() {
-        let mut bus = bus();
-        let subject = Subject::from_name("unannounced");
-        bus.subscribe(SubscriberId(1), NetworkId(0), subject, ContextFilter::accept_all());
-        let deliveries = bus.publish_from(subject, None, vec![], SimTime::ZERO);
-        assert!(deliveries.is_empty());
-        assert!(bus.channel_stats(subject).is_none());
+        let near = bus
+            .topic("hazard.warning")
+            .filter(ContextFilter::within(Vec2::ZERO, 100.0))
+            .subscribe(QosClass::Batched);
+        let far = bus
+            .topic("hazard.warning")
+            .filter(ContextFilter::within(Vec2::new(10_000.0, 0.0), 100.0))
+            .subscribe(QosClass::Batched);
+        let other = bus.topic("other").subscribe(QosClass::Batched);
+        let publisher = bus.topic("hazard.warning").announce(QosRequirement::best_effort());
+        let outcome =
+            bus.publish(&publisher, Payload::at(Vec2::new(5.0, 5.0), 1), SimTime::from_millis(10));
+        assert_eq!(outcome.matched, 2);
+        assert_eq!(outcome.enqueued, 1);
+        assert_eq!(outcome.filtered_out, 1);
+        assert_eq!(bus.subscription_stats(far).unwrap().filtered_out, 1);
+        assert_eq!(bus.subscription_stats(other).unwrap().matched, 0);
+        let drained = bus.drain_with(near, SimTime::from_millis(10), usize::MAX, |ev| {
+            assert_eq!(ev.payload.tag, 1);
+        });
+        assert_eq!(drained, 1);
+        assert_eq!(bus.drain_with(far, SimTime::from_millis(10), usize::MAX, |_| {}), 0);
     }
 
     #[test]
@@ -1393,25 +1179,24 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn delivery_latency_statistics_accumulate() {
         let mut bus = bus();
-        let subject = Subject::from_name("platoon/lead-state");
-        bus.subscribe(SubscriberId(1), NetworkId(1), subject, ContextFilter::accept_all());
-        bus.announce(
-            subject,
-            NetworkId(1),
+        let sub = bus.topic("platoon.lead-state").via(NetworkId(1)).subscribe(QosClass::Batched);
+        let publisher = bus.topic("platoon.lead-state").via(NetworkId(1)).announce(
             QosRequirement::builder()
                 .max_latency(SimDuration::from_millis(60))
                 .min_delivery_ratio(0.5)
                 .max_rate(10.0)
                 .build(),
         );
+        // Drained at each publish instant, so the latency is the network's alone.
         for i in 0..200u64 {
-            bus.publish_from(subject, None, vec![], SimTime::from_millis(i * 10));
+            let now = SimTime::from_millis(i * 10);
+            bus.publish(&publisher, Payload::tagged(i), now);
+            bus.drain_with(sub, now, usize::MAX, |_| {});
         }
-        let stats = bus.channel_stats(subject).unwrap();
-        assert_eq!(stats.published, 200);
+        let stats = bus.subscription_stats(sub).unwrap();
+        assert_eq!(stats.matched, 200);
         assert!(stats.delivered > 150, "delivered {}", stats.delivered);
         assert!(
             stats.mean_latency_ms > 1.0 && stats.mean_latency_ms < 100.0,
@@ -1419,24 +1204,5 @@ mod tests {
             stats.mean_latency_ms
         );
         assert_eq!(bus.subscription_count(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_and_v2_surfaces_share_one_bus() {
-        // A v1 subject-based subscriber and a v2 topic subscriber coexist:
-        // the topic's FNV subject is the bridge.
-        let mut bus = bus();
-        let v2_sub = bus.topic("bridge.check").subscribe(QosClass::Batched);
-        let subject = Subject::from_name("bridge.check");
-        bus.subscribe(SubscriberId(9), NetworkId(0), subject, ContextFilter::accept_all());
-        bus.announce(subject, NetworkId(0), QosRequirement::best_effort());
-        // The legacy publish drains *all* matching subscriptions — v2 ones
-        // included.
-        let deliveries = bus.publish_from(subject, None, vec![], SimTime::from_millis(1));
-        assert_eq!(deliveries.len(), 2, "both the v2 and the legacy subscriber got the event");
-        assert_eq!(bus.subscription_stats(v2_sub).unwrap().delivered, 1);
-        assert_eq!(bus.topic_name(TopicId(0)), Some("bridge.check"));
-        assert_eq!(bus.topic_subject(TopicId(0)), Some(subject));
     }
 }

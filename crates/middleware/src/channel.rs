@@ -10,13 +10,12 @@
 //!
 //! The bus itself — topic routing, mailboxes, overload handling — lives in
 //! [`bus`](crate::bus); this module holds the assessment-side vocabulary it
-//! builds on: [`NetworkCapability`] (what the monitoring layer reports),
-//! [`Admission`] (what announcement-time assessment decides), and the legacy
-//! delivery/stats types kept for the deprecated v1 surface.
+//! builds on: [`NetworkCapability`] (what the monitoring layer reports) and
+//! [`Admission`] (what announcement-time assessment decides).
 
-use karyon_sim::{SimDuration, SimTime};
+use karyon_sim::SimDuration;
 
-use crate::event::{Event, QosRequirement};
+use crate::event::QosRequirement;
 
 /// The dynamically assessed properties of one underlying network
 /// (the output of the monitoring mechanisms of §V-A).
@@ -83,10 +82,6 @@ impl NetworkCapability {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetworkId(pub u32);
 
-/// Identifier of a subscriber endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SubscriberId(pub u32);
-
 /// The result of announcing an event channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
@@ -95,39 +90,6 @@ pub enum Admission {
     /// The requested QoS cannot be guaranteed; the channel operates (or is
     /// refused) as best effort.
     Rejected,
-}
-
-/// A published event delivered to one subscriber, with its delivery latency
-/// (the synchronous-delivery record of the deprecated v1 publish surface).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// The receiving subscriber.
-    pub subscriber: SubscriberId,
-    /// The delivered event.
-    pub event: Event,
-    /// When it was delivered.
-    pub delivered_at: SimTime,
-    /// Dissemination latency.
-    pub latency: SimDuration,
-}
-
-/// Accumulated delivery statistics of one announced event channel, summed
-/// over every subscription of its subject.
-///
-/// New code should prefer the per-subscription
-/// [`SubscriptionStats`](crate::SubscriptionStats), which additionally break
-/// out drop causes, backlog and P50/P99 latency.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ChannelStats {
-    /// Events published on the channel.
-    pub published: u64,
-    /// Deliveries made to matching subscribers (one event can be delivered to
-    /// several subscribers).
-    pub delivered: u64,
-    /// Deliveries whose latency exceeded the channel's QoS deadline.
-    pub missed_deadline: u64,
-    /// Mean delivery latency in milliseconds (0 while nothing was delivered).
-    pub mean_latency_ms: f64,
 }
 
 #[cfg(test)]

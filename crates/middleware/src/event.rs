@@ -5,6 +5,9 @@
 //! attributes, and content.  A subject identifies the content of an event and
 //! is represented by a unique identifier (UID).  The UIDs span a global name
 //! space across all networks."
+//!
+//! On the bus an event is a topic's [`Subject`], its [`Context`] attributes
+//! and its [`Payload`] content.
 
 use karyon_sim::{SimDuration, SimTime, Vec2};
 
@@ -126,12 +129,11 @@ impl QosBuilder {
     }
 }
 
-/// The compact, `Copy` event body of the v2 publish hot path.
+/// The compact, `Copy` event body of the publish hot path.
 ///
-/// Unlike the legacy [`Event`] (whose content is an owned byte vector), a
-/// `Payload` moves through the bounded ring mailboxes without any per-publish
-/// allocation: position and an opaque 64-bit tag are all a simulated event
-/// carries.  Components that need richer content publish the tag as a key
+/// A `Payload` moves through the bounded ring mailboxes without any
+/// per-publish allocation: position and an opaque 64-bit tag are all a
+/// simulated event carries.  Components that need richer content publish the tag as a key
 /// into their own storage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Payload {
@@ -206,25 +208,6 @@ impl ContextFilter {
     }
 }
 
-/// A disseminated event: subject + attributes (QoS handled at the channel,
-/// context carried here) + content.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// The subject identifying the content type.
-    pub subject: Subject,
-    /// Context attributes (location, production time).
-    pub context: Context,
-    /// Opaque content bytes.
-    pub content: Vec<u8>,
-}
-
-impl Event {
-    /// Creates an event.
-    pub fn new(subject: Subject, context: Context, content: Vec<u8>) -> Self {
-        Event { subject, context, content }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,12 +275,5 @@ mod tests {
         assert!(p.position.is_none());
         let q = Payload::at(Vec2::new(1.0, 2.0), 9);
         assert_eq!(q.position, Some(Vec2::new(1.0, 2.0)));
-    }
-
-    #[test]
-    fn event_construction() {
-        let e = Event::new(Subject::from_name("x"), Context::default(), vec![1, 2, 3]);
-        assert_eq!(e.content, vec![1, 2, 3]);
-        assert_eq!(e.subject, Subject::from_name("x"));
     }
 }

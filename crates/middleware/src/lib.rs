@@ -69,9 +69,10 @@
 //! subscription's [`OverloadStrategy`] (drop-newest / drop-oldest / sample /
 //! aggregate) decides what to shed, and when the bus-wide backlog crosses
 //! [`EventBus::set_backlog_threshold`], [`QosClass::Realtime`] subscriptions
-//! drop incoming events outright so whatever they do deliver is fresh.  The
-//! v1 surface (`subscribe`/`announce`/`publish_from` by [`Subject`]) remains
-//! available as deprecated wrappers for one release.
+//! drop incoming events outright so whatever they do deliver is fresh.
+//! Topics are the only way to subscribe and announce; each topic's FNV
+//! [`Subject`] keys [`EventBus::admission`] and the channels
+//! [`EventBus::update_capability`] reports as changed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,7 +87,7 @@ pub use bus::{
     DeliveredEvent, EventBus, PublishOutcome, Publisher, SubscriptionId, SubscriptionStats,
     TopicId, TopicRef,
 };
-pub use channel::{Admission, ChannelStats, Delivery, NetworkCapability, NetworkId, SubscriberId};
-pub use event::{Context, ContextFilter, Event, Payload, QosBuilder, QosRequirement, Subject};
+pub use channel::{Admission, NetworkCapability, NetworkId};
+pub use event::{Context, ContextFilter, Payload, QosBuilder, QosRequirement, Subject};
 pub use mailbox::Mailbox;
 pub use overload::{OverloadStrategy, QosClass};

@@ -646,6 +646,21 @@ mod tests {
     }
 
     #[test]
+    fn net_transport_saturates_out_of_range_link_delays() {
+        for axis in ["delay_ms", "jitter_ms"] {
+            let record = NetTransportScenario.run(
+                &ScenarioSpec::new("net-transport")
+                    .with(axis, 1e300)
+                    .with_seed(1)
+                    .with_duration_secs(1),
+            );
+            let mean = record.get("mean_delay_ms").unwrap();
+            assert!(mean >= 1e15, "a huge {axis} must saturate, not wrap: {record:?}");
+            assert_eq!(record.clamped_schedules, 0, "{record:?}");
+        }
+    }
+
+    #[test]
     fn end_to_end_holds_fifo_even_from_corrupted_state() {
         let base = ScenarioSpec::new("end-to-end")
             .with("omission", 0.3)

@@ -6,6 +6,11 @@
 //! publish loops, vehicle control cycles, which the paper treats as
 //! periodic tasks below the hybridization line — need no event queue: they
 //! run as plain loops over their own clock.
+//!
+//! The engine owns one [`EventQueue`].  While a handler runs, its
+//! [`Context`] borrows that queue, so every schedule — from the engine or a
+//! handler — takes the same path: the past-time clamp, the observer hooks,
+//! then the queue.
 
 use std::fmt;
 
@@ -59,17 +64,14 @@ pub trait EngineObserver<E> {
 
 /// Scheduling handle passed to the event handler of an [`Engine`].
 ///
-/// The handler cannot touch the engine directly (it is being iterated), so new
-/// events are staged in the context and merged after the handler returns —
-/// same-timestamp groups are bulk-inserted into their bucket in one pass via
-/// [`EventQueue::schedule_batch`].  The staging buffer is owned by the engine
-/// and reused across events, so steady-state event handling allocates
-/// nothing.
+/// The run loop lends the context its event queue for the duration of one
+/// handler call, so a handler's schedules go straight into the queue and
+/// receive their sequence numbers in call order.
 pub struct Context<'a, E> {
     now: SimTime,
-    staged: &'a mut Vec<(SimTime, E)>,
+    queue: &'a mut EventQueue<E>,
+    clamped: &'a mut u64,
     stop_requested: bool,
-    clamped: u64,
     observer: Option<&'a mut (dyn EngineObserver<E> + 'a)>,
 }
 
@@ -80,7 +82,7 @@ where
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Context")
             .field("now", &self.now)
-            .field("staged", &self.staged)
+            .field("queue", &self.queue)
             .field("stop_requested", &self.stop_requested)
             .field("clamped", &self.clamped)
             .field("observed", &self.observer.is_some())
@@ -88,15 +90,7 @@ where
     }
 }
 
-impl<'a, E> Context<'a, E> {
-    fn new(
-        now: SimTime,
-        staged: &'a mut Vec<(SimTime, E)>,
-        observer: Option<&'a mut (dyn EngineObserver<E> + 'a)>,
-    ) -> Self {
-        Context { now, staged, stop_requested: false, clamped: 0, observer }
-    }
-
+impl<E> Context<'_, E> {
     /// The current simulation time (the firing time of the event being handled).
     pub fn now(&self) -> SimTime {
         self.now
@@ -107,35 +101,51 @@ impl<'a, E> Context<'a, E> {
     /// surfaced through [`Engine::clamped_schedules`], because a model that
     /// schedules into the past is usually a model with a causality bug.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        // Clamp policy: identical to `Engine::schedule_at` — keep in sync.
-        let t = if time < self.now {
-            self.clamped += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_clamp(self.now, time, &event);
-            }
-            self.now
-        } else {
-            time
-        };
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_schedule(self.now, t, &event);
-        }
-        self.staged.push((t, event));
+        schedule_clamped(
+            self.queue,
+            self.clamped,
+            self.observer.as_deref_mut(),
+            self.now,
+            time,
+            event,
+        );
     }
 
     /// Schedules an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        let t = self.now + delay;
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_schedule(self.now, t, &event);
-        }
-        self.staged.push((t, event));
+        self.schedule_at(self.now + delay, event);
     }
 
     /// Requests that the simulation stop after the current event is processed.
     pub fn stop(&mut self) {
         self.stop_requested = true;
     }
+}
+
+/// The engine's one scheduling path: files `event` at `time`, or at `now`
+/// when `time` lies in the past.  A clamp is counted in `clamped` and
+/// reported to the observer before the schedule itself.
+fn schedule_clamped<E>(
+    queue: &mut EventQueue<E>,
+    clamped: &mut u64,
+    mut observer: Option<&mut (dyn EngineObserver<E> + '_)>,
+    now: SimTime,
+    time: SimTime,
+    event: E,
+) {
+    let t = if time < now {
+        *clamped += 1;
+        if let Some(obs) = observer.as_deref_mut() {
+            obs.on_clamp(now, time, &event);
+        }
+        now
+    } else {
+        time
+    };
+    if let Some(obs) = observer {
+        obs.on_schedule(now, t, &event);
+    }
+    queue.schedule(t, event);
 }
 
 /// A deterministic discrete-event simulation engine.
@@ -150,8 +160,6 @@ pub struct Engine<S, E> {
     now: SimTime,
     processed: u64,
     clamped: u64,
-    /// Reusable staging buffer lent to the per-event [`Context`].
-    staged: Vec<(SimTime, E)>,
     observer: Option<Box<dyn EngineObserver<E>>>,
 }
 
@@ -167,7 +175,6 @@ where
             .field("now", &self.now)
             .field("processed", &self.processed)
             .field("clamped", &self.clamped)
-            .field("staged", &self.staged)
             .field("observed", &self.observer.is_some())
             .finish()
     }
@@ -182,7 +189,6 @@ impl<S, E> Engine<S, E> {
             now: SimTime::ZERO,
             processed: 0,
             clamped: 0,
-            staged: Vec::new(),
             observer: None,
         }
     }
@@ -239,29 +245,19 @@ impl<S, E> Engine<S, E> {
     /// Schedules an event at an absolute simulation time (clamped to now).
     /// Clamps are counted in [`Engine::clamped_schedules`].
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        // Clamp policy: identical to `Context::schedule_at` — keep in sync.
-        let t = if time < self.now {
-            self.clamped += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_clamp(self.now, time, &event);
-            }
-            self.now
-        } else {
-            time
-        };
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_schedule(self.now, t, &event);
-        }
-        self.queue.schedule(t, event);
+        schedule_clamped(
+            &mut self.queue,
+            &mut self.clamped,
+            self.observer.as_deref_mut(),
+            self.now,
+            time,
+            event,
+        );
     }
 
     /// Schedules an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        let t = self.now + delay;
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_schedule(self.now, t, &event);
-        }
-        self.queue.schedule(t, event);
+        self.schedule_at(self.now + delay, event);
     }
 
     /// Number of pending events.
@@ -305,17 +301,18 @@ impl<S, E> Engine<S, E> {
             if let Some(obs) = self.observer.as_deref_mut() {
                 obs.on_pop(t, &ev, self.queue.len());
             }
-            let observer: Option<&mut (dyn EngineObserver<E> + '_)> = match &mut self.observer {
-                Some(obs) => Some(obs.as_mut()),
-                None => None,
+            let mut ctx = Context {
+                now: t,
+                queue: &mut self.queue,
+                clamped: &mut self.clamped,
+                stop_requested: false,
+                observer: match &mut self.observer {
+                    Some(obs) => Some(obs.as_mut()),
+                    None => None,
+                },
             };
-            let mut ctx = Context::new(t, &mut self.staged, observer);
             handler(&mut self.state, &mut ctx, ev);
-            let (stop, clamped) = (ctx.stop_requested, ctx.clamped);
-            // Bulk-insert the handler's staged events (same-timestamp groups
-            // are filed in one pass).
-            self.queue.schedule_batch(&mut self.staged);
-            self.clamped += clamped;
+            let stop = ctx.stop_requested;
             self.processed += 1;
             count += 1;
             if stop {
@@ -496,9 +493,9 @@ mod tests {
     }
 
     #[test]
-    fn staged_same_timestamp_bursts_keep_fifo_order() {
-        // A handler fanning out several events at one instant exercises the
-        // schedule_batch path; order must match one-by-one scheduling.
+    fn handler_bursts_keep_fifo_order() {
+        // A handler fanning out several events at one instant schedules them
+        // straight into the queue; ties pop in call order.
         let mut engine: Engine<Vec<u32>, Ev> = Engine::new(Vec::new());
         engine.schedule_at(SimTime::from_millis(1), Ev::Ping(0));
         engine.run(|log, ctx, ev| {

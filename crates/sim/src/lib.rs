@@ -3,7 +3,7 @@
 //! The KARYON paper (DSN 2013) evaluates its safety architecture through
 //! "computer simulations with fault injection support".  This crate is the
 //! substrate those simulations run on: a deterministic notion of time, a
-//! seedable pseudo-random number generator, event queues, a small
+//! seedable pseudo-random number generator, an event queue, a small
 //! discrete-event engine, 2-D/3-D geometry used by the vehicular scenarios
 //! and statistics collection used by the experiment harnesses.
 //!
@@ -52,7 +52,7 @@ pub mod table;
 pub mod time;
 
 pub use engine::{Context, Engine, EngineObserver};
-pub use events::{EventQueue, HeapEventQueue};
+pub use events::EventQueue;
 pub use geometry::{Vec2, Vec3};
 pub use rng::{splitmix64, Rng};
 pub use stats::{

@@ -86,7 +86,10 @@ impl Rng {
     /// Panics if `lo > hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "range_u64: lo > hi");
-        lo + self.next_below(hi - lo + 1)
+        match (hi - lo).checked_add(1) {
+            Some(n) => lo + self.next_below(n),
+            None => self.next_u64(),
+        }
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
@@ -264,6 +267,10 @@ mod tests {
         }
         assert_eq!(rng.next_below(0), 0);
         assert_eq!(rng.range_f64(5.0, 5.0), 5.0);
+        // The full range draws a whole word instead of overflowing.
+        let mut full = Rng::seed_from(4);
+        let word = full.clone().next_u64();
+        assert_eq!(full.range_u64(0, u64::MAX), word);
     }
 
     #[test]

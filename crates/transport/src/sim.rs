@@ -82,11 +82,8 @@ pub struct SimNetState {
     last_seq: BTreeMap<LinkKey, u64>,
 }
 
-/// One in-flight message inside the embedded engine.
-///
-/// `Clone` because the engine's run loop requires cloneable events (periodic
-/// trains replicate their payload per tick); in-flight messages themselves
-/// are never duplicated by the clone — each is scheduled and popped once.
+/// One in-flight message inside the embedded engine: scheduled once at its
+/// delivery time and popped once.
 #[derive(Debug, Clone)]
 pub struct SimNetEvent {
     delivery: Delivery,
@@ -219,19 +216,19 @@ impl SimTransport {
             return;
         }
         let jitter_us = cfg.jitter.as_micros();
-        let mut delay_us =
-            cfg.delay.as_micros() + if jitter_us > 0 { rng.range_u64(0, jitter_us) } else { 0 };
+        let jitter = |rng: &mut Rng| if jitter_us > 0 { rng.range_u64(0, jitter_us) } else { 0 };
+        // Delays saturate: an out-of-range one delivers at `SimTime::MAX`.
+        let mut delay_us = cfg.delay.as_micros().saturating_add(jitter(rng));
         if rng.chance(cfg.reorder_probability) {
             let window_us = cfg.reorder_window.as_micros();
             if window_us > 0 {
-                delay_us += rng.range_u64(0, window_us);
+                delay_us = delay_us.saturating_add(rng.range_u64(0, window_us));
             }
         }
         let duplicate = rng.chance(cfg.duplicate_probability);
         // The extra copy trails the original by at least one microsecond so the
         // pair never collapses into one instant.
-        let dup_delay_us =
-            delay_us + 1 + if jitter_us > 0 { rng.range_u64(0, jitter_us) } else { 0 };
+        let dup_delay_us = delay_us.saturating_add(1).saturating_add(jitter(rng));
 
         self.send_seq += 1;
         let send_seq = self.send_seq;

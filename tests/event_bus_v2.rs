@@ -1,7 +1,6 @@
-//! EventBus v2 backpressure edge cases (ISSUE 6, satellite 3): dead mailboxes
-//! never deliver, overload accounting conserves every published copy, the
-//! sampling strategy stays campaign-deterministic for any worker count, and
-//! the deprecated v1 wrappers remain behaviorally equivalent.
+//! EventBus v2 backpressure edge cases: dead mailboxes never deliver,
+//! overload accounting conserves every published copy, and the sampling
+//! strategy stays campaign-deterministic for any worker count.
 
 use proptest::prelude::*;
 
@@ -191,34 +190,4 @@ fn sampling_campaigns_are_bit_identical_for_any_worker_count() {
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.suspect_runs(), 0);
     assert_eq!(serial.total_runs, 6);
-}
-
-/// The deprecated v1 wrappers stay behaviorally equivalent: subject-keyed
-/// subscribe/announce/publish_from drive the same v2 bus, and the aggregated
-/// `channel_stats` match the per-subscription `SubscriptionStats`.
-#[test]
-#[allow(deprecated)]
-fn legacy_wrappers_delegate_to_the_v2_bus() {
-    use karyon::middleware::{ContextFilter, Subject, SubscriberId};
-
-    let mut bus = local_bus(11);
-    let subject = Subject::from_name("legacy.topic");
-    let sub = bus.subscribe(SubscriberId(1), NetworkId(0), subject, ContextFilter::accept_all());
-    assert_eq!(
-        bus.announce(subject, NetworkId(0), QosRequirement::best_effort()),
-        karyon::middleware::Admission::Admitted
-    );
-    let mut delivered = 0u64;
-    for i in 0..100u64 {
-        delivered +=
-            bus.publish_from(subject, None, vec![1], SimTime::from_millis(i * 10)).len() as u64;
-    }
-    let channel = bus.channel_stats(subject).expect("announced");
-    let per_sub = bus.subscription_stats(sub).expect("subscribed");
-    assert_eq!(channel.published, 100);
-    assert_eq!(channel.delivered, delivered);
-    assert_eq!(per_sub.delivered, delivered);
-    assert_eq!(channel.missed_deadline, per_sub.missed_deadline);
-    assert!((channel.mean_latency_ms - per_sub.mean_latency_ms).abs() < 1e-9);
-    assert_publish_conservation(&per_sub);
 }
