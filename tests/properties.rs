@@ -28,26 +28,63 @@ use karyon::sensors::{marzullo_fuse, weighted_fuse, Interval, Measurement, Valid
 use karyon::sim::{EventQueue, Rng, SimDuration, SimTime, Vec2};
 use proptest::test_runner::TestCaseError;
 
-/// Removes the event queue model's next event: the minimum by
-/// `(time, insertion index)`, returned as `(time, payload)`.
-fn pop_model(model: &mut Vec<(SimTime, u64, u64)>) -> Option<(SimTime, u64)> {
-    let next = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
-    let (t, _, payload) = model.remove(next);
-    Some((t, payload))
+/// Pops the queue model's next event: the earliest time, then the earliest
+/// insertion among ties (payloads are insertion indices).
+fn pop_model(model: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+    let next = (0..model.len()).min_by_key(|&i| model[i])?;
+    Some(model.remove(next))
+}
+
+/// Pops `queue` until it is empty, checking every pop against the model.
+fn drain_like_model(
+    queue: &mut EventQueue<u64>,
+    model: &mut Vec<(SimTime, u64)>,
+) -> Result<(), TestCaseError> {
+    loop {
+        let expected = pop_model(model);
+        prop_assert_eq!(queue.pop(), expected);
+        if expected.is_none() {
+            return Ok(());
+        }
+    }
 }
 
 proptest! {
-    /// The event queue pops exactly what a model pops — the earliest time,
-    /// then the earliest insertion among ties — under random interleaved
-    /// schedule and pop operations.  Times tie with the last pop, land near
-    /// it, jump far ahead or lie before it (the queue accepts any time; only
-    /// the engine clamps).  `len` and `next_time` match after every step.
+    /// The event queue always pops events in non-decreasing time order,
+    /// regardless of the insertion order.
     #[test]
-    fn event_queue_is_time_ordered(seed in any::<u64>(), ops in 1usize..400, pop_bias in 1u64..4) {
+    fn event_queue_is_time_ordered(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+        let mut queue = EventQueue::new();
+        for (i, t) in times.iter().enumerate() {
+            queue.schedule(SimTime::from_micros(*t), i);
+        }
+        let mut last = SimTime::ZERO;
+        let mut popped = 0;
+        while let Some((t, _)) = queue.pop() {
+            prop_assert!(t >= last);
+            last = t;
+            popped += 1;
+        }
+        prop_assert_eq!(popped, times.len());
+    }
+
+    /// The event queue pops exactly in heap order — the earliest time, then
+    /// the earliest insertion among ties — under random interleaved schedule
+    /// and pop operations.  Times tie with the last pop, land near it, jump
+    /// far ahead or lie before it (the queue accepts any time; only the
+    /// engine clamps).  `len` and `next_time` match the model after every
+    /// step.  The name dates from when a calendar queue was checked against
+    /// a heap baseline; the queue is now that heap, checked against a model.
+    #[test]
+    fn calendar_queue_matches_heap_queue_exactly(
+        seed in any::<u64>(),
+        ops in 50usize..400,
+        pop_bias in 1u64..4,
+    ) {
         let mut rng = Rng::seed_from(seed);
         let mut queue: EventQueue<u64> = EventQueue::new();
-        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
-        let mut inserted = 0u64;
+        let mut model = Vec::new();
+        let mut payload = 0u64;
         let mut last_popped = SimTime::ZERO;
         for _ in 0..ops {
             if rng.range_u64(0, 3) < pop_bias {
@@ -64,21 +101,67 @@ proptest! {
                         + SimDuration::from_micros(rng.range_u64(1_000_000, 30_000_000_000)),
                     _ => last_popped - SimDuration::from_micros(rng.range_u64(1, 50_000)),
                 };
-                let payload = rng.next_u64();
                 queue.schedule(t, payload);
-                model.push((t, inserted, payload));
-                inserted += 1;
+                model.push((t, payload));
+                payload += 1;
             }
             prop_assert_eq!(queue.len(), model.len());
             prop_assert_eq!(queue.next_time(), model.iter().map(|e| e.0).min());
         }
-        loop {
-            let expected = pop_model(&mut model);
-            prop_assert_eq!(queue.pop(), expected);
-            if expected.is_none() {
-                break;
+        drain_like_model(&mut queue, &mut model)?;
+        prop_assert!(queue.is_empty());
+    }
+
+    /// Mixed workload: one-shots and same-timestamp bursts — runs of
+    /// schedules at one time, as a handler makes them — interleaved with
+    /// pops stay in heap order, so a burst pops in call order after
+    /// whatever was already queued at its time.
+    #[test]
+    fn one_shots_and_bursts_stay_heap_identical(
+        seed in any::<u64>(),
+        ops in 50usize..300,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = Vec::new();
+        let mut payload = 0u64;
+        let mut frontier = SimTime::ZERO;
+        for _ in 0..ops {
+            match rng.range_u64(0, 5) {
+                0..=2 => {
+                    let expected = pop_model(&mut model);
+                    prop_assert_eq!(queue.pop(), expected);
+                    if let Some((t, _)) = expected {
+                        frontier = t;
+                    }
+                }
+                3..=4 => {
+                    // One-shot: tie with the frontier, near, or far ahead.
+                    let delta = match rng.range_u64(0, 2) {
+                        0 => 0,
+                        1 => rng.range_u64(1, 4_000),
+                        _ => rng.range_u64(1_000_000, 20_000_000_000),
+                    };
+                    let t = frontier + SimDuration::from_micros(delta);
+                    queue.schedule(t, payload);
+                    model.push((t, payload));
+                    payload += 1;
+                }
+                _ => {
+                    // Burst: several schedules at one timestamp.
+                    let t = frontier + SimDuration::from_micros(rng.range_u64(0, 10_000));
+                    for _ in 0..rng.range_u64(2, 6) {
+                        queue.schedule(t, payload);
+                        model.push((t, payload));
+                        payload += 1;
+                    }
+                }
             }
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.next_time(), model.iter().map(|e| e.0).min());
         }
+        drain_like_model(&mut queue, &mut model)?;
+        prop_assert!(queue.is_empty());
     }
 
     /// Validity is always clamped into [0, 1] and combination never exceeds
