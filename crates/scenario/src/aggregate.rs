@@ -284,12 +284,8 @@ impl PointAccumulator {
 }
 
 /// One worker's reduction of one canonical chunk: per-point partials for the
-/// points the chunk touched.
-///
-/// A [chunk window](crate::Session::chunks) returns its partials one per
-/// chunk, so the shard protocol ([`crate::shard`]) can persist them and a
-/// later `merge` can replay the exact canonical chunk-order fold of a
-/// single-machine run.
+/// points the chunk touched, merged into the [`CampaignAccumulator`] strictly
+/// in canonical chunk order.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ChunkPartial {
     /// Point index → partial aggregate.

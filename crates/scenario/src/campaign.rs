@@ -15,7 +15,7 @@ use crate::checkpoint::{self, Checkpointer};
 use crate::fault::FaultInjector;
 use crate::grid::ParamGrid;
 use crate::json::JsonValue;
-use crate::recovery::WallClockBackoff;
+use crate::recovery::retry_io;
 use crate::registry::ScenarioRegistry;
 use crate::report::{CampaignReport, PointReport};
 use crate::scenario::{RunRecord, Scenario};
@@ -88,9 +88,19 @@ impl CampaignEntry {
         self.duration(SimDuration::from_secs(secs))
     }
 
-    /// Number of runs this entry contributes.
+    /// Number of runs this entry contributes, saturating at `u64::MAX` for
+    /// an entry too large to count.
     pub fn run_count(&self) -> u64 {
-        self.grid.len() as u64 * self.replications
+        self.checked_run_count().unwrap_or(u64::MAX)
+    }
+
+    /// The grid's point count times the replications, or `None` when the
+    /// product overflows `u64`.
+    fn checked_run_count(&self) -> Option<u64> {
+        self.grid
+            .axes()
+            .iter()
+            .try_fold(self.replications, |runs, (_, values)| runs.checked_mul(values.len() as u64))
     }
 
     /// The scenario family this entry sweeps.
@@ -192,8 +202,7 @@ pub struct RunnerStats {
 
 /// How a campaign session ended, returned by [`Session::run`]: with the full
 /// report, at a bounded-session boundary with a checkpoint on disk to resume
-/// from, or — for a [chunk window](Session::chunks) — with the window's
-/// per-chunk partials.
+/// from, or at the end of a [chunk window](Session::chunks).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignOutcome {
     /// Every canonical chunk was merged; this is the final report —
@@ -209,9 +218,9 @@ pub enum CampaignOutcome {
         /// Runs covered by the watermark.
         runs_done: u64,
     },
-    /// The per-chunk partials of a [chunk window](Session::chunks), one per
-    /// chunk in canonical order, for [`crate::shard`] to persist and merge.
-    Window(Vec<ChunkPartial>),
+    /// Every chunk of a [chunk window](Session::chunks) ran, and its runs
+    /// reached the sinks; [`crate::shard`] merges windows by replaying them.
+    Window,
 }
 
 impl CampaignOutcome {
@@ -224,14 +233,6 @@ impl CampaignOutcome {
     pub fn into_report(self) -> Option<CampaignReport> {
         match self {
             CampaignOutcome::Complete(report) => Some(report),
-            _ => None,
-        }
-    }
-
-    /// The per-chunk partials, if the session ran a chunk window.
-    pub fn into_partials(self) -> Option<Vec<ChunkPartial>> {
-        match self {
-            CampaignOutcome::Window(partials) => Some(partials),
             _ => None,
         }
     }
@@ -409,9 +410,27 @@ impl Campaign {
         &self.entries
     }
 
-    /// Total number of runs the campaign will execute.
+    /// Total number of runs the campaign will execute, saturating at
+    /// `u64::MAX` for a campaign too large to count (which
+    /// [`Session::run`] refuses).
     pub fn run_count(&self) -> u64 {
-        self.entries.iter().map(CampaignEntry::run_count).sum()
+        self.checked_run_count().unwrap_or(u64::MAX)
+    }
+
+    /// The run count, or a refusal naming the overflow.
+    fn checked_run_count(&self) -> Result<u64, String> {
+        self.entries
+            .iter()
+            .try_fold(0u64, |total, entry| {
+                entry.checked_run_count().and_then(|runs| total.checked_add(runs))
+            })
+            .ok_or_else(|| {
+                format!(
+                    "campaign {:?} expands to more runs than a u64 can count — the run count \
+                     overflows; shrink its grids or replications",
+                    self.name
+                )
+            })
     }
 
     /// Number of canonical chunks the campaign partitions into.
@@ -489,7 +508,8 @@ impl Campaign {
     /// ```
     ///
     /// `chunk_size` and `threads` are optional (defaults: 4096 and machine
-    /// parallelism); `entries` must name at least one scenario family.  Grid
+    /// parallelism); `entries` must name at least one scenario family, and
+    /// the run count must fit a `u64`.  Grid
     /// axes keep their file order, so the spec file pins the canonical run
     /// order — and with it the [fingerprint](Campaign::fingerprint) —
     /// exactly as written.
@@ -540,11 +560,13 @@ impl Campaign {
                 CampaignEntry::from_json(entry).map_err(|e| format!("entry #{index}: {e}"))?,
             );
         }
+        campaign.checked_run_count()?;
         Ok(campaign)
     }
 
-    /// Expands the entries into the flattened parameter-point list.
-    fn expand_points(&self) -> (Vec<PointDef>, u64) {
+    /// Expands the entries into the flattened parameter-point list.  Callers
+    /// check the run count first, so the run offsets cannot overflow.
+    fn expand_points(&self) -> Vec<PointDef> {
         let mut points = Vec::new();
         let mut next_run = 0u64;
         for entry in &self.entries {
@@ -559,7 +581,7 @@ impl Campaign {
                 next_run += entry.replications;
             }
         }
-        (points, next_run)
+        points
     }
 
     /// Instantiates the spec of one run of `point`.
@@ -717,8 +739,8 @@ impl<'a> Session<'a> {
     /// and injected failures surface as ordinary runner errors carrying
     /// [`crate::fault::INJECTED_PREFIX`].
     ///
-    /// Transient injected sink errors heal in place under the checkpointer's
-    /// [retry policy](Checkpointer::with_retry); fatal ones (worker death,
+    /// Transient injected sink errors heal in place under the checkpoint's
+    /// bounded I/O retry; fatal ones (worker death,
     /// torn manifests, mid-chunk aborts) end the session like a crash would,
     /// leaving checkpoint state a [resumed](Session::resume) session — which
     /// may share the injector and its spent fault budgets — continues from,
@@ -759,18 +781,16 @@ impl<'a> Session<'a> {
     }
 
     /// Executes only the canonical chunks in `window` — one shard of the
-    /// campaign — and returns their per-chunk partials as
-    /// [`CampaignOutcome::Window`].
+    /// campaign — and returns [`CampaignOutcome::Window`].
     ///
     /// This is the execution half of the shard protocol ([`crate::shard`]):
-    /// each window runs independently, with its own worker count, and the
-    /// merge half replays every shard's partials in global canonical chunk
-    /// order through the same left fold a single-machine run performs, which
-    /// is why the merged report is **bit-identical** to an uninterrupted
-    /// run's.  A sink (and a trace sink) attached here receives only the
-    /// window's runs, with **global** run indices and coordinates, so window
-    /// segments concatenate byte-exactly, in window order, into the stream
-    /// an uninterrupted run writes.
+    /// each window runs independently, with its own worker count.  A sink
+    /// (and a trace sink) attached here receives only the window's runs, with
+    /// **global** run indices and coordinates, so window segments
+    /// concatenate byte-exactly, in window order, into the stream an
+    /// uninterrupted run writes — and the merge half replays that stream
+    /// through [`Campaign::reduce_records`], which is why the merged report
+    /// is **bit-identical** to an uninterrupted run's.
     ///
     /// An empty window executes nothing.  A window is neither checkpointed
     /// nor resumed: it is the unit of retry, rerun whole after a failure.
@@ -784,9 +804,10 @@ impl<'a> Session<'a> {
     ///
     /// Errors before any run executes when the settings conflict (resume
     /// without a checkpointer; a chunk window together with a checkpointer or
-    /// resume; a window outside the campaign's chunk range), when an entry
-    /// names a family `registry` lacks, or when the manifest to resume from
-    /// is unreadable or was written by a different campaign definition.  A
+    /// resume; a window outside the campaign's chunk range), when the run
+    /// count overflows `u64`, when an entry names a family `registry` lacks,
+    /// or when the manifest to resume from is unreadable or was written by a
+    /// different campaign definition.  A
     /// run that panics mid-campaign surfaces as an `Err` naming the offending
     /// spec, after in-flight runs wind down.
     pub fn run(self) -> Result<(CampaignOutcome, RunnerStats), String> {
@@ -808,10 +829,11 @@ impl<'a> Session<'a> {
                         after a failure"
                 .into());
         }
-        let (points, total_runs) = campaign.expand_points();
+        let total_runs = campaign.checked_run_count()?;
+        let points = campaign.expand_points();
         let families = campaign.resolve_families(registry, &points)?;
         let chunks = (total_runs as usize).div_ceil(campaign.chunk_size);
-        let (start_chunk, end_chunk, mut fold) = match (window, checkpointer) {
+        let (start_chunk, end_chunk, mut accumulator) = match (&window, checkpointer) {
             (Some(window), _) => {
                 if window.start > window.end || window.end > chunks {
                     return Err(format!(
@@ -820,19 +842,19 @@ impl<'a> Session<'a> {
                         window.start, window.end, campaign.name
                     ));
                 }
-                (window.start, window.end, Fold::Partials(Vec::with_capacity(window.len())))
+                (window.start, window.end, CampaignAccumulator::new(points.len()))
             }
             (None, Some(ckpt)) if resume => {
                 let manifest = ckpt.load()?;
-                manifest.validate_for(campaign, total_runs, points.len(), chunks)?;
+                manifest.validate_for(campaign, points.len(), chunks)?;
                 let start = manifest.chunks_done;
                 let end = ckpt.session_end_chunk(start, chunks);
-                (start, end, Fold::Accumulator(manifest.into_accumulator()))
+                (start, end, manifest.into_accumulator())
             }
             (None, ckpt) => (
                 0,
                 ckpt.map_or(chunks, |ckpt| ckpt.session_end_chunk(0, chunks)),
-                Fold::Accumulator(CampaignAccumulator::new(points.len())),
+                CampaignAccumulator::new(points.len()),
             ),
         };
         let session_chunks = end_chunk - start_chunk;
@@ -964,21 +986,24 @@ impl<'a> Session<'a> {
                         // write a sink tail the next resume truncates.
                         continue;
                     }
-                    campaign.merge_chunk(&points, &mut fold, output, &mut sink, &mut telemetry);
-                    let checkpointed = match (checkpointer, &fold) {
+                    campaign.merge_chunk(
+                        &points,
+                        &mut accumulator,
+                        output,
+                        &mut sink,
+                        &mut telemetry,
+                    );
+                    let checkpointed = match checkpointer {
                         // At the cadence, and always at the session's end.
-                        (Some(ckpt), Fold::Accumulator(accumulator))
-                            if ckpt.due(next_merge) || next_merge == end_chunk =>
-                        {
-                            campaign.write_checkpoint(
+                        Some(ckpt) if ckpt.due(next_merge) || next_merge == end_chunk => campaign
+                            .write_checkpoint(
                                 ckpt,
                                 next_merge,
-                                accumulator,
+                                &accumulator,
                                 &mut sink,
                                 &mut telemetry,
                                 faults,
-                            )
-                        }
+                            ),
                         _ => Ok(()),
                     };
                     if let Err(error) = checkpointed {
@@ -1004,29 +1029,18 @@ impl<'a> Session<'a> {
             // this is unreachable — but never bless a session with a hole.
             return Err("a worker aborted mid-chunk without a recorded failure".to_string());
         }
-        let outcome = match fold {
-            Fold::Partials(partials) => {
-                debug_assert_eq!(partials.len(), session_chunks);
-                CampaignOutcome::Window(partials)
-            }
-            Fold::Accumulator(_) if end_chunk < chunks => CampaignOutcome::Interrupted {
+        let outcome = if window.is_some() {
+            CampaignOutcome::Window
+        } else if end_chunk < chunks {
+            CampaignOutcome::Interrupted {
                 chunks_done: end_chunk,
                 runs_done: (end_chunk as u64 * campaign.chunk_size as u64).min(total_runs),
-            },
-            Fold::Accumulator(accumulator) => {
-                CampaignOutcome::Complete(campaign.finish(points, total_runs, accumulator))
             }
+        } else {
+            CampaignOutcome::Complete(campaign.finish(points, total_runs, accumulator))
         };
         Ok((outcome, stats))
     }
-}
-
-/// Where a session folds its chunk partials.
-enum Fold {
-    /// Into the campaign accumulator, for the report and the checkpoints.
-    Accumulator(CampaignAccumulator),
-    /// Kept one per chunk, in canonical order: a chunk window's outcome.
-    Partials(Vec<ChunkPartial>),
 }
 
 /// What every worker of a session shares: the expanded points and their
@@ -1112,11 +1126,10 @@ impl Campaign {
     /// the sink — and an attached trace sink — first so the streams on disk
     /// always cover at least the checkpointed runs.
     ///
-    /// Every I/O edge here (sink flush, trace flush, manifest write) runs
-    /// under the checkpointer's [`RetryPolicy`](crate::RetryPolicy): transient
-    /// failures — including injected [`Fault::SinkIoError`](crate::Fault)s —
-    /// heal with bounded backoff, and only the last error of an exhausted
-    /// budget propagates.
+    /// Every I/O edge here (sink flush, trace flush, manifest write) retries
+    /// transient failures — including injected
+    /// [`Fault::SinkIoError`](crate::Fault)s — with bounded backoff, and only
+    /// the last error of an exhausted budget propagates.
     fn write_checkpoint(
         &self,
         ckpt: &Checkpointer,
@@ -1126,49 +1139,39 @@ impl Campaign {
         telemetry: &mut CampaignTelemetry<'_>,
         faults: Option<&FaultInjector>,
     ) -> Result<(), String> {
-        let policy = ckpt.retry().clone();
-        let mut backoff = WallClockBackoff;
-        let mut extra_attempts = 0u32;
+        let mut retried = 0u32;
         let flush_started = Instant::now();
         if let Some(sink) = sink {
-            match policy.run(&mut backoff, |_| {
-                if let Some(injector) = faults {
-                    if let Some(e) = injector.sink_flush_error(chunks_done) {
-                        return Err(e);
-                    }
+            let (flushed, attempts) = retry_io(|| {
+                if let Some(e) = faults.and_then(|injector| injector.sink_flush_error(chunks_done))
+                {
+                    return Err(e);
                 }
                 sink.flush()
-            }) {
-                Ok(recovered) => extra_attempts += recovered.retried(),
-                Err(e) => {
-                    note_retry_exhausted(telemetry, extra_attempts + policy.max_attempts() - 1);
-                    return Err(format!("flushing the run sink before a checkpoint: {e}"));
-                }
+            });
+            retried += attempts;
+            if let Err(e) = flushed {
+                note_retry_exhausted(telemetry, retried);
+                return Err(format!("flushing the run sink before a checkpoint: {e}"));
             }
         }
-        let mut trace_error: Option<std::io::Error> = None;
         if let Some(trace_sink) = telemetry.trace.as_deref_mut() {
-            match policy.run(&mut backoff, |_| trace_sink.flush()) {
-                Ok(recovered) => extra_attempts += recovered.retried(),
-                Err(e) => trace_error = Some(e),
+            let (flushed, attempts) = retry_io(|| trace_sink.flush());
+            retried += attempts;
+            if let Err(e) = flushed {
+                note_retry_exhausted(telemetry, retried);
+                return Err(format!("flushing the trace sink before a checkpoint: {e}"));
             }
-        }
-        if let Some(e) = trace_error {
-            note_retry_exhausted(telemetry, extra_attempts + policy.max_attempts() - 1);
-            return Err(format!("flushing the trace sink before a checkpoint: {e}"));
         }
         let flushed = flush_started.elapsed();
-        let total_runs = self.run_count();
-        let runs_done = (chunks_done as u64 * self.chunk_size as u64).min(total_runs);
-        let manifest =
-            checkpoint::render_manifest(self, total_runs, chunks_done, runs_done, accumulator);
+        let runs_done = (chunks_done as u64 * self.chunk_size as u64).min(self.run_count());
+        let manifest = checkpoint::render_manifest(self, chunks_done, runs_done, accumulator);
         let write_started = Instant::now();
-        match policy.run(&mut backoff, |_| ckpt.write(&manifest)) {
-            Ok(recovered) => extra_attempts += recovered.retried(),
-            Err(e) => {
-                note_retry_exhausted(telemetry, extra_attempts + policy.max_attempts() - 1);
-                return Err(e);
-            }
+        let (written, attempts) = retry_io(|| ckpt.write(&manifest));
+        retried += attempts;
+        if let Err(e) = written {
+            note_retry_exhausted(telemetry, retried);
+            return Err(e);
         }
         if let Some(injector) = faults {
             injector.after_manifest_write(chunks_done, ckpt.path())?;
@@ -1179,13 +1182,14 @@ impl Campaign {
                 "campaign.checkpoint_write_ms",
                 write_started.elapsed().as_secs_f64() * 1e3,
             );
-            if extra_attempts > 0 {
-                metrics.add("retry.attempts", extra_attempts as u64);
+            if retried > 0 {
+                metrics.add("retry.attempts", retried as u64);
                 metrics.inc("recovery.outcome.recovered");
             }
         }
         Ok(())
     }
+
     /// Re-aggregates retained per-run records (e.g. parsed back from a
     /// [`JsonlRunWriter`](crate::JsonlRunWriter) artifact) through the same
     /// canonical chunk pipeline the streaming runner uses.
@@ -1199,7 +1203,8 @@ impl Campaign {
         registry: &ScenarioRegistry,
         records: &[RunRecord],
     ) -> Result<CampaignReport, String> {
-        let (points, total_runs) = self.expand_points();
+        let total_runs = self.checked_run_count()?;
+        let points = self.expand_points();
         let families = self.resolve_families(registry, &points)?;
         if records.len() as u64 != total_runs {
             return Err(format!(
@@ -1220,33 +1225,6 @@ impl Campaign {
                 }
                 let family = &families[point_index];
                 partial.record_run(point_index, record, &|metric| family.metric_range(metric));
-            }
-            accumulator.merge_chunk(partial);
-        }
-        Ok(self.finish(points, total_runs, accumulator))
-    }
-
-    /// Folds per-chunk partials — one per canonical chunk, **in canonical
-    /// chunk order** — into the final report, performing exactly the
-    /// left-fold the streaming runner performs.  The shard `merge` path
-    /// ([`crate::shard`]) feeds this the partials every shard persisted.
-    ///
-    /// Errors if a partial references a parameter point outside the
-    /// campaign's expansion (a foreign or corrupt shard manifest).
-    pub(crate) fn finish_from_chunks(
-        &self,
-        partials: impl IntoIterator<Item = ChunkPartial>,
-    ) -> Result<CampaignReport, String> {
-        let (points, total_runs) = self.expand_points();
-        let mut accumulator = CampaignAccumulator::new(points.len());
-        for (index, partial) in partials.into_iter().enumerate() {
-            if let Some(out_of_range) = partial.points.keys().find(|p| **p >= points.len()) {
-                return Err(format!(
-                    "chunk partial #{index} references parameter point {out_of_range}, but \
-                     campaign {:?} expands to only {} points",
-                    self.name,
-                    points.len()
-                ));
             }
             accumulator.merge_chunk(partial);
         }
@@ -1276,7 +1254,7 @@ impl Campaign {
             .collect())
     }
 
-    /// Folds one canonical chunk into `fold`, drains its captured records
+    /// Folds one canonical chunk into `accumulator`, drains its captured records
     /// (already in canonical order) into the sink and its trace records into
     /// the trace sink, and notes the chunk's wall-clock metrics.
     ///
@@ -1286,15 +1264,12 @@ impl Campaign {
     fn merge_chunk(
         &self,
         points: &[PointDef],
-        fold: &mut Fold,
+        accumulator: &mut CampaignAccumulator,
         output: ChunkOutput,
         sink: &mut Option<&mut dyn RunSink>,
         telemetry: &mut CampaignTelemetry<'_>,
     ) {
-        match fold {
-            Fold::Accumulator(accumulator) => accumulator.merge_chunk(output.partial),
-            Fold::Partials(partials) => partials.push(output.partial),
-        }
+        accumulator.merge_chunk(output.partial);
         if let Some(sink) = sink {
             let mut point_index = output.records.first().map(|(run, _)| point_of(points, *run));
             for (run, record) in &output.records {
@@ -1474,14 +1449,20 @@ mod tests {
         registry
     }
 
-    /// Runs the chunk window `chunks` of `campaign` and returns its partials.
+    /// Runs the chunk window `chunks` of `campaign` and returns the records
+    /// its sink received, with their global run indices.
     fn run_window(
         campaign: &Campaign,
         registry: &ScenarioRegistry,
         chunks: Range<usize>,
-    ) -> Result<(Vec<ChunkPartial>, RunnerStats), String> {
-        let (outcome, stats) = campaign.session(registry).chunks(chunks).run()?;
-        Ok((outcome.into_partials().expect("a window session returns partials"), stats))
+    ) -> Result<(Vec<(u64, RunRecord)>, RunnerStats), String> {
+        let mut records = Vec::new();
+        let mut sink = |meta: &RunMeta<'_>, record: &RunRecord| {
+            records.push((meta.run_index, record.clone()));
+        };
+        let (outcome, stats) = campaign.session(registry).chunks(chunks).sink(&mut sink).run()?;
+        assert_eq!(outcome, CampaignOutcome::Window);
+        Ok((records, stats))
     }
 
     #[test]
@@ -1560,7 +1541,7 @@ mod tests {
         let campaign = Campaign::new("abort", 3)
             .with_chunk_size(4)
             .entry(CampaignEntry::new("echo").replications(8));
-        let (points, _) = campaign.expand_points();
+        let points = campaign.expand_points();
         let families = campaign.resolve_families(&echo_registry(), &points).unwrap();
         let work = ChunkWork {
             campaign: &campaign,
@@ -1938,21 +1919,19 @@ mod tests {
         assert_eq!(chunks, 6);
 
         // An empty window executes nothing.
-        let (partials, stats) = run_window(&campaign, &registry, 2..2).unwrap();
-        assert!(partials.is_empty());
+        let (records, stats) = run_window(&campaign, &registry, 2..2).unwrap();
+        assert!(records.is_empty());
         assert_eq!(stats.chunks, 0);
 
-        // A single-chunk window produces exactly one partial with the
-        // chunk's runs.
-        let (partials, _) = run_window(&campaign, &registry, 1..2).unwrap();
-        assert_eq!(partials.len(), 1);
-        let runs: u64 = partials[0].points.values().map(|p| p.runs).sum();
-        assert_eq!(runs, 4);
+        // A single-chunk window runs exactly the chunk's runs, with their
+        // global indices.
+        let (records, _) = run_window(&campaign, &registry, 1..2).unwrap();
+        let runs: Vec<u64> = records.iter().map(|(run, _)| *run).collect();
+        assert_eq!(runs, [4, 5, 6, 7]);
 
         // The ragged final chunk holds only the tail runs.
-        let (partials, _) = run_window(&campaign, &registry, chunks - 1..chunks).unwrap();
-        let runs: u64 = partials[0].points.values().map(|p| p.runs).sum();
-        assert_eq!(runs, 22 - 4 * (chunks as u64 - 1));
+        let (records, _) = run_window(&campaign, &registry, chunks - 1..chunks).unwrap();
+        assert_eq!(records.len() as u64, 22 - 4 * (chunks as u64 - 1));
 
         // Bounds outside the canonical range are refused up front.
         // (A struct literal: a reversed `3..2` literal reads like a typo.)
@@ -1964,27 +1943,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_boundary_on_a_checkpoint_cadence_boundary_stays_byte_identical() {
-        // A shard boundary that coincides with a checkpoint cadence boundary
-        // must not perturb the reduction: folding the shard partials equals
-        // running checkpointed sessions over the same split.
-        let registry = echo_registry();
-        let campaign = Campaign::new("cadence", 11)
-            .with_chunk_size(3)
-            .entry(CampaignEntry::new("echo").replications(27)); // 9 chunks
-        let reference = campaign.run(&registry).unwrap();
-
-        // Shard split at chunk 6 == cadence 3 × 2 checkpoint boundary.
-        let (mut left, _) = run_window(&campaign, &registry, 0..6).unwrap();
-        let (right, _) = run_window(&campaign.clone().with_threads(3), &registry, 6..9).unwrap();
-        left.extend(right);
-        let merged = campaign.finish_from_chunks(left).unwrap();
-        assert_eq!(merged, reference);
-        assert_eq!(merged.to_json(), reference.to_json());
-    }
-
-    #[test]
-    fn sharded_partials_fold_to_the_single_session_report_for_any_split() {
+    fn window_streams_replay_to_the_single_session_report_for_any_split() {
         let registry = echo_registry();
         let campaign = Campaign::new("fold", 19)
             .with_chunk_size(2)
@@ -1992,14 +1951,39 @@ mod tests {
         let chunks = campaign.canonical_chunks();
         let reference = campaign.run(&registry).unwrap();
         for boundary in 0..=chunks {
-            let (mut partials, _) = run_window(&campaign, &registry, 0..boundary).unwrap();
+            let (mut records, _) = run_window(&campaign, &registry, 0..boundary).unwrap();
             let (tail, _) =
                 run_window(&campaign.clone().with_threads(2), &registry, boundary..chunks).unwrap();
-            partials.extend(tail);
-            let merged = campaign.finish_from_chunks(partials).unwrap();
+            records.extend(tail);
+            let records: Vec<RunRecord> = records.into_iter().map(|(_, record)| record).collect();
+            let merged = campaign.reduce_records(&registry, &records).unwrap();
             assert_eq!(merged, reference, "boundary {boundary}");
             assert_eq!(merged.to_json(), reference.to_json(), "boundary {boundary}");
         }
+    }
+
+    #[test]
+    fn run_counts_that_overflow_u64_are_refused_before_any_run() {
+        let wrap = r#"{"name": "wrap", "seed": 1, "entries": [{"scenario": "lane-change",
+            "replications": 9223372036854775808, "duration_secs": 1,
+            "grid": {"coordination": ["agreement", "none"]}}]}"#;
+        let err = Campaign::from_json_str(wrap).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+
+        // Two entries that each fit but whose sum does not.
+        let entry = || CampaignEntry::new("fussy").replications(u64::MAX / 2 + 1);
+        let campaign = Campaign::new("sum", 1).entry(entry()).entry(entry());
+        assert_eq!(campaign.run_count(), u64::MAX, "the count saturates");
+        let (registry, _, _) = never_run("overflow");
+        let error = refusal(campaign.session(&registry).run());
+        assert!(error.contains("overflows"), "{error}");
+
+        // A grid whose point count times the replications overflows.
+        let axes = (0..64)
+            .fold(ParamGrid::new(), |grid, axis| grid.axis(&format!("a{axis}"), [false, true]));
+        let campaign = Campaign::new("grid", 1).entry(CampaignEntry::new("fussy").grid(axes));
+        assert_eq!(campaign.run_count(), u64::MAX);
+        assert!(refusal(campaign.session(&registry).run()).contains("overflows"));
     }
 
     // ---- Session settings the runner cannot honour --------------------------

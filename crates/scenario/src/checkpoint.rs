@@ -62,7 +62,6 @@ use karyon_sim::{BucketHistogram, BucketHistogramState, OnlineStats, OnlineStats
 use crate::aggregate::{CampaignAccumulator, MetricAccumulator, PointAccumulator, QuantileAcc};
 use crate::campaign::{fnv1a64, Campaign};
 use crate::json::{array, JsonValue, ObjectWriter};
-use crate::recovery::RetryPolicy;
 
 /// Manifest format tag, checked on load.
 const FORMAT: &str = "karyon-campaign-checkpoint";
@@ -97,28 +96,15 @@ pub struct Checkpointer {
     path: PathBuf,
     every_chunks: usize,
     max_chunks: Option<usize>,
-    retry: RetryPolicy,
 }
 
 impl Checkpointer {
     /// Creates a checkpointer writing its manifest to `path`, at the default
-    /// cadence of every canonical chunk and the default I/O retry policy
-    /// ([`RetryPolicy::default_io`]).
+    /// cadence of every canonical chunk.  The sink flushes and the manifest
+    /// write of each checkpoint retry transient I/O failures: four attempts,
+    /// pausing 2, 8 and 32 ms between them.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Checkpointer {
-            path: path.into(),
-            every_chunks: 1,
-            max_chunks: None,
-            retry: RetryPolicy::default_io(),
-        }
-    }
-
-    /// Replaces the retry policy applied to the sink flushes and manifest
-    /// writes of each checkpoint ([`RetryPolicy::no_retry`] restores the
-    /// fail-fast behaviour).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
+        Checkpointer { path: path.into(), every_chunks: 1, max_chunks: None }
     }
 
     /// Sets the write cadence: a manifest is written after every `every`-th
@@ -168,11 +154,6 @@ impl Checkpointer {
         chunks_done % self.every_chunks == 0
     }
 
-    /// The retry policy for this checkpointer's I/O edges.
-    pub(crate) fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Writes `manifest_json` atomically: to a temp file in the manifest's
     /// directory, fsynced, then renamed over the final path, so a crash at
     /// any instant leaves either the previous manifest or the new one —
@@ -190,9 +171,14 @@ impl Checkpointer {
 /// over the final path, so a crash at any instant leaves either the previous
 /// file or the new one — never a torn write.  Shared by checkpoint manifests
 /// and [shard manifests](crate::shard); `what` names the artifact in errors.
+///
+/// The temp file is the full file name plus `.tmp` (`c.json.tmp`), so it can
+/// neither clobber a sibling `c.tmp` nor be the manifest itself.
 pub(crate) fn write_framed_atomic(path: &Path, payload: &str, what: &str) -> Result<(), String> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     let fail =
         |stage: &str, e: std::io::Error| format!("{what} write to {path:?} failed ({stage}): {e}");
     let mut file = fs::File::create(&tmp).map_err(|e| fail("create temp", e))?;
@@ -247,80 +233,13 @@ impl CheckpointManifest {
     /// are **refused with a recovery hint** — the file on disk is never
     /// touched and this function never panics.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text = fs::read(path)
-            .map_err(|e| format!("cannot read checkpoint manifest {path:?}: {e}"))
-            .and_then(|bytes| {
-                String::from_utf8(bytes).map_err(|_| {
-                    refusal(path, "the file is not valid UTF-8 — it is corrupt or not a manifest")
-                })
-            })?;
-        let (payload, rest) = text.split_once('\n').ok_or_else(|| {
-            refusal(
-                path,
-                "no newline-terminated manifest payload — the file was truncated mid-write",
-            )
-        })?;
-        let frame_line = rest.lines().next().unwrap_or("").trim();
-        if frame_line.is_empty() {
-            return Err(refusal(
-                path,
-                "the integrity frame line after the payload is missing — the file was \
-                 truncated, or written by an incompatible build",
-            ));
-        }
-        let frame = JsonValue::parse(frame_line)
-            .map_err(|e| refusal(path, &format!("the integrity frame is unreadable ({e})")))?;
-        if frame.get("frame").and_then(JsonValue::as_str) != Some(FRAME_TAG) {
-            return Err(refusal(
-                path,
-                &format!("the integrity frame does not carry the {FRAME_TAG:?} tag"),
-            ));
-        }
-        let framed_len = frame.get("len").and_then(JsonValue::as_u64);
-        if framed_len != Some(payload.len() as u64) {
-            return Err(refusal(
-                path,
-                &format!(
-                    "length mismatch: the integrity frame covers {} payload bytes but the file \
-                     holds {} — the manifest was truncated or spliced",
-                    framed_len.unwrap_or(0),
-                    payload.len()
-                ),
-            ));
-        }
-        if frame.get("fnv").and_then(JsonValue::as_u64) != Some(fnv1a64(payload.as_bytes())) {
-            return Err(refusal(
-                path,
-                "FNV-1a hash mismatch: the manifest bytes changed after they were written — \
-                 bit rot, a manual edit or a torn write",
-            ));
-        }
-        Self::parse(payload).map_err(|e| refusal(path, &e))
+        load_framed(path, "checkpoint manifest", CHECKPOINT_HINT, Self::parse)
     }
 
     /// Parses a manifest from its JSON text.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = JsonValue::parse(text)?;
-        let str_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field {key:?}"))
-        };
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
-        if str_field("format")? != FORMAT {
-            return Err(format!("not a {FORMAT} file"));
-        }
-        if u64_field("version")? != VERSION {
-            return Err(format!(
-                "unsupported manifest version {} (this build reads {VERSION})",
-                u64_field("version")?
-            ));
-        }
+        let identity = Identity::parse(&doc, FORMAT, VERSION)?;
         let points = doc
             .get("points")
             .and_then(JsonValue::as_array)
@@ -329,42 +248,44 @@ impl CheckpointManifest {
             .map(parse_point)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CheckpointManifest {
-            campaign: str_field("campaign")?,
-            seed: u64_field("seed")?,
-            fingerprint: u64_field("fingerprint")?,
-            chunk_size: u64_field("chunk_size")? as usize,
-            total_runs: u64_field("total_runs")?,
-            chunks_done: u64_field("chunks_done")? as usize,
-            runs_done: u64_field("runs_done")?,
+            campaign: identity.campaign.to_string(),
+            seed: identity.seed,
+            fingerprint: identity.fingerprint,
+            chunk_size: identity.chunk_size,
+            total_runs: identity.total_runs,
+            chunks_done: u64_field(&doc, "chunks_done")? as usize,
+            runs_done: u64_field(&doc, "runs_done")?,
             points,
         })
     }
 
-    /// Checks the manifest belongs to `campaign` (same fingerprint, i.e. the
-    /// same name, seed, chunk size and entry list) and is internally
-    /// consistent with the campaign's expansion.
+    /// Checks the manifest was written by `campaign`'s definition: the same
+    /// [fingerprint](Campaign::fingerprint) (name, seed, chunk size and entry
+    /// list — the worker count may differ), chunk size and run count.
+    pub fn check(&self, campaign: &Campaign) -> Result<(), String> {
+        Identity {
+            campaign: &self.campaign,
+            seed: self.seed,
+            fingerprint: self.fingerprint,
+            chunk_size: self.chunk_size,
+            total_runs: self.total_runs,
+        }
+        .check(campaign, "checkpoint")
+    }
+
+    /// Checks the manifest belongs to `campaign` ([`check`](Self::check)) and
+    /// is internally consistent with the campaign's expansion.
     pub(crate) fn validate_for(
         &self,
         campaign: &Campaign,
-        total_runs: u64,
         point_count: usize,
         chunks: usize,
     ) -> Result<(), String> {
-        if self.fingerprint != campaign.fingerprint() {
+        self.check(campaign)?;
+        if self.points.len() != point_count {
             return Err(format!(
-                "checkpoint fingerprint {:#018x} does not match campaign {:?} \
-                 ({:#018x}) — the spec (name, seed, chunk size, entries or grids) \
-                 changed since the checkpoint was written",
-                self.fingerprint,
-                campaign.name(),
-                campaign.fingerprint()
-            ));
-        }
-        if self.total_runs != total_runs || self.points.len() != point_count {
-            return Err(format!(
-                "checkpoint shape mismatch: manifest covers {} runs / {} points, \
-                 campaign expands to {total_runs} runs / {point_count} points",
-                self.total_runs,
+                "checkpoint shape mismatch: manifest covers {} points, campaign expands to \
+                 {point_count}",
                 self.points.len()
             ));
         }
@@ -386,31 +307,171 @@ impl CheckpointManifest {
 /// Serialises the merged state after `chunks_done` canonical chunks.
 pub(crate) fn render_manifest(
     campaign: &Campaign,
-    total_runs: u64,
     chunks_done: usize,
     runs_done: u64,
     accumulator: &CampaignAccumulator,
 ) -> String {
     let points: Vec<String> = accumulator.points().iter().map(render_point).collect();
-    let mut o = ObjectWriter::new();
-    o.string("format", FORMAT)
-        .u64("version", VERSION)
-        .string("campaign", campaign.name())
-        .u64("seed", campaign.seed())
-        .u64("fingerprint", campaign.fingerprint())
-        .u64("chunk_size", campaign.chunk_size() as u64)
-        .u64("total_runs", total_runs)
-        .u64("chunks_done", chunks_done as u64)
+    let mut o = Identity::of(campaign).render(FORMAT, VERSION);
+    o.u64("chunks_done", chunks_done as u64)
         .u64("runs_done", runs_done)
         .raw("points", &array(&points));
     o.finish()
 }
 
+/// The identity header both manifest kinds open with, after their format tag
+/// and version: which campaign definition wrote the manifest, and the chunk
+/// size and run count it covers.
+pub(crate) struct Identity<'a> {
+    pub(crate) campaign: &'a str,
+    pub(crate) seed: u64,
+    pub(crate) fingerprint: u64,
+    pub(crate) chunk_size: usize,
+    pub(crate) total_runs: u64,
+}
+
+impl<'a> Identity<'a> {
+    /// `campaign`'s identity.
+    pub(crate) fn of(campaign: &'a Campaign) -> Self {
+        Identity {
+            campaign: campaign.name(),
+            seed: campaign.seed(),
+            fingerprint: campaign.fingerprint(),
+            chunk_size: campaign.chunk_size(),
+            total_runs: campaign.run_count(),
+        }
+    }
+
+    /// Starts a `format` payload of `version` with this header; the caller
+    /// appends the manifest kind's own fields.
+    pub(crate) fn render(&self, format: &str, version: u64) -> ObjectWriter {
+        let mut o = ObjectWriter::new();
+        o.string("format", format)
+            .u64("version", version)
+            .string("campaign", self.campaign)
+            .u64("seed", self.seed)
+            .u64("fingerprint", self.fingerprint)
+            .u64("chunk_size", self.chunk_size as u64)
+            .u64("total_runs", self.total_runs);
+        o
+    }
+
+    /// Parses the header of a `format` payload, refusing any other format or
+    /// version before reading a field.
+    pub(crate) fn parse(doc: &'a JsonValue, format: &str, version: u64) -> Result<Self, String> {
+        let str_field = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("missing or non-string field {key:?}"))
+        };
+        if str_field("format")? != format {
+            return Err(format!("not a {format} file"));
+        }
+        let found = u64_field(doc, "version")?;
+        if found != version {
+            return Err(format!(
+                "unsupported manifest version {found} (this build reads {version})"
+            ));
+        }
+        Ok(Identity {
+            campaign: str_field("campaign")?,
+            seed: u64_field(doc, "seed")?,
+            fingerprint: u64_field(doc, "fingerprint")?,
+            chunk_size: u64_field(doc, "chunk_size")? as usize,
+            total_runs: u64_field(doc, "total_runs")?,
+        })
+    }
+
+    /// Checks the header against `campaign`: the same fingerprint, chunk size
+    /// and run count.  `who` names the manifest in the refusal.
+    pub(crate) fn check(&self, campaign: &Campaign, who: &str) -> Result<(), String> {
+        let name = campaign.name();
+        if self.fingerprint != campaign.fingerprint() {
+            return Err(format!(
+                "{who} fingerprint {:#018x} does not match campaign {name:?} ({:#018x}) — the \
+                 spec (name, seed, chunk size, entries or grids) differs from the one that \
+                 wrote it",
+                self.fingerprint,
+                campaign.fingerprint()
+            ));
+        }
+        if self.chunk_size != campaign.chunk_size() {
+            return Err(format!(
+                "{who} was reduced with chunk size {} but campaign {name:?} uses {} — folding \
+                 it would regroup the floating-point reduction",
+                self.chunk_size,
+                campaign.chunk_size()
+            ));
+        }
+        if self.total_runs != campaign.run_count() {
+            return Err(format!(
+                "{who} covers a campaign of {} runs but {name:?} expands to {}",
+                self.total_runs,
+                campaign.run_count()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A required non-negative integer field of a manifest payload.
+pub(crate) fn u64_field(doc: &JsonValue, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+}
+
+/// Loads an integrity-framed file written by [`write_framed_atomic`] and
+/// parses its payload: the one reader behind both manifest kinds.
+///
+/// A refusal names the `kind`, the file and the reason — not UTF-8,
+/// truncated, frame missing, length mismatch, hash mismatch, or the parser's
+/// own — and ends with the kind's recovery `hint`.  The file on disk is never
+/// touched.
+pub(crate) fn load_framed<T>(
+    path: &Path,
+    kind: &str,
+    hint: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let bytes = fs::read(path).map_err(|e| format!("cannot read {kind} {path:?}: {e}"))?;
+    framed_payload(&bytes).and_then(parse).map_err(|why| format!("{kind} {path:?}: {why}; {hint}"))
+}
+
+/// The payload of a framed file, or why its integrity frame refuses it.
+fn framed_payload(bytes: &[u8]) -> Result<&str, String> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| "the file is not valid UTF-8 — it is corrupt or not a manifest")?;
+    let (payload, rest) = text
+        .split_once('\n')
+        .ok_or("no newline-terminated manifest payload — the file was truncated mid-write")?;
+    let frame = JsonValue::parse(rest.lines().next().unwrap_or("").trim())
+        .ok()
+        .filter(|frame| frame.get("frame").and_then(JsonValue::as_str) == Some(FRAME_TAG))
+        .ok_or(
+            "the integrity frame line after the payload is missing or unreadable — the file \
+             was truncated, or written by an incompatible build",
+        )?;
+    let framed_len = frame.get("len").and_then(JsonValue::as_u64);
+    if framed_len != Some(payload.len() as u64) {
+        return Err(format!(
+            "length mismatch: the integrity frame covers {} payload bytes but the file holds {} \
+             — the manifest was truncated or spliced",
+            framed_len.unwrap_or(0),
+            payload.len()
+        ));
+    }
+    if frame.get("fnv").and_then(JsonValue::as_u64) != Some(fnv1a64(payload.as_bytes())) {
+        return Err("FNV-1a hash mismatch: the manifest bytes changed after they were written — \
+                    bit rot, a manual edit or a torn write"
+            .to_string());
+    }
+    Ok(payload)
+}
+
 /// Renders one point's partial.  Every `f64` is stored as its IEEE-754 bit
 /// pattern in a `u64` field, so the restore is bit-exact by construction.
-/// Shared with the shard manifests of [`crate::shard`], which persist the
-/// same representation per chunk.
-pub(crate) fn render_point(point: &PointAccumulator) -> String {
+fn render_point(point: &PointAccumulator) -> String {
     let mut metrics = ObjectWriter::new();
     for (name, acc) in &point.metrics {
         metrics.raw(name, &render_metric(acc));
@@ -456,7 +517,7 @@ fn render_metric(acc: &MetricAccumulator) -> String {
     o.finish()
 }
 
-pub(crate) fn parse_point(value: &JsonValue) -> Result<PointAccumulator, String> {
+fn parse_point(value: &JsonValue) -> Result<PointAccumulator, String> {
     let runs = value.get("runs").and_then(JsonValue::as_u64).ok_or("point is missing \"runs\"")?;
     let suspect_runs = value
         .get("suspect_runs")
@@ -568,14 +629,10 @@ pub fn integrity_frame(manifest_json: &str) -> String {
     o.finish()
 }
 
-/// A refusal message for a corrupt manifest, with the recovery hint attached.
-fn refusal(path: &Path, why: &str) -> String {
-    format!(
-        "checkpoint manifest {path:?}: {why}; refusing to resume from it — recovery: delete \
-         the manifest (and discard or re-truncate any JSONL/trace streams written alongside) \
-         and restart the campaign from scratch, or restore the manifest from a backup"
-    )
-}
+/// The recovery hint a refused checkpoint manifest carries.
+const CHECKPOINT_HINT: &str = "refusing to resume from it — recovery: delete the manifest (and \
+     discard or re-truncate any JSONL/trace streams written alongside) and restart the campaign \
+     from scratch, or restore the manifest from a backup";
 
 /// Outcome of a [`scan_complete_lines`] pass.
 struct ScanOutcome {
@@ -732,7 +789,7 @@ mod tests {
         let acc = CampaignAccumulator::from_points(vec![point, PointAccumulator::default()]);
 
         let campaign = Campaign::new("rt", 9).with_chunk_size(2);
-        let text = render_manifest(&campaign, 4, 2, 4, &acc);
+        let text = render_manifest(&campaign, 2, 4, &acc);
         let manifest = CheckpointManifest::parse(&text).expect("well-formed manifest");
         assert_eq!(manifest.campaign, "rt");
         assert_eq!(manifest.chunks_done, 2);
@@ -765,7 +822,6 @@ mod tests {
             &Campaign::new("x", 1),
             0,
             0,
-            0,
             &CampaignAccumulator::from_points(vec![]),
         );
         assert!(CheckpointManifest::parse(&ok).is_ok());
@@ -782,7 +838,32 @@ mod tests {
         ckpt.write("{\"second\": true}").expect("writable temp dir");
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("second"));
-        assert!(!path.with_extension("tmp").exists(), "the temp file must be renamed away");
+        let tmp = temp_path("atomic.json.tmp");
+        assert!(!tmp.exists(), "the temp file must be renamed away");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn manifest_writes_spare_sibling_tmp_files_and_tmp_named_manifests() {
+        // A sibling `<stem>.tmp` is someone else's file: a write must not
+        // stage over it and rename it away.
+        let sibling = temp_path("sibling.tmp");
+        fs::write(&sibling, "not ours").unwrap();
+        let campaign = Campaign::new("tmp", 3).with_chunk_size(2);
+        let payload = render_manifest(&campaign, 0, 0, &CampaignAccumulator::from_points(vec![]));
+        let path = temp_path("sibling.json");
+        Checkpointer::new(&path).write(&payload).expect("writable temp dir");
+        assert_eq!(fs::read_to_string(&sibling).unwrap(), "not ours");
+        CheckpointManifest::load(&path).expect("the manifest landed");
+        fs::remove_file(&path).ok();
+        fs::remove_file(&sibling).ok();
+
+        // A manifest named `x.tmp` must not stage onto itself.
+        let path = temp_path("x.tmp");
+        let ckpt = Checkpointer::new(&path);
+        ckpt.write(&payload).expect("writable temp dir");
+        ckpt.write(&payload).expect("a rewrite replaces it whole");
+        assert_eq!(CheckpointManifest::load(&path).unwrap().campaign, "tmp");
         fs::remove_file(&path).ok();
     }
 
@@ -807,8 +888,7 @@ mod tests {
     fn the_integrity_frame_guards_the_manifest_on_disk() {
         let path = temp_path("frame.json");
         let campaign = Campaign::new("framed", 3).with_chunk_size(2);
-        let payload =
-            render_manifest(&campaign, 0, 0, 0, &CampaignAccumulator::from_points(vec![]));
+        let payload = render_manifest(&campaign, 0, 0, &CampaignAccumulator::from_points(vec![]));
         let ckpt = Checkpointer::new(&path);
         ckpt.write(&payload).expect("writable temp dir");
         CheckpointManifest::load(&path).expect("a pristine manifest loads");

@@ -233,11 +233,6 @@ impl JsonValue {
         }
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// A short name of the value's type, for error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -553,7 +548,7 @@ mod tests {
         assert_eq!(a[1].as_f64(), Some(-2.5));
         assert_eq!(a[2].as_f64(), Some(1000.0));
         assert_eq!(a[3].as_bool(), Some(true));
-        assert!(a[5].is_null());
+        assert_eq!(a[5], JsonValue::Null);
         assert!(a[5].as_f64().unwrap().is_nan(), "null reads back as NaN for metric streams");
         assert_eq!(v.get("b").unwrap().get("nested").unwrap().as_str(), Some("v"));
         assert_eq!(v.get("c").unwrap().as_str(), Some(""));

@@ -52,15 +52,19 @@
 //! * [`ShardPlan`] / [`ShardManifest`] ([`shard`]) — the shard/merge
 //!   protocol: split the canonical chunk range into contiguous windows run
 //!   independently (each a [chunk window](Session::chunks) with its own
-//!   worker count), persist each window's per-chunk partials in an
-//!   integrity-framed manifest, and [`merge_shards`] the set back into a
-//!   report **byte-identical** to a single-machine run's;
+//!   worker count, streaming its runs into a JSONL segment), mark each
+//!   completed window with an integrity-framed header manifest, and merge
+//!   the set by [validating](validate_shard_set) it, stitching the run
+//!   segments and replaying them through [`read_jsonl_records`] and
+//!   [`Campaign::reduce_records`] — a report **byte-identical** to a
+//!   single-machine run's.  The checkpoint manifest is the only persisted
+//!   aggregation format;
 //! * [`FaultPlan`] / [`FaultInjector`] ([`fault`]) — deterministic fault
 //!   injection at the runner's canonical points (worker death at a chunk
 //!   boundary, mid-chunk aborts, torn manifest writes, sink I/O errors),
-//!   JSON- or seed-specified, with [`recovery`]'s bounded
-//!   [`RetryPolicy`] turning transient I/O failures into graceful
-//!   degradation;
+//!   JSON- or seed-specified; checkpoint sink flushes and manifest writes
+//!   retry transient I/O failures (four attempts, 2/8/32 ms pauses) before
+//!   giving up;
 //! * [`CampaignReport`] — per-parameter-point aggregates (mean/std-dev via
 //!   `OnlineStats`; p50/p95/p99 exact for small sweeps, streamed through
 //!   pre-agreed-range `BucketHistogram`s beyond — see
@@ -94,7 +98,7 @@ pub mod families;
 pub mod fault;
 pub mod grid;
 pub mod json;
-pub mod recovery;
+mod recovery;
 pub mod registry;
 pub mod report;
 pub mod scenario;
@@ -113,13 +117,11 @@ pub use checkpoint::{
 pub use fault::{Fault, FaultInjector, FaultPlan};
 pub use grid::ParamGrid;
 pub use json::JsonValue;
-pub use recovery::{Backoff, RecordedBackoff, Recovered, RetryPolicy, WallClockBackoff};
 pub use registry::{builtin_registry, FamilyInfo, ParamInfo, ScenarioRegistry};
 pub use report::{CampaignReport, MetricSummary, PointReport};
 pub use scenario::{RunRecord, Scenario};
 pub use shard::{
-    merge_shards, read_run_segment, read_trace_segment, validate_shard_set, ShardManifest,
-    ShardPlan, ShardSlice,
+    read_run_segment, read_trace_segment, validate_shard_set, ShardManifest, ShardPlan, ShardSlice,
 };
 pub use sink::{read_jsonl_records, JsonlRunWriter, RunMeta, RunSink, SyncOnFlushFile};
 pub use spec::{ParamValue, ScenarioSpec};

@@ -1,133 +1,31 @@
-//! Bounded retry with backoff for the runner's I/O edges.
+//! Bounded retry for the runner's I/O edges.
 //!
 //! Sink flushes and checkpoint-manifest writes are the two places a healthy
 //! campaign touches the filesystem mid-flight; both can fail transiently
-//! (disk pressure, NFS hiccups, an injected [`crate::fault::Fault`]).  A
-//! [`RetryPolicy`] turns those transients into graceful degradation: a
-//! bounded number of re-attempts with exponential backoff, after which the
-//! original error propagates unchanged.
-//!
-//! The pause itself is pluggable via [`Backoff`]: production uses
-//! [`WallClockBackoff`] (a real `thread::sleep`), while simulated/virtual-time
-//! harnesses use [`RecordedBackoff`], which only records what *would* have
-//! been slept — tests stay fast and deterministic.
+//! (disk pressure, NFS hiccups, an injected [`crate::fault::Fault`]).  Each
+//! gets four attempts with exponential pauses between them, after which the
+//! last error propagates unchanged.
 
 use std::time::Duration;
 
-/// How to spend the pause between retry attempts.
-pub trait Backoff {
-    /// Called after failed attempt number `attempt` (1-based) with the delay
-    /// the policy prescribes before the next attempt.
-    fn pause(&mut self, attempt: u32, delay: Duration);
-}
+/// The pauses after each failed attempt but the last: four attempts in all,
+/// at most 42 ms of wall-clock pause per edge.
+const PAUSES: [Duration; 3] =
+    [Duration::from_millis(2), Duration::from_millis(8), Duration::from_millis(32)];
 
-/// Production backoff: actually sleeps on the wall clock.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WallClockBackoff;
-
-impl Backoff for WallClockBackoff {
-    fn pause(&mut self, _attempt: u32, delay: Duration) {
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-    }
-}
-
-/// Virtual-time backoff: records the prescribed pauses without sleeping.
-#[derive(Debug, Default, Clone)]
-pub struct RecordedBackoff {
-    /// The delays the policy prescribed, in order.
-    pub pauses: Vec<Duration>,
-}
-
-impl Backoff for RecordedBackoff {
-    fn pause(&mut self, _attempt: u32, delay: Duration) {
-        self.pauses.push(delay);
-    }
-}
-
-/// A bounded exponential-backoff retry policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-    base_delay: Duration,
-    multiplier: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::default_io()
-    }
-}
-
-impl RetryPolicy {
-    /// Builds a policy: at most `max_attempts` total attempts (clamped to at
-    /// least 1), pausing `base_delay` after the first failure and multiplying
-    /// the pause by `multiplier` (clamped to at least 1.0) after each further
-    /// failure.
-    pub fn new(max_attempts: u32, base_delay: Duration, multiplier: f64) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            base_delay,
-            multiplier: if multiplier >= 1.0 { multiplier } else { 1.0 },
-        }
-    }
-
-    /// A policy that never retries (one attempt, no pause).
-    pub fn no_retry() -> Self {
-        RetryPolicy::new(1, Duration::ZERO, 1.0)
-    }
-
-    /// The default for runner I/O edges: 4 attempts, 2 ms first pause,
-    /// quadrupling — at most ~42 ms of wall-clock pause per edge.
-    pub fn default_io() -> Self {
-        RetryPolicy::new(4, Duration::from_millis(2), 4.0)
-    }
-
-    /// Maximum total attempts (including the first).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Runs `op` until it succeeds or the attempt budget is exhausted.
-    ///
-    /// `op` receives the 1-based attempt number.  On success the result
-    /// reports how many attempts were needed; on exhaustion the *last* error
-    /// propagates unchanged.
-    pub fn run<T, E>(
-        &self,
-        backoff: &mut dyn Backoff,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<Recovered<T>, E> {
-        let mut delay = self.base_delay;
-        let mut attempt = 1u32;
-        loop {
-            match op(attempt) {
-                Ok(value) => return Ok(Recovered { value, attempts: attempt }),
-                Err(e) if attempt >= self.max_attempts => return Err(e),
-                Err(_) => {
-                    backoff.pause(attempt, delay);
-                    delay = delay.mul_f64(self.multiplier);
-                    attempt += 1;
-                }
+/// Runs `op` until it succeeds or four attempts have failed, sleeping the
+/// [`PAUSES`] in between.  Returns the outcome — `op`'s value, or its last
+/// error — and the attempts spent beyond the first.
+pub(crate) fn retry_io<T, E>(mut op: impl FnMut() -> Result<T, E>) -> (Result<T, E>, u32) {
+    let mut retried = 0u32;
+    loop {
+        match op() {
+            Err(_) if (retried as usize) < PAUSES.len() => {
+                std::thread::sleep(PAUSES[retried as usize]);
+                retried += 1;
             }
+            outcome => return (outcome, retried),
         }
-    }
-}
-
-/// A successful [`RetryPolicy::run`] outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Recovered<T> {
-    /// What `op` finally returned.
-    pub value: T,
-    /// Total attempts taken (1 = no retry was needed).
-    pub attempts: u32,
-}
-
-impl<T> Recovered<T> {
-    /// Extra attempts beyond the first.
-    pub fn retried(&self) -> u32 {
-        self.attempts - 1
     }
 }
 
@@ -136,52 +34,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_try_success_never_pauses() {
-        let mut backoff = RecordedBackoff::default();
-        let out = RetryPolicy::default_io().run(&mut backoff, |_| Ok::<_, String>(42)).unwrap();
-        assert_eq!(out.value, 42);
-        assert_eq!(out.retried(), 0);
-        assert!(backoff.pauses.is_empty());
+    fn first_try_success_never_retries() {
+        let (outcome, retried) = retry_io(|| Ok::<_, String>(42));
+        assert_eq!(outcome, Ok(42));
+        assert_eq!(retried, 0);
     }
 
     #[test]
-    fn transient_failures_heal_with_exponential_pauses() {
-        let mut backoff = RecordedBackoff::default();
-        let mut failures_left = 2;
-        let out = RetryPolicy::new(4, Duration::from_millis(2), 4.0)
-            .run(&mut backoff, |attempt| {
-                if failures_left > 0 {
-                    failures_left -= 1;
-                    Err(format!("transient on attempt {attempt}"))
-                } else {
-                    Ok(attempt)
-                }
-            })
-            .unwrap();
-        assert_eq!(out.value, 3);
-        assert_eq!(out.retried(), 2);
-        assert_eq!(backoff.pauses, vec![Duration::from_millis(2), Duration::from_millis(8)]);
+    fn transient_failures_heal_within_the_budget() {
+        let mut attempts = 0;
+        let (outcome, retried) = retry_io(|| {
+            attempts += 1;
+            if attempts <= 2 {
+                Err(format!("transient on attempt {attempts}"))
+            } else {
+                Ok(attempts)
+            }
+        });
+        assert_eq!(outcome, Ok(3));
+        assert_eq!(retried, 2);
     }
 
     #[test]
     fn exhaustion_returns_the_last_error_unchanged() {
-        let mut backoff = RecordedBackoff::default();
-        let err = RetryPolicy::new(3, Duration::from_millis(1), 2.0)
-            .run::<(), _>(&mut backoff, |attempt| Err(format!("boom {attempt}")))
-            .unwrap_err();
-        assert_eq!(err, "boom 3");
-        assert_eq!(backoff.pauses.len(), 2, "no pause after the final failure");
-    }
-
-    #[test]
-    fn no_retry_means_exactly_one_attempt() {
-        let mut backoff = RecordedBackoff::default();
-        let mut calls = 0;
-        let _ = RetryPolicy::no_retry().run::<(), _>(&mut backoff, |_| {
-            calls += 1;
-            Err("nope")
+        let mut attempts = 0;
+        let (outcome, retried) = retry_io::<(), _>(|| {
+            attempts += 1;
+            Err(format!("boom {attempts}"))
         });
-        assert_eq!(calls, 1);
-        assert!(backoff.pauses.is_empty());
+        assert_eq!(outcome, Err("boom 4".to_string()), "four attempts, the last error kept");
+        assert_eq!(retried, 3);
     }
 }

@@ -1,38 +1,45 @@
 //! The shard/merge protocol: one campaign, split across machines.
 //!
-//! A campaign's canonical chunk range is the natural distribution unit: every
-//! chunk reduces sequentially in canonical run order, and chunk partials merge
-//! in canonical chunk order — so *any* contiguous window of chunks can execute
-//! on its own machine, with its own worker count, and the global reduction is
-//! reassembled later.  This module is that protocol, coordination-free and
-//! over files in one directory; a [chunk window](crate::Session::chunks)
-//! executes each shard:
+//! A campaign's canonical chunk range is the natural distribution unit: any
+//! contiguous window of chunks can execute on its own machine, with its own
+//! worker count, and stream its runs — with **global** run indices — into a
+//! JSONL segment.  Concatenated in window order, the segments are exactly the
+//! stream an uninterrupted run writes.  This module is that protocol,
+//! coordination-free and over files in one directory; a
+//! [chunk window](crate::Session::chunks) executes each shard:
 //!
 //! * [`ShardPlan`] — splits the `[0, chunks)` canonical range into
 //!   `shard_count` balanced, contiguous [`ShardSlice`]s;
-//! * [`ShardManifest`] — what one shard session persists: the campaign's
-//!   identity fingerprint, the slice bounds and the slice's **per-chunk
-//!   partials** (every `f64` as its IEEE-754 bit pattern), written atomically
-//!   with the same integrity frame a checkpoint manifest carries;
-//! * [`validate_shard_set`] / [`merge_shards`] — refuse foreign, tampered,
-//!   overlapping or gapped shard sets, then replay every shard's partials in
-//!   global canonical chunk order through the exact left-fold a
-//!   single-machine run performs;
+//! * [`ShardManifest`] — the header a completed shard session persists: the
+//!   campaign's identity fingerprint and the slice bounds, written atomically
+//!   with the same integrity frame a checkpoint manifest carries.  It holds
+//!   no aggregation state: a manifest on disk only says its segments are
+//!   complete;
+//! * [`validate_shard_set`] — refuses foreign, tampered, overlapping or
+//!   gapped shard sets;
 //! * [`read_run_segment`] / [`read_trace_segment`] — validate a shard's JSONL
 //!   run/trace segment against its global run range, so segments concatenate
 //!   byte-exactly into the stream an uninterrupted run writes.
 //!
-//! ## Why per-chunk partials, not per-shard aggregates
+//! `merge` is then validate, stitch and replay: the stitched run stream goes
+//! through [`read_jsonl_records`](crate::read_jsonl_records) and
+//! [`Campaign::reduce_records`] — the path `karyon-campaign report --jsonl`
+//! takes — so the merged [`CampaignReport`](crate::CampaignReport) is
+//! **byte-identical** to an uninterrupted run's (the property
+//! `tests/shard.rs` pins for arbitrary shard counts, per-shard worker counts
+//! and merge orders).  Merge holds the stitched stream and its records in
+//! memory, which is O(runs).
+//!
+//! ## Why merge replays runs
 //!
 //! Floating-point merging is not associative: folding shard-level aggregates
 //! together would regroup the reduction and drift in the last ulp, and the
 //! exact-to-histogram quantile spill depends on how many samples the
-//! *canonical prefix* has seen.  Persisting every chunk partial — the same
-//! granularity the streaming runner merges at — lets `merge` reproduce the
-//! single-machine floating-point operation sequence exactly, which is what
-//! makes the merged [`CampaignReport`] **byte-identical** to an uninterrupted
-//! run's (the property `tests/shard.rs` pins for arbitrary shard counts,
-//! per-shard worker counts and merge orders).
+//! *canonical prefix* has seen.  Replaying the stitched run stream through
+//! the canonical chunk reduction performs the single-machine operation
+//! sequence exactly, and needs nothing beyond the run segments every shard
+//! writes anyway — so shards persist no per-chunk partials, and the
+//! checkpoint manifest stays the only persisted aggregation format.
 //!
 //! ## On-disk layout
 //!
@@ -48,24 +55,20 @@
 //! A faulted shard session is simply rerun: the shard is the unit of retry
 //! (there is no checkpointing inside a shard window), and the manifest is
 //! only written after the window completes, so a crash can never leave a
-//! half-true manifest behind.
+//! manifest pointing at incomplete segments.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::aggregate::ChunkPartial;
 use crate::campaign::Campaign;
-use crate::checkpoint::{
-    integrity_frame, line_run_index, parse_point, render_point, write_framed_atomic,
-};
-use crate::json::{array, JsonValue, ObjectWriter};
-use crate::report::CampaignReport;
+use crate::checkpoint::{line_run_index, load_framed, u64_field, write_framed_atomic, Identity};
+use crate::json::JsonValue;
 
 /// Shard manifest format tag, checked on load.
 const FORMAT: &str = "karyon-campaign-shard";
-/// Shard manifest format version, checked on load.
-const VERSION: u64 = 1;
+/// Shard manifest format version, checked on load.  Version 1 also carried
+/// every chunk's aggregation partial; this build refuses it.
+const VERSION: u64 = 2;
 
 /// One shard's contiguous window of the canonical chunk range:
 /// `[start_chunk, end_chunk)`, as shard `index` of `shard_count`.
@@ -97,9 +100,8 @@ impl ShardSlice {
     /// with the given chunk size and total run count — the exact run indices
     /// the shard's JSONL/trace segments must carry.
     pub fn run_range(&self, chunk_size: usize, total_runs: u64) -> (u64, u64) {
-        let start = (self.start_chunk as u64 * chunk_size as u64).min(total_runs);
-        let end = (self.end_chunk as u64 * chunk_size as u64).min(total_runs);
-        (start, end)
+        let run = |chunk: usize| (chunk as u64).saturating_mul(chunk_size as u64).min(total_runs);
+        (run(self.start_chunk), run(self.end_chunk))
     }
 }
 
@@ -108,15 +110,15 @@ impl ShardSlice {
 ///
 /// Every machine that derives the plan from the same campaign definition and
 /// shard count computes the same slices — no coordination needed.  Chunks are
-/// dealt contiguously (shard boundaries never interleave) because the merge
-/// replays chunks in global canonical order: contiguity is what lets each
-/// shard's JSONL/trace segment concatenate byte-exactly.  The first
+/// dealt contiguously (shard boundaries never interleave), which is what lets
+/// each shard's JSONL/trace segment concatenate byte-exactly.  The first
 /// `chunks % shard_count` shards carry one extra chunk; when the plan has
-/// more shards than chunks, the tail slices are legally empty.
-#[derive(Debug, Clone)]
+/// more shards than chunks, the tail slices are legally empty.  Slices are
+/// computed on demand, so a plan of any shard count costs nothing to build.
+#[derive(Debug, Clone, Copy)]
 pub struct ShardPlan {
     chunks: usize,
-    slices: Vec<ShardSlice>,
+    shard_count: usize,
 }
 
 impl ShardPlan {
@@ -126,22 +128,7 @@ impl ShardPlan {
     /// Panics if `shard_count` is zero.
     pub fn new(chunks: usize, shard_count: usize) -> Self {
         assert!(shard_count > 0, "a shard plan needs at least one shard");
-        let base = chunks / shard_count;
-        let extra = chunks % shard_count;
-        let mut slices = Vec::with_capacity(shard_count);
-        let mut start = 0usize;
-        for index in 0..shard_count {
-            let len = base + usize::from(index < extra);
-            slices.push(ShardSlice {
-                index,
-                shard_count,
-                start_chunk: start,
-                end_chunk: start + len,
-            });
-            start += len;
-        }
-        debug_assert_eq!(start, chunks);
-        ShardPlan { chunks, slices }
+        ShardPlan { chunks, shard_count }
     }
 
     /// The plan for `campaign`'s canonical chunk range.
@@ -159,12 +146,12 @@ impl ShardPlan {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.slices.len()
+        self.shard_count
     }
 
     /// The slices, in shard (and canonical chunk) order.
-    pub fn slices(&self) -> &[ShardSlice] {
-        &self.slices
+    pub fn slices(&self) -> impl Iterator<Item = ShardSlice> + '_ {
+        (0..self.shard_count).map(|index| self.slice(index))
     }
 
     /// Shard `index`'s slice.
@@ -172,19 +159,31 @@ impl ShardPlan {
     /// # Panics
     /// Panics if `index` is out of range.
     pub fn slice(&self, index: usize) -> ShardSlice {
-        self.slices[index]
+        assert!(
+            index < self.shard_count,
+            "shard {index} is out of range for {} shards",
+            self.shard_count
+        );
+        let (base, extra) = (self.chunks / self.shard_count, self.chunks % self.shard_count);
+        // Shards before `index` hold `base` chunks each, plus one each for
+        // the first `extra` of them; no term can exceed `chunks`.
+        let start_chunk = index * base + index.min(extra);
+        ShardSlice {
+            index,
+            shard_count: self.shard_count,
+            start_chunk,
+            end_chunk: start_chunk + base + usize::from(index < extra),
+        }
     }
 }
 
-/// What one shard session persists: the campaign identity it executed a
-/// window of, the window bounds, and the window's per-chunk aggregation
-/// partials in canonical chunk order.
+/// What one completed shard session persists: the campaign identity it
+/// executed a window of, and the window bounds.
 ///
-/// Serialised like a checkpoint manifest — single-line JSON with every `f64`
-/// as its IEEE-754 bit pattern, followed by an
-/// [`integrity_frame`] line — and written atomically,
-/// so [`ShardManifest::load`] either sees a manifest exactly as a completed
-/// shard session wrote it, or refuses with a recovery hint.
+/// Serialised like a checkpoint manifest — single-line JSON followed by an
+/// [`integrity_frame`](crate::integrity_frame) line — and written atomically
+/// only after the window completes, so a manifest [`ShardManifest::load`]
+/// accepts means the shard's segments are complete.
 #[derive(Debug, Clone)]
 pub struct ShardManifest {
     /// The campaign name (informational; identity is the fingerprint).
@@ -194,7 +193,7 @@ pub struct ShardManifest {
     /// Fingerprint of the campaign definition ([`Campaign::fingerprint`]);
     /// [`validate_shard_set`] refuses a mismatch.
     pub fingerprint: u64,
-    /// The canonical chunk size the partials were reduced with.
+    /// The campaign's canonical chunk size.
     pub chunk_size: usize,
     /// Total runs of the full campaign.
     pub total_runs: u64,
@@ -206,33 +205,12 @@ pub struct ShardManifest {
     pub start_chunk: usize,
     /// End of the window (exclusive).
     pub end_chunk: usize,
-    /// The window's per-chunk partials, in canonical chunk order.
-    chunks: Vec<ChunkPartial>,
 }
 
 impl ShardManifest {
-    /// Builds the manifest of one completed shard session from the campaign
-    /// it executed, the slice it covered and the per-chunk partials
-    /// its [chunk window](crate::Session::chunks) returned.
-    ///
-    /// Errors if the partial count does not match the slice's chunk count —
-    /// the caller handed over an incomplete window.
-    pub fn new(
-        campaign: &Campaign,
-        slice: ShardSlice,
-        chunks: Vec<ChunkPartial>,
-    ) -> Result<ShardManifest, String> {
-        if chunks.len() != slice.chunk_count() {
-            return Err(format!(
-                "shard {} of {} covers chunks [{}, {}) but {} chunk partials were supplied",
-                slice.index,
-                slice.shard_count,
-                slice.start_chunk,
-                slice.end_chunk,
-                chunks.len()
-            ));
-        }
-        Ok(ShardManifest {
+    /// The manifest of a completed shard session of `campaign` over `slice`.
+    pub fn new(campaign: &Campaign, slice: ShardSlice) -> ShardManifest {
+        ShardManifest {
             campaign: campaign.name().to_string(),
             seed: campaign.seed(),
             fingerprint: campaign.fingerprint(),
@@ -242,8 +220,7 @@ impl ShardManifest {
             shard_count: slice.shard_count,
             start_chunk: slice.start_chunk,
             end_chunk: slice.end_chunk,
-            chunks,
-        })
+        }
     }
 
     /// The slice this manifest covers.
@@ -256,97 +233,51 @@ impl ShardManifest {
         }
     }
 
-    /// The window's per-chunk partials, in canonical chunk order.
-    pub fn chunks(&self) -> &[ChunkPartial] {
-        &self.chunks
-    }
-
     /// The global run range `[start, end)` this shard's JSONL/trace segments
     /// must carry.
     pub fn run_range(&self) -> (u64, u64) {
         self.slice().run_range(self.chunk_size, self.total_runs)
     }
 
+    fn identity(&self) -> Identity<'_> {
+        Identity {
+            campaign: &self.campaign,
+            seed: self.seed,
+            fingerprint: self.fingerprint,
+            chunk_size: self.chunk_size,
+            total_runs: self.total_runs,
+        }
+    }
+
     /// Serialises the manifest payload (without the integrity frame).
     pub fn render(&self) -> String {
-        let chunks: Vec<String> = self
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(offset, partial)| render_chunk(self.start_chunk + offset, partial))
-            .collect();
-        let mut o = ObjectWriter::new();
-        o.string("format", FORMAT)
-            .u64("version", VERSION)
-            .string("campaign", &self.campaign)
-            .u64("seed", self.seed)
-            .u64("fingerprint", self.fingerprint)
-            .u64("chunk_size", self.chunk_size as u64)
-            .u64("total_runs", self.total_runs)
-            .u64("shard_index", self.shard_index as u64)
+        let mut o = self.identity().render(FORMAT, VERSION);
+        o.u64("shard_index", self.shard_index as u64)
             .u64("shard_count", self.shard_count as u64)
             .u64("start_chunk", self.start_chunk as u64)
-            .u64("end_chunk", self.end_chunk as u64)
-            .raw("chunks", &array(&chunks));
+            .u64("end_chunk", self.end_chunk as u64);
         o.finish()
     }
 
     /// Parses a manifest from its JSON payload text.
     pub fn parse(text: &str) -> Result<ShardManifest, String> {
         let doc = JsonValue::parse(text)?;
-        let str_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field {key:?}"))
-        };
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
-        if str_field("format")? != FORMAT {
-            return Err(format!("not a {FORMAT} file"));
-        }
-        if u64_field("version")? != VERSION {
-            return Err(format!(
-                "unsupported shard manifest version {} (this build reads {VERSION})",
-                u64_field("version")?
-            ));
-        }
-        let start_chunk = u64_field("start_chunk")? as usize;
-        let end_chunk = u64_field("end_chunk")? as usize;
+        let identity = Identity::parse(&doc, FORMAT, VERSION)?;
+        let start_chunk = u64_field(&doc, "start_chunk")? as usize;
+        let end_chunk = u64_field(&doc, "end_chunk")? as usize;
         if start_chunk > end_chunk {
             return Err(format!("inverted shard window [{start_chunk}, {end_chunk})"));
         }
-        let chunk_values = doc
-            .get("chunks")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing or non-array field \"chunks\"")?;
-        if chunk_values.len() != end_chunk - start_chunk {
-            return Err(format!(
-                "shard window [{start_chunk}, {end_chunk}) must carry {} chunk partials, \
-                 found {}",
-                end_chunk - start_chunk,
-                chunk_values.len()
-            ));
-        }
-        let chunks = chunk_values
-            .iter()
-            .enumerate()
-            .map(|(offset, value)| parse_chunk(value, start_chunk + offset))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardManifest {
-            campaign: str_field("campaign")?,
-            seed: u64_field("seed")?,
-            fingerprint: u64_field("fingerprint")?,
-            chunk_size: u64_field("chunk_size")? as usize,
-            total_runs: u64_field("total_runs")?,
-            shard_index: u64_field("shard_index")? as usize,
-            shard_count: u64_field("shard_count")? as usize,
+            campaign: identity.campaign.to_string(),
+            seed: identity.seed,
+            fingerprint: identity.fingerprint,
+            chunk_size: identity.chunk_size,
+            total_runs: identity.total_runs,
+            shard_index: u64_field(&doc, "shard_index")? as usize,
+            shard_count: u64_field(&doc, "shard_count")? as usize,
             start_chunk,
             end_chunk,
-            chunks,
         })
     }
 
@@ -359,85 +290,19 @@ impl ShardManifest {
 
     /// Loads a manifest file, verifying its integrity frame before parsing.
     ///
-    /// The frame is byte-compared against the one the payload implies, which
-    /// catches truncation, bit rot, splicing and manual edits in one check.
-    /// Corrupt manifests are refused with a recovery hint; the file on disk
-    /// is never touched.
+    /// Corrupt manifests — and version-1 manifests of older builds — are
+    /// refused with a recovery hint; the file on disk is never touched.
     pub fn load(path: &Path) -> Result<ShardManifest, String> {
-        let text = fs::read(path)
-            .map_err(|e| format!("cannot read shard manifest {path:?}: {e}"))
-            .and_then(|bytes| {
-                String::from_utf8(bytes).map_err(|_| {
-                    refusal(path, "the file is not valid UTF-8 — it is corrupt or not a manifest")
-                })
-            })?;
-        let (payload, rest) = text.split_once('\n').ok_or_else(|| {
-            refusal(
-                path,
-                "no newline-terminated manifest payload — the file was truncated mid-write",
-            )
-        })?;
-        let frame_line = rest.lines().next().unwrap_or("").trim();
-        if frame_line != integrity_frame(payload) {
-            return Err(refusal(
-                path,
-                "the integrity frame does not match the payload — the manifest was \
-                 truncated, spliced or edited after it was written",
-            ));
-        }
-        Self::parse(payload).map_err(|e| refusal(path, &e))
+        load_framed(path, "shard manifest", SHARD_HINT, Self::parse)
     }
 }
 
-/// Renders one canonical chunk's partial: the global chunk index plus each
-/// touched point's aggregate (bit-exact, via the checkpoint representation).
-fn render_chunk(global_chunk: usize, partial: &ChunkPartial) -> String {
-    let mut points = ObjectWriter::new();
-    for (index, point) in &partial.points {
-        points.raw(&index.to_string(), &render_point(point));
-    }
-    let mut o = ObjectWriter::new();
-    o.u64("chunk", global_chunk as u64).raw("points", &points.finish());
-    o.finish()
-}
-
-/// Parses one chunk partial, checking it sits at the global chunk index its
-/// array position implies.
-fn parse_chunk(value: &JsonValue, expected_chunk: usize) -> Result<ChunkPartial, String> {
-    let chunk = value
-        .get("chunk")
-        .and_then(JsonValue::as_u64)
-        .ok_or("chunk partial is missing \"chunk\"")?;
-    if chunk != expected_chunk as u64 {
-        return Err(format!(
-            "chunk partial claims global chunk {chunk} but sits at position {expected_chunk} \
-             of the shard window"
-        ));
-    }
-    let members = value
-        .get("points")
-        .and_then(JsonValue::as_object)
-        .ok_or("chunk partial is missing \"points\"")?;
-    let mut points = BTreeMap::new();
-    for (key, point) in members {
-        let index: usize = key
-            .parse()
-            .map_err(|_| format!("chunk partial has a non-integer point key {key:?}"))?;
-        points.insert(index, parse_point(point).map_err(|e| format!("point {index}: {e}"))?);
-    }
-    Ok(ChunkPartial { points })
-}
-
-/// A refusal message for a corrupt shard manifest, with the recovery hint
-/// attached: unlike a checkpoint, a shard is the unit of retry, so the fix is
-/// always to rerun that one shard session.
-fn refusal(path: &Path, why: &str) -> String {
-    format!(
-        "shard manifest {path:?}: {why}; refusing to merge it — recovery: rerun that shard \
-         session (`karyon-campaign shard`) to regenerate the manifest and its JSONL/trace \
-         segments, then merge again"
-    )
-}
+/// The recovery hint a refused shard manifest carries: unlike a checkpoint,
+/// a shard is the unit of retry, so the fix is always to rerun that one
+/// shard session.
+const SHARD_HINT: &str = "refusing to merge it — recovery: rerun that shard session \
+     (`karyon-campaign shard`) to regenerate the manifest and its JSONL/trace segments, then \
+     merge again";
 
 /// Checks that `manifests` form exactly the shard set of `campaign`: every
 /// manifest carries the campaign's fingerprint, chunk size and run count, the
@@ -452,38 +317,9 @@ pub fn validate_shard_set(campaign: &Campaign, manifests: &[ShardManifest]) -> R
     if manifests.is_empty() {
         return Err("no shard manifests to merge".to_string());
     }
-    let fingerprint = campaign.fingerprint();
     let chunks = campaign.canonical_chunks();
     for m in manifests {
-        if m.fingerprint != fingerprint {
-            return Err(format!(
-                "shard {} fingerprint {:#018x} does not match campaign {:?} ({fingerprint:#018x}) \
-                 — the spec (name, seed, chunk size, entries or grids) differs from the one the \
-                 shard executed",
-                m.shard_index,
-                m.fingerprint,
-                campaign.name()
-            ));
-        }
-        if m.chunk_size != campaign.chunk_size() {
-            return Err(format!(
-                "shard {} was reduced with chunk size {} but campaign {:?} uses {} — merging \
-                 would regroup the floating-point reduction",
-                m.shard_index,
-                m.chunk_size,
-                campaign.name(),
-                campaign.chunk_size()
-            ));
-        }
-        if m.total_runs != campaign.run_count() {
-            return Err(format!(
-                "shard {} covers a campaign of {} runs but {:?} expands to {}",
-                m.shard_index,
-                m.total_runs,
-                campaign.name(),
-                campaign.run_count()
-            ));
-        }
+        m.identity().check(campaign, &format!("shard {}", m.shard_index))?;
         if m.shard_count != manifests.len() {
             return Err(format!(
                 "shard {} declares a plan of {} shards but {} manifests were supplied — the \
@@ -491,15 +327,6 @@ pub fn validate_shard_set(campaign: &Campaign, manifests: &[ShardManifest]) -> R
                 m.shard_index,
                 m.shard_count,
                 manifests.len()
-            ));
-        }
-        if m.chunks.len() != m.end_chunk - m.start_chunk {
-            return Err(format!(
-                "shard {} window [{}, {}) carries {} chunk partials",
-                m.shard_index,
-                m.start_chunk,
-                m.end_chunk,
-                m.chunks.len()
             ));
         }
     }
@@ -541,24 +368,6 @@ pub fn validate_shard_set(campaign: &Campaign, manifests: &[ShardManifest]) -> R
     Ok(())
 }
 
-/// Merges a complete shard set into the campaign's final report, replaying
-/// every shard's per-chunk partials in **global canonical chunk order**
-/// through the same left-fold a single-machine run performs — which is why
-/// the result is byte-identical to an uninterrupted run's, whatever the
-/// shard count, per-shard worker counts or the order the manifests arrive
-/// in.
-///
-/// Refuses invalid sets (see [`validate_shard_set`]) before touching any
-/// aggregation state.
-pub fn merge_shards(
-    campaign: &Campaign,
-    mut manifests: Vec<ShardManifest>,
-) -> Result<CampaignReport, String> {
-    validate_shard_set(campaign, &manifests)?;
-    manifests.sort_by_key(|m| m.start_chunk);
-    campaign.finish_from_chunks(manifests.into_iter().flat_map(|m| m.chunks))
-}
-
 /// Reads and validates one shard's JSONL **run segment**: exactly
 /// `end_run - start_run` newline-terminated lines whose canonical
 /// `{"run":N,` prefixes count `start_run..end_run` in order, with no torn
@@ -577,7 +386,7 @@ pub fn read_run_segment(path: &Path, start_run: u64, end_run: u64) -> Result<Vec
         let Some(nl) = bytes[pos..].iter().position(|b| *b == b'\n') else {
             return Err(format!(
                 "shard run segment {path:?} ends in a torn line — the shard session did not \
-                 complete; rerun it"
+                 complete"
             ));
         };
         let line = &bytes[pos..pos + nl];
@@ -622,7 +431,7 @@ pub fn read_trace_segment(path: &Path, start_run: u64, end_run: u64) -> Result<V
         let Some(nl) = bytes[pos..].iter().position(|b| *b == b'\n') else {
             return Err(format!(
                 "shard trace segment {path:?} ends in a torn line — the shard session did not \
-                 complete; rerun it"
+                 complete"
             ));
         };
         let line = &bytes[pos..pos + nl];
@@ -645,32 +454,9 @@ pub fn read_trace_segment(path: &Path, start_run: u64, end_run: u64) -> Result<V
 mod tests {
     use super::*;
     use crate::campaign::CampaignEntry;
+    use crate::checkpoint::integrity_frame;
     use crate::grid::ParamGrid;
-    use crate::registry::ScenarioRegistry;
-    use crate::scenario::{RunRecord, Scenario};
-    use crate::spec::ScenarioSpec;
     use std::path::PathBuf;
-    use std::sync::Arc;
-
-    struct Echo;
-
-    impl Scenario for Echo {
-        fn name(&self) -> &str {
-            "echo"
-        }
-        fn run(&self, spec: &ScenarioSpec) -> RunRecord {
-            let mut record = RunRecord::new();
-            record.set("seed_lo", (spec.seed % 1_000) as f64);
-            record.set("x", spec.f64_or("x", 0.0) * 2.0);
-            record
-        }
-    }
-
-    fn echo_registry() -> ScenarioRegistry {
-        let mut registry = ScenarioRegistry::new();
-        registry.register(Arc::new(Echo));
-        registry
-    }
 
     fn echo_campaign() -> Campaign {
         Campaign::new("sharded", 77).with_chunk_size(3).entry(
@@ -684,28 +470,18 @@ mod tests {
         std::env::temp_dir().join(format!("karyon-shard-{}-{name}", std::process::id()))
     }
 
-    /// Runs `slice`'s chunk window of `campaign` and returns its partials.
-    fn run_window(
-        campaign: &Campaign,
-        registry: &ScenarioRegistry,
-        slice: &ShardSlice,
-    ) -> Vec<ChunkPartial> {
-        let session = campaign.session(registry).chunks(slice.start_chunk..slice.end_chunk);
-        session.run().unwrap().0.into_partials().unwrap()
-    }
-
     #[test]
     fn plan_splits_the_chunk_range_contiguously_and_balanced() {
         let plan = ShardPlan::new(7, 3);
         let bounds: Vec<(usize, usize)> =
-            plan.slices().iter().map(|s| (s.start_chunk, s.end_chunk)).collect();
+            plan.slices().map(|s| (s.start_chunk, s.end_chunk)).collect();
         assert_eq!(bounds, [(0, 3), (3, 5), (5, 7)], "first shards carry the remainder");
         assert_eq!(plan.chunks(), 7);
         assert_eq!(plan.shard_count(), 3);
 
         // More shards than chunks: the tail slices are legally empty.
         let plan = ShardPlan::new(2, 5);
-        let lens: Vec<usize> = plan.slices().iter().map(ShardSlice::chunk_count).collect();
+        let lens: Vec<usize> = plan.slices().map(|s| s.chunk_count()).collect();
         assert_eq!(lens, [1, 1, 0, 0, 0]);
         assert!(plan.slice(4).is_empty());
 
@@ -715,74 +491,57 @@ mod tests {
     }
 
     #[test]
+    fn plans_of_any_shard_count_are_computed_not_allocated() {
+        let plan = ShardPlan::new(7, usize::MAX);
+        assert_eq!((plan.slice(0).start_chunk, plan.slice(0).end_chunk), (0, 1));
+        assert_eq!((plan.slice(6).start_chunk, plan.slice(6).end_chunk), (6, 7));
+        assert!(plan.slice(7).is_empty() && plan.slice(usize::MAX - 1).is_empty());
+        assert_eq!(plan.slice(usize::MAX - 1).start_chunk, 7);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shard_plans_are_rejected() {
         let _ = ShardPlan::new(4, 0);
     }
 
     #[test]
-    fn shard_manifests_round_trip_and_merge_to_the_reference_report() {
-        let registry = echo_registry();
+    fn shard_manifests_are_small_headers_that_round_trip() {
         let campaign = echo_campaign();
-        let reference = campaign.run(&registry).unwrap();
-        let plan = ShardPlan::for_campaign(&campaign, 3);
-
-        let mut manifests = Vec::new();
-        for slice in plan.slices() {
-            // Heterogeneous worker counts per shard: determinism must hold.
-            let shard_campaign = campaign.clone().with_threads(slice.index + 1);
-            let partials = run_window(&shard_campaign, &registry, slice);
-            let manifest = ShardManifest::new(&campaign, *slice, partials).unwrap();
-
-            // Disk round trip: write, load, and the reload re-renders
-            // byte-identically.
+        for slice in ShardPlan::for_campaign(&campaign, 3).slices() {
+            let manifest = ShardManifest::new(&campaign, slice);
             let path = temp_path(&format!("rt-{}.json", slice.index));
             manifest.write(&path).unwrap();
+            assert!(fs::metadata(&path).unwrap().len() < 1024, "a header, not aggregation state");
             let loaded = ShardManifest::load(&path).unwrap();
             assert_eq!(loaded.render(), manifest.render());
+            assert_eq!(loaded.slice(), slice);
             assert_eq!(loaded.run_range(), slice.run_range(3, 16));
-            std::fs::remove_file(&path).ok();
-            manifests.push(loaded);
+            fs::remove_file(&path).ok();
         }
-
-        // Merge order must not matter: present the manifests reversed.
-        manifests.reverse();
-        let merged = merge_shards(&campaign, manifests).unwrap();
-        assert_eq!(merged, reference);
-        assert_eq!(merged.to_json(), reference.to_json());
     }
 
     #[test]
-    fn merge_refuses_mismatched_and_mistiled_shard_sets() {
-        let registry = echo_registry();
+    fn validation_refuses_mismatched_and_mistiled_shard_sets() {
         let campaign = echo_campaign();
         let chunks = campaign.canonical_chunks();
-        let window = |slice: ShardSlice| {
-            let partials = run_window(&campaign, &registry, &slice);
-            ShardManifest::new(&campaign, slice, partials).unwrap()
+        let window = |index: usize, count: usize, start_chunk: usize, end_chunk: usize| {
+            let slice = ShardSlice { index, shard_count: count, start_chunk, end_chunk };
+            ShardManifest::new(&campaign, slice)
         };
         let pair = |split: usize, count: usize| {
-            vec![
-                window(ShardSlice {
-                    index: 0,
-                    shard_count: count,
-                    start_chunk: 0,
-                    end_chunk: split,
-                }),
-                window(ShardSlice {
-                    index: 1,
-                    shard_count: count,
-                    start_chunk: split,
-                    end_chunk: chunks,
-                }),
-            ]
+            vec![window(0, count, 0, split), window(1, count, split, chunks)]
         };
 
-        // A well-formed two-shard set merges.
-        assert!(merge_shards(&campaign, pair(2, 2)).is_ok());
+        // A well-formed two-shard set validates, in either order.
+        assert!(validate_shard_set(&campaign, &pair(2, 2)).is_ok());
+        let mut reversed = pair(2, 2);
+        reversed.reverse();
+        assert!(validate_shard_set(&campaign, &reversed).is_ok());
 
         // Empty set.
-        assert!(merge_shards(&campaign, vec![]).unwrap_err().contains("no shard manifests"));
+        let err = validate_shard_set(&campaign, &[]).unwrap_err();
+        assert!(err.contains("no shard manifests"), "{err}");
 
         // Foreign fingerprint: the same shape under a different seed.
         let other = Campaign::new("sharded", 78).with_chunk_size(3).entry(
@@ -790,7 +549,7 @@ mod tests {
                 .grid(ParamGrid::new().axis("x", [0.25, 1.75]))
                 .replications(8),
         );
-        let err = merge_shards(&other, pair(2, 2)).unwrap_err();
+        let err = validate_shard_set(&other, &pair(2, 2)).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
 
         // Tampered chunk size (fingerprint faked to match): refused before
@@ -807,7 +566,7 @@ mod tests {
         assert!(err.contains("99 runs"), "{err}");
 
         // Wrong declared shard count for the set size.
-        let err = merge_shards(&campaign, pair(2, 3)).unwrap_err();
+        let err = validate_shard_set(&campaign, &pair(2, 3)).unwrap_err();
         assert!(err.contains("3 shards but 2 manifests"), "{err}");
 
         // Duplicate shard index.
@@ -817,58 +576,55 @@ mod tests {
         assert!(err.contains("duplicate or out-of-range"), "{err}");
 
         // Overlap: [0, 3) ∪ [2, chunks).
-        let overlap = vec![
-            window(ShardSlice { index: 0, shard_count: 2, start_chunk: 0, end_chunk: 3 }),
-            window(ShardSlice { index: 1, shard_count: 2, start_chunk: 2, end_chunk: chunks }),
-        ];
-        let err = merge_shards(&campaign, overlap).unwrap_err();
+        let overlap = [window(0, 2, 0, 3), window(1, 2, 2, chunks)];
+        let err = validate_shard_set(&campaign, &overlap).unwrap_err();
         assert!(err.contains("overlaps"), "{err}");
 
         // Gap in the middle: [0, 2) ∪ [3, chunks).
-        let gapped = vec![
-            window(ShardSlice { index: 0, shard_count: 2, start_chunk: 0, end_chunk: 2 }),
-            window(ShardSlice { index: 1, shard_count: 2, start_chunk: 3, end_chunk: chunks }),
-        ];
-        let err = merge_shards(&campaign, gapped).unwrap_err();
+        let gapped = [window(0, 2, 0, 2), window(1, 2, 3, chunks)];
+        let err = validate_shard_set(&campaign, &gapped).unwrap_err();
         assert!(err.contains("gap in shard coverage"), "{err}");
 
         // Gap at the tail: a single shard that stops short.
-        let short =
-            vec![window(ShardSlice { index: 0, shard_count: 1, start_chunk: 0, end_chunk: 4 })];
-        let err = merge_shards(&campaign, short).unwrap_err();
+        let err = validate_shard_set(&campaign, &[window(0, 1, 0, 4)]).unwrap_err();
         assert!(err.contains("gap in shard coverage"), "{err}");
     }
 
     #[test]
     fn shard_manifest_load_refuses_corruption_with_a_recovery_hint() {
-        let registry = echo_registry();
         let campaign = echo_campaign();
-        let slice = ShardPlan::for_campaign(&campaign, 2).slice(0);
-        let partials = run_window(&campaign, &registry, &slice);
-        let manifest = ShardManifest::new(&campaign, slice, partials).unwrap();
+        let manifest =
+            ShardManifest::new(&campaign, ShardPlan::for_campaign(&campaign, 2).slice(0));
         let path = temp_path("corrupt.json");
         manifest.write(&path).unwrap();
         let pristine = fs::read(&path).unwrap();
 
-        let assert_refused = |bytes: &[u8]| {
+        let assert_refused = |bytes: &[u8], needle: &str| {
             fs::write(&path, bytes).unwrap();
             let err = ShardManifest::load(&path).unwrap_err();
+            assert!(err.contains(needle), "expected {needle:?} in: {err}");
             assert!(err.contains("recovery:"), "refusals carry a recovery hint: {err}");
             assert!(err.contains("rerun"), "the hint names the fix: {err}");
+            assert_eq!(fs::read(&path).unwrap(), bytes, "failed loads never touch the disk");
         };
         // Truncated mid-payload, truncated at the frame, one flipped byte.
-        assert_refused(&pristine[..pristine.len() / 2]);
-        assert_refused(&pristine[..manifest.render().len() + 1]);
+        assert_refused(&pristine[..pristine.len() / 2], "truncated mid-write");
+        assert_refused(&pristine[..manifest.render().len() + 1], "integrity frame");
         let mut flipped = pristine.clone();
         flipped[12] ^= 0x01;
-        assert_refused(&flipped);
+        assert_refused(&flipped, "hash mismatch");
 
         // A wrong-format payload with a *valid* frame is refused by the
         // parser, not the frame check.
         let foreign = "{\"format\":\"other\"}";
-        fs::write(&path, format!("{foreign}\n{}\n", integrity_frame(foreign))).unwrap();
-        let err = ShardManifest::load(&path).unwrap_err();
-        assert!(err.contains("not a karyon-campaign-shard file"), "{err}");
+        let framed = format!("{foreign}\n{}\n", integrity_frame(foreign));
+        assert_refused(framed.as_bytes(), "not a karyon-campaign-shard file");
+
+        // A version-1 manifest (which carried per-chunk partials) is refused
+        // with the rerun hint, even under a valid frame.
+        let v1 = manifest.render().replace("\"version\":2", "\"version\":1");
+        let framed = format!("{v1}\n{}\n", integrity_frame(&v1));
+        assert_refused(framed.as_bytes(), "unsupported manifest version 1");
         fs::remove_file(&path).ok();
     }
 

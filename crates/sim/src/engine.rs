@@ -237,11 +237,6 @@ impl<S, E> Engine<S, E> {
         &mut self.state
     }
 
-    /// Consumes the engine and returns the final state.
-    pub fn into_state(self) -> S {
-        self.state
-    }
-
     /// Schedules an event at an absolute simulation time (clamped to now).
     /// Clamps are counted in [`Engine::clamped_schedules`].
     pub fn schedule_at(&mut self, time: SimTime, event: E) {

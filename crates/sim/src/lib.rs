@@ -55,10 +55,7 @@ pub use engine::{Context, Engine, EngineObserver};
 pub use events::EventQueue;
 pub use geometry::{Vec2, Vec3};
 pub use rng::{splitmix64, Rng};
-pub use stats::{
-    BucketHistogram, BucketHistogramState, Counter, Histogram, OnlineStats, OnlineStatsState,
-    TimeSeries,
-};
+pub use stats::{BucketHistogram, BucketHistogramState, Histogram, OnlineStats, OnlineStatsState};
 pub use table::Table;
 pub use time::{SimDuration, SimTime};
 
@@ -68,7 +65,7 @@ pub mod prelude {
     pub use crate::events::EventQueue;
     pub use crate::geometry::{Vec2, Vec3};
     pub use crate::rng::Rng;
-    pub use crate::stats::{BucketHistogram, Counter, Histogram, OnlineStats, TimeSeries};
+    pub use crate::stats::{BucketHistogram, Histogram, OnlineStats};
     pub use crate::table::Table;
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -4,8 +4,6 @@
 //! percentiles, counts, rates).  The collectors here are deliberately simple
 //! and allocation-light so they can be embedded in per-node simulation state.
 
-use crate::time::SimTime;
-
 /// Streaming mean / variance / min / max (Welford's algorithm).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
@@ -244,14 +242,6 @@ impl Histogram {
         } else {
             self.samples.iter().copied().fold(f64::INFINITY, f64::min)
         }
-    }
-
-    /// Fraction of samples strictly greater than `threshold`.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|v| **v > threshold).count() as f64 / self.samples.len() as f64
     }
 }
 
@@ -499,126 +489,9 @@ pub struct BucketHistogramState {
     pub max: f64,
 }
 
-/// A named monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Increments by one.
-    pub fn increment(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Value as a rate per the given number of trials (0 when `trials` is 0).
-    pub fn rate(&self, trials: u64) -> f64 {
-        if trials == 0 {
-            0.0
-        } else {
-            self.value as f64 / trials as f64
-        }
-    }
-}
-
-/// A time-stamped series of values (used e.g. to trace headway or LoS over time).
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a point.  Callers are expected to append in time order.
-    pub fn record(&mut self, time: SimTime, value: f64) {
-        self.points.push((time, value));
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// The last recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|(_, v)| *v)
-    }
-
-    /// Time-weighted average of the series over its recorded span (each value
-    /// is held until the next point).  Returns 0 for fewer than two points.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.points.first().map(|(_, v)| *v).unwrap_or(0.0);
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for pair in self.points.windows(2) {
-            let dt = pair[1].0.since(pair[0].0).as_secs_f64();
-            weighted += pair[0].1 * dt;
-            total += dt;
-        }
-        if total > 0.0 {
-            weighted / total
-        } else {
-            self.points[0].1
-        }
-    }
-
-    /// Fraction of the recorded span spent at values `>= threshold`.
-    pub fn fraction_at_or_above(&self, threshold: f64) -> f64 {
-        if self.points.len() < 2 {
-            return 0.0;
-        }
-        let mut above = 0.0;
-        let mut total = 0.0;
-        for pair in self.points.windows(2) {
-            let dt = pair[1].0.since(pair[0].0).as_secs_f64();
-            total += dt;
-            if pair[0].1 >= threshold {
-                above += dt;
-            }
-        }
-        if total > 0.0 {
-            above / total
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn online_stats_mean_and_variance() {
@@ -683,7 +556,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(1.0), 100.0);
         assert_eq!(h.min(), 1.0);
-        assert!((h.fraction_above(90.0) - 0.10).abs() < 1e-9);
     }
 
     #[test]
@@ -693,7 +565,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.median(), 0.0);
         assert_eq!(h.min(), 0.0);
-        assert_eq!(h.fraction_above(1.0), 0.0);
     }
 
     #[test]
@@ -803,29 +674,5 @@ mod tests {
         let mut state = BucketHistogram::new(0.0, 1.0, 4).raw_state();
         state.counts.clear();
         let _ = BucketHistogram::from_raw_state(state);
-    }
-
-    #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        c.increment();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert!((c.rate(10) - 0.5).abs() < 1e-12);
-        assert_eq!(c.rate(0), 0.0);
-    }
-
-    #[test]
-    fn time_series_time_weighted_mean() {
-        let mut ts = TimeSeries::new();
-        assert_eq!(ts.time_weighted_mean(), 0.0);
-        ts.record(SimTime::from_secs(0), 1.0);
-        ts.record(SimTime::from_secs(1), 3.0);
-        ts.record(SimTime::from_secs(3), 3.0);
-        // Value 1.0 held for 1 s, value 3.0 held for 2 s => (1*1 + 3*2)/3.
-        assert!((ts.time_weighted_mean() - 7.0 / 3.0).abs() < 1e-9);
-        assert!((ts.fraction_at_or_above(2.0) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(ts.last_value(), Some(3.0));
-        assert_eq!(ts.len(), 3);
     }
 }

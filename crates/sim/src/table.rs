@@ -34,11 +34,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Convenience for rows built from `&str` literals and formatted values.
-    pub fn add_row_str(&mut self, cells: &[&str]) {
-        self.add_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -125,7 +120,7 @@ mod tests {
         assert_eq!(fmt3(1.23456), "1.235");
         assert_eq!(fmt_pct(0.3333), "33.3%");
         let mut t = Table::new("x", &["h"]);
-        t.add_row_str(&["v"]);
+        t.add_row(&["v".to_string()]);
         assert!(t.render().contains("| v |"));
     }
 }

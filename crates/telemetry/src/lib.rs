@@ -70,6 +70,6 @@ pub mod trace;
 
 pub use metrics::{MetricsRegistry, TimerSummary};
 pub use trace::{
-    observe_engine, AttrValue, EngineTracer, EventRecord, JsonlTraceWriter, NoopTraceSink,
-    RunCoords, SpanRecord, TraceRecord, TraceSink,
+    observe_engine, AttrValue, EngineTracer, EventRecord, JsonlTraceWriter, RunCoords, SpanRecord,
+    TraceRecord, TraceSink,
 };

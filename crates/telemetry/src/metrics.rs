@@ -165,11 +165,6 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Iterates over timer names in name order.
-    pub fn timer_names(&self) -> impl Iterator<Item = &str> {
-        self.timers.keys().map(String::as_str)
-    }
-
     /// Merges another registry into this one: counters add, gauges take the
     /// other's value (last writer wins), timers merge bucket-exactly.
     ///

@@ -131,15 +131,6 @@ pub trait TraceSink {
     }
 }
 
-/// A [`TraceSink`] that discards everything (the default when tracing is
-/// off).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopTraceSink;
-
-impl TraceSink for NoopTraceSink {
-    fn on_run_records(&mut self, _coords: &RunCoords, _records: &[TraceRecord]) {}
-}
-
 // ---------------------------------------------------------------------------
 // Thread-local collection scope
 // ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@
 //! small.
 
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use karyon::scenario::fault::is_injected;
 use karyon::scenario::{
-    builtin_registry, merge_shards, read_jsonl_records, read_run_segment, read_trace_segment,
-    truncate_jsonl, truncate_trace_jsonl, validate_shard_set, Campaign, CampaignOutcome,
-    CampaignReport, CampaignTelemetry, Checkpointer, FaultInjector, FaultPlan, JsonlRunWriter,
+    builtin_registry, read_jsonl_records, read_run_segment, read_trace_segment, truncate_jsonl,
+    truncate_trace_jsonl, validate_shard_set, Campaign, CampaignOutcome, CampaignReport,
+    CampaignTelemetry, CheckpointManifest, Checkpointer, FaultInjector, FaultPlan, JsonlRunWriter,
     RunMeta, RunRecord, RunSink, RunnerStats, ScenarioRegistry, ShardManifest, ShardPlan,
     SyncOnFlushFile,
 };
@@ -104,7 +105,8 @@ USAGE:
                                                      under --dir (rerunnable: the shard is the
                                                      unit of retry)
     karyon-campaign merge  <spec.json> --dir <dir> [OPTIONS]
-                                                     merge a complete shard set back into the
+                                                     validate a complete shard set, stitch its
+                                                     run segments and replay them into the
                                                      campaign report — byte-identical to a
                                                      single-machine run's
     karyon-campaign list-families [--output json]    list the builtin scenario families
@@ -148,8 +150,8 @@ SHARD OPTIONS (shard takes --threads/--quiet/--fault-plan plus):
 
 MERGE OPTIONS (merge takes --output/--metric/--quiet plus):
     --dir <dir>           the shard directory to collect manifests from
-    --jsonl <path>        also stitch the shards' JSONL segments into one stream,
-                          byte-identical to a single-machine --jsonl run
+    --jsonl <path>        also write the stitched run stream, byte-identical to a
+                          single-machine --jsonl run
     --trace-dir <dir>     also stitch the trace segments to <dir>/<campaign>.trace.jsonl
 
 CHAOS OPTIONS (chaos takes --threads/--output/--quiet plus):
@@ -511,6 +513,8 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
     validate_families(&campaign, &registry)?;
     let total = campaign.run_count();
     let injector = args.fault_plan.as_ref().map(|path| load_fault_plan(path)).transpose()?;
+    let jsonl_path = args.jsonl.as_deref().map(Path::new);
+    let trace_stream = args.trace_dir.as_deref().map(|dir| trace_path(dir, campaign.name()));
 
     // `run` starts from scratch: it truncates --jsonl and overwrites
     // --checkpoint.  A manifest already holding progress (for this campaign
@@ -536,9 +540,8 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
                 )));
             }
         }
-        if let Some(dir) = &args.trace_dir {
-            let path = trace_path(dir, campaign.name());
-            if std::fs::metadata(&path).map(|m| m.len() > 0).unwrap_or(false) {
+        if let Some(path) = &trace_stream {
+            if std::fs::metadata(path).map(|m| m.len() > 0).unwrap_or(false) {
                 return Err(CliError::from(format!(
                     "trace stream {path:?} already holds data — `run` starts a fresh stream \
                      and would truncate it; use `resume` to continue it, or pass --force to \
@@ -556,35 +559,14 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
         c
     });
 
-    // Resume: learn the watermark first, then cut the JSONL stream back to
-    // exactly the checkpointed runs and append to it.  The fingerprint is
-    // checked *before* the stream is touched — truncating a stream that does
-    // not belong to this manifest would destroy data the resumed session
-    // would then refuse to continue anyway.
+    // Resume: learn the watermark first, then cut the streams back to
+    // exactly the checkpointed runs and append to them.
     let mut offset = 0u64;
     if resuming {
-        let manifest = checkpointer.as_ref().expect("checked above").load()?;
-        if manifest.fingerprint != campaign.fingerprint() {
-            return Err(CliError::from(format!(
-                "checkpoint {:?} was written by a different campaign definition than spec {:?} \
-                 (fingerprint {:#018x} vs {:#018x}) — refusing to touch the JSONL stream; \
-                 restore the original spec (name, seed, chunk_size, entries) to resume",
-                args.checkpoint.as_deref().unwrap_or("<path>"),
-                args.spec_path,
-                manifest.fingerprint,
-                campaign.fingerprint(),
-            )));
-        }
+        let ckpt_path = args.checkpoint.as_deref().expect("checked above");
+        let manifest = load_checkpoint(&campaign, Path::new(ckpt_path))?;
         offset = manifest.runs_done;
-        if let Some(jsonl_path) = &args.jsonl {
-            truncate_jsonl(std::path::Path::new(jsonl_path), offset)?;
-        }
-        if let Some(dir) = &args.trace_dir {
-            // Same recovery as the run stream: cut the trace stream back to
-            // exactly the checkpointed runs, then append — the final file is
-            // bit-identical to an uninterrupted traced run's.
-            truncate_trace_jsonl(&trace_path(dir, campaign.name()), offset)?;
-        }
+        rewind_streams(offset, jsonl_path, trace_stream.as_deref())?;
         if !args.quiet {
             eprintln!(
                 "resuming campaign {:?} from chunk watermark {} ({offset}/{total} runs done)",
@@ -594,47 +576,19 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
         }
     }
 
-    let jsonl = args
-        .jsonl
-        .as_ref()
-        .map(|path| {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(resuming)
-                .write(true)
-                .truncate(!resuming)
-                .open(path)
-                .map_err(|e| format!("cannot open JSONL stream {path:?}: {e}"))?;
-            // Sync-on-flush: each checkpoint manifest is fsynced, so the
-            // stream prefix it covers must reach stable storage first —
-            // otherwise a power loss could leave the stream behind the
-            // watermark and block resume.
-            Ok::<_, String>(JsonlRunWriter::new(SyncOnFlushFile::new(file)))
-        })
+    let jsonl = jsonl_path
+        .map(|path| open_stream(path, resuming, "JSONL stream").map(JsonlRunWriter::new))
         .transpose()?;
-
     // The telemetry attachment: a deterministic trace stream under
     // --trace-dir and/or a wall-clock metrics registry for --metrics.
-    let mut trace = args
-        .trace_dir
-        .as_ref()
-        .map(|dir| {
+    let mut trace = match (&args.trace_dir, &trace_stream) {
+        (Some(dir), Some(path)) => {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create --trace-dir {dir:?}: {e}"))?;
-            let path = trace_path(dir, campaign.name());
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(resuming)
-                .write(true)
-                .truncate(!resuming)
-                .open(&path)
-                .map_err(|e| format!("cannot open trace stream {path:?}: {e}"))?;
-            // Sync-on-flush for the same reason as the run stream: a
-            // checkpoint manifest must never cover trace lines that have not
-            // reached stable storage.
-            Ok::<_, String>(JsonlTraceWriter::new(SyncOnFlushFile::new(file)))
-        })
-        .transpose()?;
+            Some(JsonlTraceWriter::new(open_stream(path, resuming, "trace stream")?))
+        }
+        _ => None,
+    };
     let mut metrics = args.metrics_path.as_ref().map(|_| MetricsRegistry::new());
 
     let mut progress = ProgressSink::new(jsonl, offset, total, args.quiet);
@@ -687,7 +641,7 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
             }
             Ok(())
         }
-        CampaignOutcome::Window(_) => unreachable!("run and resume set no chunk window"),
+        CampaignOutcome::Window => unreachable!("run and resume set no chunk window"),
     }
 }
 
@@ -701,18 +655,16 @@ fn cmd_report(args: Args) -> Result<(), CliError> {
         (Some(jsonl_path), None) => {
             let text = std::fs::read_to_string(jsonl_path)
                 .map_err(|e| format!("cannot read JSONL stream {jsonl_path:?}: {e}"))?;
-            let records = read_jsonl_records(&text)?;
-            let report = campaign.reduce_records(&registry, &records)?;
+            let report = campaign.reduce_records(&registry, &read_jsonl_records(&text)?)?;
             Ok(render(&args, &report)?)
         }
         (None, Some(ckpt_path)) => {
             // `report` must never execute runs: only a *finished* manifest
             // (watermark == chunk count) can be replayed.  An unfinished one
             // is an error naming the watermark, pointing at `resume`.
-            let ckpt = Checkpointer::new(ckpt_path);
-            let manifest = ckpt.load()?;
+            let manifest = load_checkpoint(&campaign, Path::new(ckpt_path))?;
             let chunks = campaign.canonical_chunks();
-            if manifest.fingerprint == campaign.fingerprint() && manifest.chunks_done < chunks {
+            if manifest.chunks_done < chunks {
                 return Err(CliError::from(format!(
                     "checkpoint {ckpt_path:?} is mid-campaign ({} of {chunks} chunks, {} of {} \
                      runs) — `report` never executes runs; use `karyon-campaign resume` to \
@@ -724,6 +676,7 @@ fn cmd_report(args: Args) -> Result<(), CliError> {
             }
             // A finished manifest replays instantly through resume: zero
             // chunks remain, so no run executes and no manifest is written.
+            let ckpt = Checkpointer::new(ckpt_path);
             let (outcome, _) =
                 campaign.session(&registry).checkpointer(&ckpt).resume(true).run()?;
             Ok(render(&args, &outcome.into_report().expect("zero chunks remain"))?)
@@ -794,10 +747,8 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
         sessions += 1;
         let resuming = ckpt_path.exists();
         if resuming {
-            match Checkpointer::new(&ckpt_path).load() {
-                Ok(manifest) => {
-                    truncate_jsonl(&jsonl_path, manifest.runs_done)?;
-                }
+            match load_checkpoint(&campaign, &ckpt_path) {
+                Ok(manifest) => rewind_streams(manifest.runs_done, Some(&jsonl_path), None)?,
                 Err(error) => {
                     // A torn or corrupt manifest: the refusal is the expected
                     // behaviour, and the documented recovery — discard the
@@ -817,14 +768,7 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
                 }
             }
         }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(resuming)
-            .write(true)
-            .truncate(!resuming)
-            .open(&jsonl_path)
-            .map_err(|e| format!("cannot open JSONL stream {jsonl_path:?}: {e}"))?;
-        let mut sink = JsonlRunWriter::new(SyncOnFlushFile::new(file));
+        let mut sink = JsonlRunWriter::new(open_stream(&jsonl_path, resuming, "JSONL stream")?);
         let ckpt = Checkpointer::new(&ckpt_path);
         let session = campaign.session(&registry).checkpointer(&ckpt).resume(resuming);
         match session.sink(&mut sink).faults(&injector).run() {
@@ -837,7 +781,7 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
                     eprintln!("chaos session {sessions}: interrupted at {runs_done} runs");
                 }
             }
-            Ok((CampaignOutcome::Window(_), _)) => unreachable!("chaos sets no chunk window"),
+            Ok((CampaignOutcome::Window, _)) => unreachable!("chaos sets no chunk window"),
             Err(message) if is_injected(&message) => {
                 if !args.quiet {
                     eprintln!("chaos session {sessions}: {message}");
@@ -881,18 +825,18 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
 }
 
 /// The canonical shard artifact path: `<dir>/<campaign>.shard-<i>-of-<n>.<ext>`.
-fn shard_path(dir: &str, campaign: &str, index: usize, of: usize, ext: &str) -> std::path::PathBuf {
-    std::path::Path::new(dir).join(format!("{campaign}.shard-{index}-of-{of}.{ext}"))
+fn shard_path(dir: &str, campaign: &str, index: usize, of: usize, ext: &str) -> PathBuf {
+    Path::new(dir).join(format!("{campaign}.shard-{index}-of-{of}.{ext}"))
 }
 
-/// `shard`: run one window of the campaign's shard plan and persist its
-/// per-chunk partials (integrity-framed manifest) plus the window's JSONL —
-/// and optionally trace — segments, all carrying **global** run indices so
-/// `merge` can stitch the segments byte-identically.  The manifest is only
-/// written after the whole window completes: a session killed mid-window (a
-/// crash, or an injected fault under `--fault-plan`) leaves no manifest
-/// behind, and rerunning the same `shard` invocation replaces the torn
-/// segments wholesale — the shard is the unit of retry.
+/// `shard`: run one window of the campaign's shard plan and write the
+/// window's JSONL — and optionally trace — segments, all carrying **global**
+/// run indices so `merge` can stitch them byte-identically, then the
+/// integrity-framed manifest header that marks the window complete.  The
+/// manifest is only written after the whole window completes: a session
+/// killed mid-window (a crash, or an injected fault under `--fault-plan`)
+/// leaves no manifest behind, and rerunning the same `shard` invocation
+/// replaces the torn segments wholesale — the shard is the unit of retry.
 fn cmd_shard(args: Args) -> Result<(), CliError> {
     let campaign = load_campaign(&args.spec_path, args.threads)?;
     let registry = builtin_registry();
@@ -918,21 +862,15 @@ fn cmd_shard(args: Args) -> Result<(), CliError> {
     // complete.
     std::fs::remove_file(&manifest_path).ok();
 
-    let jsonl_file = std::fs::File::create(&jsonl_path)
-        .map_err(|e| CliError::from(format!("cannot open JSONL segment {jsonl_path:?}: {e}")))?;
-    let jsonl = JsonlRunWriter::new(SyncOnFlushFile::new(jsonl_file));
+    let jsonl = JsonlRunWriter::new(open_stream(&jsonl_path, false, "JSONL segment")?);
     let mut trace = args
         .trace
-        .then(|| {
-            let file = std::fs::File::create(&trace_seg_path)
-                .map_err(|e| format!("cannot open trace segment {trace_seg_path:?}: {e}"))?;
-            Ok::<_, String>(JsonlTraceWriter::new(SyncOnFlushFile::new(file)))
-        })
+        .then(|| open_stream(&trace_seg_path, false, "trace segment").map(JsonlTraceWriter::new))
         .transpose()?;
 
     let mut progress = ProgressSink::new(Some(jsonl), start_run, campaign.run_count(), args.quiet);
     let started = std::time::Instant::now();
-    let (outcome, stats) = {
+    let (_, stats) = {
         let mut telemetry = CampaignTelemetry::none();
         if let Some(trace) = trace.as_mut() {
             telemetry = telemetry.with_trace(trace);
@@ -945,7 +883,6 @@ fn cmd_shard(args: Args) -> Result<(), CliError> {
         }
         session.run()?
     };
-    let partials = outcome.into_partials().expect("a chunk window returns its partials");
     progress.finish_line();
     if let Some(jsonl) = progress.jsonl.take() {
         jsonl.finish().map_err(|e| format!("finishing the JSONL segment: {e}"))?;
@@ -953,7 +890,7 @@ fn cmd_shard(args: Args) -> Result<(), CliError> {
     if let Some(trace) = trace.take() {
         trace.into_inner().map_err(|e| format!("finishing the trace segment: {e}"))?;
     }
-    ShardManifest::new(&campaign, slice, partials)?.write(&manifest_path)?;
+    ShardManifest::new(&campaign, slice).write(&manifest_path)?;
     if !args.quiet {
         eprintln!(
             "shard {index}/{of} of campaign {:?}: chunks [{}, {}) ({} runs, global \
@@ -969,14 +906,15 @@ fn cmd_shard(args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Collects every shard manifest of `campaign` under `dir` (sorted by file
-/// name for deterministic error reporting) and validates the set tiles the
-/// campaign exactly.  A manifest that fails to load is an I/O failure (exit
-/// 3, the artifact itself is damaged); a set that loads but does not belong
-/// together is a [`ErrorKind::ShardSet`] refusal (exit 6).
+/// Collects every shard manifest of `campaign` under `dir` (read in file
+/// name order for deterministic error reporting), validates the set tiles
+/// the campaign exactly, and returns it in window order.  A manifest that
+/// fails to load is an I/O failure (exit 3, the artifact itself is damaged);
+/// a set that loads but does not belong together is a
+/// [`ErrorKind::ShardSet`] refusal (exit 6).
 fn load_shard_set(dir: &str, campaign: &Campaign) -> Result<Vec<ShardManifest>, CliError> {
     let prefix = format!("{}.shard-", campaign.name());
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| CliError::from(format!("cannot read shard directory {dir:?}: {e}")))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|path| {
@@ -986,7 +924,7 @@ fn load_shard_set(dir: &str, campaign: &Campaign) -> Result<Vec<ShardManifest>, 
         })
         .collect();
     paths.sort();
-    let manifests =
+    let mut manifests =
         paths.iter().map(|path| ShardManifest::load(path)).collect::<Result<Vec<_>, _>>()?;
     if let Err(why) = validate_shard_set(campaign, &manifests) {
         return Err(CliError {
@@ -997,73 +935,76 @@ fn load_shard_set(dir: &str, campaign: &Campaign) -> Result<Vec<ShardManifest>, 
             ),
         });
     }
+    manifests.sort_by_key(|m| m.start_chunk);
     Ok(manifests)
 }
 
+/// Concatenates one segment kind (`ext`) of a validated shard set, in window
+/// order, each segment checked against its shard's global run range by
+/// `read` ([`read_run_segment`] or [`read_trace_segment`]).  A missing, torn
+/// or foreign segment is refused with the shard to rerun.
+fn stitch(
+    dir: &str,
+    manifests: &[ShardManifest],
+    ext: &str,
+    read: fn(&Path, u64, u64) -> Result<Vec<u8>, String>,
+) -> Result<Vec<u8>, String> {
+    let mut stitched = Vec::new();
+    for m in manifests {
+        let (start, end) = m.run_range();
+        if start == end {
+            continue;
+        }
+        let path = shard_path(dir, &m.campaign, m.shard_index, m.shard_count, ext);
+        let segment = read(&path, start, end).map_err(|why| {
+            format!(
+                "{why} — recovery: rerun shard {} of {} (`karyon-campaign shard --index {} --of \
+                 {}`), then merge again",
+                m.shard_index, m.shard_count, m.shard_index, m.shard_count
+            )
+        })?;
+        stitched.extend_from_slice(&segment);
+    }
+    Ok(stitched)
+}
+
 /// `merge`: stitch a complete shard set back into the single-machine
-/// artifacts.  The report re-folds the shards' per-chunk partials in
-/// canonical chunk order — the identical floating-point reduction a
-/// single-machine run performs — and the JSONL/trace streams are the shards'
-/// segments concatenated in window order, each validated against its global
-/// run range first.  Everything `merge` emits is **byte-identical** to what
-/// one uninterrupted `run` would have produced.
+/// artifacts.  The shards' run segments, concatenated in window order and
+/// each validated against its global run range first, are exactly the JSONL
+/// stream one uninterrupted `run` writes; the report replays that stream as
+/// `report --jsonl` does (trace segments stitch the same way).  Everything
+/// `merge` emits is **byte-identical** to what one uninterrupted `run` would
+/// have produced.
 fn cmd_merge(args: Args) -> Result<(), CliError> {
     let campaign = load_campaign(&args.spec_path, None)?;
     let registry = builtin_registry();
     validate_families(&campaign, &registry)?;
     let dir = args.dir.as_deref().expect("parse requires --dir");
-    let mut manifests = load_shard_set(dir, &campaign)?;
-    manifests.sort_by_key(|m| m.start_chunk);
-
+    let manifests = load_shard_set(dir, &campaign)?;
+    let runs = stitch(dir, &manifests, "jsonl", read_run_segment)?;
     if let Some(out_path) = &args.jsonl {
-        let mut stitched = Vec::new();
-        for manifest in &manifests {
-            let (start, end) = manifest.run_range();
-            if start == end {
-                continue;
-            }
-            let seg = shard_path(
-                dir,
-                &manifest.campaign,
-                manifest.shard_index,
-                manifest.shard_count,
-                "jsonl",
-            );
-            stitched.extend_from_slice(&read_run_segment(&seg, start, end)?);
-        }
-        std::fs::write(out_path, &stitched).map_err(|e| {
+        std::fs::write(out_path, &runs).map_err(|e| {
             CliError::from(format!("cannot write stitched JSONL {out_path:?}: {e}"))
         })?;
     }
     if let Some(out_dir) = &args.trace_dir {
-        let mut stitched = Vec::new();
-        for manifest in &manifests {
-            let (start, end) = manifest.run_range();
-            if start == end {
-                continue;
-            }
-            let seg = shard_path(
-                dir,
-                &manifest.campaign,
-                manifest.shard_index,
-                manifest.shard_count,
-                "trace.jsonl",
-            );
-            stitched.extend_from_slice(&read_trace_segment(&seg, start, end)?);
-        }
+        let traces = stitch(dir, &manifests, "trace.jsonl", read_trace_segment)?;
         std::fs::create_dir_all(out_dir)
             .map_err(|e| CliError::from(format!("cannot create --trace-dir {out_dir:?}: {e}")))?;
         let out_path = trace_path(out_dir, campaign.name());
-        std::fs::write(&out_path, &stitched).map_err(|e| {
+        std::fs::write(&out_path, &traces).map_err(|e| {
             CliError::from(format!("cannot write stitched trace {out_path:?}: {e}"))
         })?;
     }
 
-    let shard_count = manifests.len();
-    let report = merge_shards(&campaign, manifests)?;
+    let runs = String::from_utf8(runs)
+        .map_err(|_| "the stitched run segments are not valid UTF-8".to_string())?;
+    // The same replay as `report --jsonl`.
+    let report = campaign.reduce_records(&registry, &read_jsonl_records(&runs)?)?;
     if !args.quiet {
         eprintln!(
-            "merged {shard_count} shards of campaign {:?}: {} runs, {} points; suspect runs: {}",
+            "merged {} shards of campaign {:?}: {} runs, {} points; suspect runs: {}",
+            manifests.len(),
             campaign.name(),
             report.total_runs,
             report.points.len(),
@@ -1147,7 +1088,7 @@ fn refuse_overwriting_progress(
     if manifest.chunks_done == 0 {
         return None;
     }
-    Some(if manifest.fingerprint == campaign.fingerprint() {
+    Some(if manifest.check(campaign).is_ok() {
         format!(
             "checkpoint {ckpt_path:?} already holds {} of {} runs of this campaign — `run` \
              would overwrite that progress (and truncate any --jsonl stream); continue with \
@@ -1164,6 +1105,52 @@ fn refuse_overwriting_progress(
             manifest.runs_done, manifest.total_runs, manifest.campaign,
         )
     })
+}
+
+/// Loads the checkpoint manifest at `path` and checks `campaign`'s
+/// definition wrote it — the one load-and-check of `run`/`resume`, `chaos`
+/// and `report`, done before any stream is touched.
+fn load_checkpoint(campaign: &Campaign, path: &Path) -> Result<CheckpointManifest, String> {
+    let manifest = CheckpointManifest::load(path)?;
+    manifest.check(campaign).map_err(|why| {
+        format!(
+            "{path:?}: {why}; no stream was touched — restore the original spec (name, seed, \
+             chunk_size, entries) to resume"
+        )
+    })?;
+    Ok(manifest)
+}
+
+/// Cuts the JSONL and trace streams a resumed session appends to back to
+/// exactly the checkpoint's `runs_done`, so the finished files are
+/// bit-identical to an uninterrupted run's.
+fn rewind_streams(
+    runs_done: u64,
+    jsonl: Option<&Path>,
+    trace: Option<&Path>,
+) -> Result<(), String> {
+    if let Some(path) = jsonl {
+        truncate_jsonl(path, runs_done)?;
+    }
+    if let Some(path) = trace {
+        truncate_trace_jsonl(path, runs_done)?;
+    }
+    Ok(())
+}
+
+/// Opens an artifact stream: appended to when `resuming`, started fresh
+/// otherwise.  Sync-on-flush, because each checkpoint manifest is fsynced:
+/// the stream prefix it covers must reach stable storage first, or a power
+/// loss could leave the stream behind the watermark and block resume.
+fn open_stream(path: &Path, resuming: bool, what: &str) -> Result<SyncOnFlushFile, String> {
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(resuming)
+        .write(true)
+        .truncate(!resuming)
+        .open(path)
+        .map(SyncOnFlushFile::new)
+        .map_err(|e| format!("cannot open {what} {path:?}: {e}"))
 }
 
 /// Rejects unknown scenario families before any execution or file I/O.
@@ -1260,8 +1247,8 @@ fn render_with(
 }
 
 /// The per-campaign trace stream path under `--trace-dir`.
-fn trace_path(dir: &str, campaign: &str) -> std::path::PathBuf {
-    std::path::Path::new(dir).join(format!("{campaign}.trace.jsonl"))
+fn trace_path(dir: &str, campaign: &str) -> PathBuf {
+    Path::new(dir).join(format!("{campaign}.trace.jsonl"))
 }
 
 /// Reads and parses a `--fault-plan` file into an armed injector.
@@ -1276,8 +1263,7 @@ fn load_fault_plan(path: &str) -> Result<FaultInjector, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use karyon::scenario::aggregate::ChunkPartial;
-    use karyon::scenario::{CampaignEntry, ShardSlice};
+    use karyon::scenario::CampaignEntry;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1286,16 +1272,6 @@ mod tests {
     /// Splits a command line at its spaces.
     fn words(line: &str) -> Vec<String> {
         line.split(' ').map(str::to_string).collect()
-    }
-
-    /// Runs the chunk window of `slice` and returns its per-chunk partials.
-    fn run_window(
-        campaign: &Campaign,
-        registry: &ScenarioRegistry,
-        slice: &ShardSlice,
-    ) -> Vec<ChunkPartial> {
-        let session = campaign.session(registry).chunks(slice.start_chunk..slice.end_chunk);
-        session.run().unwrap().0.into_partials().unwrap()
     }
 
     #[test]
@@ -1418,7 +1394,8 @@ mod tests {
 
     /// The exit-code contract of `merge`: a shard set that loads but does
     /// not tile the campaign is a ShardSet refusal (exit 6); a manifest
-    /// that fails to load at all is an I/O failure (exit 3).
+    /// that fails to load at all, or a missing run segment, is an I/O
+    /// failure (exit 3).
     #[test]
     fn merge_maps_shard_set_refusals_to_exit_6_and_corruption_to_exit_3() {
         let dir = std::env::temp_dir().join(format!("karyon-cli-shard-{}", std::process::id()));
@@ -1427,15 +1404,11 @@ mod tests {
         let campaign = Campaign::new("cli-shards", 9)
             .with_chunk_size(4)
             .entry(CampaignEntry::new("lane-change").replications(24).duration_secs(30));
-        let registry = builtin_registry();
         let plan = ShardPlan::for_campaign(&campaign, 3);
 
         // Only 2 of 3 shards present: loads fine, but the set has a gap.
         for index in [0usize, 1] {
-            let slice = plan.slice(index);
-            let partials = run_window(&campaign, &registry, &slice);
-            ShardManifest::new(&campaign, slice, partials)
-                .unwrap()
+            ShardManifest::new(&campaign, plan.slice(index))
                 .write(&shard_path(dir_str, "cli-shards", index, 3, "manifest.json"))
                 .unwrap();
         }
@@ -1444,13 +1417,19 @@ mod tests {
         assert!(error.message.contains("3 shards but 2 manifests"), "{}", error.message);
 
         // Complete the set: it validates.
-        let slice = plan.slice(2);
-        let partials = run_window(&campaign, &registry, &slice);
-        ShardManifest::new(&campaign, slice, partials)
-            .unwrap()
+        ShardManifest::new(&campaign, plan.slice(2))
             .write(&shard_path(dir_str, "cli-shards", 2, 3, "manifest.json"))
             .unwrap();
-        assert_eq!(load_shard_set(dir_str, &campaign).unwrap().len(), 3);
+        let manifests = load_shard_set(dir_str, &campaign).unwrap();
+        assert_eq!(manifests.len(), 3);
+
+        // Its run segments are missing: merge refuses to replay, exit 3,
+        // naming the shard to rerun.
+        let error = CliError::from(
+            stitch(dir_str, &manifests, "jsonl", read_run_segment).expect_err("no segments"),
+        );
+        assert_eq!(error.kind.code(), 3, "{}", error.message);
+        assert!(error.message.contains("rerun shard 0 of 3"), "{}", error.message);
 
         // A different spec (seed) refuses on the fingerprint, still exit 6.
         let foreign = Campaign::new("cli-shards", 10)
@@ -1464,6 +1443,40 @@ mod tests {
         std::fs::write(shard_path(dir_str, "cli-shards", 1, 3, "manifest.json"), "{ torn").unwrap();
         let error = load_shard_set(dir_str, &campaign).expect_err("corruption must refuse");
         assert_eq!(error.kind.code(), 3, "{}", error.message);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A plan of `u64::MAX` shards is computed, not allocated: shard 0 runs
+    /// the campaign's first chunk and writes its manifest.
+    #[test]
+    fn shard_runs_its_window_of_a_huge_plan() {
+        let dir = std::env::temp_dir().join(format!("karyon-cli-huge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("spec.json");
+        std::fs::write(
+            &spec,
+            r#"{"name": "huge", "seed": 1, "chunk_size": 2, "entries":
+                [{"scenario": "lane-change", "replications": 5, "duration_secs": 1}]}"#,
+        )
+        .unwrap();
+        let line = format!(
+            "{} --dir {} --index 0 --of 18446744073709551615 --quiet",
+            spec.display(),
+            dir.display()
+        );
+        cmd_shard(parse("shard", &words(&line)).unwrap()).expect("shard 0 of a huge plan runs");
+        let manifest = ShardManifest::load(&shard_path(
+            dir.to_str().unwrap(),
+            "huge",
+            0,
+            usize::MAX,
+            "manifest.json",
+        ))
+        .unwrap();
+        assert_eq!(
+            (manifest.start_chunk, manifest.end_chunk, manifest.run_range()),
+            (0, 1, (0, 2))
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -176,7 +176,7 @@ proptest! {
 
         let resumed = match outcome {
             CampaignOutcome::Complete(report) => report,
-            CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window(_) => {
+            CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window => {
                 prop_assert!(false, "an unbounded resume session must complete");
                 unreachable!()
             }
@@ -284,7 +284,7 @@ proptest! {
                     trace_sink.into_inner().expect("trace closes");
                     break report;
                 }
-                Ok((CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window(_), _)) => {
+                Ok((CampaignOutcome::Interrupted { .. } | CampaignOutcome::Window, _)) => {
                     prop_assert!(false, "no session budget is set");
                 }
                 Err(error) => {
@@ -342,7 +342,7 @@ fn many_chained_sessions_converge_to_the_uninterrupted_report() {
             CampaignOutcome::Interrupted { chunks_done, .. } => {
                 assert_eq!(chunks_done, (sessions * 3).min(chunks));
             }
-            CampaignOutcome::Window(_) => unreachable!("no chunk window is set"),
+            CampaignOutcome::Window => unreachable!("no chunk window is set"),
         }
         assert!(sessions < 64, "the chain must terminate");
     };

@@ -1,8 +1,9 @@
 //! Shard/merge determinism: the flagship byte-identity property.  A campaign
 //! split into an arbitrary shard plan, each shard run in its own "session"
 //! with its own worker count, the manifests round-tripped through disk and
-//! merged in an arbitrary presentation order, must reproduce the
-//! single-machine report, JSONL stream and trace stream **byte for byte**.
+//! merged — validated, stitched and replayed — from an arbitrary presentation
+//! order, must reproduce the single-machine report, JSONL stream and trace
+//! stream **byte for byte**.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,9 +12,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use karyon::scenario::{
-    merge_shards, read_run_segment, read_trace_segment, Campaign, CampaignEntry, CampaignTelemetry,
-    JsonlRunWriter, ParamGrid, RunRecord, Scenario, ScenarioRegistry, ScenarioSpec, ShardManifest,
-    ShardPlan,
+    read_jsonl_records, read_run_segment, read_trace_segment, validate_shard_set, Campaign,
+    CampaignEntry, CampaignOutcome, CampaignTelemetry, JsonlRunWriter, ParamGrid, RunRecord,
+    Scenario, ScenarioRegistry, ScenarioSpec, ShardManifest, ShardPlan,
 };
 use karyon::sim::{splitmix64, SimTime};
 use karyon::telemetry::{trace, AttrValue, JsonlTraceWriter};
@@ -134,20 +135,22 @@ proptest! {
                 .telemetry(CampaignTelemetry::none().with_trace(&mut trace_sink))
                 .run()
                 .expect("shard session runs");
-            let partials = outcome.into_partials().expect("a chunk window returns its partials");
+            prop_assert_eq!(outcome, CampaignOutcome::Window);
             jsonl.finish().expect("segment closes");
             trace_sink.into_inner().expect("trace closes");
-            ShardManifest::new(&campaign, *slice, partials)
-                .expect("window partials fit the slice")
-                .write(&manifest_path)
-                .expect("manifest writes");
+            ShardManifest::new(&campaign, slice).write(&manifest_path).expect("manifest writes");
             // Round-trip through disk: merge only ever sees loaded manifests.
             manifests.push(ShardManifest::load(&manifest_path).expect("manifest reloads"));
             segment_paths.push((jsonl_path, trace_path, manifest_path));
         }
 
-        // Stitch the streams in window order through the real segment
-        // readers, exactly as `karyon-campaign merge` does.
+        // Merge exactly as `karyon-campaign merge` does, from an arbitrary
+        // presentation order: validate the set, then stitch the streams in
+        // window order through the real segment readers.
+        let pivot = rotate % manifests.len().max(1);
+        manifests.rotate_left(pivot);
+        validate_shard_set(&reference, &manifests).expect("a complete set validates");
+        manifests.sort_by_key(|m| m.start_chunk);
         let mut stitched_jsonl = Vec::new();
         let mut stitched_trace = Vec::new();
         for manifest in &manifests {
@@ -164,10 +167,10 @@ proptest! {
         prop_assert!(stitched_jsonl == expected_jsonl, "stitched JSONL differs from reference");
         prop_assert!(stitched_trace == expected_trace, "stitched trace differs from reference");
 
-        // Merge in an arbitrary presentation order.
-        let pivot = rotate % manifests.len().max(1);
-        manifests.rotate_left(pivot);
-        let merged = merge_shards(&reference, manifests).expect("a complete set merges");
+        // The report replays the stitched run stream.
+        let stitched = std::str::from_utf8(&stitched_jsonl).expect("JSONL is UTF-8");
+        let records = read_jsonl_records(stitched).expect("the stitched stream parses");
+        let merged = reference.reduce_records(&registry, &records).expect("a complete stream");
         prop_assert_eq!(&merged, &expected_report);
         prop_assert_eq!(merged.to_json(), expected_report.to_json());
 
