@@ -11,7 +11,7 @@ use karyon_sim::{splitmix64, SimDuration};
 use karyon_telemetry::{trace, RunCoords, TraceRecord};
 
 use crate::aggregate::{CampaignAccumulator, ChunkPartial, DEFAULT_CHUNK_SIZE};
-use crate::checkpoint::{self, Checkpointer};
+use crate::checkpoint::{Checkpointer, ManifestWriter};
 use crate::fault::FaultInjector;
 use crate::grid::ParamGrid;
 use crate::json::JsonValue;
@@ -923,6 +923,12 @@ impl<'a> Session<'a> {
                 };
 
             let mut pending: BTreeMap<usize, ChunkOutput> = BTreeMap::new();
+            let mut manifests = checkpointer.map(|ckpt| {
+                ManifestWriter::new(
+                    ckpt,
+                    points.iter().map(|p| p.first_run + p.replications).collect(),
+                )
+            });
             let mut resident_records = 0u64;
             let mut next_merge = start_chunk;
             for (chunk, outcome) in outputs {
@@ -993,17 +999,21 @@ impl<'a> Session<'a> {
                         &mut sink,
                         &mut telemetry,
                     );
-                    let checkpointed = match checkpointer {
+                    let checkpointed = match manifests.as_mut() {
                         // At the cadence, and always at the session's end.
-                        Some(ckpt) if ckpt.due(next_merge) || next_merge == end_chunk => campaign
-                            .write_checkpoint(
-                                ckpt,
+                        Some(manifests)
+                            if manifests.checkpointer().due(next_merge)
+                                || next_merge == end_chunk =>
+                        {
+                            campaign.write_checkpoint(
+                                manifests,
                                 next_merge,
                                 &accumulator,
                                 &mut sink,
                                 &mut telemetry,
                                 faults,
-                            ),
+                            )
+                        }
                         _ => Ok(()),
                     };
                     if let Err(error) = checkpointed {
@@ -1124,7 +1134,9 @@ impl ChunkWork<'_> {
 impl Campaign {
     /// Writes a checkpoint manifest covering `chunks_done` chunks, flushing
     /// the sink — and an attached trace sink — first so the streams on disk
-    /// always cover at least the checkpointed runs.
+    /// always cover at least the checkpointed runs.  `manifests` keeps the
+    /// text of the points earlier writes closed, so this write renders only
+    /// the points still open.
     ///
     /// Every I/O edge here (sink flush, trace flush, manifest write) retries
     /// transient failures — including injected
@@ -1132,7 +1144,7 @@ impl Campaign {
     /// the last error of an exhausted budget propagates.
     fn write_checkpoint(
         &self,
-        ckpt: &Checkpointer,
+        manifests: &mut ManifestWriter<'_>,
         chunks_done: usize,
         accumulator: &CampaignAccumulator,
         sink: &mut Option<&mut dyn RunSink>,
@@ -1165,9 +1177,10 @@ impl Campaign {
         }
         let flushed = flush_started.elapsed();
         let runs_done = (chunks_done as u64 * self.chunk_size as u64).min(self.run_count());
-        let manifest = checkpoint::render_manifest(self, chunks_done, runs_done, accumulator);
+        let ckpt = manifests.checkpointer();
+        let manifest = manifests.render(self, chunks_done, runs_done, accumulator);
         let write_started = Instant::now();
-        let (written, attempts) = retry_io(|| ckpt.write(&manifest));
+        let (written, attempts) = retry_io(|| ckpt.write(manifest));
         retried += attempts;
         if let Err(e) = written {
             note_retry_exhausted(telemetry, retried);
@@ -1819,6 +1832,45 @@ mod tests {
             let resumed = outcome.into_report().expect("completed");
             assert_eq!(resumed, uninterrupted, "boundary {boundary}");
             assert_eq!(resumed.to_json(), uninterrupted.to_json());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A session keeps the text of closed points between checkpoint writes,
+    /// so the manifest after `k` chunks must not depend on the writes before
+    /// it: every chunk, once, or every chunk again after a resume.
+    #[test]
+    fn manifests_are_byte_identical_however_often_they_were_written() {
+        let dir =
+            std::env::temp_dir().join(format!("karyon-campaign-ckpt3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Chunks of 3 over points of 5 runs: boundaries fall inside points,
+        // and one chunk can close a point and open the next.
+        let campaign = Campaign::new("cache", 5).with_chunk_size(3).entry(
+            CampaignEntry::new("echo")
+                .grid(ParamGrid::new().axis("x", [0.5, 1.5, 2.5, 3.5]))
+                .replications(5),
+        );
+        let registry = echo_registry();
+        let chunks = campaign.canonical_chunks();
+        assert_eq!(chunks, 7, "20 runs / chunk 3");
+        for k in 1..=chunks {
+            let every = dir.join(format!("every-{k}.json"));
+            let ckpt = Checkpointer::new(&every).max_chunks_per_session(k);
+            campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
+            let once = dir.join(format!("once-{k}.json"));
+            let ckpt = Checkpointer::new(&once).every_chunks(k).max_chunks_per_session(k);
+            campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
+            let resumed = dir.join(format!("resumed-{k}.json"));
+            let ckpt = Checkpointer::new(&resumed).max_chunks_per_session(1);
+            campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
+            if k > 1 {
+                let ckpt = Checkpointer::new(&resumed).max_chunks_per_session(k - 1);
+                campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
+            }
+            let manifest = std::fs::read(&every).unwrap();
+            assert_eq!(manifest, std::fs::read(&once).unwrap(), "after {k} chunks");
+            assert_eq!(manifest, std::fs::read(&resumed).unwrap(), "after {k} chunks");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

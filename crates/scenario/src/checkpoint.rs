@@ -61,7 +61,7 @@ use karyon_sim::{BucketHistogram, BucketHistogramState, OnlineStats, OnlineStats
 
 use crate::aggregate::{CampaignAccumulator, MetricAccumulator, PointAccumulator, QuantileAcc};
 use crate::campaign::{fnv1a64, Campaign};
-use crate::json::{array, JsonValue, ObjectWriter};
+use crate::json::{JsonValue, ObjectWriter};
 
 /// Manifest format tag, checked on load.
 const FORMAT: &str = "karyon-campaign-checkpoint";
@@ -77,12 +77,14 @@ const FRAME_TAG: &str = "karyon-ckpt-frame-v1";
 /// [resumed](crate::Session::resume) session also loads its manifest from:
 ///
 /// * [`every_chunks`](Checkpointer::every_chunks) — the write cadence, in
-///   canonical chunks (default: every chunk).  Each cadence hit serialises
-///   the whole merged accumulator again, so the cost is not negligible: on
-///   the `artifact-roundtrip` benchmark spec (1 worker, 2-vCPU VM) a
-///   checkpoint every chunk takes a JSONL session from 0.67–0.83 s to
-///   1.51–1.67 s, and checkpoints are 35.1 % of that benchmark's worker
-///   time.  A sparser cadence trades resume granularity for less of it.
+///   canonical chunks (default: every chunk).  A cadence hit renders only
+///   the points still open — a session keeps the text of the points the
+///   merge watermark has passed — but it still writes, FNV-hashes and
+///   fsyncs the whole manifest, and that is its floor.  On the
+///   `artifact-roundtrip` benchmark spec (1 worker, 2-vCPU VM) a checkpoint
+///   every chunk takes a JSONL session from 0.63 s to 0.86 s (medians of 5
+///   runs), and checkpoints are 17.5 % of that benchmark's worker time.  A
+///   sparser cadence trades resume granularity for less of it.
 /// * [`max_chunks_per_session`](Checkpointer::max_chunks_per_session) — an
 ///   optional bounded work slice: the session executes at most this many
 ///   chunks, writes a final checkpoint at its end boundary and returns
@@ -237,6 +239,10 @@ impl CheckpointManifest {
     }
 
     /// Parses a manifest from its JSON text.
+    ///
+    /// The watermark must be consistent: `runs_done` equals
+    /// `min(chunks_done × chunk_size, total_runs)` and the runs the points
+    /// merged, since resume cuts the streams back to it.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = JsonValue::parse(text)?;
         let identity = Identity::parse(&doc, FORMAT, VERSION)?;
@@ -247,14 +253,32 @@ impl CheckpointManifest {
             .iter()
             .map(parse_point)
             .collect::<Result<Vec<_>, _>>()?;
+        let chunks_done = u64_field(&doc, "chunks_done")?;
+        let runs_done = u64_field(&doc, "runs_done")?;
+        let covered =
+            chunks_done.saturating_mul(identity.chunk_size as u64).min(identity.total_runs);
+        if runs_done != covered {
+            return Err(format!(
+                "inconsistent watermark: runs_done is {runs_done} but {chunks_done} chunks of \
+                 {} runs cover {covered} of the campaign's {} runs",
+                identity.chunk_size, identity.total_runs
+            ));
+        }
+        let merged = points.iter().try_fold(0u64, |sum, point| sum.checked_add(point.runs));
+        if merged != Some(runs_done) {
+            return Err(format!(
+                "inconsistent watermark: runs_done is {runs_done} but the points merged {} runs",
+                merged.map_or_else(|| "more than 2^64".to_string(), |runs| runs.to_string())
+            ));
+        }
         Ok(CheckpointManifest {
             campaign: identity.campaign.to_string(),
             seed: identity.seed,
             fingerprint: identity.fingerprint,
             chunk_size: identity.chunk_size,
             total_runs: identity.total_runs,
-            chunks_done: u64_field(&doc, "chunks_done")? as usize,
-            runs_done: u64_field(&doc, "runs_done")?,
+            chunks_done: chunks_done as usize,
+            runs_done,
             points,
         })
     }
@@ -304,19 +328,91 @@ impl CheckpointManifest {
     }
 }
 
-/// Serialises the merged state after `chunks_done` canonical chunks.
-pub(crate) fn render_manifest(
-    campaign: &Campaign,
-    chunks_done: usize,
-    runs_done: u64,
-    accumulator: &CampaignAccumulator,
-) -> String {
-    let points: Vec<String> = accumulator.points().iter().map(render_point).collect();
-    let mut o = Identity::of(campaign).render(FORMAT, VERSION);
-    o.u64("chunks_done", chunks_done as u64)
-        .u64("runs_done", runs_done)
-        .raw("points", &array(&points));
-    o.finish()
+/// A checkpointed session's manifest writes: its [`Checkpointer`] and the
+/// manifest text kept between writes.
+///
+/// A point is *closed* once the merge watermark has passed its last run
+/// (`first_run + replications <= runs_done`).  Chunks merge in canonical
+/// order, so nothing in the session touches a closed point's partial again:
+/// its text is rendered once, kept comma-joined in point order, and every
+/// later write renders only the points still open.  A write assembles the
+/// header, the kept text and the open points in one reused payload buffer.
+/// A resumed session starts with no text kept, so its first write renders
+/// every point.
+pub(crate) struct ManifestWriter<'a> {
+    checkpointer: &'a Checkpointer,
+    /// Each point's end (its first run plus its replications), in point
+    /// order.
+    point_ends: Vec<u64>,
+    /// Leading points whose partials `closed` holds.
+    closed_points: usize,
+    /// The closed points' partials, comma-joined.
+    closed: String,
+    /// The last payload rendered; the next one reuses its buffer.
+    payload: String,
+}
+
+impl<'a> ManifestWriter<'a> {
+    /// A writer for `checkpointer`'s manifests of a campaign whose points end
+    /// at `point_ends`.  Empty `point_ends` close no point, so every write
+    /// renders every point.
+    pub(crate) fn new(checkpointer: &'a Checkpointer, point_ends: Vec<u64>) -> Self {
+        ManifestWriter {
+            checkpointer,
+            point_ends,
+            closed_points: 0,
+            closed: String::new(),
+            payload: String::new(),
+        }
+    }
+
+    /// The checkpointer the manifests go to.
+    pub(crate) fn checkpointer(&self) -> &'a Checkpointer {
+        self.checkpointer
+    }
+
+    /// Renders the manifest of the merged state after `chunks_done`
+    /// canonical chunks (`runs_done` runs), first keeping the text of the
+    /// points this watermark closes.
+    pub(crate) fn render(
+        &mut self,
+        campaign: &Campaign,
+        chunks_done: usize,
+        runs_done: u64,
+        accumulator: &CampaignAccumulator,
+    ) -> &str {
+        let points = accumulator.points();
+        let closing =
+            self.point_ends.partition_point(|end| *end <= runs_done).max(self.closed_points);
+        for point in &points[self.closed_points..closing] {
+            if !self.closed.is_empty() {
+                self.closed.push(',');
+            }
+            render_point(&mut self.closed, point);
+        }
+        self.closed_points = closing;
+
+        let mut buffer = std::mem::take(&mut self.payload);
+        buffer.clear();
+        let mut o = ObjectWriter::append_to(buffer);
+        Identity::of(campaign).render(&mut o, FORMAT, VERSION);
+        o.u64("chunks_done", chunks_done as u64).u64("runs_done", runs_done).raw_with(
+            "points",
+            |out| {
+                out.push('[');
+                out.push_str(&self.closed);
+                for (index, point) in points[self.closed_points..].iter().enumerate() {
+                    if index > 0 || self.closed_points > 0 {
+                        out.push(',');
+                    }
+                    render_point(out, point);
+                }
+                out.push(']');
+            },
+        );
+        self.payload = o.close();
+        &self.payload
+    }
 }
 
 /// The identity header both manifest kinds open with, after their format tag
@@ -342,10 +438,9 @@ impl<'a> Identity<'a> {
         }
     }
 
-    /// Starts a `format` payload of `version` with this header; the caller
-    /// appends the manifest kind's own fields.
-    pub(crate) fn render(&self, format: &str, version: u64) -> ObjectWriter {
-        let mut o = ObjectWriter::new();
+    /// Writes this header into the empty payload `o` of a `format` file of
+    /// `version`; the caller appends the manifest kind's own fields.
+    pub(crate) fn render(&self, o: &mut ObjectWriter, format: &str, version: u64) {
         o.string("format", format)
             .u64("version", version)
             .string("campaign", self.campaign)
@@ -353,7 +448,6 @@ impl<'a> Identity<'a> {
             .u64("fingerprint", self.fingerprint)
             .u64("chunk_size", self.chunk_size as u64)
             .u64("total_runs", self.total_runs);
-        o
     }
 
     /// Parses the header of a `format` payload, refusing any other format or
@@ -469,24 +563,25 @@ fn framed_payload(bytes: &[u8]) -> Result<&str, String> {
     Ok(payload)
 }
 
-/// Renders one point's partial.  Every `f64` is stored as its IEEE-754 bit
-/// pattern in a `u64` field, so the restore is bit-exact by construction.
-fn render_point(point: &PointAccumulator) -> String {
-    let mut metrics = ObjectWriter::new();
-    for (name, acc) in &point.metrics {
-        metrics.raw(name, &render_metric(acc));
-    }
-    let mut o = ObjectWriter::new();
-    o.u64("runs", point.runs)
-        .u64("suspect_runs", point.suspect_runs)
-        .raw("metrics", &metrics.finish());
-    o.finish()
+/// Appends one point's partial to `out`.  Every `f64` is stored as its
+/// IEEE-754 bit pattern in a `u64` field, so the restore is bit-exact by
+/// construction.
+fn render_point(out: &mut String, point: &PointAccumulator) {
+    let mut o = ObjectWriter::append_to(std::mem::take(out));
+    o.u64("runs", point.runs).u64("suspect_runs", point.suspect_runs).object(
+        "metrics",
+        |metrics| {
+            for (name, acc) in &point.metrics {
+                metrics.object(name, |o| render_metric(o, acc));
+            }
+        },
+    );
+    *out = o.close();
 }
 
-fn render_metric(acc: &MetricAccumulator) -> String {
+fn render_metric(o: &mut ObjectWriter, acc: &MetricAccumulator) {
     let (stats, sum, quantiles) = acc.parts();
     let state = stats.raw_state();
-    let mut o = ObjectWriter::new();
     o.u64("count", state.count)
         .u64("mean", state.mean.to_bits())
         .u64("m2", state.m2.to_bits())
@@ -495,26 +590,23 @@ fn render_metric(acc: &MetricAccumulator) -> String {
         .u64("sum", sum.to_bits());
     match quantiles {
         QuantileAcc::Exact(values) => {
-            let bits: Vec<String> = values.iter().map(|v| v.to_bits().to_string()).collect();
-            o.raw("exact", &array(&bits));
+            o.u64s("exact", values.iter().map(|v| v.to_bits()));
         }
         QuantileAcc::Bucketed(hist) => {
             let state = hist.raw_state();
-            let counts: Vec<String> = state.counts.iter().map(u64::to_string).collect();
-            let mut h = ObjectWriter::new();
-            h.u64("lo", state.lo.to_bits())
-                .u64("hi", state.hi.to_bits())
-                .raw("counts", &array(&counts))
-                .u64("underflow", state.underflow)
-                .u64("overflow", state.overflow)
-                .u64("count", state.count)
-                .u64("sum", state.sum.to_bits())
-                .u64("min", state.min.to_bits())
-                .u64("max", state.max.to_bits());
-            o.raw("histogram", &h.finish());
+            o.object("histogram", |h| {
+                h.u64("lo", state.lo.to_bits())
+                    .u64("hi", state.hi.to_bits())
+                    .u64s("counts", state.counts.iter().copied())
+                    .u64("underflow", state.underflow)
+                    .u64("overflow", state.overflow)
+                    .u64("count", state.count)
+                    .u64("sum", state.sum.to_bits())
+                    .u64("min", state.min.to_bits())
+                    .u64("max", state.max.to_bits());
+            });
         }
     }
-    o.finish()
 }
 
 fn parse_point(value: &JsonValue) -> Result<PointAccumulator, String> {
@@ -770,6 +862,19 @@ mod tests {
         std::env::temp_dir().join(format!("karyon-ckpt-{}-{name}", std::process::id()))
     }
 
+    /// The session renderer with nothing kept: every point renders.
+    fn render_manifest(
+        campaign: &Campaign,
+        chunks_done: usize,
+        runs_done: u64,
+        accumulator: &CampaignAccumulator,
+    ) -> String {
+        let ckpt = Checkpointer::new(temp_path("never-written.json"));
+        ManifestWriter::new(&ckpt, Vec::new())
+            .render(campaign, chunks_done, runs_done, accumulator)
+            .to_string()
+    }
+
     #[test]
     fn manifest_round_trips_every_quantile_state_bit_exactly() {
         // Build a synthetic accumulator with both quantile states and
@@ -788,7 +893,10 @@ mod tests {
         let point = PointAccumulator { runs: 4, suspect_runs: 1, metrics };
         let acc = CampaignAccumulator::from_points(vec![point, PointAccumulator::default()]);
 
-        let campaign = Campaign::new("rt", 9).with_chunk_size(2);
+        // Two chunks of 2 cover the entry's 4 runs, all merged into point 0.
+        let campaign = Campaign::new("rt", 9)
+            .with_chunk_size(2)
+            .entry(crate::CampaignEntry::new("echo").replications(4));
         let text = render_manifest(&campaign, 2, 4, &acc);
         let manifest = CheckpointManifest::parse(&text).expect("well-formed manifest");
         assert_eq!(manifest.campaign, "rt");
@@ -827,6 +935,40 @@ mod tests {
         assert!(CheckpointManifest::parse(&ok).is_ok());
         let wrong_version = ok.replace("\"version\":1", "\"version\":99");
         assert!(CheckpointManifest::parse(&wrong_version).unwrap_err().contains("version"));
+    }
+
+    #[test]
+    fn manifests_with_an_inconsistent_watermark_are_refused() {
+        // Two chunks of 2 cover 4 of the campaign's 5 runs, all in point 0.
+        let campaign = Campaign::new("watermark", 3)
+            .with_chunk_size(2)
+            .entry(crate::CampaignEntry::new("echo").replications(5));
+        let point = PointAccumulator { runs: 4, ..PointAccumulator::default() };
+        let good = render_manifest(&campaign, 2, 4, &CampaignAccumulator::from_points(vec![point]));
+        CheckpointManifest::parse(&good).expect("a consistent watermark parses");
+
+        // A watermark off the chunk grid: resume would cut the streams to it.
+        let off_grid = good.replace("\"runs_done\":4", "\"runs_done\":3");
+        let err = CheckpointManifest::parse(&off_grid).unwrap_err();
+        assert!(err.contains("runs_done is 3") && err.contains("cover 4"), "{err}");
+        // On the grid (the last chunk is short), but the points merged fewer.
+        let unmerged =
+            good.replace("\"chunks_done\":2,\"runs_done\":4", "\"chunks_done\":3,\"runs_done\":5");
+        let err = CheckpointManifest::parse(&unmerged).unwrap_err();
+        assert!(err.contains("runs_done is 5") && err.contains("merged 4 runs"), "{err}");
+        // A chunk count whose runs overflow u64 is refused, not wrapped.
+        let huge = good.replace("\"chunks_done\":2", "\"chunks_done\":18446744073709551615");
+        assert!(CheckpointManifest::parse(&huge).unwrap_err().contains("runs_done is 4"));
+
+        // Loaded from disk behind a valid frame, the refusal carries the
+        // recovery hint and leaves the file alone.
+        let path = temp_path("watermark.json");
+        let framed = format!("{off_grid}\n{}\n", integrity_frame(&off_grid));
+        fs::write(&path, &framed).unwrap();
+        let err = CheckpointManifest::load(&path).unwrap_err();
+        assert!(err.contains("runs_done is 3") && err.contains("recovery:"), "{err}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), framed);
+        fs::remove_file(&path).ok();
     }
 
     #[test]

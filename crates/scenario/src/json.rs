@@ -25,6 +25,13 @@ use std::fmt::Write as _;
 /// Escapes a string for use inside a JSON string literal (without quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for use inside a JSON string literal
+/// (without quotes).
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -38,83 +45,155 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats an `f64` as a JSON number; non-finite values become `null`
 /// (JSON has no NaN/Infinity).
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out` as [`number`] formats it.
+fn number_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
 /// An incremental writer for one JSON object: `{"k": v, ...}`.
-#[derive(Debug, Default)]
+///
+/// Every field is written in place: keys and strings are escaped, and
+/// numbers formatted, straight into the buffer.  Inside the crate a writer
+/// can also open on the end of a reused buffer and hand it back closed, so
+/// hot paths render without allocating once that buffer has grown to fit.
+#[derive(Debug)]
 pub struct ObjectWriter {
-    body: String,
+    /// What the buffer held before this object, its `{`, then its fields.
+    out: String,
+    /// The length of `out` just past this object's `{`.
+    fields_from: usize,
+}
+
+impl Default for ObjectWriter {
+    fn default() -> Self {
+        ObjectWriter::new()
+    }
 }
 
 impl ObjectWriter {
     /// Starts an empty object.
     pub fn new() -> Self {
-        ObjectWriter::default()
+        ObjectWriter::append_to(String::new())
+    }
+
+    /// Starts an empty object at the end of `out`, which
+    /// [`close`](Self::close) hands back.
+    pub(crate) fn append_to(mut out: String) -> Self {
+        out.push('{');
+        let fields_from = out.len();
+        ObjectWriter { out, fields_from }
+    }
+
+    /// Closes the object and returns the whole buffer.
+    pub(crate) fn close(mut self) -> String {
+        self.out.push('}');
+        self.out
     }
 
     fn push_key(&mut self, key: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
+        if self.out.len() > self.fields_from {
+            self.out.push(',');
         }
-        let _ = write!(self.body, "\"{}\":", escape(key));
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
     }
 
     /// Adds a string field.
     pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
         self.push_key(key);
-        let _ = write!(self.body, "\"{}\"", escape(value));
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
         self
     }
 
     /// Adds a numeric field (`null` for non-finite values).
     pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
         self.push_key(key);
-        self.body.push_str(&number(value));
+        number_into(&mut self.out, value);
         self
     }
 
     /// Adds an integer field.
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
         self.push_key(key);
-        let _ = write!(self.body, "{value}");
+        let _ = write!(self.out, "{value}");
         self
     }
 
     /// Adds a signed integer field.
     pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
         self.push_key(key);
-        let _ = write!(self.body, "{value}");
+        let _ = write!(self.out, "{value}");
         self
     }
 
     /// Adds a boolean field.
     pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
         self.push_key(key);
-        self.body.push_str(if value { "true" } else { "false" });
+        self.out.push_str(if value { "true" } else { "false" });
         self
     }
 
     /// Adds a field whose value is already-rendered JSON.
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
         self.push_key(key);
-        self.body.push_str(json);
+        self.out.push_str(json);
+        self
+    }
+
+    /// Adds a field whose raw JSON value `write` appends to the buffer.
+    pub(crate) fn raw_with(&mut self, key: &str, write: impl FnOnce(&mut String)) -> &mut Self {
+        self.push_key(key);
+        write(&mut self.out);
+        self
+    }
+
+    /// Adds a field whose value is an object `fill` writes in place.
+    pub(crate) fn object(&mut self, key: &str, fill: impl FnOnce(&mut ObjectWriter)) -> &mut Self {
+        self.push_key(key);
+        let mut inner = ObjectWriter::append_to(std::mem::take(&mut self.out));
+        fill(&mut inner);
+        self.out = inner.close();
+        self
+    }
+
+    /// Adds an array-of-integers field.
+    pub(crate) fn u64s(&mut self, key: &str, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.push_key(key);
+        self.out.push('[');
+        for (index, value) in values.into_iter().enumerate() {
+            if index > 0 {
+                self.out.push(',');
+            }
+            let _ = write!(self.out, "{value}");
+        }
+        self.out.push(']');
         self
     }
 
     /// Finishes the object.
     pub fn finish(&self) -> String {
-        format!("{{{}}}", self.body)
+        let object = &self.out[self.fields_from - 1..];
+        let mut text = String::with_capacity(object.len() + 1);
+        text.push_str(object);
+        text.push('}');
+        text
     }
 }
 
@@ -537,6 +616,62 @@ mod tests {
         o.string("name", "x").u64("runs", 3).f64("mean", 0.5).bool("ok", true);
         o.raw("inner", &array(&["1".to_string(), "2".to_string()]));
         assert_eq!(o.finish(), r#"{"name":"x","runs":3,"mean":0.5,"ok":true,"inner":[1,2]}"#);
+    }
+
+    #[test]
+    fn object_writer_escapes_and_formats_in_place_like_escape_and_number() {
+        for text in [
+            "plain",
+            "quote \" and backslash \\",
+            "\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f} \n\r\t",
+            "ünïcode 🚗 \u{7f}\u{2028}",
+            "",
+        ] {
+            let mut o = ObjectWriter::new();
+            o.string(text, text);
+            let expected = format!("{{\"{}\":\"{}\"}}", escape(text), escape(text));
+            assert_eq!(o.finish(), expected, "{text:?}");
+        }
+        for value in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            f64::MAX,
+            -1e21,
+            0.1 + 0.2,
+        ] {
+            let mut o = ObjectWriter::new();
+            o.f64("v", value);
+            assert_eq!(o.finish(), format!("{{\"v\":{}}}", number(value)), "{value:?}");
+            let literal = if value.is_finite() { format!("{value}") } else { "null".into() };
+            assert_eq!(number(value), literal, "{value:?}");
+        }
+        assert_eq!(number(-0.0), "-0");
+        assert_eq!(escape("\"\\\u{0}é"), "\\\"\\\\\\u0000é");
+    }
+
+    #[test]
+    fn nested_writers_render_in_place_like_finished_ones() {
+        let mut inner = ObjectWriter::new();
+        inner.u64("a", 1).string("b", "x");
+        let mut o = ObjectWriter::new();
+        o.raw("raw", &inner.finish()).raw("arr", &array(&["1".to_string(), "2".to_string()]));
+        let mut in_place = ObjectWriter::append_to("prefix ".to_string());
+        in_place
+            .object("raw", |nested| {
+                nested.u64("a", 1).string("b", "x");
+            })
+            .u64s("arr", [1, 2])
+            .object("empty", |_| {})
+            .u64s("none", []);
+        o.raw("empty", "{}").raw("none", "[]");
+        assert_eq!(in_place.finish(), o.finish());
+        assert_eq!(in_place.close(), format!("prefix {}", o.finish()));
     }
 
     #[test]

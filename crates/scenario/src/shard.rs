@@ -62,7 +62,7 @@ use std::path::Path;
 
 use crate::campaign::Campaign;
 use crate::checkpoint::{line_run_index, load_framed, u64_field, write_framed_atomic, Identity};
-use crate::json::JsonValue;
+use crate::json::{JsonValue, ObjectWriter};
 
 /// Shard manifest format tag, checked on load.
 const FORMAT: &str = "karyon-campaign-shard";
@@ -251,7 +251,8 @@ impl ShardManifest {
 
     /// Serialises the manifest payload (without the integrity frame).
     pub fn render(&self) -> String {
-        let mut o = self.identity().render(FORMAT, VERSION);
+        let mut o = ObjectWriter::new();
+        self.identity().render(&mut o, FORMAT, VERSION);
         o.u64("shard_index", self.shard_index as u64)
             .u64("shard_count", self.shard_count as u64)
             .u64("start_chunk", self.start_chunk as u64)

@@ -102,17 +102,36 @@ impl Write for SyncOnFlushFile {
 /// ```text
 /// {"run":0,"scenario":"echo","point":0,"replication":0,"seed":42,"clamped_schedules":0,"params":{},"metrics":{"x":1.5}}
 /// ```
+///
+/// Every line renders into one buffer the writer reuses and reaches the
+/// underlying writer in one `write_all`.  The params object is rendered once
+/// per point: the runs of a point share it, so the writer keeps the text of
+/// the current point's params and re-renders only when the point changes or
+/// its params differ (a writer fed by two campaigns never reuses stale text).
 #[derive(Debug)]
 pub struct JsonlRunWriter<W: Write> {
     out: W,
     written: u64,
     error: Option<io::Error>,
+    /// The line being rendered; its buffer is reused for every run.
+    line: String,
+    /// The point and params `params_text` renders.
+    params: Option<(usize, BTreeMap<String, ParamValue>)>,
+    /// The rendered params object of the current point.
+    params_text: String,
 }
 
 impl<W: Write> JsonlRunWriter<W> {
     /// Creates a writer over any `io::Write` (a file, a buffer, a pipe).
     pub fn new(out: W) -> Self {
-        JsonlRunWriter { out, written: 0, error: None }
+        JsonlRunWriter {
+            out,
+            written: 0,
+            error: None,
+            line: String::new(),
+            params: None,
+            params_text: String::new(),
+        }
     }
 
     /// Number of lines written so far.
@@ -147,25 +166,49 @@ impl<W: Write> RunSink for JsonlRunWriter<W> {
         if self.error.is_some() {
             return;
         }
-        let mut metrics = ObjectWriter::new();
-        for (name, value) in record.metrics() {
-            metrics.f64(name, *value);
+        let cached = matches!(&self.params, Some((point, params))
+            if *point == meta.point && render_alike(params, meta.params));
+        if !cached {
+            self.params_text = params_json(meta.params);
+            self.params = Some((meta.point, meta.params.clone()));
         }
-        let mut line = ObjectWriter::new();
+        let mut buffer = std::mem::take(&mut self.line);
+        buffer.clear();
+        let mut line = ObjectWriter::append_to(buffer);
         line.u64("run", meta.run_index)
             .string("scenario", meta.scenario)
             .u64("point", meta.point as u64)
             .u64("replication", meta.replication)
             .u64("seed", meta.seed)
             .u64("clamped_schedules", record.clamped_schedules)
-            .raw("params", &params_json(meta.params))
-            .raw("metrics", &metrics.finish());
-        if let Err(error) = writeln!(self.out, "{}", line.finish()) {
+            .raw("params", &self.params_text)
+            .object("metrics", |metrics| {
+                for (name, value) in record.metrics() {
+                    metrics.f64(name, *value);
+                }
+            });
+        self.line = line.close();
+        self.line.push('\n');
+        if let Err(error) = self.out.write_all(self.line.as_bytes()) {
             self.error = Some(error);
         } else {
             self.written += 1;
         }
     }
+}
+
+/// True when two params maps render to the same JSON: the same keys and
+/// values, floats compared by bit pattern (`-0.0` renders apart from `0.0`,
+/// though the two compare equal).
+fn render_alike(a: &BTreeMap<String, ParamValue>, b: &BTreeMap<String, ParamValue>) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((key_a, a), (key_b, b))| {
+            key_a == key_b
+                && match (a, b) {
+                    (ParamValue::Float(a), ParamValue::Float(b)) => a.to_bits() == b.to_bits(),
+                    _ => a == b,
+                }
+        })
 }
 
 /// Parses a JSONL run stream (as written by [`JsonlRunWriter`]) back into
@@ -291,17 +334,17 @@ mod tests {
 
     #[test]
     fn write_errors_stay_sticky_through_flush_and_finish() {
-        /// A writer that fails once the first full line (body + newline,
-        /// two `write` calls under `writeln!`) has gone through.
+        /// A writer that fails once the first full line (through its
+        /// newline, in however many `write` calls) has gone through.
         struct Flaky {
-            writes: usize,
+            lines: usize,
         }
         impl Write for Flaky {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.writes += 1;
-                if self.writes > 2 {
+                if self.lines > 0 {
                     Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
                 } else {
+                    self.lines += buf.iter().filter(|byte| **byte == b'\n').count();
                     Ok(buf.len())
                 }
             }
@@ -320,7 +363,7 @@ mod tests {
             replication: run,
             seed: run,
         };
-        let mut writer = JsonlRunWriter::new(Flaky { writes: 0 });
+        let mut writer = JsonlRunWriter::new(Flaky { lines: 0 });
         writer.on_run(&meta(0), &record);
         writer.on_run(&meta(1), &record); // fails, sets the sticky error
         assert!(writer.flush().is_err(), "flush reports the deferred error");
@@ -342,6 +385,62 @@ mod tests {
         out.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "line 1\nline 2\n");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One point of a campaign: its index, params and replications.
+    type Point<'a> = (usize, &'a BTreeMap<String, ParamValue>, u64);
+
+    /// Runs `points` of one campaign through `writer`, numbering runs from
+    /// zero.
+    fn feed<W: Write>(writer: &mut JsonlRunWriter<W>, points: &[Point<'_>]) {
+        let mut run_index = 0;
+        for &(point, params, replications) in points {
+            for replication in 0..replications {
+                let mut record = RunRecord::new();
+                record.set("x", run_index as f64 / 3.0);
+                let meta = RunMeta {
+                    run_index,
+                    point,
+                    scenario: "demo",
+                    params,
+                    replication,
+                    seed: run_index * 7,
+                };
+                writer.on_run(&meta, &record);
+                run_index += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn one_writer_fed_two_campaigns_writes_what_fresh_writers_do() {
+        let params = |mode: &str, gap: f64| {
+            let mut params = BTreeMap::new();
+            params.insert("gap".to_string(), ParamValue::Float(gap));
+            params.insert("mode".to_string(), ParamValue::Text(mode.into()));
+            params
+        };
+        // Point 0 differs between campaigns a and b in its text; between b
+        // and c only in the sign of a zero, which compares equal but renders
+        // apart.
+        let (a0, a1) = (params("kernel", 0.0), params("los0", 1.5));
+        let b0 = params("los2", 0.0);
+        let c0 = params("los2", -0.0);
+        let campaigns: [&[Point<'_>]; 3] =
+            [&[(0, &a0, 2), (1, &a1, 1)], &[(0, &b0, 2)], &[(0, &c0, 2)]];
+
+        let mut shared = JsonlRunWriter::new(Vec::new());
+        let mut fresh = Vec::new();
+        for points in campaigns {
+            feed(&mut shared, points);
+            let mut writer = JsonlRunWriter::new(Vec::new());
+            feed(&mut writer, points);
+            fresh.extend(writer.finish().unwrap());
+        }
+        let shared = String::from_utf8(shared.finish().unwrap()).unwrap();
+        assert_eq!(shared, String::from_utf8(fresh).unwrap());
+        assert!(shared.contains(r#""params":{"gap":-0,"mode":"los2"}"#), "{shared}");
+        assert_eq!(shared.lines().count(), 7);
     }
 
     #[test]

@@ -439,7 +439,7 @@ pub(crate) fn params_json(params: &BTreeMap<String, ParamValue>) -> String {
             ParamValue::Text(s) => o.string(k, s),
         };
     }
-    o.finish()
+    o.close()
 }
 
 #[cfg(test)]

@@ -1480,6 +1480,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A manifest whose `runs_done` disagrees with its chunks is refused
+    /// with exit 3 before `resume` or `report` touches a stream.
+    #[test]
+    fn resume_refuses_an_inconsistent_watermark_before_touching_streams() {
+        let dir = std::env::temp_dir().join(format!("karyon-cli-watermark-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("spec.json");
+        std::fs::write(
+            &spec,
+            r#"{"name": "watermark", "seed": 4, "chunk_size": 4, "entries":
+                [{"scenario": "lane-change", "replications": 16, "duration_secs": 1}]}"#,
+        )
+        .unwrap();
+        let (jsonl, ckpt) = (dir.join("runs.jsonl"), dir.join("c.json"));
+        let common = format!(
+            "{} --jsonl {} --checkpoint {} --quiet",
+            spec.display(),
+            jsonl.display(),
+            ckpt.display()
+        );
+        cmd_run(parse("run", &words(&format!("{common} --max-chunks 2"))).unwrap(), false)
+            .expect("two chunks run");
+
+        // Re-frame the payload with a watermark three runs short of its
+        // two chunks, as a tool holding `integrity_frame` could.
+        let payload = karyon::scenario::checkpoint::read_manifest_text(&ckpt).unwrap();
+        let doctored = payload.replace("\"runs_done\":8", "\"runs_done\":5");
+        assert_ne!(doctored, payload);
+        let frame = karyon::scenario::integrity_frame(&doctored);
+        std::fs::write(&ckpt, format!("{doctored}\n{frame}\n")).unwrap();
+        let stream = std::fs::read(&jsonl).unwrap();
+        assert_eq!(stream.iter().filter(|byte| **byte == b'\n').count(), 8);
+
+        let error = cmd_run(parse("resume", &words(&common)).unwrap(), true)
+            .expect_err("an inconsistent watermark refuses");
+        assert_eq!(error.kind.code(), 3, "{}", error.message);
+        assert!(
+            error.message.contains("runs_done is 5") && error.message.contains("recovery:"),
+            "{}",
+            error.message
+        );
+        assert_eq!(std::fs::read(&jsonl).unwrap(), stream, "the stream was touched");
+        let report = format!("{} --checkpoint {} --quiet", spec.display(), ckpt.display());
+        let error = cmd_report(parse("report", &words(&report)).unwrap())
+            .expect_err("report refuses it too");
+        assert_eq!(error.kind.code(), 3, "{}", error.message);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn parse_common_understands_force() {
         let parsed = parse("run", &strings(&["spec.json", "--force", "--quiet"])).unwrap();

@@ -125,6 +125,21 @@ proptest! {
         let ckpt_path = dir.join(format!("c-{seed}-{replications}-{chunk_size}.json"));
         let jsonl_path = dir.join(format!("s-{seed}-{replications}-{chunk_size}.jsonl"));
 
+        // The reference again, checkpointing every chunk: its final manifest
+        // is the one the resumed session must end with.
+        let ref_ckpt_path = dir.join(format!("r-{seed}-{replications}-{chunk_size}.json"));
+        let mut jsonl = JsonlRunWriter::new(Vec::new());
+        let ckpt = Checkpointer::new(&ref_ckpt_path);
+        let (outcome, _) = campaign
+            .session(&noise_registry())
+            .checkpointer(&ckpt)
+            .sink(&mut jsonl)
+            .run()
+            .expect("the checkpointed reference runs");
+        let checkpointed_report = outcome.into_report();
+        prop_assert_eq!(checkpointed_report.as_ref(), Some(&expected_report));
+        prop_assert!(jsonl.finish().expect("in-memory writes cannot fail") == expected_jsonl);
+
         // Session 1: bounded to `boundary` chunks, checkpointing as it goes.
         let mut jsonl = JsonlRunWriter::new(
             fs::File::create(&jsonl_path).expect("temp file is writable"),
@@ -187,8 +202,15 @@ proptest! {
         // uninterrupted run's.
         let stitched = fs::read(&jsonl_path).unwrap();
         prop_assert!(stitched == expected_jsonl, "stitched JSONL differs from uninterrupted");
+        // So is the final manifest, although the resumed session's first
+        // write rendered every point and the reference's kept closed ones.
+        prop_assert!(
+            fs::read(&ckpt_path).unwrap() == fs::read(&ref_ckpt_path).unwrap(),
+            "the resumed session's final manifest differs from the uninterrupted one's"
+        );
         fs::remove_file(&ckpt_path).ok();
         fs::remove_file(&jsonl_path).ok();
+        fs::remove_file(&ref_ckpt_path).ok();
     }
 
     /// The chaos acceptance property: kill the campaign with an injected
