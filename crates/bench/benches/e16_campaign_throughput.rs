@@ -27,9 +27,12 @@
 //! pass** (see [`median_of_3`]), so quick-mode numbers on shared CI machines
 //! are trustworthy enough to guard on: a single scheduler hiccup or cold
 //! cache can no longer report nonsense like telemetry-off running 2.6×
-//! *faster* than the identical plain code path.  Each `BENCH_campaign.json`
-//! object records its `ops_per_workload` and `samples` so consumers know
-//! what was measured.
+//! *faster* than the identical plain code path.  The plain and telemetry-off
+//! rates are timed as alternating pairs (see [`paired_medians`]), and the
+//! guard reads the median of the per-pair ratios, so drift in host speed
+//! between samples cannot move it.  Each `BENCH_campaign.json` object
+//! records its `ops_per_workload` and `samples` so consumers know what was
+//! measured.
 //!
 //! Quick mode (`E16_QUICK=1`, used by CI) shrinks the workloads ~10×.
 
@@ -59,6 +62,28 @@ fn median3(mut rates: [f64; 3]) -> f64 {
 fn median_of_3(mut sample: impl FnMut() -> f64) -> f64 {
     let _warmup = sample();
     median3([sample(), sample(), sample()])
+}
+
+/// Runs `a` and `b` once each as a discarded warmup, then times them as
+/// three pairs, alternating which of the two runs first.  Returns the median
+/// rate of `a`, the median rate of `b` and the median of the per-pair ratios
+/// `b / a`.
+fn paired_medians(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64, f64) {
+    let _warmup = (a(), b());
+    let mut pairs = [(0.0, 0.0); 3];
+    for (i, pair) in pairs.iter_mut().enumerate() {
+        *pair = if i % 2 == 0 {
+            (a(), b())
+        } else {
+            let second = b();
+            (a(), second)
+        };
+    }
+    (
+        median3(pairs.map(|(a, _)| a)),
+        median3(pairs.map(|(_, b)| b)),
+        median3(pairs.map(|(a, b)| b / a)),
+    )
 }
 
 /// A deliberately cheap scenario: metrics are arithmetic over the seed, so
@@ -221,7 +246,12 @@ fn main() {
         assert_eq!(report, serial, "sinked parallel report must stay bit-identical");
         rate
     });
-    let parallel_nosink_rate = median_of_3(|| {
+    // The plain rate is timed in pairs with measurement 4's telemetry-off
+    // session, which runs the same configuration: the guard there reads the
+    // median per-pair ratio.  Detached telemetry is the plain path plus one
+    // branch per chunk, so if the telemetry plumbing ever leaks cost into
+    // untraced campaigns, that ratio drops.
+    let plain = || {
         let start = Instant::now();
         let report = campaign
             .clone()
@@ -231,7 +261,22 @@ fn main() {
         let rate = total_runs as f64 / start.elapsed().as_secs_f64();
         assert_eq!(report, serial, "sink-less parallel report must stay bit-identical");
         rate
-    });
+    };
+    let detached = || {
+        let start = Instant::now();
+        let (outcome, _) = campaign
+            .clone()
+            .with_threads(parallel_threads)
+            .session(&registry)
+            .telemetry(CampaignTelemetry::none())
+            .run()
+            .expect("echo is registered");
+        let rate = total_runs as f64 / start.elapsed().as_secs_f64();
+        let report = outcome.into_report().expect("a plain session completes");
+        assert_eq!(report, serial, "detached telemetry must not perturb the report");
+        rate
+    };
+    let (parallel_nosink_rate, detached_rate, detached_relative) = paired_medians(plain, detached);
     // Bit-identity is *per chunk size*: the chunk is the unit of metric
     // aggregation, so changing it reorders floating-point summation and the
     // report differs in final ulps.  Thread count never does — the canonical
@@ -372,25 +417,8 @@ fn main() {
     assert_eq!(mixed_reference.suspect_runs(), 0, "engine-driven families stay causality-clean");
 
     // ----- 4. Telemetry overhead on the volume campaign. -----------------
-    // Detached telemetry is the same code path as the plain run (one branch
-    // per chunk), so its rate is the regression guard: if the telemetry
-    // plumbing ever leaks cost into untraced campaigns, this ratio drops.
-    let detached_rate = median_of_3(|| {
-        let start = Instant::now();
-        let (outcome, _) = campaign
-            .clone()
-            .with_threads(parallel_threads)
-            .session(&registry)
-            .telemetry(CampaignTelemetry::none())
-            .run()
-            .expect("echo is registered");
-        let rate = total_runs as f64 / start.elapsed().as_secs_f64();
-        let report = outcome.into_report().expect("a plain session completes");
-        assert_eq!(report, serial, "detached telemetry must not perturb the report");
-        rate
-    });
-    let detached_relative = detached_rate / parallel_nosink_rate;
-
+    // The detached (telemetry-off) rate was timed in pairs with the plain
+    // rate in measurement 1.
     let mut trace_bytes = 0u64;
     let traced_rate = median_of_3(|| {
         let mut trace_writer = JsonlTraceWriter::new(Vec::new());
@@ -437,12 +465,11 @@ fn main() {
         trace_bytes.to_string(),
     ]);
     telemetry_table.print();
-    // The guard holds in quick mode too, and with warmup + median-of-3 it
-    // can tighten from the old "within 2x either way" to a real band: the
-    // detached path is the plain path plus one branch per chunk, so its
-    // median rate must sit within ±30% of plain.  A real leak (per-run TLS
-    // work, per-record cloning) costs an order of magnitude on this
-    // near-zero-work scenario and lands far outside the band.
+    // The guard holds in quick mode too: the detached path is the plain path
+    // plus one branch per chunk, so the median of its per-pair ratios to
+    // plain must sit within ±30%.  A real leak (per-run TLS work, per-record
+    // cloning) costs an order of magnitude on this near-zero-work scenario
+    // and lands far outside the band.
     assert!(
         (0.7..=1.3).contains(&detached_relative),
         "telemetry-off campaign rate fell outside noise: {detached_relative:.2}x of baseline"

@@ -2,16 +2,12 @@
 //!
 //! "Solutions for reliable cooperation between mobile nodes should have a
 //! consistent view about the operational state of cooperating entities and
-//! their intentions."  This module provides the two building blocks the
-//! vehicles use:
-//!
-//! * a **cooperation group view** built from periodic state announcements
-//!   (who is participating, what they intend, how fresh their state is), and
-//! * a bounded-round **manoeuvre agreement** protocol (after Le Lann's
-//!   cohort/group primitives): an initiator proposes a manoeuvre, every
-//!   required participant must acknowledge within a deadline, otherwise the
-//!   manoeuvre is aborted — guaranteeing that a manoeuvre is only executed
-//!   when all involved vehicles have consistently agreed to it.
+//! their intentions."  This module provides the building block the vehicles
+//! use: a bounded-round **manoeuvre agreement** protocol (after Le Lann's
+//! cohort/group primitives).  An initiator proposes a manoeuvre, every
+//! required participant must acknowledge within a deadline, otherwise the
+//! manoeuvre is aborted — guaranteeing that a manoeuvre is only executed when
+//! all involved vehicles have consistently agreed to it.
 //!
 //! The protocol is expressed as a message-in/message-out state machine so it
 //! can be carried over any transport (the middleware event channels in the
@@ -23,79 +19,6 @@ use karyon_sim::{SimDuration, SimTime};
 
 /// Identifier of a cooperating vehicle (matches the network node id).
 pub type VehicleId = u32;
-
-/// A periodic cooperation-state announcement from one vehicle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateAnnouncement {
-    /// The announcing vehicle.
-    pub vehicle: VehicleId,
-    /// Its current intention (free-form label, e.g. `"lane-keep"`).
-    pub intention: String,
-    /// The announcement's timestamp at the sender.
-    pub timestamp: SimTime,
-}
-
-/// The local view of the cooperation group.
-#[derive(Debug, Clone)]
-pub struct CooperationView {
-    own_id: VehicleId,
-    freshness_bound: SimDuration,
-    members: BTreeMap<VehicleId, StateAnnouncement>,
-}
-
-impl CooperationView {
-    /// Creates a view for the given vehicle; members are dropped when their
-    /// last announcement is older than `freshness_bound`.
-    pub fn new(own_id: VehicleId, freshness_bound: SimDuration) -> Self {
-        CooperationView { own_id, freshness_bound, members: BTreeMap::new() }
-    }
-
-    /// The owning vehicle's identifier.
-    pub fn own_id(&self) -> VehicleId {
-        self.own_id
-    }
-
-    /// Records an announcement from another vehicle.
-    pub fn on_announcement(&mut self, announcement: StateAnnouncement) {
-        if announcement.vehicle == self.own_id {
-            return;
-        }
-        let entry = self.members.entry(announcement.vehicle);
-        match entry {
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                if announcement.timestamp >= o.get().timestamp {
-                    o.insert(announcement);
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(announcement);
-            }
-        }
-    }
-
-    /// The vehicles whose state is fresh at `now` (the consistent scope for
-    /// cooperative functionality).
-    pub fn fresh_members(&self, now: SimTime) -> Vec<VehicleId> {
-        self.members
-            .values()
-            .filter(|a| now.since(a.timestamp) <= self.freshness_bound)
-            .map(|a| a.vehicle)
-            .collect()
-    }
-
-    /// The last known intention of a member, if fresh at `now`.
-    pub fn intention_of(&self, vehicle: VehicleId, now: SimTime) -> Option<&str> {
-        self.members
-            .get(&vehicle)
-            .filter(|a| now.since(a.timestamp) <= self.freshness_bound)
-            .map(|a| a.intention.as_str())
-    }
-
-    /// Number of known (fresh or stale) members.
-    pub fn known_members(&self) -> usize {
-        self.members.len()
-    }
-}
 
 /// Messages exchanged by the manoeuvre-agreement protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,39 +243,6 @@ mod tests {
 
     fn ts(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
-    }
-
-    #[test]
-    fn view_tracks_fresh_members() {
-        let mut view = CooperationView::new(1, SimDuration::from_millis(500));
-        assert_eq!(view.own_id(), 1);
-        view.on_announcement(StateAnnouncement {
-            vehicle: 2,
-            intention: "lane-keep".into(),
-            timestamp: ts(100),
-        });
-        view.on_announcement(StateAnnouncement {
-            vehicle: 3,
-            intention: "lane-change".into(),
-            timestamp: ts(300),
-        });
-        view.on_announcement(StateAnnouncement {
-            vehicle: 1,
-            intention: "self".into(),
-            timestamp: ts(300),
-        });
-        assert_eq!(view.known_members(), 2);
-        assert_eq!(view.fresh_members(ts(400)), vec![2, 3]);
-        assert_eq!(view.fresh_members(ts(700)), vec![3]);
-        assert_eq!(view.intention_of(3, ts(400)), Some("lane-change"));
-        assert_eq!(view.intention_of(2, ts(700)), None);
-        // Stale announcements do not overwrite newer ones.
-        view.on_announcement(StateAnnouncement {
-            vehicle: 3,
-            intention: "old".into(),
-            timestamp: ts(200),
-        });
-        assert_eq!(view.intention_of(3, ts(400)), Some("lane-change"));
     }
 
     #[test]

@@ -17,15 +17,10 @@
 //!   against the kernel's store; a warm cycle allocates nothing) and the
 //!   Safety Kernel (periodic execution, LoS switching, bounded-reaction
 //!   accounting),
-//! * [`component`] — the nominal-component registry and the hybridization
-//!   line,
-//! * [`cooperation`] — cooperation-state assessment: group views and
-//!   bounded-round manoeuvre agreement,
+//! * [`cooperation`] — cooperation-state assessment: bounded-round
+//!   manoeuvre agreement,
 //! * [`virtual_node`] — virtual stationary automata (region-bound replicated
-//!   state machines), the substrate of the virtual traffic light,
-//! * [`environment`] — the run-time environment model and hidden channels:
-//!   relating networked announcements to locally observed physics, so unsafe
-//!   states are detectable even when the network is down (§II-B).
+//!   state machines), the substrate of the virtual traffic light.
 //!
 //! ## Quick tour
 //!
@@ -50,26 +45,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod cooperation;
 pub mod design_time;
-pub mod environment;
 pub mod los;
 pub mod manager;
 pub mod rules;
 pub mod runtime;
 pub mod virtual_node;
 
-pub use component::{Component, ComponentKind, ComponentRegistry, Placement};
-pub use cooperation::{
-    AgreementMessage, AgreementProtocol, CooperationView, ProposalState, StateAnnouncement,
-    VehicleId,
-};
+pub use cooperation::{AgreementMessage, AgreementProtocol, ProposalState, VehicleId};
 pub use design_time::{DesignTimeSafetyInfo, LosSpec};
-pub use environment::{
-    AnnouncedBehaviour, EntityAssessment, EnvironmentModel, EnvironmentModelConfig,
-    ObservedKinematics,
-};
 pub use los::{Asil, Hazard, HazardAnalysis, LevelOfService};
 pub use manager::{LosDecision, SafetyKernel, SafetyManager, SwitchEvent};
 pub use rules::{Condition, RuleId, SafetyRule};

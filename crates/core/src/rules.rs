@@ -43,7 +43,7 @@ pub enum Condition {
     },
     /// The named component must currently be reported healthy.
     ComponentHealthy {
-        /// Component name (e.g. `"v2v-radio"`).
+        /// The component's name (e.g. `"v2v-radio"`).
         component: String,
     },
     /// All of the sub-conditions must hold.

@@ -37,10 +37,6 @@ pub mod ports {
     pub const DATA: u16 = 0;
     /// MAC-level beacons (slot occupancy reports, membership heartbeats).
     pub const BEACON: u16 = 1;
-    /// Cooperation / agreement protocol messages.
-    pub const COOPERATION: u16 = 2;
-    /// Middleware event dissemination.
-    pub const MIDDLEWARE: u16 = 3;
 }
 
 /// A link-layer frame.

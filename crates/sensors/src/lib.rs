@@ -9,8 +9,8 @@
 //! * [`faults`] — the five sensor-fault classes identified by the project
 //!   (delay, sporadic offset, permanent offset, stochastic offset, stuck-at)
 //!   and a deterministic fault injector,
-//! * [`physical`] — simulated physical sensors (range, speed, GPS-like
-//!   position) used by the vehicle scenarios,
+//! * [`physical`] — simulated physical sensors (the range sensor the
+//!   vehicle scenarios use),
 //! * [`detectors`] — *dominant* detectors (a detected failure renders the
 //!   reading invalid) and *continuous* detectors (contribute a graded
 //!   validity estimate), exactly the two classes of Fig. 3,
@@ -18,8 +18,6 @@
 //!   disseminated reading,
 //! * [`fusion`] — validity-weighted fusion, Marzullo interval fusion and a
 //!   1-D Kalman filter (analytical redundancy),
-//! * [`mosaic`] — the MOSAIC node structure: input layer, detection modules,
-//!   crosscutting fault management, electronic data sheet,
 //! * [`abstract_sensor`] / [`reliable`] — the abstract sensor (physical
 //!   sensor + injected faults + detectors ⇒ reading with validity) and the
 //!   abstract *reliable* sensor that combines component, analytical and
@@ -51,7 +49,6 @@ pub mod detectors;
 pub mod faults;
 pub mod fusion;
 pub mod measurement;
-pub mod mosaic;
 pub mod physical;
 pub mod reliable;
 pub mod validity;
@@ -64,7 +61,6 @@ pub use detectors::{
 pub use faults::{FaultInjector, FaultSchedule, SensorFault};
 pub use fusion::{marzullo_fuse, weighted_fuse, Interval, Kalman1D};
 pub use measurement::Measurement;
-pub use mosaic::{DataSheet, MosaicNode, SensorEvent};
-pub use physical::{PhysicalSensor, PositionSensor2D, RangeSensor, SpeedSensor};
+pub use physical::{PhysicalSensor, RangeSensor};
 pub use reliable::ReliableSensor;
 pub use validity::Validity;

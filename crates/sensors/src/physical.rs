@@ -1,11 +1,11 @@
 //! Simulated physical sensors.
 //!
-//! These models stand in for the transducers of the paper's prototypes
-//! (radar/lidar range finders, wheel-speed sensors, GPS receivers).  Each
-//! model turns a ground-truth quantity into a noisy [`Measurement`]; the
-//! fault injector then corrupts it further when faults are scheduled.
+//! A [`PhysicalSensor`] stands in for a transducer of the paper's prototypes
+//! and turns a ground-truth quantity into a noisy [`Measurement`]; the fault
+//! injector then corrupts it further when faults are scheduled.  The vehicle
+//! scenarios use the radar/lidar-style [`RangeSensor`].
 
-use karyon_sim::{Rng, SimTime, Vec2};
+use karyon_sim::{Rng, SimTime};
 
 use crate::measurement::Measurement;
 
@@ -52,111 +52,6 @@ impl PhysicalSensor for RangeSensor {
     }
 }
 
-/// A speed sensor (wheel encoder style): Gaussian noise plus quantization.
-#[derive(Debug, Clone)]
-pub struct SpeedSensor {
-    /// Standard deviation of the measurement noise (m/s).
-    pub noise_std: f64,
-    /// Quantization step (m/s); 0 disables quantization.
-    pub quantization: f64,
-}
-
-impl Default for SpeedSensor {
-    fn default() -> Self {
-        SpeedSensor { noise_std: 0.1, quantization: 0.01 }
-    }
-}
-
-impl PhysicalSensor for SpeedSensor {
-    fn sample(&mut self, ground_truth: f64, now: SimTime, rng: &mut Rng) -> Measurement {
-        let mut value = ground_truth + rng.normal(0.0, self.noise_std);
-        if self.quantization > 0.0 {
-            value = (value / self.quantization).round() * self.quantization;
-        }
-        Measurement::new(value, now, self.nominal_variance())
-    }
-
-    fn nominal_variance(&self) -> f64 {
-        self.noise_std * self.noise_std + self.quantization * self.quantization / 12.0
-    }
-}
-
-/// A 2-D position sensor (GPS / satellite-navigation style): Gaussian noise
-/// plus a slowly drifting bias (random walk), the dominant GPS error mode.
-///
-/// The avionics use cases distinguish *collaborative* vehicles (accurate,
-/// ADS-B-like positioning) from *non-collaborative* ones with "a much less
-/// accurate estimate" — modelled by constructing this sensor with a larger
-/// noise and bias drift.
-#[derive(Debug, Clone)]
-pub struct PositionSensor2D {
-    /// Standard deviation of the white-noise component (metres, per axis).
-    pub noise_std: f64,
-    /// Standard deviation of the per-sample bias random-walk increment (metres).
-    pub bias_drift_std: f64,
-    /// Maximum bias magnitude per axis (metres).
-    pub bias_limit: f64,
-    bias: Vec2,
-}
-
-impl PositionSensor2D {
-    /// Creates a position sensor with the given noise and bias drift.
-    pub fn new(noise_std: f64, bias_drift_std: f64, bias_limit: f64) -> Self {
-        PositionSensor2D { noise_std, bias_drift_std, bias_limit, bias: Vec2::ZERO }
-    }
-
-    /// An accurate, ADS-B/collaborative-grade position sensor (≈1 m noise).
-    pub fn collaborative() -> Self {
-        PositionSensor2D::new(1.0, 0.02, 3.0)
-    }
-
-    /// A coarse, non-collaborative-grade position sensor (≈50 m noise),
-    /// matching the paper's "much less accurate estimate of its actual
-    /// position" for vehicles without satellite-based reporting.
-    pub fn non_collaborative() -> Self {
-        PositionSensor2D::new(50.0, 1.0, 150.0)
-    }
-
-    /// Current bias (exposed for tests and diagnostics).
-    pub fn bias(&self) -> Vec2 {
-        self.bias
-    }
-
-    /// Samples a 2-D position given the true position.
-    pub fn sample_position(
-        &mut self,
-        truth: Vec2,
-        now: SimTime,
-        rng: &mut Rng,
-    ) -> (Vec2, Measurement) {
-        self.bias = Vec2::new(
-            (self.bias.x + rng.normal(0.0, self.bias_drift_std))
-                .clamp(-self.bias_limit, self.bias_limit),
-            (self.bias.y + rng.normal(0.0, self.bias_drift_std))
-                .clamp(-self.bias_limit, self.bias_limit),
-        );
-        let measured = Vec2::new(
-            truth.x + self.bias.x + rng.normal(0.0, self.noise_std),
-            truth.y + self.bias.y + rng.normal(0.0, self.noise_std),
-        );
-        let error = measured.distance(truth);
-        (measured, Measurement::new(error, now, self.nominal_variance()))
-    }
-}
-
-impl PhysicalSensor for PositionSensor2D {
-    fn sample(&mut self, ground_truth: f64, now: SimTime, rng: &mut Rng) -> Measurement {
-        // 1-D projection used when the sensor participates in a generic chain:
-        // the ground truth is a scalar coordinate.
-        let (pos, _) = self.sample_position(Vec2::new(ground_truth, 0.0), now, rng);
-        Measurement::new(pos.x, now, self.nominal_variance())
-    }
-
-    fn nominal_variance(&self) -> f64 {
-        self.noise_std * self.noise_std + self.bias_limit * self.bias_limit / 3.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,54 +81,5 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let m = s.sample(10.0, SimTime::ZERO, &mut rng);
         assert_eq!(m.value, 80.0);
-    }
-
-    #[test]
-    fn speed_sensor_quantizes() {
-        let mut s = SpeedSensor { noise_std: 0.0, quantization: 0.5 };
-        let mut rng = Rng::seed_from(3);
-        let m = s.sample(13.26, SimTime::ZERO, &mut rng);
-        assert!((m.value - 13.5).abs() < 1e-9 || (m.value - 13.0).abs() < 1e-9);
-        let mut s2 = SpeedSensor { noise_std: 0.0, quantization: 0.0 };
-        assert_eq!(s2.sample(13.26, SimTime::ZERO, &mut rng).value, 13.26);
-    }
-
-    #[test]
-    fn position_sensor_grades_differ() {
-        let mut good = PositionSensor2D::collaborative();
-        let mut bad = PositionSensor2D::non_collaborative();
-        let mut rng = Rng::seed_from(4);
-        let truth = Vec2::new(100.0, 200.0);
-        let n = 2_000;
-        let mut good_err = 0.0;
-        let mut bad_err = 0.0;
-        for _ in 0..n {
-            good_err += good.sample_position(truth, SimTime::ZERO, &mut rng).0.distance(truth);
-            bad_err += bad.sample_position(truth, SimTime::ZERO, &mut rng).0.distance(truth);
-        }
-        let good_err = good_err / n as f64;
-        let bad_err = bad_err / n as f64;
-        assert!(good_err < 5.0, "collaborative mean error {good_err}");
-        assert!(bad_err > 20.0, "non-collaborative mean error {bad_err}");
-        assert!(bad_err > 5.0 * good_err);
-    }
-
-    #[test]
-    fn position_bias_is_bounded() {
-        let mut s = PositionSensor2D::new(0.0, 10.0, 5.0);
-        let mut rng = Rng::seed_from(5);
-        for _ in 0..1_000 {
-            s.sample_position(Vec2::ZERO, SimTime::ZERO, &mut rng);
-            assert!(s.bias().x.abs() <= 5.0 && s.bias().y.abs() <= 5.0);
-        }
-    }
-
-    #[test]
-    fn position_sensor_scalar_projection() {
-        let mut s = PositionSensor2D::collaborative();
-        let mut rng = Rng::seed_from(6);
-        let m = s.sample(500.0, SimTime::from_secs(1), &mut rng);
-        assert!((m.value - 500.0).abs() < 20.0);
-        assert_eq!(m.timestamp, SimTime::from_secs(1));
     }
 }

@@ -106,7 +106,7 @@ impl ReliableSensor {
         let readings: Vec<SensorReading> =
             self.replicas.iter_mut().map(|r| r.acquire(ground_truth, now)).collect();
 
-        // Component redundancy: Marzullo fusion over the valid replicas'
+        // Redundancy across components: Marzullo fusion over the valid replicas'
         // k-sigma intervals, tolerating `max_faulty` replicas.
         let valid: Vec<&SensorReading> = readings.iter().filter(|r| !r.is_invalid()).collect();
         let intervals: Vec<Interval> = valid

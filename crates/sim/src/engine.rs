@@ -9,58 +9,12 @@
 //!
 //! The engine owns one [`EventQueue`].  While a handler runs, its
 //! [`Context`] borrows that queue, so every schedule — from the engine or a
-//! handler — takes the same path: the past-time clamp, the observer hooks,
-//! then the queue.
+//! handler — takes the same path: the past-time clamp, then the queue.
 
 use std::fmt;
 
 use crate::events::EventQueue;
 use crate::time::{SimDuration, SimTime};
-
-/// Observer of an [`Engine`]'s internal transitions, installed with
-/// [`Engine::set_observer`].
-///
-/// Every method has an empty default body, so an observer implements only the
-/// transitions it cares about.  With no observer installed each hook site is
-/// a single `Option` branch, which keeps the unobserved engine at its
-/// original speed — observers exist for instrumentation (tracing,
-/// queue-depth profiling), not for simulation logic: they receive shared
-/// references only and cannot influence the run.
-///
-/// The observer sees:
-/// * [`on_schedule`](EngineObserver::on_schedule) — every accepted schedule
-///   (engine- or context-side), with the post-clamp firing time;
-/// * [`on_clamp`](EngineObserver::on_clamp) — every causality clamp, with the
-///   originally requested (past) time and the event, so clamp diagnostics can
-///   carry the event's own label;
-/// * [`on_pop`](EngineObserver::on_pop) — every event dispatch, with the
-///   number of events still pending after the pop;
-/// * [`on_stop`](EngineObserver::on_stop) — a handler's [`Context::stop`]
-///   taking effect.
-pub trait EngineObserver<E> {
-    /// An event was accepted for execution at (post-clamp) time `time`.
-    fn on_schedule(&mut self, now: SimTime, time: SimTime, event: &E) {
-        let _ = (now, time, event);
-    }
-
-    /// A schedule requested the past time `requested` and was clamped to
-    /// `now`.  Fires in addition to (before) the matching
-    /// [`on_schedule`](EngineObserver::on_schedule).
-    fn on_clamp(&mut self, now: SimTime, requested: SimTime, event: &E) {
-        let _ = (now, requested, event);
-    }
-
-    /// An event is about to be handled at `time`; `depth` is the queue length
-    /// after the pop.
-    fn on_pop(&mut self, time: SimTime, event: &E, depth: usize) {
-        let _ = (time, event, depth);
-    }
-
-    /// A handler requested a stop; the run loop exits after this event.
-    fn on_stop(&mut self, now: SimTime) {
-        let _ = now;
-    }
-}
 
 /// Scheduling handle passed to the event handler of an [`Engine`].
 ///
@@ -72,7 +26,6 @@ pub struct Context<'a, E> {
     queue: &'a mut EventQueue<E>,
     clamped: &'a mut u64,
     stop_requested: bool,
-    observer: Option<&'a mut (dyn EngineObserver<E> + 'a)>,
 }
 
 impl<E> fmt::Debug for Context<'_, E>
@@ -85,7 +38,6 @@ where
             .field("queue", &self.queue)
             .field("stop_requested", &self.stop_requested)
             .field("clamped", &self.clamped)
-            .field("observed", &self.observer.is_some())
             .finish()
     }
 }
@@ -101,14 +53,7 @@ impl<E> Context<'_, E> {
     /// surfaced through [`Engine::clamped_schedules`], because a model that
     /// schedules into the past is usually a model with a causality bug.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        schedule_clamped(
-            self.queue,
-            self.clamped,
-            self.observer.as_deref_mut(),
-            self.now,
-            time,
-            event,
-        );
+        schedule_clamped(self.queue, self.clamped, self.now, time, event);
     }
 
     /// Schedules an event `delay` after the current time.
@@ -123,28 +68,20 @@ impl<E> Context<'_, E> {
 }
 
 /// The engine's one scheduling path: files `event` at `time`, or at `now`
-/// when `time` lies in the past.  A clamp is counted in `clamped` and
-/// reported to the observer before the schedule itself.
+/// when `time` lies in the past.  A clamp is counted in `clamped`.
 fn schedule_clamped<E>(
     queue: &mut EventQueue<E>,
     clamped: &mut u64,
-    mut observer: Option<&mut (dyn EngineObserver<E> + '_)>,
     now: SimTime,
     time: SimTime,
     event: E,
 ) {
     let t = if time < now {
         *clamped += 1;
-        if let Some(obs) = observer.as_deref_mut() {
-            obs.on_clamp(now, time, &event);
-        }
         now
     } else {
         time
     };
-    if let Some(obs) = observer {
-        obs.on_schedule(now, t, &event);
-    }
     queue.schedule(t, event);
 }
 
@@ -160,7 +97,6 @@ pub struct Engine<S, E> {
     now: SimTime,
     processed: u64,
     clamped: u64,
-    observer: Option<Box<dyn EngineObserver<E>>>,
 }
 
 impl<S, E> fmt::Debug for Engine<S, E>
@@ -175,7 +111,6 @@ where
             .field("now", &self.now)
             .field("processed", &self.processed)
             .field("clamped", &self.clamped)
-            .field("observed", &self.observer.is_some())
             .finish()
     }
 }
@@ -183,29 +118,7 @@ where
 impl<S, E> Engine<S, E> {
     /// Creates an engine at time zero with the given initial state.
     pub fn new(state: S) -> Self {
-        Engine {
-            state,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            processed: 0,
-            clamped: 0,
-            observer: None,
-        }
-    }
-
-    /// Installs an [`EngineObserver`] that will see every schedule, clamp,
-    /// pop and stop from here on.  Replaces any previous observer.
-    ///
-    /// Observation is strictly read-only instrumentation: observers never
-    /// change what the engine does, only record it, so an observed run and an
-    /// unobserved run of the same model are identical.
-    pub fn set_observer(&mut self, observer: Box<dyn EngineObserver<E>>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the installed observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn EngineObserver<E>>> {
-        self.observer.take()
+        Engine { state, queue: EventQueue::new(), now: SimTime::ZERO, processed: 0, clamped: 0 }
     }
 
     /// Current simulation time.
@@ -240,14 +153,7 @@ impl<S, E> Engine<S, E> {
     /// Schedules an event at an absolute simulation time (clamped to now).
     /// Clamps are counted in [`Engine::clamped_schedules`].
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        schedule_clamped(
-            &mut self.queue,
-            &mut self.clamped,
-            self.observer.as_deref_mut(),
-            self.now,
-            time,
-            event,
-        );
+        schedule_clamped(&mut self.queue, &mut self.clamped, self.now, time, event);
     }
 
     /// Schedules an event `delay` after the current time.
@@ -293,27 +199,17 @@ impl<S, E> Engine<S, E> {
         let mut count = 0;
         while let Some((t, ev)) = self.queue.pop_until(deadline) {
             self.now = t;
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_pop(t, &ev, self.queue.len());
-            }
             let mut ctx = Context {
                 now: t,
                 queue: &mut self.queue,
                 clamped: &mut self.clamped,
                 stop_requested: false,
-                observer: match &mut self.observer {
-                    Some(obs) => Some(obs.as_mut()),
-                    None => None,
-                },
             };
             handler(&mut self.state, &mut ctx, ev);
             let stop = ctx.stop_requested;
             self.processed += 1;
             count += 1;
             if stop {
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_stop(self.now);
-                }
                 return (count, true);
             }
         }
@@ -402,69 +298,6 @@ mod tests {
         assert_eq!(engine.clamped_schedules(), 1);
         engine.run(|c, _, _| *c += 1);
         assert_eq!(*engine.state(), 2);
-    }
-
-    #[test]
-    fn observer_sees_schedules_clamps_pops_and_stop() {
-        #[derive(Default)]
-        struct Log(std::rc::Rc<RefCell<Vec<String>>>);
-        use std::cell::RefCell;
-        impl EngineObserver<Ev> for Log {
-            fn on_schedule(&mut self, now: SimTime, time: SimTime, _ev: &Ev) {
-                self.0.borrow_mut().push(format!(
-                    "sched {}->{}",
-                    now.as_millis(),
-                    time.as_millis()
-                ));
-            }
-            fn on_clamp(&mut self, now: SimTime, requested: SimTime, ev: &Ev) {
-                self.0.borrow_mut().push(format!(
-                    "clamp {}<-{} {ev:?}",
-                    now.as_millis(),
-                    requested.as_millis()
-                ));
-            }
-            fn on_pop(&mut self, time: SimTime, _ev: &Ev, depth: usize) {
-                self.0.borrow_mut().push(format!("pop {} depth {depth}", time.as_millis()));
-            }
-            fn on_stop(&mut self, now: SimTime) {
-                self.0.borrow_mut().push(format!("stop {}", now.as_millis()));
-            }
-        }
-
-        let log = Log::default();
-        let lines = log.0.clone();
-        let mut engine: Engine<u32, Ev> = Engine::new(0);
-        engine.set_observer(Box::new(log));
-        engine.schedule_at(SimTime::from_millis(10), Ev::Ping(0));
-        engine.run(|n, ctx, ev| {
-            *n += 1;
-            if ev == Ev::Ping(0) {
-                // One clamped (past-time) and one forward schedule from the
-                // handler context — both must be observed.
-                ctx.schedule_at(SimTime::from_millis(1), Ev::Ping(1));
-                ctx.schedule_in(SimDuration::from_millis(5), Ev::Stop);
-            }
-            if ev == Ev::Stop {
-                ctx.stop();
-            }
-        });
-        assert_eq!(
-            *lines.borrow(),
-            vec![
-                "sched 0->10",
-                "pop 10 depth 0",
-                "clamp 10<-1 Ping(1)",
-                "sched 10->10",
-                "sched 10->15",
-                "pop 10 depth 1",
-                "pop 15 depth 0",
-                "stop 15",
-            ]
-        );
-        assert_eq!(engine.clamped_schedules(), 1, "observation does not change counting");
-        assert!(engine.take_observer().is_some());
-        assert!(engine.take_observer().is_none());
     }
 
     #[test]

@@ -41,55 +41,9 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root when only comparing).
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Distance to another point.
     pub fn distance(self, other: Vec2) -> f64 {
         (self - other).norm()
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// 2-D cross product (z component of the 3-D cross product).
-    pub fn cross(self, other: Vec2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
-    /// Unit vector in the same direction, or zero if the vector is zero.
-    pub fn normalized(self) -> Vec2 {
-        let n = self.norm();
-        if n > 1e-12 {
-            self / n
-        } else {
-            Vec2::ZERO
-        }
-    }
-
-    /// Rotates the vector by `angle` radians counter-clockwise.
-    pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
-    /// Heading angle in radians (atan2 convention).
-    pub fn heading(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
-        self + (other - self) * t
-    }
-
-    /// Extends into 3-D with the given altitude.
-    pub fn with_altitude(self, z: f64) -> Vec3 {
-        Vec3 { x: self.x, y: self.y, z }
     }
 }
 
@@ -126,16 +80,6 @@ impl Vec3 {
     /// Projection onto the horizontal plane.
     pub fn horizontal(self) -> Vec2 {
         Vec2 { x: self.x, y: self.y }
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec3) -> f64 {
-        self.x * other.x + self.y * other.y + self.z * other.z
-    }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 }
 
@@ -193,21 +137,9 @@ pub fn clamp(value: f64, lo: f64, hi: f64) -> f64 {
     value.max(lo).min(hi)
 }
 
-/// Wraps an angle into the `(-pi, pi]` interval.
-pub fn wrap_angle(angle: f64) -> f64 {
-    let mut a = angle % (2.0 * std::f64::consts::PI);
-    if a <= -std::f64::consts::PI {
-        a += 2.0 * std::f64::consts::PI;
-    } else if a > std::f64::consts::PI {
-        a -= 2.0 * std::f64::consts::PI;
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
@@ -218,34 +150,12 @@ mod tests {
         let a = Vec2::new(3.0, 4.0);
         let b = Vec2::new(1.0, -2.0);
         assert!(approx(a.norm(), 5.0));
-        assert!(approx(a.norm_sq(), 25.0));
         assert_eq!(a + b, Vec2::new(4.0, 2.0));
         assert_eq!(a - b, Vec2::new(2.0, 6.0));
         assert_eq!(a * 2.0, Vec2::new(6.0, 8.0));
         assert_eq!(a / 2.0, Vec2::new(1.5, 2.0));
         assert_eq!(-a, Vec2::new(-3.0, -4.0));
-        assert!(approx(a.dot(b), -5.0));
-        assert!(approx(a.cross(b), -10.0));
         assert!(approx(a.distance(b), ((2.0f64).powi(2) + 36.0).sqrt()));
-    }
-
-    #[test]
-    fn vec2_normalize_and_rotate() {
-        let a = Vec2::new(10.0, 0.0);
-        assert_eq!(a.normalized(), Vec2::new(1.0, 0.0));
-        assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
-        let r = a.rotated(PI / 2.0);
-        assert!(approx(r.x, 0.0) && approx(r.y, 10.0));
-        assert!(approx(Vec2::new(0.0, 1.0).heading(), PI / 2.0));
-    }
-
-    #[test]
-    fn vec2_lerp() {
-        let a = Vec2::new(0.0, 0.0);
-        let b = Vec2::new(10.0, 20.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec2::new(5.0, 10.0));
     }
 
     #[test]
@@ -255,28 +165,22 @@ mod tests {
         assert!(approx(a.horizontal_distance(b), 500.0));
         assert!(approx(a.vertical_distance(b), 300.0));
         assert!(approx(a.distance(b), (500.0f64.powi(2) + 300.0f64.powi(2)).sqrt()));
-        assert_eq!(Vec2::new(1.0, 2.0).with_altitude(3.0), Vec3::new(1.0, 2.0, 3.0));
         assert_eq!(b.horizontal(), Vec2::new(300.0, 400.0));
     }
 
     #[test]
-    fn vec3_ops_and_lerp() {
+    fn vec3_ops() {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(4.0, 5.0, 6.0);
         assert_eq!(a + b, Vec3::new(5.0, 7.0, 9.0));
         assert_eq!(b - a, Vec3::new(3.0, 3.0, 3.0));
         assert_eq!(a * 2.0, Vec3::new(2.0, 4.0, 6.0));
-        assert!(approx(a.dot(b), 32.0));
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.5, 3.5, 4.5));
     }
 
     #[test]
-    fn clamp_and_wrap() {
+    fn clamp_bounds() {
         assert_eq!(clamp(5.0, 0.0, 3.0), 3.0);
         assert_eq!(clamp(-1.0, 0.0, 3.0), 0.0);
         assert_eq!(clamp(2.0, 0.0, 3.0), 2.0);
-        assert!(approx(wrap_angle(3.0 * PI), PI));
-        assert!(approx(wrap_angle(-3.0 * PI), PI));
-        assert!(approx(wrap_angle(0.5), 0.5));
     }
 }

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use engine::{Context, Engine, EngineObserver};
+pub use engine::{Context, Engine};
 pub use events::EventQueue;
 pub use geometry::{Vec2, Vec3};
 pub use rng::{splitmix64, Rng};

@@ -161,69 +161,6 @@ impl Rng {
         };
         -mean * u.ln()
     }
-
-    /// Poisson distributed sample with the given mean (Knuth's algorithm,
-    /// adequate for the small means used by the traffic generators).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        if mean <= 0.0 {
-            return 0;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            k += 1;
-            p *= self.next_f64();
-            if p <= l {
-                return k - 1;
-            }
-            if k > 10_000 {
-                // Guard against pathological means; fall back to the mean.
-                return mean.round() as u64;
-            }
-        }
-    }
-
-    /// Chooses an index in `[0, weights.len())` proportionally to the weights.
-    /// Returns `None` if the slice is empty or all weights are non-positive.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        if weights.is_empty() || total <= 0.0 {
-            return None;
-        }
-        let mut target = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
-                continue;
-            }
-            if target < *w {
-                return Some(i);
-            }
-            target -= *w;
-        }
-        // Floating point slack: return the last positive-weight index.
-        weights.iter().rposition(|w| *w > 0.0)
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.range_usize(0, i);
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of the slice, or `None` if it is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.range_usize(0, items.len() - 1)])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -303,29 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_follows_weights() {
-        let mut rng = Rng::seed_from(9);
-        assert_eq!(rng.weighted_index(&[]), None);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), None);
-        let mut counts = [0usize; 3];
-        for _ in 0..30_000 {
-            let i = rng.weighted_index(&[1.0, 2.0, 1.0]).unwrap();
-            counts[i] += 1;
-        }
-        assert!(counts[1] > counts[0] && counts[1] > counts[2]);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seed_from(10);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn fork_streams_are_independent_but_deterministic() {
         let mut parent1 = Rng::seed_from(11);
         let mut parent2 = Rng::seed_from(11);
@@ -337,18 +251,5 @@ mod tests {
         let mut c = parent1.fork(1);
         let overlaps = (0..32).filter(|_| a.next_u64() == c.next_u64()).count();
         assert!(overlaps < 3);
-    }
-
-    #[test]
-    fn choose_and_poisson() {
-        let mut rng = Rng::seed_from(12);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-        let n = 20_000;
-        let mean = (0..n).map(|_| rng.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "poisson mean {mean}");
-        assert_eq!(rng.poisson(0.0), 0);
     }
 }

@@ -20,34 +20,25 @@
 //!   [`MetricsRegistry::merge`]).  This is where wall-clock numbers (chunk
 //!   latency, worker busy time, checkpoint-write latency, bus delivery
 //!   latency) flow — deliberately *outside* the deterministic report.
-//! * [`EngineTracer`] — an [`EngineObserver`](karyon_sim::EngineObserver)
-//!   that records causality clamps (with the offending event's debug label),
-//!   stop requests and periodic queue-depth samples into the active trace
-//!   scope; [`observe_engine`] attaches it only when a scope is active, so
-//!   untraced runs pay nothing.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use karyon_sim::{Engine, SimDuration, SimTime};
-//! use karyon_telemetry::{observe_engine, trace, JsonlTraceWriter, RunCoords, TraceSink};
+//! use karyon_sim::SimTime;
+//! use karyon_telemetry::{trace, AttrValue, JsonlTraceWriter, RunCoords, TraceSink};
 //!
 //! // Collect a run's trace: everything emitted inside the closure is
 //! // buffered in virtual time and handed back deterministically.
 //! let (_, records) = trace::collect(|| {
-//!     let mut engine: Engine<u32, &'static str> = Engine::new(0);
-//!     observe_engine(&mut engine); // records clamps / depth while tracing
-//!     engine.schedule_at(SimTime::from_millis(5), "tick");
-//!     engine.run(|n, ctx, _| {
-//!         *n += 1;
-//!         // Scheduling into the past is clamped — and now attributed:
-//!         if *n == 1 {
-//!             ctx.schedule_at(SimTime::ZERO, "late");
-//!         }
-//!     });
+//!     trace::event("tick", SimTime::from_millis(5), &[("left", AttrValue::U64(2))]);
 //!     trace::span("run", SimTime::ZERO, SimTime::from_millis(5), &[]);
 //! });
-//! assert!(records.iter().any(|r| r.name() == "engine.clamp"));
+//! let names: Vec<&str> = records.iter().map(|r| r.name()).collect();
+//! assert_eq!(names, ["tick", "run"]);
+//!
+//! // Outside a scope, emitting is a no-op.
+//! trace::event("dropped", SimTime::ZERO, &[]);
+//! assert!(!trace::active());
 //!
 //! // Emit the records keyed by canonical run coordinates as JSONL.
 //! let mut writer = JsonlTraceWriter::new(Vec::new());
@@ -70,6 +61,5 @@ pub mod trace;
 
 pub use metrics::{MetricsRegistry, TimerSummary};
 pub use trace::{
-    observe_engine, AttrValue, EngineTracer, EventRecord, JsonlTraceWriter, RunCoords, SpanRecord,
-    TraceRecord, TraceSink,
+    AttrValue, EventRecord, JsonlTraceWriter, RunCoords, SpanRecord, TraceRecord, TraceSink,
 };

@@ -9,18 +9,17 @@
 //! campaigns append to a trace file without seams.
 //!
 //! The collection mechanism is a thread-local scope: the campaign runner (or
-//! a test) wraps a run in [`collect`], and anything inside — the run
-//! function, an [`EngineTracer`] attached via [`observe_engine`], explicit
-//! [`event`]/[`span`] calls — lands in that scope's buffer.  Run functions
-//! therefore need **no signature changes** to become traceable, and when no
-//! scope is active every emit call is a cheap thread-local check followed by
-//! an immediate return.
+//! a test) wraps a run in [`collect`], and every [`event`]/[`span`] call
+//! inside — from the run function or the helpers it calls — lands in that
+//! scope's buffer.  Run functions therefore need **no signature changes** to
+//! become traceable, and when no scope is active every emit call is a cheap
+//! thread-local check followed by an immediate return.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use karyon_sim::{Engine, EngineObserver, SimTime};
+use karyon_sim::SimTime;
 
 /// Canonical identity of one campaign run, attached to every emitted trace
 /// record by the [`TraceSink`].
@@ -49,15 +48,14 @@ pub enum AttrValue {
     I64(i64),
     /// A floating-point attribute.
     F64(f64),
-    /// A text attribute (e.g. an event's debug label).
+    /// A text attribute.
     Text(String),
 }
 
-/// A point-in-virtual-time occurrence (a causality clamp, a stop request, a
-/// queue-depth sample).
+/// A point-in-virtual-time occurrence, emitted by [`event`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
-    /// Record name, dot-namespaced (e.g. `engine.clamp`).
+    /// Record name, dot-namespaced by its emitter (e.g. `echo.run`).
     pub name: String,
     /// Simulated time of the occurrence.
     pub time: SimTime,
@@ -206,107 +204,6 @@ pub fn span(name: &str, start: SimTime, end: SimTime, attrs: &[(&str, AttrValue)
 }
 
 // ---------------------------------------------------------------------------
-// Engine observation
-// ---------------------------------------------------------------------------
-
-/// Longest debug label recorded per clamp; longer labels are cut at a char
-/// boundary and marked with an ellipsis.
-const LABEL_MAX: usize = 64;
-
-fn debug_label<E: fmt::Debug>(ev: &E) -> String {
-    let mut label = format!("{ev:?}");
-    if label.len() > LABEL_MAX {
-        let mut cut = LABEL_MAX;
-        while !label.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        label.truncate(cut);
-        label.push('…');
-    }
-    label
-}
-
-/// An [`EngineObserver`] that forwards engine transitions into the active
-/// trace scope.
-///
-/// Emitted records (all in virtual time, all deterministic):
-/// * `engine.clamp` — one per causality clamp, with the requested (past)
-///   time and the clamped event's debug label, so a non-zero
-///   `clamped_schedules` count is diagnosable down to the offending event;
-/// * `engine.depth` — a queue-depth sample every `depth_interval` pops
-///   (pop counts are deterministic, so the sample points are too);
-/// * `engine.stop` — a handler's stop request taking effect.
-#[derive(Debug, Clone)]
-pub struct EngineTracer {
-    pops: u64,
-    depth_interval: u64,
-}
-
-impl EngineTracer {
-    /// Creates a tracer with the default queue-depth sampling interval (one
-    /// sample every 64 pops).
-    pub fn new() -> Self {
-        EngineTracer::with_depth_interval(64)
-    }
-
-    /// Creates a tracer sampling queue depth every `interval` pops.
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero.
-    pub fn with_depth_interval(interval: u64) -> Self {
-        assert!(interval > 0, "EngineTracer depth interval must be non-zero");
-        EngineTracer { pops: 0, depth_interval: interval }
-    }
-}
-
-impl Default for EngineTracer {
-    fn default() -> Self {
-        EngineTracer::new()
-    }
-}
-
-impl<E: fmt::Debug> EngineObserver<E> for EngineTracer {
-    fn on_clamp(&mut self, now: SimTime, requested: SimTime, ev: &E) {
-        event(
-            "engine.clamp",
-            now,
-            &[
-                ("requested_us", AttrValue::U64(requested.as_micros())),
-                ("label", AttrValue::Text(debug_label(ev))),
-            ],
-        );
-    }
-
-    fn on_pop(&mut self, time: SimTime, _ev: &E, depth: usize) {
-        self.pops += 1;
-        if self.pops % self.depth_interval == 0 {
-            event(
-                "engine.depth",
-                time,
-                &[("pops", AttrValue::U64(self.pops)), ("depth", AttrValue::U64(depth as u64))],
-            );
-        }
-    }
-
-    fn on_stop(&mut self, now: SimTime) {
-        event("engine.stop", now, &[]);
-    }
-}
-
-/// Attaches an [`EngineTracer`] to `engine` — but only when a [`collect`]
-/// scope is active on this thread.
-///
-/// This is the one-line hook for scenario run functions: untraced runs skip
-/// the observer entirely (the engine keeps its zero-overhead `None` path),
-/// traced runs get clamp attribution, queue-depth samples and stop events
-/// for free.
-pub fn observe_engine<S, E: fmt::Debug + 'static>(engine: &mut Engine<S, E>) {
-    if active() {
-        engine.set_observer(Box::new(EngineTracer::new()));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // JSONL emission
 // ---------------------------------------------------------------------------
 
@@ -320,7 +217,7 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -331,7 +228,7 @@ fn escape_into(out: &mut String, s: &str) {
 /// `null` for non-finite ones (mirroring the run-sink convention).
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
+        let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
     }
@@ -347,8 +244,12 @@ fn push_attrs(out: &mut String, attrs: &[(String, AttrValue)]) {
         escape_into(out, key);
         out.push_str("\":");
         match value {
-            AttrValue::U64(v) => out.push_str(&v.to_string()),
-            AttrValue::I64(v) => out.push_str(&v.to_string()),
+            AttrValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            AttrValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
             AttrValue::F64(v) => push_f64(out, *v),
             AttrValue::Text(v) => {
                 out.push('"');
@@ -366,9 +267,12 @@ fn push_attrs(out: &mut String, attrs: &[(String, AttrValue)]) {
 /// self-describing and can be filtered/joined line-by-line:
 ///
 /// ```text
-/// {"run":3,"point":1,"replication":1,"seed":9,"kind":"event","name":"engine.clamp","t_us":5000,"attrs":{"requested_us":0,"label":"Ping(1)"}}
+/// {"run":3,"point":1,"replication":1,"seed":9,"kind":"event","name":"echo.run","t_us":5000,"attrs":{"seed":9}}
 /// {"run":3,"point":1,"replication":1,"seed":9,"kind":"span","name":"engine.run","start_us":0,"end_us":5000,"attrs":{"processed":7}}
 /// ```
+///
+/// Every line renders into one buffer the writer reuses and reaches the
+/// underlying writer in one `write_all`, so a warm line allocates nothing.
 ///
 /// I/O errors are sticky, mirroring the run-sink writer: the first error
 /// suppresses all later output and is surfaced by [`flush`](TraceSink::flush)
@@ -379,12 +283,14 @@ pub struct JsonlTraceWriter<W: Write> {
     out: W,
     written: u64,
     error: Option<io::Error>,
+    /// The line being rendered; its buffer is reused for every record.
+    line: String,
 }
 
 impl<W: Write> JsonlTraceWriter<W> {
     /// Creates a writer over any `io::Write` (a file, a buffer, a pipe).
     pub fn new(out: W) -> Self {
-        JsonlTraceWriter { out, written: 0, error: None }
+        JsonlTraceWriter { out, written: 0, error: None, line: String::new() }
     }
 
     /// Number of lines written so far.
@@ -408,33 +314,35 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = String::with_capacity(160);
+        let line = &mut self.line;
         for record in records {
             line.clear();
-            line.push_str(&format!(
+            let _ = write!(
+                line,
                 "{{\"run\":{},\"point\":{},\"replication\":{},\"seed\":{}",
                 coords.run_index, coords.point, coords.replication, coords.seed
-            ));
+            );
             match record {
                 TraceRecord::Event(e) => {
                     line.push_str(",\"kind\":\"event\",\"name\":\"");
-                    escape_into(&mut line, &e.name);
-                    line.push_str(&format!("\",\"t_us\":{}", e.time.as_micros()));
-                    push_attrs(&mut line, &e.attrs);
+                    escape_into(line, &e.name);
+                    let _ = write!(line, "\",\"t_us\":{}", e.time.as_micros());
+                    push_attrs(line, &e.attrs);
                 }
                 TraceRecord::Span(s) => {
                     line.push_str(",\"kind\":\"span\",\"name\":\"");
-                    escape_into(&mut line, &s.name);
-                    line.push_str(&format!(
+                    escape_into(line, &s.name);
+                    let _ = write!(
+                        line,
                         "\",\"start_us\":{},\"end_us\":{}",
                         s.start.as_micros(),
                         s.end.as_micros()
-                    ));
-                    push_attrs(&mut line, &s.attrs);
+                    );
+                    push_attrs(line, &s.attrs);
                 }
             }
-            line.push('}');
-            if let Err(error) = writeln!(self.out, "{line}") {
+            line.push_str("}\n");
+            if let Err(error) = self.out.write_all(line.as_bytes()) {
                 self.error = Some(error);
                 return;
             }
@@ -486,65 +394,6 @@ mod tests {
         });
         let names: Vec<&str> = outer.iter().map(TraceRecord::name).collect();
         assert_eq!(names, ["outer.before", "outer.after"]);
-    }
-
-    #[test]
-    fn engine_tracer_attributes_clamps_with_labels() {
-        // The u32 is only ever read through the Debug label the tracer
-        // captures, which dead-code analysis deliberately ignores.
-        #[derive(Debug, Clone)]
-        #[allow(dead_code)]
-        enum Ev {
-            Tick,
-            Late(u32),
-        }
-        let (_, records) = collect(|| {
-            let mut engine: Engine<u32, Ev> = Engine::new(0);
-            observe_engine(&mut engine);
-            engine.schedule_at(SimTime::from_millis(10), Ev::Tick);
-            engine.run(|n, ctx, _| {
-                *n += 1;
-                if *n == 1 {
-                    ctx.schedule_at(SimTime::from_millis(2), Ev::Late(7));
-                }
-            });
-        });
-        let clamp = records
-            .iter()
-            .find(|r| r.name() == "engine.clamp")
-            .expect("the past-time schedule must produce a clamp record");
-        assert_eq!(clamp.time(), SimTime::from_millis(10));
-        let label = clamp.attrs().iter().find(|(k, _)| k == "label").unwrap();
-        assert_eq!(label.1, AttrValue::Text("Late(7)".to_string()));
-        let requested = clamp.attrs().iter().find(|(k, _)| k == "requested_us").unwrap();
-        assert_eq!(requested.1, AttrValue::U64(2_000));
-    }
-
-    #[test]
-    fn engine_tracer_samples_depth_and_records_stop() {
-        let (_, records) = collect(|| {
-            let mut engine: Engine<u32, u32> = Engine::new(0);
-            engine.set_observer(Box::new(EngineTracer::with_depth_interval(4)));
-            for i in 0..10u32 {
-                engine.schedule_at(SimTime::from_millis(i as u64), i);
-            }
-            engine.run(|n, ctx, ev| {
-                *n += 1;
-                if ev == 7 {
-                    ctx.stop();
-                }
-            });
-        });
-        let depths: Vec<_> = records.iter().filter(|r| r.name() == "engine.depth").collect();
-        assert_eq!(depths.len(), 2, "8 pops at interval 4 => samples at pop 4 and 8");
-        assert!(records.iter().any(|r| r.name() == "engine.stop"));
-    }
-
-    #[test]
-    fn observe_engine_is_inert_outside_a_scope() {
-        let mut engine: Engine<u32, u32> = Engine::new(0);
-        observe_engine(&mut engine);
-        assert!(engine.take_observer().is_none(), "no observer without an active scope");
     }
 
     #[test]
@@ -616,13 +465,5 @@ mod tests {
         assert!(w.flush().is_err(), "the error is not consumed");
         w.on_run_records(&coords, &records);
         assert!(w.into_inner().is_err());
-    }
-
-    #[test]
-    fn debug_labels_are_truncated_at_char_boundaries() {
-        let long = "é".repeat(100);
-        let label = debug_label(&long);
-        assert!(label.len() <= LABEL_MAX + '…'.len_utf8() + 2);
-        assert!(label.ends_with('…'));
     }
 }

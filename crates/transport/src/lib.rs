@@ -5,11 +5,11 @@
 //! `net-transport` scenario family.
 //!
 //! [`SimTransport`] is driven by the virtual-clock [`karyon_sim::Engine`]
-//! plus seed-derived entropy.  Per-link delay/jitter distributions, drop,
-//! duplication, reordering and partition schedules are all functions of the
-//! construction seed, so any interleaving observed under faults is replayable
-//! bit-for-bit from that seed — the same contract campaign runs already
-//! honour.  Nodes send bytes, pump the fabric to a deadline (or drain it) and
+//! plus seed-derived entropy.  Every link's delay/jitter draws, drops,
+//! duplicates and reorderings, and the partition schedules, are functions of
+//! the construction seed, so any interleaving observed under faults is
+//! replayable bit-for-bit from that seed — the same contract campaign runs
+//! already honour.  Nodes send bytes, pump the fabric to a deadline (or drain it) and
 //! receive [`Delivery`]s annotated with their fabric timing.
 //!
 //! # Determinism contract
@@ -82,7 +82,8 @@ impl TransportStats {
     }
 }
 
-/// Directed link identifier used by per-link configuration and entropy.
+/// Directed link identifier keying the per-link entropy streams and delivery
+/// order tracking.
 pub(crate) type LinkKey = (u32, u32);
 
 pub(crate) fn link_key(src: NodeId, dst: NodeId) -> LinkKey {

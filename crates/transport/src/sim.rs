@@ -6,7 +6,7 @@ use karyon_sim::{splitmix64, Engine, Rng, SimDuration, SimTime};
 
 use crate::{link_key, Delivery, LinkKey, NodeId, TransportStats};
 
-/// Per-directed-link delay and fault configuration.
+/// Delay and fault configuration, applied to every directed link.
 ///
 /// All probabilities are clamped to `[0, 1]` by the underlying sampler; all
 /// extra delays are drawn uniformly from the configured windows.
@@ -103,7 +103,6 @@ pub struct SimTransport {
     engine: Engine<SimNetState, SimNetEvent>,
     seed: u64,
     default_link: LinkConfig,
-    links: BTreeMap<LinkKey, LinkConfig>,
     rngs: BTreeMap<LinkKey, Rng>,
     partitions: Vec<PartitionWindow>,
     send_seq: u64,
@@ -121,7 +120,6 @@ impl SimTransport {
             engine: Engine::new(SimNetState::default()),
             seed,
             default_link: LinkConfig::default(),
-            links: BTreeMap::new(),
             rngs: BTreeMap::new(),
             partitions: Vec::new(),
             send_seq: 0,
@@ -132,16 +130,10 @@ impl SimTransport {
         }
     }
 
-    /// Replaces the configuration applied to links without an explicit
-    /// [`set_link`](Self::set_link) entry.
+    /// Replaces the configuration applied to every link.
     pub fn with_default_link(mut self, link: LinkConfig) -> Self {
         self.default_link = link;
         self
-    }
-
-    /// Configures one directed link `src → dst`.
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
-        self.links.insert(link_key(src, dst), config);
     }
 
     /// Schedules a partition window.  Windows may overlap; a message is
@@ -150,8 +142,7 @@ impl SimTransport {
         self.partitions.push(window);
     }
 
-    /// The embedded virtual-clock engine, exposed for clamp audits and
-    /// observer attachment.
+    /// The embedded virtual-clock engine, exposed for clamp audits.
     pub fn engine(&self) -> &Engine<SimNetState, SimNetEvent> {
         &self.engine
     }
@@ -159,10 +150,6 @@ impl SimTransport {
     /// Number of messages still in flight.
     pub fn in_flight(&self) -> usize {
         self.engine.pending()
-    }
-
-    fn link_config(&self, src: NodeId, dst: NodeId) -> LinkConfig {
-        self.links.get(&link_key(src, dst)).copied().unwrap_or(self.default_link)
     }
 
     /// Per-link entropy stream, derived purely from `(seed, src, dst)` so the
@@ -209,7 +196,7 @@ impl SimTransport {
             self.partition_dropped += 1;
             return;
         }
-        let cfg = self.link_config(src, dst);
+        let cfg = self.default_link;
         let rng = self.link_rng(src, dst);
         if rng.chance(cfg.drop_probability) {
             self.dropped += 1;

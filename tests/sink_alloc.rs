@@ -4,7 +4,8 @@
 //! the rendered params of the current point, so once the first run of a
 //! point has been written — and the buffer has grown to fit its line — the
 //! point's further runs only format into that buffer and hand it to the
-//! underlying writer.
+//! underlying writer.  `JsonlTraceWriter` does the same for trace lines:
+//! once its buffer fits the longest line, a run's records only format.
 //!
 //! A counting global allocator sees every allocation of this test binary and
 //! charges it to the allocating thread, so the harness's own threads cannot
@@ -17,6 +18,10 @@ use std::collections::BTreeMap;
 use std::io;
 
 use karyon::scenario::{derive_run_seed, JsonlRunWriter, ParamValue, RunMeta, RunRecord, RunSink};
+use karyon::sim::SimTime;
+use karyon::telemetry::{
+    AttrValue, EventRecord, JsonlTraceWriter, RunCoords, SpanRecord, TraceRecord, TraceSink,
+};
 
 /// Counts every allocation and reallocation of the calling thread, then
 /// defers to the system allocator.
@@ -85,6 +90,39 @@ fn record(replication: u64) -> RunRecord {
     record
 }
 
+/// A run's trace: events and spans carrying every attribute kind a line
+/// renders — unsigned and signed integers, a fraction, a non-finite value
+/// and text that needs escaping.
+fn trace_records() -> Vec<TraceRecord> {
+    let attrs = |k: u64| -> Vec<(String, AttrValue)> {
+        vec![
+            ("count".into(), AttrValue::U64(k * 1_000_003)),
+            ("offset".into(), AttrValue::I64(-(k as i64) * 77)),
+            ("ratio".into(), AttrValue::F64(k as f64 / 3.0)),
+            ("bad".into(), AttrValue::F64(f64::INFINITY)),
+            ("label \"q\"".into(), AttrValue::Text(format!("say \"hi\"\n\t\u{1}{k}"))),
+        ]
+    };
+    (0..6u64)
+        .map(|k| {
+            if k % 2 == 0 {
+                TraceRecord::Event(EventRecord {
+                    name: format!("probe.event{k}"),
+                    time: SimTime::from_micros(k * 1_234),
+                    attrs: attrs(k),
+                })
+            } else {
+                TraceRecord::Span(SpanRecord {
+                    name: "probe.span".into(),
+                    start: SimTime::from_micros(k),
+                    end: SimTime::from_millis(k * 5_000),
+                    attrs: attrs(k),
+                })
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn warm_lines_of_a_point_do_not_allocate() {
     let mut params = BTreeMap::new();
@@ -118,4 +156,23 @@ fn warm_lines_of_a_point_do_not_allocate() {
     let next = RunMeta { point: 4, params: &moved, replication: 0, ..meta(0) };
     let allocations = allocations_during(|| writer.on_run(&next, &records[0]));
     assert!(allocations > 0, "rendering a new point's params must be counted");
+
+    // Trace lines: once the first run has grown the buffer, a whole batch of
+    // runs renders without allocating.
+    let trace = trace_records();
+    let coords = |run: u64| RunCoords {
+        run_index: 1_000 + run,
+        point: 3,
+        replication: run,
+        seed: derive_run_seed(7, 3, run),
+    };
+    let mut tracer = JsonlTraceWriter::new(io::sink());
+    tracer.on_run_records(&coords(0), &trace);
+    let allocations = allocations_during(|| {
+        for run in 1..RUNS {
+            tracer.on_run_records(&coords(run), &trace);
+        }
+    });
+    assert_eq!(allocations, 0, "warm trace lines allocated");
+    assert_eq!(tracer.written(), RUNS * trace.len() as u64);
 }
