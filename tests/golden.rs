@@ -9,7 +9,8 @@
 //! without churn) and `pulse-sync` — the families the safety-kernel cycle
 //! drives — `kernel-latency`, `platoon` and `platoon-fault` — the EventBus
 //! families — `middleware-qos` (with and without the mid-run degradation)
-//! and `middleware-overload` (at, above and far above rated load) — the
+//! and `middleware-overload` (at, above and far above rated load, under
+//! every overload strategy and a realtime-shedding backlog threshold) — the
 //! simulated transport fabric `net-transport`, the network and cooperation
 //! families `end-to-end`, `topology` and `cooperation`, the sensor families
 //! `sensor-validity` and `reliable-sensor`, and the vehicle families
@@ -292,8 +293,10 @@ fn middleware_qos_reports_are_pinned() {
 }
 
 /// The EventBus at 10×, 1× and 3× rated load, for mixed and batched
-/// consumers under the class-default and aggregate strategies.  At 1× every
-/// drain ties a publish; at 3× the two cadences tie only at t = 0.
+/// consumers under every overload strategy, at the default backlog threshold
+/// and at 64, where the mixed background mailbox pushes the bus-wide backlog
+/// to the threshold and realtime copies are shed.  At 1× every drain ties a
+/// publish; at 3× the two cadences tie only at t = 0.
 #[test]
 fn middleware_overload_reports_are_pinned() {
     check(
@@ -303,7 +306,8 @@ fn middleware_overload_reports_are_pinned() {
                 ParamGrid::new()
                     .axis("load_x", [10.0, 1.0, 3.0])
                     .axis("qos_mix", ["mixed", "batched"])
-                    .axis("strategy", ["class-default", "aggregate"]),
+                    .axis("backlog_threshold", [1024, 64])
+                    .axis("strategy", ["class-default", "aggregate", "drop-oldest", "sample"]),
             )
             .replications(3)
             .duration_secs(5),
