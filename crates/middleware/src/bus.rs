@@ -12,6 +12,16 @@
 //!   matches every topic nested under `platoon.`).  Each topic also carries
 //!   the FNV-derived [`Subject`] of its name, the key of admission queries
 //!   and capability-change reports.
+//! * **Compiled fan-out** — the first publish on a topic compiles its route
+//!   into a flat table: one entry per matching subscription, holding the
+//!   subscription's index and, when the subscriber's network is attached,
+//!   the delivery ratio and mean latency of the publisher's and subscriber's
+//!   capabilities combined.  A publish walks that table, so no copy looks up
+//!   a map or combines capabilities.  The five operations that can change a
+//!   table — [`TopicRef::subscribe`], [`EventBus::unsubscribe`],
+//!   [`EventBus::attach_network`], [`EventBus::update_capability`] and
+//!   [`TopicRef::announce`] — drop every table, and the next publish on each
+//!   topic compiles its own again.
 //! * **Mailboxes** — every subscription owns a bounded ring
 //!   [`Mailbox`], sized by its [`QosClass`];
 //!   subscribers drain it with [`EventBus::poll`] / [`EventBus::drain_with`].
@@ -19,7 +29,7 @@
 //!   nothing once routes are warm.
 //! * **Backpressure** — when a mailbox is full, the subscription's
 //!   [`OverloadStrategy`] decides (drop-newest / drop-oldest / sample /
-//!   aggregate); when the bus-wide backlog exceeds
+//!   aggregate); once the bus-wide backlog reaches
 //!   [`EventBus::set_backlog_threshold`], realtime subscriptions shed
 //!   incoming events outright to protect their latency bound.
 //! * **Stats** — each subscription accumulates delivery/drop counters and a
@@ -140,7 +150,7 @@ pub struct SubscriptionStats {
     /// Source events represented by the drained ones (≥ `delivered`; the
     /// difference is what aggregation coalesced).
     pub represented: u64,
-    /// Realtime events shed because the bus-wide backlog exceeded the
+    /// Realtime events shed because the bus-wide backlog had reached the
     /// threshold.
     pub dropped_pressure: u64,
     /// Events shed because the mailbox was full (drop-newest strategy).
@@ -249,6 +259,17 @@ struct TopicEntry {
     subject: Subject,
 }
 
+/// One compiled copy of a topic's fan-out.
+#[derive(Debug, Clone, Copy)]
+struct Fanout {
+    /// Index of the subscription the copy goes to.
+    sub: u32,
+    /// The delivery ratio and the mean latency in seconds (at least 1 µs)
+    /// of the publisher's and subscriber's capabilities combined; `None`
+    /// while the subscriber's network is detached, which loses the copy.
+    link: Option<(f64, f64)>,
+}
+
 #[derive(Debug, Clone)]
 struct ChannelState {
     qos: QosRequirement,
@@ -288,9 +309,14 @@ pub struct EventBus {
     topics: Vec<TopicEntry>,
     by_name: BTreeMap<String, TopicId>,
     by_subject: BTreeMap<Subject, TopicId>,
-    channels: BTreeMap<TopicId, ChannelState>,
+    /// The announced channel of each topic, indexed by `TopicId`.
+    channels: Vec<Option<ChannelState>>,
     subscriptions: Vec<SubscriptionEntry>,
-    routes: BTreeMap<TopicId, Vec<u32>>,
+    /// The compiled fan-out of each topic, indexed by `TopicId`; `None`
+    /// until the topic's next publish compiles it.
+    routes: Vec<Option<Vec<Fanout>>>,
+    /// Set by the five operations that can change a fan-out; the next
+    /// publish then drops every compiled table.
     routes_dirty: bool,
     backlog: usize,
     backlog_threshold: usize,
@@ -298,8 +324,8 @@ pub struct EventBus {
 }
 
 impl EventBus {
-    /// The default bus-wide backlog threshold above which realtime
-    /// subscriptions shed incoming events.
+    /// The default bus-wide backlog threshold: once the backlog reaches it,
+    /// realtime subscriptions shed incoming events.
     pub const DEFAULT_BACKLOG_THRESHOLD: usize = 1024;
 
     /// Creates a bus with no networks attached.
@@ -309,9 +335,9 @@ impl EventBus {
             topics: Vec::new(),
             by_name: BTreeMap::new(),
             by_subject: BTreeMap::new(),
-            channels: BTreeMap::new(),
+            channels: Vec::new(),
             subscriptions: Vec::new(),
-            routes: BTreeMap::new(),
+            routes: Vec::new(),
             routes_dirty: false,
             backlog: 0,
             backlog_threshold: Self::DEFAULT_BACKLOG_THRESHOLD,
@@ -322,10 +348,11 @@ impl EventBus {
     /// Attaches (or re-assesses) a network segment.
     pub fn attach_network(&mut self, id: NetworkId, capability: NetworkCapability) {
         self.networks.insert(id, capability);
+        self.routes_dirty = true;
     }
 
     /// Sets the bus-wide backlog threshold: while the total number of queued
-    /// events exceeds it, realtime subscriptions drop incoming events
+    /// events is at or above it, realtime subscriptions drop incoming events
     /// aggressively to protect their latency bound.
     pub fn set_backlog_threshold(&mut self, threshold: usize) {
         self.backlog_threshold = threshold;
@@ -462,7 +489,7 @@ impl EventBus {
     /// Cancelled subscriptions keep contributing their accumulated counters,
     /// matching [`EventBus::subscription_stats`].
     pub fn export_metrics(&self, prefix: &str, metrics: &mut karyon_telemetry::MetricsRegistry) {
-        let published: u64 = self.channels.values().map(|c| c.published).sum();
+        let published: u64 = self.channels.iter().flatten().map(|c| c.published).sum();
         metrics.add(&format!("{prefix}.published"), published);
         metrics.set_gauge(&format!("{prefix}.subscriptions"), self.subscription_count() as f64);
         for (class, label) in [
@@ -497,8 +524,10 @@ impl EventBus {
     fn admitted_rate_excluding(&self, except: TopicId) -> f64 {
         self.channels
             .iter()
-            .filter(|(t, c)| **t != except && c.admission == Admission::Admitted)
-            .map(|(_, c)| c.qos.max_rate)
+            .enumerate()
+            .filter_map(|(t, c)| c.as_ref().filter(|_| t != except.0 as usize))
+            .filter(|c| c.admission == Admission::Admitted)
+            .map(|c| c.qos.max_rate)
             .sum()
     }
 
@@ -512,16 +541,32 @@ impl EventBus {
         }
     }
 
-    fn build_route(
+    /// The fan-out of `topic` published from `publisher_network`: empty
+    /// while that network is detached, so nothing matches.
+    fn compile_route(
+        networks: &BTreeMap<NetworkId, NetworkCapability>,
         topics: &[TopicEntry],
         subscriptions: &[SubscriptionEntry],
         topic: TopicId,
-    ) -> Vec<u32> {
+        publisher_network: NetworkId,
+    ) -> Vec<Fanout> {
+        let Some(pub_cap) = networks.get(&publisher_network) else {
+            return Vec::new();
+        };
         subscriptions
             .iter()
             .enumerate()
             .filter(|(_, s)| s.active && Self::subscription_matches(topics, &s.pattern, topic))
-            .map(|(i, _)| i as u32)
+            .map(|(i, s)| Fanout {
+                sub: i as u32,
+                link: networks.get(&s.network).map(|sub_cap| {
+                    let capability = pub_cap.combine_worst(sub_cap);
+                    (
+                        capability.expected_delivery_ratio,
+                        capability.expected_latency.as_secs_f64().max(1e-6),
+                    )
+                }),
+            })
             .collect()
     }
 
@@ -557,9 +602,13 @@ impl EventBus {
             Some(capability) if capability.satisfies(&qos, admitted_rate) => Admission::Admitted,
             _ => Admission::Rejected,
         };
-        self.channels
-            .insert(topic, ChannelState { qos, admission, publisher_network, published: 0 });
-        let subject = self.topics[topic.0 as usize].subject;
+        let t = topic.0 as usize;
+        if self.channels.len() <= t {
+            self.channels.resize_with(t + 1, || None);
+        }
+        self.channels[t] = Some(ChannelState { qos, admission, publisher_network, published: 0 });
+        self.routes_dirty = true;
+        let subject = self.topics[t].subject;
         Publisher { topic, subject, admission }
     }
 
@@ -573,11 +622,14 @@ impl EventBus {
         capability: NetworkCapability,
     ) -> Vec<Subject> {
         self.networks.insert(id, capability);
+        self.routes_dirty = true;
         let mut changed = Vec::new();
-        let topics: Vec<TopicId> = self.channels.keys().copied().collect();
-        for topic in topics {
+        for t in 0..self.channels.len() {
+            let Some(channel) = &self.channels[t] else {
+                continue;
+            };
+            let topic = TopicId(t as u32);
             let admitted_rate = self.admitted_rate_excluding(topic);
-            let channel = self.channels.get(&topic).expect("channel exists");
             let effective = self.effective_capability(topic, channel.publisher_network);
             let new_admission =
                 if effective.map(|c| c.satisfies(&channel.qos, admitted_rate)).unwrap_or(false) {
@@ -585,10 +637,10 @@ impl EventBus {
                 } else {
                     Admission::Rejected
                 };
-            let channel = self.channels.get_mut(&topic).expect("channel exists");
+            let channel = self.channels[t].as_mut().expect("channel exists");
             if new_admission != channel.admission {
                 channel.admission = new_admission;
-                changed.push(self.topics[topic.0 as usize].subject);
+                changed.push(self.topics[t].subject);
             }
         }
         changed
@@ -597,12 +649,13 @@ impl EventBus {
     /// The current admission status of an announced channel.
     pub fn admission(&self, subject: Subject) -> Option<Admission> {
         let topic = self.by_subject.get(&subject)?;
-        self.channels.get(topic).map(|c| c.admission)
+        self.channels.get(topic.0 as usize)?.as_ref().map(|c| c.admission)
     }
 
     /// Publishes one event on the publisher's channel and routes it to every
-    /// matching subscription under its QoS policy.  The hot path: once
-    /// routes are warm, no allocation happens here for any fan-out.
+    /// matching subscription under its QoS policy.  The hot path: once the
+    /// topic's fan-out is compiled, no allocation happens here for any
+    /// fan-out.
     ///
     /// The returned [`PublishOutcome`] says what happened to each routed
     /// copy; subscribers receive theirs when they [`poll`](EventBus::poll).
@@ -626,7 +679,8 @@ impl EventBus {
             rng,
             ..
         } = self;
-        let Some(channel) = channels.get_mut(&topic) else {
+        let t = topic.0 as usize;
+        let Some(Some(channel)) = channels.get_mut(t) else {
             return outcome;
         };
         channel.published += 1;
@@ -635,35 +689,31 @@ impl EventBus {
             routes.clear();
             *routes_dirty = false;
         }
-        let slot =
-            routes.entry(topic).or_insert_with(|| Self::build_route(topics, subscriptions, topic));
-        let route = std::mem::take(slot);
-        let Some(&pub_cap) = networks.get(&channel.publisher_network) else {
-            *routes.get_mut(&topic).expect("route slot exists") = route;
-            return outcome;
-        };
+        if routes.len() <= t {
+            routes.resize_with(t + 1, || None);
+        }
+        let route = routes[t].get_or_insert_with(|| {
+            Self::compile_route(networks, topics, subscriptions, topic, channel.publisher_network)
+        });
         let context = Context { position: payload.position, timestamp: now };
 
-        for &idx in &route {
+        for &Fanout { sub, link } in route.iter() {
             outcome.matched += 1;
-            let sub = &mut subscriptions[idx as usize];
+            let sub = &mut subscriptions[sub as usize];
             sub.counters.matched += 1;
-            let Some(sub_cap) = networks.get(&sub.network) else {
+            let Some((delivery_ratio, mean_latency_s)) = link else {
                 sub.counters.dropped_loss += 1;
                 outcome.dropped_loss += 1;
                 continue;
             };
-            let capability = pub_cap.combine_worst(sub_cap);
             // Loss.
-            if !rng.chance(capability.expected_delivery_ratio) {
+            if !rng.chance(delivery_ratio) {
                 sub.counters.dropped_loss += 1;
                 outcome.dropped_loss += 1;
                 continue;
             }
             // Latency: exponential around the expected value.
-            let latency = SimDuration::from_secs_f64(
-                rng.exponential(capability.expected_latency.as_secs_f64().max(1e-6)),
-            );
+            let latency = SimDuration::from_secs_f64(rng.exponential(mean_latency_s));
             let arrived_at = now + latency;
             if !sub.filter.matches(&context, arrived_at) {
                 sub.counters.filtered_out += 1;
@@ -725,8 +775,6 @@ impl EventBus {
                 }
             }
         }
-
-        *routes.get_mut(&topic).expect("route slot exists") = route;
         outcome
     }
 
@@ -738,34 +786,14 @@ impl EventBus {
     /// lies after `now`; `delivered_at` is then the arrival time, so latency
     /// accounting never runs backwards.
     pub fn poll(&mut self, subscription: SubscriptionId, now: SimTime) -> Option<DeliveredEvent> {
-        let sub = self.subscriptions.get_mut(subscription.0 as usize)?;
-        if !sub.active {
-            return None;
-        }
-        let queued = sub.mailbox.pop()?;
-        self.backlog -= 1;
-        let delivered_at = if queued.arrived_at > now { queued.arrived_at } else { now };
-        let latency = delivered_at.since(queued.produced_at);
-        sub.counters.delivered += 1;
-        sub.counters.represented += u64::from(queued.aggregated);
-        if latency > queued.deadline {
-            sub.counters.missed_deadline += 1;
-        }
-        sub.latency_ms.record(latency.as_secs_f64() * 1e3);
-        Some(DeliveredEvent {
-            subscription,
-            topic: queued.topic,
-            payload: queued.payload,
-            produced_at: queued.produced_at,
-            arrived_at: queued.arrived_at,
-            delivered_at,
-            latency,
-            represents: queued.aggregated,
-        })
+        let mut delivered = None;
+        self.drain_with(subscription, now, 1, |event| delivered = Some(event));
+        delivered
     }
 
     /// Drains up to `max` events from a subscription's mailbox into the
-    /// callback; returns how many were delivered.
+    /// callback, recording each one's statistics as [`poll`](EventBus::poll)
+    /// does; returns how many were delivered.
     pub fn drain_with(
         &mut self,
         subscription: SubscriptionId,
@@ -773,16 +801,38 @@ impl EventBus {
         max: usize,
         mut deliver: impl FnMut(DeliveredEvent),
     ) -> usize {
+        let Some(sub) = self.subscriptions.get_mut(subscription.0 as usize) else {
+            return 0;
+        };
+        if !sub.active {
+            return 0;
+        }
         let mut drained = 0;
         while drained < max {
-            match self.poll(subscription, now) {
-                Some(event) => {
-                    deliver(event);
-                    drained += 1;
-                }
-                None => break,
+            let Some(queued) = sub.mailbox.pop() else {
+                break;
+            };
+            let delivered_at = if queued.arrived_at > now { queued.arrived_at } else { now };
+            let latency = delivered_at.since(queued.produced_at);
+            sub.counters.delivered += 1;
+            sub.counters.represented += u64::from(queued.aggregated);
+            if latency > queued.deadline {
+                sub.counters.missed_deadline += 1;
             }
+            sub.latency_ms.record(latency.as_secs_f64() * 1e3);
+            deliver(DeliveredEvent {
+                subscription,
+                topic: queued.topic,
+                payload: queued.payload,
+                produced_at: queued.produced_at,
+                arrived_at: queued.arrived_at,
+                delivered_at,
+                latency,
+                represents: queued.aggregated,
+            });
+            drained += 1;
         }
+        self.backlog -= drained;
         drained
     }
 }
@@ -994,6 +1044,34 @@ mod tests {
         assert!(stats.enqueued >= 3, "mailbox accepts up to capacity, minus loss");
         assert!(stats.dropped_capacity >= 4, "overflow drops the newest");
         assert_eq!(stats.backlog + stats.dropped_capacity + stats.dropped_loss, 10);
+    }
+
+    #[test]
+    fn realtime_sheds_once_the_backlog_reaches_the_threshold() {
+        const THRESHOLD: usize = 4;
+        let mut bus = EventBus::new(5);
+        // A lossless network, so the backlog grows by exactly one per copy.
+        bus.attach_network(
+            NetworkId(0),
+            NetworkCapability {
+                expected_latency: SimDuration::from_millis(1),
+                expected_delivery_ratio: 1.0,
+                capacity_rate: 1e6,
+            },
+        );
+        bus.set_backlog_threshold(THRESHOLD);
+        bus.topic("load.bulk").subscribe(QosClass::Background);
+        bus.topic("load.hot").subscribe(QosClass::Realtime);
+        let bulk = bus.topic("load.bulk").announce(QosRequirement::best_effort());
+        let hot = bus.topic("load.hot").announce(QosRequirement::best_effort());
+        publish_n(&mut bus, &bulk, THRESHOLD as u64 - 1, 1);
+        assert_eq!(bus.backlog(), THRESHOLD - 1);
+        let below = bus.publish(&hot, Payload::tagged(0), SimTime::ZERO);
+        assert_eq!((below.enqueued, below.dropped_overload), (1, 0), "backlog N - 1 enqueues");
+        assert_eq!(bus.backlog(), THRESHOLD);
+        let at = bus.publish(&hot, Payload::tagged(1), SimTime::ZERO);
+        assert_eq!((at.enqueued, at.dropped_overload), (0, 1), "backlog N sheds");
+        assert_eq!(bus.backlog(), THRESHOLD);
     }
 
     #[test]

@@ -51,13 +51,23 @@ impl<T: Copy + Default> Mailbox<T> {
         self.len == self.slots.len()
     }
 
+    /// The slot of ring position `idx`, which is below twice the capacity
+    /// (a head plus at most a capacity's worth of offset), without dividing.
+    fn wrap(&self, idx: usize) -> usize {
+        if idx >= self.slots.len() {
+            idx - self.slots.len()
+        } else {
+            idx
+        }
+    }
+
     /// Appends an element, or returns `false` (leaving the ring unchanged)
     /// when full.
     pub fn push(&mut self, value: T) -> bool {
         if self.is_full() {
             return false;
         }
-        let idx = (self.head + self.len) % self.slots.len();
+        let idx = self.wrap(self.head + self.len);
         self.slots[idx] = value;
         self.len += 1;
         true
@@ -78,7 +88,7 @@ impl<T: Copy + Default> Mailbox<T> {
             return None;
         }
         let value = self.slots[self.head];
-        self.head = (self.head + 1) % self.slots.len();
+        self.head = self.wrap(self.head + 1);
         self.len -= 1;
         Some(value)
     }
@@ -89,7 +99,7 @@ impl<T: Copy + Default> Mailbox<T> {
         if self.len == 0 {
             return None;
         }
-        let idx = (self.head + self.len - 1) % self.slots.len();
+        let idx = self.wrap(self.head + self.len - 1);
         Some(&mut self.slots[idx])
     }
 

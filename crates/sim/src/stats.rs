@@ -259,6 +259,8 @@ impl Histogram {
 pub struct BucketHistogram {
     lo: f64,
     hi: f64,
+    /// `(hi - lo) / counts.len()`, derived from the three and never persisted.
+    width: f64,
     counts: Vec<u64>,
     underflow: u64,
     overflow: u64,
@@ -285,6 +287,7 @@ impl BucketHistogram {
         BucketHistogram {
             lo,
             hi,
+            width: (hi - lo) / buckets as f64,
             counts: vec![0; buckets],
             underflow: 0,
             overflow: 0,
@@ -309,8 +312,7 @@ impl BucketHistogram {
         } else if value > self.hi {
             self.overflow += 1;
         } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((value - self.lo) / width) as usize).min(self.counts.len() - 1);
+            let idx = (((value - self.lo) / self.width) as usize).min(self.counts.len() - 1);
             self.counts[idx] += 1;
         }
     }
@@ -372,11 +374,10 @@ impl BucketHistogram {
         if target < seen {
             return self.min;
         }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
         for (i, c) in self.counts.iter().enumerate() {
             seen += c;
             if target < seen {
-                let mid = self.lo + (i as f64 + 0.5) * width;
+                let mid = self.lo + (i as f64 + 0.5) * self.width;
                 return mid.clamp(self.min, self.max);
             }
         }
@@ -432,6 +433,7 @@ impl BucketHistogram {
         BucketHistogram {
             lo: state.lo,
             hi: state.hi,
+            width: (state.hi - state.lo) / state.counts.len() as f64,
             counts: state.counts,
             underflow: state.underflow,
             overflow: state.overflow,

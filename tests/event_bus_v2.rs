@@ -1,15 +1,16 @@
 //! EventBus v2 backpressure edge cases: dead mailboxes never deliver,
-//! overload accounting conserves every published copy, and the sampling
-//! strategy stays campaign-deterministic for any worker count.
+//! overload accounting conserves every published copy, the sampling
+//! strategy stays campaign-deterministic for any worker count, and every
+//! change to a topic's route takes effect on the very next publish.
 
 use proptest::prelude::*;
 
 use karyon::middleware::{
-    EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, QosClass, QosRequirement,
-    SubscriptionStats,
+    EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, PublishOutcome, QosClass,
+    QosRequirement, SubscriptionStats,
 };
 use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
-use karyon::sim::SimTime;
+use karyon::sim::{SimDuration, SimTime};
 
 fn local_bus(seed: u64) -> EventBus {
     let mut bus = EventBus::new(seed);
@@ -190,4 +191,64 @@ fn sampling_campaigns_are_bit_identical_for_any_worker_count() {
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.suspect_runs(), 0);
     assert_eq!(serial.total_runs, 6);
+}
+
+/// A hand-built network that delivers every copy (`1.0`) or none (`0.0`),
+/// so a publish's outcome is fully determined by the route it takes.
+fn network(delivery_ratio: f64) -> NetworkCapability {
+    NetworkCapability {
+        expected_latency: SimDuration::from_millis(1),
+        expected_delivery_ratio: delivery_ratio,
+        capacity_rate: 1e6,
+    }
+}
+
+/// The outcome of a publish whose copies were all enqueued or lost.
+fn routed(matched: u32, enqueued: u32, dropped_loss: u32) -> PublishOutcome {
+    PublishOutcome { matched, enqueued, dropped_loss, ..PublishOutcome::default() }
+}
+
+/// Every operation that can change where a topic's copies go, or whether
+/// they arrive — `subscribe` (exact, and a wildcard created after the
+/// topic's first publish), `unsubscribe`, `attach_network`,
+/// `update_capability` and a re-`announce` — takes effect on the very next
+/// publish.
+#[test]
+fn route_changes_take_effect_on_the_next_publish() {
+    let (local, remote, detached) = (NetworkId(0), NetworkId(5), NetworkId(7));
+    let mut bus = EventBus::new(3);
+    bus.attach_network(local, network(1.0));
+    let mut at = 0u64;
+    let mut publish = |bus: &mut EventBus, publisher| {
+        at += 1;
+        bus.publish(publisher, Payload::tagged(at), SimTime::from_millis(at))
+    };
+    bus.topic("t.x").subscribe(QosClass::Background);
+    let publisher = bus.topic("t.x").announce(QosRequirement::best_effort());
+    assert_eq!(publish(&mut bus, &publisher), routed(1, 1, 0), "first publish");
+
+    let exact = bus.topic("t.x").subscribe(QosClass::Background);
+    assert_eq!(publish(&mut bus, &publisher), routed(2, 2, 0), "after an exact subscribe");
+    bus.topic("t.*").subscribe(QosClass::Background);
+    assert_eq!(publish(&mut bus, &publisher), routed(3, 3, 0), "after a wildcard subscribe");
+    assert!(bus.unsubscribe(exact));
+    assert_eq!(publish(&mut bus, &publisher), routed(2, 2, 0), "after unsubscribe");
+
+    // A subscriber on a network that is not attached yet loses its copies.
+    bus.topic("t.x").via(remote).subscribe(QosClass::Background);
+    assert_eq!(publish(&mut bus, &publisher), routed(3, 2, 1), "subscriber network detached");
+    bus.attach_network(remote, network(1.0));
+    assert_eq!(publish(&mut bus, &publisher), routed(3, 3, 0), "after attach_network");
+    bus.update_capability(remote, network(0.0));
+    assert_eq!(publish(&mut bus, &publisher), routed(3, 2, 1), "after a 1.0 → 0.0 update");
+    bus.update_capability(remote, network(1.0));
+    assert_eq!(publish(&mut bus, &publisher), routed(3, 3, 0), "after a 0.0 → 1.0 update");
+
+    // A channel re-announced from a detached network reaches nobody, and
+    // back on an attached one it reaches everyone again.
+    let stranded = bus.topic("t.x").via(detached).announce(QosRequirement::best_effort());
+    assert_eq!(publish(&mut bus, &stranded), routed(0, 0, 0), "publisher network detached");
+    let restored = bus.topic("t.x").via(local).announce(QosRequirement::best_effort());
+    assert_eq!(publish(&mut bus, &restored), routed(3, 3, 0), "re-announced on an attached one");
+    assert!(bus.backlog() < EventBus::DEFAULT_BACKLOG_THRESHOLD);
 }

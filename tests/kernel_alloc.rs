@@ -1,9 +1,16 @@
-//! A warm safety-kernel cycle allocates nothing.
+//! A warm safety-kernel cycle allocates nothing, and neither does a warm
+//! EventBus publish or drain.
 //!
 //! The kernel compiles its rules against its own store once, and reuses one
 //! decision for every cycle, so after warm-up a LoS cycle is indexed loads
 //! and compares — on the all-pass path and on a path where rules fail every
 //! cycle — and writing a known name into the store is an in-place update.
+//!
+//! The bus compiles each topic's fan-out once, and its mailboxes are rings
+//! allocated at subscription time, so after warm-up a publish — to exact and
+//! wildcard subscriptions, under all four overload strategies, through a
+//! context filter and with realtime copies shed under backlog pressure — and
+//! a `drain_with` or `poll` move `Copy` values only.
 //!
 //! A counting global allocator sees every allocation of this test binary and
 //! charges it to the allocating thread, so the harness's own threads cannot
@@ -18,8 +25,12 @@ use karyon::core::{
     Condition, DesignTimeSafetyInfo, HazardAnalysis, LevelOfService, LosSpec, SafetyKernel,
     SafetyRule,
 };
+use karyon::middleware::{
+    ContextFilter, EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, Publisher,
+    QosClass, QosRequirement, SubscriptionId, SubscriptionStats,
+};
 use karyon::sensors::Validity;
-use karyon::sim::{SimDuration, SimTime};
+use karyon::sim::{SimDuration, SimTime, Vec2};
 
 /// Counts every allocation and reallocation of the calling thread, then
 /// defers to the system allocator.
@@ -184,4 +195,91 @@ fn warm_cycles_and_known_name_updates_do_not_allocate() {
     let allocations =
         allocations_during(|| info.update_data("new-item", 1.0, Validity::FULL, SimTime::ZERO));
     assert!(allocations > 0, "interning a new name must be counted");
+
+    // A warm bus: publishes, drains and polls move `Copy` values only.
+    let (mut bus, subscriptions, hot, bulk) = warm_bus();
+    let stats = |bus: &EventBus| -> Vec<SubscriptionStats> {
+        subscriptions.iter().map(|&sub| bus.subscription_stats(sub).unwrap()).collect()
+    };
+    let before = stats(&bus);
+    let allocations = allocations_during(|| bus_traffic(&mut bus, &subscriptions, &hot, &bulk, 1));
+    assert_eq!(allocations, 0, "warm publishes and drains allocated");
+    // The counted round took every path it is meant to cover.
+    let after = stats(&bus);
+    let grew =
+        |i: usize, counter: fn(&SubscriptionStats) -> u64| counter(&after[i]) > counter(&before[i]);
+    assert!(grew(0, |s| s.dropped_pressure), "realtime never met backlog pressure");
+    assert!(grew(1, |s| s.displaced), "drop-oldest never displaced");
+    assert!(grew(2, |s| s.sampled_out), "sample never sampled out");
+    assert!(grew(3, |s| s.aggregated_merged), "aggregate never coalesced");
+    assert!(grew(4, |s| s.dropped_capacity), "drop-newest never dropped");
+    assert!(grew(4, |s| s.filtered_out), "the context filter never rejected");
+    assert!((0..after.len()).all(|i| grew(i, |s| s.delivered)), "a subscription never delivered");
+}
+
+/// The bus-wide backlog threshold of [`warm_bus`].
+const BUS_THRESHOLD: usize = 24;
+
+/// A bus whose two topics, `bus.hot` and `bus.bulk`, route to exact and
+/// wildcard subscriptions under every overload strategy, one of them behind
+/// a context filter, warmed up by one round of [`bus_traffic`].  The
+/// subscriptions are, in order: realtime (drop-newest), drop-oldest, sample,
+/// aggregate, and drop-newest behind the filter.
+fn warm_bus() -> (EventBus, Vec<SubscriptionId>, Publisher, Publisher) {
+    let mut bus = EventBus::new(11);
+    bus.attach_network(NetworkId(0), NetworkCapability::local_bus());
+    bus.set_backlog_threshold(BUS_THRESHOLD);
+    let subscriptions = vec![
+        bus.topic("bus.hot").mailbox(8).subscribe(QosClass::Realtime),
+        bus.topic("bus.*")
+            .mailbox(4)
+            .overload(OverloadStrategy::DropOldest)
+            .subscribe(QosClass::Batched),
+        bus.topic("bus.hot")
+            .mailbox(4)
+            .overload(OverloadStrategy::Sample { keep_1_in: 3 })
+            .subscribe(QosClass::Background),
+        bus.topic("bus.*")
+            .mailbox(2)
+            .overload(OverloadStrategy::Aggregate)
+            .subscribe(QosClass::Background),
+        bus.topic("bus.bulk")
+            .mailbox(16)
+            .overload(OverloadStrategy::DropNewest)
+            .filter(ContextFilter::within(Vec2::ZERO, 100.0))
+            .subscribe(QosClass::Batched),
+    ];
+    let hot = bus.topic("bus.hot").announce(QosRequirement::best_effort());
+    let bulk = bus.topic("bus.bulk").announce(QosRequirement::best_effort());
+    bus_traffic(&mut bus, &subscriptions, &hot, &bulk, 0);
+    (bus, subscriptions, hot, bulk)
+}
+
+/// 2,000 steps of round `round`: each publishes once on each topic (the
+/// bulk payloads alternate inside and outside the filter's region); every
+/// 10th step polls each subscription once, and every 50th drains them all,
+/// so the backlog climbs past [`BUS_THRESHOLD`] and falls back each cycle.
+fn bus_traffic(
+    bus: &mut EventBus,
+    subscriptions: &[SubscriptionId],
+    hot: &Publisher,
+    bulk: &Publisher,
+    round: u64,
+) {
+    for step in 0..2_000u64 {
+        let now = SimTime::from_millis(round * 2_000 + step);
+        bus.publish(hot, Payload::tagged(step), now);
+        let x = if step % 2 == 0 { 5.0 } else { 5_000.0 };
+        bus.publish(bulk, Payload::at(Vec2::new(x, 0.0), step), now);
+        if step % 10 == 9 {
+            for &sub in subscriptions {
+                bus.poll(sub, now);
+            }
+        }
+        if step % 50 == 49 {
+            for &sub in subscriptions {
+                bus.drain_with(sub, now, usize::MAX, |_| {});
+            }
+        }
+    }
 }
