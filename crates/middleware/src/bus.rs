@@ -351,8 +351,8 @@ impl EventBus {
         self.routes_dirty = true;
     }
 
-    /// Sets the bus-wide backlog threshold: while the total number of queued
-    /// events is at or above it, realtime subscriptions drop incoming events
+    /// Sets the bus-wide backlog threshold: once the total number of queued
+    /// events reaches it, realtime subscriptions drop incoming events
     /// aggressively to protect their latency bound.
     pub fn set_backlog_threshold(&mut self, threshold: usize) {
         self.backlog_threshold = threshold;

@@ -17,7 +17,7 @@ pub enum QosClass {
     /// Latency first: a short mailbox, and events are dropped — never queued
     /// behind a backlog — when the subscriber or the bus is under pressure.
     /// A realtime subscription additionally sheds incoming events whenever
-    /// the bus-wide backlog exceeds the configured threshold.
+    /// the bus-wide backlog reaches the configured threshold.
     Realtime,
     /// Throughput first: a medium, bounded mailbox; on overflow the oldest
     /// queued event is displaced so the subscriber keeps seeing fresh data

@@ -1,22 +1,30 @@
-//! The `karyon-campaign` binary's contract, driven as a user drives it: run →
-//! interrupt → resume → report on `examples/campaign_spec.json`, and the
-//! usage errors that must refuse before writing anything.
+//! The `karyon-campaign` binary's contract, driven as a user drives it on
+//! `examples/campaign_spec.json`: run → interrupt → resume → report, the
+//! chaos drills, shard → merge with an incomplete and a fault-aborted shard
+//! set, and the usage errors that must refuse before writing anything.
 //!
-//! Every check mirrors a `cmp` or exit-code check of the CI step
-//! "karyon-campaign CLI walkthrough".  One uninterrupted reference run
-//! (JSONL, trace directory, metrics and a checkpoint every chunk) is the
-//! baseline every other artifact is compared with, byte for byte.  Before
-//! resuming, the interrupted session's streams are run ahead of its
-//! checkpoint, torn last line included, as a session killed between two
-//! manifests leaves them: resume must cut both back to the watermark.
+//! Every check mirrors a `cmp` or exit-code check of the CI steps
+//! "karyon-campaign CLI walkthrough", "Chaos drill", "Shard/merge
+//! walkthrough" and "Shard chaos variant".  One uninterrupted reference run
+//! (JSONL, trace directory, metrics and a checkpoint every chunk), shared by
+//! every test, is the baseline every other artifact is compared with, byte
+//! for byte.  Before resuming, the interrupted session's streams are run
+//! ahead of its checkpoint, torn last line included, as a session killed
+//! between two manifests leaves them: resume must cut both back to the
+//! watermark.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use karyon::scenario::JsonValue;
 
 const SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_spec.json");
+
+/// The committed fault plan: a transient sink I/O error, a worker death at
+/// chunk 5, an abort mid-chunk and a torn manifest write.
+const FAULT_PLAN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/fault_plan.json");
 
 /// The demo spec's trace stream inside a `--trace-dir`.
 const TRACE: &str = "mixed-fault-campaign.trace.jsonl";
@@ -35,6 +43,11 @@ fn karyon_campaign(dir: &Path, args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("the CLI binary starts")
+}
+
+/// Runs the CLI and returns its exit code.
+fn exit_code(dir: &Path, args: &[&str]) -> Option<i32> {
+    karyon_campaign(dir, args).status.code()
 }
 
 /// Runs the CLI and returns its stdout, failing unless it exits 0.
@@ -73,35 +86,56 @@ fn run_ahead(path: &Path, reference: &[u8]) {
     fs::write(path, stream).expect("stream is writable");
 }
 
+/// The artifacts of the uninterrupted reference run.
+struct Reference {
+    report: JsonValue,
+    jsonl: Vec<u8>,
+    trace: Vec<u8>,
+    checkpoint: Vec<u8>,
+}
+
+/// The uninterrupted reference, with the full telemetry attachment and a
+/// checkpoint every chunk; run once and shared by every test.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let dir = scratch_dir("reference");
+        let report = report_of(&succeed(
+            &dir,
+            &[
+                "run",
+                SPEC,
+                "--quiet",
+                "--output",
+                "json",
+                "--jsonl",
+                "ref.jsonl",
+                "--trace-dir",
+                "ref-traces",
+                "--metrics",
+                "ref-metrics.json",
+                "--checkpoint",
+                "ref.ckpt",
+            ],
+        ));
+        let reference = Reference {
+            report,
+            jsonl: read(dir.join("ref.jsonl")),
+            trace: read(dir.join("ref-traces").join(TRACE)),
+            checkpoint: read(dir.join("ref.ckpt")),
+        };
+        assert!(!reference.trace.is_empty(), "the demo spec traces its net-transport runs");
+        fs::remove_dir_all(&dir).ok();
+        reference
+    })
+}
+
 #[test]
 fn interrupted_runs_resume_and_replay_byte_identically() {
     let dir = scratch_dir("walkthrough");
     succeed(&dir, &["list-families"]);
-
-    // The uninterrupted reference, with the full telemetry attachment and a
-    // checkpoint every chunk.
-    let reference = report_of(&succeed(
-        &dir,
-        &[
-            "run",
-            SPEC,
-            "--quiet",
-            "--output",
-            "json",
-            "--jsonl",
-            "ref.jsonl",
-            "--trace-dir",
-            "ref-traces",
-            "--metrics",
-            "ref-metrics.json",
-            "--checkpoint",
-            "ref.ckpt",
-        ],
-    ));
-
-    let ref_jsonl = read(dir.join("ref.jsonl"));
-    let ref_trace = read(dir.join("ref-traces").join(TRACE));
-    assert!(!ref_trace.is_empty(), "the demo spec traces its net-transport runs");
+    let Reference { report: reference, jsonl: ref_jsonl, trace: ref_trace, checkpoint: ref_ckpt } =
+        reference();
 
     // A 5-chunk slice whose streams then run ahead of its checkpoint, then
     // resume to completion.
@@ -111,26 +145,110 @@ fn interrupted_runs_resume_and_replay_byte_identically() {
     interrupted.extend(stream_args);
     interrupted.extend(["--max-chunks", "5"]);
     succeed(&dir, &interrupted);
-    run_ahead(&dir.join("cli.jsonl"), &ref_jsonl);
-    run_ahead(&dir.join("cli-traces").join(TRACE), &ref_trace);
+    run_ahead(&dir.join("cli.jsonl"), ref_jsonl);
+    run_ahead(&dir.join("cli-traces").join(TRACE), ref_trace);
     let mut resume = vec!["resume", SPEC, "--quiet", "--output", "json"];
     resume.extend(stream_args);
-    assert_eq!(report_of(&succeed(&dir, &resume)), reference, "resumed report");
-    assert!(ref_jsonl == read(dir.join("cli.jsonl")), "JSONL streams differ");
+    assert_eq!(&report_of(&succeed(&dir, &resume)), reference, "resumed report");
+    assert!(*ref_jsonl == read(dir.join("cli.jsonl")), "JSONL streams differ");
     // The final manifest too: the resumed session's first write rendered
     // every point, the reference's writes kept the closed ones.
-    assert!(read(dir.join("ref.ckpt")) == read(dir.join("cli.ckpt")), "final manifests differ");
+    assert!(*ref_ckpt == read(dir.join("cli.ckpt")), "final manifests differ");
     // The trace stream, stitched across the interruption.
-    assert!(ref_trace == read(dir.join("cli-traces").join(TRACE)), "trace streams differ");
+    assert!(*ref_trace == read(dir.join("cli-traces").join(TRACE)), "trace streams differ");
 
     // Replay the stream and the finished checkpoint without running.
     let replayed =
         succeed(&dir, &["report", SPEC, "--quiet", "--output", "json", "--jsonl", "cli.jsonl"]);
-    assert_eq!(report_of(&replayed), reference, "report --jsonl");
+    assert_eq!(&report_of(&replayed), reference, "report --jsonl");
     let from_checkpoint =
         succeed(&dir, &["report", SPEC, "--quiet", "--output", "json", "--checkpoint", "cli.ckpt"]);
-    assert_eq!(report_of(&from_checkpoint), reference, "report --checkpoint");
+    assert_eq!(&report_of(&from_checkpoint), reference, "report --checkpoint");
 
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The CI "Chaos drill": `chaos` recovers from every fault category of the
+/// committed plan, and from a seed-derived plan, to the reference report;
+/// `run --fault-plan` dies with exit 4 on the injected fault.
+#[test]
+fn chaos_drills_recover_the_reference_and_faulted_runs_exit_4() {
+    let dir = scratch_dir("chaos");
+    let chaos = succeed(
+        &dir,
+        &[
+            "chaos",
+            SPEC,
+            "--dir",
+            "chaos-plan",
+            "--fault-plan",
+            FAULT_PLAN,
+            "--quiet",
+            "--output",
+            "json",
+        ],
+    );
+    assert_eq!(&report_of(&chaos), &reference().report, "chaos --fault-plan report");
+    succeed(&dir, &["chaos", SPEC, "--dir", "chaos-seed", "--fault-seed", "7", "--quiet"]);
+    let faulted = exit_code(
+        &dir,
+        &["run", SPEC, "--quiet", "--checkpoint", "faulted.ckpt", "--fault-plan", FAULT_PLAN],
+    );
+    assert_eq!(faulted, Some(4), "run --fault-plan must exit 4 (fault-aborted)");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The CI "Shard/merge walkthrough" and "Shard chaos variant": three shard
+/// sessions with 1, 2 and 4 workers merge to the reference report, JSONL and
+/// trace; two of three shards are refused with exit 6; a shard that the
+/// fault plan aborts exits 4 and leaves no manifest, and after a clean rerun
+/// the merge is still the reference.
+#[test]
+fn shard_sets_merge_to_the_reference_and_refuse_incomplete_or_faulted_shards() {
+    let dir = scratch_dir("shards");
+    let reference = reference();
+    let shard = |index: &'static str, threads: &'static str| {
+        let args = ["--dir", "shards", "--index", index, "--of", "3", "--threads", threads];
+        let mut shard = vec!["shard", SPEC, "--trace", "--quiet"];
+        shard.extend(args);
+        shard
+    };
+    succeed(&dir, &shard("0", "1"));
+    succeed(&dir, &shard("1", "2"));
+    let incomplete = exit_code(&dir, &["merge", SPEC, "--dir", "shards", "--quiet"]);
+    assert_eq!(incomplete, Some(6), "an incomplete shard set must be refused with exit 6");
+    succeed(&dir, &shard("2", "4"));
+    let merged = succeed(
+        &dir,
+        &[
+            "merge",
+            SPEC,
+            "--dir",
+            "shards",
+            "--quiet",
+            "--output",
+            "json",
+            "--jsonl",
+            "merged.jsonl",
+            "--trace-dir",
+            "merged-traces",
+        ],
+    );
+    assert_eq!(report_of(&merged), reference.report, "merged report");
+    assert!(reference.jsonl == read(dir.join("merged.jsonl")), "merged JSONL differs");
+    assert!(reference.trace == read(dir.join("merged-traces").join(TRACE)), "merged trace differs");
+
+    // The plan's worker death lands at chunk 5, inside shard 1 of 3.
+    let manifest = dir.join("shards/mixed-fault-campaign.shard-1-of-3.manifest.json");
+    fs::remove_file(&manifest).expect("shard 1 wrote its manifest");
+    let mut faulted = shard("1", "2");
+    faulted.extend(["--fault-plan", FAULT_PLAN]);
+    assert_eq!(exit_code(&dir, &faulted), Some(4), "a fault-aborted shard must exit 4");
+    assert!(!manifest.exists(), "a fault-aborted shard must not leave a manifest");
+    succeed(&dir, &shard("1", "3"));
+    let remerged =
+        succeed(&dir, &["merge", SPEC, "--dir", "shards", "--quiet", "--output", "json"]);
+    assert_eq!(report_of(&remerged), reference.report, "merge after the rerun");
     fs::remove_dir_all(&dir).ok();
 }
 
