@@ -525,7 +525,8 @@ impl EventBus {
         self.channels
             .iter()
             .enumerate()
-            .filter_map(|(t, c)| c.as_ref().filter(|_| t != except.0 as usize))
+            .filter(|&(t, _)| t != except.0 as usize)
+            .filter_map(|(_, c)| c.as_ref())
             .filter(|c| c.admission == Admission::Admitted)
             .map(|c| c.qos.max_rate)
             .sum()
@@ -792,8 +793,9 @@ impl EventBus {
     }
 
     /// Drains up to `max` events from a subscription's mailbox into the
-    /// callback, recording each one's statistics as [`poll`](EventBus::poll)
-    /// does; returns how many were delivered.
+    /// callback, recording each one's delivery-latency and deadline
+    /// statistics; returns how many were delivered.  [`poll`](EventBus::poll)
+    /// is this with `max` 1.
     pub fn drain_with(
         &mut self,
         subscription: SubscriptionId,

@@ -250,5 +250,4 @@ fn route_changes_take_effect_on_the_next_publish() {
     assert_eq!(publish(&mut bus, &stranded), routed(0, 0, 0), "publisher network detached");
     let restored = bus.topic("t.x").via(local).announce(QosRequirement::best_effort());
     assert_eq!(publish(&mut bus, &restored), routed(3, 3, 0), "re-announced on an attached one");
-    assert!(bus.backlog() < EventBus::DEFAULT_BACKLOG_THRESHOLD);
 }
