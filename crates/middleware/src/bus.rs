@@ -7,24 +7,23 @@
 //! [`NetworkCapability`]s; this module supplies the maintenance half: what
 //! the bus does when publishers outrun subscribers.
 //!
-//! * **Topics** — events route by hierarchical, dot-separated topic names
-//!   (`"platoon.lead"`), with wildcard-prefix subscriptions (`"platoon.*"`
-//!   matches every topic nested under `platoon.`).  Each topic also carries
-//!   the FNV-derived [`Subject`] of its name, the key of admission queries
-//!   and capability-change reports.
+//! * **Topics** — events route by topic name (`"platoon.lead"`), and a
+//!   subscription listens to exactly one topic, as a FAMOUSO event channel
+//!   is keyed by one subject UID.  Each topic carries the FNV-derived
+//!   [`Subject`] of its name, the key of admission queries and
+//!   capability-change reports.
 //! * **Compiled fan-out** — the first publish on a topic compiles its route
-//!   into a flat table: one entry per matching subscription, holding the
+//!   into a flat table: one entry per subscription to the topic, holding the
 //!   subscription's index and, when the subscriber's network is attached,
 //!   the delivery ratio and mean latency of the publisher's and subscriber's
 //!   capabilities combined.  A publish walks that table, so no copy looks up
-//!   a map or combines capabilities.  The five operations that can change a
-//!   table — [`TopicRef::subscribe`], [`EventBus::unsubscribe`],
-//!   [`EventBus::attach_network`], [`EventBus::update_capability`] and
-//!   [`TopicRef::announce`] — drop every table, and the next publish on each
-//!   topic compiles its own again.
+//!   a map or combines capabilities.  The four operations that can change a
+//!   table — [`TopicRef::subscribe`], [`EventBus::attach_network`],
+//!   [`EventBus::update_capability`] and [`TopicRef::announce`] — drop every
+//!   table, and the next publish on each topic compiles its own again.
 //! * **Mailboxes** — every subscription owns a bounded ring
 //!   [`Mailbox`], sized by its [`QosClass`];
-//!   subscribers drain it with [`EventBus::poll`] / [`EventBus::drain_with`].
+//!   subscribers drain it with [`EventBus::drain_with`].
 //!   Publishing moves only `Copy` [`Payload`]s, so the hot path allocates
 //!   nothing once routes are warm.
 //! * **Backpressure** — when a mailbox is full, the subscription's
@@ -49,7 +48,7 @@ use crate::overload::{OverloadStrategy, QosClass};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicId(pub u32);
 
-/// Identifier of one subscription (stable across unsubscribes).
+/// Identifier of one subscription (its index in subscription order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriptionId(pub u32);
 
@@ -100,7 +99,7 @@ impl Publisher {
 /// `Copy` and allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PublishOutcome {
-    /// Active subscriptions the topic routed to.
+    /// Subscriptions the topic routed to.
     pub matched: u32,
     /// Copies enqueued into a mailbox (including ones that displaced an
     /// older queued event).
@@ -116,13 +115,12 @@ pub struct PublishOutcome {
     pub filtered_out: u32,
 }
 
-/// One event handed to a subscriber by [`EventBus::poll`].
+/// One event handed to a subscriber by [`EventBus::drain_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveredEvent {
     /// The subscription it was delivered on.
     pub subscription: SubscriptionId,
-    /// The topic it was published on (the concrete topic, also for wildcard
-    /// subscriptions).
+    /// The topic it was published on (the subscription's topic).
     pub topic: TopicId,
     /// The event body.
     pub payload: Payload,
@@ -165,8 +163,6 @@ pub struct SubscriptionStats {
     pub dropped_loss: u64,
     /// Events rejected by the context filter.
     pub filtered_out: u64,
-    /// Queued events discarded when the subscription was cancelled.
-    pub discarded_on_unsubscribe: u64,
     /// Deliveries whose latency exceeded the channel's QoS deadline.
     pub missed_deadline: u64,
     /// Events currently queued.
@@ -196,18 +192,11 @@ impl SubscriptionStats {
 /// One queued mailbox slot — `Copy`, so rings move no heap data.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct QueuedEvent {
-    topic: TopicId,
     produced_at: SimTime,
     arrived_at: SimTime,
     deadline: SimDuration,
     payload: Payload,
     aggregated: u32,
-}
-
-impl Default for TopicId {
-    fn default() -> Self {
-        TopicId(u32::MAX)
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -223,40 +212,21 @@ struct SubCounters {
     aggregated_merged: u64,
     dropped_loss: u64,
     filtered_out: u64,
-    discarded_on_unsubscribe: u64,
     missed_deadline: u64,
     peak_backlog: u64,
 }
 
-/// What a subscription listens to.
-#[derive(Debug, Clone, PartialEq)]
-enum Pattern {
-    /// Exactly one topic.
-    Exact(TopicId),
-    /// Every topic whose name extends this prefix (stored with its trailing
-    /// separator, e.g. `"platoon."`; the empty prefix matches every named
-    /// topic).
-    Prefix(String),
-}
-
 #[derive(Debug)]
 struct SubscriptionEntry {
+    topic: TopicId,
     network: NetworkId,
-    pattern: Pattern,
     filter: ContextFilter,
     class: QosClass,
     strategy: OverloadStrategy,
     mailbox: Mailbox<QueuedEvent>,
-    active: bool,
     sample_counter: u64,
     counters: SubCounters,
     latency_ms: BucketHistogram,
-}
-
-#[derive(Debug, Clone)]
-struct TopicEntry {
-    name: String,
-    subject: Subject,
 }
 
 /// One compiled copy of a topic's fan-out.
@@ -275,6 +245,9 @@ struct ChannelState {
     qos: QosRequirement,
     admission: Admission,
     publisher_network: NetworkId,
+    /// The bus's announcement count when this channel was announced: its
+    /// place in announcement order.
+    announced: u64,
     published: u64,
 }
 
@@ -291,7 +264,7 @@ struct ChannelState {
 ///
 /// let mut bus = EventBus::new(7);
 /// bus.attach_network(NetworkId(0), NetworkCapability::local_bus());
-/// let sub = bus.topic("platoon.*").subscribe(QosClass::Batched);
+/// let sub = bus.topic("platoon.lead").subscribe(QosClass::Batched);
 /// let lead = bus
 ///     .topic("platoon.lead")
 ///     .announce(QosRequirement::batched(SimDuration::from_millis(50), 100.0));
@@ -306,16 +279,19 @@ struct ChannelState {
 #[derive(Debug)]
 pub struct EventBus {
     networks: BTreeMap<NetworkId, NetworkCapability>,
-    topics: Vec<TopicEntry>,
+    /// The subject of each interned topic, indexed by `TopicId`.
+    subjects: Vec<Subject>,
     by_name: BTreeMap<String, TopicId>,
     by_subject: BTreeMap<Subject, TopicId>,
     /// The announced channel of each topic, indexed by `TopicId`.
     channels: Vec<Option<ChannelState>>,
+    /// Channels announced so far, re-announcements included.
+    announcements: u64,
     subscriptions: Vec<SubscriptionEntry>,
     /// The compiled fan-out of each topic, indexed by `TopicId`; `None`
     /// until the topic's next publish compiles it.
     routes: Vec<Option<Vec<Fanout>>>,
-    /// Set by the five operations that can change a fan-out; the next
+    /// Set by the four operations that can change a fan-out; the next
     /// publish then drops every compiled table.
     routes_dirty: bool,
     backlog: usize,
@@ -332,10 +308,11 @@ impl EventBus {
     pub fn new(seed: u64) -> Self {
         EventBus {
             networks: BTreeMap::new(),
-            topics: Vec::new(),
+            subjects: Vec::new(),
             by_name: BTreeMap::new(),
             by_subject: BTreeMap::new(),
             channels: Vec::new(),
+            announcements: 0,
             subscriptions: Vec::new(),
             routes: Vec::new(),
             routes_dirty: false,
@@ -368,30 +345,20 @@ impl EventBus {
         self.backlog
     }
 
-    /// Opens the builder for `name`: subscribe to it, or announce a channel
-    /// publishing on it.
-    ///
-    /// Topic names are hierarchical, dot-separated paths (`"platoon.lead"`).
-    /// A trailing `.*` segment makes the handle a wildcard pattern
-    /// (`"platoon.*"` matches every topic nested under `platoon.`, any depth;
-    /// a bare `"*"` matches every named topic) — patterns can subscribe but
-    /// not announce.
+    /// Opens the builder for the topic `name`: subscribe to it, or announce
+    /// a channel publishing on it.
     ///
     /// # Panics
-    /// Panics on an empty topic name.
+    /// Panics on an empty name, and on a name containing `*`: the bus has no
+    /// wildcard patterns, and such a subscription would otherwise listen to
+    /// a literal topic no publisher uses.
     pub fn topic<'a>(&'a mut self, name: &str) -> TopicRef<'a> {
         assert!(!name.is_empty(), "topic names must be non-empty");
-        let target = if name == "*" {
-            Target::Pattern(String::new())
-        } else if let Some(prefix) = name.strip_suffix(".*") {
-            assert!(!prefix.is_empty(), "wildcard patterns need a prefix before `.*`");
-            Target::Pattern(format!("{prefix}."))
-        } else {
-            Target::Concrete(self.intern_topic(name))
-        };
+        assert!(!name.contains('*'), "topic {name:?} contains `*`: subscriptions are exact");
+        let topic = self.intern_topic(name);
         TopicRef {
             bus: self,
-            target,
+            topic,
             network: NetworkId(0),
             filter: ContextFilter::accept_all(),
             capacity: None,
@@ -399,54 +366,20 @@ impl EventBus {
         }
     }
 
-    /// The name of an interned topic.
-    pub fn topic_name(&self, topic: TopicId) -> Option<&str> {
-        self.topics.get(topic.0 as usize).map(|t| t.name.as_str())
-    }
-
-    /// The subject UID of an interned topic.
-    pub fn topic_subject(&self, topic: TopicId) -> Option<Subject> {
-        self.topics.get(topic.0 as usize).map(|t| t.subject)
-    }
-
     fn intern_topic(&mut self, name: &str) -> TopicId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
         let subject = Subject::from_name(name);
-        let id = TopicId(self.topics.len() as u32);
-        self.topics.push(TopicEntry { name: name.to_string(), subject });
+        let id = TopicId(self.subjects.len() as u32);
+        self.subjects.push(subject);
         self.by_name.insert(name.to_string(), id);
         self.by_subject.insert(subject, id);
         id
     }
 
-    /// Cancels a subscription: its mailbox is discarded (nothing queued is
-    /// ever delivered afterwards) and no future publish routes to it.  Its
-    /// accumulated [`SubscriptionStats`] stay readable.  Returns `false`
-    /// when the id is unknown or already cancelled.
-    pub fn unsubscribe(&mut self, subscription: SubscriptionId) -> bool {
-        let Some(sub) = self.subscriptions.get_mut(subscription.0 as usize) else {
-            return false;
-        };
-        if !sub.active {
-            return false;
-        }
-        sub.active = false;
-        let discarded = sub.mailbox.clear();
-        sub.counters.discarded_on_unsubscribe += discarded as u64;
-        self.backlog -= discarded;
-        self.routes_dirty = true;
-        true
-    }
-
-    /// Number of active subscriptions.
-    pub fn subscription_count(&self) -> usize {
-        self.subscriptions.iter().filter(|s| s.active).count()
-    }
-
-    /// The accumulated statistics of a subscription (also after it was
-    /// cancelled), or `None` for an unknown id.
+    /// The accumulated statistics of a subscription, or `None` for an
+    /// unknown id.
     pub fn subscription_stats(&self, subscription: SubscriptionId) -> Option<SubscriptionStats> {
         let sub = self.subscriptions.get(subscription.0 as usize)?;
         let c = &sub.counters;
@@ -462,7 +395,6 @@ impl EventBus {
             aggregated_merged: c.aggregated_merged,
             dropped_loss: c.dropped_loss,
             filtered_out: c.filtered_out,
-            discarded_on_unsubscribe: c.discarded_on_unsubscribe,
             missed_deadline: c.missed_deadline,
             backlog: sub.mailbox.len() as u64,
             peak_backlog: c.peak_backlog,
@@ -477,7 +409,7 @@ impl EventBus {
     ///
     /// * `<prefix>.published` — events published across every channel
     ///   (counter; additive over repeated exports and multiple buses);
-    /// * `<prefix>.subscriptions` — current subscription count (gauge);
+    /// * `<prefix>.subscriptions` — subscription count (gauge);
     /// * per [`QosClass`] (lowercase: `realtime`, `batched`, `background`),
     ///   summed over the class's subscriptions:
     ///   `<prefix>.<class>.{matched, delivered, dropped, missed_deadline}`
@@ -485,13 +417,10 @@ impl EventBus {
     ///   together) and a `<prefix>.<class>.latency_ms` timer merging the
     ///   class's queueing-delay histograms — every subscription shares one
     ///   bucket configuration precisely so this merge is exact.
-    ///
-    /// Cancelled subscriptions keep contributing their accumulated counters,
-    /// matching [`EventBus::subscription_stats`].
     pub fn export_metrics(&self, prefix: &str, metrics: &mut karyon_telemetry::MetricsRegistry) {
         let published: u64 = self.channels.iter().flatten().map(|c| c.published).sum();
         metrics.add(&format!("{prefix}.published"), published);
-        metrics.set_gauge(&format!("{prefix}.subscriptions"), self.subscription_count() as f64);
+        metrics.set_gauge(&format!("{prefix}.subscriptions"), self.subscriptions.len() as f64);
         for (class, label) in [
             (QosClass::Realtime, "realtime"),
             (QosClass::Batched, "batched"),
@@ -532,21 +461,10 @@ impl EventBus {
             .sum()
     }
 
-    fn subscription_matches(topics: &[TopicEntry], pattern: &Pattern, topic: TopicId) -> bool {
-        match pattern {
-            Pattern::Exact(t) => *t == topic,
-            Pattern::Prefix(prefix) => {
-                let name = &topics[topic.0 as usize].name;
-                name.len() > prefix.len() && name.starts_with(prefix.as_str())
-            }
-        }
-    }
-
     /// The fan-out of `topic` published from `publisher_network`: empty
     /// while that network is detached, so nothing matches.
     fn compile_route(
         networks: &BTreeMap<NetworkId, NetworkCapability>,
-        topics: &[TopicEntry],
         subscriptions: &[SubscriptionEntry],
         topic: TopicId,
         publisher_network: NetworkId,
@@ -557,7 +475,7 @@ impl EventBus {
         subscriptions
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.active && Self::subscription_matches(topics, &s.pattern, topic))
+            .filter(|(_, s)| s.topic == topic)
             .map(|(i, s)| Fanout {
                 sub: i as u32,
                 link: networks.get(&s.network).map(|sub_cap| {
@@ -580,16 +498,28 @@ impl EventBus {
         publisher_network: NetworkId,
     ) -> Option<NetworkCapability> {
         let mut capability = *self.networks.get(&publisher_network)?;
-        for sub in self
-            .subscriptions
-            .iter()
-            .filter(|s| s.active && Self::subscription_matches(&self.topics, &s.pattern, topic))
-        {
+        for sub in self.subscriptions.iter().filter(|s| s.topic == topic) {
             if let Some(remote) = self.networks.get(&sub.network) {
                 capability = capability.combine_worst(remote);
             }
         }
         Some(capability)
+    }
+
+    /// Assesses `qos` for a channel on `topic` published from
+    /// `publisher_network`: against the weakest segment on its path and the
+    /// rate every other admitted channel of the bus holds.
+    fn assess(
+        &self,
+        topic: TopicId,
+        publisher_network: NetworkId,
+        qos: &QosRequirement,
+    ) -> Admission {
+        let admitted_rate = self.admitted_rate_excluding(topic);
+        match self.effective_capability(topic, publisher_network) {
+            Some(capability) if capability.satisfies(qos, admitted_rate) => Admission::Admitted,
+            _ => Admission::Rejected,
+        }
     }
 
     fn announce_topic(
@@ -598,25 +528,30 @@ impl EventBus {
         publisher_network: NetworkId,
         qos: QosRequirement,
     ) -> Publisher {
-        let admitted_rate = self.admitted_rate_excluding(topic);
-        let admission = match self.effective_capability(topic, publisher_network) {
-            Some(capability) if capability.satisfies(&qos, admitted_rate) => Admission::Admitted,
-            _ => Admission::Rejected,
-        };
+        let admission = self.assess(topic, publisher_network, &qos);
         let t = topic.0 as usize;
         if self.channels.len() <= t {
             self.channels.resize_with(t + 1, || None);
         }
-        self.channels[t] = Some(ChannelState { qos, admission, publisher_network, published: 0 });
+        let announced = self.announcements;
+        self.announcements += 1;
+        self.channels[t] =
+            Some(ChannelState { qos, admission, publisher_network, announced, published: 0 });
         self.routes_dirty = true;
-        let subject = self.topics[t].subject;
-        Publisher { topic, subject, admission }
+        Publisher { topic, subject: self.subjects[t], admission }
     }
 
     /// Updates the dynamically monitored capability of a network and
-    /// re-assesses every channel publishing through it.  Returns the subjects
-    /// whose admission status changed (the adaptation hook the safety kernel
-    /// listens to).
+    /// re-assesses every announced channel as if it were announced anew:
+    /// first the channels admitted before the update, then the rejected
+    /// ones, each group in announcement order, and each channel against the
+    /// rate admitted so far in this pass.  An incumbent therefore keeps its
+    /// admission whenever the new capability can still carry it, and a
+    /// transient degradation cannot hand its rate to a later channel.
+    ///
+    /// Returns the subjects whose admission status changed, in that
+    /// re-assessment order (the adaptation hook the safety kernel listens
+    /// to).
     pub fn update_capability(
         &mut self,
         id: NetworkId,
@@ -624,24 +559,26 @@ impl EventBus {
     ) -> Vec<Subject> {
         self.networks.insert(id, capability);
         self.routes_dirty = true;
+        // Withdraw every admission, remembering it, so the bus-wide sum
+        // counts only what this pass has admitted again.
+        let mut previous: Vec<(Admission, u64, usize)> = self
+            .channels
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(t, channel)| {
+                let channel = channel.as_mut()?;
+                let before = std::mem::replace(&mut channel.admission, Admission::Rejected);
+                Some((before, channel.announced, t))
+            })
+            .collect();
+        previous.sort_by_key(|&(before, announced, _)| (before != Admission::Admitted, announced));
         let mut changed = Vec::new();
-        for t in 0..self.channels.len() {
-            let Some(channel) = &self.channels[t] else {
-                continue;
-            };
-            let topic = TopicId(t as u32);
-            let admitted_rate = self.admitted_rate_excluding(topic);
-            let effective = self.effective_capability(topic, channel.publisher_network);
-            let new_admission =
-                if effective.map(|c| c.satisfies(&channel.qos, admitted_rate)).unwrap_or(false) {
-                    Admission::Admitted
-                } else {
-                    Admission::Rejected
-                };
-            let channel = self.channels[t].as_mut().expect("channel exists");
-            if new_admission != channel.admission {
-                channel.admission = new_admission;
-                changed.push(self.topics[t].subject);
+        for (before, _, t) in previous {
+            let channel = self.channels[t].as_ref().expect("announced");
+            let after = self.assess(TopicId(t as u32), channel.publisher_network, &channel.qos);
+            self.channels[t].as_mut().expect("announced").admission = after;
+            if after != before {
+                changed.push(self.subjects[t]);
             }
         }
         changed
@@ -659,7 +596,8 @@ impl EventBus {
     /// fan-out.
     ///
     /// The returned [`PublishOutcome`] says what happened to each routed
-    /// copy; subscribers receive theirs when they [`poll`](EventBus::poll).
+    /// copy; subscribers receive theirs when they
+    /// [`drain_with`](EventBus::drain_with).
     pub fn publish(
         &mut self,
         publisher: &Publisher,
@@ -670,7 +608,6 @@ impl EventBus {
         let mut outcome = PublishOutcome::default();
         let EventBus {
             networks,
-            topics,
             channels,
             subscriptions,
             routes,
@@ -694,7 +631,7 @@ impl EventBus {
             routes.resize_with(t + 1, || None);
         }
         let route = routes[t].get_or_insert_with(|| {
-            Self::compile_route(networks, topics, subscriptions, topic, channel.publisher_network)
+            Self::compile_route(networks, subscriptions, topic, channel.publisher_network)
         });
         let context = Context { position: payload.position, timestamp: now };
 
@@ -721,14 +658,8 @@ impl EventBus {
                 outcome.filtered_out += 1;
                 continue;
             }
-            let queued = QueuedEvent {
-                topic,
-                produced_at: now,
-                arrived_at,
-                deadline,
-                payload,
-                aggregated: 1,
-            };
+            let queued =
+                QueuedEvent { produced_at: now, arrived_at, deadline, payload, aggregated: 1 };
             // Backpressure: realtime sheds under bus-wide pressure.
             if sub.class == QosClass::Realtime && *backlog >= *backlog_threshold {
                 sub.counters.dropped_pressure += 1;
@@ -779,23 +710,13 @@ impl EventBus {
         outcome
     }
 
-    /// Drains one event from a subscription's mailbox, recording its
-    /// delivery-latency and deadline statistics.  Returns `None` when the
-    /// mailbox is empty or the subscription was cancelled.
+    /// Drains up to `max` events from a subscription's mailbox into the
+    /// callback, oldest first, recording each one's delivery-latency and
+    /// deadline statistics; returns how many were delivered.
     ///
     /// Queued events are handed out even when their modeled network arrival
     /// lies after `now`; `delivered_at` is then the arrival time, so latency
     /// accounting never runs backwards.
-    pub fn poll(&mut self, subscription: SubscriptionId, now: SimTime) -> Option<DeliveredEvent> {
-        let mut delivered = None;
-        self.drain_with(subscription, now, 1, |event| delivered = Some(event));
-        delivered
-    }
-
-    /// Drains up to `max` events from a subscription's mailbox into the
-    /// callback, recording each one's delivery-latency and deadline
-    /// statistics; returns how many were delivered.  [`poll`](EventBus::poll)
-    /// is this with `max` 1.
     pub fn drain_with(
         &mut self,
         subscription: SubscriptionId,
@@ -806,9 +727,6 @@ impl EventBus {
         let Some(sub) = self.subscriptions.get_mut(subscription.0 as usize) else {
             return 0;
         };
-        if !sub.active {
-            return 0;
-        }
         let mut drained = 0;
         while drained < max {
             let Some(queued) = sub.mailbox.pop() else {
@@ -824,7 +742,7 @@ impl EventBus {
             sub.latency_ms.record(latency.as_secs_f64() * 1e3);
             deliver(DeliveredEvent {
                 subscription,
-                topic: queued.topic,
+                topic: sub.topic,
                 payload: queued.payload,
                 produced_at: queued.produced_at,
                 arrived_at: queued.arrived_at,
@@ -839,13 +757,8 @@ impl EventBus {
     }
 }
 
-enum Target {
-    Concrete(TopicId),
-    Pattern(String),
-}
-
 /// The builder returned by [`EventBus::topic`]: configures and creates one
-/// subscription or one announced channel on a topic (or wildcard pattern).
+/// subscription or one announced channel on a topic.
 ///
 /// ```
 /// use karyon_middleware::{EventBus, NetworkCapability, NetworkId, OverloadStrategy, QosClass};
@@ -853,7 +766,7 @@ enum Target {
 /// let mut bus = EventBus::new(1);
 /// bus.attach_network(NetworkId(1), NetworkCapability::wireless_nominal());
 /// let sub = bus
-///     .topic("v2v.*")
+///     .topic("v2v.state")
 ///     .via(NetworkId(1))
 ///     .mailbox(128)
 ///     .overload(OverloadStrategy::Sample { keep_1_in: 8 })
@@ -862,7 +775,7 @@ enum Target {
 /// ```
 pub struct TopicRef<'a> {
     bus: &'a mut EventBus,
-    target: Target,
+    topic: TopicId,
     network: NetworkId,
     filter: ContextFilter,
     capacity: Option<usize>,
@@ -898,23 +811,17 @@ impl<'a> TopicRef<'a> {
     }
 
     /// Creates the subscription under the given QoS class and returns its
-    /// id.  Wildcard patterns subscribe to every current and future topic
-    /// they match.
+    /// id.
     pub fn subscribe(self, class: QosClass) -> SubscriptionId {
-        let pattern = match self.target {
-            Target::Concrete(topic) => Pattern::Exact(topic),
-            Target::Pattern(prefix) => Pattern::Prefix(prefix),
-        };
         let (lo, hi, buckets) = LATENCY_HIST_MS;
         let id = SubscriptionId(self.bus.subscriptions.len() as u32);
         self.bus.subscriptions.push(SubscriptionEntry {
+            topic: self.topic,
             network: self.network,
-            pattern,
             filter: self.filter,
             class,
             strategy: self.strategy.unwrap_or_else(|| class.default_strategy()),
             mailbox: Mailbox::new(self.capacity.unwrap_or_else(|| class.default_capacity())),
-            active: true,
             sample_counter: 0,
             counters: SubCounters::default(),
             latency_ms: BucketHistogram::new(lo, hi, buckets),
@@ -928,18 +835,10 @@ impl<'a> TopicRef<'a> {
     /// network capabilities, and returns the [`Publisher`] handle.
     ///
     /// Re-announcing a topic replaces its channel (and resets its publish
-    /// counter) — the dynamic re-assessment path.
-    ///
-    /// # Panics
-    /// Panics when called on a wildcard pattern: events are published on
-    /// concrete topics only.
+    /// counter) — the dynamic re-assessment path.  The replacement takes the
+    /// last place in announcement order.
     pub fn announce(self, qos: QosRequirement) -> Publisher {
-        match self.target {
-            Target::Concrete(topic) => self.bus.announce_topic(topic, self.network, qos),
-            Target::Pattern(prefix) => {
-                panic!("cannot announce a channel on wildcard pattern {prefix:?}*")
-            }
-        }
+        self.bus.announce_topic(self.topic, self.network, qos)
     }
 }
 
@@ -962,41 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn topic_routing_with_wildcards() {
+    #[should_panic(expected = "subscriptions are exact")]
+    fn topic_names_with_a_star_panic() {
         let mut bus = bus();
-        let exact = bus.topic("platoon.lead").subscribe(QosClass::Batched);
-        let wild = bus.topic("platoon.*").subscribe(QosClass::Batched);
-        let deep = bus.topic("platoon.lead.velocity").subscribe(QosClass::Batched);
-        let other = bus.topic("hazard.warning").subscribe(QosClass::Batched);
-        let all = bus.topic("*").subscribe(QosClass::Background);
-
-        let lead = bus.topic("platoon.lead").announce(QosRequirement::best_effort());
-        let outcome = bus.publish(&lead, Payload::tagged(1), SimTime::ZERO);
-        // exact + wildcard + catch-all match; the deeper topic and the other
-        // subtree do not.
-        assert_eq!(outcome.matched, 3);
-        for (sub, expected) in [(exact, 1), (wild, 1), (deep, 0), (other, 0), (all, 1)] {
-            assert_eq!(
-                bus.subscription_stats(sub).unwrap().matched,
-                expected,
-                "subscription {sub:?}"
-            );
-        }
-        // A topic created after the wildcard subscription still matches it.
-        let velocity = bus.topic("platoon.lead.velocity").announce(QosRequirement::best_effort());
-        let outcome = bus.publish(&velocity, Payload::tagged(2), SimTime::ZERO);
-        assert_eq!(outcome.matched, 3, "wild + deep-exact + catch-all");
-        assert_eq!(bus.subscription_stats(wild).unwrap().matched, 2);
-        assert_eq!(bus.topic_name(velocity.topic()), Some("platoon.lead.velocity"));
-        assert_eq!(bus.topic_subject(velocity.topic()), Some(velocity.subject()));
-        assert_eq!(velocity.subject(), Subject::from_name("platoon.lead.velocity"));
-    }
-
-    #[test]
-    #[should_panic(expected = "wildcard pattern")]
-    fn announcing_a_wildcard_pattern_panics() {
-        let mut bus = bus();
-        let _ = bus.topic("platoon.*").announce(QosRequirement::best_effort());
+        let _ = bus.topic("platoon.*").subscribe(QosClass::Batched);
     }
 
     #[test]
@@ -1139,26 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_discards_the_mailbox_and_stops_routing() {
-        let mut bus = bus();
-        let sub = bus.topic("t.u").subscribe(QosClass::Batched);
-        let publisher = bus.topic("t.u").announce(QosRequirement::best_effort());
-        publish_n(&mut bus, &publisher, 10, 1);
-        let queued = bus.subscription_stats(sub).unwrap().backlog;
-        assert!(queued > 0);
-        assert!(bus.unsubscribe(sub));
-        assert!(!bus.unsubscribe(sub), "double unsubscribe is a no-op");
-        assert_eq!(bus.backlog(), 0, "global backlog excludes the dead mailbox");
-        assert_eq!(bus.poll(sub, SimTime::from_secs(1)), None, "dead mailboxes never deliver");
-        publish_n(&mut bus, &publisher, 10, 1);
-        let stats = bus.subscription_stats(sub).unwrap();
-        assert_eq!(stats.discarded_on_unsubscribe, queued);
-        assert_eq!(stats.delivered, 0);
-        assert_eq!(stats.matched, 10, "only pre-unsubscribe publishes ever matched");
-        assert_eq!(bus.subscription_count(), 0);
-    }
-
-    #[test]
     fn subscriptions_on_detached_networks_count_losses() {
         let mut bus = bus();
         let sub = bus.topic("t.det").via(NetworkId(9)).subscribe(QosClass::Batched);
@@ -1283,6 +1131,5 @@ mod tests {
             "mean latency {}",
             stats.mean_latency_ms
         );
-        assert_eq!(bus.subscription_count(), 1);
     }
 }

@@ -17,16 +17,16 @@
 //!   monitored [`NetworkCapability`]s (gateway-crossing channels get the
 //!   weakest segment's guarantees),
 //! * **maintenance** ([`bus`], [`mailbox`], [`overload`]) — the **EventBus
-//!   v2**: hierarchical topic routing with wildcard-prefix subscriptions,
-//!   per-subscription [`QosClass`]es backed by bounded ring mailboxes,
+//!   v2**: exact topic routing (one topic per subscription, keyed like a
+//!   FAMOUSO channel by one subject UID), per-subscription [`QosClass`]es
+//!   backed by bounded ring mailboxes,
 //!   bus-wide backlog thresholds, pluggable [`OverloadStrategy`]s and
 //!   per-subscription delivery statistics with P50/P99 latency.
 //!
 //! ## Quick tour
 //!
-//! Build a bus, subscribe by topic (wildcards match whole subtrees), announce
-//! a channel, publish through the returned [`Publisher`] handle, and drain
-//! the mailbox:
+//! Build a bus, subscribe to a topic, announce a channel on it, publish
+//! through the returned [`Publisher`] handle, and drain the mailbox:
 //!
 //! ```
 //! use karyon_middleware::{
@@ -39,10 +39,10 @@
 //! bus.attach_network(NetworkId(0), NetworkCapability::local_bus());
 //! bus.attach_network(NetworkId(1), NetworkCapability::wireless_nominal());
 //!
-//! // A realtime subscriber to everything under `platoon.`, sampling 1-in-8
-//! // under overflow instead of its class default (drop the newest).
+//! // A realtime subscriber to `platoon.lead`, sampling 1-in-8 under
+//! // overflow instead of its class default (drop the newest).
 //! let sub = bus
-//!     .topic("platoon.*")
+//!     .topic("platoon.lead")
 //!     .via(NetworkId(1))
 //!     .overload(OverloadStrategy::Sample { keep_1_in: 8 })
 //!     .subscribe(QosClass::Realtime);
@@ -70,8 +70,9 @@
 //! aggregate) decides what to shed, and when the bus-wide backlog crosses
 //! [`EventBus::set_backlog_threshold`], [`QosClass::Realtime`] subscriptions
 //! drop incoming events outright so whatever they do deliver is fresh.
-//! Topics are the only way to subscribe and announce; each topic's FNV
-//! [`Subject`] keys [`EventBus::admission`] and the channels
+//! Topics are the only way to subscribe and announce, and a subscription
+//! hears exactly the topic it names (a name containing `*` panics); each
+//! topic's FNV [`Subject`] keys [`EventBus::admission`] and the channels
 //! [`EventBus::update_capability`] reports as changed.
 
 #![forbid(unsafe_code)]

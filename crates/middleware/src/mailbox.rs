@@ -102,14 +102,6 @@ impl<T: Copy + Default> Mailbox<T> {
         let idx = self.wrap(self.head + self.len - 1);
         Some(&mut self.slots[idx])
     }
-
-    /// Discards everything queued, returning how many elements were dropped.
-    pub fn clear(&mut self) -> usize {
-        let dropped = self.len;
-        self.head = 0;
-        self.len = 0;
-        dropped
-    }
 }
 
 #[cfg(test)]
@@ -150,16 +142,6 @@ mod tests {
         *m.newest_mut().unwrap() += 10;
         assert_eq!(m.pop(), Some(1));
         assert_eq!(m.pop(), Some(12));
-    }
-
-    #[test]
-    fn clear_reports_dropped_count() {
-        let mut m: Mailbox<u32> = Mailbox::new(4);
-        m.push(1);
-        m.push(2);
-        assert_eq!(m.clear(), 2);
-        assert!(m.is_empty());
-        assert_eq!(m.clear(), 0);
     }
 
     #[test]

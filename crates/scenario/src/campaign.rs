@@ -181,6 +181,99 @@ struct PointDef {
     first_run: u64,
 }
 
+/// The canonical walk over a campaign's runs: yields the coordinates of
+/// every run from a given one to the campaign's end, in order.  One binary
+/// search places the cursor; each later run steps from the previous one.
+#[derive(Clone, Copy)]
+struct RunCursor<'p> {
+    points: &'p [PointDef],
+    campaign_seed: u64,
+    /// Index of the point holding `run` (`points.len()` past the end).
+    point: usize,
+    /// The global index of the next run.
+    run: u64,
+}
+
+impl<'p> RunCursor<'p> {
+    /// A cursor whose first run is global run `first`.
+    fn new(points: &'p [PointDef], campaign_seed: u64, first: u64) -> Self {
+        let point = points.partition_point(|p| p.first_run + p.replications <= first);
+        RunCursor { points, campaign_seed, point, run: first }
+    }
+}
+
+impl<'p> Iterator for RunCursor<'p> {
+    type Item = RunAt<'p>;
+
+    fn next(&mut self) -> Option<RunAt<'p>> {
+        let point = self.points.get(self.point)?;
+        let at = RunAt {
+            run: self.run,
+            index: self.point,
+            point,
+            replication: self.run - point.first_run,
+            campaign_seed: self.campaign_seed,
+        };
+        self.run += 1;
+        if self.run == point.first_run + point.replications {
+            self.point += 1;
+        }
+        Some(at)
+    }
+}
+
+/// One run's canonical coordinates, as a [`RunCursor`] yields them.
+struct RunAt<'p> {
+    /// Global run index.
+    run: u64,
+    /// Index of the run's point.
+    index: usize,
+    point: &'p PointDef,
+    /// Replication index within the point.
+    replication: u64,
+    campaign_seed: u64,
+}
+
+impl<'p> RunAt<'p> {
+    /// The run's RNG seed, derived from its coordinates alone.
+    fn seed(&self) -> u64 {
+        derive_run_seed(self.campaign_seed, self.index as u64, self.replication)
+    }
+
+    /// The spec the run executes.
+    fn spec(&self) -> ScenarioSpec {
+        let spec = ScenarioSpec::new(&self.point.scenario)
+            .with_params(self.point.params.clone())
+            .with_seed(self.seed());
+        match self.point.duration {
+            Some(duration) => spec.with_duration(duration),
+            None => spec,
+        }
+    }
+
+    /// What a [`RunSink`] learns about the run.
+    fn meta(&self) -> RunMeta<'p> {
+        RunMeta {
+            run_index: self.run,
+            point: self.index,
+            scenario: &self.point.scenario,
+            params: &self.point.params,
+            replication: self.replication,
+            seed: self.seed(),
+        }
+    }
+
+    /// The key of the run's records in a trace stream.
+    fn coords(&self) -> RunCoords {
+        RunCoords {
+            run_index: self.run,
+            point: self.index as u64,
+            replication: self.replication,
+            seed: self.seed(),
+        }
+    }
+}
+
 /// Execution statistics of one campaign session, returned by
 /// [`Session::run`].  Deliberately *not* part of [`CampaignReport`]: these
 /// numbers depend on scheduling (worker count, chunk completion order) and
@@ -240,14 +333,16 @@ impl CampaignOutcome {
 
 /// A worker's result for one canonical chunk.
 struct ChunkOutput {
+    /// Global index of the chunk's first run.
+    first_run: u64,
     partial: ChunkPartial,
-    /// `(global run index, record)` pairs, captured only when a sink needs
-    /// them; drained in canonical order by the collector.
-    records: Vec<(u64, RunRecord)>,
-    /// `(global run index, trace records)` pairs, captured only when a trace
-    /// sink is attached; drained in canonical order by the collector so the
-    /// trace stream is bit-identical for any worker count.
-    traces: Vec<(u64, Vec<TraceRecord>)>,
+    /// Every run's record from `first_run` on, captured only when a sink
+    /// needs them; drained in canonical order by the collector.
+    records: Vec<RunRecord>,
+    /// Every run's trace records from `first_run` on, captured only when a
+    /// trace sink is attached; drained in canonical order by the collector
+    /// so the trace stream is bit-identical for any worker count.
+    traces: Vec<Vec<TraceRecord>>,
     /// Runs actually executed (the full chunk unless the abort flag cut it
     /// short).
     runs: u64,
@@ -582,17 +677,6 @@ impl Campaign {
             }
         }
         points
-    }
-
-    /// Instantiates the spec of one run of `point`.
-    fn spec_for(&self, point_index: usize, point: &PointDef, replication: u64) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new(&point.scenario)
-            .with_params(point.params.clone())
-            .with_seed(derive_run_seed(self.seed, point_index as u64, replication));
-        if let Some(duration) = point.duration {
-            spec = spec.with_duration(duration);
-        }
-        spec
     }
 
     /// Starts a [`Session`] of this campaign over `registry`'s families —
@@ -1077,18 +1161,14 @@ impl ChunkWork<'_> {
         if let Some(injector) = self.faults {
             injector.before_chunk(chunk)?;
         }
-        let points = self.points;
-        let chunk_size = self.campaign.chunk_size as u64;
-        let total = points.last().map(|p| p.first_run + p.replications).unwrap_or(0);
         let start = (chunk * self.campaign.chunk_size) as u64;
-        let end = (start + chunk_size).min(total);
         let mut partial = ChunkPartial::new();
         let mut records = Vec::new();
         let mut traces = Vec::new();
         let mut runs = 0u64;
         let mut completed = true;
-        let mut point_index = point_of(points, start);
-        for run in start..end {
+        let chunk_runs = RunCursor::new(self.points, self.campaign.seed, start);
+        for at in chunk_runs.take(self.campaign.chunk_size) {
             if abort.load(Ordering::Relaxed) {
                 completed = false;
                 break;
@@ -1096,30 +1176,27 @@ impl ChunkWork<'_> {
             if let Some(injector) = self.faults {
                 injector.before_run(chunk, runs)?;
             }
-            while !run_belongs_to(points, point_index, run) {
-                point_index += 1;
-            }
-            let point = &points[point_index];
-            let family = &self.families[point_index];
-            let spec = self.campaign.spec_for(point_index, point, run - point.first_run);
+            let family = &self.families[at.index];
+            let spec = at.spec();
             let record = if self.tracing {
                 // The collection scope makes every `karyon_telemetry::trace`
                 // call inside the run land in this run's record list; the
                 // records contain only virtual-time data, so the list is a
                 // pure function of the spec.
                 let (record, run_trace) = trace::collect(|| run_one(&**family, &spec));
-                traces.push((run, run_trace));
+                traces.push(run_trace);
                 record?
             } else {
                 run_one(&**family, &spec)?
             };
-            partial.record_run(point_index, &record, &|metric| family.metric_range(metric));
+            partial.record_run(at.index, &record, &|metric| family.metric_range(metric));
             runs += 1;
             if self.capture {
-                records.push((run, record));
+                records.push(record);
             }
         }
         Ok(ChunkOutput {
+            first_run: start,
             partial,
             records,
             traces,
@@ -1227,17 +1304,12 @@ impl Campaign {
             ));
         }
         let mut accumulator = CampaignAccumulator::new(points.len());
-        for chunk in 0..(records.len().div_ceil(self.chunk_size)) {
-            let start = chunk * self.chunk_size;
-            let end = (start + self.chunk_size).min(records.len());
+        let mut runs = RunCursor::new(&points, self.seed, 0);
+        for chunk_records in records.chunks(self.chunk_size) {
             let mut partial = ChunkPartial::new();
-            let mut point_index = point_of(&points, start as u64);
-            for (run, record) in (start as u64..).zip(&records[start..end]) {
-                while !run_belongs_to(&points, point_index, run) {
-                    point_index += 1;
-                }
-                let family = &families[point_index];
-                partial.record_run(point_index, record, &|metric| family.metric_range(metric));
+            for (record, at) in chunk_records.iter().zip(&mut runs) {
+                let family = &families[at.index];
+                partial.record_run(at.index, record, &|metric| family.metric_range(metric));
             }
             accumulator.merge_chunk(partial);
         }
@@ -1283,44 +1355,17 @@ impl Campaign {
         telemetry: &mut CampaignTelemetry<'_>,
     ) {
         accumulator.merge_chunk(output.partial);
+        // Every run of the chunk reaches the sink before any reaches the
+        // trace sink.
+        let runs = RunCursor::new(points, self.seed, output.first_run);
         if let Some(sink) = sink {
-            let mut point_index = output.records.first().map(|(run, _)| point_of(points, *run));
-            for (run, record) in &output.records {
-                let mut index = point_index.expect("records imply a first record");
-                while !run_belongs_to(points, index, *run) {
-                    index += 1;
-                }
-                point_index = Some(index);
-                let point = &points[index];
-                let replication = run - point.first_run;
-                let meta = RunMeta {
-                    run_index: *run,
-                    point: index,
-                    scenario: &point.scenario,
-                    params: &point.params,
-                    replication,
-                    seed: derive_run_seed(self.seed, index as u64, replication),
-                };
-                sink.on_run(&meta, record);
+            for (record, at) in output.records.iter().zip(runs) {
+                sink.on_run(&at.meta(), record);
             }
         }
         if let Some(trace_sink) = telemetry.trace.as_deref_mut() {
-            let mut point_index = output.traces.first().map(|(run, _)| point_of(points, *run));
-            for (run, run_trace) in &output.traces {
-                let mut index = point_index.expect("traces imply a first trace");
-                while !run_belongs_to(points, index, *run) {
-                    index += 1;
-                }
-                point_index = Some(index);
-                let point = &points[index];
-                let replication = run - point.first_run;
-                let coords = RunCoords {
-                    run_index: *run,
-                    point: index as u64,
-                    replication,
-                    seed: derive_run_seed(self.seed, index as u64, replication),
-                };
-                trace_sink.on_run_records(&coords, run_trace);
+            for (run_trace, at) in output.traces.iter().zip(runs) {
+                trace_sink.on_run_records(&at.coords(), run_trace);
             }
         }
         if let Some(metrics) = telemetry.metrics.as_deref_mut() {
@@ -1397,18 +1442,6 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Index of the point containing global run `run` (binary search over the
-/// points' first-run offsets).
-fn point_of(points: &[PointDef], run: u64) -> usize {
-    points.partition_point(|p| p.first_run <= run).saturating_sub(1)
-}
-
-/// True when `run` falls inside `points[index]`.
-fn run_belongs_to(points: &[PointDef], index: usize, run: u64) -> bool {
-    let point = &points[index];
-    run >= point.first_run && run < point.first_run + point.replications
 }
 
 /// Executes one run, converting a scenario panic (e.g. an invalid parameter
@@ -1793,6 +1826,21 @@ mod tests {
             let err = Campaign::from_json_str(doc).unwrap_err();
             assert!(err.contains(needle), "{doc}: {err}");
         }
+    }
+
+    #[test]
+    fn json_durations_past_the_microsecond_range_are_refused() {
+        let doc = |secs: u64| {
+            format!(
+                r#"{{"name": "x", "seed": 1,
+                     "entries": [{{"scenario": "e", "duration_secs": {secs}}}]}}"#
+            )
+        };
+        let longest = Campaign::from_json_str(&doc(18_446_744_073_709)).unwrap();
+        let duration = longest.entries()[0].duration;
+        assert_eq!(duration, Some(SimDuration::from_secs(18_446_744_073_709)));
+        let err = Campaign::from_json_str(&doc(18_446_744_073_710)).unwrap_err();
+        assert!(err.ends_with(crate::spec::DURATION_SECS_RANGE), "{err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use karyon_sim::splitmix64;
 
-use crate::json::{array, JsonValue, ObjectWriter};
+use crate::json::JsonValue;
 
 /// Marker embedded in every error message produced by an injected fault.
 pub const INJECTED_PREFIX: &str = "injected fault:";
@@ -72,42 +72,12 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Stable category label, used for plan JSON and telemetry counters.
-    pub fn category(&self) -> &'static str {
-        match self {
-            Fault::WorkerDeath { .. } => "worker-death",
-            Fault::AbortMidChunk { .. } => "abort-mid-chunk",
-            Fault::TornManifest { .. } => "torn-manifest",
-            Fault::SinkIoError { .. } => "sink-io-error",
-        }
-    }
-
     /// How many times this fault may fire before it is spent.
     fn budget(&self) -> u32 {
         match self {
             Fault::SinkIoError { failures, .. } => (*failures).max(1),
             _ => 1,
         }
-    }
-
-    fn to_json(&self) -> String {
-        let mut obj = ObjectWriter::new();
-        obj.string("kind", self.category());
-        match self {
-            Fault::WorkerDeath { at_chunk } => {
-                obj.u64("at_chunk", *at_chunk as u64);
-            }
-            Fault::AbortMidChunk { at_chunk, after_runs } => {
-                obj.u64("at_chunk", *at_chunk as u64).u64("after_runs", *after_runs);
-            }
-            Fault::TornManifest { at_chunks_done, keep_bytes } => {
-                obj.u64("at_chunks_done", *at_chunks_done as u64).u64("keep_bytes", *keep_bytes);
-            }
-            Fault::SinkIoError { at_chunks_done, failures } => {
-                obj.u64("at_chunks_done", *at_chunks_done as u64).u64("failures", *failures as u64);
-            }
-        }
-        obj.finish()
     }
 
     fn from_json(value: &JsonValue) -> Result<Fault, String> {
@@ -236,15 +206,6 @@ impl FaultPlan {
                 .push(Fault::from_json(entry).map_err(|e| format!("fault plan, fault {i}: {e}"))?);
         }
         Ok(plan)
-    }
-
-    /// Renders the plan as single-line JSON (the inverse of
-    /// [`from_json_str`](Self::from_json_str)).
-    pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self.faults.iter().map(Fault::to_json).collect();
-        let mut obj = ObjectWriter::new();
-        obj.raw("faults", &array(&faults));
-        obj.finish()
     }
 
     /// Arms the plan: each fault gets a one-shot (or `failures`-shot) budget
@@ -394,14 +355,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_json_round_trips_and_rejects_garbage() {
+    fn plan_json_parses_every_kind_and_rejects_garbage() {
         let plan = FaultPlan::new()
             .with(Fault::WorkerDeath { at_chunk: 2 })
             .with(Fault::AbortMidChunk { at_chunk: 4, after_runs: 3 })
             .with(Fault::TornManifest { at_chunks_done: 3, keep_bytes: 120 })
             .with(Fault::SinkIoError { at_chunks_done: 1, failures: 2 });
-        let text = plan.to_json();
-        assert_eq!(FaultPlan::from_json_str(&text).unwrap(), plan);
+        let text = r#"{"faults": [
+            {"kind": "worker-death", "at_chunk": 2},
+            {"kind": "abort-mid-chunk", "at_chunk": 4, "after_runs": 3},
+            {"kind": "torn-manifest", "at_chunks_done": 3, "keep_bytes": 120},
+            {"kind": "sink-io-error", "at_chunks_done": 1, "failures": 2}
+        ]}"#;
+        assert_eq!(FaultPlan::from_json_str(text).unwrap(), plan);
 
         let unknown_kind = r#"{"faults":[{"kind":"meteor-strike","at_chunk":1}]}"#;
         let err = FaultPlan::from_json_str(unknown_kind).unwrap_err();

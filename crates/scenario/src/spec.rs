@@ -174,8 +174,8 @@ impl From<String> for ParamValue {
     }
 }
 
-/// The spec loaders' refusal of a `duration_secs` a [`SimDuration`] cannot
-/// hold in microseconds.
+/// The campaign-spec loader's refusal of a `duration_secs` a
+/// [`SimDuration`] cannot hold in microseconds.
 pub(crate) const DURATION_SECS_RANGE: &str =
     "\"duration_secs\" must be a whole number of seconds from 0 to 18446744073709";
 
@@ -334,93 +334,6 @@ impl ScenarioSpec {
     pub fn params_label(&self) -> String {
         params_label(&self.params)
     }
-
-    /// Renders the spec as the JSON document [`ScenarioSpec::from_json_str`]
-    /// parses — the two round-trip exactly for whole-second durations (the
-    /// spec-file format only carries `duration_secs`; sub-second precision is
-    /// truncated):
-    ///
-    /// ```
-    /// use karyon_scenario::ScenarioSpec;
-    ///
-    /// let spec = ScenarioSpec::new("tdma").with("nodes", 8).with_seed(3);
-    /// let round_tripped = ScenarioSpec::from_json_str(&spec.to_json()).unwrap();
-    /// assert_eq!(round_tripped, spec);
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut params = crate::json::ObjectWriter::new();
-        for (k, v) in &self.params {
-            params.raw(k, &v.to_json());
-        }
-        let mut o = crate::json::ObjectWriter::new();
-        o.string("scenario", &self.name);
-        o.u64("seed", self.seed);
-        o.u64("duration_secs", self.duration.as_micros() / 1_000_000);
-        o.raw("params", &params.finish());
-        o.finish()
-    }
-
-    /// Builds a single-run spec from a JSON document — the one-off
-    /// counterpart of a campaign spec file
-    /// ([`Campaign::from_json_str`](crate::Campaign::from_json_str)) and the
-    /// inverse of [`ScenarioSpec::to_json`]:
-    ///
-    /// ```
-    /// use karyon_scenario::ScenarioSpec;
-    ///
-    /// let spec = ScenarioSpec::from_json_str(r#"{
-    ///     "scenario": "platoon", "seed": 9, "duration_secs": 120,
-    ///     "params": {"vehicles": 6, "mode": "kernel"}
-    /// }"#).expect("well-formed spec");
-    /// assert_eq!(spec.name, "platoon");
-    /// assert_eq!(spec.seed, 9);
-    /// assert_eq!(spec.u64_or("vehicles", 0), 6);
-    /// ```
-    ///
-    /// `seed`, `duration_secs` and `params` are optional and default like
-    /// [`ScenarioSpec::new`]; unknown fields are rejected.
-    pub fn from_json_str(text: &str) -> Result<ScenarioSpec, String> {
-        use crate::json::JsonValue;
-        let doc = JsonValue::parse(text)?;
-        let members = doc.as_object().ok_or_else(|| {
-            format!("a scenario spec must be a JSON object, not {}", doc.type_name())
-        })?;
-        for (key, _) in members {
-            if !matches!(key.as_str(), "scenario" | "seed" | "duration_secs" | "params") {
-                return Err(format!(
-                    "unknown scenario-spec field {key:?} (known: scenario, seed, \
-                     duration_secs, params)"
-                ));
-            }
-        }
-        let name = doc
-            .get("scenario")
-            .and_then(JsonValue::as_str)
-            .ok_or("a scenario spec needs a string \"scenario\" field")?;
-        let mut spec = ScenarioSpec::new(name);
-        if let Some(seed) = doc.get("seed") {
-            spec = spec.with_seed(seed.as_u64().ok_or("\"seed\" must be a non-negative integer")?);
-        }
-        if let Some(secs) = doc.get("duration_secs") {
-            spec = spec.with_duration(
-                secs.as_u64()
-                    .and_then(SimDuration::checked_from_secs)
-                    .ok_or(DURATION_SECS_RANGE)?,
-            );
-        }
-        if let Some(params) = doc.get("params") {
-            let members = params.as_object().ok_or_else(|| {
-                format!("\"params\" must be an object, not {}", params.type_name())
-            })?;
-            for (key, value) in members {
-                spec = spec.with(
-                    key,
-                    ParamValue::from_json(value).map_err(|e| format!("param {key:?}: {e}"))?,
-                );
-            }
-        }
-        Ok(spec)
-    }
 }
 
 /// Renders a parameter map as a compact `k=v, k=v` label in key order.
@@ -492,15 +405,6 @@ mod tests {
     fn negative_int_clamps_to_zero_for_u64() {
         let spec = ScenarioSpec::new("x").with("n", -3);
         assert_eq!(spec.u64_or("n", 7), 0);
-    }
-
-    #[test]
-    fn json_durations_past_the_microsecond_range_are_refused() {
-        let doc = |secs: u64| format!(r#"{{"scenario": "x", "duration_secs": {secs}}}"#);
-        let longest = ScenarioSpec::from_json_str(&doc(18_446_744_073_709)).unwrap();
-        assert_eq!(longest.duration, SimDuration::from_secs(18_446_744_073_709));
-        let err = ScenarioSpec::from_json_str(&doc(18_446_744_073_710)).unwrap_err();
-        assert_eq!(err, DURATION_SECS_RANGE);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   thread-local flag check.
 //! * [`metrics`] — a **unified metrics registry**: named counters, gauges and
 //!   [`BucketHistogram`](karyon_sim::BucketHistogram)-backed timers with one
-//!   snapshot/merge format ([`MetricsRegistry::to_json`],
-//!   [`MetricsRegistry::merge`]).  This is where wall-clock numbers (chunk
-//!   latency, worker busy time, checkpoint-write latency, bus delivery
-//!   latency) flow — deliberately *outside* the deterministic report.
+//!   snapshot format ([`MetricsRegistry::to_json`]).  This is where
+//!   wall-clock numbers (chunk latency, worker busy time, checkpoint-write
+//!   latency, bus delivery latency) flow — deliberately *outside* the
+//!   deterministic report.
 //!
 //! ## Quick tour
 //!
@@ -59,7 +59,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{MetricsRegistry, TimerSummary};
+pub use metrics::MetricsRegistry;
 pub use trace::{
     AttrValue, EventRecord, JsonlTraceWriter, RunCoords, SpanRecord, TraceRecord, TraceSink,
 };

@@ -3,16 +3,16 @@
 //! Everything the stack measures about *its own execution* — chunk wall-clock
 //! latency, per-worker busy time, checkpoint-write latency, bus delivery
 //! latency — flows into one [`MetricsRegistry`], with one snapshot format
-//! ([`MetricsRegistry::to_json`]) and one merge operation
-//! ([`MetricsRegistry::merge`]).  Three instrument kinds cover the stack's
+//! ([`MetricsRegistry::to_json`]).  Three instrument kinds cover the stack's
 //! needs:
 //!
 //! * **counters** — monotonically increasing `u64`s (runs executed, chunks
 //!   merged, events dropped);
 //! * **gauges** — last-written `f64`s (worker count, window size);
 //! * **timers** — [`BucketHistogram`]-backed distributions with P50/P95/P99
-//!   queries, mergeable across workers and processes because two histograms
-//!   with the same bucket configuration add exactly.
+//!   queries; a subsystem's own histogram folds in exactly
+//!   ([`MetricsRegistry::merge_timer`]) because two histograms with the same
+//!   bucket configuration add exactly.
 //!
 //! These numbers are *wall-clock* observations and therefore live strictly
 //! outside the deterministic campaign report: a report is bit-identical with
@@ -30,27 +30,8 @@ use karyon_sim::BucketHistogram;
 /// [`MetricsRegistry::configure_timer`].
 const DEFAULT_TIMER_RANGE: (f64, f64, usize) = (0.0, 10_000.0, 256);
 
-/// A read-only summary of one timer, for reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimerSummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Exact arithmetic mean.
-    pub mean: f64,
-    /// Exact minimum sample.
-    pub min: f64,
-    /// Exact maximum sample.
-    pub max: f64,
-    /// Median, accurate to one bucket width.
-    pub p50: f64,
-    /// 95th percentile, accurate to one bucket width.
-    pub p95: f64,
-    /// 99th percentile, accurate to one bucket width.
-    pub p99: f64,
-}
-
-/// A named collection of counters, gauges and timers with a single
-/// snapshot/merge format.
+/// A named collection of counters, gauges and timers with a single snapshot
+/// format.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -62,11 +43,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.timers.is_empty()
     }
 
     /// Increments the named counter by one.
@@ -140,46 +116,6 @@ impl MetricsRegistry {
     /// The named timer's backing histogram, if it exists.
     pub fn timer(&self, name: &str) -> Option<&BucketHistogram> {
         self.timers.get(name)
-    }
-
-    /// A percentile summary of the named timer, if it exists.
-    pub fn timer_summary(&self, name: &str) -> Option<TimerSummary> {
-        self.timers.get(name).map(|h| TimerSummary {
-            count: h.count(),
-            mean: h.mean(),
-            min: h.min(),
-            max: h.max(),
-            p50: h.p50(),
-            p95: h.p95(),
-            p99: h.p99(),
-        })
-    }
-
-    /// Iterates over counter `(name, value)` pairs in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over gauge `(name, value)` pairs in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another registry into this one: counters add, gauges take the
-    /// other's value (last writer wins), timers merge bucket-exactly.
-    ///
-    /// # Panics
-    /// Panics if a shared timer name has mismatched bucket configurations.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        for (name, histogram) in &other.timers {
-            self.merge_timer(name, histogram);
-        }
     }
 
     /// Serializes the registry as one deterministic JSON object:
@@ -264,7 +200,6 @@ mod tests {
     #[test]
     fn counters_gauges_and_timers_round_trip() {
         let mut m = MetricsRegistry::new();
-        assert!(m.is_empty());
         m.inc("runs");
         m.add("runs", 9);
         m.set_gauge("workers", 4.0);
@@ -276,13 +211,12 @@ mod tests {
         assert_eq!(m.counter("never"), 0);
         assert_eq!(m.gauge("workers"), Some(8.0));
         assert_eq!(m.gauge("never"), None);
-        let summary = m.timer_summary("chunk_ms").unwrap();
-        assert_eq!(summary.count, 100);
-        assert_eq!(summary.min, 0.0);
-        assert_eq!(summary.max, 99.0);
-        assert!((summary.mean - 49.5).abs() < 1e-9);
-        assert!(m.timer_summary("never").is_none());
-        assert!(!m.is_empty());
+        let timer = m.timer("chunk_ms").unwrap();
+        assert_eq!(timer.count(), 100);
+        assert_eq!(timer.min(), 0.0);
+        assert_eq!(timer.max(), 99.0);
+        assert!((timer.mean() - 49.5).abs() < 1e-9);
+        assert!(m.timer("never").is_none());
     }
 
     #[test]
@@ -298,27 +232,6 @@ mod tests {
         assert_eq!(h.max(), 15.0);
         // p50 lands within one bucket (width 1) of the exact median.
         assert!((h.p50() - 2.0).abs() <= 1.0);
-    }
-
-    #[test]
-    fn merge_adds_counters_overwrites_gauges_merges_timers() {
-        let mut a = MetricsRegistry::new();
-        a.add("runs", 5);
-        a.set_gauge("workers", 1.0);
-        a.record_timer("t", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.add("runs", 7);
-        b.add("chunks", 2);
-        b.set_gauge("workers", 4.0);
-        b.record_timer("t", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("runs"), 12);
-        assert_eq!(a.counter("chunks"), 2);
-        assert_eq!(a.gauge("workers"), Some(4.0));
-        let t = a.timer_summary("t").unwrap();
-        assert_eq!(t.count, 2);
-        assert_eq!(t.min, 1.0);
-        assert_eq!(t.max, 3.0);
     }
 
     #[test]
@@ -351,26 +264,5 @@ mod tests {
             MetricsRegistry::new().to_json(),
             "{\"counters\":{},\"gauges\":{},\"timers\":{}}"
         );
-    }
-
-    #[test]
-    fn equal_merged_registries_serialize_identically() {
-        // Two workers recording disjoint halves merge to the same snapshot
-        // regardless of merge order — the unified-format guarantee.
-        let mut w1 = MetricsRegistry::new();
-        let mut w2 = MetricsRegistry::new();
-        for i in 0..50 {
-            w1.record_timer("chunk_ms", i as f64);
-            w2.record_timer("chunk_ms", (i + 50) as f64);
-            w1.inc("runs");
-            w2.inc("runs");
-        }
-        let mut ab = MetricsRegistry::new();
-        ab.merge(&w1);
-        ab.merge(&w2);
-        let mut ba = MetricsRegistry::new();
-        ba.merge(&w2);
-        ba.merge(&w1);
-        assert_eq!(ab.to_json(), ba.to_json());
     }
 }

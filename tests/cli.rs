@@ -1,10 +1,13 @@
 //! The `karyon-campaign` binary's contract, driven as a user drives it on
 //! `examples/campaign_spec.json`: run → interrupt → resume → report, the
 //! chaos drills, shard → merge with an incomplete and a fault-aborted shard
-//! set, and the usage errors that must refuse before writing anything.
+//! set, the usage errors that must refuse before writing anything, the
+//! schema of the trace stream and the metrics snapshot, and every builtin
+//! family running from its declared defaults.
 //!
-//! Every check mirrors a `cmp` or exit-code check of the CI steps
-//! "karyon-campaign CLI walkthrough", "Chaos drill", "Shard/merge
+//! Every check mirrors a check of the CI steps "karyon-campaign CLI
+//! walkthrough", "Validate the trace stream schema and the metrics
+//! snapshot", "Registry coverage smoke", "Chaos drill", "Shard/merge
 //! walkthrough" and "Shard chaos variant".  One uninterrupted reference run
 //! (JSONL, trace directory, metrics and a checkpoint every chunk), shared by
 //! every test, is the baseline every other artifact is compared with, byte
@@ -18,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
+use karyon::scenario::json::{array, escape, ObjectWriter};
 use karyon::scenario::JsonValue;
 
 const SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_spec.json");
@@ -92,6 +96,8 @@ struct Reference {
     jsonl: Vec<u8>,
     trace: Vec<u8>,
     checkpoint: Vec<u8>,
+    /// The `--metrics` snapshot.
+    metrics: Vec<u8>,
 }
 
 /// The uninterrupted reference, with the full telemetry attachment and a
@@ -123,6 +129,7 @@ fn reference() -> &'static Reference {
             jsonl: read(dir.join("ref.jsonl")),
             trace: read(dir.join("ref-traces").join(TRACE)),
             checkpoint: read(dir.join("ref.ckpt")),
+            metrics: read(dir.join("ref-metrics.json")),
         };
         assert!(!reference.trace.is_empty(), "the demo spec traces its net-transport runs");
         fs::remove_dir_all(&dir).ok();
@@ -134,8 +141,13 @@ fn reference() -> &'static Reference {
 fn interrupted_runs_resume_and_replay_byte_identically() {
     let dir = scratch_dir("walkthrough");
     succeed(&dir, &["list-families"]);
-    let Reference { report: reference, jsonl: ref_jsonl, trace: ref_trace, checkpoint: ref_ckpt } =
-        reference();
+    let Reference {
+        report: reference,
+        jsonl: ref_jsonl,
+        trace: ref_trace,
+        checkpoint: ref_ckpt,
+        ..
+    } = reference();
 
     // A 5-chunk slice whose streams then run ahead of its checkpoint, then
     // resume to completion.
@@ -165,6 +177,100 @@ fn interrupted_runs_resume_and_replay_byte_identically() {
         succeed(&dir, &["report", SPEC, "--quiet", "--output", "json", "--checkpoint", "cli.ckpt"]);
     assert_eq!(&report_of(&from_checkpoint), reference, "report --checkpoint");
 
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Every line of the reference trace stream carries its canonical run
+/// coordinates and a well-formed event or span, in canonical run order; the
+/// metrics snapshot holds the three instrument kinds and the runner's
+/// counters and chunk timer.
+#[test]
+fn trace_stream_and_metrics_snapshot_follow_their_schema() {
+    let reference = reference();
+    let trace = std::str::from_utf8(&reference.trace).expect("the trace stream is UTF-8");
+    let mut last_run = 0;
+    for line in trace.lines() {
+        let record = JsonValue::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let field = |key: &str| record.get(key).unwrap_or_else(|| panic!("no {key:?}: {line}"));
+        let number = |key: &str| field(key).as_u64().unwrap_or_else(|| panic!("{key:?}: {line}"));
+        for key in ["point", "replication", "seed"] {
+            number(key);
+        }
+        assert!(field("name").as_str().is_some(), "{line}");
+        match field("kind").as_str() {
+            Some("event") => {
+                number("t_us");
+            }
+            Some("span") => assert!(number("start_us") <= number("end_us"), "{line}"),
+            _ => panic!("a record is an event or a span: {line}"),
+        }
+        let run = number("run");
+        assert!(run >= last_run, "trace lines out of canonical run order: {line}");
+        last_run = run;
+    }
+    assert!(trace.lines().count() > 0, "the trace stream is empty");
+
+    let text = std::str::from_utf8(&reference.metrics).expect("the metrics snapshot is UTF-8");
+    let metrics = JsonValue::parse(text).expect("the metrics snapshot is JSON");
+    let kinds: Vec<&str> =
+        metrics.as_object().expect("an object").iter().map(|(kind, _)| kind.as_str()).collect();
+    assert_eq!(kinds, ["counters", "gauges", "timers"]);
+    let runs = metrics.get("counters").and_then(|c| c.get("campaign.runs"));
+    assert!(runs.and_then(JsonValue::as_u64).is_some_and(|runs| runs > 0), "{text}");
+    let chunk_ms = metrics.get("timers").and_then(|t| t.get("campaign.chunk_ms"));
+    assert!(chunk_ms.is_some(), "{text}");
+}
+
+/// A parameter default from `list-families --output json`, as JSON text.
+fn scalar_json(value: &JsonValue) -> String {
+    match value {
+        JsonValue::Number(raw) => raw.clone(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::String(s) => format!("\"{}\"", escape(s)),
+        other => panic!("a parameter default is a scalar, not {}", other.type_name()),
+    }
+}
+
+/// A spec built from `list-families --output json`, with every family at its
+/// declared defaults, 2 replications and 10 s, runs through `run`: one point
+/// per family, and no run is causality-suspect.
+#[test]
+fn every_family_runs_from_its_declared_defaults() {
+    let dir = scratch_dir("registry");
+    let listing = succeed(&dir, &["list-families", "--output", "json"]);
+    let listing = JsonValue::parse(&listing).expect("list-families prints JSON");
+    let families = listing.get("families").and_then(JsonValue::as_array).expect("a family list");
+    assert!(families.len() >= 16, "the registry shrank to {} families", families.len());
+    let entries: Vec<String> = families
+        .iter()
+        .map(|family| {
+            let mut grid = ObjectWriter::new();
+            for param in family.get("params").and_then(JsonValue::as_array).expect("params") {
+                let name = param.get("name").and_then(JsonValue::as_str).expect("a name");
+                let default = param.get("default").expect("a default");
+                grid.raw(name, &format!("[{}]", scalar_json(default)));
+            }
+            let mut entry = ObjectWriter::new();
+            entry
+                .string("scenario", family.get("name").and_then(JsonValue::as_str).expect("name"))
+                .u64("replications", 2)
+                .u64("duration_secs", 10)
+                .raw("grid", &grid.finish());
+            entry.finish()
+        })
+        .collect();
+    let mut spec = ObjectWriter::new();
+    spec.string("name", "registry-smoke").u64("seed", 7).raw("entries", &array(&entries));
+    fs::write(dir.join("registry-smoke.json"), spec.finish()).expect("spec is writable");
+
+    let report =
+        report_of(&succeed(&dir, &["run", "registry-smoke.json", "--quiet", "--output", "json"]));
+    let points = report.get("points").and_then(JsonValue::as_array).expect("a point list");
+    assert_eq!(points.len(), families.len(), "one point per family");
+    for point in points {
+        let count = |key: &str| point.get(key).and_then(JsonValue::as_u64);
+        assert_eq!((count("runs"), count("suspect_runs")), (Some(2), Some(0)), "{point:?}");
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,13 +1,14 @@
-//! EventBus v2 backpressure edge cases: dead mailboxes never deliver,
-//! overload accounting conserves every published copy, the sampling
-//! strategy stays campaign-deterministic for any worker count, and every
-//! change to a topic's route takes effect on the very next publish.
+//! EventBus v2 edge cases: overload accounting conserves every published
+//! copy, the sampling strategy stays campaign-deterministic for any worker
+//! count, every change to a topic's route takes effect on the very next
+//! publish, and a capability update re-assesses admissions without handing
+//! an incumbent's rate to another channel.
 
 use proptest::prelude::*;
 
 use karyon::middleware::{
-    EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, PublishOutcome, QosClass,
-    QosRequirement, SubscriptionStats,
+    Admission, EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, PublishOutcome,
+    QosClass, QosRequirement, Subject, SubscriptionStats,
 };
 use karyon::scenario::{builtin_registry, Campaign, CampaignEntry, ParamGrid};
 use karyon::sim::{SimDuration, SimTime};
@@ -33,72 +34,20 @@ fn assert_publish_conservation(stats: &SubscriptionStats) {
             + stats.aggregated_merged,
         "publish-side conservation violated: {stats:?}"
     );
-    // ... and every enqueued copy is still queued, delivered, displaced by a
-    // newer one, or discarded with the mailbox.
+    // ... and every enqueued copy is still queued, delivered, or displaced
+    // by a newer one.
     assert_eq!(
         stats.enqueued,
-        stats.delivered + stats.backlog + stats.displaced + stats.discarded_on_unsubscribe,
+        stats.delivered + stats.backlog + stats.displaced,
         "mailbox-side conservation violated: {stats:?}"
     );
 }
 
 proptest! {
-    /// Unsubscribing mid-overload never delivers another event: whatever was
-    /// queued is discarded, the global backlog shrinks accordingly, and
-    /// later publishes neither match nor enqueue to the dead mailbox —
-    /// across random capacities, strategies and publish/unsubscribe splits.
-    #[test]
-    fn unsubscribe_mid_overload_never_delivers_to_a_dead_mailbox(
-        seed in any::<u64>(),
-        capacity in 1usize..16,
-        strategy_idx in 0usize..4,
-        before in 1u64..200,
-        after in 1u64..200,
-    ) {
-        let strategy = [
-            OverloadStrategy::DropNewest,
-            OverloadStrategy::DropOldest,
-            OverloadStrategy::Sample { keep_1_in: 3 },
-            OverloadStrategy::Aggregate,
-        ][strategy_idx];
-        let mut bus = local_bus(seed);
-        let survivor = bus.topic("t.load").subscribe(QosClass::Background);
-        let victim = bus
-            .topic("t.load")
-            .mailbox(capacity)
-            .overload(strategy)
-            .subscribe(QosClass::Batched);
-        let publisher = bus.topic("t.load").announce(QosRequirement::best_effort());
-        for i in 0..before {
-            bus.publish(&publisher, Payload::tagged(i), SimTime::from_millis(i));
-        }
-        // Mid-overload: the victim's mailbox is (typically) saturated now.
-        let queued = bus.subscription_stats(victim).unwrap().backlog;
-        let backlog_before = bus.backlog() as u64;
-        prop_assert!(bus.unsubscribe(victim));
-        prop_assert_eq!(bus.backlog() as u64, backlog_before - queued);
-        prop_assert!(bus.poll(victim, SimTime::from_secs(60)).is_none());
-
-        for i in 0..after {
-            bus.publish(&publisher, Payload::tagged(before + i), SimTime::from_millis(before + i));
-        }
-        let stats = bus.subscription_stats(victim).unwrap();
-        // A dead mailbox must never deliver, and post-unsubscribe publishes
-        // must not route to it.
-        prop_assert_eq!(stats.delivered, 0);
-        prop_assert_eq!(stats.matched, before);
-        prop_assert_eq!(stats.backlog, 0);
-        prop_assert_eq!(stats.discarded_on_unsubscribe, queued);
-        assert_publish_conservation(&stats);
-        // The surviving subscription keeps receiving.
-        let survivor_stats = bus.subscription_stats(survivor).unwrap();
-        prop_assert_eq!(survivor_stats.matched, before + after);
-        assert_publish_conservation(&survivor_stats);
-    }
-
-    /// Sustained overload through the drop strategies: accounting conserves
-    /// every copy, the mailbox never exceeds its capacity, and drop-oldest
-    /// always hands the subscriber the newest window in FIFO order.
+    /// Sustained overload through the drop and sample strategies: accounting
+    /// conserves every copy, the mailbox never exceeds its capacity, and
+    /// drop-oldest always hands the subscriber the newest window in FIFO
+    /// order.
     #[test]
     fn drop_strategies_conserve_events_under_sustained_overload(
         seed in any::<u64>(),
@@ -113,6 +62,11 @@ proptest! {
             .mailbox(capacity)
             .overload(OverloadStrategy::DropOldest)
             .subscribe(QosClass::Batched);
+        let sampled = bus
+            .topic("t.sat")
+            .mailbox(capacity)
+            .overload(OverloadStrategy::Sample { keep_1_in: 3 })
+            .subscribe(QosClass::Background);
         let publisher = bus.topic("t.sat").announce(QosRequirement::best_effort());
         let mut last_tag: Option<u64> = None;
         for i in 0..publishes {
@@ -128,7 +82,7 @@ proptest! {
                 });
             }
         }
-        for sub in [newest, oldest] {
+        for sub in [newest, oldest, sampled] {
             assert_publish_conservation(&bus.subscription_stats(sub).unwrap());
         }
     }
@@ -209,10 +163,8 @@ fn routed(matched: u32, enqueued: u32, dropped_loss: u32) -> PublishOutcome {
 }
 
 /// Every operation that can change where a topic's copies go, or whether
-/// they arrive — `subscribe` (exact, and a wildcard created after the
-/// topic's first publish), `unsubscribe`, `attach_network`,
-/// `update_capability` and a re-`announce` — takes effect on the very next
-/// publish.
+/// they arrive — `subscribe`, `attach_network`, `update_capability` and a
+/// re-`announce` — takes effect on the very next publish.
 #[test]
 fn route_changes_take_effect_on_the_next_publish() {
     let (local, remote, detached) = (NetworkId(0), NetworkId(5), NetworkId(7));
@@ -226,13 +178,8 @@ fn route_changes_take_effect_on_the_next_publish() {
     bus.topic("t.x").subscribe(QosClass::Background);
     let publisher = bus.topic("t.x").announce(QosRequirement::best_effort());
     assert_eq!(publish(&mut bus, &publisher), routed(1, 1, 0), "first publish");
-
-    let exact = bus.topic("t.x").subscribe(QosClass::Background);
-    assert_eq!(publish(&mut bus, &publisher), routed(2, 2, 0), "after an exact subscribe");
-    bus.topic("t.*").subscribe(QosClass::Background);
-    assert_eq!(publish(&mut bus, &publisher), routed(3, 3, 0), "after a wildcard subscribe");
-    assert!(bus.unsubscribe(exact));
-    assert_eq!(publish(&mut bus, &publisher), routed(2, 2, 0), "after unsubscribe");
+    bus.topic("t.x").subscribe(QosClass::Background);
+    assert_eq!(publish(&mut bus, &publisher), routed(2, 2, 0), "after a subscribe");
 
     // A subscriber on a network that is not attached yet loses its copies.
     bus.topic("t.x").via(remote).subscribe(QosClass::Background);
@@ -250,4 +197,106 @@ fn route_changes_take_effect_on_the_next_publish() {
     assert_eq!(publish(&mut bus, &stranded), routed(0, 0, 0), "publisher network detached");
     let restored = bus.topic("t.x").via(local).announce(QosRequirement::best_effort());
     assert_eq!(publish(&mut bus, &restored), routed(3, 3, 0), "re-announced on an attached one");
+}
+
+/// The wireless network of the admission tests: `wireless_nominal`'s
+/// latency and delivery ratio, with `capacity_rate` events per second.
+fn wireless(capacity_rate: f64) -> NetworkCapability {
+    NetworkCapability { capacity_rate, ..NetworkCapability::wireless_nominal() }
+}
+
+/// A bus with one subscriber on the wireless network `NetworkId(1)` for
+/// each of `topics`.
+fn wireless_bus(capability: NetworkCapability, topics: &[&str]) -> EventBus {
+    let mut bus = EventBus::new(1);
+    bus.attach_network(NetworkId(1), capability);
+    for topic in topics {
+        bus.topic(topic).via(NetworkId(1)).subscribe(QosClass::Batched);
+    }
+    bus
+}
+
+/// A channel on the wireless network with a loose latency bound and `rate`
+/// events per second.
+fn rated(bus: &mut EventBus, topic: &str, rate: f64) -> Subject {
+    let qos = QosRequirement::builder()
+        .max_latency(SimDuration::from_secs(1))
+        .min_delivery_ratio(0.5)
+        .max_rate(rate)
+        .build();
+    let publisher = bus.topic(topic).via(NetworkId(1)).announce(qos);
+    assert_eq!(publisher.subject(), Subject::from_name(topic));
+    publisher.subject()
+}
+
+/// A degradation that rejects every channel, followed by the recovery to the
+/// original capability, restores the original admissions: the channel
+/// announced first keeps the rate, whatever the topics' interning order.
+#[test]
+fn a_degrade_and_recover_cycle_restores_the_incumbent() {
+    // `x` is interned (by its subscription) before `y`, but announced after.
+    let mut bus = wireless_bus(NetworkCapability::wireless_nominal(), &["x", "y"]);
+    let y = rated(&mut bus, "y", 300.0);
+    let x = rated(&mut bus, "x", 300.0);
+    assert_eq!(bus.admission(y), Some(Admission::Admitted));
+    assert_eq!(bus.admission(x), Some(Admission::Rejected), "500/s cannot carry 600/s");
+
+    let changed = bus.update_capability(NetworkId(1), NetworkCapability::wireless_degraded());
+    assert_eq!(changed, vec![y], "the degraded network carries neither");
+    let changed = bus.update_capability(NetworkId(1), NetworkCapability::wireless_nominal());
+    assert_eq!(changed, vec![y], "the recovery re-admits the incumbent only");
+    assert_eq!(bus.admission(y), Some(Admission::Admitted));
+    assert_eq!(bus.admission(x), Some(Admission::Rejected));
+}
+
+/// When the capacity shrinks below what the admitted channels hold, the
+/// channels admitted last lose their admission, not the first one.
+#[test]
+fn a_capacity_cut_revokes_the_latest_admissions_first() {
+    let mut bus = wireless_bus(wireless(500.0), &["a", "b"]);
+    let a = rated(&mut bus, "a", 200.0);
+    let b = rated(&mut bus, "b", 200.0);
+    assert_eq!(bus.admission(a), Some(Admission::Admitted));
+    assert_eq!(bus.admission(b), Some(Admission::Admitted));
+
+    let changed = bus.update_capability(NetworkId(1), wireless(300.0));
+    assert_eq!(changed, vec![b], "300/s carries one 200/s channel: the first");
+    assert_eq!(bus.admission(a), Some(Admission::Admitted));
+    assert_eq!(bus.admission(b), Some(Admission::Rejected));
+}
+
+/// An improved capability admits what now fits beside the incumbents, and
+/// never revokes an incumbent's admission to make room for a channel that
+/// was announced earlier but rejected.
+#[test]
+fn an_improved_capability_never_revokes_an_incumbent() {
+    // `early` asks for 30 ms, which the slow network cannot offer.
+    let slow = NetworkCapability {
+        expected_latency: SimDuration::from_millis(150),
+        ..NetworkCapability::wireless_nominal()
+    };
+    let mut bus = wireless_bus(slow, &["early", "late", "small"]);
+    let strict = QosRequirement::builder()
+        .max_latency(SimDuration::from_millis(30))
+        .min_delivery_ratio(0.5)
+        .max_rate(300.0)
+        .build();
+    let early = bus.topic("early").via(NetworkId(1)).announce(strict).subject();
+    let late = rated(&mut bus, "late", 300.0);
+    let small = rated(&mut bus, "small", 250.0);
+    assert_eq!(bus.admission(early), Some(Admission::Rejected), "too slow");
+    assert_eq!(bus.admission(late), Some(Admission::Admitted));
+    assert_eq!(bus.admission(small), Some(Admission::Rejected), "550/s exceed 500/s");
+
+    // Fast enough for `early` now, but it does not fit beside `late`.
+    let changed = bus.update_capability(NetworkId(1), NetworkCapability::wireless_nominal());
+    assert!(changed.is_empty(), "{changed:?}");
+    // More capacity: the rejected channels follow in announcement order.
+    let changed = bus.update_capability(NetworkId(1), wireless(700.0));
+    assert_eq!(changed, vec![early], "300 + 300 fit in 700/s, 250 more do not");
+    let changed = bus.update_capability(NetworkId(1), wireless(1_000.0));
+    assert_eq!(changed, vec![small]);
+    for subject in [early, late, small] {
+        assert_eq!(bus.admission(subject), Some(Admission::Admitted));
+    }
 }

@@ -7,10 +7,10 @@
 //! cycle — and writing a known name into the store is an in-place update.
 //!
 //! The bus compiles each topic's fan-out once, and its mailboxes are rings
-//! allocated at subscription time, so after warm-up a publish — to exact and
-//! wildcard subscriptions, under all four overload strategies, through a
-//! context filter and with realtime copies shed under backlog pressure — and
-//! a `drain_with` or `poll` move `Copy` values only.
+//! allocated at subscription time, so after warm-up a publish — under all
+//! four overload strategies, through a context filter and with realtime
+//! copies shed under backlog pressure — and a `drain_with`, of one event or
+//! of everything queued, move `Copy` values only.
 //!
 //! A counting global allocator sees every allocation of this test binary and
 //! charges it to the allocating thread, so the harness's own threads cannot
@@ -196,7 +196,7 @@ fn warm_cycles_and_known_name_updates_do_not_allocate() {
         allocations_during(|| info.update_data("new-item", 1.0, Validity::FULL, SimTime::ZERO));
     assert!(allocations > 0, "interning a new name must be counted");
 
-    // A warm bus: publishes, drains and polls move `Copy` values only.
+    // A warm bus: publishes and drains move `Copy` values only.
     let (mut bus, subscriptions, hot, bulk) = warm_bus();
     let stats = |bus: &EventBus| -> Vec<SubscriptionStats> {
         subscriptions.iter().map(|&sub| bus.subscription_stats(sub).unwrap()).collect()
@@ -220,18 +220,18 @@ fn warm_cycles_and_known_name_updates_do_not_allocate() {
 /// The bus-wide backlog threshold of [`warm_bus`].
 const BUS_THRESHOLD: usize = 24;
 
-/// A bus whose two topics, `bus.hot` and `bus.bulk`, route to exact and
-/// wildcard subscriptions under every overload strategy, one of them behind
-/// a context filter, warmed up by one round of [`bus_traffic`].  The
-/// subscriptions are, in order: realtime (drop-newest), drop-oldest, sample,
-/// aggregate, and drop-newest behind the filter.
+/// A bus whose two topics, `bus.hot` and `bus.bulk`, route to subscriptions
+/// under every overload strategy, one of them behind a context filter,
+/// warmed up by one round of [`bus_traffic`].  The subscriptions are, in
+/// order: realtime (drop-newest) and sample on `bus.hot`; drop-oldest,
+/// aggregate, and drop-newest behind the filter on `bus.bulk`.
 fn warm_bus() -> (EventBus, Vec<SubscriptionId>, Publisher, Publisher) {
     let mut bus = EventBus::new(11);
     bus.attach_network(NetworkId(0), NetworkCapability::local_bus());
     bus.set_backlog_threshold(BUS_THRESHOLD);
     let subscriptions = vec![
         bus.topic("bus.hot").mailbox(8).subscribe(QosClass::Realtime),
-        bus.topic("bus.*")
+        bus.topic("bus.bulk")
             .mailbox(4)
             .overload(OverloadStrategy::DropOldest)
             .subscribe(QosClass::Batched),
@@ -239,7 +239,7 @@ fn warm_bus() -> (EventBus, Vec<SubscriptionId>, Publisher, Publisher) {
             .mailbox(4)
             .overload(OverloadStrategy::Sample { keep_1_in: 3 })
             .subscribe(QosClass::Background),
-        bus.topic("bus.*")
+        bus.topic("bus.bulk")
             .mailbox(2)
             .overload(OverloadStrategy::Aggregate)
             .subscribe(QosClass::Background),
@@ -257,8 +257,9 @@ fn warm_bus() -> (EventBus, Vec<SubscriptionId>, Publisher, Publisher) {
 
 /// 2,000 steps of round `round`: each publishes once on each topic (the
 /// bulk payloads alternate inside and outside the filter's region); every
-/// 10th step polls each subscription once, and every 50th drains them all,
-/// so the backlog climbs past [`BUS_THRESHOLD`] and falls back each cycle.
+/// 10th step drains one event from each subscription, and every 50th drains
+/// them all, so the backlog climbs past [`BUS_THRESHOLD`] and falls back each
+/// cycle.
 fn bus_traffic(
     bus: &mut EventBus,
     subscriptions: &[SubscriptionId],
@@ -273,7 +274,7 @@ fn bus_traffic(
         bus.publish(bulk, Payload::at(Vec2::new(x, 0.0), step), now);
         if step % 10 == 9 {
             for &sub in subscriptions {
-                bus.poll(sub, now);
+                bus.drain_with(sub, now, 1, |_| {});
             }
         }
         if step % 50 == 49 {

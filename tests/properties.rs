@@ -20,7 +20,7 @@ use karyon::net::{
 use karyon::scenario::checkpoint::read_manifest_text;
 use karyon::scenario::{
     builtin_registry, read_jsonl_records, Campaign, CampaignEntry, CheckpointManifest,
-    Checkpointer, FaultPlan, JsonlRunWriter, ParamGrid, ScenarioSpec, ShardManifest, ShardPlan,
+    Checkpointer, FaultPlan, JsonlRunWriter, ParamGrid, ShardManifest, ShardPlan,
 };
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
@@ -805,14 +805,12 @@ fn loader_inputs() -> &'static [String] {
             .expect("JSONL is UTF-8");
         let shard =
             ShardManifest::new(&campaign, ShardPlan::for_campaign(&campaign, 1).slice(0)).render();
-        let spec = ScenarioSpec::new("platoon").with("mode", "kernel").with("gap", 1.5).to_json();
         vec![
             include_str!("../examples/campaign_spec.json").to_string(),
             include_str!("../examples/fault_plan.json").to_string(),
             checkpoint,
             shard,
             jsonl,
-            spec,
         ]
     })
 }
@@ -886,7 +884,7 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
 proptest! {
     /// Every loader answers hostile bytes with `Ok` or `Err`, never a panic:
     /// each case mutates one valid input up to three times and feeds the
-    /// result to all six loaders.
+    /// result to all five loaders.
     #[test]
     fn loaders_never_panic_on_hostile_bytes(seed in any::<u64>()) {
         let mut rng = Rng::seed_from(seed);
@@ -896,12 +894,11 @@ proptest! {
             mutate(&mut bytes, &mut rng);
         }
         let text = String::from_utf8_lossy(&bytes);
-        let loaders: [(&str, Loader); 6] = [
+        let loaders: [(&str, Loader); 5] = [
             ("CheckpointManifest::parse", |t| CheckpointManifest::parse(t).is_ok()),
             ("ShardManifest::parse", |t| ShardManifest::parse(t).is_ok()),
             ("FaultPlan::from_json_str", |t| FaultPlan::from_json_str(t).is_ok()),
             ("Campaign::from_json_str", |t| Campaign::from_json_str(t).map(|c| c.run_count()).is_ok()),
-            ("ScenarioSpec::from_json_str", |t| ScenarioSpec::from_json_str(t).is_ok()),
             ("read_jsonl_records", |t| read_jsonl_records(t).is_ok()),
         ];
         for (name, load) in loaders {

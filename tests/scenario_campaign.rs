@@ -311,11 +311,10 @@ fn oversized_chunk_sizes_aggregate_cleanly() {
     assert_eq!(one.points[0].metrics["wild"].count, 20_000);
 }
 
-// Registry coverage (ISSUE 5): every builtin family's default spec must
-// parse through the spec-file format (`ScenarioSpec::to_json` →
-// `from_json_str` round trip), run a 2-seed smoke campaign, and aggregate
-// **bit-identically for 1 vs N workers** — the determinism contract stays
-// enforced as the registry grows, for every family at once.
+// Registry coverage: every builtin family runs a 2-seed smoke campaign at
+// its default parameter point and aggregates **bit-identically for 1 vs N
+// workers** — the determinism contract stays enforced as the registry
+// grows, for every family at once.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -326,14 +325,6 @@ proptest! {
     ) {
         let registry = builtin_registry();
         for info in registry.describe() {
-            let scenario = registry.get(&info.name).unwrap();
-
-            // The default spec survives the spec-file format.
-            let spec = scenario.default_spec().with_seed(29).with_duration_secs(10);
-            let parsed = ScenarioSpec::from_json_str(&spec.to_json())
-                .unwrap_or_else(|e| panic!("family {}: default spec must parse: {e}", info.name));
-            prop_assert_eq!(&parsed, &spec);
-
             // A 2-seed smoke campaign at the default parameter point is
             // bit-identical for any worker count.
             let build = || {
