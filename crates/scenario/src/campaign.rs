@@ -2,6 +2,7 @@
 //! execution.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -14,13 +15,13 @@ use crate::aggregate::{CampaignAccumulator, ChunkPartial, DEFAULT_CHUNK_SIZE};
 use crate::checkpoint::{Checkpointer, ManifestWriter};
 use crate::fault::FaultInjector;
 use crate::grid::ParamGrid;
-use crate::json::JsonValue;
+use crate::json::{escape, JsonValue};
 use crate::recovery::retry_io;
 use crate::registry::ScenarioRegistry;
 use crate::report::{CampaignReport, PointReport};
 use crate::scenario::{RunRecord, Scenario};
-use crate::sink::{RunMeta, RunSink};
-use crate::spec::{ParamValue, ScenarioSpec};
+use crate::sink::{for_each_run_line, RunMeta, RunSink};
+use crate::spec::{params_json, ParamValue, ScenarioSpec};
 use crate::telemetry::CampaignTelemetry;
 
 /// Derives the RNG seed of one run from the campaign seed and the run's
@@ -1278,6 +1279,67 @@ impl Campaign {
             }
         }
         Ok(())
+    }
+
+    /// Reads a JSONL run stream of this campaign back into per-run records,
+    /// one per line in canonical run order, checking every line against the
+    /// campaign — what `karyon-campaign report --jsonl` and `merge` replay.
+    ///
+    /// Each line is read as [`read_jsonl_records`](crate::read_jsonl_records)
+    /// reads it, and must then carry its canonical run's coordinates:
+    /// `scenario` and `params` byte for byte as
+    /// [`JsonlRunWriter`](crate::JsonlRunWriter) renders them (once per
+    /// point), `point`, `replication` and `seed` by value.  A stream another
+    /// campaign wrote (another seed, another family, a reordered grid axis)
+    /// is refused at its first line that differs, naming the line, the
+    /// field, and the expected and found values.  Lines past the campaign's
+    /// last run are left to the count check of
+    /// [`reduce_records`](Self::reduce_records).
+    pub fn read_jsonl_records(&self, text: &str) -> Result<Vec<RunRecord>, String> {
+        self.checked_run_count()?;
+        let points = self.expand_points();
+        let mut runs = RunCursor::new(&points, self.seed, 0);
+        // The current point and its rendered scenario and params.
+        let mut rendered = (usize::MAX, String::new(), String::new());
+        let mut records = Vec::new();
+        for_each_run_line(text, |index, line| {
+            line.check_run(index)?;
+            if let Some(at) = runs.next() {
+                if rendered.0 != at.index {
+                    let scenario = format!("\"{}\"", escape(&at.point.scenario));
+                    rendered = (at.index, scenario, params_json(&at.point.params));
+                }
+                let refusal = |field: &str, found: Option<&str>, expected: &dyn Display| {
+                    format!(
+                        "JSONL line {}: {field:?} is {} but run {} of campaign {:?} has \
+                         {expected} — the stream was written by another campaign definition",
+                        index + 1,
+                        found.unwrap_or("missing"),
+                        at.run,
+                        self.name,
+                    )
+                };
+                let [scenario, point, replication, seed, params] = line.coordinates;
+                if scenario != Some(rendered.1.as_str()) {
+                    return Err(refusal("scenario", scenario, &rendered.1));
+                }
+                for (field, found, expected) in [
+                    ("point", point, at.index as u64),
+                    ("replication", replication, at.replication),
+                    ("seed", seed, at.seed()),
+                ] {
+                    if found.and_then(|raw| raw.parse().ok()) != Some(expected) {
+                        return Err(refusal(field, found, &expected));
+                    }
+                }
+                if params != Some(rendered.2.as_str()) {
+                    return Err(refusal("params", params, &rendered.2));
+                }
+            }
+            records.push(line.into_record(index)?);
+            Ok(())
+        })?;
+        Ok(records)
     }
 
     /// Re-aggregates retained per-run records (e.g. parsed back from a

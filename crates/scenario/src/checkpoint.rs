@@ -53,6 +53,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
@@ -61,7 +62,7 @@ use karyon_sim::{BucketHistogram, BucketHistogramState, OnlineStats, OnlineStats
 
 use crate::aggregate::{CampaignAccumulator, MetricAccumulator, PointAccumulator, QuantileAcc};
 use crate::campaign::{fnv1a64, Campaign};
-use crate::json::{JsonValue, ObjectWriter};
+use crate::json::{JsonReader, JsonValue, ObjectWriter, Token};
 
 /// Manifest format tag, checked on load.
 const FORMAT: &str = "karyon-campaign-checkpoint";
@@ -243,16 +244,34 @@ impl CheckpointManifest {
     /// The watermark must be consistent: `runs_done` equals
     /// `min(chunks_done × chunk_size, total_runs)` and the runs the points
     /// merged, since resume cuts the streams back to it.
+    ///
+    /// `points` is read without a JSON tree, straight into the accumulators
+    /// the session continues from; the small header members go through a
+    /// [`JsonValue`] tree and the header check shard manifests share.  The
+    /// document is checked whole before any field is, so a syntax error
+    /// anywhere outranks a refused field, and refused fields are reported in
+    /// the order header, points, watermark.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = JsonValue::parse(text)?;
+        let mut reader = JsonReader::new(text);
+        let mut header = Vec::new();
+        let mut points = None;
+        let token = reader.value()?;
+        if token == Token::Object {
+            while let Some(key) = reader.next_key()? {
+                if key == "points" {
+                    points = Some(read_points(&mut reader)?);
+                } else {
+                    let token = reader.value()?;
+                    header.push((key.into_owned(), reader.build(token)?));
+                }
+            }
+        } else {
+            reader.skip(&token)?;
+        }
+        reader.finish()?;
+        let doc = JsonValue::Object(header);
         let identity = Identity::parse(&doc, FORMAT, VERSION)?;
-        let points = doc
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing or non-array field \"points\"")?
-            .iter()
-            .map(parse_point)
-            .collect::<Result<Vec<_>, _>>()?;
+        let points = points.unwrap_or_else(|| Err(NO_POINTS.to_string()))?;
         let chunks_done = u64_field(&doc, "chunks_done")?;
         let runs_done = u64_field(&doc, "runs_done")?;
         let covered =
@@ -283,10 +302,30 @@ impl CheckpointManifest {
         })
     }
 
-    /// Checks the manifest was written by `campaign`'s definition: the same
-    /// [fingerprint](Campaign::fingerprint) (name, seed, chunk size and entry
-    /// list — the worker count may differ), chunk size and run count.
-    pub fn check(&self, campaign: &Campaign) -> Result<(), String> {
+    /// Renders the manifest as a checkpointing session writes it: the
+    /// inverse of [`parse`](Self::parse), so a manifest a session wrote
+    /// renders back to the same payload, byte for byte.
+    pub fn render(&self) -> String {
+        let mut o = ObjectWriter::new();
+        self.identity().render(&mut o, FORMAT, VERSION);
+        o.u64("chunks_done", self.chunks_done as u64).u64("runs_done", self.runs_done).raw_with(
+            "points",
+            |out| {
+                out.push('[');
+                for (index, point) in self.points.iter().enumerate() {
+                    if index > 0 {
+                        out.push(',');
+                    }
+                    render_point(out, point);
+                }
+                out.push(']');
+            },
+        );
+        o.close()
+    }
+
+    /// The manifest's identity header.
+    fn identity(&self) -> Identity<'_> {
         Identity {
             campaign: &self.campaign,
             seed: self.seed,
@@ -294,7 +333,13 @@ impl CheckpointManifest {
             chunk_size: self.chunk_size,
             total_runs: self.total_runs,
         }
-        .check(campaign, "checkpoint")
+    }
+
+    /// Checks the manifest was written by `campaign`'s definition: the same
+    /// [fingerprint](Campaign::fingerprint) (name, seed, chunk size and entry
+    /// list — the worker count may differ), chunk size and run count.
+    pub fn check(&self, campaign: &Campaign) -> Result<(), String> {
+        self.identity().check(campaign, "checkpoint")
     }
 
     /// Checks the manifest belongs to `campaign` ([`check`](Self::check)) and
@@ -609,103 +654,282 @@ fn render_metric(o: &mut ObjectWriter, acc: &MetricAccumulator) {
     }
 }
 
-fn parse_point(value: &JsonValue) -> Result<PointAccumulator, String> {
-    let runs = value.get("runs").and_then(JsonValue::as_u64).ok_or("point is missing \"runs\"")?;
-    let suspect_runs = value
-        .get("suspect_runs")
-        .and_then(JsonValue::as_u64)
-        .ok_or("point is missing \"suspect_runs\"")?;
-    let mut metrics = std::collections::BTreeMap::new();
-    let members = value
-        .get("metrics")
-        .and_then(JsonValue::as_object)
-        .ok_or("point is missing \"metrics\"")?;
-    for (name, metric) in members {
-        metrics.insert(name.clone(), parse_metric(name, metric)?);
+/// One field of a manifest as the loader reads it: its value, or why the
+/// field is refused.  A refusal travels as a value inside the reader's own
+/// `Result`, because the document is read whole before it is reported:
+/// every syntax error outranks it.
+type Field<T> = Result<T, String>;
+
+/// Why a manifest without a `points` array is refused.
+const NO_POINTS: &str = "missing or non-array field \"points\"";
+
+/// Why a point without a `metrics` object is refused.
+const NO_METRICS: &str = "point is missing \"metrics\"";
+
+/// Reads the `points` member straight into accumulators.  Each point is read
+/// whole before its fields are checked, in the order `runs`,
+/// `suspect_runs`, `metrics`; the points after a refused one are only
+/// validated.
+fn read_points(reader: &mut JsonReader<'_>) -> Result<Field<Vec<PointAccumulator>>, String> {
+    let token = reader.value()?;
+    if token != Token::Array {
+        reader.skip(&token)?;
+        return Ok(Err(NO_POINTS.to_string()));
     }
-    Ok(PointAccumulator { runs, suspect_runs, metrics })
+    let mut points = Ok(Vec::new());
+    while reader.next_item()? {
+        let Ok(list) = &mut points else {
+            reader.skip_value()?;
+            continue;
+        };
+        match read_point(reader)? {
+            Ok(point) => list.push(point),
+            Err(why) => points = Err(why),
+        }
+    }
+    Ok(points)
 }
 
-fn parse_metric(name: &str, value: &JsonValue) -> Result<MetricAccumulator, String> {
-    let bits_field = |key: &str| {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .map(f64::from_bits)
-            .ok_or_else(|| format!("metric {name:?} is missing bit field {key:?}"))
-    };
-    let stats = OnlineStats::from_raw_state(OnlineStatsState {
-        count: value
-            .get("count")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("metric {name:?} is missing \"count\""))?,
-        mean: bits_field("mean")?,
-        m2: bits_field("m2")?,
-        min: bits_field("min")?,
-        max: bits_field("max")?,
-    });
-    let sum = bits_field("sum")?;
-    let quantiles = match (value.get("exact"), value.get("histogram")) {
-        (Some(exact), None) => {
-            let values = exact
-                .as_array()
-                .ok_or_else(|| format!("metric {name:?}: \"exact\" must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(f64::from_bits)
-                        .ok_or_else(|| format!("metric {name:?}: non-integer sample bit pattern"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            QuantileAcc::Exact(values)
-        }
-        (None, Some(hist)) => {
-            let hbits = |key: &str| {
-                hist.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .map(f64::from_bits)
-                    .ok_or_else(|| format!("metric {name:?} histogram is missing {key:?}"))
-            };
-            let hu64 = |key: &str| {
-                hist.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("metric {name:?} histogram is missing {key:?}"))
-            };
-            let counts = hist
-                .get("counts")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("metric {name:?} histogram is missing \"counts\""))?
-                .iter()
-                .map(|v| {
-                    v.as_u64().ok_or_else(|| format!("metric {name:?}: non-integer bucket count"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            if counts.is_empty() {
-                return Err(format!("metric {name:?} histogram has no buckets"));
+fn read_point(reader: &mut JsonReader<'_>) -> Result<Field<PointAccumulator>, String> {
+    let (mut runs, mut suspect_runs, mut metrics) = (None, None, None);
+    let token = reader.value()?;
+    if token == Token::Object {
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "runs" => runs = reader.u64_value()?,
+                "suspect_runs" => suspect_runs = reader.u64_value()?,
+                "metrics" => metrics = Some(read_metrics(reader)?),
+                _ => reader.skip_value()?,
             }
-            let state = BucketHistogramState {
-                lo: hbits("lo")?,
-                hi: hbits("hi")?,
-                counts,
-                underflow: hu64("underflow")?,
-                overflow: hu64("overflow")?,
-                count: hu64("count")?,
-                sum: hbits("sum")?,
-                min: hbits("min")?,
-                max: hbits("max")?,
-            };
-            if !(state.lo.is_finite() && state.hi.is_finite() && state.lo < state.hi) {
-                return Err(format!("metric {name:?} histogram has an invalid range"));
-            }
-            QuantileAcc::Bucketed(BucketHistogram::from_raw_state(state))
         }
-        _ => {
-            return Err(format!(
-                "metric {name:?} must carry exactly one of \"exact\" or \"histogram\""
-            ))
-        }
+    } else {
+        reader.skip(&token)?;
+    }
+    let point = || -> Field<PointAccumulator> {
+        let runs = runs.ok_or("point is missing \"runs\"")?;
+        let suspect_runs = suspect_runs.ok_or("point is missing \"suspect_runs\"")?;
+        let metrics = metrics.unwrap_or_else(|| Err(NO_METRICS.to_string()))?;
+        Ok(PointAccumulator { runs, suspect_runs, metrics })
     };
-    Ok(MetricAccumulator::from_parts(stats, sum, quantiles))
+    Ok(point())
+}
+
+/// Reads a point's `metrics` member into accumulators, in name order.
+fn read_metrics(
+    reader: &mut JsonReader<'_>,
+) -> Result<Field<BTreeMap<String, MetricAccumulator>>, String> {
+    let token = reader.value()?;
+    if token != Token::Object {
+        reader.skip(&token)?;
+        return Ok(Err(NO_METRICS.to_string()));
+    }
+    let mut metrics = Ok(BTreeMap::new());
+    while let Some(name) = reader.next_key()? {
+        let Ok(map) = &mut metrics else {
+            reader.skip_value()?;
+            continue;
+        };
+        match MetricFields::read(reader)?.accumulator(&name) {
+            Ok(acc) => {
+                map.insert(name.into_owned(), acc);
+            }
+            Err(why) => metrics = Err(why),
+        }
+    }
+    Ok(metrics)
+}
+
+/// An integer array of a manifest, as the loader finds it.
+enum IntegerArray<T> {
+    Read(Vec<T>),
+    NotAnArray,
+    /// An item is not a `u64`.
+    NonInteger,
+}
+
+/// Reads an integer array, mapping each item through `from`.
+fn read_integers<T>(
+    reader: &mut JsonReader<'_>,
+    from: fn(u64) -> T,
+) -> Result<IntegerArray<T>, String> {
+    let token = reader.value()?;
+    if token != Token::Array {
+        reader.skip(&token)?;
+        return Ok(IntegerArray::NotAnArray);
+    }
+    let mut values = IntegerArray::Read(Vec::new());
+    while reader.next_item()? {
+        match (&mut values, reader.u64_value()?) {
+            (IntegerArray::Read(list), Some(value)) => list.push(from(value)),
+            _ => values = IntegerArray::NonInteger,
+        }
+    }
+    Ok(values)
+}
+
+/// The members of one persisted metric.  A field is `None` when the metric
+/// lacks it or holds a value of another type.
+#[derive(Default)]
+struct MetricFields {
+    count: Option<u64>,
+    mean: Option<u64>,
+    m2: Option<u64>,
+    min: Option<u64>,
+    max: Option<u64>,
+    sum: Option<u64>,
+    exact: Option<IntegerArray<f64>>,
+    histogram: Option<HistogramFields>,
+}
+
+/// The members of a persisted histogram; all `None` when `histogram` is not
+/// an object.
+#[derive(Default)]
+struct HistogramFields {
+    lo: Option<u64>,
+    hi: Option<u64>,
+    counts: Option<IntegerArray<u64>>,
+    underflow: Option<u64>,
+    overflow: Option<u64>,
+    count: Option<u64>,
+    sum: Option<u64>,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+impl MetricFields {
+    fn read(reader: &mut JsonReader<'_>) -> Result<Self, String> {
+        let mut fields = MetricFields::default();
+        let token = reader.value()?;
+        if token != Token::Object {
+            reader.skip(&token)?;
+            return Ok(fields);
+        }
+        while let Some(key) = reader.next_key()? {
+            let slot = match &*key {
+                "count" => &mut fields.count,
+                "mean" => &mut fields.mean,
+                "m2" => &mut fields.m2,
+                "min" => &mut fields.min,
+                "max" => &mut fields.max,
+                "sum" => &mut fields.sum,
+                "exact" => {
+                    fields.exact = Some(read_integers(reader, f64::from_bits)?);
+                    continue;
+                }
+                "histogram" => {
+                    fields.histogram = Some(HistogramFields::read(reader)?);
+                    continue;
+                }
+                _ => {
+                    reader.skip_value()?;
+                    continue;
+                }
+            };
+            *slot = reader.u64_value()?;
+        }
+        Ok(fields)
+    }
+
+    /// The accumulator the fields persist, or why metric `name` is refused:
+    /// the statistics first, then the one quantile state.
+    fn accumulator(self, name: &str) -> Result<MetricAccumulator, String> {
+        let bits = |field: Option<u64>, key: &str| {
+            field
+                .map(f64::from_bits)
+                .ok_or_else(|| format!("metric {name:?} is missing bit field {key:?}"))
+        };
+        let stats = OnlineStats::from_raw_state(OnlineStatsState {
+            count: self.count.ok_or_else(|| format!("metric {name:?} is missing \"count\""))?,
+            mean: bits(self.mean, "mean")?,
+            m2: bits(self.m2, "m2")?,
+            min: bits(self.min, "min")?,
+            max: bits(self.max, "max")?,
+        });
+        let sum = bits(self.sum, "sum")?;
+        let quantiles = match (self.exact, self.histogram) {
+            (Some(IntegerArray::Read(values)), None) => QuantileAcc::Exact(values),
+            (Some(IntegerArray::NotAnArray), None) => {
+                return Err(format!("metric {name:?}: \"exact\" must be an array"))
+            }
+            (Some(IntegerArray::NonInteger), None) => {
+                return Err(format!("metric {name:?}: non-integer sample bit pattern"))
+            }
+            (None, Some(hist)) => QuantileAcc::Bucketed(hist.histogram(name)?),
+            _ => {
+                return Err(format!(
+                    "metric {name:?} must carry exactly one of \"exact\" or \"histogram\""
+                ))
+            }
+        };
+        Ok(MetricAccumulator::from_parts(stats, sum, quantiles))
+    }
+}
+
+impl HistogramFields {
+    fn read(reader: &mut JsonReader<'_>) -> Result<Self, String> {
+        let mut fields = HistogramFields::default();
+        let token = reader.value()?;
+        if token != Token::Object {
+            reader.skip(&token)?;
+            return Ok(fields);
+        }
+        while let Some(key) = reader.next_key()? {
+            let slot = match &*key {
+                "lo" => &mut fields.lo,
+                "hi" => &mut fields.hi,
+                "underflow" => &mut fields.underflow,
+                "overflow" => &mut fields.overflow,
+                "count" => &mut fields.count,
+                "sum" => &mut fields.sum,
+                "min" => &mut fields.min,
+                "max" => &mut fields.max,
+                "counts" => {
+                    fields.counts = Some(read_integers(reader, |count| count)?);
+                    continue;
+                }
+                _ => {
+                    reader.skip_value()?;
+                    continue;
+                }
+            };
+            *slot = reader.u64_value()?;
+        }
+        Ok(fields)
+    }
+
+    /// The histogram the fields persist, or why metric `name`'s histogram is
+    /// refused: its buckets first, then the fields in state order, then the
+    /// range.
+    fn histogram(self, name: &str) -> Result<BucketHistogram, String> {
+        let counts = match self.counts {
+            Some(IntegerArray::Read(counts)) => counts,
+            Some(IntegerArray::NonInteger) => {
+                return Err(format!("metric {name:?}: non-integer bucket count"))
+            }
+            _ => return Err(format!("metric {name:?} histogram is missing \"counts\"")),
+        };
+        if counts.is_empty() {
+            return Err(format!("metric {name:?} histogram has no buckets"));
+        }
+        let field = |field: Option<u64>, key: &str| {
+            field.ok_or_else(|| format!("metric {name:?} histogram is missing {key:?}"))
+        };
+        let state = BucketHistogramState {
+            lo: f64::from_bits(field(self.lo, "lo")?),
+            hi: f64::from_bits(field(self.hi, "hi")?),
+            counts,
+            underflow: field(self.underflow, "underflow")?,
+            overflow: field(self.overflow, "overflow")?,
+            count: field(self.count, "count")?,
+            sum: f64::from_bits(field(self.sum, "sum")?),
+            min: f64::from_bits(field(self.min, "min")?),
+            max: f64::from_bits(field(self.max, "max")?),
+        };
+        if !(state.lo.is_finite() && state.hi.is_finite() && state.lo < state.hi) {
+            return Err(format!("metric {name:?} histogram has an invalid range"));
+        }
+        Ok(BucketHistogram::from_raw_state(state))
+    }
 }
 
 /// Renders the integrity frame line written after a manifest payload: the
@@ -935,6 +1159,61 @@ mod tests {
         assert!(CheckpointManifest::parse(&ok).is_ok());
         let wrong_version = ok.replace("\"version\":1", "\"version\":99");
         assert!(CheckpointManifest::parse(&wrong_version).unwrap_err().contains("version"));
+    }
+
+    #[test]
+    fn a_loaded_manifest_renders_back_to_the_payload_it_was_read_from() {
+        let mut exact = MetricAccumulator::new(None);
+        let mut ranged = MetricAccumulator::new(Some((0.0, 1.0)));
+        for v in [0.25, -0.0, 1.5, f64::MIN_POSITIVE] {
+            exact.record(v);
+            ranged.record(v);
+        }
+        let metrics = [("exact".to_string(), exact), ("ranged".to_string(), ranged)];
+        let point = PointAccumulator { runs: 4, suspect_runs: 1, metrics: metrics.into() };
+        let campaign = Campaign::new("render \"quoted\"", u64::MAX)
+            .with_chunk_size(3)
+            .entry(crate::CampaignEntry::new("echo").replications(4));
+        let accumulator = CampaignAccumulator::from_points(vec![point]);
+        let text = render_manifest(&campaign, 2, 4, &accumulator);
+        assert_eq!(CheckpointManifest::parse(&text).unwrap().render(), text);
+    }
+
+    #[test]
+    fn refusals_follow_the_check_order_not_the_member_order() {
+        // The loader reads the document whole, then refuses the first field
+        // in check order: syntax, header, points (`runs`, `suspect_runs`,
+        // `metrics`), watermark.
+        let campaign = Campaign::new("order", 3)
+            .with_chunk_size(2)
+            .entry(crate::CampaignEntry::new("echo").replications(2));
+        let point = PointAccumulator { runs: 2, ..PointAccumulator::default() };
+        let good = render_manifest(&campaign, 1, 2, &CampaignAccumulator::from_points(vec![point]));
+        CheckpointManifest::parse(&good).expect("a consistent manifest parses");
+        let refusal = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            CheckpointManifest::parse(&good.replace(from, to)).unwrap_err()
+        };
+        let point = r#"{"runs":2,"suspect_runs":0,"metrics":{}}"#;
+        let err = refusal(point, r#"{"metrics":5}"#);
+        assert_eq!(err, "point is missing \"runs\"");
+        let err = refusal(point, r#"{"metrics":{},"suspect_runs":"0","runs":2}"#);
+        assert_eq!(err, "point is missing \"suspect_runs\"");
+        let err = refusal(point, r#"{"metrics":{"m":{"sum":0}},"suspect_runs":0,"runs":2}"#);
+        assert_eq!(err, "metric \"m\" is missing \"count\"");
+        let err = refusal("\"points\":[", "\"points\":[{},");
+        assert_eq!(err, "point is missing \"runs\"");
+        let err = refusal("\"version\":1,", "\"points\":1,\"version\":1,");
+        assert!(err.contains("duplicate object key \"points\""), "{err}");
+        let both = good.replace(point, "{}").replace("\"seed\":3", "\"seed\":-3");
+        assert_eq!(
+            CheckpointManifest::parse(&both).unwrap_err(),
+            "missing or non-integer field \"seed\""
+        );
+        let trailing = format!("{} x", good.replace(point, "{}"));
+        assert!(CheckpointManifest::parse(&trailing).unwrap_err().contains("trailing"));
+        let watermark = good.replace(point, "{}").replace("\"runs_done\":2", "\"runs_done\":1");
+        assert_eq!(CheckpointManifest::parse(&watermark).unwrap_err(), "point is missing \"runs\"");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A minimal JSON writer and parser.
+//! A minimal JSON writer, pull reader and tree.
 //!
 //! The workspace is built offline (no `serde`), so both directions are
 //! hand-rolled and deliberately small:
@@ -7,11 +7,23 @@
 //!   keys come from `BTreeMap` iteration or fixed field order in the
 //!   callers); this is what reports, JSONL run streams and checkpoint
 //!   manifests are rendered with;
-//! * **parsing** — [`JsonValue::parse`] is a strict recursive-descent parser
-//!   for the inputs the crate itself consumes: campaign spec files
-//!   ([`Campaign::from_json_str`](crate::Campaign::from_json_str)), JSONL run
-//!   streams ([`read_jsonl_records`](crate::sink::read_jsonl_records)) and
-//!   checkpoint manifests.  Object member order is **preserved** (not
+//! * **reading** — one strict pull reader (crate-private) holds the grammar:
+//!   the caller steps through a document value by value, keys and number
+//!   text borrow from the input, and whatever the caller does not need is
+//!   validated and skipped without being built.  It refuses what a strict
+//!   parser should — no comments, trailing commas, bare NaN or Infinity,
+//!   nesting past 128 levels or a repeated key in any object — naming the
+//!   line and column.  Two loaders read through it directly:
+//!   [`read_jsonl_records`](crate::sink::read_jsonl_records) (and the
+//!   campaign-aware [`Campaign::read_jsonl_records`](crate::Campaign::read_jsonl_records))
+//!   fill each line's record from its `run`, `clamped_schedules` and
+//!   `metrics`, and [`CheckpointManifest::parse`](crate::CheckpointManifest::parse)
+//!   fills the point accumulators straight from `points`;
+//! * **the tree** — [`JsonValue::parse`] builds a [`JsonValue`] on the same
+//!   reader, so it accepts and refuses exactly the same documents.  Campaign
+//!   spec files ([`Campaign::from_json_str`](crate::Campaign::from_json_str)),
+//!   fault plans, shard manifests and the checkpoint manifest's small header
+//!   go through the tree.  Object member order is **preserved** (not
 //!   sorted), which is what keeps a spec file's grid-axis order — and with it
 //!   the canonical run order — exactly as written.
 //!
@@ -20,6 +32,7 @@
 //! `f64` aggregates as their IEEE-754 bit patterns in `u64` fields, which a
 //! lossy parse through `f64` would corrupt.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Escapes a string for use inside a JSON string literal (without quotes).
@@ -232,15 +245,14 @@ impl JsonValue {
     ///
     /// Strict by intent: no comments, no trailing commas, no bare NaN or
     /// Infinity — a campaign spec or checkpoint that needs relaxation is a
-    /// bug, not an input class.
+    /// bug, not an input class.  The tree is built on the module's pull
+    /// reader, so it accepts and refuses exactly what the loaders that read
+    /// without a tree do.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after the JSON document"));
-        }
+        let mut reader = JsonReader::new(text);
+        let token = reader.value()?;
+        let value = reader.build(token)?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -325,37 +337,100 @@ impl JsonValue {
     }
 }
 
-/// Maximum container nesting the parser accepts.  Recursive descent uses the
-/// call stack, so without a cap a corrupt or adversarial document of a few
-/// hundred KB of `[` would abort the process with a stack overflow instead
-/// of returning the parse error the checkpoint/spec loaders promise.  No
-/// legitimate spec, manifest or JSONL line comes anywhere near 128 levels.
+/// Maximum container nesting the reader accepts.  No legitimate spec,
+/// manifest or JSONL line comes anywhere near 128 levels; the cap bounds the
+/// reader's frame stack and the depth of [`JsonReader::build`]'s recursion,
+/// so a corrupt or adversarial document of a few hundred KB of `[` is a
+/// parse error, not a stack overflow.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// One value as [`JsonReader::value`] reads it: a scalar whole, a container
+/// by its opening bracket.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's validated source text.
+    Number(&'a str),
+    /// A string, escapes resolved: borrowed from the input unless it held an
+    /// escape.
+    String(Cow<'a, str>),
+    /// `[`: read the items with [`JsonReader::next_item`].
+    Array,
+    /// `{`: read the members with [`JsonReader::next_key`].
+    Object,
 }
 
-impl<'a> Parser<'a> {
+/// One open container of a [`JsonReader`].
+struct Open {
+    object: bool,
+    /// True until the container's first member or item.
+    empty: bool,
+    /// Where this object's keys start in [`JsonReader::keys`].
+    keys_from: usize,
+    /// True while this object's keys have come in strictly increasing
+    /// order, so a key greater than the last cannot repeat an earlier one.
+    ascending: bool,
+}
+
+/// A strict pull reader over one JSON document that allocates nothing per
+/// value.
+///
+/// The caller walks the document: [`value`](Self::value) reads the next
+/// value, [`next_key`](Self::next_key) steps through an object's members
+/// and [`next_item`](Self::next_item) through an array's items, and
+/// [`skip`](Self::skip) validates the rest of a container without building
+/// anything.  Keys and number text borrow from the input; only a string that
+/// holds an escape is copied.  Every document is checked whole — grammar,
+/// the [`MAX_DEPTH`] cap and duplicate keys at every level, the skipped
+/// parts included — and a refusal names its 1-based line and column.  Its
+/// two buffers (open containers, open objects' keys) survive
+/// [`reset`](Self::reset), so a reader reused line after line allocates
+/// only for strings with escapes.  [`JsonValue::parse`] builds its tree on
+/// this reader, so the grammar is written once.
+pub(crate) struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The open containers, innermost last.
+    open: Vec<Open>,
+    /// The keys read so far in every open object, outermost first.
+    keys: Vec<Cow<'a, str>>,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        JsonReader { text, pos: 0, open: Vec::new(), keys: Vec::new() }
+    }
+
+    /// Starts over on another document, keeping the buffers.
+    pub(crate) fn reset(&mut self, text: &'a str) {
+        self.text = text;
+        self.pos = 0;
+        self.open.clear();
+        self.keys.clear();
+    }
+
+    /// A refusal at the cursor, with its 1-based line and column, so errors
+    /// in hand-written spec files are findable.
+    #[cold]
     fn error(&self, message: &str) -> String {
-        // Report a 1-based line:column so errors in hand-written spec files
-        // are findable.
-        let consumed = &self.bytes[..self.pos.min(self.bytes.len())];
+        let consumed = &self.text.as_bytes()[..self.pos.min(self.text.len())];
         let line = consumed.iter().filter(|b| **b == b'\n').count() + 1;
         let column = consumed.iter().rev().take_while(|b| **b != b'\n').count() + 1;
         format!("JSON error at line {line}, column {column}: {message}")
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -367,109 +442,217 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected {word:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Reads the next value: a scalar whole, or a container's opening
+    /// bracket, after which the caller reads (or [skips](Self::skip)) its
+    /// members or items.
+    pub(crate) fn value(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => self.open(true),
+            Some(b'[') => self.open(false),
+            Some(b'"') => self.string().map(Token::String),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Token::Number),
             Some(other) => Err(self.error(&format!("unexpected character {:?}", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        self.descend()?;
-        let mut members: Vec<(String, JsonValue)> = Vec::new();
+    /// Steps into the innermost object's next member and returns its key,
+    /// or `None` at the object's closing `}`.  A key the object already
+    /// holds is refused.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.step(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if members.iter().any(|(k, _)| *k == key) {
-                return Err(self.error(&format!("duplicate object key {key:?}")));
+        let key = self.string()?;
+        let open = self.open.last_mut().expect("next_key inside an object");
+        let earlier = &self.keys[open.keys_from..];
+        let repeated = match earlier.last() {
+            Some(last) if open.ascending && key > *last => false,
+            Some(_) => {
+                open.ascending = false;
+                earlier.contains(&key)
             }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
+            None => false,
+        };
+        if repeated {
+            return Err(self.error(&format!("duplicate object key {:?}", &*key)));
         }
+        self.keys.push(key.clone());
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
+    /// Steps to the innermost array's next item: `true` before an item,
+    /// `false` at the array's closing `]`.
+    pub(crate) fn next_item(&mut self) -> Result<bool, String> {
+        Ok(!self.step(b']', "expected ',' or ']' in array")?)
     }
 
-    /// Bumps the container nesting depth, rejecting documents past
-    /// [`MAX_DEPTH`] so corrupt input fails with an error, not a stack
-    /// overflow.
-    fn descend(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+    /// Skips the rest of a value whose token [`value`](Self::value) just
+    /// read, validating it whole and building nothing.
+    pub(crate) fn skip(&mut self, token: &Token<'a>) -> Result<(), String> {
+        if !matches!(token, Token::Array | Token::Object) {
+            return Ok(());
+        }
+        let outside = self.open.len() - 1;
+        while self.open.len() > outside {
+            let object = self.open.last().is_some_and(|open| open.object);
+            let more = if object { self.next_key()?.is_some() } else { self.next_item()? };
+            if more {
+                self.value()?;
+            }
         }
         Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads and skips the next value.
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        let token = self.value()?;
+        self.skip(&token)
+    }
+
+    /// Reads the next value whole and returns its source text.
+    pub(crate) fn raw_value(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Reads the next value as [`JsonValue::as_u64`] reads one: a number
+    /// whose text is a `u64`, or `None` for any other value.
+    pub(crate) fn u64_value(&mut self) -> Result<Option<u64>, String> {
+        Ok(match self.value()? {
+            Token::Number(raw) => raw.parse().ok(),
+            token => {
+                self.skip(&token)?;
+                None
+            }
+        })
+    }
+
+    /// Reads the next value as [`JsonValue::as_f64`] reads one: a number,
+    /// `null` as NaN, or `None` for any other value.
+    pub(crate) fn f64_value(&mut self) -> Result<Option<f64>, String> {
+        Ok(match self.value()? {
+            Token::Number(raw) => raw.parse().ok(),
+            Token::Null => Some(f64::NAN),
+            token => {
+                self.skip(&token)?;
+                None
+            }
+        })
+    }
+
+    /// Builds the tree of a value whose token [`value`](Self::value) just
+    /// read.
+    pub(crate) fn build(&mut self, token: Token<'a>) -> Result<JsonValue, String> {
+        Ok(match token {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Number(raw) => JsonValue::Number(raw.to_string()),
+            Token::String(s) => JsonValue::String(s.into_owned()),
+            Token::Array => {
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    let token = self.value()?;
+                    items.push(self.build(token)?);
+                }
+                JsonValue::Array(items)
+            }
+            Token::Object => {
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let token = self.value()?;
+                    members.push((key.into_owned(), self.build(token)?));
+                }
+                JsonValue::Object(members)
+            }
+        })
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters after the JSON document"));
+        }
+        Ok(())
+    }
+
+    /// Consumes a container's opening bracket, refusing nesting past
+    /// [`MAX_DEPTH`].
+    fn open(&mut self, object: bool) -> Result<Token<'a>, String> {
+        self.pos += 1;
+        if self.open.len() == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.open.push(Open { object, empty: true, keys_from: self.keys.len(), ascending: true });
+        Ok(if object { Token::Object } else { Token::Array })
+    }
+
+    /// Consumes the separator before the innermost container's next entry,
+    /// or its `close` bracket: `true` when the container closed.
+    fn step(&mut self, close: u8, refusal: &str) -> Result<bool, String> {
+        self.skip_ws();
+        let next = self.peek();
+        let open = self.open.last_mut().expect("a container is open");
+        if open.empty {
+            open.empty = false;
+            if next != Some(close) {
+                return Ok(false);
+            }
+        } else if next == Some(b',') {
+            self.pos += 1;
+            return Ok(false);
+        } else if next != Some(close) {
+            return Err(self.error(refusal));
+        }
+        self.pos += 1;
+        let open = self.open.pop().expect("a container is open");
+        self.keys.truncate(open.keys_from);
+        Ok(true)
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(self.error(&format!("expected {word:?}")))
+        }
+    }
+
+    /// Reads a string literal, escapes resolved.  The text up to the first
+    /// escape is borrowed; only a string with an escape is copied.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        let plain = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        self.pos = start + plain.unwrap_or(bytes.len() - start);
+        match bytes.get(self.pos) {
+            None => return Err(self.error("unterminated string")),
+            Some(b'"') => {
+                self.pos += 1;
+                return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+            }
+            Some(b'\\') => {}
+            Some(_) => return Err(self.error("unescaped control character in string")),
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -484,25 +667,8 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let unit = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                // High surrogate: a \uXXXX low surrogate must
-                                // follow to form one code point.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.error("unpaired UTF-16 surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error("invalid UTF-16 surrogate pair"));
-                                }
-                                let cp = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(cp)
-                            } else {
-                                char::from_u32(unit)
-                            };
-                            out.push(c.ok_or_else(|| self.error("invalid unicode escape"))?);
-                            continue; // hex4 already advanced past the digits
+                            out.push(self.unicode_escape()?);
+                            continue; // past the hex digits already
                         }
                         _ => return Err(self.error("invalid escape sequence")),
                     }
@@ -511,37 +677,49 @@ impl<'a> Parser<'a> {
                 Some(b) if b < 0x20 => {
                     return Err(self.error("unescaped control character in string"))
                 }
-                Some(b) if b < 0x80 => {
-                    // Plain ASCII, the dominant case: no UTF-8 decoding.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // One multi-byte UTF-8 scalar: decode at most its 4
-                    // bytes (the input is a &str, so the sequence starting
-                    // here is valid; the window may merely cut a *following*
-                    // character short, which valid_up_to tolerates).
-                    // Validating the whole remaining document here would
-                    // make string parsing quadratic.
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let window = &self.bytes[self.pos..end];
-                    let valid = match std::str::from_utf8(window) {
-                        Ok(s) => s,
-                        Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
-                            .expect("valid_up_to is a char boundary"),
-                    };
-                    let c = valid.chars().next().expect("input was a &str");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain text up to the next quote, escape or
+                    // control byte, all ASCII, so both ends are char
+                    // boundaries.
+                    let run = self.pos;
+                    while let Some(&b) = bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
         }
     }
 
+    /// Reads the digits of a `\u` escape (the cursor is past the `u`),
+    /// joining a high surrogate with the `\u` low surrogate that must follow
+    /// it.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&unit) {
+            if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                return Err(self.error("unpaired UTF-16 surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.error("invalid UTF-16 surrogate pair"));
+            }
+            char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
+        } else {
+            char::from_u32(unit)
+        };
+        c.ok_or_else(|| self.error("invalid unicode escape"))
+    }
+
     /// Reads exactly four hex digits (after `\u`) and advances past them.
     fn hex4(&mut self) -> Result<u32, String> {
         let digits = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.error("truncated unicode escape"))?;
         let text = std::str::from_utf8(digits).map_err(|_| self.error("invalid unicode escape"))?;
@@ -551,7 +729,8 @@ impl<'a> Parser<'a> {
         Ok(unit)
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Reads a number and returns its source text.
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -559,11 +738,7 @@ impl<'a> Parser<'a> {
         // Integer part: 0, or a nonzero digit followed by digits.
         match self.peek() {
             Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while let Some(b'0'..=b'9') = self.peek() {
-                    self.pos += 1;
-                }
-            }
+            Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.error("invalid number")),
         }
         if self.peek() == Some(b'.') {
@@ -571,9 +746,7 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.error("invalid number: expected digits after '.'"));
             }
-            while let Some(b'0'..=b'9') = self.peek() {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if let Some(b'e' | b'E') = self.peek() {
             self.pos += 1;
@@ -583,12 +756,15 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.error("invalid number: expected exponent digits"));
             }
-            while let Some(b'0'..=b'9') = self.peek() {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        Ok(JsonValue::Number(raw.to_string()))
+        Ok(&self.text[start..self.pos])
+    }
+
+    fn digits(&mut self) {
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
     }
 }
 

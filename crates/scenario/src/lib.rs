@@ -55,9 +55,10 @@
 //!   worker count, streaming its runs into a JSONL segment), mark each
 //!   completed window with an integrity-framed header manifest, and merge
 //!   the set by [validating](validate_shard_set) it, stitching the run
-//!   segments and replaying them through [`read_jsonl_records`] and
-//!   [`Campaign::reduce_records`] — a report **byte-identical** to a
-//!   single-machine run's.  The checkpoint manifest is the only persisted
+//!   segments and replaying them through
+//!   [`Campaign::read_jsonl_records`] (which checks every line against the
+//!   campaign's canonical runs) and [`Campaign::reduce_records`] — a report
+//!   **byte-identical** to a single-machine run's.  The checkpoint manifest is the only persisted
 //!   aggregation format;
 //! * [`FaultPlan`] / [`FaultInjector`] ([`fault`]) — deterministic fault
 //!   injection at the runner's canonical points (worker death at a chunk

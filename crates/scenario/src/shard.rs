@@ -22,7 +22,8 @@
 //!   byte-exactly into the stream an uninterrupted run writes.
 //!
 //! `merge` is then validate, stitch and replay: the stitched run stream goes
-//! through [`read_jsonl_records`](crate::read_jsonl_records) and
+//! through [`Campaign::read_jsonl_records`], which checks every line's
+//! coordinates against the campaign's canonical run, and
 //! [`Campaign::reduce_records`] — the path `karyon-campaign report --jsonl`
 //! takes — so the merged [`CampaignReport`](crate::CampaignReport) is
 //! **byte-identical** to an uninterrupted run's (the property

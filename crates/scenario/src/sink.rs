@@ -10,10 +10,11 @@
 //! object per line, parseable by any JSONL consumer, and re-aggregatable with
 //! [`Campaign::reduce_records`](crate::Campaign::reduce_records).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::json::ObjectWriter;
+use crate::json::{JsonReader, ObjectWriter, Token};
 use crate::scenario::RunRecord;
 use crate::spec::{params_json, ParamValue};
 
@@ -217,19 +218,94 @@ fn render_alike(a: &BTreeMap<String, ParamValue>, b: &BTreeMap<String, ParamValu
 ///
 /// Each line's `run` index is checked against its position, so a reordered,
 /// truncated-in-the-middle or concatenated stream is rejected instead of
-/// silently re-aggregating wrong data.  Metric round-trips are bit-exact for
-/// finite values (the writer emits shortest-round-trip decimals); non-finite
-/// metrics were serialised as `null` and come back as NaN, which every
-/// aggregation path treats exactly like the original non-finite value.
+/// silently re-aggregating wrong data.  Nothing else ties a line to a
+/// campaign: the CLI's `report --jsonl` and `merge` read through
+/// [`Campaign::read_jsonl_records`](crate::Campaign::read_jsonl_records),
+/// which also checks every line's coordinates against the campaign's
+/// canonical run.  This reader stays because the `campaign-bench` package
+/// calls it.
+///
+/// Lines are read without a JSON tree: each line's `run`,
+/// `clamped_schedules` and `metrics` go straight into its record, and every
+/// other member is validated and skipped.  A line is checked whole, with
+/// the grammar, depth cap and duplicate-key rule of
+/// [`JsonValue::parse`](crate::JsonValue::parse), before its fields are.
+/// Metric round-trips are bit-exact for finite values (the writer emits
+/// shortest-round-trip decimals); non-finite metrics were serialised as
+/// `null` and come back as NaN, which every aggregation path treats exactly
+/// like the original non-finite value.
 pub fn read_jsonl_records(text: &str) -> Result<Vec<RunRecord>, String> {
     let mut records = Vec::new();
+    for_each_run_line(text, |index, line| {
+        line.check_run(index)?;
+        records.push(line.into_record(index)?);
+        Ok(())
+    })?;
+    Ok(records)
+}
+
+/// Reads every line of a JSONL run stream into a [`RunLine`] and hands it to
+/// `each` with its 0-based line index; a line that is not one JSON document
+/// is refused with its 1-based line number.
+pub(crate) fn for_each_run_line<'a>(
+    text: &'a str,
+    mut each: impl FnMut(usize, RunLine<'a>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut reader = JsonReader::new(text);
     for (index, line) in text.lines().enumerate() {
-        let value = crate::json::JsonValue::parse(line)
-            .map_err(|e| format!("JSONL line {}: {e}", index + 1))?;
-        let run = value
-            .get("run")
-            .and_then(crate::json::JsonValue::as_u64)
-            .ok_or_else(|| format!("JSONL line {}: missing \"run\" index", index + 1))?;
+        reader.reset(line);
+        let parsed =
+            RunLine::read(&mut reader).map_err(|e| format!("JSONL line {}: {e}", index + 1))?;
+        each(index, parsed)?;
+    }
+    Ok(())
+}
+
+/// The run coordinates a JSONL line carries besides its `run` index, in the
+/// order [`JsonlRunWriter`] writes them.
+const COORDINATES: [&str; 5] = ["scenario", "point", "replication", "seed", "params"];
+
+/// What replay reads of one JSONL line.  A field is `None` when the line
+/// lacks it or holds a value of another type.
+pub(crate) struct RunLine<'a> {
+    run: Option<u64>,
+    /// The source text of each [`COORDINATES`] member.
+    pub(crate) coordinates: [Option<&'a str>; 5],
+    clamped_schedules: Option<u64>,
+    /// The record of the `metrics` object, or the first metric that is not
+    /// a number.
+    metrics: Option<Result<RunRecord, Cow<'a, str>>>,
+}
+
+impl<'a> RunLine<'a> {
+    /// Reads one line, a whole JSON document, from `reader`.
+    fn read(reader: &mut JsonReader<'a>) -> Result<Self, String> {
+        let mut line =
+            RunLine { run: None, coordinates: [None; 5], clamped_schedules: None, metrics: None };
+        let token = reader.value()?;
+        if token == Token::Object {
+            while let Some(key) = reader.next_key()? {
+                match &*key {
+                    "run" => line.run = reader.u64_value()?,
+                    "clamped_schedules" => line.clamped_schedules = reader.u64_value()?,
+                    "metrics" => line.metrics = read_metrics(reader)?,
+                    other => match COORDINATES.iter().position(|name| *name == other) {
+                        Some(at) => line.coordinates[at] = Some(reader.raw_value()?),
+                        None => reader.skip_value()?,
+                    },
+                }
+            }
+        } else {
+            reader.skip(&token)?;
+        }
+        reader.finish()?;
+        Ok(line)
+    }
+
+    /// Checks that the line at 0-based `index` carries run index `index`.
+    pub(crate) fn check_run(&self, index: usize) -> Result<(), String> {
+        let run =
+            self.run.ok_or_else(|| format!("JSONL line {}: missing \"run\" index", index + 1))?;
         if run != index as u64 {
             return Err(format!(
                 "JSONL line {}: run index {run} out of canonical order — the stream is \
@@ -237,24 +313,49 @@ pub fn read_jsonl_records(text: &str) -> Result<Vec<RunRecord>, String> {
                 index + 1
             ));
         }
-        let mut record = RunRecord::new();
-        record.clamped_schedules = value
-            .get("clamped_schedules")
-            .and_then(crate::json::JsonValue::as_u64)
-            .ok_or_else(|| format!("JSONL line {}: missing \"clamped_schedules\"", index + 1))?;
-        let metrics = value
-            .get("metrics")
-            .and_then(crate::json::JsonValue::as_object)
-            .ok_or_else(|| format!("JSONL line {}: missing \"metrics\" object", index + 1))?;
-        for (name, metric) in metrics {
-            let metric = metric.as_f64().ok_or_else(|| {
-                format!("JSONL line {}: metric {name:?} is not a number", index + 1)
-            })?;
-            record.set(name, metric);
-        }
-        records.push(record);
+        Ok(())
     }
-    Ok(records)
+
+    /// The line's record, once its `clamped_schedules` and `metrics` check
+    /// out.
+    pub(crate) fn into_record(self, index: usize) -> Result<RunRecord, String> {
+        let line = index + 1;
+        let clamped_schedules = self
+            .clamped_schedules
+            .ok_or_else(|| format!("JSONL line {line}: missing \"clamped_schedules\""))?;
+        let mut record = match self.metrics {
+            None => return Err(format!("JSONL line {line}: missing \"metrics\" object")),
+            Some(Err(name)) => {
+                return Err(format!("JSONL line {line}: metric {:?} is not a number", &*name))
+            }
+            Some(Ok(record)) => record,
+        };
+        record.clamped_schedules = clamped_schedules;
+        Ok(record)
+    }
+}
+
+/// Reads a line's `metrics` member: `None` unless it is an object, else its
+/// record or the first metric that is not a number.
+fn read_metrics<'a>(
+    reader: &mut JsonReader<'a>,
+) -> Result<Option<Result<RunRecord, Cow<'a, str>>>, String> {
+    let token = reader.value()?;
+    if token != Token::Object {
+        reader.skip(&token)?;
+        return Ok(None);
+    }
+    let mut record = Ok(RunRecord::new());
+    while let Some(name) = reader.next_key()? {
+        let value = reader.f64_value()?;
+        if let Ok(metrics) = &mut record {
+            match value {
+                Some(value) => metrics.set(&name, value),
+                None => record = Err(name),
+            }
+        }
+    }
+    Ok(Some(record))
 }
 
 #[cfg(test)]
@@ -330,6 +431,23 @@ mod tests {
         assert!(read_jsonl_records(reordered).unwrap_err().contains("canonical order"));
         assert!(read_jsonl_records("{\"run\":0}\n").unwrap_err().contains("clamped_schedules"));
         assert!(read_jsonl_records("{torn").unwrap_err().contains("line 1"));
+    }
+
+    #[test]
+    fn line_refusals_follow_the_check_order_not_the_member_order() {
+        // A line is read whole, then refused at its first field in check
+        // order: syntax, `run`, `clamped_schedules`, `metrics`.
+        let refusal = |line: &str| read_jsonl_records(line).unwrap_err();
+        assert!(refusal(r#"{"metrics":{"x":"1"},"run":0} x"#).contains("trailing"));
+        assert!(refusal(r#"{"metrics":{"x":"1"},"run":"0"}"#).contains("missing \"run\" index"));
+        assert!(refusal(r#"{"metrics":{"x":"1"},"run":0}"#).contains("clamped_schedules"));
+        let line = r#"{"metrics":{"b":[],"a":"x"},"clamped_schedules":0,"run":0}"#;
+        assert!(refusal(line).contains("metric \"b\" is not a number"), "{}", refusal(line));
+        let line = r#"{"metrics":{"x":null,"y":-0,"z":1e309},"clamped_schedules":0,"run":0}"#;
+        let record = &read_jsonl_records(line).unwrap()[0];
+        assert!(record.get("x").unwrap().is_nan());
+        assert_eq!(record.get("y").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(record.get("z"), Some(f64::INFINITY));
     }
 
     #[test]

@@ -24,11 +24,10 @@ use std::process::ExitCode;
 
 use karyon::scenario::fault::is_injected;
 use karyon::scenario::{
-    builtin_registry, read_jsonl_records, read_run_segment, read_trace_segment, truncate_jsonl,
-    truncate_trace_jsonl, validate_shard_set, Campaign, CampaignOutcome, CampaignReport,
-    CampaignTelemetry, CheckpointManifest, Checkpointer, FaultInjector, FaultPlan, JsonlRunWriter,
-    RunMeta, RunRecord, RunSink, RunnerStats, ScenarioRegistry, ShardManifest, ShardPlan,
-    SyncOnFlushFile,
+    builtin_registry, read_run_segment, read_trace_segment, truncate_jsonl, truncate_trace_jsonl,
+    validate_shard_set, Campaign, CampaignOutcome, CampaignReport, CampaignTelemetry,
+    CheckpointManifest, Checkpointer, FaultInjector, FaultPlan, JsonlRunWriter, RunMeta, RunRecord,
+    RunSink, RunnerStats, ScenarioRegistry, ShardManifest, ShardPlan, SyncOnFlushFile,
 };
 use karyon::telemetry::{JsonlTraceWriter, MetricsRegistry};
 
@@ -167,11 +166,14 @@ CHAOS OPTIONS (chaos takes --threads/--output/--quiet plus):
 EXIT CODES:
     0   success
     2   usage error (bad flags or arguments; nothing was executed)
-    3   I/O or execution failure (unreadable spec, sink error, corrupt manifest...)
+    3   I/O or execution failure (unreadable spec, sink error, corrupt manifest, a
+        report --jsonl or merge stream that another campaign wrote...)
     4   the session was aborted by an injected fault (--fault-plan on run/resume)
     5   chaos verification failed: recovered artifacts differ from the reference
     6   merge refused the shard set (foreign campaign fingerprint, mismatched chunk
         size or run count, overlapping or gapped shard windows)
+    A reader that closes stdout early (`... | head`) ends the command with exit 0
+    and nothing on stderr: output comes last, after every artifact is written.
 
 SPEC FILE:
     {\"name\": \"demo\", \"seed\": 42, \"chunk_size\": 4096,
@@ -258,10 +260,9 @@ fn main() -> ExitCode {
                 _ => cmd_merge(args),
             })
         }
-        Some("list-families") => cmd_list_families(&args[1..]).map_err(usage),
+        Some("list-families") => cmd_list_families(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
+            print_out(|out| out.write_all(USAGE.as_bytes()))
         }
         Some(other) => Err(usage(format!(
             "unknown command {other:?} (expected run, resume, report, chaos, shard, merge, \
@@ -655,8 +656,9 @@ fn cmd_report(args: Args) -> Result<(), CliError> {
         (Some(jsonl_path), None) => {
             let text = std::fs::read_to_string(jsonl_path)
                 .map_err(|e| format!("cannot read JSONL stream {jsonl_path:?}: {e}"))?;
-            let report = campaign.reduce_records(&registry, &read_jsonl_records(&text)?)?;
-            Ok(render(&args, &report)?)
+            let report =
+                campaign.reduce_records(&registry, &campaign.read_jsonl_records(&text)?)?;
+            render(&args, &report)
         }
         (None, Some(ckpt_path)) => {
             // `report` must never execute runs: only a *finished* manifest
@@ -679,7 +681,7 @@ fn cmd_report(args: Args) -> Result<(), CliError> {
             let ckpt = Checkpointer::new(ckpt_path);
             let (outcome, _) =
                 campaign.session(&registry).checkpointer(&ckpt).resume(true).run()?;
-            Ok(render(&args, &outcome.into_report().expect("zero chunks remain"))?)
+            render(&args, &outcome.into_report().expect("zero chunks remain"))
         }
         _ => Err(usage(
             "report needs exactly one source: --jsonl <stream> (replay) or \
@@ -821,7 +823,7 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
             injector.injected(),
         );
     }
-    Ok(render(&args, &report)?)
+    render(&args, &report)
 }
 
 /// The canonical shard artifact path: `<dir>/<campaign>.shard-<i>-of-<n>.<ext>`.
@@ -1000,7 +1002,7 @@ fn cmd_merge(args: Args) -> Result<(), CliError> {
     let runs = String::from_utf8(runs)
         .map_err(|_| "the stitched run segments are not valid UTF-8".to_string())?;
     // The same replay as `report --jsonl`.
-    let report = campaign.reduce_records(&registry, &read_jsonl_records(&runs)?)?;
+    let report = campaign.reduce_records(&registry, &campaign.read_jsonl_records(&runs)?)?;
     if !args.quiet {
         eprintln!(
             "merged {} shards of campaign {:?}: {} runs, {} points; suspect runs: {}",
@@ -1011,51 +1013,57 @@ fn cmd_merge(args: Args) -> Result<(), CliError> {
             report.suspect_runs(),
         );
     }
-    Ok(render(&args, &report)?)
+    render(&args, &report)
 }
 
-fn cmd_list_families(args: &[String]) -> Result<(), String> {
+fn cmd_list_families(args: &[String]) -> Result<(), CliError> {
     let mut json = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--output" => {
-                let mode = iter.next().ok_or("--output needs a value")?;
+                let mode = iter.next().ok_or_else(|| usage("--output needs a value"))?;
                 json = match mode.as_str() {
                     "json" => true,
                     "table" => false,
-                    other => return Err(format!("--output must be json or table, not {other:?}")),
+                    other => {
+                        return Err(usage(format!("--output must be json or table, not {other:?}")))
+                    }
                 };
             }
             other => {
-                return Err(format!("list-families takes only --output json|table, got {other:?}"))
+                return Err(usage(format!(
+                    "list-families takes only --output json|table, got {other:?}"
+                )))
             }
         }
     }
     let registry = builtin_registry();
-    if json {
-        // Machine-readable: every family with its parameter names, types,
-        // defaults and default sweep domains — enough for external tooling
-        // to generate valid campaign specs (the CI registry smoke does).
-        println!("{}", registry.describe_json());
-        return Ok(());
-    }
-    println!("builtin scenario families ({}):", registry.len());
-    for family in registry.describe() {
-        let params: Vec<String> = family
-            .params
-            .iter()
-            .map(|p| format!("{}: {} = {}", p.name, p.type_name, p.default))
-            .collect();
-        let engine = if family.engine_driven { "  [engine-driven]" } else { "" };
-        println!("  {}{engine}", family.name);
-        println!("      {}", params.join(", "));
-    }
-    println!(
-        "\nuse `--output json` for the machine-readable listing (full parameter domains); \
-         `cargo doc -p karyon-scenario` (builtin_registry) maps families to experiments"
-    );
-    Ok(())
+    print_out(|out| {
+        if json {
+            // Machine-readable: every family with its parameter names, types,
+            // defaults and default sweep domains — enough for external
+            // tooling to generate valid campaign specs (the CI registry smoke
+            // does).
+            return writeln!(out, "{}", registry.describe_json());
+        }
+        writeln!(out, "builtin scenario families ({}):", registry.len())?;
+        for family in registry.describe() {
+            let params: Vec<String> = family
+                .params
+                .iter()
+                .map(|p| format!("{}: {} = {}", p.name, p.type_name, p.default))
+                .collect();
+            let engine = if family.engine_driven { "  [engine-driven]" } else { "" };
+            writeln!(out, "  {}{engine}", family.name)?;
+            writeln!(out, "      {}", params.join(", "))?;
+        }
+        writeln!(
+            out,
+            "\nuse `--output json` for the machine-readable listing (full parameter domains); \
+             `cargo doc -p karyon-scenario` (builtin_registry) maps families to experiments"
+        )
+    })
 }
 
 /// The refusal message when `run` (without `--force`) would overwrite the
@@ -1175,7 +1183,7 @@ fn summarize(
     args: &Args,
     report: &CampaignReport,
     metrics: Option<&MetricsRegistry>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     if !args.quiet {
         let rate = report.total_runs as f64 / elapsed.as_secs_f64().max(1e-9);
         eprintln!(
@@ -1192,7 +1200,7 @@ fn summarize(
 
 /// Rendering for the `report` subcommand: no runner existed, so the JSON
 /// output is the plain report (and the table has no runner footer).
-fn render(args: &Args, report: &CampaignReport) -> Result<(), String> {
+fn render(args: &Args, report: &CampaignReport) -> Result<(), CliError> {
     render_with(args, report, None, None)
 }
 
@@ -1206,44 +1214,66 @@ fn render_with(
     report: &CampaignReport,
     runner: Option<&RunnerStats>,
     metrics: Option<&MetricsRegistry>,
-) -> Result<(), String> {
-    if matches!(args.output, OutputMode::Table | OutputMode::Both) {
-        for metric in &args.metrics {
-            report.metric_table(metric).print();
-        }
-        report.summary_table().print();
-        if let Some(stats) = runner {
-            println!(
-                "runner: {} workers, {} chunks this session, peak {} pending chunks, peak {} \
-                 resident records",
-                stats.workers, stats.chunks, stats.peak_pending_chunks, stats.peak_resident_records
-            );
-        }
-    }
-    if matches!(args.output, OutputMode::Json | OutputMode::Both) {
-        match runner {
-            None => println!("{}", report.to_json()),
-            Some(stats) => {
-                let mut out = String::from("{\"report\":");
-                out.push_str(&report.to_json());
-                out.push_str(&format!(
-                    ",\"runner\":{{\"workers\":{},\"chunks\":{},\"peak_pending_chunks\":{},\
-                     \"peak_resident_records\":{}}}",
+) -> Result<(), CliError> {
+    print_out(|out| {
+        if matches!(args.output, OutputMode::Table | OutputMode::Both) {
+            for metric in &args.metrics {
+                writeln!(out, "{}", report.metric_table(metric).render())?;
+            }
+            writeln!(out, "{}", report.summary_table().render())?;
+            if let Some(stats) = runner {
+                writeln!(
+                    out,
+                    "runner: {} workers, {} chunks this session, peak {} pending chunks, peak \
+                     {} resident records",
                     stats.workers,
                     stats.chunks,
                     stats.peak_pending_chunks,
                     stats.peak_resident_records
-                ));
-                if let Some(metrics) = metrics {
-                    out.push_str(",\"metrics\":");
-                    out.push_str(&metrics.to_json());
-                }
-                out.push('}');
-                println!("{out}");
+                )?;
             }
         }
+        if matches!(args.output, OutputMode::Json | OutputMode::Both) {
+            match runner {
+                None => writeln!(out, "{}", report.to_json())?,
+                Some(stats) => {
+                    let mut envelope = String::from("{\"report\":");
+                    envelope.push_str(&report.to_json());
+                    envelope.push_str(&format!(
+                        ",\"runner\":{{\"workers\":{},\"chunks\":{},\"peak_pending_chunks\":{},\
+                         \"peak_resident_records\":{}}}",
+                        stats.workers,
+                        stats.chunks,
+                        stats.peak_pending_chunks,
+                        stats.peak_resident_records
+                    ));
+                    if let Some(metrics) = metrics {
+                        envelope.push_str(",\"metrics\":");
+                        envelope.push_str(&metrics.to_json());
+                    }
+                    envelope.push('}');
+                    writeln!(out, "{envelope}")?;
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Writes to stdout through one lock: everything the CLI prints goes through
+/// here, after every artifact is written.  A reader that closed the pipe
+/// (`… | head`) has read all it wants, so the command ends as a success,
+/// with nothing on stderr.
+fn print_out(
+    write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::from(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// The per-campaign trace stream path under `--trace-dir`.

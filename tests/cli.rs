@@ -2,8 +2,10 @@
 //! `examples/campaign_spec.json`: run → interrupt → resume → report, the
 //! chaos drills, shard → merge with an incomplete and a fault-aborted shard
 //! set, the usage errors that must refuse before writing anything, the
-//! schema of the trace stream and the metrics snapshot, and every builtin
-//! family running from its declared defaults.
+//! schema of the trace stream and the metrics snapshot, every builtin
+//! family running from its declared defaults, the refusal of a run stream
+//! that another campaign wrote, and a quiet end when stdout's reader goes
+//! away.
 //!
 //! Every check mirrors a check of the CI steps "karyon-campaign CLI
 //! walkthrough", "Validate the trace stream schema and the metrics
@@ -18,11 +20,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
 use karyon::scenario::json::{array, escape, ObjectWriter};
-use karyon::scenario::JsonValue;
+use karyon::scenario::{derive_run_seed, JsonValue};
 
 const SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_spec.json");
 
@@ -400,4 +402,73 @@ fn flags_outside_their_subcommands_exit_2_and_write_nothing() {
     let written: Vec<_> = fs::read_dir(&dir).expect("scratch dir").collect();
     assert!(written.is_empty(), "a refused command wrote artifacts: {written:?}");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Replays the reference stream against a copy of the demo spec with `from`
+/// replaced by `to`: `report --jsonl` must exit 3 and name the first line,
+/// the field, and the expected and found values.
+fn assert_foreign_stream_refused(tag: &str, from: &str, to: &str, needles: &[&str]) {
+    let dir = scratch_dir(tag);
+    let spec = fs::read_to_string(SPEC).expect("the demo spec is readable");
+    assert!(spec.contains(from), "the demo spec has no {from:?}");
+    fs::write(dir.join("foreign.json"), spec.replacen(from, to, 1)).expect("spec is writable");
+    fs::write(dir.join("ref.jsonl"), &reference().jsonl).expect("stream is writable");
+    let out = karyon_campaign(&dir, &["report", "foreign.json", "--quiet", "--jsonl", "ref.jsonl"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "a foreign stream must exit 3: {stderr}");
+    assert!(out.stdout.is_empty(), "a refused replay printed a report");
+    for needle in needles {
+        assert!(stderr.contains(needle), "expected {needle:?} in: {stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn report_refuses_a_stream_written_with_another_seed() {
+    let (written, expected) = (derive_run_seed(2026, 0, 0), derive_run_seed(2027, 0, 0));
+    assert_foreign_stream_refused(
+        "foreign-seed",
+        "\"seed\": 2026",
+        "\"seed\": 2027",
+        &["JSONL line 1: \"seed\"", &format!("is {written} "), &format!("has {expected} ")],
+    );
+}
+
+#[test]
+fn report_refuses_a_stream_written_for_another_family() {
+    assert_foreign_stream_refused(
+        "foreign-family",
+        "\"platoon-fault\"",
+        "\"platoon\"",
+        &["JSONL line 1: \"scenario\"", "is \"platoon-fault\" ", "has \"platoon\" "],
+    );
+}
+
+#[test]
+fn report_refuses_a_stream_written_with_a_reordered_grid_axis() {
+    // Seeds derive from point and replication indices alone, so only the
+    // params tell the two campaigns apart.
+    assert_foreign_stream_refused(
+        "foreign-grid",
+        "[\"kernel\", \"los2\", \"los0\"]",
+        "[\"los2\", \"kernel\", \"los0\"]",
+        &["JSONL line 1: \"params\"", "is {\"mode\":\"kernel\"} ", "has {\"mode\":\"los2\"} "],
+    );
+}
+
+/// A stdout whose reader has already exited: the command's first write
+/// meets a broken pipe, and the CLI ends with exit 0 and an empty stderr.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().expect("`true` starts");
+    let pipe = reader.stdin.take().expect("a piped stdin");
+    reader.wait().expect("`true` exits");
+    let out = Command::new(env!("CARGO_BIN_EXE_karyon-campaign"))
+        .args(["list-families", "--output", "json"])
+        .stdout(Stdio::from(pipe))
+        .output()
+        .expect("the CLI binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "a closed pipe must end quietly: {stderr}");
 }

@@ -18,9 +18,10 @@ use karyon::net::{
     WirelessMedium,
 };
 use karyon::scenario::checkpoint::read_manifest_text;
+use karyon::scenario::json::escape;
 use karyon::scenario::{
     builtin_registry, read_jsonl_records, Campaign, CampaignEntry, CheckpointManifest,
-    Checkpointer, FaultPlan, JsonlRunWriter, ParamGrid, ShardManifest, ShardPlan,
+    Checkpointer, FaultPlan, JsonValue, JsonlRunWriter, ParamGrid, ShardManifest, ShardPlan,
 };
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
@@ -777,19 +778,27 @@ fn check_kernel_against_model(seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The valid inputs the loader robustness property mutates: the checked-in
-/// campaign spec and fault plan, a checkpoint manifest, a shard manifest and
-/// a JSONL run stream written by a tiny campaign, and a scenario spec.
-fn loader_inputs() -> &'static [String] {
-    static INPUTS: OnceLock<Vec<String>> = OnceLock::new();
-    INPUTS.get_or_init(|| {
-        let registry = builtin_registry();
-        let campaign = Campaign::new("loader-inputs", 5).with_chunk_size(2).entry(
+/// The tiny campaign that writes the loader inputs' manifests and stream.
+fn loader_campaign() -> &'static Campaign {
+    static CAMPAIGN: OnceLock<Campaign> = OnceLock::new();
+    CAMPAIGN.get_or_init(|| {
+        Campaign::new("loader-inputs", 5).with_chunk_size(2).entry(
             CampaignEntry::new("middleware-qos")
                 .grid(ParamGrid::new().axis("degrade", [false, true]))
                 .replications(2)
                 .duration_secs(1),
-        );
+        )
+    })
+}
+
+/// The valid inputs the loader robustness property mutates: the checked-in
+/// campaign spec and fault plan, and a checkpoint manifest, a shard manifest
+/// and a JSONL run stream written by [`loader_campaign`].
+fn loader_inputs() -> &'static [String] {
+    static INPUTS: OnceLock<Vec<String>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let registry = builtin_registry();
+        let campaign = loader_campaign();
         let path =
             std::env::temp_dir().join(format!("karyon-loader-inputs-{}.json", std::process::id()));
         let mut jsonl = JsonlRunWriter::new(Vec::new());
@@ -804,7 +813,7 @@ fn loader_inputs() -> &'static [String] {
         let jsonl = String::from_utf8(jsonl.finish().expect("in-memory writes cannot fail"))
             .expect("JSONL is UTF-8");
         let shard =
-            ShardManifest::new(&campaign, ShardPlan::for_campaign(&campaign, 1).slice(0)).render();
+            ShardManifest::new(campaign, ShardPlan::for_campaign(campaign, 1).slice(0)).render();
         vec![
             include_str!("../examples/campaign_spec.json").to_string(),
             include_str!("../examples/fault_plan.json").to_string(),
@@ -884,7 +893,7 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
 proptest! {
     /// Every loader answers hostile bytes with `Ok` or `Err`, never a panic:
     /// each case mutates one valid input up to three times and feeds the
-    /// result to all five loaders.
+    /// result to all six loaders.
     #[test]
     fn loaders_never_panic_on_hostile_bytes(seed in any::<u64>()) {
         let mut rng = Rng::seed_from(seed);
@@ -894,16 +903,434 @@ proptest! {
             mutate(&mut bytes, &mut rng);
         }
         let text = String::from_utf8_lossy(&bytes);
-        let loaders: [(&str, Loader); 5] = [
+        let loaders: [(&str, Loader); 6] = [
             ("CheckpointManifest::parse", |t| CheckpointManifest::parse(t).is_ok()),
             ("ShardManifest::parse", |t| ShardManifest::parse(t).is_ok()),
             ("FaultPlan::from_json_str", |t| FaultPlan::from_json_str(t).is_ok()),
             ("Campaign::from_json_str", |t| Campaign::from_json_str(t).map(|c| c.run_count()).is_ok()),
             ("read_jsonl_records", |t| read_jsonl_records(t).is_ok()),
+            ("Campaign::read_jsonl_records", |t| loader_campaign().read_jsonl_records(t).is_ok()),
         ];
         for (name, load) in loaders {
             let outcome = std::panic::catch_unwind(|| load(&text));
             prop_assert!(outcome.is_ok(), "{name} panicked on a {}-byte input", text.len());
         }
+    }
+}
+
+/// A JSONL stream's records as the tree-based reference reads them: each
+/// run's clamp count and metrics, every `f64` as its bit pattern.
+type RecordBits = Vec<(u64, Vec<(String, u64)>)>;
+
+/// The tree-based JSONL reader the pull reader replaced, kept as the
+/// reference: `JsonValue::parse` per line, then `get`/`as_*` reads.
+fn reference_jsonl(text: &str) -> Result<RecordBits, String> {
+    let mut records = Vec::new();
+    for (index, line) in text.lines().enumerate() {
+        let value = JsonValue::parse(line).map_err(|e| format!("JSONL line {}: {e}", index + 1))?;
+        let run = value
+            .get("run")
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("JSONL line {}: missing \"run\" index", index + 1))?;
+        if run != index as u64 {
+            return Err(format!(
+                "JSONL line {}: run index {run} out of canonical order — the stream is \
+                 reordered or spliced",
+                index + 1
+            ));
+        }
+        let clamped = value
+            .get("clamped_schedules")
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("JSONL line {}: missing \"clamped_schedules\"", index + 1))?;
+        let metrics = value
+            .get("metrics")
+            .and_then(JsonValue::as_object)
+            .ok_or_else(|| format!("JSONL line {}: missing \"metrics\" object", index + 1))?;
+        let mut record = BTreeMap::new();
+        for (name, metric) in metrics {
+            let metric = metric.as_f64().ok_or_else(|| {
+                format!("JSONL line {}: metric {name:?} is not a number", index + 1)
+            })?;
+            record.insert(name.clone(), metric.to_bits());
+        }
+        records.push((clamped, record.into_iter().collect()));
+    }
+    Ok(records)
+}
+
+/// A checkpoint manifest as the tree-based reference reads it, every `f64`
+/// as its bit pattern.
+#[derive(Debug, PartialEq)]
+struct ManifestBits {
+    campaign: String,
+    /// `seed`, `fingerprint`, `chunk_size`, `total_runs`, `chunks_done`
+    /// and `runs_done`.
+    header: [u64; 6],
+    points: Vec<PointBits>,
+}
+
+#[derive(Debug, PartialEq)]
+struct PointBits {
+    runs: u64,
+    suspect_runs: u64,
+    metrics: BTreeMap<String, MetricBits>,
+}
+
+#[derive(Debug, PartialEq)]
+struct MetricBits {
+    /// `count`, `mean`, `m2`, `min`, `max` and `sum`.
+    stats: [u64; 6],
+    quantiles: QuantileBits,
+}
+
+#[derive(Debug, PartialEq)]
+enum QuantileBits {
+    Exact(Vec<u64>),
+    /// `lo`, `hi`, `underflow`, `overflow`, `count`, `sum`, `min`, `max`,
+    /// then the bucket counts.
+    Histogram([u64; 8], Vec<u64>),
+}
+
+/// The tree-based manifest reader the pull reader replaced, kept as the
+/// reference: `JsonValue::parse`, then `get`/`as_*` reads, refusing with the
+/// same messages in the same order.
+fn reference_manifest(text: &str) -> Result<ManifestBits, String> {
+    let doc = JsonValue::parse(text)?;
+    let u64_field = |key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+    };
+    let str_field = |key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("missing or non-string field {key:?}"))
+    };
+    if str_field("format")? != "karyon-campaign-checkpoint" {
+        return Err("not a karyon-campaign-checkpoint file".to_string());
+    }
+    let version = u64_field("version")?;
+    if version != 1 {
+        return Err(format!("unsupported manifest version {version} (this build reads 1)"));
+    }
+    let campaign = str_field("campaign")?.to_string();
+    let seed = u64_field("seed")?;
+    let fingerprint = u64_field("fingerprint")?;
+    let chunk_size = u64_field("chunk_size")?;
+    let total_runs = u64_field("total_runs")?;
+    let points = doc
+        .get("points")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing or non-array field \"points\"")?
+        .iter()
+        .map(reference_point)
+        .collect::<Result<Vec<_>, _>>()?;
+    let chunks_done = u64_field("chunks_done")?;
+    let runs_done = u64_field("runs_done")?;
+    let covered = chunks_done.saturating_mul(chunk_size).min(total_runs);
+    if runs_done != covered {
+        return Err(format!(
+            "inconsistent watermark: runs_done is {runs_done} but {chunks_done} chunks of \
+             {chunk_size} runs cover {covered} of the campaign's {total_runs} runs"
+        ));
+    }
+    let merged = points.iter().try_fold(0u64, |sum, point| sum.checked_add(point.runs));
+    if merged != Some(runs_done) {
+        return Err(format!(
+            "inconsistent watermark: runs_done is {runs_done} but the points merged {} runs",
+            merged.map_or_else(|| "more than 2^64".to_string(), |runs| runs.to_string())
+        ));
+    }
+    let header = [seed, fingerprint, chunk_size, total_runs, chunks_done, runs_done];
+    Ok(ManifestBits { campaign, header, points })
+}
+
+fn reference_point(value: &JsonValue) -> Result<PointBits, String> {
+    let runs = value.get("runs").and_then(JsonValue::as_u64).ok_or("point is missing \"runs\"")?;
+    let suspect_runs = value
+        .get("suspect_runs")
+        .and_then(JsonValue::as_u64)
+        .ok_or("point is missing \"suspect_runs\"")?;
+    let mut metrics = BTreeMap::new();
+    let members = value
+        .get("metrics")
+        .and_then(JsonValue::as_object)
+        .ok_or("point is missing \"metrics\"")?;
+    for (name, metric) in members {
+        metrics.insert(name.clone(), reference_metric(name, metric)?);
+    }
+    Ok(PointBits { runs, suspect_runs, metrics })
+}
+
+fn reference_metric(name: &str, value: &JsonValue) -> Result<MetricBits, String> {
+    let bits_field = |key: &str| {
+        value
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("metric {name:?} is missing bit field {key:?}"))
+    };
+    let count = value
+        .get("count")
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("metric {name:?} is missing \"count\""))?;
+    let stats = [
+        count,
+        bits_field("mean")?,
+        bits_field("m2")?,
+        bits_field("min")?,
+        bits_field("max")?,
+        bits_field("sum")?,
+    ];
+    let quantiles = match (value.get("exact"), value.get("histogram")) {
+        (Some(exact), None) => QuantileBits::Exact(
+            exact
+                .as_array()
+                .ok_or_else(|| format!("metric {name:?}: \"exact\" must be an array"))?
+                .iter()
+                .map(|v| {
+                    v.as_u64()
+                        .ok_or_else(|| format!("metric {name:?}: non-integer sample bit pattern"))
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
+        (None, Some(hist)) => {
+            let field = |key: &str| {
+                hist.get(key)
+                    .and_then(JsonValue::as_u64)
+                    .ok_or_else(|| format!("metric {name:?} histogram is missing {key:?}"))
+            };
+            let counts = hist
+                .get("counts")
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("metric {name:?} histogram is missing \"counts\""))?
+                .iter()
+                .map(|v| {
+                    v.as_u64().ok_or_else(|| format!("metric {name:?}: non-integer bucket count"))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            if counts.is_empty() {
+                return Err(format!("metric {name:?} histogram has no buckets"));
+            }
+            let (lo, hi) = (field("lo")?, field("hi")?);
+            let state = [
+                lo,
+                hi,
+                field("underflow")?,
+                field("overflow")?,
+                field("count")?,
+                field("sum")?,
+                field("min")?,
+                field("max")?,
+            ];
+            let (lo, hi) = (f64::from_bits(lo), f64::from_bits(hi));
+            if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+                return Err(format!("metric {name:?} histogram has an invalid range"));
+            }
+            QuantileBits::Histogram(state, counts)
+        }
+        _ => {
+            return Err(format!(
+                "metric {name:?} must carry exactly one of \"exact\" or \"histogram\""
+            ))
+        }
+    };
+    Ok(MetricBits { stats, quantiles })
+}
+
+/// Rewrites a valid document.  The benign edits leave what it says
+/// unchanged: whitespace between tokens, reordered members, an unknown
+/// member (nested objects included), keys written with `\u` escapes, and in
+/// a JSONL line's `metrics` the values `null`, `-0` and `1e309`.  With a
+/// `refusals` chance, a member is also dropped or its value swapped for one
+/// of another type, which the loaders refuse in the order they check; one
+/// object in ten takes ten times the chance, so that several members of one
+/// object are refused together.
+struct Rewrite<'r> {
+    rng: &'r mut Rng,
+    /// The whitespace bytes to draw from: a JSONL line takes no newline.
+    spaces: &'static [u8],
+    /// True inside the unknown member, which gets no unknown member itself.
+    in_unknown: bool,
+    /// The chance that a member is dropped or retyped.
+    refusals: f64,
+}
+
+impl Rewrite<'_> {
+    fn space(&mut self, out: &mut String) {
+        while self.rng.chance(0.3) {
+            let at = self.rng.range_u64(0, self.spaces.len() as u64 - 1) as usize;
+            out.push(self.spaces[at] as char);
+        }
+    }
+
+    fn key(&mut self, key: &str, out: &mut String) {
+        out.push('"');
+        if self.rng.chance(0.2) {
+            for c in key.chars() {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+        } else {
+            out.push_str(&escape(key));
+        }
+        out.push('"');
+    }
+
+    /// Renders `value`, the member `parent` of its object (if any).
+    fn value(&mut self, value: &JsonValue, parent: Option<&str>, out: &mut String) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(raw) => out.push_str(raw),
+            JsonValue::String(s) => out.push_str(&format!("\"{}\"", escape(s))),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (index, item) in items.iter().enumerate() {
+                    if index > 0 {
+                        self.space(out);
+                        out.push(',');
+                    }
+                    self.space(out);
+                    self.value(item, None, out);
+                    self.space(out);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(members) => {
+                let metrics = parent == Some("metrics");
+                let mut members: Vec<(&str, &JsonValue)> =
+                    members.iter().map(|(key, value)| (key.as_str(), value)).collect();
+                if self.rng.chance(0.3) {
+                    members.reverse();
+                } else if !members.is_empty() && self.rng.chance(0.3) {
+                    let by = self.rng.range_u64(0, members.len() as u64 - 1) as usize;
+                    members.rotate_left(by);
+                }
+                let extra = unknown_member();
+                // An unknown member of a `metrics` object would be a metric.
+                if !metrics && !self.in_unknown && self.rng.chance(0.3) {
+                    let at = self.rng.range_u64(0, members.len() as u64) as usize;
+                    members.insert(at, ("x-unknown", extra));
+                }
+                out.push('{');
+                let mut first = true;
+                let refusals = self.refusals * if self.rng.chance(0.1) { 10.0 } else { 1.0 };
+                for (key, value) in members {
+                    let refused = self.rng.chance(refusals);
+                    if refused && self.rng.chance(0.5) {
+                        continue;
+                    }
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    self.space(out);
+                    self.key(key, out);
+                    self.space(out);
+                    out.push(':');
+                    self.space(out);
+                    let odd = ["null", "-0", "1e309"];
+                    let retyped = ["\"x\"", "[]", "{}", "-1", "true", "1.5"];
+                    if refused {
+                        out.push_str(retyped[self.rng.range_u64(0, 5) as usize]);
+                    } else if metrics
+                        && matches!(value, JsonValue::Number(_))
+                        && self.rng.chance(0.3)
+                    {
+                        out.push_str(odd[self.rng.range_u64(0, 2) as usize]);
+                    } else {
+                        let outer = self.in_unknown;
+                        self.in_unknown |= key == "x-unknown";
+                        self.value(value, Some(key), out);
+                        self.in_unknown = outer;
+                    }
+                    self.space(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// The unknown member [`Rewrite`] adds: nested objects and arrays of every
+/// value type.
+fn unknown_member() -> &'static JsonValue {
+    static MEMBER: OnceLock<JsonValue> = OnceLock::new();
+    MEMBER.get_or_init(|| {
+        JsonValue::parse(
+            r#"{"nested": {"list": [1, -0.5e-3, "x\u00e9", {"deep": [true, false, null]}],
+                "empty": {}, "none": []}, "s": "t\"q"}"#,
+        )
+        .expect("valid JSON")
+    })
+}
+
+/// `text` (one JSON document, or JSONL lines) rewritten by [`Rewrite`].
+fn rewrite(text: &str, jsonl: bool, refusals: f64, rng: &mut Rng) -> String {
+    let spaces: &[u8] = if jsonl { b" \t\r" } else { b" \t\r\n" };
+    let mut rewrite = Rewrite { rng, spaces, in_unknown: false, refusals };
+    let mut out = String::new();
+    let documents: Vec<&str> = if jsonl { text.lines().collect() } else { vec![text] };
+    for document in documents {
+        let value = JsonValue::parse(document).expect("a valid loader input");
+        rewrite.space(&mut out);
+        rewrite.value(&value, None, &mut out);
+        rewrite.space(&mut out);
+        if jsonl {
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Checks that the pull-reader loader of `text` agrees with its tree-based
+/// reference: the same `Ok` or `Err`, the same message, and on `Ok` the same
+/// records or manifest, bit for bit.  Returns whether the loader accepted.
+fn agrees_with_reference(manifest: bool, text: &str) -> Result<bool, TestCaseError> {
+    if manifest {
+        let loaded = CheckpointManifest::parse(text).map(|loaded| {
+            reference_manifest(&loaded.render()).expect("a loaded manifest renders readably")
+        });
+        let accepted = loaded.is_ok();
+        prop_assert_eq!(loaded, reference_manifest(text));
+        Ok(accepted)
+    } else {
+        let loaded = read_jsonl_records(text).map(|records| {
+            records
+                .iter()
+                .map(|record| {
+                    let metrics =
+                        record.metrics().iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+                    (record.clamped_schedules, metrics)
+                })
+                .collect::<RecordBits>()
+        });
+        let accepted = loaded.is_ok();
+        prop_assert_eq!(loaded, reference_jsonl(text));
+        Ok(accepted)
+    }
+}
+
+proptest! {
+    /// `read_jsonl_records` and `CheckpointManifest::parse` read without a
+    /// JSON tree, yet agree with the tree-based reference on every input:
+    /// the valid loader inputs, benign rewrites of them (which both accept),
+    /// rewrites that drop or retype members, and hostile mutations of the
+    /// benign rewrites.
+    #[test]
+    fn loaders_agree_with_the_tree_reference(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let inputs = loader_inputs();
+        let manifest = rng.chance(0.5);
+        let valid = if manifest { &inputs[2] } else { &inputs[4] };
+        prop_assert!(agrees_with_reference(manifest, valid)?, "a valid input is refused");
+        let edited = rewrite(valid, !manifest, 0.0, &mut rng);
+        prop_assert!(agrees_with_reference(manifest, &edited)?, "a benign edit is refused: {edited}");
+        agrees_with_reference(manifest, &rewrite(valid, !manifest, 0.05, &mut rng))?;
+        let mut bytes = edited.into_bytes();
+        for _ in 0..rng.range_u64(1, 3) {
+            mutate(&mut bytes, &mut rng);
+        }
+        agrees_with_reference(manifest, &String::from_utf8_lossy(&bytes))?;
     }
 }
