@@ -1,8 +1,10 @@
 //! # karyon-bench — experiment harnesses for the KARYON reproduction
 //!
-//! Every table/figure-level experiment of DESIGN.md §4 is a `harness = false`
-//! bench target in `benches/`; running `cargo bench --workspace` executes all
-//! of them and prints their result tables, which EXPERIMENTS.md records.
+//! Every table/figure-level experiment of the paper's evaluation (§VI) is a
+//! `harness = false` bench target in `benches/`, e01–e15 with e10 folded into
+//! e01; ARCHITECTURE.md's "Experiments as scenarios" table maps each to its
+//! scenario family.  Running `cargo bench --workspace` executes all of them
+//! and prints their result tables.
 //!
 //! Each experiment harness is a **thin campaign driver**: it embeds its
 //! sweep as a JSON campaign spec over the builtin scenario registry (the
@@ -10,13 +12,9 @@
 //! [`run_campaign`], and renders the aggregated points — the measurement
 //! loop, seed derivation, parallel execution and aggregation all live in
 //! `karyon-scenario`, so grid sweeps, checkpoint/resume and bounded-memory
-//! aggregation apply to the whole paper evaluation.
-//! `benches/micro.rs` contains the Criterion micro-benchmarks (safety-kernel
-//! cycle, validity combination, fusion, TDMA slot handling, event publication)
-//! and `benches/e16_campaign_throughput.rs` tracks the experiment pipeline's
-//! own throughput (chunked campaign runner, mixed-family campaign,
-//! checkpoint and telemetry overhead), emitting `BENCH_campaign.json` at the
-//! workspace root.
+//! aggregation apply to the whole paper evaluation.  The pipeline's own
+//! throughput, end to end and per layer, is measured by the campaign
+//! benchmark in `campaign-bench/`, not here.
 //!
 //! Harnesses honour a "quick mode" (~10× smaller workloads) so CI smoke jobs
 //! stay fast; [`quick_mode`] is the shared switch:
@@ -35,7 +33,7 @@
 
 /// True when the harness should run its ~10× smaller "quick" workload:
 /// either `env_var` is set to anything but `"0"` (how CI invokes the
-/// benches, e.g. `E16_QUICK=1`) or `--quick` was passed on the command line.
+/// benches, e.g. `E08_QUICK=1`) or `--quick` was passed on the command line.
 pub fn quick_mode(env_var: &str) -> bool {
     std::env::var(env_var).is_ok_and(|v| v != "0") || std::env::args().any(|a| a == "--quick")
 }

@@ -12,7 +12,7 @@ use karyon_sim::{splitmix64, SimDuration};
 use karyon_telemetry::{trace, RunCoords, TraceRecord};
 
 use crate::aggregate::{CampaignAccumulator, ChunkPartial, DEFAULT_CHUNK_SIZE};
-use crate::checkpoint::{Checkpointer, ManifestWriter};
+use crate::checkpoint::{CheckpointManifest, Checkpointer, ManifestWriter};
 use crate::fault::FaultInjector;
 use crate::grid::ParamGrid;
 use crate::json::{escape, JsonValue};
@@ -692,7 +692,7 @@ impl Campaign {
             telemetry: CampaignTelemetry::none(),
             faults: None,
             checkpointer: None,
-            resume: false,
+            resume: None,
             chunks: None,
         }
     }
@@ -745,16 +745,16 @@ impl Campaign {
         .run()
     }
 
-    /// A [resumed](Session::resume) session with an optional sink.  Kept for
-    /// the campaign benchmark; everything else builds the
-    /// [`session`](Campaign::session).
+    /// A session [resumed](Session::resume) from `ckpt`'s manifest, with an
+    /// optional sink.  Kept for the campaign benchmark; everything else
+    /// builds the [`session`](Campaign::session).
     pub fn resume(
         &self,
         registry: &ScenarioRegistry,
         ckpt: &mut Checkpointer,
         sink: Option<&mut dyn RunSink>,
     ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        let session = self.session(registry).checkpointer(ckpt).resume(true);
+        let session = self.session(registry).checkpointer(ckpt).resume(ckpt.load()?);
         match sink {
             Some(sink) => session.sink(sink),
             None => session,
@@ -788,7 +788,7 @@ pub struct Session<'a> {
     telemetry: CampaignTelemetry<'a>,
     faults: Option<&'a FaultInjector>,
     checkpointer: Option<&'a Checkpointer>,
-    resume: bool,
+    resume: Option<CheckpointManifest>,
     chunks: Option<Range<usize>>,
 }
 
@@ -846,12 +846,14 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// When `resume` is true, continues from the checkpointer's manifest:
-    /// validates the [fingerprint](Campaign::fingerprint) (same name, seed,
-    /// chunk size and entry list — a different worker count is fine),
+    /// Continues from `manifest`, as [loaded](Checkpointer::load) from a
+    /// checkpointing session's manifest: validates the
+    /// [fingerprint](Campaign::fingerprint) (same name, seed, chunk size and
+    /// entry list — a different worker count is fine) before any run,
     /// restores the aggregation state from the persisted partials, skips
     /// every canonical chunk at or below the watermark and continues with
-    /// live workers.
+    /// live workers.  Only a [checkpointer](Session::checkpointer) set too
+    /// writes manifests; without one the session writes none.
     ///
     /// The final report is **bit-identical** to an uninterrupted run's, for
     /// any worker count and any interruption point.  A sink — or trace sink —
@@ -860,8 +862,8 @@ impl<'a> Session<'a> {
     /// `runs_done` lines with [`truncate_jsonl`](crate::checkpoint::truncate_jsonl)
     /// and reopen it in append mode.  Resuming a finished manifest executes
     /// nothing, spawns no thread and re-emits the final report.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
+    pub fn resume(mut self, manifest: CheckpointManifest) -> Self {
+        self.resume = Some(manifest);
         self
     }
 
@@ -887,12 +889,11 @@ impl<'a> Session<'a> {
     /// Executes the session: workers run canonical chunks, and the calling
     /// thread merges them strictly in canonical order.
     ///
-    /// Errors before any run executes when the settings conflict (resume
-    /// without a checkpointer; a chunk window together with a checkpointer or
-    /// resume; a window outside the campaign's chunk range), when the run
-    /// count overflows `u64`, when an entry names a family `registry` lacks,
-    /// or when the manifest to resume from is unreadable or was written by a
-    /// different campaign definition.  A
+    /// Errors before any run executes when the settings conflict (a chunk
+    /// window together with a checkpointer or resume; a window outside the
+    /// campaign's chunk range), when the run count overflows `u64`, when an
+    /// entry names a family `registry` lacks, or when the manifest to resume
+    /// from was written by a different campaign definition.  A
     /// run that panics mid-campaign surfaces as an `Err` naming the offending
     /// spec, after in-flight runs wind down.
     pub fn run(self) -> Result<(CampaignOutcome, RunnerStats), String> {
@@ -906,10 +907,7 @@ impl<'a> Session<'a> {
             resume,
             chunks: window,
         } = self;
-        if resume && checkpointer.is_none() {
-            return Err("resuming a session needs a checkpointer to load the manifest from".into());
-        }
-        if window.is_some() && (checkpointer.is_some() || resume) {
+        if window.is_some() && (checkpointer.is_some() || resume.is_some()) {
             return Err("a chunk window is neither checkpointed nor resumed: it is rerun whole \
                         after a failure"
                 .into());
@@ -918,7 +916,9 @@ impl<'a> Session<'a> {
         let points = campaign.expand_points();
         let families = campaign.resolve_families(registry, &points)?;
         let chunks = (total_runs as usize).div_ceil(campaign.chunk_size);
-        let (start_chunk, end_chunk, mut accumulator) = match (&window, checkpointer) {
+        let session_end =
+            |start| checkpointer.map_or(chunks, |c| c.session_end_chunk(start, chunks));
+        let (start_chunk, end_chunk, mut accumulator) = match (&window, resume) {
             (Some(window), _) => {
                 if window.start > window.end || window.end > chunks {
                     return Err(format!(
@@ -929,18 +929,12 @@ impl<'a> Session<'a> {
                 }
                 (window.start, window.end, CampaignAccumulator::new(points.len()))
             }
-            (None, Some(ckpt)) if resume => {
-                let manifest = ckpt.load()?;
+            (None, Some(manifest)) => {
                 manifest.validate_for(campaign, points.len(), chunks)?;
                 let start = manifest.chunks_done;
-                let end = ckpt.session_end_chunk(start, chunks);
-                (start, end, manifest.into_accumulator())
+                (start, session_end(start), manifest.into_accumulator())
             }
-            (None, ckpt) => (
-                0,
-                ckpt.map_or(chunks, |ckpt| ckpt.session_end_chunk(0, chunks)),
-                CampaignAccumulator::new(points.len()),
-            ),
+            (None, None) => (0, session_end(0), CampaignAccumulator::new(points.len())),
         };
         let session_chunks = end_chunk - start_chunk;
         let workers = match campaign.threads {
@@ -1936,8 +1930,8 @@ mod tests {
             assert_eq!(stats.chunks, boundary as u64);
             let second = Checkpointer::new(&path);
             let campaign = build().with_threads(4);
-            let (outcome, stats) =
-                campaign.session(&registry).checkpointer(&second).resume(true).run().unwrap();
+            let session = campaign.session(&registry).checkpointer(&second);
+            let (outcome, stats) = session.resume(second.load().unwrap()).run().unwrap();
             assert_eq!(stats.chunks, (chunks - boundary) as u64);
             let resumed = outcome.into_report().expect("completed");
             assert_eq!(resumed, uninterrupted, "boundary {boundary}");
@@ -1976,7 +1970,8 @@ mod tests {
             campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
             if k > 1 {
                 let ckpt = Checkpointer::new(&resumed).max_chunks_per_session(k - 1);
-                campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
+                let session = campaign.session(&registry).checkpointer(&ckpt);
+                session.resume(ckpt.load().unwrap()).run().unwrap();
             }
             let manifest = std::fs::read(&every).unwrap();
             assert_eq!(manifest, std::fs::read(&once).unwrap(), "after {k} chunks");
@@ -1999,8 +1994,9 @@ mod tests {
         let (outcome, _) = campaign.session(&registry).checkpointer(&ckpt).run().unwrap();
         let report = outcome.into_report().expect("ran to completion");
         // Resuming a finished manifest re-emits the report without running.
-        let (again, stats) =
-            campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
+        let manifest = ckpt.load().unwrap();
+        let session = campaign.session(&registry).checkpointer(&ckpt);
+        let (again, stats) = session.resume(manifest.clone()).run().unwrap();
         assert_eq!(stats.chunks, 0);
         assert_eq!(again.into_report().unwrap(), report);
         // A different campaign definition must be refused.
@@ -2008,7 +2004,7 @@ mod tests {
             .with_chunk_size(4)
             .entry(CampaignEntry::new("echo").replications(10));
         let ckpt = Checkpointer::new(&path);
-        let err = other.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap_err();
+        let err = other.session(&registry).checkpointer(&ckpt).resume(manifest).run().unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2176,11 +2172,30 @@ mod tests {
         error
     }
 
+    /// The finished manifest of a small echo campaign, written to `tag`'s
+    /// path and deleted once loaded, with the campaign and its report.
+    fn finished_manifest(
+        tag: &str,
+    ) -> (Campaign, CampaignReport, CheckpointManifest, std::path::PathBuf) {
+        let campaign = Campaign::new("finished", 8)
+            .with_chunk_size(3)
+            .entry(CampaignEntry::new("echo").replications(7));
+        let path =
+            std::env::temp_dir().join(format!("karyon-finished-{tag}-{}.json", std::process::id()));
+        let ckpt = Checkpointer::new(&path);
+        let (outcome, _) = campaign.session(&echo_registry()).checkpointer(&ckpt).run().unwrap();
+        let manifest = ckpt.load().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (campaign, outcome.into_report().unwrap(), manifest, path)
+    }
+
     #[test]
-    fn resume_without_a_checkpointer_is_refused() {
-        let (registry, campaign, _) = never_run("resume");
-        let error = refusal(campaign.session(&registry).resume(true).run());
-        assert!(error.contains("needs a checkpointer"), "{error}");
+    fn a_finished_manifest_resumed_without_a_checkpointer_writes_nothing() {
+        let (campaign, report, manifest, path) = finished_manifest("no-checkpointer");
+        let (outcome, stats) = campaign.session(&echo_registry()).resume(manifest).run().unwrap();
+        assert_eq!(stats.chunks, 0, "no run executes");
+        assert_eq!(outcome.into_report().unwrap().to_json(), report.to_json());
+        assert!(!path.exists(), "a session without a checkpointer writes no manifest");
     }
 
     #[test]
@@ -2194,11 +2209,13 @@ mod tests {
     #[test]
     fn a_resumed_chunk_window_is_refused() {
         let (registry, campaign, ckpt) = never_run("resumed-window");
-        let error = refusal(campaign.session(&registry).chunks(0..1).resume(true).run());
-        assert!(error.contains("needs a checkpointer"), "{error}");
-        let session = campaign.session(&registry).chunks(0..1).checkpointer(&ckpt).resume(true);
-        let error = refusal(session.run());
+        let (_, _, manifest, _) = finished_manifest("resumed-window");
+        let session = campaign.session(&registry).chunks(0..1).resume(manifest.clone());
+        assert!(refusal(session.run()).contains("chunk window"));
+        let session = campaign.session(&registry).chunks(0..1).checkpointer(&ckpt);
+        let error = refusal(session.resume(manifest).run());
         assert!(error.contains("chunk window"), "{error}");
+        assert!(!ckpt.path().exists(), "a refused session writes no manifest");
     }
 
     #[test]
@@ -2212,9 +2229,13 @@ mod tests {
     }
 
     #[test]
-    fn resuming_a_missing_manifest_is_refused() {
-        let (registry, campaign, ckpt) = never_run("missing");
-        let error = refusal(campaign.session(&registry).checkpointer(&ckpt).resume(true).run());
+    fn resuming_a_foreign_manifest_is_refused() {
+        let (registry, campaign, ckpt) = never_run("foreign");
+        let error = ckpt.load().unwrap_err();
         assert!(error.contains("cannot read checkpoint manifest"), "{error}");
+        let (_, _, manifest, _) = finished_manifest("foreign");
+        let error = refusal(campaign.session(&registry).checkpointer(&ckpt).resume(manifest).run());
+        assert!(error.contains("fingerprint"), "{error}");
+        assert!(!ckpt.path().exists(), "a refused session writes no manifest");
     }
 }

@@ -47,7 +47,8 @@
 //!
 //! // Second session: resume from the manifest and finish.
 //! let ckpt = Checkpointer::new(dir.join("c.ckpt.json"));
-//! let (outcome, _) = campaign.session(&registry).checkpointer(&ckpt).resume(true).run().unwrap();
+//! let session = campaign.session(&registry).checkpointer(&ckpt);
+//! let (outcome, _) = session.resume(ckpt.load().unwrap()).run().unwrap();
 //! let report = outcome.into_report().expect("completed");
 //! assert_eq!(report.total_runs, 12);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -74,8 +75,9 @@ const FRAME_TAG: &str = "karyon-ckpt-frame-v1";
 /// Checkpoint policy and manifest location for one campaign session.
 ///
 /// Built fluently and handed to a session's
-/// [`checkpointer`](crate::Session::checkpointer) setting, which a
-/// [resumed](crate::Session::resume) session also loads its manifest from:
+/// [`checkpointer`](crate::Session::checkpointer) setting; its
+/// [`load`](Checkpointer::load) reads the manifest a
+/// [resumed](crate::Session::resume) session continues from:
 ///
 /// * [`every_chunks`](Checkpointer::every_chunks) — the write cadence, in
 ///   canonical chunks (default: every chunk).  A cadence hit renders only

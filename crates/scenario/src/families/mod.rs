@@ -1,6 +1,6 @@
 //! The builtin scenario families, grouped by the workspace layer they drive.
 //!
-//! Every KARYON evaluation experiment (the e01–e16 bench harnesses) is backed
+//! Every KARYON evaluation experiment (the e01–e15 bench harnesses) is backed
 //! by a family here, so each gets grid sweeps, Monte-Carlo replication,
 //! parallel chunked execution, checkpoint/resume and the `karyon-campaign`
 //! CLI for free.  Each family implements [`Scenario`](crate::Scenario) with:

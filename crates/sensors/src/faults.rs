@@ -4,8 +4,8 @@
 //! identified several fault modes that were categorized along five main
 //! dimensions: delay faults, sporadic offset faults, permanent offset faults,
 //! stochastic offset faults and stuck-at faults" (paper §IV-A, citing \[42\]).
-//! Each of the five classes is modelled here with explicit parameters so the
-//! fault-injection campaigns of EXPERIMENTS.md can sweep them individually.
+//! Each of the five classes is modelled here with explicit parameters so
+//! fault-injection campaigns can sweep them individually.
 
 use karyon_sim::{Rng, SimDuration, SimTime};
 

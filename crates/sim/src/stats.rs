@@ -1,7 +1,7 @@
 //! Metric collection for the experiment harnesses.
 //!
-//! Every experiment in EXPERIMENTS.md reports summary statistics (means,
-//! percentiles, counts, rates).  The collectors here are deliberately simple
+//! Every experiment harness (ARCHITECTURE.md, "Experiments as scenarios")
+//! reports summary statistics (means, percentiles, counts, rates).  The collectors here are deliberately simple
 //! and allocation-light so they can be embedded in per-node simulation state.
 
 /// Streaming mean / variance / min / max (Welford's algorithm).

@@ -1,8 +1,7 @@
 //! Plain-text table rendering for the experiment harnesses.
 //!
 //! Every experiment prints its results as an aligned ASCII table (the
-//! reproduction's equivalent of the paper's tables/figures); EXPERIMENTS.md
-//! quotes these tables verbatim.
+//! reproduction's equivalent of the paper's tables/figures).
 
 use std::fmt::Write as _;
 

@@ -81,7 +81,7 @@ fn main() {
     let mut jsonl =
         JsonlRunWriter::new(fs::OpenOptions::new().append(true).open(&jsonl_path).unwrap());
     let ckpt = Checkpointer::new(&ckpt_path).max_chunks_per_session(4);
-    let session = campaign.session(&registry).checkpointer(&ckpt).resume(true).sink(&mut jsonl);
+    let session = campaign.session(&registry).checkpointer(&ckpt).resume(manifest).sink(&mut jsonl);
     let (outcome, _) = session.run().expect("session 2 resumes");
     let CampaignOutcome::Interrupted { chunks_done, runs_done } = outcome else {
         panic!("session 2 was bounded to 4 more chunks");
@@ -93,7 +93,8 @@ fn main() {
     let mut jsonl =
         JsonlRunWriter::new(fs::OpenOptions::new().append(true).open(&jsonl_path).unwrap());
     let ckpt = Checkpointer::new(&ckpt_path);
-    let session = campaign.session(&registry).checkpointer(&ckpt).resume(true).sink(&mut jsonl);
+    let manifest = ckpt.load().expect("session 2 checkpointed");
+    let session = campaign.session(&registry).checkpointer(&ckpt).resume(manifest).sink(&mut jsonl);
     let (outcome, stats) = session.run().expect("session 3 resumes");
     jsonl.finish().expect("stream closes cleanly");
     let resumed = outcome.into_report().expect("session 3 completes");

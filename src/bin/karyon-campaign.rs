@@ -561,12 +561,16 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
     });
 
     // Resume: learn the watermark first, then cut the streams back to
-    // exactly the checkpointed runs and append to them.
-    let mut offset = 0u64;
-    if resuming {
+    // exactly the checkpointed runs and append to them.  The session
+    // continues from the manifest loaded here.
+    let resumed = if resuming {
         let ckpt_path = args.checkpoint.as_deref().expect("checked above");
-        let manifest = load_checkpoint(&campaign, Path::new(ckpt_path))?;
-        offset = manifest.runs_done;
+        Some(load_checkpoint(&campaign, Path::new(ckpt_path))?)
+    } else {
+        None
+    };
+    let offset = resumed.as_ref().map_or(0, |manifest| manifest.runs_done);
+    if let Some(manifest) = &resumed {
         rewind_streams(offset, jsonl_path, trace_stream.as_deref())?;
         if !args.quiet {
             eprintln!(
@@ -602,8 +606,10 @@ fn cmd_run(args: Args, resuming: bool) -> Result<(), CliError> {
         if let Some(metrics) = metrics.as_mut() {
             telemetry = telemetry.with_metrics(metrics);
         }
-        let mut session =
-            campaign.session(&registry).sink(&mut progress).telemetry(telemetry).resume(resuming);
+        let mut session = campaign.session(&registry).sink(&mut progress).telemetry(telemetry);
+        if let Some(manifest) = resumed {
+            session = session.resume(manifest);
+        }
         if let Some(ckpt) = &checkpointer {
             session = session.checkpointer(ckpt);
         }
@@ -677,10 +683,9 @@ fn cmd_report(args: Args) -> Result<(), CliError> {
                 )));
             }
             // A finished manifest replays instantly through resume: zero
-            // chunks remain, so no run executes and no manifest is written.
-            let ckpt = Checkpointer::new(ckpt_path);
-            let (outcome, _) =
-                campaign.session(&registry).checkpointer(&ckpt).resume(true).run()?;
+            // chunks remain, so no run executes, and a session without a
+            // checkpointer writes no manifest.
+            let (outcome, _) = campaign.session(&registry).resume(manifest).run()?;
             render(&args, &outcome.into_report().expect("zero chunks remain"))
         }
         _ => Err(usage(
@@ -747,10 +752,13 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
             )));
         }
         sessions += 1;
-        let resuming = ckpt_path.exists();
-        if resuming {
+        let mut resumed = None;
+        if ckpt_path.exists() {
             match load_checkpoint(&campaign, &ckpt_path) {
-                Ok(manifest) => rewind_streams(manifest.runs_done, Some(&jsonl_path), None)?,
+                Ok(manifest) => {
+                    rewind_streams(manifest.runs_done, Some(&jsonl_path), None)?;
+                    resumed = Some(manifest);
+                }
                 Err(error) => {
                     // A torn or corrupt manifest: the refusal is the expected
                     // behaviour, and the documented recovery — discard the
@@ -770,9 +778,13 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
                 }
             }
         }
+        let resuming = resumed.is_some();
         let mut sink = JsonlRunWriter::new(open_stream(&jsonl_path, resuming, "JSONL stream")?);
         let ckpt = Checkpointer::new(&ckpt_path);
-        let session = campaign.session(&registry).checkpointer(&ckpt).resume(resuming);
+        let mut session = campaign.session(&registry).checkpointer(&ckpt);
+        if let Some(manifest) = resumed {
+            session = session.resume(manifest);
+        }
         match session.sink(&mut sink).faults(&injector).run() {
             Ok((CampaignOutcome::Complete(report), _)) => {
                 sink.finish().map_err(|e| format!("finishing the JSONL stream: {e}"))?;
@@ -870,7 +882,8 @@ fn cmd_shard(args: Args) -> Result<(), CliError> {
         .then(|| open_stream(&trace_seg_path, false, "trace segment").map(JsonlTraceWriter::new))
         .transpose()?;
 
-    let mut progress = ProgressSink::new(Some(jsonl), start_run, campaign.run_count(), args.quiet);
+    // Progress counts the shard's own window, not the whole campaign.
+    let mut progress = ProgressSink::new(Some(jsonl), 0, end_run - start_run, args.quiet);
     let started = std::time::Instant::now();
     let (_, stats) = {
         let mut telemetry = CampaignTelemetry::none();

@@ -182,7 +182,7 @@ proptest! {
         let (outcome, stats) = campaign
             .session(&noise_registry())
             .checkpointer(&ckpt)
-            .resume(true)
+            .resume(manifest)
             .sink(&mut jsonl)
             .run()
             .expect("session 2 resumes");
@@ -264,12 +264,13 @@ proptest! {
         let report = loop {
             sessions += 1;
             prop_assert!(sessions <= 4, "recovery must converge quickly");
-            let resuming = ckpt_path.exists();
-            if resuming {
+            let resumed = ckpt_path.exists().then(|| {
                 let manifest = CheckpointManifest::load(&ckpt_path).expect("manifest on disk");
                 truncate_jsonl(&jsonl_path, manifest.runs_done).expect("stream covers watermark");
                 truncate_trace_jsonl(&trace_path, manifest.runs_done).expect("trace recovers");
-            }
+                manifest
+            });
+            let resuming = resumed.is_some();
             let threads = if resuming { threads_after } else { threads_before };
             let campaign = noise_campaign(seed, replications, chunk_size, threads);
             let mut jsonl = JsonlRunWriter::new(
@@ -292,14 +293,11 @@ proptest! {
             );
             let telemetry = CampaignTelemetry::none().with_trace(&mut trace_sink);
             let ckpt = Checkpointer::new(&ckpt_path);
-            let result = campaign
-                .session(&registry)
-                .checkpointer(&ckpt)
-                .resume(resuming)
-                .sink(&mut jsonl)
-                .telemetry(telemetry)
-                .faults(&injector)
-                .run();
+            let mut session = campaign.session(&registry).checkpointer(&ckpt);
+            if let Some(manifest) = resumed {
+                session = session.resume(manifest);
+            }
+            let result = session.sink(&mut jsonl).telemetry(telemetry).faults(&injector).run();
             match result {
                 Ok((CampaignOutcome::Complete(report), _)) => {
                     jsonl.finish().expect("stream closes");
@@ -357,7 +355,7 @@ fn many_chained_sessions_converge_to_the_uninterrupted_report() {
         let (outcome, _) = if sessions == 1 {
             session.run().expect("session runs")
         } else {
-            session.resume(true).run().expect("session resumes")
+            session.resume(ckpt.load().expect("a manifest")).run().expect("session resumes")
         };
         match outcome {
             CampaignOutcome::Complete(report) => break report,
@@ -483,7 +481,7 @@ fn a_mid_campaign_failure_never_checkpoints_unexecuted_runs() {
             let (outcome, _) = campaign()
                 .session(&flaky_registry(None, &[]))
                 .checkpointer(&resume_ckpt)
-                .resume(true)
+                .resume(resume_ckpt.load().expect("the manifest loads"))
                 .run()
                 .expect("a surviving manifest must resume");
             assert_eq!(
@@ -541,7 +539,7 @@ fn aborted_partial_chunks_are_dropped_not_merged() {
     let (outcome, _) = campaign()
         .session(&flaky_registry(None, &[]))
         .checkpointer(&resume_ckpt)
-        .resume(true)
+        .resume(resume_ckpt.load().expect("the manifest loads"))
         .run()
         .expect("the manifest must resume");
     assert_eq!(outcome.into_report().expect("resume completes"), expected);
@@ -560,6 +558,7 @@ fn resume_rejects_manifests_from_a_different_campaign_definition() {
     original.session(&noise_registry()).checkpointer(&ckpt).run().expect("session 1 runs");
 
     let resume_ckpt = Checkpointer::new(&ckpt_path);
+    let manifest = resume_ckpt.load().expect("session 1 checkpointed");
     for (label, changed) in [
         ("seed", noise_campaign(2, 20, 4, 2)),
         ("chunk size", noise_campaign(1, 20, 5, 2)),
@@ -576,7 +575,7 @@ fn resume_rejects_manifests_from_a_different_campaign_definition() {
         let err = changed
             .session(&noise_registry())
             .checkpointer(&resume_ckpt)
-            .resume(true)
+            .resume(manifest.clone())
             .run()
             .expect_err(label);
         assert!(err.contains("fingerprint"), "{label}: {err}");
@@ -585,7 +584,7 @@ fn resume_rejects_manifests_from_a_different_campaign_definition() {
     let (outcome, _) = noise_campaign(1, 20, 4, 4)
         .session(&noise_registry())
         .checkpointer(&resume_ckpt)
-        .resume(true)
+        .resume(manifest)
         .run()
         .expect("same definition resumes");
     assert!(outcome.is_complete());

@@ -1,19 +1,17 @@
 //! The `karyon-campaign` binary's contract, driven as a user drives it on
 //! `examples/campaign_spec.json`: run → interrupt → resume → report, the
 //! chaos drills, shard → merge with an incomplete and a fault-aborted shard
-//! set, the usage errors that must refuse before writing anything, the
-//! schema of the trace stream and the metrics snapshot, every builtin
-//! family running from its declared defaults, the refusal of a run stream
-//! that another campaign wrote, and a quiet end when stdout's reader goes
-//! away.
+//! set, a shard's progress line, the usage errors that must refuse before
+//! writing anything, the schema of the trace stream and the metrics
+//! snapshot, every builtin family running from its declared defaults, the
+//! refusal of a run stream that another campaign wrote, and a quiet end
+//! when stdout's reader goes away.
 //!
-//! Every check mirrors a check of the CI steps "karyon-campaign CLI
-//! walkthrough", "Validate the trace stream schema and the metrics
-//! snapshot", "Registry coverage smoke", "Chaos drill", "Shard/merge
-//! walkthrough" and "Shard chaos variant".  One uninterrupted reference run
-//! (JSONL, trace directory, metrics and a checkpoint every chunk), shared by
-//! every test, is the baseline every other artifact is compared with, byte
-//! for byte.  Before resuming, the interrupted session's streams are run
+//! `cargo test --test cli` drives the debug binary; CI also runs
+//! `cargo test --release --test cli` to drive the release build.  One
+//! uninterrupted reference run (JSONL, trace directory, metrics and a
+//! checkpoint every chunk), shared by every test, is the baseline every
+//! other artifact is compared with, byte for byte.  Before resuming, the interrupted session's streams are run
 //! ahead of its checkpoint, torn last line included, as a session killed
 //! between two manifests leaves them: resume must cut both back to the
 //! watermark.
@@ -276,9 +274,9 @@ fn every_family_runs_from_its_declared_defaults() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The CI "Chaos drill": `chaos` recovers from every fault category of the
-/// committed plan, and from a seed-derived plan, to the reference report;
-/// `run --fault-plan` dies with exit 4 on the injected fault.
+/// `chaos` recovers from every fault category of the committed plan, and
+/// from a seed-derived plan, to the reference report; `run --fault-plan`
+/// dies with exit 4 on the injected fault.
 #[test]
 fn chaos_drills_recover_the_reference_and_faulted_runs_exit_4() {
     let dir = scratch_dir("chaos");
@@ -306,11 +304,10 @@ fn chaos_drills_recover_the_reference_and_faulted_runs_exit_4() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The CI "Shard/merge walkthrough" and "Shard chaos variant": three shard
-/// sessions with 1, 2 and 4 workers merge to the reference report, JSONL and
-/// trace; two of three shards are refused with exit 6; a shard that the
-/// fault plan aborts exits 4 and leaves no manifest, and after a clean rerun
-/// the merge is still the reference.
+/// Three shard sessions with 1, 2 and 4 workers merge to the reference
+/// report, JSONL and trace; two of three shards are refused with exit 6; a
+/// shard that the fault plan aborts exits 4 and leaves no manifest, and after
+/// a clean rerun the merge is still the reference.
 #[test]
 fn shard_sets_merge_to_the_reference_and_refuse_incomplete_or_faulted_shards() {
     let dir = scratch_dir("shards");
@@ -357,6 +354,20 @@ fn shard_sets_merge_to_the_reference_and_refuse_incomplete_or_faulted_shards() {
     let remerged =
         succeed(&dir, &["merge", SPEC, "--dir", "shards", "--quiet", "--output", "json"]);
     assert_eq!(report_of(&remerged), reference.report, "merge after the rerun");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard's progress line counts the shard's own window: shard 0 of 3
+/// covers 80 of the demo spec's 240 runs and ends at 80/80.
+#[test]
+fn a_shard_counts_its_progress_over_its_own_window() {
+    let dir = scratch_dir("shard-progress");
+    let out =
+        karyon_campaign(&dir, &["shard", SPEC, "--dir", "shards", "--index", "0", "--of", "3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let last = stderr.rsplit('\r').next().expect("stderr is split");
+    assert!(last.starts_with("80/80 runs (100.0%"), "last progress segment: {last:?}");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -221,7 +221,7 @@ fn mid_chunk_aborts_resume_byte_identically() {
     let (outcome, _) = noise_campaign(4)
         .session(&noise_registry())
         .checkpointer(&ckpt)
-        .resume(true)
+        .resume(manifest)
         .sink(&mut jsonl)
         .telemetry(CampaignTelemetry::none().with_metrics(&mut metrics))
         .faults(&injector)
@@ -290,10 +290,7 @@ fn corrupt_manifests_are_refused_cleanly_and_disk_is_untouched() {
         // The resume entry point refuses identically instead of panicking,
         // and is read-only too.
         let resume_error = noise_campaign(1)
-            .session(&noise_registry())
-            .checkpointer(&Checkpointer::new(&ckpt_path))
-            .resume(true)
-            .run()
+            .resume(&noise_registry(), &mut Checkpointer::new(&ckpt_path), None)
             .expect_err(label);
         assert!(resume_error.contains("recovery:"), "{label}: {resume_error}");
         assert!(!is_injected(&resume_error), "{label}: a real refusal, not an injected one");
@@ -326,21 +323,22 @@ fn all_fault_categories_together_converge_to_the_reference() {
     let report = loop {
         sessions += 1;
         assert!(sessions <= 8, "recovery must converge");
-        let mut resuming = ckpt_path.exists();
-        if resuming {
+        let mut resumed = None;
+        if ckpt_path.exists() {
             match Checkpointer::new(&ckpt_path).load() {
                 Ok(manifest) => {
                     truncate_jsonl(&jsonl_path, manifest.runs_done).expect("stream truncates");
+                    resumed = Some(manifest);
                 }
                 Err(refusal) => {
                     // The torn manifest: refused cleanly, discard and restart.
                     assert!(refusal.contains("recovery:"), "{refusal}");
                     fs::remove_file(&ckpt_path).expect("discarding the corrupt manifest");
                     fs::remove_file(&jsonl_path).ok();
-                    resuming = false;
                 }
             }
         }
+        let resuming = resumed.is_some();
         let mut jsonl = JsonlRunWriter::new(
             fs::OpenOptions::new()
                 .create(true)
@@ -354,14 +352,11 @@ fn all_fault_categories_together_converge_to_the_reference() {
         let campaign = noise_campaign(1 + sessions % 3);
         let telemetry = CampaignTelemetry::none().with_metrics(&mut metrics);
         let registry = noise_registry();
-        let result = campaign
-            .session(&registry)
-            .checkpointer(&ckpt)
-            .resume(resuming)
-            .sink(&mut jsonl)
-            .telemetry(telemetry)
-            .faults(&injector)
-            .run();
+        let mut session = campaign.session(&registry).checkpointer(&ckpt);
+        if let Some(manifest) = resumed {
+            session = session.resume(manifest);
+        }
+        let result = session.sink(&mut jsonl).telemetry(telemetry).faults(&injector).run();
         match result {
             Ok((CampaignOutcome::Complete(report), _)) => {
                 jsonl.finish().expect("stream closes");

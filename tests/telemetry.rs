@@ -144,7 +144,7 @@ fn trace_stream_stitches_bit_identically_across_checkpoint_resume() {
         let (outcome, _) = ticker_campaign(4)
             .session(&registry)
             .checkpointer(&ckpt)
-            .resume(true)
+            .resume(ckpt.load().expect("the first session checkpointed"))
             .telemetry(CampaignTelemetry::none().with_trace(&mut second))
             .run()
             .expect("resumed session");
