@@ -15,10 +15,8 @@
 //! load (it sheds instead of queueing), while Batched degrades gracefully —
 //! delivery ratio falls towards rated-capacity ÷ offered-load but tail
 //! latency stays bounded by its mailbox.
-//!
-//! Quick mode (`E08_QUICK=1`, used by CI) shrinks run durations ~10×.
 
-use karyon_bench::{quick_mode, run_campaign};
+use karyon_bench::run_campaign;
 use karyon_sim::table::{fmt3, fmt_pct};
 use karyon_sim::Table;
 
@@ -43,7 +41,7 @@ const QOS_SPEC: &str = r#"{
 const OVERLOAD_SPEC: &str = r#"{
   "name": "e08-middleware-overload", "seed": 17,
   "entries": [
-    {"scenario": "middleware-overload", "replications": 3, "duration_secs": DURATION,
+    {"scenario": "middleware-overload", "replications": 3, "duration_secs": 30,
      "grid": {"load_x": [1.0, 2.0, 10.0, 20.0], "qos_mix": ["mixed"],
               "backlog_threshold": [1024], "strategy": ["class-default"]}}
   ]
@@ -108,16 +106,12 @@ fn qos_admission_campaign() {
     );
 }
 
-fn overload_campaign(quick: bool) {
-    let duration = if quick { "6" } else { "30" };
-    let spec = OVERLOAD_SPEC.replace("DURATION", duration);
-    let (report, _, _) = run_campaign(&spec);
+fn overload_campaign() {
+    let (report, _, _) = run_campaign(OVERLOAD_SPEC);
     assert_eq!(report.suspect_runs(), 0, "the overload loops never schedule into the past");
     let mut table = Table::new(
-        &format!(
-            "E08b — EventBus v2 under overload: delivery ratio and P99 latency per QoS class \
-             ({duration} s, 3 seeds, rated 100 Hz)"
-        ),
+        "E08b — EventBus v2 under overload: delivery ratio and P99 latency per QoS class \
+         (30 s, 3 seeds, rated 100 Hz)",
         &[
             "offered load",
             "realtime del.",
@@ -175,7 +169,6 @@ fn overload_campaign(quick: bool) {
 }
 
 fn main() {
-    let quick = quick_mode("E08_QUICK");
     qos_admission_campaign();
-    overload_campaign(quick);
+    overload_campaign();
 }

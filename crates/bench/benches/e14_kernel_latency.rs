@@ -10,12 +10,11 @@
 //! deterministic so campaign reports remain bit-identical for any worker
 //! count.  Per rule-set size two campaigns run (full and one-tenth cycle
 //! counts) and the cost per cycle is the elapsed-time difference over the
-//! cycle difference, cancelling the runner's fixed per-campaign overhead.  `E14_QUICK=1` (or `--quick`) runs 10× fewer cycles;
-//! the design-time bound figures are identical in both modes and are
-//! asserted against the pre-refactor seed numbers (150 ms reaction vs the
-//! 500 ms hazard bound).
+//! cycle difference, cancelling the runner's fixed per-campaign overhead.
+//! The design-time bound figures are asserted against the pre-refactor seed
+//! numbers (150 ms reaction vs the 500 ms hazard bound).
 
-use karyon_bench::{quick_mode, run_campaign};
+use karyon_bench::run_campaign;
 use karyon_sim::table::fmt3;
 use karyon_sim::Table;
 
@@ -34,7 +33,7 @@ fn spec(rules_per_level: usize, cycles: u64) -> String {
 }
 
 fn main() {
-    let cycles: u64 = if quick_mode("E14_QUICK") { 200 } else { 2_000 };
+    let cycles: u64 = 2_000;
     let mut table = Table::new(
         "E14 — safety-kernel evaluation cost and reaction bound (cycle period 100 ms)",
         &[
@@ -72,7 +71,7 @@ fn main() {
         // Consistency with the pre-refactor harness (seed numbers): a
         // 100 ms cycle period + 50 ms switch bound give a 150 ms worst-case
         // reaction, far below the 500 ms hazard bound, for every rule-set
-        // size and in quick mode too.
+        // size.
         assert_eq!(reaction_ms, 150.0, "worst-case reaction changed for {rules} rules/level");
         assert_eq!(tightest_ms, 500.0, "hazard bound changed for {rules} rules/level");
         assert!(satisfied, "the safety argument's bound check failed for {rules} rules/level");

@@ -15,28 +15,9 @@
 //! aggregation apply to the whole paper evaluation.  The pipeline's own
 //! throughput, end to end and per layer, is measured by the campaign
 //! benchmark in `campaign-bench/`, not here.
-//!
-//! Harnesses honour a "quick mode" (~10× smaller workloads) so CI smoke jobs
-//! stay fast; [`quick_mode`] is the shared switch:
-//!
-//! ```
-//! std::env::set_var("DOCTEST_QUICK", "1");
-//! assert!(karyon_bench::quick_mode("DOCTEST_QUICK"));
-//! std::env::set_var("DOCTEST_QUICK", "0");
-//! assert!(!karyon_bench::quick_mode("DOCTEST_QUICK"));
-//! std::env::remove_var("DOCTEST_QUICK");
-//! assert!(!karyon_bench::quick_mode("DOCTEST_QUICK"));
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// True when the harness should run its ~10× smaller "quick" workload:
-/// either `env_var` is set to anything but `"0"` (how CI invokes the
-/// benches, e.g. `E08_QUICK=1`) or `--quick` was passed on the command line.
-pub fn quick_mode(env_var: &str) -> bool {
-    std::env::var(env_var).is_ok_and(|v| v != "0") || std::env::args().any(|a| a == "--quick")
-}
 
 /// Parses a JSON campaign spec, executes it on the builtin scenario registry
 /// in one [`Session`](karyon_scenario::Session), and returns the report

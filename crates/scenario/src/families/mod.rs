@@ -11,10 +11,7 @@
 //!   the registry coverage tests;
 //! * [`metric_range`](crate::Scenario::metric_range) declarations for
 //!   continuous metrics with known scales, so million-run campaigns stream
-//!   their quantiles in O(1) memory per point;
-//! * [`engine_driven`](crate::Scenario::engine_driven) where a
-//!   `karyon_sim::Engine` is involved, which opts the family into the
-//!   registry-wide clamp audit.
+//!   their quantiles in O(1) memory per point.
 //!
 //! [`builtin_registry`](crate::builtin_registry) registers one instance of
 //! every family below.

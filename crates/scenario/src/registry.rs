@@ -58,14 +58,13 @@ impl ScenarioRegistry {
         self.families.is_empty()
     }
 
-    /// Describes every registered family — name, engine involvement and the
-    /// declared parameter domain — in name order.
+    /// Describes every registered family — name and declared parameter
+    /// domain — in name order.
     pub fn describe(&self) -> Vec<FamilyInfo> {
         self.families
             .values()
             .map(|scenario| FamilyInfo {
                 name: scenario.name().to_string(),
-                engine_driven: scenario.engine_driven(),
                 params: scenario
                     .param_domain()
                     .axes()
@@ -85,7 +84,7 @@ impl ScenarioRegistry {
     /// `karyon-campaign list-families --output json`:
     ///
     /// ```json
-    /// {"families": [{"name": "tdma", "engine_driven": false,
+    /// {"families": [{"name": "tdma",
     ///   "params": [{"name": "nodes", "type": "int", "default": 8,
     ///               "domain": [8, 4, 12]}, ...]}, ...]}
     /// ```
@@ -114,7 +113,6 @@ impl ScenarioRegistry {
                     .collect();
                 let mut o = ObjectWriter::new();
                 o.string("name", &family.name);
-                o.bool("engine_driven", family.engine_driven);
                 o.raw("params", &json::array(&params));
                 o.finish()
             })
@@ -130,9 +128,6 @@ impl ScenarioRegistry {
 pub struct FamilyInfo {
     /// The registered family name.
     pub name: String,
-    /// Whether the family drives a `karyon_sim::Engine` (and therefore
-    /// participates in the clamp audit).
-    pub engine_driven: bool,
     /// The declared parameters, in [`Scenario::param_domain`] axis order.
     pub params: Vec<ParamInfo>,
 }
@@ -319,7 +314,6 @@ mod tests {
         for family in families {
             let name = family.get("name").and_then(|n| n.as_str()).unwrap();
             assert!(registry.get(name).is_some());
-            assert!(family.get("engine_driven").and_then(|e| e.as_bool()).is_some());
             for param in family.get("params").and_then(|p| p.as_array()).unwrap() {
                 let type_name = param.get("type").and_then(|t| t.as_str()).unwrap();
                 assert!(matches!(type_name, "int" | "float" | "bool" | "text"));

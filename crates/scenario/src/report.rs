@@ -108,8 +108,9 @@ pub struct PointReport {
     pub params: BTreeMap<String, ParamValue>,
     /// Number of runs aggregated.
     pub runs: u64,
-    /// Runs in which the simulation engine clamped a past-time schedule —
-    /// causality-suspect runs whose results deserve scrutiny.
+    /// Runs whose record carries a non-zero `clamped_schedules` —
+    /// causality-suspect runs whose results deserve scrutiny.  No builtin
+    /// family sets that field, so this reads 0 for their runs.
     pub suspect_runs: u64,
     /// Per-metric aggregates, in deterministic metric-name order.
     pub metrics: BTreeMap<String, MetricSummary>,

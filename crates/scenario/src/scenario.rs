@@ -2,9 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use karyon_sim::{Engine, SimTime};
-use karyon_telemetry::{trace, AttrValue};
-
 use crate::grid::ParamGrid;
 use crate::spec::ScenarioSpec;
 
@@ -18,9 +15,11 @@ use crate::spec::ScenarioSpec;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRecord {
     metrics: BTreeMap<String, f64>,
-    /// Past-time schedules clamped by the simulation engine during this run
-    /// (see `karyon_sim::Engine::clamped_schedules`).  A non-zero value marks
-    /// the run as causality-suspect in the campaign report.
+    /// Past-time schedules clamped during this run.  No builtin family sets
+    /// it, so it reads 0 for every run they make; the JSONL reader fills it
+    /// from the stream.  A non-zero value marks the run as causality-suspect
+    /// in the campaign report.  JSONL lines and reports carry it until their
+    /// next format change.
     pub clamped_schedules: u64,
 }
 
@@ -51,33 +50,6 @@ impl RunRecord {
     pub fn metrics(&self) -> &BTreeMap<String, f64> {
         &self.metrics
     }
-
-    /// Folds an engine's causality accounting into the record.
-    ///
-    /// Part of the Scenario-to-runner contract: every `Engine`-driven family
-    /// must call this (once per engine, after the run) so the campaign can
-    /// flag causality-suspect runs — otherwise a model that schedules into
-    /// the past is silently clamped again, which is exactly what the counter
-    /// exists to prevent.
-    /// When a [trace collection scope](karyon_telemetry::trace::collect) is
-    /// active (a campaign running with a trace sink attached), this also
-    /// emits an `engine.run` summary span — so every engine-driven family is
-    /// traceable without touching its code.
-    pub fn absorb_engine_clamps<S, E>(&mut self, engine: &Engine<S, E>) {
-        self.clamped_schedules += engine.clamped_schedules();
-        if trace::active() {
-            trace::span(
-                "engine.run",
-                SimTime::ZERO,
-                engine.now(),
-                &[
-                    ("processed", AttrValue::U64(engine.processed())),
-                    ("pending", AttrValue::U64(engine.pending() as u64)),
-                    ("clamped", AttrValue::U64(engine.clamped_schedules())),
-                ],
-            );
-        }
-    }
 }
 
 /// A named scenario family: anything that can turn a [`ScenarioSpec`] into a
@@ -85,10 +57,7 @@ impl RunRecord {
 ///
 /// Implementations must be deterministic — the same spec (including its seed)
 /// must produce the same record — and `Send + Sync`, because the campaign
-/// runner executes runs on worker threads.  Families that drive a
-/// `karyon_sim::Engine` must fold its clamp counter into the record via
-/// [`RunRecord::absorb_engine_clamps`] so campaigns can flag
-/// causality-suspect runs.
+/// runner executes runs on worker threads.
 pub trait Scenario: Send + Sync {
     /// The family name this scenario registers under.
     fn name(&self) -> &str;
@@ -130,12 +99,9 @@ pub trait Scenario: Send + Sync {
         ParamGrid::new()
     }
 
-    /// True when this family drives a `karyon_sim::Engine` and therefore
-    /// participates in the clamp audit: the registry-wide guard test asserts
-    /// that every engine-driven builtin reports zero causality-suspect runs
-    /// on its default spec, so a family that schedules into the past cannot
-    /// land silently.  Families that override this must also call
-    /// [`RunRecord::absorb_engine_clamps`].
+    /// Always `false` for the builtin families, and no workspace code reads
+    /// it.  Kept for the campaign benchmark, whose family wrapper forwards
+    /// it.
     fn engine_driven(&self) -> bool {
         false
     }

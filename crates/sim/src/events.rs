@@ -1,14 +1,15 @@
 //! The time-ordered event queue.
 //!
-//! The queue is the core of the discrete-event engine: events are popped in
-//! non-decreasing time order, with FIFO order among events scheduled for the
-//! same instant (insertion order breaks ties).  Deterministic tie-breaking is
-//! required for reproducible fault-injection campaigns.
+//! The queue holds the simulated transport fabric's in-flight deliveries:
+//! events are popped in non-decreasing time order, with FIFO order among
+//! events scheduled for the same instant (insertion order breaks ties).
+//! Deterministic tie-breaking is required for reproducible fault-injection
+//! campaigns.
 //!
 //! [`EventQueue`] is a `BinaryHeap` keyed by `(time, insertion seq)`.  The
-//! engine drives one family's message fabric with a handful of pending
-//! events, so O(log n) per operation is already below the cost of the
-//! handlers; `tests/properties.rs` pins the pop order against a sorted model.
+//! fabric keeps a handful of messages in flight, so O(log n) per operation
+//! is already below the cost of a send; `tests/properties.rs` pins the pop
+//! order against a sorted model.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -72,7 +73,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `payload` to fire at `time`.  Any time is accepted, also
-    /// one earlier than the last pop; only the engine clamps past times.
+    /// one earlier than the last pop.
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -92,11 +93,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 
     /// Removes and returns the earliest pending event as `(time, payload)`.
@@ -162,17 +158,15 @@ mod tests {
     }
 
     #[test]
-    fn next_time_and_clear() {
+    fn next_time_is_the_earliest_pending_time() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_time(), None);
         q.schedule(SimTime::from_secs(1), ());
         assert_eq!(q.next_time(), Some(SimTime::from_secs(1)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.next_time(), None);
-        // The queue is reusable after a clear.
         q.schedule(SimTime::from_millis(2), ());
+        assert_eq!(q.next_time(), Some(SimTime::from_millis(2)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(2), ())));
+        assert_eq!(q.next_time(), Some(SimTime::from_secs(1)));
     }
 
     #[test]

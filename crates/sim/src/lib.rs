@@ -1,11 +1,15 @@
-//! # karyon-sim — deterministic discrete-event simulation substrate
+//! # karyon-sim — deterministic simulation substrate
 //!
 //! The KARYON paper (DSN 2013) evaluates its safety architecture through
 //! "computer simulations with fault injection support".  This crate is the
 //! substrate those simulations run on: a deterministic notion of time, a
-//! seedable pseudo-random number generator, an event queue, a small
-//! discrete-event engine, 2-D/3-D geometry used by the vehicular scenarios
-//! and statistics collection used by the experiment harnesses.
+//! seedable pseudo-random number generator, the time-ordered event queue
+//! behind the simulated transport fabric, 2-D/3-D geometry used by the
+//! vehicular scenarios and statistics collection used by the experiment
+//! harnesses.  Models with a fixed cadence — TDMA slots, pulse rounds,
+//! publish loops, vehicle control cycles, which the paper treats as periodic
+//! tasks below the hybridization line — run as plain loops over their own
+//! clock.
 //!
 //! Everything in this crate is deterministic: given the same seed and the
 //! same sequence of API calls, a simulation produces bit-identical results.
@@ -15,7 +19,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use karyon_sim::prelude::*;
+//! use karyon_sim::{EventQueue, Rng, SimDuration, SimTime};
 //!
 //! // Deterministic randomness.
 //! let mut rng = Rng::seed_from(42);
@@ -26,24 +30,19 @@
 //! let t = SimTime::from_millis(5) + SimDuration::from_micros(250);
 //! assert_eq!(t.as_micros(), 5_250);
 //!
-//! // A tiny event-driven simulation.
-//! let mut engine: Engine<u32, &'static str> = Engine::new(0);
-//! engine.schedule_in(SimDuration::from_millis(1), "tick");
-//! engine.run(|state, ctx, ev| {
-//!     if ev == "tick" {
-//!         *state += 1;
-//!         if *state < 3 {
-//!             ctx.schedule_in(SimDuration::from_millis(1), "tick");
-//!         }
-//!     }
-//! });
-//! assert_eq!(*engine.state(), 3);
+//! // Events pop earliest first, in schedule order among ties.
+//! let mut queue = EventQueue::new();
+//! queue.schedule(t, "late");
+//! queue.schedule(SimTime::from_millis(1), "early");
+//! queue.schedule(t, "tie");
+//! assert_eq!(queue.pop(), Some((SimTime::from_millis(1), "early")));
+//! assert_eq!(queue.pop(), Some((t, "late")));
+//! assert_eq!(queue.pop(), Some((t, "tie")));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod events;
 pub mod geometry;
 pub mod rng;
@@ -51,21 +50,9 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use engine::{Context, Engine};
 pub use events::EventQueue;
 pub use geometry::{Vec2, Vec3};
 pub use rng::{splitmix64, Rng};
 pub use stats::{BucketHistogram, BucketHistogramState, Histogram, OnlineStats, OnlineStatsState};
 pub use table::Table;
 pub use time::{SimDuration, SimTime};
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::engine::{Context, Engine};
-    pub use crate::events::EventQueue;
-    pub use crate::geometry::{Vec2, Vec3};
-    pub use crate::rng::Rng;
-    pub use crate::stats::{BucketHistogram, Histogram, OnlineStats};
-    pub use crate::table::Table;
-    pub use crate::time::{SimDuration, SimTime};
-}

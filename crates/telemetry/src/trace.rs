@@ -63,7 +63,7 @@ pub struct EventRecord {
     pub attrs: Vec<(String, AttrValue)>,
 }
 
-/// An interval in virtual time (e.g. the whole engine run of a scenario).
+/// An interval in virtual time (e.g. the whole run of a scenario).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Record name, dot-namespaced (e.g. `engine.run`).

@@ -4,13 +4,14 @@
 //! The seed-deterministic simulated network fabric behind the
 //! `net-transport` scenario family.
 //!
-//! [`SimTransport`] is driven by the virtual-clock [`karyon_sim::Engine`]
-//! plus seed-derived entropy.  Every link's delay/jitter draws, drops,
-//! duplicates and reorderings, and the partition schedules, are functions of
-//! the construction seed, so any interleaving observed under faults is
-//! replayable bit-for-bit from that seed — the same contract campaign runs
-//! already honour.  Nodes send bytes, pump the fabric to a deadline (or drain it) and
-//! receive [`Delivery`]s annotated with their fabric timing.
+//! [`SimTransport`] keeps its own virtual clock and delivery queue
+//! ([`karyon_sim::EventQueue`]) and draws from seed-derived entropy.  Every
+//! link's delay/jitter draws, drops, duplicates and reorderings, and the
+//! partition schedules, are functions of the construction seed, so any
+//! interleaving observed under faults is replayable bit-for-bit from that
+//! seed — the same contract campaign runs already honour.  Nodes send bytes,
+//! pump the fabric to a deadline (or drain it) and receive [`Delivery`]s
+//! annotated with their fabric timing.
 //!
 //! # Determinism contract
 //!
@@ -19,7 +20,7 @@
 //! flags) and identical [`TransportStats`] on every run.  This holds because
 //! (a) each directed link's entropy stream is derived purely from
 //! `(seed, src, dst)` — never from map insertion order or wall clock — and
-//! (b) the engine's event queue breaks same-time ties by schedule order, so
+//! (b) the delivery queue breaks same-time ties by schedule order, so
 //! simultaneous deliveries keep a stable order.
 
 use std::fmt;
@@ -28,7 +29,7 @@ use karyon_sim::SimTime;
 
 mod sim;
 
-pub use sim::{LinkConfig, PartitionWindow, SimNetEvent, SimNetState, SimTransport};
+pub use sim::{LinkConfig, PartitionWindow, SimTransport};
 
 /// Logical address of a node on a transport fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use karyon_sim::{splitmix64, Engine, Rng, SimDuration, SimTime};
+use karyon_sim::{splitmix64, EventQueue, Rng, SimDuration, SimTime};
 
 use crate::{link_key, Delivery, LinkKey, NodeId, TransportStats};
 
@@ -68,48 +68,33 @@ impl PartitionWindow {
     }
 }
 
-/// Mailbox and delivery counters owned by the embedded engine.
-///
-/// Public only so [`SimTransport::engine`] can expose the engine for clamp
-/// audits ([`karyon_sim::Engine::clamped_schedules`]); the fields are
-/// internal.
-#[derive(Debug, Default)]
-pub struct SimNetState {
-    inbox: Vec<Delivery>,
-    delivered: u64,
-    reordered: u64,
-    /// Highest send sequence number delivered so far, per directed link.
-    last_seq: BTreeMap<LinkKey, u64>,
-}
-
-/// One in-flight message inside the embedded engine: scheduled once at its
-/// delivery time and popped once.
-#[derive(Debug, Clone)]
-pub struct SimNetEvent {
+/// One in-flight message: queued once at its delivery time and popped once.
+#[derive(Debug)]
+struct InFlight {
     delivery: Delivery,
     send_seq: u64,
 }
 
 /// The deterministic simulated fabric.
 ///
-/// Built over [`karyon_sim::Engine`]: every send schedules a delivery event at
-/// `now + delay`, the engine's `(time, insertion)`-ordered queue fixes the
-/// delivery order, and all randomness (jitter, drops, duplicates, reorder
-/// hold-backs) comes from per-link [`Rng`] streams derived purely from
-/// `(seed, src, dst)`.  Identical seeds and send sequences therefore replay
-/// identical delivery histories — see the crate-level determinism contract.
+/// Every send queues its delivery at `now + delay` in an [`EventQueue`],
+/// whose `(time, insertion)` order fixes the delivery order, and all
+/// randomness (jitter, drops, duplicates, reorder hold-backs) comes from
+/// per-link [`Rng`] streams derived purely from `(seed, src, dst)`.
+/// Identical seeds and send sequences therefore replay identical delivery
+/// histories — see the crate-level determinism contract.
 #[derive(Debug)]
 pub struct SimTransport {
-    engine: Engine<SimNetState, SimNetEvent>,
+    queue: EventQueue<InFlight>,
+    now: SimTime,
     seed: u64,
     default_link: LinkConfig,
     rngs: BTreeMap<LinkKey, Rng>,
     partitions: Vec<PartitionWindow>,
+    /// Highest send sequence number delivered so far, per directed link.
+    last_seq: BTreeMap<LinkKey, u64>,
     send_seq: u64,
-    sent: u64,
-    dropped: u64,
-    duplicated: u64,
-    partition_dropped: u64,
+    stats: TransportStats,
 }
 
 impl SimTransport {
@@ -117,16 +102,15 @@ impl SimTransport {
     /// `seed`, with [`LinkConfig::default`] on every link.
     pub fn new(seed: u64) -> Self {
         SimTransport {
-            engine: Engine::new(SimNetState::default()),
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
             seed,
             default_link: LinkConfig::default(),
             rngs: BTreeMap::new(),
             partitions: Vec::new(),
+            last_seq: BTreeMap::new(),
             send_seq: 0,
-            sent: 0,
-            dropped: 0,
-            duplicated: 0,
-            partition_dropped: 0,
+            stats: TransportStats::default(),
         }
     }
 
@@ -142,14 +126,9 @@ impl SimTransport {
         self.partitions.push(window);
     }
 
-    /// The embedded virtual-clock engine, exposed for clamp audits.
-    pub fn engine(&self) -> &Engine<SimNetState, SimNetEvent> {
-        &self.engine
-    }
-
     /// Number of messages still in flight.
     pub fn in_flight(&self) -> usize {
-        self.engine.pending()
+        self.queue.len()
     }
 
     /// Per-link entropy stream, derived purely from `(seed, src, dst)` so the
@@ -165,41 +144,39 @@ impl SimTransport {
         })
     }
 
-    fn pump(&mut self, deadline: Option<SimTime>) -> Vec<Delivery> {
-        let handler = |state: &mut SimNetState,
-                       _ctx: &mut karyon_sim::Context<'_, SimNetEvent>,
-                       ev: SimNetEvent| {
-            let key = link_key(ev.delivery.src, ev.delivery.dst);
-            let last = state.last_seq.entry(key).or_insert(0);
-            if ev.send_seq < *last {
-                state.reordered += 1;
+    /// Delivers every message due at or before `deadline`, in delivery
+    /// order, moving the clock to each delivery's time.
+    fn deliver_until(&mut self, deadline: SimTime) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        while let Some((t, msg)) = self.queue.pop_until(deadline) {
+            self.now = t;
+            let key = link_key(msg.delivery.src, msg.delivery.dst);
+            let last = self.last_seq.entry(key).or_insert(0);
+            if msg.send_seq < *last {
+                self.stats.reordered += 1;
             } else {
-                *last = ev.send_seq;
+                *last = msg.send_seq;
             }
-            state.delivered += 1;
-            state.inbox.push(ev.delivery);
-        };
-        match deadline {
-            Some(t) => self.engine.run_until(t, handler),
-            None => self.engine.run(handler),
-        };
-        std::mem::take(&mut self.engine.state_mut().inbox)
+            self.stats.delivered += 1;
+            out.push(msg.delivery);
+        }
+        out
     }
 }
 
 impl SimTransport {
     /// Submits `payload` from `src` to `dst` at the current fabric time.
     pub fn send(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) {
-        let now = self.engine.now();
-        self.sent += 1;
+        let now = self.now;
+        self.stats.sent += 1;
         if self.partitions.iter().any(|p| p.severs(now, src, dst)) {
-            self.partition_dropped += 1;
+            self.stats.partition_dropped += 1;
             return;
         }
         let cfg = self.default_link;
         let rng = self.link_rng(src, dst);
         if rng.chance(cfg.drop_probability) {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         }
         let jitter_us = cfg.jitter.as_micros();
@@ -220,9 +197,9 @@ impl SimTransport {
         self.send_seq += 1;
         let send_seq = self.send_seq;
         let deliver_at = now.saturating_add(SimDuration::from_micros(delay_us));
-        self.engine.schedule_at(
+        self.queue.schedule(
             deliver_at,
-            SimNetEvent {
+            InFlight {
                 delivery: Delivery {
                     src,
                     dst,
@@ -235,11 +212,11 @@ impl SimTransport {
             },
         );
         if duplicate {
-            self.duplicated += 1;
+            self.stats.duplicated += 1;
             let dup_at = now.saturating_add(SimDuration::from_micros(dup_delay_us));
-            self.engine.schedule_at(
+            self.queue.schedule(
                 dup_at,
-                SimNetEvent {
+                InFlight {
                     delivery: Delivery {
                         src,
                         dst,
@@ -255,33 +232,29 @@ impl SimTransport {
     }
 
     /// Advances the fabric to `deadline` and returns everything delivered up
-    /// to (and including) that instant, in delivery order.
+    /// to (and including) that instant, in delivery order.  The clock then
+    /// reads `deadline`; an earlier deadline than [`now`](Self::now) delivers
+    /// nothing and leaves the clock where it was.
     pub fn advance_to(&mut self, deadline: SimTime) -> Vec<Delivery> {
-        self.pump(Some(deadline))
+        let out = self.deliver_until(deadline);
+        self.now = self.now.max(deadline);
+        out
     }
 
     /// Runs the fabric until nothing is in flight and returns the remaining
-    /// deliveries in delivery order.
+    /// deliveries in delivery order.  The clock stops at the last delivery.
     pub fn drain(&mut self) -> Vec<Delivery> {
-        self.pump(None)
+        self.deliver_until(SimTime::MAX)
     }
 
     /// Current fabric time.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.now
     }
 
     /// Counters accumulated since construction.
     pub fn stats(&self) -> TransportStats {
-        let state = self.engine.state();
-        TransportStats {
-            sent: self.sent,
-            delivered: state.delivered,
-            dropped: self.dropped,
-            duplicated: self.duplicated,
-            reordered: state.reordered,
-            partition_dropped: self.partition_dropped,
-        }
+        self.stats
     }
 }
 
@@ -409,16 +382,5 @@ mod tests {
         let y2 = a.link_rng(NodeId(0), NodeId(1)).next_u64();
         assert_eq!(x1, x2);
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn the_fabric_never_schedules_into_the_past() {
-        let mut net = SimTransport::new(5).with_default_link(lossless_link(3, 2));
-        for round in 0..10 {
-            net.advance_to(SimTime::from_millis(round * 2));
-            net.send(NodeId(0), NodeId(1), vec![round as u8]);
-        }
-        net.drain();
-        assert_eq!(net.engine().clamped_schedules(), 0);
     }
 }

@@ -43,8 +43,7 @@ fn build_campaign() -> Campaign {
                 .replications(30)
                 .duration(SimDuration::from_secs(300)),
         )
-        // 3. Event-channel QoS under nominal and degrading wireless capability
-        //    (also exercises the engine's causality-clamp accounting).
+        // 3. Event-channel QoS under nominal and degrading wireless capability.
         .entry(
             CampaignEntry::new("middleware-qos")
                 .grid(ParamGrid::new().axis("degrade", [false, true]))
@@ -101,17 +100,12 @@ fn main() {
         artifact.len()
     );
 
-    // Clamp audit (ROADMAP): no builtin model relies on past-time schedule
-    // clamping — every run of this campaign must be causality-clean.
-    assert_eq!(parallel.suspect_runs(), 0, "no model may schedule into the past");
-
     // Aligned-text views: the headline safety metrics per family.
     parallel.metric_table("collision").print();
     parallel.metric_table("conflicts").print();
     parallel.metric_table("delivery_ratio").print();
     parallel.metric_table("worst_case_reaction_ms").print();
     parallel.summary_table().print();
-    println!("causality-suspect runs (past-time schedule clamps): {}", parallel.suspect_runs());
 
     // Structured output for downstream tooling.
     println!("\n--- JSON report ---");

@@ -1067,8 +1067,7 @@ fn cmd_list_families(args: &[String]) -> Result<(), CliError> {
                 .iter()
                 .map(|p| format!("{}: {} = {}", p.name, p.type_name, p.default))
                 .collect();
-            let engine = if family.engine_driven { "  [engine-driven]" } else { "" };
-            writeln!(out, "  {}{engine}", family.name)?;
+            writeln!(out, "  {}", family.name)?;
             writeln!(out, "      {}", params.join(", "))?;
         }
         writeln!(

@@ -69,15 +69,13 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// The event queue pops exactly in heap order — the earliest time, then
-    /// the earliest insertion among ties — under random interleaved schedule
-    /// and pop operations.  Times tie with the last pop, land near it, jump
-    /// far ahead or lie before it (the queue accepts any time; only the
-    /// engine clamps).  `len` and `next_time` match the model after every
-    /// step.  The name dates from when a calendar queue was checked against
-    /// a heap baseline; the queue is now that heap, checked against a model.
+    /// The event queue pops exactly in the order of a sorted model — the
+    /// earliest time, then the earliest insertion among ties — under random
+    /// interleaved schedule and pop operations.  Times tie with the last pop,
+    /// land near it, jump far ahead or lie before it (the queue accepts any
+    /// time).  `len` and `next_time` match the model after every step.
     #[test]
-    fn calendar_queue_matches_heap_queue_exactly(
+    fn event_queue_matches_a_sorted_model_under_interleaved_ops(
         seed in any::<u64>(),
         ops in 50usize..400,
         pop_bias in 1u64..4,

@@ -346,40 +346,6 @@ proptest! {
     }
 }
 
-/// Clamp-audit guard (ISSUE 5): every `Engine`-driven builtin family must
-/// report `suspect_runs == 0` on its default spec, so a new family cannot
-/// silently violate the forward-scheduling contract established by the PR-3
-/// clamp audit.  (Non-engine families trivially report zero too — asserted
-/// as well, since `RunRecord::clamped_schedules` should never be non-zero
-/// without an engine.)
-#[test]
-fn engine_driven_families_are_causality_clean_on_their_defaults() {
-    let registry = builtin_registry();
-    let mut engine_driven = 0;
-    for info in registry.describe() {
-        let campaign = Campaign::new(&format!("clamp-audit-{}", info.name), 77).entry(
-            CampaignEntry::new(&info.name)
-                .grid(info.default_grid())
-                .replications(2)
-                .duration_secs(10),
-        );
-        let report = campaign.run(&registry).unwrap();
-        assert_eq!(
-            report.suspect_runs(),
-            0,
-            "family {} violates the forward-scheduling contract on its default spec",
-            info.name
-        );
-        if info.engine_driven {
-            engine_driven += 1;
-        }
-    }
-    assert!(
-        engine_driven >= 1,
-        "the audit guard must cover at least the engine-driven net-transport family"
-    );
-}
-
 /// Regression: `avionics-rpv` reports an `f64::MAX` separation when no
 /// encounter happens.  A point with more runs than the exact-quantile limit
 /// spills its retained samples into a derived-range histogram, and padding

@@ -1,9 +1,9 @@
 //! Integration tests for the `karyon-telemetry` flight recorder wired
 //! through the campaign runner: deterministic trace streams (bit-identical
 //! for any worker count and across checkpoint/resume boundaries), report
-//! byte-identity with and without telemetry attached, the clamp count of the
-//! `engine.run` span, and the wall-clock metrics registry (campaign runner +
-//! event bus exports).
+//! byte-identity with and without telemetry attached, the `net-transport`
+//! family's `engine.run` span, and the wall-clock metrics registry (campaign
+//! runner + event bus exports).
 
 use std::sync::Arc;
 
@@ -16,19 +16,11 @@ use karyon::scenario::{
     builtin_registry, Campaign, CampaignEntry, CampaignTelemetry, Checkpointer, ParamGrid,
     RunRecord, Scenario, ScenarioRegistry, ScenarioSpec,
 };
-use karyon::sim::{Engine, SimDuration, SimTime};
+use karyon::sim::SimTime;
 use karyon::telemetry::{trace, AttrValue, JsonlTraceWriter, MetricsRegistry};
 
-/// A deterministic engine-driven scenario that emits its own trace events —
-/// and deliberately schedules one event into the past so the engine's clamp
-/// count is exercised.
+/// A deterministic scenario that emits one `tick` trace event every 2 ms.
 struct Ticker;
-
-#[derive(Debug, Clone)]
-enum Tick {
-    Step(u64),
-    Rewind,
-}
 
 impl Scenario for Ticker {
     fn name(&self) -> &str {
@@ -37,26 +29,12 @@ impl Scenario for Ticker {
 
     fn run(&self, spec: &ScenarioSpec) -> RunRecord {
         let steps = spec.f64_or("steps", 5.0) as u64;
-        let mut engine: Engine<u64, Tick> = Engine::new(0);
-        engine.schedule_at(SimTime::ZERO, Tick::Step(steps));
-        engine.schedule_at(SimTime::from_millis(3), Tick::Rewind);
-        engine.run(|count, ctx, event| match event {
-            Tick::Step(left) => {
-                *count += 1;
-                trace::event("tick", ctx.now(), &[("left", AttrValue::U64(left))]);
-                if left > 1 {
-                    ctx.schedule_in(SimDuration::from_millis(2), Tick::Step(left - 1));
-                }
-            }
-            Tick::Rewind => {
-                // Into the past: the engine clamps this to `now` and counts
-                // the clamp.
-                ctx.schedule_at(SimTime::ZERO, Tick::Step(1));
-            }
-        });
+        for step in 0..steps {
+            let left = AttrValue::U64(steps - step);
+            trace::event("tick", SimTime::from_millis(2 * step), &[("left", left)]);
+        }
         let mut record = RunRecord::new();
-        record.set("ticks", *engine.state() as f64);
-        record.absorb_engine_clamps(&engine);
+        record.set("ticks", steps as f64);
         record
     }
 }
@@ -91,7 +69,7 @@ fn traced_run(threads: usize) -> (String, Vec<u8>) {
 #[test]
 fn trace_stream_is_bit_identical_for_any_worker_count() {
     let (report_one, trace_one) = traced_run(1);
-    assert!(!trace_one.is_empty(), "an engine-driven campaign must trace");
+    assert!(!trace_one.is_empty(), "a ticking campaign must trace");
     for threads in [2, 4, 8] {
         let (report_many, trace_many) = traced_run(threads);
         assert_eq!(report_one, report_many, "threads = {threads}");
@@ -153,20 +131,6 @@ fn trace_stream_stitches_bit_identically_across_checkpoint_resume() {
         assert_eq!(stitched, uninterrupted, "boundary {boundary}");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn engine_run_span_counts_the_clamp() {
-    let ((), records) = trace::collect(|| {
-        let spec = ScenarioSpec::new("ticker").with_seed(1);
-        Ticker.run(&spec);
-    });
-    let span = records.iter().find(|r| r.name() == "engine.run").expect("summary span");
-    assert!(
-        span.attrs().iter().any(|(k, v)| k == "clamped" && *v == AttrValue::U64(1)),
-        "the engine.run span counts the clamp: {:?}",
-        span.attrs()
-    );
 }
 
 #[test]
@@ -240,8 +204,8 @@ proptest! {
     }
 }
 
-/// The builtin engine-driven family traces its `engine.run` summary span
-/// through `RunRecord::absorb_engine_clamps`, with no per-family trace code.
+/// The `net-transport` family traces one `engine.run` summary span per run:
+/// the fabric's deliveries, nothing left in flight, and no clamp.
 #[test]
 fn net_transport_family_traces_its_engine_run() {
     let mut writer = JsonlTraceWriter::new(Vec::new());
@@ -257,7 +221,7 @@ fn net_transport_family_traces_its_engine_run() {
     let spans: Vec<&str> = text.lines().filter(|l| l.contains("\"engine.run\"")).collect();
     assert_eq!(spans.len(), 2, "one summary span per run:\n{text}");
     for span in spans {
-        assert!(span.contains("\"clamped\":0"), "the fabric never clamps: {span}");
-        assert!(!span.contains("\"processed\":0,"), "the fabric's events are counted: {span}");
+        assert!(span.contains("\"pending\":0,\"clamped\":0}"), "drained, no clamp: {span}");
+        assert!(!span.contains("\"processed\":0,"), "the fabric's deliveries are counted: {span}");
     }
 }

@@ -47,6 +47,32 @@ fn partition_windows_sever_cross_group_traffic_then_heal() {
     assert_eq!(stats.delivered, 3);
 }
 
+/// The fabric clock never runs back: an `advance_to` with an earlier deadline
+/// delivers nothing and leaves `now()` where it was, so the next send still
+/// leaves at the later time.
+#[test]
+fn an_earlier_deadline_leaves_the_clock_where_it_was() {
+    let mut net = SimTransport::new(8).with_default_link(LinkConfig {
+        delay: SimDuration::from_millis(1),
+        jitter: SimDuration::ZERO,
+        ..LinkConfig::default()
+    });
+    net.send(NodeId(0), NodeId(1), b"first".to_vec());
+    assert_eq!(net.advance_to(SimTime::from_millis(10)).len(), 1);
+    assert_eq!(net.now(), SimTime::from_millis(10));
+    net.send(NodeId(0), NodeId(1), b"second".to_vec());
+    assert!(net.advance_to(SimTime::from_millis(4)).is_empty());
+    assert_eq!(net.now(), SimTime::from_millis(10));
+    net.send(NodeId(0), NodeId(1), b"third".to_vec());
+    let out = net.drain();
+    assert_eq!(out.len(), 2);
+    for delivery in &out {
+        assert_eq!(delivery.sent_at, SimTime::from_millis(10));
+        assert_eq!(delivery.delivered_at, SimTime::from_millis(11));
+    }
+    assert_eq!(net.now(), SimTime::from_millis(11), "drain stops at the last delivery");
+}
+
 /// The lossy knobs actually fire at their extremes: probability 1 drops
 /// everything, duplicates everything.
 #[test]
@@ -86,7 +112,9 @@ fn unpack_send(word: u64, nodes: u32) -> (u32, u32, u8) {
 }
 
 /// Replays the same send schedule (interleaved with clock advances) against a
-/// fresh fabric and returns the full observable history.
+/// fresh fabric and returns the full observable history.  The fabric advances
+/// after every third send, to `(i + 1) · 500 µs` after send `i`, and each
+/// payload carries its send's index as the second byte.
 fn run_schedule(
     seed: u64,
     link: LinkConfig,
@@ -97,7 +125,7 @@ fn run_schedule(
     let mut history = Vec::new();
     for (i, word) in sends.iter().enumerate() {
         let (src, dst, payload) = unpack_send(*word, nodes);
-        net.send(NodeId(src), NodeId(dst), vec![payload]);
+        net.send(NodeId(src), NodeId(dst), vec![payload, i as u8]);
         if i % 3 == 2 {
             let deadline = SimTime::from_micros((i as u64 + 1) * 500);
             history.extend(net.advance_to(deadline));
@@ -142,6 +170,13 @@ proptest! {
         // Delivery order is non-decreasing in delivered_at.
         for pair in first.windows(2) {
             prop_assert!(pair[0].delivered_at <= pair[1].delivered_at);
+        }
+        // The clock rule: a message leaves at the deadline of the last
+        // `advance_to` before its send, or at 0 before the first one.  Send
+        // `i` follows the advance to `(i - i % 3) · 500 µs`.
+        for delivery in &first {
+            let send = delivery.payload[1] as u64;
+            prop_assert_eq!(delivery.sent_at.as_micros(), (send - send % 3) * 500);
         }
     }
 
