@@ -64,6 +64,8 @@ pub struct PulseSyncSim {
     nodes: Vec<PulseNode>,
     rng: Rng,
     time: f64,
+    /// The nodes that fired in the current step; kept to reuse its buffer.
+    fired: Vec<usize>,
 }
 
 impl PulseSyncSim {
@@ -83,7 +85,7 @@ impl PulseSyncSim {
                 pending_errors: Vec::new(),
             })
             .collect();
-        PulseSyncSim { config, nodes, rng, time: 0.0 }
+        PulseSyncSim { config, nodes, rng, time: 0.0, fired: Vec::new() }
     }
 
     /// Current simulated time in seconds.
@@ -117,7 +119,7 @@ impl PulseSyncSim {
         self.time += dt;
 
         // Advance local clocks and collect this step's pulse emitters.
-        let mut fired: Vec<usize> = Vec::new();
+        self.fired.clear();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             node.phase += dt * node.rate;
             if node.phase >= period {
@@ -131,12 +133,12 @@ impl PulseSyncSim {
                 };
                 node.pending_errors.clear();
                 node.phase = (node.phase - period + correction).rem_euclid(period);
-                fired.push(i);
+                self.fired.push(i);
             }
         }
 
         // Deliver pulses to the other nodes (single-hop broadcast with loss).
-        for &emitter in &fired {
+        for &emitter in &self.fired {
             for j in 0..self.nodes.len() {
                 if j == emitter || self.rng.chance(self.config.loss_probability) {
                     continue;

@@ -245,7 +245,9 @@ pub struct PointAccumulator {
 
 impl PointAccumulator {
     /// Streams one run's record into the point, in canonical run order.
-    /// `range_for` supplies the family's pre-agreed metric ranges.
+    /// `range_for` supplies the family's pre-agreed metric ranges.  A metric
+    /// is looked up by name; only the first run to report it allocates its
+    /// key.
     pub fn record_run(
         &mut self,
         record: &RunRecord,
@@ -256,10 +258,14 @@ impl PointAccumulator {
             self.suspect_runs += 1;
         }
         for (name, value) in record.metrics() {
-            self.metrics
-                .entry(name.clone())
-                .or_insert_with(|| MetricAccumulator::new(range_for(name)))
-                .record(*value);
+            match self.metrics.get_mut(name) {
+                Some(metric) => metric.record(value),
+                None => {
+                    let mut metric = MetricAccumulator::new(range_for(name));
+                    metric.record(value);
+                    self.metrics.insert(name.to_owned(), metric);
+                }
+            }
         }
     }
 

@@ -182,6 +182,18 @@ struct PointDef {
     first_run: u64,
 }
 
+impl PointDef {
+    /// The spec every run of the point executes, with the seed left for
+    /// each run to set.
+    fn spec(&self) -> ScenarioSpec {
+        let spec = ScenarioSpec::new(&self.scenario).with_params(self.params.clone());
+        match self.duration {
+            Some(duration) => spec.with_duration(duration),
+            None => spec,
+        }
+    }
+}
+
 /// The canonical walk over a campaign's runs: yields the coordinates of
 /// every run from a given one to the campaign's end, in order.  One binary
 /// search places the cursor; each later run steps from the previous one.
@@ -239,17 +251,6 @@ impl<'p> RunAt<'p> {
     /// The run's RNG seed, derived from its coordinates alone.
     fn seed(&self) -> u64 {
         derive_run_seed(self.campaign_seed, self.index as u64, self.replication)
-    }
-
-    /// The spec the run executes.
-    fn spec(&self) -> ScenarioSpec {
-        let spec = ScenarioSpec::new(&self.point.scenario)
-            .with_params(self.point.params.clone())
-            .with_seed(self.seed());
-        match self.point.duration {
-            Some(duration) => spec.with_duration(duration),
-            None => spec,
-        }
     }
 
     /// What a [`RunSink`] learns about the run.
@@ -1148,6 +1149,8 @@ struct ChunkWork<'s> {
 impl ChunkWork<'_> {
     /// Executes the canonical chunk `chunk` sequentially in run order on
     /// worker `worker`, streaming every record into a fresh [`ChunkPartial`].
+    /// Each point's spec is built once per chunk and re-seeded for every
+    /// run.
     /// Returns the first run failure (canonical within the chunk) as `Err`;
     /// an output with `completed == false` when the abort flag cut the chunk
     /// short.
@@ -1162,6 +1165,7 @@ impl ChunkWork<'_> {
         let mut traces = Vec::new();
         let mut runs = 0u64;
         let mut completed = true;
+        let mut point_spec: Option<(usize, ScenarioSpec)> = None;
         let chunk_runs = RunCursor::new(self.points, self.campaign.seed, start);
         for at in chunk_runs.take(self.campaign.chunk_size) {
             if abort.load(Ordering::Relaxed) {
@@ -1172,17 +1176,21 @@ impl ChunkWork<'_> {
                 injector.before_run(chunk, runs)?;
             }
             let family = &self.families[at.index];
-            let spec = at.spec();
+            let spec = match &mut point_spec {
+                Some((point, spec)) if *point == at.index => spec,
+                slot => &mut slot.insert((at.index, at.point.spec())).1,
+            };
+            spec.seed = at.seed();
             let record = if self.tracing {
                 // The collection scope makes every `karyon_telemetry::trace`
                 // call inside the run land in this run's record list; the
                 // records contain only virtual-time data, so the list is a
                 // pure function of the spec.
-                let (record, run_trace) = trace::collect(|| run_one(&**family, &spec));
+                let (record, run_trace) = trace::collect(|| run_one(&**family, spec));
                 traces.push(run_trace);
                 record?
             } else {
-                run_one(&**family, &spec)?
+                run_one(&**family, spec)?
             };
             partial.record_run(at.index, &record, &|metric| family.metric_range(metric));
             runs += 1;

@@ -253,11 +253,11 @@ impl Scenario for MiddlewareOverloadScenario {
         for (class, sub) in subs {
             let stats = bus.subscription_stats(sub).expect("subscription exists");
             let prefix = class.name();
-            record.set(&format!("{prefix}_delivery_ratio"), stats.delivery_ratio());
-            record.set(&format!("{prefix}_p99_ms"), stats.p99_latency_ms);
-            record.set(&format!("{prefix}_delivered"), stats.delivered as f64);
+            record.set(format!("{prefix}_delivery_ratio"), stats.delivery_ratio());
+            record.set(format!("{prefix}_p99_ms"), stats.p99_latency_ms);
+            record.set(format!("{prefix}_delivered"), stats.delivered as f64);
             record.set(
-                &format!("{prefix}_dropped"),
+                format!("{prefix}_dropped"),
                 (stats.dropped_pressure
                     + stats.dropped_capacity
                     + stats.sampled_out

@@ -43,8 +43,13 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Appends `s` to `out`, escaped for use inside a JSON string literal
-/// (without quotes).
+/// (without quotes).  A string with nothing to escape — no `"`, `\` or
+/// control character — is appended whole.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -58,6 +63,30 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// Appends `value` in decimal, as `format!("{value}")` would, from a stack
+/// buffer rather than through `fmt`.
+fn u64_into(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Appends `value` in decimal, as `format!("{value}")` would.
+fn i64_into(out: &mut String, value: i64) {
+    if value < 0 {
+        out.push('-');
+    }
+    u64_into(out, value.unsigned_abs());
 }
 
 /// Formats an `f64` as a JSON number; non-finite values become `null`
@@ -145,14 +174,14 @@ impl ObjectWriter {
     /// Adds an integer field.
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
         self.push_key(key);
-        let _ = write!(self.out, "{value}");
+        u64_into(&mut self.out, value);
         self
     }
 
     /// Adds a signed integer field.
     pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
         self.push_key(key);
-        let _ = write!(self.out, "{value}");
+        i64_into(&mut self.out, value);
         self
     }
 
@@ -194,7 +223,7 @@ impl ObjectWriter {
             if index > 0 {
                 self.out.push(',');
             }
-            let _ = write!(self.out, "{value}");
+            u64_into(&mut self.out, value);
         }
         self.out.push(']');
         self

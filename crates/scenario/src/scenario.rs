@@ -1,20 +1,28 @@
 //! The `Scenario` trait and the per-run metric record.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use crate::grid::ParamGrid;
 use crate::spec::ScenarioSpec;
+
+/// Metrics a fresh record has room for before it grows.  Most builtin
+/// families report at most this many per run; `platoon` reports 10 and
+/// `middleware-overload` up to 14.
+const METRICS_PRESIZED: usize = 8;
 
 /// The named metrics produced by one scenario run.
 ///
 /// Metrics are flat `name → f64` pairs so the campaign runner can aggregate
 /// any scenario family without knowing its result type; booleans are encoded
-/// as 0/1 (their mean over a sweep is then a rate).  The map is a `BTreeMap`
-/// so metric enumeration — and therefore report layout and JSON output — is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// as 0/1 (their mean over a sweep is then a rate).  The pairs are kept
+/// sorted by name, so metric enumeration — and therefore report layout and
+/// JSON output — is deterministic.  A name given as a `&'static str`
+/// literal is borrowed, not copied, so a record of literal names costs one
+/// allocation: its pre-sized pair vector.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    metrics: BTreeMap<String, f64>,
+    /// Name-sorted, with unique names.
+    metrics: Vec<(Cow<'static, str>, f64)>,
     /// Past-time schedules clamped during this run.  No builtin family sets
     /// it, so it reads 0 for every run they make; the JSONL reader fills it
     /// from the stream.  A non-zero value marks the run as causality-suspect
@@ -23,32 +31,50 @@ pub struct RunRecord {
     pub clamped_schedules: u64,
 }
 
+impl Default for RunRecord {
+    fn default() -> Self {
+        RunRecord { metrics: Vec::with_capacity(METRICS_PRESIZED), clamped_schedules: 0 }
+    }
+}
+
 impl RunRecord {
     /// Creates an empty record.
     pub fn new() -> Self {
         RunRecord::default()
     }
 
-    /// Sets one metric.  Non-finite values are stored as-is and skipped by
-    /// the aggregators, which keeps a broken metric visible in a single-run
-    /// record without poisoning campaign statistics.
-    pub fn set(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_string(), value);
+    /// Sets one metric, replacing an earlier value of the same name.  A
+    /// `&'static str` name is borrowed; a `String` name is kept as is.
+    /// Non-finite values are stored as-is and skipped by the aggregators,
+    /// which keeps a broken metric visible in a single-run record without
+    /// poisoning campaign statistics.
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        let name = name.into();
+        // Names arriving in order (a JSONL line lists them so) append.
+        if self.metrics.last().map_or(true, |(last, _)| **last < *name) {
+            self.metrics.push((name, value));
+            return;
+        }
+        match self.metrics.binary_search_by(|(key, _)| (**key).cmp(&*name)) {
+            Ok(at) => self.metrics[at].1 = value,
+            Err(at) => self.metrics.insert(at, (name, value)),
+        }
     }
 
     /// Sets a boolean metric as 0/1 (its campaign mean is a rate).
-    pub fn set_flag(&mut self, name: &str, value: bool) {
+    pub fn set_flag(&mut self, name: impl Into<Cow<'static, str>>, value: bool) {
         self.set(name, if value { 1.0 } else { 0.0 });
     }
 
     /// Looks up one metric.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.metrics.get(name).copied()
+        let at = self.metrics.binary_search_by(|(key, _)| (**key).cmp(name)).ok()?;
+        Some(self.metrics[at].1)
     }
 
     /// All metrics in deterministic (sorted-name) order.
-    pub fn metrics(&self) -> &BTreeMap<String, f64> {
-        &self.metrics
+    pub fn metrics(&self) -> impl ExactSizeIterator<Item = (&str, f64)> + '_ {
+        self.metrics.iter().map(|(name, value)| (&**name, *value))
     }
 }
 

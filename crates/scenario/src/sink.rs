@@ -185,7 +185,7 @@ impl<W: Write> RunSink for JsonlRunWriter<W> {
             .raw("params", &self.params_text)
             .object("metrics", |metrics| {
                 for (name, value) in record.metrics() {
-                    metrics.f64(name, *value);
+                    metrics.f64(name, value);
                 }
             });
         self.line = line.close();
@@ -350,7 +350,7 @@ fn read_metrics<'a>(
         let value = reader.f64_value()?;
         if let Ok(metrics) = &mut record {
             match value {
-                Some(value) => metrics.set(&name, value),
+                Some(value) => metrics.set(name.into_owned(), value),
                 None => record = Err(name),
             }
         }

@@ -166,7 +166,9 @@ impl SimTransport {
 
 impl SimTransport {
     /// Submits `payload` from `src` to `dst` at the current fabric time.
-    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) {
+    /// The payload moves into the last copy queued; only a duplicated send
+    /// copies it.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, mut payload: Vec<u8>) {
         let now = self.now;
         self.stats.sent += 1;
         if self.partitions.iter().any(|p| p.severs(now, src, dst)) {
@@ -205,7 +207,7 @@ impl SimTransport {
                     dst,
                     sent_at: now,
                     delivered_at: deliver_at,
-                    payload: payload.clone(),
+                    payload: if duplicate { payload.clone() } else { std::mem::take(&mut payload) },
                     duplicate: false,
                 },
                 send_seq,

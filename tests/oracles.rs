@@ -5,11 +5,15 @@
 //! A fixed seed makes every test deterministic, so none can flake; the small
 //! p keeps a correct model from failing on an unlucky seed.  A model skewed
 //! by a few percent (a `chance` drawing against 0.98·p, an `exponential`
-//! with its mean 2 % off, a fabric that never delivers its duplicate copies)
-//! fails by a wide margin.
+//! with its mean 2 % off, a fabric that never delivers its duplicate copies,
+//! a bus route combining its capabilities the wrong way) fails by a wide
+//! margin.
 
 use std::f64::consts::SQRT_2;
 
+use karyon::middleware::{
+    EventBus, NetworkCapability, NetworkId, OverloadStrategy, Payload, QosClass, QosRequirement,
+};
 use karyon::sim::{Rng, SimDuration, SimTime};
 use karyon::transport::{Delivery, LinkConfig, NodeId, SimTransport};
 
@@ -184,4 +188,101 @@ fn fabric_delivers_its_closed_form_ratio_and_delay() {
     assert_fabric_matches_its_model(2, link(2_000, 500, 5_000, 0.3, 0.3, 0.5));
     // No jitter and no reordering: the duplicate trails by exactly 1 µs.
     assert_fabric_matches_its_model(3, link(1_000, 0, 20_000, 0.05, 0.5, 0.0));
+}
+
+/// Events published per bus oracle.
+const PUBLISHES: usize = 1_000_000;
+
+/// A network with the given delivery ratio and mean latency, and room for
+/// any rate.
+fn network(ratio: f64, latency_us: u64) -> NetworkCapability {
+    NetworkCapability {
+        expected_latency: SimDuration::from_micros(latency_us),
+        expected_delivery_ratio: ratio,
+        capacity_rate: 1e9,
+    }
+}
+
+/// A bus route combines the publisher's and the subscriber's network with
+/// `combine_worst`: the smaller delivery ratio and the longer mean latency.
+/// Each copy is delivered with the route's ratio, so a route's delivered
+/// count is binomial; a delivered copy's network latency (`arrived_at −
+/// produced_at`) is exponential with the route's mean, rounded to 1 µs.
+/// Rounding moves the distribution function by at most 0.5 µs / mean:
+/// below 0.00025 on these routes, whose means are at least 2 ms, and far
+/// below the KS critical value.
+#[test]
+fn bus_routes_deliver_at_their_combined_ratio_and_mean_latency() {
+    let mut bus = EventBus::new(0xB0);
+    // The publisher's network, and three subscriber networks: one with a
+    // longer latency (the route takes it and the publisher's ratio), one
+    // with a smaller ratio (the route takes it and the publisher's latency)
+    // and one worse in both.
+    bus.attach_network(NetworkId(0), network(0.7, 2_000));
+    bus.attach_network(NetworkId(1), network(0.9, 30_000));
+    bus.attach_network(NetworkId(2), network(0.5, 1_000));
+    bus.attach_network(NetworkId(3), network(0.6, 10_000));
+    let routes = [(1, 0.7, 30_000.0), (2, 0.5, 2_000.0), (3, 0.6, 10_000.0)];
+    let subs: Vec<_> = routes
+        .iter()
+        .map(|&(net, _, _)| {
+            bus.topic("oracle").via(NetworkId(net)).mailbox(4).subscribe(QosClass::Batched)
+        })
+        .collect();
+    let publisher = bus.topic("oracle").via(NetworkId(0)).announce(QosRequirement::best_effort());
+
+    let mut latencies_us = vec![Vec::new(); routes.len()];
+    for i in 0..PUBLISHES {
+        let now = SimTime::from_millis(i as u64);
+        bus.publish(&publisher, Payload::tagged(i as u64), now);
+        for (sub, latencies) in subs.iter().zip(&mut latencies_us) {
+            bus.drain_with(*sub, now, usize::MAX, |event| {
+                latencies.push(event.arrived_at.since(event.produced_at).as_micros() as f64);
+            });
+        }
+    }
+
+    let n = PUBLISHES as f64;
+    for (&(net, ratio, mean_us), latencies) in routes.iter().zip(latencies_us) {
+        let delivered = latencies.len() as f64;
+        let z = (delivered - n * ratio) / (n * ratio * (1.0 - ratio)).sqrt();
+        assert!(
+            z.abs() < Z_CRITICAL,
+            "route 0 → {net}: delivered {} against {ratio}: z = {z}",
+            delivered / n
+        );
+        let critical = ks_critical(latencies.len());
+        let d = ks_statistic(latencies, |x| 1.0 - (-x / mean_us).exp());
+        assert!(d < critical, "route 0 → {net}: latency KS D = {d} against {critical}");
+    }
+}
+
+/// Under sustained overflow, `Sample { keep_1_in: 4 }` lets every fourth
+/// copy that finds the mailbox full displace the oldest queued one, and
+/// sheds the other three.  The network loses copies at random before they
+/// reach the mailbox, so the arrivals are random, but the split of the
+/// overflow is a count: exactly one copy in four.
+#[test]
+fn sampling_displaces_exactly_one_overflowing_copy_in_four() {
+    let capacity = 8;
+    let mut bus = EventBus::new(0x5A);
+    bus.attach_network(NetworkId(0), network(0.8, 5_000));
+    let sub = bus
+        .topic("flood")
+        .mailbox(capacity)
+        .overload(OverloadStrategy::Sample { keep_1_in: 4 })
+        .subscribe(QosClass::Batched);
+    let publisher = bus.topic("flood").announce(QosRequirement::best_effort());
+    for i in 0..100_000u64 {
+        bus.publish(&publisher, Payload::tagged(i), SimTime::from_micros(i * 100));
+    }
+
+    let stats = bus.subscription_stats(sub).expect("subscribed");
+    let arrived = stats.matched - stats.dropped_loss - stats.filtered_out;
+    let overflow = arrived - capacity as u64;
+    assert_eq!(stats.displaced, overflow / 4, "{stats:?}");
+    assert_eq!(stats.sampled_out, overflow - overflow / 4, "{stats:?}");
+    assert_eq!(stats.enqueued, capacity as u64 + stats.displaced, "{stats:?}");
+    assert_eq!(stats.backlog, capacity as u64);
+    assert!(overflow > 70_000, "the mailbox overflowed throughout: {stats:?}");
 }

@@ -18,10 +18,11 @@ use karyon::net::{
     WirelessMedium,
 };
 use karyon::scenario::checkpoint::read_manifest_text;
-use karyon::scenario::json::escape;
+use karyon::scenario::json::{escape, ObjectWriter};
 use karyon::scenario::{
     builtin_registry, read_jsonl_records, Campaign, CampaignEntry, CheckpointManifest,
-    Checkpointer, FaultPlan, JsonValue, JsonlRunWriter, ParamGrid, ShardManifest, ShardPlan,
+    Checkpointer, FaultPlan, JsonValue, JsonlRunWriter, ParamGrid, RunRecord, ShardManifest,
+    ShardPlan,
 };
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
@@ -1298,7 +1299,7 @@ fn agrees_with_reference(manifest: bool, text: &str) -> Result<bool, TestCaseErr
                 .iter()
                 .map(|record| {
                     let metrics =
-                        record.metrics().iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+                        record.metrics().map(|(k, v)| (k.to_string(), v.to_bits())).collect();
                     (record.clamped_schedules, metrics)
                 })
                 .collect::<RecordBits>()
@@ -1330,5 +1331,122 @@ proptest! {
             mutate(&mut bytes, &mut rng);
         }
         agrees_with_reference(manifest, &String::from_utf8_lossy(&bytes))?;
+    }
+}
+
+/// The JSON object `{"v":…}` with `v` written by the integer writer.
+fn integer_fields(v: u64, signed: i64) -> (String, String) {
+    (ObjectWriter::new().u64("v", v).finish(), ObjectWriter::new().i64("v", signed).finish())
+}
+
+#[test]
+fn integer_writer_matches_display_at_the_edges() {
+    for v in [0, 1, 9, 10, 11, 99, 100, 999_999, 1_000_000, u64::MAX / 10, u64::MAX - 1, u64::MAX] {
+        assert_eq!(integer_fields(v, 0).0, format!("{{\"v\":{v}}}"));
+    }
+    for v in [0, 9, 10, -1, -9, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
+        assert_eq!(integer_fields(0, v).1, format!("{{\"v\":{v}}}"));
+    }
+}
+
+/// Characters for escape inputs: plain ASCII, the two characters JSON
+/// escapes by name, control characters with and without a short escape,
+/// DEL (which JSON leaves alone) and multi-byte UTF-8.
+const ESCAPE_ALPHABET: [char; 16] = [
+    'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€', '𝄞',
+    '\u{2028}',
+];
+
+/// The escape as a per-character loop, the way `escape` writes a string
+/// that holds something to escape.
+fn escape_per_char(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Metric names for the record model: ASCII and multi-byte names, and
+/// names that are prefixes of one another, so the byte order matters.
+const RECORD_NAMES: [&str; 8] = ["a", "ab", "a_b", "b", "gap", "latency_ms", "Δt", "zeta"];
+
+proptest! {
+    /// The fmt-free integer writer prints what `Display` prints, for
+    /// integers of every length and sign.
+    #[test]
+    fn integer_writer_matches_display(
+        raw in any::<u64>(),
+        signed in any::<i64>(),
+        shift in 0u32..64,
+    ) {
+        let (v, s) = (raw >> shift, signed >> shift);
+        let (unsigned, signed_text) = integer_fields(v, s);
+        prop_assert_eq!(unsigned, format!("{{\"v\":{v}}}"));
+        prop_assert_eq!(signed_text, format!("{{\"v\":{s}}}"));
+    }
+
+    /// `escape` appends a string with nothing to escape whole, and
+    /// otherwise escapes it character by character; both paths write what
+    /// the per-character loop writes.
+    #[test]
+    fn escape_matches_the_per_char_loop(
+        picks in proptest::collection::vec(0usize..ESCAPE_ALPHABET.len(), 0..40),
+        plain in any::<bool>(),
+    ) {
+        // Half the strings keep only characters that need no escape, so the
+        // fast path is taken as often as the loop.
+        let text: String = picks
+            .iter()
+            .map(|&i| ESCAPE_ALPHABET[i])
+            .filter(|&c| !plain || (c != '"' && c != '\\' && c >= ' '))
+            .collect();
+        prop_assert_eq!(escape(&text), escape_per_char(&text));
+    }
+
+    /// `RunRecord` keeps the meaning of the name → value map it replaced:
+    /// `set` overwrites, `get` finds, and `metrics()` lists in name order,
+    /// whether a name is borrowed or owned.
+    #[test]
+    fn run_record_matches_a_map_model(
+        ops in proptest::collection::vec(0usize..RECORD_NAMES.len() * 4, 0..30),
+        values in proptest::collection::vec(-1.0e3f64..1.0e3, 30..31),
+    ) {
+        let mut record = RunRecord::new();
+        let mut model = BTreeMap::new();
+        for (&op, &value) in ops.iter().zip(&values) {
+            let name = RECORD_NAMES[op % RECORD_NAMES.len()];
+            match op / RECORD_NAMES.len() {
+                0 => record.set(name, value),
+                1 => record.set(name.to_string(), value),
+                2 => record.set_flag(name, value > 0.0),
+                _ => record.set_flag(name.to_string(), value > 0.0),
+            }
+            let stored = if op / RECORD_NAMES.len() < 2 { value } else { f64::from(value > 0.0) };
+            model.insert(name.to_string(), stored);
+            for name in RECORD_NAMES {
+                prop_assert_eq!(record.get(name), model.get(name).copied());
+            }
+            let listed: Vec<(String, f64)> =
+                record.metrics().map(|(name, value)| (name.to_string(), value)).collect();
+            let expected: Vec<(String, f64)> = model.clone().into_iter().collect();
+            prop_assert_eq!(listed, expected);
+            prop_assert_eq!(record.metrics().len(), model.len());
+        }
+        // Equality is the map's: the same pairs in any insertion order.
+        let mut rebuilt = RunRecord::new();
+        for (name, value) in model.iter().rev() {
+            rebuilt.set(name.clone(), *value);
+        }
+        prop_assert_eq!(&rebuilt, &record);
+        prop_assert_eq!(&record.clone(), &record);
     }
 }

@@ -258,8 +258,8 @@ proptest! {
         prop_assert_eq!(point.runs, 1);
         for (name, value) in direct.metrics() {
             let summary = &point.metrics[name];
-            prop_assert!(summary.mean == *value, "metric {}: {} != {}", name, summary.mean, value);
-            prop_assert_eq!(summary.p99, *value);
+            prop_assert!(summary.mean == value, "metric {}: {} != {}", name, summary.mean, value);
+            prop_assert_eq!(summary.p99, value);
         }
     }
 }
